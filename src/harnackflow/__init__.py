@@ -25,7 +25,6 @@ from .flow import (
     load_trajectory,
     run,
     save_trajectory,
-    step,
     time_derivative,
 )
 from .geometry import SphereGeometry, SurfaceGeometry, TorusGeometry

@@ -7,13 +7,18 @@ Subcommands:
 * ``verify-identities --config PATH [--levels K] [--out DIR] [--seed N]``
   -- identity residuals over K refinement levels; prints the convergence
   table.
-* ``action --config PATH [--out DIR] [--seed N]`` -- flow plus the action
-  minimizer and integrated-inequality margins only.
+* ``action --config PATH [--out DIR] [--seed N]`` -- ``run`` with the
+  action stage forced on and the monitor and identity stages off: writes
+  trajectory.bin, an empty-column monitors.csv, action.csv and
+  summary.txt.
 * ``sweep CONFIG [CONFIG ...] [--jobs J] [--out DIR]`` -- several scenarios,
   fanned out across processes, each writing to its own subdirectory.
 
-Exit status is 0 iff every enabled assertion of every scenario passed.
-The environment variable ``HARNACKFLOW_OUT`` overrides ``--out``.
+Exit status is 0 iff every enabled assertion of every scenario passed; a
+stage that fails with a typed error fails its scenario (exit 1), while
+any other typed error, such as an invalid config, exits 2.  The environment variable
+``HARNACKFLOW_OUT`` overrides ``--out``; for ``sweep`` it is the base
+directory of the per-scenario subdirectories.
 """
 
 from __future__ import annotations
@@ -22,21 +27,11 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
-import numpy as np
-
-from . import action as action_mod
-from . import harnack
 from .config import parse_config
 from .errors import HarnackFlowError
-from .runner import (
-    evaluate_assertions,
-    resolve_out_dir,
-    run_scenario,
-    run_trajectory,
-    verify_identities,
-    action_rows,
-)
+from .runner import run_scenario, verify_identities
 
 
 def _load_config(path):
@@ -46,19 +41,25 @@ def _load_config(path):
     return parse_config(text, name=name)
 
 
-def _cmd_run(args):
-    cfg = _load_config(args.config)
-    report = run_scenario(cfg, out_flag=args.out, seed=args.seed)
+def _out_flag(args):
+    return os.environ.get("HARNACKFLOW_OUT") or args.out
+
+
+def _print_report(report):
     for a in report.assertions:
         print(a.line())
     print(f"{'PASS' if report.passed else 'FAIL'} scenario {report.name} -> {report.out_dir}")
     return 0 if report.passed else 1
 
 
+def _cmd_run(args):
+    cfg = _load_config(args.config)
+    return _print_report(run_scenario(cfg, out_flag=_out_flag(args), seed=args.seed))
+
+
 def _cmd_verify_identities(args):
     cfg = _load_config(args.config)
-    cfg.identities_enable = True
-    study = verify_identities(cfg, levels=args.levels, out_flag=args.out, seed=args.seed)
+    study = verify_identities(cfg, levels=args.levels, out_flag=_out_flag(args), seed=args.seed)
     print(study.table())
     for a in study.assertions:
         print(a.line())
@@ -66,27 +67,8 @@ def _cmd_verify_identities(args):
 
 
 def _cmd_action(args):
-    cfg = _load_config(args.config)
-    cfg.action_enable = True
-    out_dir = resolve_out_dir(cfg, args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    seed = cfg.seed if args.seed is None else args.seed
-    rng = np.random.default_rng(seed)
-    try:
-        traj = run_trajectory(cfg)
-        rows = action_rows(cfg, traj, rng)
-    except HarnackFlowError as err:
-        print(f"FAIL action: {type(err).__name__}: {err}", file=sys.stderr)
-        return 1
-    action_mod.write_action_csv(rows, os.path.join(out_dir, "action.csv"))
-    margins = np.array([r[5] for r in rows])
-    series = harnack.monitor_series(traj, d=cfg.d, t0=cfg.t0, enable=())
-    assertions = [a for a in evaluate_assertions(cfg, traj, series, margins) if a.ident == "action-margin"]
-    for a in assertions:
-        print(a.line())
-    ok = all(a.ok for a in assertions)
-    print(f"{'PASS' if ok else 'FAIL'} action {cfg.name} -> {out_dir}")
-    return 0 if ok else 1
+    cfg = replace(_load_config(args.config), action_enable=True, identities_enable=False, monitors=())
+    return _print_report(run_scenario(cfg, out_flag=_out_flag(args), seed=args.seed))
 
 
 def _sweep_worker(item):
@@ -98,8 +80,7 @@ def _sweep_worker(item):
 
 
 def _cmd_sweep(args):
-    out_base = os.environ.get("HARNACKFLOW_OUT") or args.out
-    items = [(path, out_base, args.seed) for path in args.configs]
+    items = [(path, _out_flag(args), args.seed) for path in args.configs]
     results = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -130,7 +111,7 @@ def build_parser():
     p_vi.add_argument("--seed", type=int, default=None)
     p_vi.set_defaults(func=_cmd_verify_identities)
 
-    p_act = sub.add_parser("action", help="space-time action minimization only")
+    p_act = sub.add_parser("action", help="run with only the flow and action stages")
     p_act.add_argument("--config", required=True)
     p_act.add_argument("--out", default=None)
     p_act.add_argument("--seed", type=int, default=None)

@@ -71,20 +71,12 @@ from .errors import (
 )
 from .flow import VARIANT_C, FlowState
 from .geometry import SphereGeometry, TorusGeometry
+from .harnack import MONITOR_GROUPS
+from .identities import PRESET_REGISTRY
 
-MONITOR_NAMES = (
-    "H",
-    "tP",
-    "F",
-    "W",
-    "mass",
-    "trace_harnack",
-    "lyh_curvature",
-    "lyh_heat",
-    "gradient",
-)
+MONITOR_NAMES = tuple(MONITOR_GROUPS)
 
-IDENTITY_PRESETS = ("general_H", "cor_H", "general_P", "cor_tP", "surface", "grad")
+IDENTITY_PRESETS = tuple(PRESET_REGISTRY)
 
 
 @dataclass
@@ -158,7 +150,8 @@ def _parse_pairs(raw, line):
         bits = [b.strip() for b in chunk.split(",")]
         if len(bits) != 4:
             raise ConfigSyntaxError(f"pair {chunk!r} needs x1,t1,x2,t2", line)
-        pairs.append((int(bits[0]), float(bits[1]), int(bits[2]), float(bits[3])))
+        parsers = (_parse_int, _parse_float, _parse_int, _parse_float)
+        pairs.append(tuple(parse(bit, line) for parse, bit in zip(parsers, bits)))
     return tuple(pairs)
 
 
@@ -365,7 +358,7 @@ def _validate(cfg):
     if cfg.t0 <= 0 or cfg.t0 >= cfg.t_end:
         raise ConstraintViolationError("flow.t0 must lie in (0, t_end)")
 
-    if cfg.t_check is None and cfg.identities_enable:
+    if cfg.t_check is None:
         k = max(1, int(round(0.5 * cfg.t_end / cfg.dt_out)))
         cfg.t_check = k * cfg.dt_out
 

@@ -38,7 +38,7 @@ from .errors import (
     PositivityLostError,
     StepTooLargeError,
 )
-from .geometry import CFL_FACTOR, SphereGeometry, SurfaceGeometry, TorusGeometry
+from .geometry import SphereGeometry, SurfaceGeometry, TorusGeometry, cfl_limit
 
 OVERFLOW_GUARD = 1e12
 
@@ -118,20 +118,19 @@ def _rk4(geom, phi, f, dt, c, evolve_metric):
     return phi_new, f_new
 
 
-def step(state, dt, c=-1.0, evolve_metric=True):
-    """Advance one RK4 step of size dt; returns a new FlowState at t + dt.
+def _advance(geom, h, phi, f, t, dt, c, evolve_metric):
+    """One checked RK4 step from time t on raw arrays; returns (phi, f) at t + dt.
 
     Raises StepTooLargeError when dt violates the CFL bound of the current
-    state, PositivityLostError if the heat field loses positivity, and
+    fields, PositivityLostError if the heat field loses positivity, and
     BlowupError past the overflow guard.
     """
-    bound = state.geom.cfl_bound()
+    bound = cfl_limit(h, phi)
     if dt > bound * (1.0 + 1e-12):
         raise StepTooLargeError(dt, bound)
-    phi_new, f_new = _rk4(state.geom, state.geom.phi, state.f, dt, c, evolve_metric)
-    t_new = state.t + dt
-    _check_state_arrays(phi_new, f_new, t_new)
-    return FlowState(t_new, state.geom.with_phi(phi_new), f_new)
+    phi, f = _rk4(geom, phi, f, dt, c, evolve_metric)
+    _check_state_arrays(phi, f, t + dt)
+    return phi, f
 
 
 @dataclass
@@ -167,10 +166,6 @@ class Trajectory:
     def save(self, path):
         save_trajectory(self, path)
 
-    @staticmethod
-    def load(path):
-        return load_trajectory(path)
-
 
 def run(initial, t_end, dt, dt_out, c=-1.0, evolve_metric=True, initial_id=""):
     """Integrate from ``initial`` to ``t_end``, recording every ``dt_out``.
@@ -203,18 +198,13 @@ def run(initial, t_end, dt, dt_out, c=-1.0, evolve_metric=True, initial_id=""):
     phi = initial.geom.phi
     f = initial.f
     geom = initial.geom
-    h2 = geom.background_spacing**2
-    cfl_slack = 1.0 + 1e-12
+    h = geom.background_spacing
     t_cur = t_start
     try:
         for k in range(1, n_out + 1):
             for _ in range(steps_per_out):
-                bound = CFL_FACTOR * h2 * float(np.exp(2.0 * np.min(phi)))
-                if dt > bound * cfl_slack:
-                    raise StepTooLargeError(dt, bound)
-                phi, f = _rk4(geom, phi, f, dt, c, evolve_metric)
+                phi, f = _advance(geom, h, phi, f, t_cur, dt, c, evolve_metric)
                 t_cur += dt
-                _check_state_arrays(phi, f, t_cur)
             t_snap = t_start + k * dt_out
             states.append(FlowState(t_snap, geom.with_phi(phi), f))
     except HarnackFlowError as err:
@@ -235,55 +225,19 @@ def run(initial, t_end, dt, dt_out, c=-1.0, evolve_metric=True, initial_id=""):
 # derived-field time differencing
 
 
-def _derived_field(state, which, d=1.0):
-    # imported lazily: harnack builds on flow states
-    from . import harnack
-
-    if callable(which):
-        return which(state)
-    table = {
-        "f": lambda s: s.f,
-        "phi": lambda s: s.geom.phi,
-        "R": lambda s: s.geom.scalar_curvature(),
-        "ln_R": lambda s: _log_curvature(s),
-        "u": harnack.u_field,
-        "v": harnack.v_field,
-        "H": harnack.quantity_H,
-        "P": lambda s: harnack.quantity_P(s, d),
-        "tP": lambda s: harnack.quantity_tP(s, d),
-        "grad_H": harnack.gradient_quantity_unchecked,
-    }
-    if which not in table:
-        raise KeyError(f"unknown field selector {which!r}")
-    return table[which](state)
-
-
-def _log_curvature(state):
-    from .errors import NonPositiveCurvatureError
-
-    curv = state.geom.scalar_curvature()
-    if np.min(curv) <= 0:
-        raise NonPositiveCurvatureError(
-            f"min R = {np.min(curv):.6g} <= 0 at t = {state.t:.6g}"
-        )
-    return np.log(curv)
-
-
-def time_derivative(traj, k, which, d=1.0):
+def time_derivative(traj, k, field):
     """Centered time difference of a derived field at snapshot k.
 
-    ``which`` is a named selector ("R", "u", "v", "H", "P", "tP", "f",
-    "phi", "ln_R", "grad_H") or any callable mapping a FlowState to a
-    field.  Snapshots share one coordinate grid (only phi evolves), so the
-    difference is pointwise; accuracy is O(dt_out^2).
+    ``field`` is a callable mapping a FlowState to a field.  Snapshots
+    share one coordinate grid (only phi evolves), so the difference is
+    pointwise; accuracy is O(dt_out^2).
     """
     if k <= 0 or k >= len(traj) - 1:
         raise IndexAtBoundaryError(
             f"snapshot {k} has no two neighbors in a trajectory of length {len(traj)}"
         )
-    wm = _derived_field(traj[k - 1], which, d)
-    wp = _derived_field(traj[k + 1], which, d)
-    return (wp - wm) / (2.0 * traj.dt_out)
+    wm = field(traj[k - 1])
+    return (field(traj[k + 1]) - wm) / (2.0 * traj.dt_out)
 
 
 # ---------------------------------------------------------------------------

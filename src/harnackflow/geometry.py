@@ -44,6 +44,11 @@ SPHERE_BACKGROUND_CURVATURE = 2.0
 CFL_FACTOR = 0.2
 
 
+def cfl_limit(h, phi):
+    """Largest explicit step at background spacing h: 0.2 * h^2 * min(e^(2 phi))."""
+    return CFL_FACTOR * h * h * float(np.exp(2.0 * np.min(phi)))
+
+
 def _as_field(values, shape, name="field"):
     w = np.asarray(values, dtype=float)
     if w.shape != shape:
@@ -175,9 +180,8 @@ class SurfaceGeometry:
         return float(np.sum(self.area_weights()))
 
     def cfl_bound(self):
-        """Largest explicit step the scheme accepts: 0.2 * h^2 * min(e^(2 phi))."""
-        h = self.background_spacing
-        return CFL_FACTOR * h * h * float(np.exp(2.0 * np.min(self.phi)))
+        """Largest explicit step the scheme accepts for the current metric."""
+        return cfl_limit(self.background_spacing, self.phi)
 
 
 class TorusGeometry(SurfaceGeometry):

@@ -52,6 +52,19 @@ MONITOR_COLUMNS = (
     "min_LYH_heat",
 )
 
+# Monitor name of the config's [monitors] enable list -> the columns it turns on.
+MONITOR_GROUPS = {
+    "H": ("sup_H",),
+    "tP": ("sup_tP",),
+    "F": ("F",),
+    "W": ("W",),
+    "mass": ("mass",),
+    "trace_harnack": ("min_traceH_V0", "min_traceH_Vu"),
+    "lyh_curvature": ("min_LYH_curv",),
+    "lyh_heat": ("min_LYH_heat",),
+    "gradient": ("sup_grad",),
+}
+
 
 def _require_positive_time(state):
     if state.t <= 0:
@@ -112,7 +125,7 @@ def trace_harnack(traj, k, vector="zero"):
     state = traj[k]
     _require_positive_time(state)
     geom = state.geom
-    drdt = time_derivative(traj, k, "R")
+    drdt = time_derivative(traj, k, lambda s: s.geom.scalar_curvature())
     curv = geom.scalar_curvature()
     out = drdt + curv / state.t
     if vector == "zero":
@@ -157,19 +170,15 @@ def mass(state):
     return state.geom.integrate(state.f)
 
 
-def gradient_quantity_unchecked(state):
-    _require_positive_time(state)
-    u = u_field(state)
-    return state.geom.grad_norm_sq(u) - u / state.t
-
-
 def gradient_quantity(state):
     """|grad u|^2 - u/t; requires 0 < f < 1 so that u > 0."""
     fmax = float(np.max(state.f))
     fmin = float(np.min(state.f))
     if fmin <= 0.0 or fmax >= 1.0:
         raise FOutOfRangeError(f"f range [{fmin:.6g}, {fmax:.6g}] not inside (0, 1)")
-    return gradient_quantity_unchecked(state)
+    _require_positive_time(state)
+    u = u_field(state)
+    return state.geom.grad_norm_sq(u) - u / state.t
 
 
 def gradient_quantity_f_form(state):
@@ -200,9 +209,6 @@ class MonitorSeries:
     times: np.ndarray
     columns: dict
     d: float
-
-    def column(self, name):
-        return self.columns[name]
 
 
 def _f_in_unit_interval(state):

@@ -371,7 +371,7 @@ def residual_surface(traj, k):
     curv, ln_r = _log_curv(state)
     h = _surface_H_field(state)
     hess_sq = geom.hessian_deviation_sq(u, curv / 2.0)
-    dlnr_dt = time_derivative(traj, k, "ln_R")
+    dlnr_dt = time_derivative(traj, k, lambda s: _log_curv(s)[1])
     rhs = (
         geom.laplace_beltrami(h)
         - 2.0 * hess_sq
@@ -450,6 +450,34 @@ def preset_agreement_grad(traj, k):
     state = _interior(traj, k)
     gap = _general_H_rhs(state, GRAD_PRESET) - _grad_rhs(state)
     return float(np.max(np.abs(gap)))
+
+
+# ---------------------------------------------------------------------------
+# preset registry
+
+
+def _surface_reports(traj, k, d):
+    # eligible only where the curvature is positive at the checked snapshot
+    if float(np.min(traj[k].geom.scalar_curvature())) > 0:
+        return list(residual_surface(traj, k))
+    return []
+
+
+# Preset name -> (reaction coefficient c the identity requires,
+# (traj, k, d) -> list of ResidualReport), in report order.  The entries
+# look the residual functions up by their module-level names at call time,
+# so wrappers installed on those names (bench/tracing.py) see every call.
+PRESET_REGISTRY = {
+    "general_H": (COR_H_PRESET.c, lambda traj, k, d: [residual_general_H(traj, k, COR_H_PRESET)]),
+    "cor_H": (COR_H_PRESET.c, lambda traj, k, d: [residual_cor_H(traj, k)]),
+    "general_P": (
+        COR_P_PRESET.c,
+        lambda traj, k, d: [residual_general_P(traj, k, replace(COR_P_PRESET, d=d))],
+    ),
+    "cor_tP": (COR_P_PRESET.c, lambda traj, k, d: [residual_tP(traj, k, d=d)]),
+    "surface": (SURFACE_PRESET.c, _surface_reports),
+    "grad": (GRAD_PRESET.c, lambda traj, k, d: [residual_grad(traj, k)]),
+}
 
 
 # ---------------------------------------------------------------------------

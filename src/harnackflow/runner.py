@@ -71,9 +71,7 @@ class ScenarioReport:
 
 
 def resolve_out_dir(cfg, out_flag=None):
-    env = os.environ.get("HARNACKFLOW_OUT")
-    base = env or out_flag or cfg.directory or os.path.join("out", cfg.name)
-    return base
+    return out_flag or cfg.directory or os.path.join("out", cfg.name)
 
 
 def _series_extreme(series, column, reducer):
@@ -208,21 +206,7 @@ def evaluate_assertions(cfg, traj, series, margins=None):
 def _monitor_enable(cfg):
     if cfg.monitors == ("auto",):
         return None  # all applicable
-    mapping = {
-        "H": ("sup_H",),
-        "tP": ("sup_tP",),
-        "F": ("F",),
-        "W": ("W",),
-        "mass": ("mass",),
-        "trace_harnack": ("min_traceH_V0", "min_traceH_Vu"),
-        "lyh_curvature": ("min_LYH_curv",),
-        "lyh_heat": ("min_LYH_heat",),
-        "gradient": ("sup_grad",),
-    }
-    cols = []
-    for m in cfg.monitors:
-        cols.extend(mapping[m])
-    return cols
+    return [col for name in cfg.monitors for col in harnack.MONITOR_GROUPS[name]]
 
 
 def run_trajectory(cfg):
@@ -271,41 +255,51 @@ def _write_plot_script(path, monitors_csv):
 
 
 def run_scenario(cfg, out_flag=None, seed=None):
-    """Full pipeline for one scenario; returns a ScenarioReport."""
+    """Full pipeline for one scenario; returns a ScenarioReport.
+
+    A HarnackFlowError in any stage (flow, monitors, identities, action)
+    ends the run: summary.txt then holds the single line
+    ``FAIL <stage>: <error type>[ at t = ...]: <message>`` and the report
+    fails.  A summary.txt left by an earlier run is removed first, so a run
+    that stops early never leaves a stale one behind.
+    """
     out_dir = resolve_out_dir(cfg, out_flag)
     os.makedirs(out_dir, exist_ok=True)
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     summary_path = os.path.join(out_dir, "summary.txt")
+    if os.path.exists(summary_path):
+        os.remove(summary_path)
+    stage = "flow"
     try:
         traj = run_trajectory(cfg)
+        traj.save(os.path.join(out_dir, "trajectory.bin"))
+
+        stage = "monitors"
+        series = harnack.monitor_series(traj, d=cfg.d, t0=cfg.t0, enable=_monitor_enable(cfg))
+        monitors_csv = os.path.join(out_dir, "monitors.csv")
+        harnack.write_monitor_csv(series, monitors_csv)
+        _write_plot_script(os.path.join(out_dir, "plots.gp"), "monitors.csv")
+
+        if cfg.identities_enable:
+            stage = "identities"
+            k = int(round(cfg.t_check / cfg.dt_out))
+            k = min(max(k, 1), len(traj) - 2)
+            reports = _identity_reports(traj, k, cfg)
+            identities.write_identity_csv(reports, os.path.join(out_dir, "identities.csv"))
+
+        margins = None
+        if cfg.action_enable:
+            stage = "action"
+            rows = action_rows(cfg, traj, rng)
+            action_mod.write_action_csv(rows, os.path.join(out_dir, "action.csv"))
+            margins = np.array([r[5] for r in rows])
     except HarnackFlowError as err:
         when = getattr(err, "time", None)
         stamp = f" at t = {when:.6g}" if when is not None else ""
-        text = f"FAIL run: {type(err).__name__}{stamp}: {err}\n"
         with open(summary_path, "w", newline="\n") as fh:
-            fh.write(text)
-        report = ScenarioReport(cfg.name, [AssertionResult("run", False, np.nan, np.nan, str(err))], out_dir)
-        return report
-
-    traj.save(os.path.join(out_dir, "trajectory.bin"))
-    series = harnack.monitor_series(traj, d=cfg.d, t0=cfg.t0, enable=_monitor_enable(cfg))
-    monitors_csv = os.path.join(out_dir, "monitors.csv")
-    harnack.write_monitor_csv(series, monitors_csv)
-    _write_plot_script(os.path.join(out_dir, "plots.gp"), "monitors.csv")
-
-    reports = []
-    if cfg.identities_enable:
-        k = int(round(cfg.t_check / cfg.dt_out))
-        k = min(max(k, 1), len(traj) - 2)
-        reports.extend(_identity_reports(traj, k, cfg))
-        identities.write_identity_csv(reports, os.path.join(out_dir, "identities.csv"))
-
-    margins = None
-    if cfg.action_enable:
-        rows = action_rows(cfg, traj, rng)
-        action_mod.write_action_csv(rows, os.path.join(out_dir, "action.csv"))
-        margins = np.array([r[5] for r in rows])
+            fh.write(f"FAIL {stage}: {type(err).__name__}{stamp}: {err}\n")
+        return ScenarioReport(cfg.name, [AssertionResult(stage, False, np.nan, np.nan, str(err))], out_dir)
 
     assertions = evaluate_assertions(cfg, traj, series, margins)
     with open(summary_path, "w", newline="\n") as fh:
@@ -316,24 +310,9 @@ def run_scenario(cfg, out_flag=None, seed=None):
 
 def _identity_reports(traj, k, cfg):
     out = []
-    want = set(cfg.identity_presets)
-    if traj.c == -1.0:
-        if "general_H" in want:
-            out.append(identities.residual_general_H(traj, k, identities.COR_H_PRESET))
-        if "cor_H" in want:
-            out.append(identities.residual_cor_H(traj, k))
-        if "general_P" in want:
-            out.append(
-                identities.residual_general_P(
-                    traj, k, replace(identities.COR_P_PRESET, d=cfg.d)
-                )
-            )
-        if "cor_tP" in want:
-            out.append(identities.residual_tP(traj, k, d=cfg.d))
-        if "surface" in want and float(np.min(traj[k].geom.scalar_curvature())) > 0:
-            out.extend(identities.residual_surface(traj, k))
-    if traj.c == 0.0 and "grad" in want:
-        out.append(identities.residual_grad(traj, k))
+    for name, (c, preset_reports) in identities.PRESET_REGISTRY.items():
+        if name in cfg.identity_presets and traj.c == c:
+            out.extend(preset_reports(traj, k, cfg.d))
     return out
 
 
@@ -425,45 +404,36 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
             n=cfg.n * scale,
             dt=cfg.dt / (4**lvl),
             dt_out=cfg.dt_out / (4**lvl),
-            identities_enable=True,
         )
         k = int(round(cfg.t_check / lcfg.dt_out))
         reports = []
-        traj_pot = run_flow(
-            build_initial_state(lcfg), lcfg.t_end, lcfg.dt, lcfg.dt_out, c=-1.0,
-            evolve_metric=lcfg.evolve_metric, initial_id=lcfg.initial_id,
-        )
+        traj_pot = run_trajectory(replace(lcfg, c=-1.0))
+        trajs = {-1.0: traj_pot}  # reaction coefficient -> trajectory of the level
         k = min(max(k, 1), len(traj_pot) - 2)
         want = set(cfg.identity_presets)
-        if "general_H" in want:
-            reports.append(identities.residual_general_H(traj_pot, k, identities.COR_H_PRESET))
-        if "cor_H" in want:
-            reports.append(identities.residual_cor_H(traj_pot, k))
-        if "general_P" in want:
-            reports.append(
-                identities.residual_general_P(traj_pot, k, replace(identities.COR_P_PRESET, d=cfg.d))
-            )
-        if "cor_tP" in want:
-            reports.append(identities.residual_tP(traj_pot, k, d=cfg.d))
-        if "surface" in want:
-            general_rep, _ = identities.residual_surface(traj_pot, k)
+        for name, (c, preset_reports) in identities.PRESET_REGISTRY.items():
+            if name not in want:
+                continue
+            if c not in trajs:
+                trajs[c] = run_trajectory(replace(lcfg, c=c))
+            traj = trajs[c]
+            if name != "surface":
+                reports.extend(preset_reports(traj, min(k, len(traj) - 2), cfg.d))
+                continue
+            # The one special case: the slaved f := R form chains six
+            # discrete derivatives of phi, so on generic data its float64
+            # noise floor grows ~ h^-6 and overtakes the signal by N = 256;
+            # its refinement study runs on the constant-curvature companion,
+            # where it is noise-free.  The general-f form stays on the
+            # scenario's own trajectory.
+            general_rep, _ = identities.residual_surface(traj, k)
             reports.append(general_rep)
-            # The slaved f := R form chains six discrete derivatives of phi,
-            # so on generic data its float64 noise floor grows ~ h^-6 and
-            # overtakes the signal by N = 256; its refinement study runs on
-            # the constant-curvature companion, where it is noise-free.
             traj_round = run_flow(
                 _round_companion_state(lcfg), lcfg.t_end, lcfg.dt, lcfg.dt_out, c=-1.0,
                 evolve_metric=True, initial_id="constant",
             )
             _, fr_rep = identities.residual_surface(traj_round, min(k, len(traj_round) - 2))
             reports.append(fr_rep)
-        if "grad" in want:
-            traj_heat = run_flow(
-                build_initial_state(lcfg), lcfg.t_end, lcfg.dt, lcfg.dt_out, c=0.0,
-                evolve_metric=lcfg.evolve_metric, initial_id=lcfg.initial_id,
-            )
-            reports.append(identities.residual_grad(traj_heat, min(k, len(traj_heat) - 2)))
         level_rows.append(
             IdentityLevel(n=lcfg.n, dt=lcfg.dt, dt_out=lcfg.dt_out, t_check=traj_pot[k].t, reports=reports)
         )
@@ -473,6 +443,7 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
             agree["general_H/cor_H"] = identities.preset_agreement_H(traj_pot, k)
             agree["general_P/cor_P"] = identities.preset_agreement_P(traj_pot, k, cfg.d)
             if "grad" in want:
+                traj_heat = trajs[identities.GRAD_PRESET.c]
                 agree["general_H/grad"] = identities.preset_agreement_grad(
                     traj_heat, min(k, len(traj_heat) - 2)
                 )

@@ -50,6 +50,29 @@ dt_out = 0.02
 seed = 2
 """
 
+# one pair whose end ring lies beyond the window's reach over two layers
+UNREACHABLE_PAIR = SMALL_SPHERE.replace(
+    "pair_count = 5\nwindow = 5", "pairs = 0,0.02,47,0.04\nwindow = 1"
+)
+
+IDENTITIES_OFF = """
+[geometry]
+kind = rot_sphere
+n = 32
+phi_mode = cos_theta
+phi_amp = 0.1
+
+[initial]
+id = cos_theta
+f0 = 0.5
+amp = 0.2
+
+[flow]
+t_end = 0.1
+dt = 1e-3
+dt_out = 0.01
+"""
+
 BAD_INITIAL = """
 [geometry]
 kind = torus
@@ -155,6 +178,49 @@ def test_action_command(cfg_file, tmp_path, capsys):
     lines = (out / "action.csv").read_text().splitlines()
     assert lines[0] == "x1,t1,x2,t2,gamma,margin"
     assert len(lines) == 6  # five random pairs
+    assert "PASS action-margin" in (out / "summary.txt").read_text()
+    run_out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(run_out)]) == 0
+    assert (out / "action.csv").read_bytes() == (run_out / "action.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "action"])
+def test_unreachable_pair_fails_action_stage(cfg_file, tmp_path, capsys, command):
+    cfg = cfg_file(UNREACHABLE_PAIR, "far.cfg")
+    out = tmp_path / "far"
+    out.mkdir()
+    (out / "summary.txt").write_text("PASS stale summary of an earlier run\n")
+    code = main([command, "--config", cfg, "--out", str(out)])
+    assert code == 1
+    summary = (out / "summary.txt").read_text()
+    assert summary.startswith("FAIL action: WindowTooNarrowError")
+    assert len(summary.splitlines()) == 1
+    assert "FAIL scenario far" in capsys.readouterr().out
+
+
+def test_stale_summary_removed_when_run_stops_early(cfg_file, tmp_path, monkeypatch):
+    import harnackflow.runner as runner
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(runner, "action_rows", crash)
+    cfg = cfg_file(SMALL_SPHERE, "stale.cfg")
+    out = tmp_path / "stale"
+    out.mkdir()
+    (out / "summary.txt").write_text("PASS stale summary of an earlier run\n")
+    with pytest.raises(RuntimeError):
+        main(["run", "--config", cfg, "--out", str(out)])
+    assert not (out / "summary.txt").exists()
+
+
+def test_verify_identities_without_identities_section(cfg_file, tmp_path, capsys):
+    cfg = cfg_file(IDENTITIES_OFF, "ids_off.cfg")
+    out = tmp_path / "ids_off"
+    code = main(["verify-identities", "--config", cfg, "--levels", "2", "--out", str(out)])
+    assert code == 0
+    assert (out / "identities.csv").exists()
+    assert "residual-convergence" in capsys.readouterr().out
 
 
 def test_sweep_command(cfg_file, tmp_path, capsys):
@@ -174,4 +240,17 @@ def test_env_var_overrides_out(cfg_file, tmp_path, monkeypatch):
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "ignored")])
     assert code == 0
     assert (env_dir / "summary.txt").exists()
+    assert not (tmp_path / "ignored").exists()
+
+
+def test_env_var_sweep_keeps_members_apart(cfg_file, tmp_path, monkeypatch):
+    c1 = cfg_file(SMALL_TORUS, "m1.cfg")
+    c2 = cfg_file(SMALL_TORUS, "m2.cfg")
+    env_dir = tmp_path / "env_sweep"
+    monkeypatch.setenv("HARNACKFLOW_OUT", str(env_dir))
+    code = main(["sweep", c1, c2, "--out", str(tmp_path / "ignored")])
+    assert code == 0
+    assert sorted(p.name for p in env_dir.iterdir()) == ["m1", "m2"]
+    assert (env_dir / "m1" / "summary.txt").exists()
+    assert (env_dir / "m2" / "summary.txt").exists()
     assert not (tmp_path / "ignored").exists()

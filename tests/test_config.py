@@ -148,6 +148,20 @@ def test_action_pairs_parsing():
     assert cfg.pairs == ((3, 0.05, 7, 0.1), (1, 0.1, 1, 0.15))
 
 
+@pytest.mark.parametrize("pair", ["1,x,2,0.03", "1.5,0.05,2,0.1", "1,0.05,two,0.1"])
+def test_malformed_action_pair_rejected(pair):
+    text = MINIMAL_SPHERE + f"\n[action]\nenable = true\npairs = {pair}\n"
+    with pytest.raises(ConfigSyntaxError) as err:
+        hf.parse_config(text)
+    assert err.value.line == 10
+
+
+def test_t_check_resolved_without_identities():
+    cfg = hf.parse_config(MINIMAL_SPHERE)
+    assert not cfg.identities_enable
+    assert cfg.t_check == pytest.approx(20 * cfg.dt_out)
+
+
 def test_comments_and_blank_lines():
     text = """
 # leading comment

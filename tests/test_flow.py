@@ -76,8 +76,9 @@ def test_snapshot_count():
 def test_step_too_large_rejected():
     geom = hf.SphereGeometry(32)
     state = hf.FlowState(0.0, geom, np.full(32, F0))
+    dt = 2.0 * geom.cfl_bound()
     with pytest.raises(StepTooLargeError):
-        hf.step(state, 2.0 * geom.cfl_bound())
+        hf.run(state, dt, dt, dt)
 
 
 def test_initial_positivity_enforced():
@@ -167,6 +168,10 @@ def test_trajectory_save_load_round_trip(tmp_path, torus_potential_traj):
 # -- time differencing -------------------------------------------------------
 
 
+def _curvature(state):
+    return state.geom.scalar_curvature()
+
+
 def test_time_derivative_of_constant_is_zero(torus_potential_traj):
     d = hf.time_derivative(torus_potential_traj, 3, lambda s: np.ones(s.geom.field_shape))
     assert np.all(d == 0.0)
@@ -178,7 +183,7 @@ def test_time_derivative_curvature_evolution(sphere_constant_traj):
     # extinction, so the 1e-3 check applies on the early-to-mid window.
     for k in (5, 15):
         s = sphere_constant_traj[k]
-        drdt = hf.time_derivative(sphere_constant_traj, k, "R")
+        drdt = hf.time_derivative(sphere_constant_traj, k, _curvature)
         r2 = s.geom.scalar_curvature() ** 2
         assert np.max(np.abs(drdt - r2)) <= 1e-3 * np.max(r2)
 
@@ -187,13 +192,13 @@ def test_time_derivative_log_heat(sphere_constant_traj):
     # u = -ln f, f = f0 r0^2/(r0^2 - 2t): du/dt = -2/(r0^2 - 2t)
     k = 10
     s = sphere_constant_traj[k]
-    dudt = hf.time_derivative(sphere_constant_traj, k, "u")
+    dudt = hf.time_derivative(sphere_constant_traj, k, hf.u_field)
     expected = -2.0 / (R0**2 - 2.0 * s.t)
     assert np.max(np.abs(dudt - expected)) <= 1e-3 * abs(expected)
 
 
 def test_time_derivative_boundary_rejected(torus_potential_traj):
     with pytest.raises(IndexAtBoundaryError):
-        hf.time_derivative(torus_potential_traj, 0, "R")
+        hf.time_derivative(torus_potential_traj, 0, _curvature)
     with pytest.raises(IndexAtBoundaryError):
-        hf.time_derivative(torus_potential_traj, len(torus_potential_traj) - 1, "R")
+        hf.time_derivative(torus_potential_traj, len(torus_potential_traj) - 1, _curvature)
