@@ -36,8 +36,7 @@ for w in (3, 4, 5, 8):
 rng = np.random.default_rng(0)
 rows = []
 for p1, p2 in hf.random_pairs(traj, 10, rng, t_min=0.02):
-    g, _ = hf.min_action(traj, p1, p2)
-    m = hf.check_integrated_harnack(traj, p1, p2)
+    m, g = hf.check_integrated_harnack(traj, p1, p2)
     rows.append((p1[0], p1[1], p2[0], p2[1], g, m))
 print(f"\n{'x1':>4} {'t1':>6} {'x2':>4} {'t2':>6} {'gamma':>10} {'margin':>10}")
 for x1, tt1, x2, tt2, g, m in rows:

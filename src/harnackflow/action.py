@@ -17,10 +17,14 @@ is the 1-D chain of rings with cumulative edge lengths.  On the torus the
 within-window distances are shortest paths of the 4-neighbor weighted
 grid graph, computed by min-plus relaxation restricted to the window box
 (exact for uniform weights; an upper bound otherwise, which keeps the
-overall value an upper bound).
+overall value an upper bound).  The distance table of a layer is indexed
+by the arrival node, ``table[a+W, b+W, q] = d(q - (a, b) -> q)``, so the
+layer DP adds each offset plane to a shifted view of the wrap-padded
+departure values and records, per arrival node, the index of the first
+offset attaining the minimum; the path is backtracked from those indices.
 
 ``check_integrated_harnack`` turns the minimized action into a pointwise
-certificate: with n = 2,
+certificate from one ``min_action`` call: with n = 2,
 
     margin = ln f(x2, t2) + n ln(t2 / t1) + gamma / 2 - ln f(x1, t1)
 
@@ -132,11 +136,13 @@ def _sphere_dp(traj, k1, k2, x1, x2, window):
 
 
 def _torus_window_distances(geom, phi_mid, window):
-    """dist[a+W, b+W, i, j]: shortest within-box path (i,j) -> (i+a, j+b).
+    """table[a+W, b+W, i, j]: shortest within-box path (i-a, j-b) -> (i, j).
 
-    Min-plus relaxation over the (2W+1)^2 offset box; paths may wander
-    anywhere inside the box of relative offsets.  With uniform weights the
-    result is the exact graph distance h*e^phi*(|a| + |b|).
+    The table is indexed by the arrival node, so the DP adds each offset
+    plane to the departure values read through a shifted view.  Min-plus
+    relaxation over the (2W+1)^2 offset box; paths may wander anywhere
+    inside the box of relative offsets.  With uniform weights the result
+    is the exact graph distance h*e^phi*(|a| + |b|).
     """
     n, h = geom.n, geom.h
     spread = float(np.ptp(phi_mid))
@@ -150,6 +156,7 @@ def _torus_window_distances(geom, phi_mid, window):
     # edge weights, indexed by the lower/left endpoint
     ex = np.exp(0.5 * (phi_mid + np.roll(phi_mid, -1, axis=0))) * h  # (i,j)-(i+1,j)
     ey = np.exp(0.5 * (phi_mid + np.roll(phi_mid, -1, axis=1))) * h  # (i,j)-(i,j+1)
+    # relaxed by departure node: dist[a+W, b+W, i, j] is (i,j) -> (i+a, j+b)
     dist = np.full((size, size, n, n), np.inf)
     dist[window, window] = 0.0
     # Each relaxation pass extends optimal paths by one edge; within the
@@ -179,46 +186,60 @@ def _torus_window_distances(geom, phi_mid, window):
                     changed = True
         if not changed:
             break
+    for ai, a in enumerate(offs):
+        for bi, b in enumerate(offs):
+            dist[ai, bi] = np.roll(dist[ai, bi], (a, b), axis=(0, 1))
     return dist
 
 
 def _torus_dp(traj, k1, k2, x1, x2, window):
-    geom0 = traj.geom
-    n = geom0.n
+    n = traj.geom.n
     dt = traj.dt_out
     size = 2 * window + 1
-    value = np.full((n, n), np.inf)
-    value[x1 // n, x1 % n] = 0.0
+    # depart values wrap-padded by the window: pad[W+i, W+j] = depart[i % n, j % n],
+    # so pad[W-a:W-a+n, W-b:W-b+n] holds depart[q - (a, b)] at arrival q
+    pad = np.empty((n + 2 * window, n + 2 * window))
+    inner = pad[window:window + n, window:window + n]
+    best = np.full((n, n), np.inf)
+    best[x1 // n, x1 % n] = 0.0
+    cand = np.empty((n, n))
+    better = np.empty((n, n), dtype=bool)
+    offset_type = np.min_scalar_type(size * size - 1)
     choices = []
     for k in range(k1, k2):
         geom_a, geom_b = traj[k].geom, traj[k + 1].geom
         r_a = geom_a.scalar_curvature()
-        r_b = geom_b.scalar_curvature()
-        dist = _torus_window_distances(geom_a, 0.5 * (geom_a.phi + geom_b.phi), window)
-        depart = value + 0.5 * r_a * dt
-        best = np.full((n, n), np.inf)
-        best_from = np.full((n, n), -1, dtype=int)
-        for ai in range(size):
-            a = ai - window
-            for bi in range(size):
-                b = bi - window
-                # p = q - (a, b); roll p-indexed arrays so they align with q
-                cand = np.roll(depart + dist[ai, bi] ** 2 / dt, (a, b), axis=(0, 1)) + 0.5 * r_b * dt
-                better = cand < best
-                best = np.where(better, cand, best)
-                src = (np.arange(n)[:, None] - a) % n * n + (np.arange(n)[None, :] - b) % n
-                best_from = np.where(better, src, best_from)
-        value = best
-        choices.append(best_from)
-    if not np.isfinite(value[x2 // n, x2 % n]):
+        arrive = 0.5 * geom_b.scalar_curvature() * dt
+        step = _torus_window_distances(geom_a, 0.5 * (geom_a.phi + geom_b.phi), window)
+        step **= 2
+        step /= dt
+        np.add(best, 0.5 * r_a * dt, out=inner)
+        pad[:window, window:window + n] = pad[n:n + window, window:window + n]
+        pad[window + n:, window:window + n] = pad[window:2 * window, window:window + n]
+        pad[:, :window] = pad[:, n:n + window]
+        pad[:, window + n:] = pad[:, window:2 * window]
+        best.fill(np.inf)
+        best_off = np.zeros((n, n), dtype=offset_type)
+        for o in range(size * size):
+            ai, bi = divmod(o, size)
+            i0, j0 = size - 1 - ai, size - 1 - bi  # W - a, W - b
+            np.add(pad[i0:i0 + n, j0:j0 + n], step[ai, bi], out=cand)
+            np.add(cand, arrive, out=cand)
+            np.less(cand, best, out=better)
+            np.minimum(best, cand, out=best)
+            best_off[better] = o
+        choices.append(best_off)
+    if not np.isfinite(best[x2 // n, x2 % n]):
         raise WindowTooNarrowError(
             f"no path to node {x2} in {k2 - k1} steps with window {window}"
         )
     nodes = [x2]
-    for back in reversed(choices):
-        nodes.append(int(back[nodes[-1] // n, nodes[-1] % n]))
+    for best_off in reversed(choices):
+        qi, qj = divmod(nodes[-1], n)
+        ai, bi = divmod(int(best_off[qi, qj]), size)
+        nodes.append((qi - ai + window) % n * n + (qj - bi + window) % n)
     nodes.reverse()
-    return float(value[x2 // n, x2 % n]), nodes
+    return float(best[x2 // n, x2 % n]), nodes
 
 
 def layer_distance_fn(traj, k, window=DEFAULT_WINDOW):
@@ -251,7 +272,7 @@ def layer_distance_fn(traj, k, window=DEFAULT_WINDOW):
         b = (qj - pj + n // 2) % n - n // 2
         if abs(a) > window or abs(b) > window:
             return np.inf
-        return float(table[a + window, b + window, pi, pj])
+        return float(table[a + window, b + window, qi, qj])
 
     return dist
 
@@ -288,6 +309,7 @@ def min_action(traj, point1, point2, window=DEFAULT_WINDOW):
 def check_integrated_harnack(traj, point1, point2, window=DEFAULT_WINDOW):
     """Margin of the integrated inequality for one space-time pair.
 
+    Returns (margin, gamma) from one ``min_action`` call, with
     margin = ln f(x2, t2) + n ln(t2/t1) + gamma/2 - ln f(x1, t1); the
     certified inequality is margin >= 0 up to discretization slack.
     Assumes the trajectory satisfies the pointwise bound sup H <= 0
@@ -302,7 +324,7 @@ def check_integrated_harnack(traj, point1, point2, window=DEFAULT_WINDOW):
     i1, i2 = _flat_node(geom, x1), _flat_node(geom, x2)
     lnf1 = float(np.log(traj[k1].f.flat[i1]))
     lnf2 = float(np.log(traj[k2].f.flat[i2]))
-    return lnf2 + 2.0 * np.log(t2 / t1) + 0.5 * gamma - lnf1
+    return lnf2 + 2.0 * np.log(t2 / t1) + 0.5 * gamma - lnf1, gamma
 
 
 def random_pairs(traj, count, rng, t_min=0.0, window=DEFAULT_WINDOW):

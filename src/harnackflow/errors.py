@@ -81,6 +81,10 @@ class WindowTooNarrowError(HarnackFlowError):
     """No window-constrained path joins the requested space-time points."""
 
 
+class TrajectoryFormatError(HarnackFlowError):
+    """A trajectory file is truncated, has trailing bytes or a malformed header."""
+
+
 class ConfigError(HarnackFlowError):
     """Base class for scenario-configuration errors."""
 

@@ -33,10 +33,12 @@ import numpy as np
 from .errors import (
     BlowupError,
     ConstraintViolationError,
+    GridMismatchError,
     HarnackFlowError,
     IndexAtBoundaryError,
     PositivityLostError,
     StepTooLargeError,
+    TrajectoryFormatError,
 )
 from .geometry import SphereGeometry, SurfaceGeometry, TorusGeometry, cfl_limit
 
@@ -280,32 +282,55 @@ def save_trajectory(traj, path):
 
 
 def load_trajectory(path):
+    """Read a trajectory written by ``save_trajectory``.
+
+    A file without that layout (wrong magic, a header that is not JSON or
+    lacks a field, a size other than the header implies) raises
+    TrajectoryFormatError naming the path.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise HarnackFlowError(f"{path}: not a harnackflow trajectory file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        n = int(header["n"])
-        if header["kind"] == "torus":
+        data = fh.read()
+    if data[:8] != _MAGIC:
+        raise TrajectoryFormatError(f"{path}: not a harnackflow trajectory file")
+    if len(data) < 12:
+        raise TrajectoryFormatError(f"{path}: truncated before the header length")
+    (hlen,) = struct.unpack_from("<I", data, 8)
+    offset = 12 + hlen
+    if len(data) < offset:
+        raise TrajectoryFormatError(f"{path}: truncated inside the {hlen}-byte header")
+    try:
+        header = json.loads(data[12:offset].decode("utf-8"))
+        kind, n, snapshots = header["kind"], int(header["n"]), int(header["snapshots"])
+        if kind == "torus":
             base = TorusGeometry(n, float(header["length"]))
-        elif header["kind"] == "rot_sphere":
+        elif kind == "rot_sphere":
             base = SphereGeometry(n)
         else:
-            raise HarnackFlowError(f"unknown geometry kind {header['kind']!r}")
-        count = base.node_count
-        states = []
-        for _ in range(int(header["snapshots"])):
-            (t,) = struct.unpack("<d", fh.read(8))
-            phi = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(base.field_shape)
-            f = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(base.field_shape)
-            states.append(FlowState(t, base.with_phi(phi), f))
-    return Trajectory(
-        states,
-        dt=float(header["dt"]),
-        dt_out=float(header["dt_out"]),
-        c=float(header["c"]),
-        evolve_metric=bool(header["evolve_metric"]),
-        variant=str(header["variant"]),
-        initial_id=str(header["initial_id"]),
-    )
+            raise TrajectoryFormatError(f"{path}: unknown geometry kind {kind!r}")
+        params = dict(
+            dt=float(header["dt"]),
+            dt_out=float(header["dt_out"]),
+            c=float(header["c"]),
+            evolve_metric=bool(header["evolve_metric"]),
+            variant=str(header["variant"]),
+            initial_id=str(header["initial_id"]),
+        )
+    except (KeyError, TypeError, ValueError, GridMismatchError) as err:
+        raise TrajectoryFormatError(f"{path}: bad header ({type(err).__name__}: {err})") from err
+    if snapshots < 1:
+        raise TrajectoryFormatError(f"{path}: header declares {snapshots} snapshots")
+    count = base.node_count
+    expected = offset + snapshots * (8 + 16 * count)
+    if len(data) != expected:
+        raise TrajectoryFormatError(
+            f"{path}: {len(data)} bytes, but a header of {snapshots} snapshots "
+            f"of {count} nodes implies {expected}"
+        )
+    states = []
+    for _ in range(snapshots):
+        (t,) = struct.unpack_from("<d", data, offset)
+        fields = np.frombuffer(data, dtype="<f8", count=2 * count, offset=offset + 8)
+        phi, f = fields.reshape((2, *base.field_shape))
+        offset += 8 + 16 * count
+        states.append(FlowState(t, base.with_phi(phi), f))
+    return Trajectory(states, **params)

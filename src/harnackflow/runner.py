@@ -233,8 +233,7 @@ def action_rows(cfg, traj, rng, window=None):
             action_mod.random_pairs(traj, cfg.pair_count, rng, t_min=cfg.t0, window=window)
         )
     for (x1, t1), (x2, t2) in pairs:
-        gamma, _ = action_mod.min_action(traj, (x1, t1), (x2, t2), window)
-        margin = action_mod.check_integrated_harnack(traj, (x1, t1), (x2, t2), window)
+        margin, gamma = action_mod.check_integrated_harnack(traj, (x1, t1), (x2, t2), window)
         rows.append((x1, t1, x2, t2, gamma, margin))
     return rows
 

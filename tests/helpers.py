@@ -40,3 +40,45 @@ def enumerate_action(traj, point1, point2, window):
             step_cost = ((cost + 0.5 * r_a[node] * dt) + d * d / dt) + 0.5 * r_b[q] * dt
             stack.append((q, step_cost, depth + 1))
     return best
+
+
+def reference_torus_dp(traj, point1, point2, window):
+    """Loop DP on the torus: (gamma, nodes) with first-offset tie-breaking.
+
+    Arrival nodes are visited in flat order and offsets (a, b) in row-major
+    order from (-W, -W); a later offset replaces the best only if strictly
+    cheaper.  Costs accumulate in the DP's order with the shared layer
+    distances, so both the value and the path must match ``min_action``.
+    """
+    (x1, t1), (x2, t2) = point1, point2
+    times = traj.times
+    k1 = int(np.argmin(np.abs(times - t1)))
+    k2 = int(np.argmin(np.abs(times - t2)))
+    n = traj.geom.n
+    window = min(window, (n - 1) // 2)
+    dt = traj.dt_out
+    value = [np.inf] * (n * n)
+    value[x1] = 0.0
+    choices = []
+    for k in range(k1, k2):
+        dist = hf.layer_distance_fn(traj, k, window)
+        r_a = traj[k].geom.scalar_curvature().ravel()
+        r_b = traj[k + 1].geom.scalar_curvature().ravel()
+        best = [np.inf] * (n * n)
+        best_from = [-1] * (n * n)
+        for q in range(n * n):
+            qi, qj = divmod(q, n)
+            for a in range(-window, window + 1):
+                for b in range(-window, window + 1):
+                    p = (qi - a) % n * n + (qj - b) % n
+                    d = dist(p, q)
+                    cost = ((value[p] + 0.5 * r_a[p] * dt) + d * d / dt) + 0.5 * r_b[q] * dt
+                    if cost < best[q]:
+                        best[q], best_from[q] = cost, p
+        value = best
+        choices.append(best_from)
+    nodes = [x2]
+    for best_from in reversed(choices):
+        nodes.append(best_from[nodes[-1]])
+    nodes.reverse()
+    return value[x2], nodes

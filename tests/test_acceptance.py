@@ -195,7 +195,7 @@ def test_criterion_10_integrated_inequality(
     for traj in (sphere_constant_traj, sphere_cosine_traj, torus_plain_traj):
         pairs = hf.random_pairs(traj, 20, rng, t_min=_t0(traj))
         for p1, p2 in pairs:
-            worst = min(worst, hf.check_integrated_harnack(traj, p1, p2))
+            worst = min(worst, hf.check_integrated_harnack(traj, p1, p2)[0])
     assert worst >= -1e-2
 
     # DP equals exhaustive enumeration on small instances

@@ -7,7 +7,7 @@ from harnackflow.errors import (
     TimesNotStoredError,
     WindowTooNarrowError,
 )
-from helpers import enumerate_action
+from helpers import enumerate_action, reference_torus_dp
 
 R0, F0 = 1.0, 0.5
 
@@ -46,7 +46,7 @@ def test_sphere_constant_margin_closed_form(sphere_constant_traj):
     # margin = 2 ln(t2/t1) + Gamma/2 + ln(f(t2)/f(t1)) = 2 ln(t2/t1) + (3/2) Gamma
     t1, t2 = 0.05, 0.2
     node = sphere_constant_traj.geom.n // 2
-    margin = hf.check_integrated_harnack(sphere_constant_traj, (node, t1), (node, t2))
+    margin, _ = hf.check_integrated_harnack(sphere_constant_traj, (node, t1), (node, t2))
     gamma_true = np.log((R0**2 - 2 * t1) / (R0**2 - 2 * t2))
     expected = 2 * np.log(t2 / t1) + 1.5 * gamma_true
     assert abs(margin - expected) <= 1e-2
@@ -84,6 +84,97 @@ def test_dp_equals_enumeration_torus(torus_small_traj):
         gamma, _ = hf.min_action(traj, (x1, t1), (x2, t2), window=1)
         brute = enumerate_action(traj, (x1, t1), (x2, t2), window=1)
         assert gamma == brute
+
+
+def test_dp_equals_enumeration_torus_full_box(torus_small_traj):
+    # window 2 on n = 5 is the whole 5x5 offset box, so every
+    # arrival-indexed table plane is used
+    traj = torus_small_traj
+    t1, t2 = traj.times[0], traj.times[2]
+    for x1, x2 in ((0, 7), (12, 12), (6, 18), (24, 1)):
+        gamma, _ = hf.min_action(traj, (x1, t1), (x2, t2), window=2)
+        brute = enumerate_action(traj, (x1, t1), (x2, t2), window=2)
+        assert gamma == brute
+
+
+def _path_action(traj, path, window):
+    """The action along path.nodes, summed in the DP's own order."""
+    dt = traj.dt_out
+    cost = 0.0
+    for k, p, q in zip(path.snapshots, path.nodes, path.nodes[1:]):
+        d = hf.layer_distance_fn(traj, k, window)(p, q)
+        r_a = traj[k].geom.scalar_curvature().ravel()
+        r_b = traj[k + 1].geom.scalar_curvature().ravel()
+        cost = ((cost + 0.5 * r_a[p] * dt) + d * d / dt) + 0.5 * r_b[q] * dt
+    return cost
+
+
+@pytest.mark.parametrize(
+    "name, k1, k2, x1, x2, window",
+    [
+        ("torus_plain_traj", 4, 9, (3, 5), (9, 9), 2),
+        ("torus_plain_traj", 10, 14, (62, 1), (3, 60), 5),
+        ("torus_small_traj", 0, 3, (0, 0), (3, 2), 1),
+        ("torus_small_traj", 0, 3, (4, 1), (1, 4), 2),
+    ],
+)
+def test_torus_path_recomputes_gamma(request, name, k1, k2, x1, x2, window):
+    # the nodes backtracked from the stored offset indices carry exactly
+    # the minimized action
+    traj = request.getfixturevalue(name)
+    gamma, path = hf.min_action(traj, (x1, traj.times[k1]), (x2, traj.times[k2]), window=window)
+    n = traj.geom.n
+    assert path.nodes[0] == x1[0] * n + x1[1] and path.nodes[-1] == x2[0] * n + x2[1]
+    assert _path_action(traj, path, window) == gamma
+
+
+def test_action_rows_one_dp_per_pair(monkeypatch, torus_plain_traj):
+    from dataclasses import replace
+
+    from harnackflow import action, runner
+
+    traj = torus_plain_traj
+    times = traj.times
+    cfg = replace(
+        hf.ScenarioConfig(),
+        pairs=((0, times[4], 130, times[6]), (100, times[10], 100, times[13]), (2000, times[20], 2069, times[21])),
+        pair_count=0,
+        window=5,
+    )
+    min_action = action.min_action
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return min_action(*args, **kwargs)
+
+    monkeypatch.setattr(action, "min_action", counted)
+    rows = runner.action_rows(cfg, traj, np.random.default_rng(0))
+    assert len(calls) == 3
+    for x1, t1, x2, t2, gamma, _ in rows:
+        assert gamma == min_action(traj, (x1, t1), (x2, t2), cfg.window)[0]
+
+
+@pytest.fixture(scope="module")
+def torus_small_flat_traj():
+    # R = 0 and equal edge weights: many equal-cost paths, so the path
+    # depends on the tie-breaking
+    geom = hf.TorusGeometry(5, 1.0)
+    x, _ = geom.coords()
+    state = hf.FlowState(0.0, geom, 0.6 + 0.2 * np.sin(2 * np.pi * x) * np.ones((1, 5)))
+    return hf.run(state, 0.003, 1e-4, 1e-3, c=0.0)
+
+
+@pytest.mark.parametrize("name", ["torus_small_traj", "torus_small_flat_traj"])
+def test_torus_dp_matches_loop_reference(request, name):
+    # value and path, including first-offset tie-breaking, against a plain loop DP
+    traj = request.getfixturevalue(name)
+    t1, t2 = traj.times[0], traj.times[3]
+    for x1, x2, window in ((0, 7, 1), (12, 12, 2), (6, 18, 2), (24, 1, 2)):
+        gamma, path = hf.min_action(traj, (x1, t1), (x2, t2), window=window)
+        ref_gamma, ref_nodes = reference_torus_dp(traj, (x1, t1), (x2, t2), window)
+        assert gamma == ref_gamma
+        assert path.nodes == tuple(ref_nodes)
 
 
 def test_torus_window_distances_match_dijkstra(torus_small_traj):
@@ -172,7 +263,7 @@ def test_random_pairs_certify(sphere_cosine_traj):
     pairs = hf.random_pairs(sphere_cosine_traj, 5, rng, t_min=0.02)
     assert len(pairs) == 5
     for p1, p2 in pairs:
-        margin = hf.check_integrated_harnack(sphere_cosine_traj, p1, p2)
+        margin, _ = hf.check_integrated_harnack(sphere_cosine_traj, p1, p2)
         assert margin >= -1e-2
 
 

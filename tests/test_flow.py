@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from harnackflow.errors import (
     IndexAtBoundaryError,
     PositivityLostError,
     StepTooLargeError,
+    TrajectoryFormatError,
 )
 
 R0, F0 = 1.0, 0.5
@@ -163,6 +166,51 @@ def test_trajectory_save_load_round_trip(tmp_path, torus_potential_traj):
         assert a.t == b.t
         assert np.array_equal(a.f, b.f)
         assert np.array_equal(a.geom.phi, b.geom.phi)
+
+
+def _damaged_trajectories(data):
+    """(label, bytes) of a saved trajectory cut, padded or with a bad header."""
+    hlen = int.from_bytes(data[8:12], "little")
+    header = data[12:12 + hlen]
+    body = data[12 + hlen:]
+    snapshot = (len(body)) // 41  # torus_plain stores 41 snapshots
+
+    def with_header(text):
+        blob = text.encode("utf-8")
+        return data[:8] + len(blob).to_bytes(4, "little") + blob + body
+
+    cases = [
+        ("cut in magic", data[:5]),
+        ("cut in header length", data[:10]),
+        ("cut in header", data[:12 + hlen // 2]),
+        ("cut in first time", data[:12 + hlen + 4]),
+        ("cut in first phi", data[:12 + hlen + 8 + 1000]),
+        ("cut between snapshots", data[:12 + hlen + 3 * snapshot]),
+        ("cut in last f", data[:-9]),
+        ("one trailing byte", data + b"\0"),
+        ("header not JSON", with_header(header.decode("utf-8").replace("{", "[", 1))),
+        ("header not UTF-8", data[:12] + b"\xff" + data[13:]),
+        ("header a list", with_header("[1, 2]")),
+        ("header without dt", with_header(header.decode("utf-8").replace('"dt": ', '"dt_missing": '))),
+        ("header n not a number", with_header(header.decode("utf-8").replace('"n": 64', '"n": "sixty-four"'))),
+        ("header n too small", with_header(header.decode("utf-8").replace('"n": 64', '"n": 2'))),
+        ("header unknown kind", with_header(header.decode("utf-8").replace('"torus"', '"cube"'))),
+        ("header zero snapshots", with_header(header.decode("utf-8").replace('"snapshots": 41', '"snapshots": 0'))),
+    ]
+    assert all(bad != data for _, bad in cases)
+    return cases
+
+
+def test_damaged_trajectory_raises_format_error(tmp_path, torus_plain_traj):
+    path = tmp_path / "trajectory.bin"
+    torus_plain_traj.save(path)
+    data = path.read_bytes()
+    assert (len(data) - 12 - int.from_bytes(data[8:12], "little")) % 41 == 0
+    for label, bad in _damaged_trajectories(data):
+        damaged = tmp_path / f"{label.replace(' ', '_')}.bin"
+        damaged.write_bytes(bad)
+        with pytest.raises(TrajectoryFormatError, match=re.escape(str(damaged))):
+            hf.load_trajectory(damaged)
 
 
 # -- time differencing -------------------------------------------------------
