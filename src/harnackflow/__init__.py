@@ -20,10 +20,12 @@ from .action import (
 from .config import ScenarioConfig, build_geometry, build_initial_state, parse_config
 from .errors import *  # noqa: F401,F403 -- the error module defines the public names
 from .flow import (
+    EnsembleMember,
     FlowState,
     Trajectory,
     load_trajectory,
     run,
+    run_ensemble,
     save_trajectory,
     time_derivative,
 )

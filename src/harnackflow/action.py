@@ -142,7 +142,9 @@ def _torus_window_distances(geom, phi_mid, window):
     plane to the departure values read through a shifted view.  Min-plus
     relaxation over the (2W+1)^2 offset box; paths may wander anywhere
     inside the box of relative offsets.  With uniform weights the result
-    is the exact graph distance h*e^phi*(|a| + |b|).
+    is the exact graph distance h*e^phi*(|a| + |b|), the same at every
+    node, and the table has shape (2W+1, 2W+1, 1, 1): one value per offset,
+    broadcast over the grid.
     """
     n, h = geom.n, geom.h
     spread = float(np.ptp(phi_mid))
@@ -151,7 +153,7 @@ def _torus_window_distances(geom, phi_mid, window):
     if spread <= 1e-13:
         scale = h * float(np.exp(phi_mid.flat[0]))
         taxi = np.abs(offs)[:, None] + np.abs(offs)[None, :]
-        return np.broadcast_to((scale * taxi)[:, :, None, None], (size, size, n, n)).copy()
+        return (scale * taxi)[:, :, None, None]
 
     # edge weights, indexed by the lower/left endpoint
     ex = np.exp(0.5 * (phi_mid + np.roll(phi_mid, -1, axis=0))) * h  # (i,j)-(i+1,j)
@@ -262,8 +264,8 @@ def layer_distance_fn(traj, k, window=DEFAULT_WINDOW):
 
         return dist
     window = min(window, (geom_a.n - 1) // 2)
-    table = _torus_window_distances(geom_a, phi_mid, window)
-    n = geom_a.n
+    n, size = geom_a.n, 2 * window + 1
+    table = np.broadcast_to(_torus_window_distances(geom_a, phi_mid, window), (size, size, n, n))
 
     def dist(p, q):
         pi, pj = divmod(p, n)

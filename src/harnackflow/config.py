@@ -41,7 +41,11 @@ Sections and keys (defaults in parentheses):
                   cor_tP, surface, grad             (all)
       fuzz_count  random tuples at the coarsest level (0)
       t_check     snapshot time for residuals, or auto (auto: output
-                                                     nearest t_end / 2)
+                                                     nearest t_end / 2; an
+                                                     explicit value must be a
+                                                     stored snapshot time
+                                                     other than the first and
+                                                     the last)
 
     [action]
       enable      true | false                      (false)
@@ -129,9 +133,12 @@ def _parse_bool(raw, line):
 
 def _parse_float(raw, line):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigSyntaxError(f"expected a number, got {raw!r}", line) from None
+    if not np.isfinite(value):
+        raise ConfigSyntaxError(f"expected a finite number, got {raw!r}", line)
+    return value
 
 
 def _parse_int(raw, line):
@@ -342,14 +349,14 @@ def _validate(cfg):
 
     if cfg.dt is None:
         cfg.dt = 0.5 * bound0 * area_ratio
-    if cfg.dt <= 0:
-        raise ConstraintViolationError("flow.dt must be positive")
+    if not 0 < cfg.dt < np.inf:  # an auto dt overflows on a huge metric
+        raise ConstraintViolationError(f"flow.dt = {cfg.dt:.6g} must be positive and finite")
     if cfg.dt > bound0 * (1.0 + 1e-12):
         raise ConstraintViolationError(
             f"flow.dt = {cfg.dt:.6g} violates the CFL rule dt <= 0.2*h^2*min(e^(2*phi)) = {bound0:.6g}"
         )
     # trim dt so that an integer number of steps lands on each output
-    steps = int(np.ceil(cfg.dt_out / cfg.dt - 1e-12))
+    steps = max(1, int(np.ceil(cfg.dt_out / cfg.dt - 1e-12)))
     cfg.dt = cfg.dt_out / steps
 
     if cfg.t0 is None:
@@ -361,6 +368,20 @@ def _validate(cfg):
     if cfg.t_check is None:
         k = max(1, int(round(0.5 * cfg.t_end / cfg.dt_out)))
         cfg.t_check = k * cfg.dt_out
+    else:
+        # an explicit check time must be a stored snapshot with a neighbour
+        # on each side, or each refinement level would land elsewhere
+        k = int(round(cfg.t_check / cfg.dt_out))
+        n_out = int(np.floor(cfg.t_end / cfg.dt_out + 1e-9))
+        if abs(k * cfg.dt_out - cfg.t_check) > 1e-9 * cfg.dt_out:
+            raise ConstraintViolationError(
+                f"identities.t_check = {cfg.t_check:.6g} is not a multiple of flow.dt_out = {cfg.dt_out:.6g}"
+            )
+        if not 1 <= k <= n_out - 1:
+            raise ConstraintViolationError(
+                f"identities.t_check = {cfg.t_check:.6g} needs a snapshot on each side; "
+                f"it must lie in [{cfg.dt_out:.6g}, {(n_out - 1) * cfg.dt_out:.6g}]"
+            )
 
 
 def build_geometry(cfg):

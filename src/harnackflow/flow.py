@@ -20,6 +20,18 @@ current state before every step.
 
 ``evolve_metric=False`` freezes ``phi`` (heat flow on a static metric);
 the gradient-estimate scenarios use it to probe curved static backgrounds.
+
+One kernel steps every flow.  ``run_ensemble`` integrates several members
+on one grid in lockstep: their states are stacked on a leading member
+axis, ``x[m] = (phi, f)`` of shape ``(members, 2, *field_shape)``, each
+with its own ``c`` and ``evolve_metric``, and one RK4 step is one pass of
+numpy calls over the whole stack, on stage buffers allocated once per
+run.  ``run`` is ``run_ensemble`` with one member.  Every operation is
+elementwise in the single-field operand order, so each member is
+bit-identical to a run of it alone.  The checks run on every member at
+every step: the CFL bound before the step, the overflow guard and the
+positivity of f after it; the extinction time is checked once per member.
+A failure raises its typed error with the failing time and the member.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,18 +93,136 @@ class FlowState:
             raise ConstraintViolationError(f"negative time t = {self.t}")
 
 
-def _rhs(geom, phi, f, c, evolve_metric):
-    """Right-hand sides (dphi/dt, df/dt) at the given stage fields.
+class EnsembleMember(NamedTuple):
+    """One member of ``run_ensemble``: its initial state and its own equation."""
 
-    Works on raw arrays against the shared background of ``geom``; the
-    conformal exponent of ``geom`` itself is ignored.
+    initial: FlowState
+    c: float = -1.0
+    evolve_metric: bool = True
+    initial_id: str = ""
+
+
+def _member_error(err, member, count):
+    """Tag a step failure with its member; multi-member runs also name it in the message."""
+    err.member = member
+    if count > 1:
+        err.args = (f"member {member}: {err}",)
+    return err
+
+
+class _Stack:
+    """Views of one stacked array of shape (members, 2, *field_shape)."""
+
+    __slots__ = ("whole", "phi", "f", "phi_evolving")
+
+    def __init__(self, a, evolving):
+        self.whole = a
+        self.phi = a[:, :1]  # (members, 1, *field_shape): broadcasts over the field axis
+        self.f = a[:, 1]
+        self.phi_evolving = a[:evolving, 0]  # phi of the members whose metric evolves
+
+
+class _RK4Kernel:
+    """Checked RK4 over a stacked state ``x[m] = (phi, f)`` of M same-grid members.
+
+    Every buffer, and every view of one that a step uses, is made once, in
+    the constructor.  Members whose metric is frozen sit after the
+    ``evolving`` ones; their phi rate stays zero and their phi is never
+    updated.  Each member reproduces, bit for bit, a run of that member
+    alone: every operation is elementwise and keeps the operand order of
+    the single-field formulas.
     """
-    e2m = np.exp(-2.0 * phi)
-    curv = e2m * (geom.background_curvature - 2.0 * geom._bg_lap_raw(phi))
-    df = e2m * geom._bg_lap_raw(f) - c * curv * f
-    if not evolve_metric:
-        return None, df
-    return -0.5 * curv, df
+
+    def __init__(self, geom, x, c, evolving, dt, names):
+        self.names = names  # member index of each row, for error messages
+        self.h = geom.background_spacing
+        self.r_bg = geom.background_curvature
+        self.dt = dt
+        lead = x.shape[0]
+        self.c = np.asarray(c, dtype=float).reshape((lead,) + (1,) * len(geom.field_shape))
+        self.e2m = np.empty((lead, 1) + geom.field_shape)
+        self.ctmp = np.empty((lead,) + geom.field_shape)
+        # rates start at zero: the frozen members' phi rates are never written
+        self.x, self.y, self.k1, self.acc, self.k = (
+            _Stack(a, evolving) for a in (x, *(np.zeros(x.shape) for _ in range(4)))
+        )
+        self.z = np.empty(x.shape)
+        self.z0, self.z1, self.z0_ev = self.z[:, 0], self.z[:, 1], self.z[:evolving, 0]
+        # (lap phi, lap f) into z, from the state and from the stage state
+        self.lap_x = geom.laplacian_plan(x, self.z)
+        self.lap_y = geom.laplacian_plan(self.y.whole, self.z)
+        self.phi = x[:, 0]
+        # the update: whole evolving members, then the frozen members' f
+        acc = self.acc.whole
+        self.updates = [(x[:evolving], acc[:evolving])]
+        if evolving < lead:
+            self.updates.append((x[evolving:, 1], acc[evolving:, 1]))
+
+    def _rhs(self, lap, y, k):
+        """k = (dphi/dt, df/dt) at the stage state y, whose Laplacian plan is lap."""
+        z, z0, e2m = self.z, self.z0, self.e2m
+        lap()
+        np.multiply(y.phi, -2.0, out=e2m)
+        np.exp(e2m, out=e2m)
+        np.multiply(z0, 2.0, out=z0)
+        np.subtract(self.r_bg, z0, out=z0)
+        np.multiply(z, e2m, out=z)  # z = (R, e^(-2 phi) lap f)
+        np.multiply(self.c, z0, out=self.ctmp)
+        np.multiply(self.ctmp, y.f, out=self.ctmp)
+        np.subtract(self.z1, self.ctmp, out=k.f)
+        np.multiply(self.z0_ev, -0.5, out=k.phi_evolving)
+
+    def _stage(self, scale, k):
+        y = self.y.whole
+        np.multiply(k.whole, scale, out=y)
+        np.add(self.x.whole, y, out=y)
+
+    def step(self, t):
+        """One checked step from time t; raises with the failing member attached.
+
+        The CFL bound of the current fields is checked before the step, the
+        overflow guard and the positivity of f after it, on every member.
+        """
+        x, dt = self.x, self.dt
+        if dt > cfl_limit(self.h, self.phi) * (1.0 + 1e-12):
+            self._raise_cfl()
+        half = 0.5 * dt
+        acc, k = self.acc, self.k
+        self._rhs(self.lap_x, x, self.k1)
+        self._stage(half, self.k1)
+        self._rhs(self.lap_y, self.y, acc)
+        self._stage(half, acc)
+        self._rhs(self.lap_y, self.y, k)
+        a = acc.whole
+        np.add(a, k.whole, out=a)  # k2 + k3
+        self._stage(dt, k)
+        self._rhs(self.lap_y, self.y, k)
+        np.multiply(a, 2.0, out=a)
+        np.add(a, self.k1.whole, out=a)
+        np.add(a, k.whole, out=a)
+        np.multiply(a, dt / 6.0, out=a)
+        for xs, accs in self.updates:
+            np.add(xs, accs, out=xs)
+        # NaNs fail both comparisons, so non-finite fields are caught here
+        # too; z is free until the next step's first Laplacian.
+        big = float(np.abs(x.whole, out=self.z).max())
+        fmin = float(x.f.min())
+        if not (big <= OVERFLOW_GUARD and fmin > 0.0):
+            self._raise_state(t + dt)
+
+    def _raise_cfl(self):
+        for m, phi in enumerate(self.phi):
+            bound = cfl_limit(self.h, phi)
+            if self.dt > bound * (1.0 + 1e-12):
+                raise _member_error(StepTooLargeError(self.dt, bound), self.names[m], len(self.phi))
+
+    def _raise_state(self, t):
+        x = self.x.whole
+        for m in range(len(x)):
+            try:
+                _check_state_arrays(x[m, 0], x[m, 1], t)
+            except HarnackFlowError as err:
+                raise _member_error(err, self.names[m], len(x)) from None
 
 
 def _check_state_arrays(phi, f, t):
@@ -102,37 +233,6 @@ def _check_state_arrays(phi, f, t):
     fmin = float(np.min(f))
     if not fmin > 0.0:
         raise PositivityLostError(f"min f = {fmin:.6g} <= 0 at t = {t:.6g}", time=t)
-
-
-def _rk4(geom, phi, f, dt, c, evolve_metric):
-    half = 0.5 * dt
-    k1p, k1f = _rhs(geom, phi, f, c, evolve_metric)
-    if not evolve_metric:
-        _, k2f = _rhs(geom, phi, f + half * k1f, c, False)
-        _, k3f = _rhs(geom, phi, f + half * k2f, c, False)
-        _, k4f = _rhs(geom, phi, f + dt * k3f, c, False)
-        return phi, f + (dt / 6.0) * (k1f + 2.0 * (k2f + k3f) + k4f)
-    k2p, k2f = _rhs(geom, phi + half * k1p, f + half * k1f, c, True)
-    k3p, k3f = _rhs(geom, phi + half * k2p, f + half * k2f, c, True)
-    k4p, k4f = _rhs(geom, phi + dt * k3p, f + dt * k3f, c, True)
-    phi_new = phi + (dt / 6.0) * (k1p + 2.0 * (k2p + k3p) + k4p)
-    f_new = f + (dt / 6.0) * (k1f + 2.0 * (k2f + k3f) + k4f)
-    return phi_new, f_new
-
-
-def _advance(geom, h, phi, f, t, dt, c, evolve_metric):
-    """One checked RK4 step from time t on raw arrays; returns (phi, f) at t + dt.
-
-    Raises StepTooLargeError when dt violates the CFL bound of the current
-    fields, PositivityLostError if the heat field loses positivity, and
-    BlowupError past the overflow guard.
-    """
-    bound = cfl_limit(h, phi)
-    if dt > bound * (1.0 + 1e-12):
-        raise StepTooLargeError(dt, bound)
-    phi, f = _rk4(geom, phi, f, dt, c, evolve_metric)
-    _check_state_arrays(phi, f, t + dt)
-    return phi, f
 
 
 @dataclass
@@ -177,8 +277,30 @@ def run(initial, t_end, dt, dt_out, c=-1.0, evolve_metric=True, initial_id=""):
     label is exact).  ``t_end`` is truncated to the last full output
     interval.  Deterministic: identical inputs give bit-identical states.
 
-    Step errors propagate with the failing time attached.
+    Step errors propagate with the failing time attached.  This is
+    ``run_ensemble`` with one member.
     """
+    member = EnsembleMember(initial, c=c, evolve_metric=evolve_metric, initial_id=initial_id)
+    return run_ensemble([member], t_end, dt, dt_out)[0]
+
+
+def run_ensemble(members, t_end, dt, dt_out):
+    """Integrate several members on one grid in lockstep; one Trajectory each.
+
+    ``members`` are ``EnsembleMember``s whose initial states share the
+    geometry kind, grid shape, spacing and start time; each has its own
+    ``c``, ``evolve_metric`` and ``initial_id``.  ``t_end``, ``dt`` and
+    ``dt_out`` are shared and follow the rules of ``run``.  Each returned
+    trajectory is bit-identical to a ``run`` of that member alone.
+
+    Mismatched grids raise GridMismatchError.  A step failure raises the
+    error of the first failing member, with the failing time in ``.time``
+    and the member index in ``.member`` (and in the message when there is
+    more than one member).
+    """
+    members = list(members)
+    if not members:
+        raise ConstraintViolationError("run_ensemble needs at least one member")
     if dt <= 0 or dt_out <= 0:
         raise ConstraintViolationError("dt and dt_out must be positive")
     steps_per_out = int(round(dt_out / dt))
@@ -186,41 +308,65 @@ def run(initial, t_end, dt, dt_out, c=-1.0, evolve_metric=True, initial_id=""):
         raise ConstraintViolationError(
             f"dt = {dt!r} must divide dt_out = {dt_out!r} (got {dt_out / dt:.6g} steps per output)"
         )
-    t_start = initial.t
+    geom = members[0].initial.geom
+    t_start = members[0].initial.t
+    for i, mem in enumerate(members):
+        g = mem.initial.geom
+        if (g.kind, g.field_shape, g.background_spacing) != (geom.kind, geom.field_shape, geom.background_spacing):
+            raise GridMismatchError(
+                f"member {i} lives on a {g.kind} grid of shape {g.field_shape} and spacing "
+                f"{g.background_spacing:.6g}; member 0 on a {geom.kind} grid of shape "
+                f"{geom.field_shape} and spacing {geom.background_spacing:.6g}"
+            )
+        if mem.initial.t != t_start:
+            raise ConstraintViolationError(
+                f"member {i} starts at t = {mem.initial.t:.6g}, member 0 at t = {t_start:.6g}"
+            )
     if t_end < t_start - 1e-12:
         raise ConstraintViolationError("t_end precedes the initial time")
-    if isinstance(initial.geom, SphereGeometry) and evolve_metric:
-        extinction = initial.geom.total_area() / (8.0 * np.pi)
-        if t_end - t_start >= extinction:
-            raise ConstraintViolationError(
-                f"t_end = {t_end:.6g} reaches the extinction time {t_start + extinction:.6g}"
-            )
+    for i, mem in enumerate(members):
+        if isinstance(mem.initial.geom, SphereGeometry) and mem.evolve_metric:
+            extinction = mem.initial.geom.total_area() / (8.0 * np.pi)
+            if t_end - t_start >= extinction:
+                where = f"member {i}: " if len(members) > 1 else ""
+                raise ConstraintViolationError(
+                    f"{where}t_end = {t_end:.6g} reaches the extinction time {t_start + extinction:.6g}"
+                )
     n_out = int(np.floor((t_end - t_start) / dt_out + 1e-9))
-    states = [initial]
-    phi = initial.geom.phi
-    f = initial.f
-    geom = initial.geom
-    h = geom.background_spacing
+    # evolving members first, so the frozen ones are one trailing slice
+    order = sorted(range(len(members)), key=lambda i: not members[i].evolve_metric)
+    evolving = sum(1 for mem in members if mem.evolve_metric)
+    x = np.empty((len(members), 2) + geom.field_shape)
+    for row, i in enumerate(order):
+        x[row, 0] = members[i].initial.geom.phi
+        x[row, 1] = members[i].initial.f
+    kernel = _RK4Kernel(geom, x, [members[i].c for i in order], evolving, dt, order)
+    states = [[mem.initial] for mem in members]
     t_cur = t_start
     try:
         for k in range(1, n_out + 1):
             for _ in range(steps_per_out):
-                phi, f = _advance(geom, h, phi, f, t_cur, dt, c, evolve_metric)
+                kernel.step(t_cur)
                 t_cur += dt
             t_snap = t_start + k * dt_out
-            states.append(FlowState(t_snap, geom.with_phi(phi), f))
+            for row, i in enumerate(order):
+                g = members[i].initial.geom
+                states[i].append(FlowState(t_snap, g.with_phi(x[row, 0]), x[row, 1]))
     except HarnackFlowError as err:
         if getattr(err, "time", None) is None:
             err.time = t_cur  # attach the failing time for the caller
         raise
-    return Trajectory(
-        states,
-        dt=dt,
-        dt_out=dt_out,
-        c=c,
-        evolve_metric=evolve_metric,
-        initial_id=initial_id,
-    )
+    return [
+        Trajectory(
+            states[i],
+            dt=dt,
+            dt_out=dt_out,
+            c=mem.c,
+            evolve_metric=mem.evolve_metric,
+            initial_id=mem.initial_id,
+        )
+        for i, mem in enumerate(members)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +461,7 @@ def load_trajectory(path):
             variant=str(header["variant"]),
             initial_id=str(header["initial_id"]),
         )
-    except (KeyError, TypeError, ValueError, GridMismatchError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError, GridMismatchError) as err:
         raise TrajectoryFormatError(f"{path}: bad header ({type(err).__name__}: {err})") from err
     if snapshots < 1:
         raise TrajectoryFormatError(f"{path}: header declares {snapshots} snapshots")

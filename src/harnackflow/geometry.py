@@ -46,7 +46,7 @@ CFL_FACTOR = 0.2
 
 def cfl_limit(h, phi):
     """Largest explicit step at background spacing h: 0.2 * h^2 * min(e^(2 phi))."""
-    return CFL_FACTOR * h * h * float(np.exp(2.0 * np.min(phi)))
+    return CFL_FACTOR * h * h * float(np.exp(2.0 * np.asarray(phi).min()))
 
 
 def _as_field(values, shape, name="field"):
@@ -88,9 +88,21 @@ class SurfaceGeometry:
     def background_curvature(self):
         raise NotImplementedError
 
-    def _bg_lap_raw(self, w):
-        """Background Laplacian without shape validation (hot paths)."""
+    def laplacian_plan(self, w, out):
+        """Background Laplacian bound to the arrays ``w`` and ``out``.
+
+        Returns ``lap()``, which writes the Laplacian of the current contents
+        of ``w`` over its trailing field axes into ``out`` and returns it.
+        ``w`` may carry leading axes (the flow stacks members and fields
+        there).  Every view and scratch buffer is made here, so a hot loop
+        builds one plan per buffer pair and each call allocates nothing.
+        """
         raise NotImplementedError
+
+    def _bg_lap_raw(self, w):
+        """Background Laplacian without shape validation."""
+        w = np.asarray(w)
+        return self.laplacian_plan(w, np.empty(w.shape))()
 
     def background_laplacian(self, w):
         return self._bg_lap_raw(self.check_field(w))
@@ -222,14 +234,29 @@ class TorusGeometry(SurfaceGeometry):
     def _dy(self, w):
         return (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / (2.0 * self.h)
 
-    def _bg_lap_raw(self, w):
-        return (
-            np.roll(w, -1, axis=0)
-            + np.roll(w, 1, axis=0)
-            + np.roll(w, -1, axis=1)
-            + np.roll(w, 1, axis=1)
-            - 4.0 * w
-        ) / (self.h * self.h)
+    def laplacian_plan(self, w, out):
+        # Five-point stencil from wrap-aware slices, summed in the order
+        # (w[i+1,j] + w[i-1,j]) + w[i,j+1] + w[i,j-1] - 4 w, then / h^2.
+        four_w = np.empty(w.shape)
+        h2 = self.h * self.h
+        sums = (  # (target, a, b): target = a + b
+            (out[..., 1:-1, :], w[..., 2:, :], w[..., :-2, :]),
+            (out[..., 0, :], w[..., 1, :], w[..., -1, :]),
+            (out[..., -1, :], w[..., 0, :], w[..., -2, :]),
+            (out[..., :-1], out[..., :-1], w[..., 1:]),
+            (out[..., -1], out[..., -1], w[..., 0]),
+            (out[..., 1:], out[..., 1:], w[..., :-1]),
+            (out[..., 0], out[..., 0], w[..., -1]),
+        )
+
+        def lap():
+            for target, a, b in sums:
+                np.add(a, b, out=target)
+            np.multiply(w, 4.0, out=four_w)
+            np.subtract(out, four_w, out=out)
+            return np.divide(out, h2, out=out)
+
+        return lap
 
     def background_area_weights(self):
         return np.full(self.field_shape, self.h * self.h)
@@ -348,13 +375,21 @@ class SphereGeometry(SurfaceGeometry):
         g = self._ghost(w)
         return (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (self.dtheta * self.dtheta)
 
-    def _bg_lap_raw(self, w):
-        dw = np.diff(w)  # w_{j+1} - w_j, length n-1
-        flux = np.empty(self.n + 1)
-        flux[1:-1] = self._sin_plus[:-1] * dw
-        flux[0] = 0.0  # exact polar fluxes
-        flux[-1] = 0.0
-        return (flux[1:] - flux[:-1]) * self._inv_sin_dt2
+    def laplacian_plan(self, w, out):
+        # flux form; the end entries of the flux buffer are the exact zero
+        # polar fluxes and are never written
+        flux = np.zeros(w.shape[:-1] + (self.n + 1,))
+        inner, upper, lower = flux[..., 1:-1], flux[..., 1:], flux[..., :-1]
+        w_next, w_prev = w[..., 1:], w[..., :-1]
+        sin_plus, inv_sin_dt2 = self._sin_plus[:-1], self._inv_sin_dt2
+
+        def lap():
+            np.subtract(w_next, w_prev, out=inner)  # w_{j+1} - w_j
+            np.multiply(sin_plus, inner, out=inner)
+            np.subtract(upper, lower, out=out)
+            return np.multiply(out, inv_sin_dt2, out=out)
+
+        return lap
 
     def background_area_weights(self):
         # Band area 2*pi*(cos(theta-) - cos(theta+)) written as an exact

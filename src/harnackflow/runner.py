@@ -23,7 +23,7 @@ from . import action as action_mod
 from . import harnack, identities
 from .config import build_initial_state
 from .errors import HarnackFlowError
-from .flow import FlowState
+from .flow import EnsembleMember, FlowState, run_ensemble
 from .flow import run as run_flow
 from .geometry import SphereGeometry
 
@@ -347,6 +347,28 @@ def _fuzz_trajectory(n):
     return run_flow(state, _FUZZ_T_END, _FUZZ_DT_OUT / steps, _FUZZ_DT_OUT, c=-1.0)
 
 
+def _level_trajectories(lcfg, want):
+    """The flows of one ladder level, integrated as one ensemble.
+
+    Returns ({reaction coefficient: trajectory}, round companion or None):
+    the potential run (c = -1), one run per further c that a wanted preset
+    needs, and, for ``surface``, the round companion of ``surface_fR``.
+    """
+    coeffs = [-1.0]
+    for name, (c, _) in identities.PRESET_REGISTRY.items():
+        if name in want and c not in coeffs:
+            coeffs.append(c)
+    state0 = build_initial_state(lcfg)
+    members = [
+        EnsembleMember(state0, c=c, evolve_metric=lcfg.evolve_metric, initial_id=lcfg.initial_id)
+        for c in coeffs
+    ]
+    if "surface" in want:
+        members.append(EnsembleMember(_round_companion_state(lcfg), c=-1.0, initial_id="constant"))
+    runs = run_ensemble(members, lcfg.t_end, lcfg.dt, lcfg.dt_out)
+    return dict(zip(coeffs, runs)), (runs[-1] if "surface" in want else None)
+
+
 @dataclass
 class IdentityLevel:
     n: int
@@ -384,7 +406,8 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
 
     dt and dt_out scale by 1/4 per level so spatial and temporal residual
     components shrink together; each level evaluates the residuals at the
-    same snapshot time t_check.  Fuzz tuples run at the coarsest level.
+    same snapshot time t_check.  The flows of a level share n, dt and
+    dt_out and run as one ensemble.  Fuzz tuples run at the coarsest level.
     """
     out_dir = resolve_out_dir(cfg, out_flag)
     os.makedirs(out_dir, exist_ok=True)
@@ -406,15 +429,13 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
         )
         k = int(round(cfg.t_check / lcfg.dt_out))
         reports = []
-        traj_pot = run_trajectory(replace(lcfg, c=-1.0))
-        trajs = {-1.0: traj_pot}  # reaction coefficient -> trajectory of the level
-        k = min(max(k, 1), len(traj_pot) - 2)
         want = set(cfg.identity_presets)
+        trajs, traj_round = _level_trajectories(lcfg, want)
+        traj_pot = trajs[-1.0]
+        k = min(max(k, 1), len(traj_pot) - 2)
         for name, (c, preset_reports) in identities.PRESET_REGISTRY.items():
             if name not in want:
                 continue
-            if c not in trajs:
-                trajs[c] = run_trajectory(replace(lcfg, c=c))
             traj = trajs[c]
             if name != "surface":
                 reports.extend(preset_reports(traj, min(k, len(traj) - 2), cfg.d))
@@ -427,10 +448,6 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
             # scenario's own trajectory.
             general_rep, _ = identities.residual_surface(traj, k)
             reports.append(general_rep)
-            traj_round = run_flow(
-                _round_companion_state(lcfg), lcfg.t_end, lcfg.dt, lcfg.dt_out, c=-1.0,
-                evolve_metric=True, initial_id="constant",
-            )
             _, fr_rep = identities.residual_surface(traj_round, min(k, len(traj_round) - 2))
             reports.append(fr_rep)
         level_rows.append(

@@ -170,6 +170,19 @@ t_check = 0.05
     assert "residual-convergence" in shown
 
 
+def test_verify_identities_rejects_t_check_past_t_end(tmp_path, capsys):
+    # was clamped per level: N=64 evaluated t = 0.09 and N=128 t = 0.0975
+    from conftest import SCENARIO_DIR
+
+    text = (SCENARIO_DIR / "sphere_identities.cfg").read_text().replace("t_check = 0.05", "t_check = 5.0")
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text(text)
+    code = main(["verify-identities", "--config", str(cfg), "--levels", "2", "--out", str(tmp_path / "late")])
+    assert code == 2
+    assert "ConstraintViolationError" in capsys.readouterr().err
+    assert not (tmp_path / "late").exists()
+
+
 def test_action_command(cfg_file, tmp_path, capsys):
     cfg = cfg_file(SMALL_SPHERE, "act.cfg")
     out = tmp_path / "act"

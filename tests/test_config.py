@@ -162,6 +162,31 @@ def test_t_check_resolved_without_identities():
     assert cfg.t_check == pytest.approx(20 * cfg.dt_out)
 
 
+# t_end = 0.2 and dt_out = 0.02 store snapshots at 0, 0.02, ..., 0.2
+T_CHECK_SPHERE = MINIMAL_SPHERE + "dt_out = 0.02\n\n[identities]\nenable = true\n"
+
+
+@pytest.mark.parametrize(
+    "t_check, reason",
+    [
+        ("0.05", "multiple"),  # between two snapshots
+        ("0.0", "each side"),  # the first snapshot
+        ("0.2", "each side"),  # the last snapshot
+        ("5.0", "each side"),  # past t_end, was clamped to the last interior snapshot
+        ("-0.02", "each side"),
+    ],
+)
+def test_t_check_must_be_interior_snapshot(t_check, reason):
+    with pytest.raises(ConstraintViolationError, match=reason):
+        hf.parse_config(T_CHECK_SPHERE + f"t_check = {t_check}\n")
+
+
+@pytest.mark.parametrize("t_check, k", [("0.02", 1), ("0.1", 5), ("0.18", 9)])
+def test_t_check_on_interior_snapshot_accepted(t_check, k):
+    cfg = hf.parse_config(T_CHECK_SPHERE + f"t_check = {t_check}\n")
+    assert round(cfg.t_check / cfg.dt_out) == k
+
+
 def test_comments_and_blank_lines():
     text = """
 # leading comment

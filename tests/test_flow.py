@@ -7,6 +7,7 @@ import harnackflow as hf
 from harnackflow.errors import (
     BlowupError,
     ConstraintViolationError,
+    GridMismatchError,
     IndexAtBoundaryError,
     PositivityLostError,
     StepTooLargeError,
@@ -194,6 +195,7 @@ def _damaged_trajectories(data):
         ("header without dt", with_header(header.decode("utf-8").replace('"dt": ', '"dt_missing": '))),
         ("header n not a number", with_header(header.decode("utf-8").replace('"n": 64', '"n": "sixty-four"'))),
         ("header n too small", with_header(header.decode("utf-8").replace('"n": 64', '"n": 2'))),
+        ("header n infinite", with_header(header.decode("utf-8").replace('"n": 64', '"n": Infinity'))),
         ("header unknown kind", with_header(header.decode("utf-8").replace('"torus"', '"cube"'))),
         ("header zero snapshots", with_header(header.decode("utf-8").replace('"snapshots": 41', '"snapshots": 0'))),
     ]
@@ -250,3 +252,117 @@ def test_time_derivative_boundary_rejected(torus_potential_traj):
         hf.time_derivative(torus_potential_traj, 0, _curvature)
     with pytest.raises(IndexAtBoundaryError):
         hf.time_derivative(torus_potential_traj, len(torus_potential_traj) - 1, _curvature)
+
+
+# -- ensembles ---------------------------------------------------------------
+
+
+def _same_trajectory(a, b):
+    assert (a.dt, a.dt_out, a.c, a.evolve_metric, a.variant, a.initial_id) == (
+        b.dt, b.dt_out, b.c, b.evolve_metric, b.variant, b.initial_id
+    )
+    assert len(a) == len(b)
+    for sa, sb in zip(a.states, b.states):
+        assert sa.t == sb.t
+        assert sa.geom.phi.tobytes() == sb.geom.phi.tobytes()
+        assert sa.f.tobytes() == sb.f.tobytes()
+
+
+def _check_members_match_single_runs(members, t_end, dt, dt_out):
+    trajs = hf.run_ensemble(members, t_end, dt, dt_out)
+    assert len(trajs) == len(members)
+    for member, traj in zip(members, trajs):
+        alone = hf.run(member.initial, t_end, dt, dt_out, c=member.c,
+                       evolve_metric=member.evolve_metric, initial_id=member.initial_id)
+        _same_trajectory(traj, alone)
+        assert traj[0] is member.initial
+
+
+def _sphere_cos(n=32):
+    geom = hf.SphereGeometry(n)
+    return hf.FlowState(0.0, geom.with_phi(0.1 * geom.cos_theta), 0.5 + 0.2 * geom.cos_theta)
+
+
+def test_ensemble_members_match_single_runs_sphere():
+    # the identity ladder's level: potential run, plain-heat run, round companion
+    state = _sphere_cos()
+    geom = hf.SphereGeometry(32)
+    companion = hf.FlowState(0.0, geom, np.full(32, F0))
+    members = [
+        hf.EnsembleMember(state, c=-1.0, initial_id="cos_theta"),
+        hf.EnsembleMember(state, c=0.0, initial_id="cos_theta"),
+        hf.EnsembleMember(companion, c=-1.0, initial_id="constant"),
+    ]
+    _check_members_match_single_runs(members, 0.05, 5e-4, 0.01)
+
+
+def test_ensemble_members_match_single_runs_torus():
+    def torus(phi_amp):
+        geom = hf.TorusGeometry(16, 2 * np.pi)
+        x, y = geom.coords()
+        # phi holds signed zeros (sin(0) * negative), which a frozen member must keep
+        geom = geom.with_phi(phi_amp * np.sin(x) * np.sin(y))
+        return hf.FlowState(0.0, geom, 0.5 + 0.2 * np.sin(x) * np.sin(y))
+
+    members = [
+        hf.EnsembleMember(torus(0.0), c=0.0, initial_id="flat"),
+        hf.EnsembleMember(torus(0.05), c=0.0, evolve_metric=False, initial_id="frozen"),
+        hf.EnsembleMember(torus(0.05), c=-1.0, initial_id="sine_xy"),
+    ]
+    assert np.any(np.signbit(members[1].initial.geom.phi) & (members[1].initial.geom.phi == 0.0))
+    _check_members_match_single_runs(members, 0.1, 0.0125 / 8, 0.0125)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        hf.SphereGeometry(48),  # shape
+        hf.TorusGeometry(32, 2 * np.pi),  # kind
+    ],
+)
+def test_ensemble_rejects_mismatched_grid(other):
+    member = hf.EnsembleMember(_sphere_cos())
+    odd = hf.EnsembleMember(hf.FlowState(0.0, other, np.full(other.field_shape, F0)))
+    with pytest.raises(GridMismatchError, match="member 1"):
+        hf.run_ensemble([member, odd], 0.01, 1e-3, 0.01)
+
+
+def test_ensemble_rejects_mismatched_spacing():
+    a, b = hf.TorusGeometry(16, 2 * np.pi), hf.TorusGeometry(16, np.pi)
+    members = [hf.EnsembleMember(hf.FlowState(0.0, g, np.full((16, 16), F0)), c=0.0) for g in (a, b)]
+    with pytest.raises(GridMismatchError, match="spacing"):
+        hf.run_ensemble(members, 0.01, 1e-3, 0.01)
+
+
+def test_ensemble_member_breaking_cfl_is_named():
+    # the half-radius sphere has a quarter of the unit sphere's CFL bound
+    geom = hf.SphereGeometry(32)
+    small = geom.with_phi(np.full(32, hf.SphereGeometry.round_phi(0.5)))
+    dt = 0.5 * geom.cfl_bound()
+    assert dt > small.cfl_bound()
+    members = [
+        hf.EnsembleMember(hf.FlowState(0.0, geom, np.full(32, F0))),
+        hf.EnsembleMember(hf.FlowState(0.0, small, np.full(32, F0))),
+    ]
+    with pytest.raises(StepTooLargeError, match="member 1") as err:
+        hf.run_ensemble(members, 10 * dt, dt, dt)
+    assert err.value.member == 1
+    assert err.value.time == 0.0
+    assert err.value.bound == small.cfl_bound()
+
+
+def test_ensemble_member_losing_positivity_is_named():
+    # f at the smallest subnormal under strong decay (c R dt = 1.6) underflows to 0
+    geom = hf.SphereGeometry(16)
+    dt = 0.5 * geom.cfl_bound()
+    healthy = hf.EnsembleMember(hf.FlowState(0.0, geom, np.full(16, F0)))
+    tiny = hf.EnsembleMember(hf.FlowState(0.0, geom, np.full(16, 5e-324)), c=0.8 / dt)
+    with pytest.raises(PositivityLostError, match="member 1") as err:
+        hf.run_ensemble([healthy, tiny], 4 * dt, dt, dt)
+    assert err.value.member == 1
+    assert err.value.time == dt
+    # alone, the member fails the same way without a member prefix
+    with pytest.raises(PositivityLostError) as alone:
+        hf.run(tiny.initial, 4 * dt, dt, dt, c=tiny.c)
+    assert alone.value.member == 0
+    assert str(alone.value).startswith("min f = 0 <= 0")
