@@ -11,17 +11,22 @@ whose per-step node displacement stays inside a window of ``W`` nodes
 gives an upper bound of the continuum infimum; refining the window and
 the output spacing decreases the value monotonically toward it.
 
-On the rotationally symmetric sphere nodes are colatitude rings and the
-optimal representative path runs along one meridian, so the layer graph
-is the 1-D chain of rings with cumulative edge lengths.  On the torus the
-within-window distances are shortest paths of the 4-neighbor weighted
-grid graph, computed by min-plus relaxation restricted to the window box
-(exact for uniform weights; an upper bound otherwise, which keeps the
-overall value an upper bound).  The distance table of a layer is indexed
-by the arrival node, ``table[a+W, b+W, q] = d(q - (a, b) -> q)``, so the
-layer DP adds each offset plane to a shifted view of the wrap-padded
-departure values and records, per arrival node, the index of the first
-offset attaining the minimum; the path is backtracked from those indices.
+One layer DP over the grid's ``field_shape`` serves both geometries, which
+enter only through their ``_LAYER_GRAPHS`` entry: the window-distance table
+builder, whether the grid is periodic, and the widest useful window.  A
+table holds ``table[a+W, ..., q] = d(q - a -> q)`` for offsets a in [-W, W]
+per axis and arrival nodes q.  On the sphere, nodes are colatitude rings
+and the optimal representative path runs along one meridian, so the entry
+is the ring-chain length ``|cum[q] - cum[q-a]|``, +inf where ring q - a is
+off the grid, and W <= n - 1.  On the torus it is the within-window
+shortest path of the 4-neighbor weighted grid graph, by min-plus
+relaxation restricted to the window box (exact for uniform weights, an
+upper bound otherwise, which keeps the value an upper bound), with offsets
+modulo n and W <= (n - 1) // 2, beyond which they alias.  The DP pads the
+departure values by W per axis (wrapped on the torus, +inf on the sphere),
+adds each offset plane to a shifted view of them, keeps per arrival node
+the index of the first offset attaining the minimum, and backtracks the
+path from those indices.
 
 ``check_integrated_harnack`` turns the minimized action into a pointwise
 certificate from one ``min_action`` call: with n = 2,
@@ -35,8 +40,10 @@ of the H quantity holds on the trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     NodesOutOfRangeError,
@@ -44,7 +51,6 @@ from .errors import (
     TimesNotStoredError,
     WindowTooNarrowError,
 )
-from .geometry import SphereGeometry, TorusGeometry
 
 DEFAULT_WINDOW = 5
 
@@ -67,72 +73,27 @@ def _locate_time(traj, t):
 
 
 def _flat_node(geom, node):
-    if isinstance(geom, SphereGeometry):
-        idx = int(node)
-        if not 0 <= idx < geom.n:
-            raise NodesOutOfRangeError(f"node {node!r} outside grid of {geom.n} rings")
-        return idx
-    if isinstance(node, (tuple, list)):
-        i, j = int(node[0]), int(node[1])
-        if not (0 <= i < geom.n and 0 <= j < geom.n):
-            raise NodesOutOfRangeError(f"node {node!r} outside {geom.n}x{geom.n} grid")
-        return i * geom.n + j
-    idx = int(node)
-    if not 0 <= idx < geom.node_count:
-        raise NodesOutOfRangeError(f"node {node!r} outside grid of {geom.node_count} nodes")
-    return idx
+    """Flat index of a node given flat or as one index per grid axis."""
+    shape = geom.field_shape if isinstance(node, (tuple, list)) else (geom.node_count,)
+    idx = tuple(int(i) for i in np.atleast_1d(node))
+    if len(idx) != len(shape) or not all(0 <= i < n for i, n in zip(idx, shape)):
+        raise NodesOutOfRangeError(f"node {node!r} outside the grid of shape {geom.field_shape}")
+    return int(np.ravel_multi_index(idx, shape))
 
 
 # ---------------------------------------------------------------------------
-# sphere: 1-D chain of rings
+# window-distance tables, indexed by the arrival node
 
 
-def _sphere_cumdist(geom, phi_mid):
+def _sphere_window_distances(geom, phi_mid, window):
+    """table[a+W, q] = |cum[q] - cum[q-a]|: the chain of rings, +inf off the grid."""
+    n = geom.n
     # edge between rings j and j+1 has background length dtheta
     edge = np.exp(0.5 * (phi_mid[:-1] + phi_mid[1:])) * geom.dtheta
-    return np.concatenate(([0.0], np.cumsum(edge)))
-
-
-def _sphere_dp(traj, k1, k2, x1, x2, window):
-    n = traj.geom.n
-    dt = traj.dt_out
-    value = np.full(n, np.inf)
-    value[x1] = 0.0
-    choices = []
-    for k in range(k1, k2):
-        geom_a, geom_b = traj[k].geom, traj[k + 1].geom
-        r_a = geom_a.scalar_curvature()
-        r_b = geom_b.scalar_curvature()
-        cum = _sphere_cumdist(geom_a, 0.5 * (geom_a.phi + geom_b.phi))
-        depart = value + 0.5 * r_a * dt  # cost attached to leaving node p
-        best = np.full(n, np.inf)
-        best_from = np.full(n, -1, dtype=int)
-        for delta in range(-window, window + 1):
-            # transition p -> q with p = q - delta
-            if delta >= 0:
-                q = np.arange(delta, n)
-            else:
-                q = np.arange(0, n + delta)
-            p = q - delta
-            cand = depart[p] + (cum[q] - cum[p]) ** 2 / dt + 0.5 * r_b[q] * dt
-            better = cand < best[q]
-            best[q[better]] = cand[better]
-            best_from[q[better]] = p[better]
-        value = best
-        choices.append(best_from)
-    if not np.isfinite(value[x2]):
-        raise WindowTooNarrowError(
-            f"no path from node {x1} to node {x2} in {k2 - k1} steps with window {window}"
-        )
-    nodes = [x2]
-    for back in reversed(choices):
-        nodes.append(int(back[nodes[-1]]))
-    nodes.reverse()
-    return float(value[x2]), nodes
-
-
-# ---------------------------------------------------------------------------
-# torus: windowed shortest-path distances + layer DP
+    cum = np.concatenate(([0.0], np.cumsum(edge)))
+    src = np.arange(n) - np.arange(-window, window + 1)[:, None]
+    on_grid = (src >= 0) & (src < n)
+    return np.where(on_grid, np.abs(cum - cum[np.clip(src, 0, n - 1)]), np.inf)
 
 
 def _torus_window_distances(geom, phi_mid, window):
@@ -194,54 +155,84 @@ def _torus_window_distances(geom, phi_mid, window):
     return dist
 
 
-def _torus_dp(traj, k1, k2, x1, x2, window):
-    n = traj.geom.n
+@dataclass(frozen=True)
+class _LayerGraph:
+    """How one geometry kind enters the layer DP."""
+
+    distances: Callable  # (geom, phi_mid, window) -> table indexed by arrival node
+    periodic: bool  # offsets wrap around the grid
+    max_window: Callable  # n -> widest window that still adds transitions
+
+
+_LAYER_GRAPHS = {
+    "rot_sphere": _LayerGraph(_sphere_window_distances, False, lambda n: n - 1),
+    "torus": _LayerGraph(_torus_window_distances, True, lambda n: (n - 1) // 2),
+}
+
+
+def _layer_graph(geom, window):
+    """The geometry's layer graph and ``window`` clamped to its widest useful value."""
+    graph = _LAYER_GRAPHS.get(geom.kind)
+    if graph is None:
+        raise NodesOutOfRangeError(f"unsupported geometry kind {geom.kind!r}")
+    return graph, min(window, graph.max_window(geom.n))
+
+
+def _layer_dp(traj, k1, k2, x1, x2, window):
+    graph, window = _layer_graph(traj.geom, window)
+    shape = traj.geom.field_shape
     dt = traj.dt_out
     size = 2 * window + 1
-    # depart values wrap-padded by the window: pad[W+i, W+j] = depart[i % n, j % n],
-    # so pad[W-a:W-a+n, W-b:W-b+n] holds depart[q - (a, b)] at arrival q
-    pad = np.empty((n + 2 * window, n + 2 * window))
-    inner = pad[window:window + n, window:window + n]
-    best = np.full((n, n), np.inf)
-    best[x1 // n, x1 % n] = 0.0
-    cand = np.empty((n, n))
-    better = np.empty((n, n), dtype=bool)
-    offset_type = np.min_scalar_type(size * size - 1)
+    # depart values padded by the window on every axis: pad[W + i] = depart[i]
+    # inside, wrapped on a periodic grid and +inf (never written) otherwise
+    pad = np.full(tuple(n + 2 * window for n in shape), np.inf)
+    inner = pad[tuple(slice(window, window + n) for n in shape)]
+    wraps = []  # (destination, source) views, copied in order: later axes fill the corners
+    for axis, n in enumerate(shape if graph.periodic else ()):
+        lead = (slice(None),) * axis
+        wraps.append((pad[lead + (slice(0, window),)], pad[lead + (slice(n, n + window),)]))
+        wraps.append((pad[lead + (slice(window + n, None),)], pad[lead + (slice(window, 2 * window),)]))
+    # sources[a + W] is the view of pad holding depart[q - a] at arrival q
+    sources = sliding_window_view(pad, shape)[(slice(None, None, -1),) * len(shape)]
+    # row-major from (-W, ..., -W); an offset's index is its list position
+    offsets = list(np.ndindex(*(size,) * len(shape)))
+    best = np.full(shape, np.inf)
+    best.flat[x1] = 0.0
+    cand = np.empty(shape)
+    better = np.empty(shape, dtype=bool)
+    offset_type = np.min_scalar_type(len(offsets) - 1)
     choices = []
     for k in range(k1, k2):
         geom_a, geom_b = traj[k].geom, traj[k + 1].geom
         r_a = geom_a.scalar_curvature()
         arrive = 0.5 * geom_b.scalar_curvature() * dt
-        step = _torus_window_distances(geom_a, 0.5 * (geom_a.phi + geom_b.phi), window)
+        step = graph.distances(geom_a, 0.5 * (geom_a.phi + geom_b.phi), window)
         step **= 2
         step /= dt
         np.add(best, 0.5 * r_a * dt, out=inner)
-        pad[:window, window:window + n] = pad[n:n + window, window:window + n]
-        pad[window + n:, window:window + n] = pad[window:2 * window, window:window + n]
-        pad[:, :window] = pad[:, n:n + window]
-        pad[:, window + n:] = pad[:, window:2 * window]
+        for dst, src in wraps:
+            dst[...] = src
         best.fill(np.inf)
-        best_off = np.zeros((n, n), dtype=offset_type)
-        for o in range(size * size):
-            ai, bi = divmod(o, size)
-            i0, j0 = size - 1 - ai, size - 1 - bi  # W - a, W - b
-            np.add(pad[i0:i0 + n, j0:j0 + n], step[ai, bi], out=cand)
+        best_off = np.zeros(shape, dtype=offset_type)
+        for o, off in enumerate(offsets):
+            np.add(sources[off], step[off], out=cand)
             np.add(cand, arrive, out=cand)
             np.less(cand, best, out=better)
             np.minimum(best, cand, out=best)
             best_off[better] = o
         choices.append(best_off)
-    if not np.isfinite(best[x2 // n, x2 % n]):
+    if not np.isfinite(best.flat[x2]):
         raise WindowTooNarrowError(
-            f"no path to node {x2} in {k2 - k1} steps with window {window}"
+            f"no path from node {x1} to node {x2} in {k2 - k1} steps with window {window}"
         )
     nodes = [x2]
+    mode = "wrap" if graph.periodic else "raise"
     for best_off in reversed(choices):
-        qi, qj = divmod(nodes[-1], n)
-        ai, bi = divmod(int(best_off[qi, qj]), size)
-        nodes.append((qi - ai + window) % n * n + (qj - bi + window) % n)
+        q = np.unravel_index(nodes[-1], shape)
+        source = [qi - ai + window for qi, ai in zip(q, offsets[best_off.flat[nodes[-1]]])]
+        nodes.append(int(np.ravel_multi_index(source, shape, mode=mode)))
     nodes.reverse()
-    return float(best[x2 // n, x2 % n]), nodes
+    return float(best.flat[x2]), nodes
 
 
 def layer_distance_fn(traj, k, window=DEFAULT_WINDOW):
@@ -252,29 +243,19 @@ def layer_distance_fn(traj, k, window=DEFAULT_WINDOW):
     reproduce DP costs bit for bit.  Returns inf outside the window.
     """
     geom_a, geom_b = traj[k].geom, traj[k + 1].geom
-    phi_mid = 0.5 * (geom_a.phi + geom_b.phi)
-    if isinstance(geom_a, SphereGeometry):
-        window = min(window, geom_a.n - 1)
-        cum = _sphere_cumdist(geom_a, phi_mid)
-
-        def dist(p, q):
-            if abs(q - p) > window:
-                return np.inf
-            return float(abs(cum[q] - cum[p]))
-
-        return dist
-    window = min(window, (geom_a.n - 1) // 2)
-    n, size = geom_a.n, 2 * window + 1
-    table = np.broadcast_to(_torus_window_distances(geom_a, phi_mid, window), (size, size, n, n))
+    graph, window = _layer_graph(geom_a, window)
+    shape = geom_a.field_shape
+    table = graph.distances(geom_a, 0.5 * (geom_a.phi + geom_b.phi), window)
+    table = np.broadcast_to(table, (2 * window + 1,) * len(shape) + shape)
 
     def dist(p, q):
-        pi, pj = divmod(p, n)
-        qi, qj = divmod(q, n)
-        a = (qi - pi + n // 2) % n - n // 2
-        b = (qj - pj + n // 2) % n - n // 2
-        if abs(a) > window or abs(b) > window:
+        p_idx, q_idx = np.unravel_index(p, shape), np.unravel_index(q, shape)
+        offset = [qi - pi for pi, qi in zip(p_idx, q_idx)]
+        if graph.periodic:
+            offset = [(a + n // 2) % n - n // 2 for a, n in zip(offset, shape)]
+        if any(abs(a) > window for a in offset):
             return np.inf
-        return float(table[a + window, b + window, qi, qj])
+        return float(table[tuple(a + window for a in offset) + q_idx])
 
     return dist
 
@@ -283,25 +264,17 @@ def min_action(traj, point1, point2, window=DEFAULT_WINDOW):
     """Minimize the path action between (x1, t1) and (x2, t2).
 
     ``point``s are (node, time) with times at stored snapshots, t1 < t2,
-    and nodes grid indices (sphere: ring index; torus: flat index or
-    (i, j) pair).  Returns (gamma, SpaceTimePath).  The value is an upper
-    bound of the continuum infimum, non-increasing in ``window``.
+    and nodes grid indices: a flat index, or a tuple of one index per grid
+    axis (sphere: ``(ring,)``; torus: ``(i, j)``).  Returns
+    (gamma, SpaceTimePath).  The value is an upper bound of the continuum
+    infimum, non-increasing in ``window``.
     """
     (x1, t1), (x2, t2) = point1, point2
     k1, k2 = _locate_time(traj, t1), _locate_time(traj, t2)
     if k1 >= k2:
         raise TimesNotStoredError(f"need t1 < t2 at stored snapshots, got {t1!r} >= {t2!r}")
     geom = traj.geom
-    f1 = _flat_node(geom, x1)
-    f2 = _flat_node(geom, x2)
-    if isinstance(geom, SphereGeometry):
-        gamma, nodes = _sphere_dp(traj, k1, k2, f1, f2, min(window, geom.n - 1))
-    elif isinstance(geom, TorusGeometry):
-        # beyond half the grid the periodic offsets alias; clamping loses
-        # no reachable transitions
-        gamma, nodes = _torus_dp(traj, k1, k2, f1, f2, min(window, (geom.n - 1) // 2))
-    else:
-        raise NodesOutOfRangeError(f"unsupported geometry kind {geom.kind!r}")
+    gamma, nodes = _layer_dp(traj, k1, k2, _flat_node(geom, x1), _flat_node(geom, x2), window)
     path = SpaceTimePath(
         snapshots=tuple(range(k1, k2 + 1)), nodes=tuple(nodes), action=gamma
     )
@@ -317,15 +290,12 @@ def check_integrated_harnack(traj, point1, point2, window=DEFAULT_WINDOW):
     Assumes the trajectory satisfies the pointwise bound sup H <= 0
     (weakly positive curvature scenarios).
     """
-    (x1, t1), (x2, t2) = point1, point2
+    (_, t1), (_, t2) = point1, point2
     if t1 <= 0:
         raise NonPositiveTimeError("integrated inequality needs t1 > 0")
-    gamma, _ = min_action(traj, point1, point2, window)
-    k1, k2 = _locate_time(traj, t1), _locate_time(traj, t2)
-    geom = traj.geom
-    i1, i2 = _flat_node(geom, x1), _flat_node(geom, x2)
-    lnf1 = float(np.log(traj[k1].f.flat[i1]))
-    lnf2 = float(np.log(traj[k2].f.flat[i2]))
+    gamma, path = min_action(traj, point1, point2, window)
+    lnf1 = float(np.log(traj[path.snapshots[0]].f.flat[path.nodes[0]]))
+    lnf2 = float(np.log(traj[path.snapshots[-1]].f.flat[path.nodes[-1]]))
     return lnf2 + 2.0 * np.log(t2 / t1) + 0.5 * gamma - lnf1, gamma
 
 
@@ -336,25 +306,22 @@ def random_pairs(traj, count, rng, t_min=0.0, window=DEFAULT_WINDOW):
     if eligible.size < 2:
         raise TimesNotStoredError("not enough stored snapshots above t_min")
     geom = traj.geom
-    n_nodes = geom.node_count
+    periodic = _layer_graph(geom, window)[0].periodic
+    shape = geom.field_shape
     pairs = []
     for _ in range(count):
         k1, k2 = sorted(int(k) for k in rng.choice(eligible, size=2, replace=False))
-        x1 = int(rng.integers(n_nodes))
-        # keep the pair reachable inside the window
-        steps = int(k2 - k1)
-        if isinstance(geom, SphereGeometry):
-            lo = max(0, x1 - window * steps)
-            hi = min(n_nodes - 1, x1 + window * steps)
-            x2 = int(rng.integers(lo, hi + 1))
-        else:
-            n = geom.n
-            reach = min(window * steps, n // 2)
-            di = int(rng.integers(-reach, reach + 1))
-            dj = int(rng.integers(-reach, reach + 1))
-            i = (x1 // n + di) % n
-            j = (x1 % n + dj) % n
-            x2 = i * n + j
+        x1 = int(rng.integers(geom.node_count))
+        # keep the pair reachable inside the window, one grid axis at a time
+        reach = window * int(k2 - k1)
+        end = []
+        for i, n in zip(np.unravel_index(x1, shape), shape):
+            if periodic:
+                r = min(reach, n // 2)
+                end.append((i + int(rng.integers(-r, r + 1))) % n)
+            else:
+                end.append(int(rng.integers(max(0, i - reach), min(n - 1, i + reach) + 1)))
+        x2 = int(np.ravel_multi_index(end, shape))
         pairs.append(((x1, float(times[k1])), (x2, float(times[k2]))))
     return pairs
 

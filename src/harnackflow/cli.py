@@ -30,13 +30,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .config import parse_config
-from .errors import HarnackFlowError
+from .errors import ConfigFileError, HarnackFlowError
 from .runner import run_scenario, verify_identities
 
 
 def _load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ConfigFileError(f"cannot read config {path!r}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigFileError(f"config {path!r} is not UTF-8 text: {err.reason} at byte {err.start}") from err
     name = os.path.splitext(os.path.basename(path))[0]
     return parse_config(text, name=name)
 

@@ -89,6 +89,10 @@ class ConfigError(HarnackFlowError):
     """Base class for scenario-configuration errors."""
 
 
+class ConfigFileError(ConfigError):
+    """A config file cannot be read or is not UTF-8 text."""
+
+
 class ConfigSyntaxError(ConfigError):
     def __init__(self, message, line):
         super().__init__(f"line {line}: {message}")

@@ -74,6 +74,14 @@ def resolve_out_dir(cfg, out_flag=None):
     return out_flag or cfg.directory or os.path.join("out", cfg.name)
 
 
+def _remove_stale_reports(out_dir, *names):
+    """Remove reports of an earlier run, so one that stops early leaves none behind."""
+    for name in names:
+        path = os.path.join(out_dir, name)
+        if os.path.exists(path):
+            os.remove(path)
+
+
 def _series_extreme(series, column, reducer):
     vals = series.columns[column]
     vals = vals[~np.isnan(vals)]
@@ -259,16 +267,14 @@ def run_scenario(cfg, out_flag=None, seed=None):
     A HarnackFlowError in any stage (flow, monitors, identities, action)
     ends the run: summary.txt then holds the single line
     ``FAIL <stage>: <error type>[ at t = ...]: <message>`` and the report
-    fails.  A summary.txt left by an earlier run is removed first, so a run
-    that stops early never leaves a stale one behind.
+    fails.  A summary.txt left by an earlier run is removed first.
     """
     out_dir = resolve_out_dir(cfg, out_flag)
     os.makedirs(out_dir, exist_ok=True)
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
+    _remove_stale_reports(out_dir, "summary.txt")
     summary_path = os.path.join(out_dir, "summary.txt")
-    if os.path.exists(summary_path):
-        os.remove(summary_path)
     stage = "flow"
     try:
         traj = run_trajectory(cfg)
@@ -321,9 +327,8 @@ def _identity_reports(traj, k, cfg):
 
 def _round_companion_state(cfg):
     """Round sphere with constant heat field, matching the config's scale."""
-    radius = cfg.radius if cfg.kind == "rot_sphere" else 1.0
     geom = SphereGeometry(cfg.n)
-    phi = np.full(geom.field_shape, SphereGeometry.round_phi(radius))
+    phi = np.full(geom.field_shape, SphereGeometry.round_phi(cfg.radius))
     return FlowState(0.0, geom.with_phi(phi), np.full(geom.field_shape, cfg.f0))
 
 
@@ -408,9 +413,16 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     components shrink together; each level evaluates the residuals at the
     same snapshot time t_check.  The flows of a level share n, dt and
     dt_out and run as one ensemble.  Fuzz tuples run at the coarsest level.
+    The ``surface`` preset runs on sphere configs only: by Gauss-Bonnet a
+    torus never has R > 0 everywhere.  The reports of an earlier ladder are
+    removed first.
     """
     out_dir = resolve_out_dir(cfg, out_flag)
     os.makedirs(out_dir, exist_ok=True)
+    _remove_stale_reports(out_dir, "identity_summary.txt", "identities.csv")
+    want = set(cfg.identity_presets)
+    if cfg.kind != "rot_sphere":
+        want.discard("surface")
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
 
@@ -429,7 +441,6 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
         )
         k = int(round(cfg.t_check / lcfg.dt_out))
         reports = []
-        want = set(cfg.identity_presets)
         trajs, traj_round = _level_trajectories(lcfg, want)
         traj_pot = trajs[-1.0]
         k = min(max(k, 1), len(traj_pot) - 2)

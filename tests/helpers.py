@@ -1,5 +1,7 @@
 """Shared test oracles."""
 
+import itertools
+
 import numpy as np
 
 import harnackflow as hf
@@ -42,39 +44,46 @@ def enumerate_action(traj, point1, point2, window):
     return best
 
 
-def reference_torus_dp(traj, point1, point2, window):
-    """Loop DP on the torus: (gamma, nodes) with first-offset tie-breaking.
+def reference_layer_dp(traj, point1, point2, window):
+    """Loop DP on either geometry: (gamma, nodes) with first-offset tie-breaking.
 
-    Arrival nodes are visited in flat order and offsets (a, b) in row-major
-    order from (-W, -W); a later offset replaces the best only if strictly
-    cheaper.  Costs accumulate in the DP's order with the shared layer
-    distances, so both the value and the path must match ``min_action``.
+    Arrival nodes are visited in flat order and offsets a in row-major
+    order from (-W, ..., -W); a later offset replaces the best only if
+    strictly cheaper.  Sources q - a wrap around the torus and are skipped
+    off the sphere's chain of rings.  Costs accumulate in the DP's order
+    with the shared layer distances, so both the value and the path must
+    match ``min_action``.
     """
     (x1, t1), (x2, t2) = point1, point2
     times = traj.times
     k1 = int(np.argmin(np.abs(times - t1)))
     k2 = int(np.argmin(np.abs(times - t2)))
-    n = traj.geom.n
-    window = min(window, (n - 1) // 2)
+    shape = traj.geom.field_shape
+    periodic = traj.geom.kind == "torus"
+    window = min(window, (shape[0] - 1) // 2 if periodic else shape[0] - 1)
     dt = traj.dt_out
-    value = [np.inf] * (n * n)
+    size = int(np.prod(shape))
+    value = [np.inf] * size
     value[x1] = 0.0
     choices = []
     for k in range(k1, k2):
         dist = hf.layer_distance_fn(traj, k, window)
         r_a = traj[k].geom.scalar_curvature().ravel()
         r_b = traj[k + 1].geom.scalar_curvature().ravel()
-        best = [np.inf] * (n * n)
-        best_from = [-1] * (n * n)
-        for q in range(n * n):
-            qi, qj = divmod(q, n)
-            for a in range(-window, window + 1):
-                for b in range(-window, window + 1):
-                    p = (qi - a) % n * n + (qj - b) % n
-                    d = dist(p, q)
-                    cost = ((value[p] + 0.5 * r_a[p] * dt) + d * d / dt) + 0.5 * r_b[q] * dt
-                    if cost < best[q]:
-                        best[q], best_from[q] = cost, p
+        best = [np.inf] * size
+        best_from = [-1] * size
+        for q, q_idx in enumerate(itertools.product(*map(range, shape))):
+            for a in itertools.product(range(-window, window + 1), repeat=len(shape)):
+                p_idx = [qi - ai for qi, ai in zip(q_idx, a)]
+                if periodic:
+                    p_idx = [pi % n for pi, n in zip(p_idx, shape)]
+                elif not all(0 <= pi < n for pi, n in zip(p_idx, shape)):
+                    continue
+                p = int(np.ravel_multi_index(p_idx, shape))
+                d = dist(p, q)
+                cost = ((value[p] + 0.5 * r_a[p] * dt) + d * d / dt) + 0.5 * r_b[q] * dt
+                if cost < best[q]:
+                    best[q], best_from[q] = cost, p
         value = best
         choices.append(best_from)
     nodes = [x2]

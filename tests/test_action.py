@@ -7,7 +7,7 @@ from harnackflow.errors import (
     TimesNotStoredError,
     WindowTooNarrowError,
 )
-from helpers import enumerate_action, reference_torus_dp
+from helpers import enumerate_action, reference_layer_dp
 
 R0, F0 = 1.0, 0.5
 
@@ -165,14 +165,32 @@ def torus_small_flat_traj():
     return hf.run(state, 0.003, 1e-4, 1e-3, c=0.0)
 
 
-@pytest.mark.parametrize("name", ["torus_small_traj", "torus_small_flat_traj"])
-def test_torus_dp_matches_loop_reference(request, name):
+@pytest.fixture(scope="module")
+def sphere_small_round_traj():
+    # frozen unit sphere: constant R and equal ring spacing, so many paths
+    # cost the same up to round-off and the path depends on the tie-breaking
+    geom = hf.SphereGeometry(24)
+    state = hf.FlowState(0.0, geom, 0.5 + 0.2 * geom.cos_theta)
+    return hf.run(state, 0.04, 1e-3, 0.01, c=-1.0, evolve_metric=False)
+
+
+LOOP_REFERENCE_CASES = {
+    # (x1, x2, window) per trajectory; t1, t2 = times[0], times[3]
+    "torus_small_traj": ((0, 7, 1), (12, 12, 2), (6, 18, 2), (24, 1, 2)),
+    "torus_small_flat_traj": ((0, 7, 1), (12, 12, 2), (6, 18, 2), (24, 1, 2)),
+    "sphere_small_traj": ((0, 2, 1), (3, 8, 2), (12, 12, 2), (23, 17, 3), (1, 22, 7)),
+    "sphere_small_round_traj": ((0, 2, 1), (3, 8, 2), (12, 12, 2), (23, 17, 3), (5, 6, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(LOOP_REFERENCE_CASES))
+def test_layer_dp_matches_loop_reference(request, name):
     # value and path, including first-offset tie-breaking, against a plain loop DP
     traj = request.getfixturevalue(name)
     t1, t2 = traj.times[0], traj.times[3]
-    for x1, x2, window in ((0, 7, 1), (12, 12, 2), (6, 18, 2), (24, 1, 2)):
+    for x1, x2, window in LOOP_REFERENCE_CASES[name]:
         gamma, path = hf.min_action(traj, (x1, t1), (x2, t2), window=window)
-        ref_gamma, ref_nodes = reference_torus_dp(traj, (x1, t1), (x2, t2), window)
+        ref_gamma, ref_nodes = reference_layer_dp(traj, (x1, t1), (x2, t2), window)
         assert gamma == ref_gamma
         assert path.nodes == tuple(ref_nodes)
 
@@ -246,10 +264,30 @@ def test_times_must_be_stored(sphere_small_traj):
         hf.min_action(traj, (0, traj.times[3]), (3, traj.times[1]))  # reversed
 
 
-def test_nodes_out_of_range(sphere_small_traj):
-    traj = sphere_small_traj
-    with pytest.raises(NodesOutOfRangeError):
-        hf.min_action(traj, (40, traj.times[0]), (3, traj.times[2]))
+def test_nodes_out_of_range(sphere_small_traj, torus_small_traj):
+    for traj, node in (
+        (sphere_small_traj, 40),
+        (sphere_small_traj, (40,)),
+        (sphere_small_traj, (1, 2)),
+        (torus_small_traj, 25),
+        (torus_small_traj, (1, 5)),
+        (torus_small_traj, (1,)),
+        (torus_small_traj, (1, 2, 3)),  # one index too many, not read as (1, 2)
+    ):
+        with pytest.raises(NodesOutOfRangeError):
+            hf.min_action(traj, (node, traj.times[0]), (3, traj.times[2]))
+
+
+def test_node_tuples_match_flat_indices(sphere_small_traj, torus_small_traj):
+    # one index per grid axis on either geometry: (ring,) on the sphere
+    t1, t2 = sphere_small_traj.times[0], sphere_small_traj.times[2]
+    assert hf.min_action(sphere_small_traj, ((3,), t1), ((5,), t2)) == hf.min_action(
+        sphere_small_traj, (3, t1), (5, t2)
+    )
+    t1, t2 = torus_small_traj.times[0], torus_small_traj.times[2]
+    assert hf.min_action(torus_small_traj, ((1, 2), t1), ((3, 4), t2)) == hf.min_action(
+        torus_small_traj, (7, t1), (19, t2)
+    )
 
 
 def test_window_too_narrow(sphere_small_traj):

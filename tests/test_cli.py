@@ -170,6 +170,48 @@ t_check = 0.05
     assert "residual-convergence" in shown
 
 
+def test_verify_identities_on_torus_leaves_surface_out(cfg_file, tmp_path, capsys):
+    # the round companion of surface_fR used to join the torus ensemble
+    # and fail with GridMismatchError (exit 2); a torus never has R > 0
+    # everywhere, so the surface preset does not apply
+    cfg = cfg_file(SMALL_TORUS, "torus_ids.cfg")
+    code = main(["verify-identities", "--config", cfg, "--levels", "2", "--out", str(tmp_path / "ids")])
+    assert code != 2
+    table = capsys.readouterr().out
+    assert "residual-convergence-general_H" in table
+    assert "surface" not in table
+    assert "surface" not in (tmp_path / "ids" / "identities.csv").read_text()
+
+
+def test_stale_ladder_reports_removed_when_ladder_fails(cfg_file, tmp_path, capsys):
+    out = tmp_path / "ladder"
+    args = ["--levels", "2", "--out", str(out)]
+    assert main(["verify-identities", "--config", cfg_file(SMALL_TORUS, "ok.cfg"), *args]) == 0
+    assert (out / "identity_summary.txt").exists() and (out / "identities.csv").exists()
+    assert main(["verify-identities", "--config", cfg_file(BAD_INITIAL, "bad.cfg"), *args]) == 2
+    assert "PositivityLostError" in capsys.readouterr().err
+    assert not (out / "identity_summary.txt").exists()
+    assert not (out / "identities.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, content, reason",
+    [
+        ("missing.cfg", None, "cannot read config"),
+        ("utf16.cfg", b"\xff\xfe[\x00g\x00", "is not UTF-8 text"),
+    ],
+    ids=["missing", "utf16"],
+)
+def test_unreadable_config_exits_with_error(tmp_path, capsys, name, content, reason):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ConfigFileError" in err and reason in err and str(path) in err
+
+
 def test_verify_identities_rejects_t_check_past_t_end(tmp_path, capsys):
     # was clamped per level: N=64 evaluated t = 0.09 and N=128 t = 0.0975
     from conftest import SCENARIO_DIR
