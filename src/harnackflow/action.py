@@ -22,11 +22,16 @@ off the grid, and W <= n - 1.  On the torus it is the within-window
 shortest path of the 4-neighbor weighted grid graph, by min-plus
 relaxation restricted to the window box (exact for uniform weights, an
 upper bound otherwise, which keeps the value an upper bound), with offsets
-modulo n and W <= (n - 1) // 2, beyond which they alias.  The DP pads the
-departure values by W per axis (wrapped on the torus, +inf on the sphere),
-adds each offset plane to a shifted view of them, keeps per arrival node
-the index of the first offset attaining the minimum, and backtracks the
-path from those indices.
+modulo n and W <= (n - 1) // 2, beyond which they alias.  The relaxation
+visits the offsets in rings of growing |a| + |b|, so one pass builds every
+path that moves away from its start and a second pass, changing nothing,
+confirms it; passes repeat until one changes nothing.  Path sums
+accumulate from the departure end, so with positive weights the
+relaxation has one fixed point and the order of the updates cannot move a
+bit of the table.  The DP pads the departure values by W per axis
+(wrapped on the torus, +inf on the sphere), adds each offset plane to a
+shifted view of them, keeps per arrival node the index of the first
+offset attaining the minimum, and backtracks the path from those indices.
 
 ``check_integrated_harnack`` turns the minimized action into a pointwise
 certificate from one ``min_action`` call: with n = 2,
@@ -39,6 +44,7 @@ of the H quantity holds on the trajectory.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,12 +106,13 @@ def _torus_window_distances(geom, phi_mid, window):
     """table[a+W, b+W, i, j]: shortest within-box path (i-a, j-b) -> (i, j).
 
     The table is indexed by the arrival node, so the DP adds each offset
-    plane to the departure values read through a shifted view.  Min-plus
-    relaxation over the (2W+1)^2 offset box; paths may wander anywhere
-    inside the box of relative offsets.  With uniform weights the result
-    is the exact graph distance h*e^phi*(|a| + |b|), the same at every
-    node, and the table has shape (2W+1, 2W+1, 1, 1): one value per offset,
-    broadcast over the grid.
+    plane to the departure values read through a shifted view.  With
+    uniform weights the result is the exact graph distance
+    h*e^phi*(|a| + |b|), the same at every node, and the table has shape
+    (2W+1, 2W+1, 1, 1): one value per offset, broadcast over the grid.
+    Otherwise it is the in-box fixed point of a min-plus relaxation over
+    the (2W+1)^2 offset box; paths may wander anywhere inside the box of
+    relative offsets.
     """
     n, h = geom.n, geom.h
     spread = float(np.ptp(phi_mid))
@@ -116,38 +123,69 @@ def _torus_window_distances(geom, phi_mid, window):
         taxi = np.abs(offs)[:, None] + np.abs(offs)[None, :]
         return (scale * taxi)[:, :, None, None]
 
-    # edge weights, indexed by the lower/left endpoint
-    ex = np.exp(0.5 * (phi_mid + np.roll(phi_mid, -1, axis=0))) * h  # (i,j)-(i+1,j)
-    ey = np.exp(0.5 * (phi_mid + np.roll(phi_mid, -1, axis=1))) * h  # (i,j)-(i,j+1)
+    # edge weights, indexed by the lower/left endpoint and wrap-padded by the
+    # window: ex[W + i, W + j] is the edge (i,j)-(i+1,j), ey[W + i, W + j]
+    # the edge (i,j)-(i,j+1)
+    ex = np.pad(np.exp(0.5 * (phi_mid + np.roll(phi_mid, -1, axis=0))) * h, window, mode="wrap")
+    ey = np.pad(np.exp(0.5 * (phi_mid + np.roll(phi_mid, -1, axis=1))) * h, window, mode="wrap")
+
+    def edge(e, a, b):
+        """Weight of edge e at node (i + a, j + b), for every departure node (i, j)."""
+        return e[window + a : window + a + n, window + b : window + b + n]
+
     # relaxed by departure node: dist[a+W, b+W, i, j] is (i,j) -> (i+a, j+b)
     dist = np.full((size, size, n, n), np.inf)
     dist[window, window] = 0.0
-    # Each relaxation pass extends optimal paths by one edge; within the
-    # box no shortest path uses more than size^2 edges, but 2*size passes
-    # with early exit converge in practice; iterate until stable.
-    for _ in range(size * size):
-        changed = False
-        for ai, a in enumerate(offs):
-            for bi, b in enumerate(offs):
-                best = dist[ai, bi]
-                # arrive at offset (a, b) from (a-1, b): edge x between them,
-                # weight indexed at absolute row i + a - 1
-                if ai > 0:
-                    w = np.roll(ex, (-(a - 1), -b), axis=(0, 1))
-                    best = np.minimum(best, dist[ai - 1, bi] + w)
-                if ai < size - 1:
-                    w = np.roll(ex, (-a, -b), axis=(0, 1))
-                    best = np.minimum(best, dist[ai + 1, bi] + w)
-                if bi > 0:
-                    w = np.roll(ey, (-a, -(b - 1)), axis=(0, 1))
-                    best = np.minimum(best, dist[ai, bi - 1] + w)
-                if bi < size - 1:
-                    w = np.roll(ey, (-a, -b), axis=(0, 1))
-                    best = np.minimum(best, dist[ai, bi + 1] + w)
-                if np.any(best < dist[ai, bi]):
-                    dist[ai, bi] = best
-                    changed = True
-        if not changed:
+    planes = dist.reshape(size * size, n, n)
+    # Each offset plane is lowered in place from its box neighbours, with
+    # the sum accumulated from the departure end: dist[a, b] = dist[a-1, b]
+    # + the edge entered last.  That fixes every path's float sum, and with
+    # positive weights and monotone rounding the relaxation has one fixed
+    # point, the least in-box path sum, whatever the order of the updates.
+    # Visiting the offsets in rings of growing |a| + |b| builds every path
+    # that moves away from the origin in one pass; passes repeat until one
+    # changes nothing, so a metric whose shortest paths turn back still
+    # reaches the same fixed point, only later.
+    into = {}  # plane -> [(neighbour plane, edge from it), ...]
+    for a, b in sorted(itertools.product(offs, offs), key=lambda ab: abs(ab[0]) + abs(ab[1]))[1:]:
+        p = (a + window) * size + b + window
+        into[p] = [
+            (q, w)
+            for q, w, inside in (
+                (p - size, edge(ex, a - 1, b), a > -window),
+                (p + size, edge(ex, a, b), a < window),
+                (p - 1, edge(ey, a, b - 1), b > -window),
+                (p + 1, edge(ey, a, b), b < window),
+            )
+            if inside
+        ]
+    # A plane already holds the sums through every neighbour value it has
+    # read, so only a neighbour lowered since its last read can lower it;
+    # planes not yet reached are +inf and skipped the same way.
+    lowered = [-1] * (size * size)  # clock of each plane's last decrease
+    read = [-1] * (size * size)  # clock when each plane last read its neighbours
+    lowered[window * size + window] = clock = 0
+    best = np.empty((n, n))
+    cand = np.empty((n, n))
+    lower = np.empty((n, n), dtype=bool)
+    while True:
+        start = clock
+        for p, sources in into.items():
+            fresh = [(q, w) for q, w in sources if lowered[q] > read[p]]
+            if not fresh:
+                continue
+            read[p] = clock
+            (q, w), *rest = fresh
+            np.add(planes[q], w, out=best)
+            for q, w in rest:
+                np.add(planes[q], w, out=cand)
+                np.minimum(best, cand, out=best)
+            np.less(best, planes[p], out=lower)
+            if lower.any():
+                np.minimum(planes[p], best, out=planes[p])
+                clock += 1
+                lowered[p] = clock
+        if clock == start:  # a pass that lowered nothing
             break
     for ai, a in enumerate(offs):
         for bi, b in enumerate(offs):
@@ -306,17 +344,18 @@ def random_pairs(traj, count, rng, t_min=0.0, window=DEFAULT_WINDOW):
     if eligible.size < 2:
         raise TimesNotStoredError("not enough stored snapshots above t_min")
     geom = traj.geom
-    periodic = _layer_graph(geom, window)[0].periodic
+    graph, window = _layer_graph(geom, window)
     shape = geom.field_shape
     pairs = []
     for _ in range(count):
         k1, k2 = sorted(int(k) for k in rng.choice(eligible, size=2, replace=False))
         x1 = int(rng.integers(geom.node_count))
-        # keep the pair reachable inside the window, one grid axis at a time
+        # keep the pair reachable inside the clamped window the DP uses, one
+        # grid axis at a time
         reach = window * int(k2 - k1)
         end = []
         for i, n in zip(np.unravel_index(x1, shape), shape):
-            if periodic:
+            if graph.periodic:
                 r = min(reach, n // 2)
                 end.append((i + int(rng.integers(-r, r + 1))) % n)
             else:

@@ -91,3 +91,51 @@ def reference_layer_dp(traj, point1, point2, window):
         nodes.append(best_from[nodes[-1]])
     nodes.reverse()
     return value[x2], nodes
+
+
+def reference_torus_window_distances(geom, phi_mid, window):
+    """Curved-torus window-distance table by plain in-place relaxation.
+
+    Offsets are visited in row-major order, each plane lowered from its
+    four box neighbours with edges from ``np.roll``, and passes repeat
+    until one changes nothing.  The sums accumulate from the departure
+    end like the builder's, so the fixed point, and with it every bit of
+    the table, must match ``action._torus_window_distances``.  Returns the
+    table indexed by the arrival node, ``table[a+W, b+W, i, j]``.
+    """
+    n, h = geom.n, geom.h
+    size = 2 * window + 1
+    offs = np.arange(-window, window + 1)
+    # edge weights, indexed by the lower/left endpoint
+    ex = np.exp(0.5 * (phi_mid + np.roll(phi_mid, -1, axis=0))) * h  # (i,j)-(i+1,j)
+    ey = np.exp(0.5 * (phi_mid + np.roll(phi_mid, -1, axis=1))) * h  # (i,j)-(i,j+1)
+    # relaxed by departure node: dist[a+W, b+W, i, j] is (i,j) -> (i+a, j+b)
+    dist = np.full((size, size, n, n), np.inf)
+    dist[window, window] = 0.0
+    changed = True
+    while changed:
+        changed = False
+        for ai, a in enumerate(offs):
+            for bi, b in enumerate(offs):
+                best = dist[ai, bi]
+                # arrive at offset (a, b) from (a-1, b): edge x between them,
+                # weight indexed at absolute row i + a - 1
+                if ai > 0:
+                    w = np.roll(ex, (-(a - 1), -b), axis=(0, 1))
+                    best = np.minimum(best, dist[ai - 1, bi] + w)
+                if ai < size - 1:
+                    w = np.roll(ex, (-a, -b), axis=(0, 1))
+                    best = np.minimum(best, dist[ai + 1, bi] + w)
+                if bi > 0:
+                    w = np.roll(ey, (-a, -(b - 1)), axis=(0, 1))
+                    best = np.minimum(best, dist[ai, bi - 1] + w)
+                if bi < size - 1:
+                    w = np.roll(ey, (-a, -b), axis=(0, 1))
+                    best = np.minimum(best, dist[ai, bi + 1] + w)
+                if np.any(best < dist[ai, bi]):
+                    dist[ai, bi] = best
+                    changed = True
+    for ai, a in enumerate(offs):
+        for bi, b in enumerate(offs):
+            dist[ai, bi] = np.roll(dist[ai, bi], (a, b), axis=(0, 1))
+    return dist

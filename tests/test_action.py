@@ -7,7 +7,8 @@ from harnackflow.errors import (
     TimesNotStoredError,
     WindowTooNarrowError,
 )
-from helpers import enumerate_action, reference_layer_dp
+from harnackflow.action import _torus_window_distances
+from helpers import enumerate_action, reference_layer_dp, reference_torus_window_distances
 
 R0, F0 = 1.0, 0.5
 
@@ -240,6 +241,40 @@ def test_torus_window_distances_match_dijkstra(torus_small_traj):
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "name, window",
+    [
+        ("torus_small_traj", 1),
+        ("torus_small_traj", 2),
+        ("torus_bump_static_traj", 3),
+        ("torus_bump_static_traj", 5),
+        ("torus_bump_ricci_traj", 3),
+        ("torus_bump_ricci_traj", 5),
+    ],
+)
+def test_torus_window_distances_match_relaxation_reference(request, name, window):
+    # bit for bit: every update order iterated until nothing changes reaches
+    # the one fixed point of the departure-end path sums
+    traj = request.getfixturevalue(name)
+    for k in (0, len(traj.times) - 2):
+        geom_a, geom_b = traj[k].geom, traj[k + 1].geom
+        phi_mid = 0.5 * (geom_a.phi + geom_b.phi)
+        table = _torus_window_distances(geom_a, phi_mid, window)
+        assert np.array_equal(table, reference_torus_window_distances(geom_a, phi_mid, window))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 4.0])
+@pytest.mark.parametrize("window", [3, 5, 7])  # 7 = (n - 1) // 2, the clamp at n = 16
+def test_torus_window_distances_match_reference_on_rough_metrics(sigma, window):
+    # seeded rough metrics whose shortest paths turn back toward the
+    # origin, so the ring order needs more passes than its first sweep and
+    # the pass that confirms it
+    geom = hf.TorusGeometry(16, 1.0)
+    phi_mid = np.random.default_rng(7).normal(0.0, sigma, geom.field_shape)
+    table = _torus_window_distances(geom, phi_mid, window)
+    assert np.array_equal(table, reference_torus_window_distances(geom, phi_mid, window))
+
+
 def test_gamma_monotone_in_window(sphere_small_traj):
     traj = sphere_small_traj
     t1, t2 = traj.times[0], traj.times[4]
@@ -303,6 +338,19 @@ def test_random_pairs_certify(sphere_cosine_traj):
     for p1, p2 in pairs:
         margin, _ = hf.check_integrated_harnack(sphere_cosine_traj, p1, p2)
         assert margin >= -1e-2
+
+
+def test_random_pairs_reachable_at_clamped_window():
+    # n = 8: the DP clamps window 4 to 3, so a one-layer end offset of 4 per
+    # axis would be out of reach
+    geom = hf.TorusGeometry(8, 1.0)
+    x, _ = geom.coords()
+    state = hf.FlowState(0.0, geom, 0.6 + 0.2 * np.sin(2 * np.pi * x) * np.ones((1, 8)))
+    traj = hf.run(state, 0.002, 1e-4, 1e-3, c=0.0)  # 3 snapshots
+    pairs = hf.random_pairs(traj, 200, np.random.default_rng(0), window=4)
+    for p1, p2 in pairs:
+        gamma, _ = hf.min_action(traj, p1, p2, window=4)
+        assert np.isfinite(gamma)
 
 
 def test_action_csv(tmp_path):
