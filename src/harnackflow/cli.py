@@ -5,14 +5,15 @@ Subcommands:
 * ``run --config PATH [--out DIR] [--seed N]`` -- one scenario end to end:
   trajectory file, monitor/identity/action CSVs, assertion summary.
 * ``verify-identities --config PATH [--levels K] [--out DIR] [--seed N]``
-  -- identity residuals over K refinement levels; prints the convergence
-  table.
+  -- identity residuals over K >= 2 refinement levels; prints the
+  convergence table.
 * ``action --config PATH [--out DIR] [--seed N]`` -- ``run`` with the
   action stage forced on and the monitor and identity stages off: writes
   trajectory.bin, an empty-column monitors.csv, action.csv and
   summary.txt.
 * ``sweep CONFIG [CONFIG ...] [--jobs J] [--out DIR]`` -- several scenarios,
-  fanned out across processes, each writing to its own subdirectory.
+  fanned out across min(J, number of configs) processes, each writing to
+  its own subdirectory; J must be at least 1.
 
 Exit status is 0 iff every enabled assertion of every scenario passed; a
 stage that fails with a typed error fails its scenario (exit 1), while
@@ -30,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .config import parse_config
-from .errors import ConfigFileError, HarnackFlowError
+from .errors import ConfigFileError, ConstraintViolationError, HarnackFlowError
 from .runner import run_scenario, verify_identities
 
 
@@ -85,10 +86,13 @@ def _sweep_worker(item):
 
 
 def _cmd_sweep(args):
+    if args.jobs < 1:
+        raise ConstraintViolationError(f"--jobs must be at least 1, got {args.jobs}")
     items = [(path, _out_flag(args), args.seed) for path in args.configs]
-    results = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts all its workers at once: no more than there are configs
+    workers = min(args.jobs, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, items))
     else:
         results = [_sweep_worker(item) for item in items]

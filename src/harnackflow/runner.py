@@ -22,7 +22,7 @@ import numpy as np
 from . import action as action_mod
 from . import harnack, identities
 from .config import build_initial_state
-from .errors import HarnackFlowError
+from .errors import ConstraintViolationError, HarnackFlowError
 from .flow import EnsembleMember, FlowState, run_ensemble
 from .flow import run as run_flow
 from .geometry import SphereGeometry
@@ -340,6 +340,9 @@ def _round_companion_state(cfg):
 _FUZZ_T_END = 0.42
 _FUZZ_T_CHECK = 0.40
 _FUZZ_DT_OUT = 0.01
+# The calibration step stays this factor below its estimate of the
+# smallest CFL bound of the run; the per-step CFL check still guards it.
+FUZZ_CFL_SAFETY = 1.25
 
 
 def _fuzz_trajectory(n):
@@ -347,8 +350,11 @@ def _fuzz_trajectory(n):
     state = FlowState(
         0.0, geom.with_phi(0.1 * geom.cos_theta), 0.5 + 0.2 * geom.cos_theta
     )
-    base_dt = 2.5e-5 * (64.0 / n) ** 2
-    steps = int(np.ceil(_FUZZ_DT_OUT / base_dt - 1e-12))
+    # The area shrinks at rate 8 pi, and min e^(2 phi), hence the CFL
+    # bound, about in proportion: estimate the bound at t_end from that.
+    shrink = 1.0 - 8.0 * np.pi * _FUZZ_T_END / state.geom.total_area()
+    dt_max = state.geom.cfl_bound() * shrink / FUZZ_CFL_SAFETY
+    steps = int(np.ceil(_FUZZ_DT_OUT / dt_max - 1e-12))
     return run_flow(state, _FUZZ_T_END, _FUZZ_DT_OUT / steps, _FUZZ_DT_OUT, c=-1.0)
 
 
@@ -415,11 +421,16 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     dt_out and run as one ensemble.  Fuzz tuples run at the coarsest level.
     The ``surface`` preset runs on sphere configs only: by Gauss-Bonnet a
     torus never has R > 0 everywhere.  The reports of an earlier ladder are
-    removed first.
+    removed first; fewer than two levels, which leave no convergence ratio
+    to check, then raise ConstraintViolationError before any flow runs.
     """
     out_dir = resolve_out_dir(cfg, out_flag)
     os.makedirs(out_dir, exist_ok=True)
     _remove_stale_reports(out_dir, "identity_summary.txt", "identities.csv")
+    if levels < 2:
+        raise ConstraintViolationError(
+            f"the identity ladder needs at least 2 levels to check convergence, got {levels}"
+        )
     want = set(cfg.identity_presets)
     if cfg.kind != "rot_sphere":
         want.discard("surface")

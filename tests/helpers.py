@@ -139,3 +139,17 @@ def reference_torus_window_distances(geom, phi_mid, window):
         for bi, b in enumerate(offs):
             dist[ai, bi] = np.roll(dist[ai, bi], (a, b), axis=(0, 1))
     return dist
+
+
+def reference_torus_laplacian(w, h):
+    """Five-point torus Laplacian over the two trailing axes, from ``np.roll``.
+
+    Sums in the order ((w[i+1,j] + w[i-1,j]) + w[i,j+1]) + w[i,j-1], then
+    subtracts 4 w and divides by h^2, so ``TorusGeometry.laplacian_plan``
+    must match it bit for bit.
+    """
+    w = np.asarray(w, dtype=float)
+    total = np.roll(w, -1, axis=-2) + np.roll(w, 1, axis=-2)
+    total = total + np.roll(w, -1, axis=-1)
+    total = total + np.roll(w, 1, axis=-1)
+    return (total - 4.0 * w) / (h * h)

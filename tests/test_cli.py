@@ -212,6 +212,27 @@ def test_unreadable_config_exits_with_error(tmp_path, capsys, name, content, rea
     assert "ConfigFileError" in err and reason in err and str(path) in err
 
 
+@pytest.mark.parametrize("levels", ["0", "-1", "1"])
+def test_verify_identities_rejects_fewer_than_two_levels(cfg_file, tmp_path, capsys, monkeypatch, levels):
+    # one level used to pass its convergence checks with observed = inf,
+    # and zero or fewer crashed with a raw IndexError
+    import harnackflow.runner as runner
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(runner, "run_ensemble", no_flow)
+    monkeypatch.setattr(runner, "run_flow", no_flow)
+    out = tmp_path / "ladder"
+    out.mkdir()
+    (out / "identity_summary.txt").write_text("PASS stale summary of an earlier ladder\n")
+    cfg = cfg_file(SMALL_TORUS, "few.cfg")
+    code = main(["verify-identities", "--config", cfg, "--levels", levels, "--out", str(out)])
+    assert code == 2
+    assert "ConstraintViolationError" in capsys.readouterr().err
+    assert not (out / "identity_summary.txt").exists()
+
+
 def test_verify_identities_rejects_t_check_past_t_end(tmp_path, capsys):
     # was clamped per level: N=64 evaluated t = 0.09 and N=128 t = 0.0975
     from conftest import SCENARIO_DIR
@@ -309,3 +330,41 @@ def test_env_var_sweep_keeps_members_apart(cfg_file, tmp_path, monkeypatch):
     assert (env_dir / "m1" / "summary.txt").exists()
     assert (env_dir / "m2" / "summary.txt").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(cfg_file, tmp_path, capsys, jobs):
+    cfg = cfg_file(SMALL_TORUS, "j.cfg")
+    code = main(["sweep", cfg, "--jobs", jobs, "--out", str(tmp_path / "sweep")])
+    assert code == 2
+    assert "ConstraintViolationError" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_pool_has_no_more_workers_than_configs(cfg_file, tmp_path, monkeypatch):
+    import harnackflow.cli as cli
+
+    workers = []
+
+    class SerialPool:
+        # records the pool size and maps in this process: starts no worker
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    configs = [cfg_file(SMALL_TORUS, "p1.cfg"), cfg_file(SMALL_TORUS, "p2.cfg")]
+    code = main(["sweep", *configs, "--jobs", "64", "--out", str(tmp_path / "sweep")])
+    assert code == 0
+    assert workers == [2]
+    assert main(["sweep", configs[0], "--jobs", "64", "--out", str(tmp_path / "one")]) == 0
+    assert workers == [2]  # one config runs in this process, without a pool
+    assert (tmp_path / "one" / "p1" / "summary.txt").exists()

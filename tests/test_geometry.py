@@ -3,6 +3,7 @@ import pytest
 
 import harnackflow as hf
 from harnackflow.errors import GridMismatchError
+from helpers import reference_torus_laplacian
 
 
 def sphere(n, phi_amp=0.0):
@@ -64,6 +65,72 @@ def test_torus_sine_eigenfunction_second_order():
         errs[n] = np.max(np.abs(geom.laplace_beltrami(w) + lam * w))
     assert errs[64] < 2e-3
     assert 3.3 < errs[64] / errs[128] < 4.7
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def signed_stack(rng, shape):
+    """Values over many magnitudes, with +0.0 and -0.0 sprinkled in."""
+    w = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+    w[rng.random(shape) < 0.1] = 0.0
+    w[rng.random(shape) < 0.1] = -0.0
+    return w
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 33])
+@pytest.mark.parametrize("members", [1, 2, 3])
+def test_torus_laplacian_plan_matches_roll_reference(n, members):
+    geom = torus(n, 3.0)
+    w = signed_stack(np.random.default_rng(100 * n + members), (members, 2, n, n))
+    out = np.empty_like(w)
+    assert geom.laplacian_plan(w, out)() is out
+    assert np.array_equal(bits(out), bits(reference_torus_laplacian(w, geom.h)))
+
+
+def test_torus_laplacian_plan_reads_live_data():
+    geom = torus(8, 3.0)
+    rng = np.random.default_rng(7)
+    w = signed_stack(rng, (2, 2, 8, 8))
+    out = np.empty_like(w)
+    lap = geom.laplacian_plan(w, out)
+    lap()
+    w[...] = signed_stack(rng, w.shape)  # rewrite the bound buffer in place
+    lap()
+    assert np.array_equal(bits(out), bits(reference_torus_laplacian(w, geom.h)))
+
+
+def test_torus_laplacian_plan_rejects_strided_arrays():
+    geom = torus(8)
+    w = np.zeros((2, 8, 8))
+    with pytest.raises(GridMismatchError):
+        geom.laplacian_plan(w.transpose(0, 2, 1), np.empty_like(w))
+    with pytest.raises(GridMismatchError):
+        geom.laplacian_plan(w, np.empty((2, 8, 16))[..., ::2])
+
+
+def test_background_laplacian_of_non_contiguous_field():
+    geom = torus(16, 3.0)
+    field = signed_stack(np.random.default_rng(3), (16, 16)).T
+    assert not field.flags.c_contiguous
+    expected = reference_torus_laplacian(np.ascontiguousarray(field), geom.h)
+    assert np.array_equal(bits(geom.background_laplacian(field)), bits(expected))
+
+
+def test_torus_laplacian_plan_warns_no_more_than_reference():
+    # Infinities of both signs placed so that no stencil sum mixes them,
+    # but a flat pass over the whole stack would: across the two fields in
+    # the row sum, and across a wrap column in both column sums.  The
+    # reference raises no warning (RuntimeWarning is an error here).
+    geom = torus(8, 3.0)
+    w = signed_stack(np.random.default_rng(11), (1, 2, 8, 8))
+    w[0, 0, -1, 3], w[0, 1, 1, 3] = np.inf, -np.inf
+    w[0, 0, 4, -1], w[0, 0, 4, 0] = np.inf, -np.inf
+    expected = reference_torus_laplacian(w, geom.h)
+    out = np.empty_like(w)
+    geom.laplacian_plan(w, out)()
+    assert np.array_equal(bits(out), bits(expected))
 
 
 def test_sphere_harmonic_eigenfunction_second_order():

@@ -196,6 +196,15 @@ def test_fuzz_residuals_bounded_on_coarse_sphere(coarse_sphere_pair):
     assert all(np.isfinite(r.max_norm) for r in reports)
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_fuzz_calibration_step_keeps_cfl_headroom(n):
+    from harnackflow import runner
+
+    traj = runner._fuzz_trajectory(n)
+    headroom = min(s.geom.cfl_bound() for s in traj.states) / traj.dt
+    assert headroom >= runner.FUZZ_CFL_SAFETY
+
+
 # -- CSV ------------------------------------------------------------------------
 
 
