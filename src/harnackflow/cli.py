@@ -6,7 +6,7 @@ Subcommands:
   trajectory file, monitor/identity/action CSVs, assertion summary.
 * ``verify-identities --config PATH [--levels K] [--out DIR] [--seed N]``
   -- identity residuals over K >= 2 refinement levels; prints the
-  convergence table.
+  convergence table, or the ``FAIL`` line of a stage that failed.
 * ``action --config PATH [--out DIR] [--seed N]`` -- ``run`` with the
   action stage forced on and the monitor and identity stages off: writes
   trajectory.bin, an empty-column monitors.csv, action.csv and
@@ -66,7 +66,7 @@ def _cmd_run(args):
 def _cmd_verify_identities(args):
     cfg = _load_config(args.config)
     study = verify_identities(cfg, levels=args.levels, out_flag=_out_flag(args), seed=args.seed)
-    print(study.table())
+    print(study.failure or study.table())
     for a in study.assertions:
         print(a.line())
     return 0 if study.passed else 1

@@ -22,11 +22,13 @@ current state before every step.
 the gradient-estimate scenarios use it to probe curved static backgrounds.
 
 One kernel steps every flow.  ``run_ensemble`` integrates several members
-on one grid in lockstep: their states are stacked on a leading member
-axis, ``x[m] = (phi, f)`` of shape ``(members, 2, *field_shape)``, each
-with its own ``c`` and ``evolve_metric``, and one RK4 step is one pass of
-numpy calls over the whole stack, on stage buffers allocated once per
-run.  ``run`` is ``run_ensemble`` with one member.  Every operation is
+on one grid in lockstep, each with its own ``c`` and ``evolve_metric``.
+Their states are stacked field-major, ``x`` of shape
+``(2, members, *field_shape)``: ``x[0]`` holds every member's phi and
+``x[1]`` every member's f, evolving members first.  Every per-field
+operand of a step is then one C-contiguous block, and one RK4 step is one
+pass of numpy calls over the whole stack, on stage buffers allocated once
+per run.  ``run`` is ``run_ensemble`` with one member.  Every operation is
 elementwise in the single-field operand order, so each member is
 bit-identical to a run of it alone.  The checks run on every member at
 every step: the CFL bound before the step, the overflow guard and the
@@ -110,27 +112,17 @@ def _member_error(err, member, count):
     return err
 
 
-class _Stack:
-    """Views of one stacked array of shape (members, 2, *field_shape)."""
-
-    __slots__ = ("whole", "phi", "f", "phi_evolving")
-
-    def __init__(self, a, evolving):
-        self.whole = a
-        self.phi = a[:, :1]  # (members, 1, *field_shape): broadcasts over the field axis
-        self.f = a[:, 1]
-        self.phi_evolving = a[:evolving, 0]  # phi of the members whose metric evolves
-
-
 class _RK4Kernel:
-    """Checked RK4 over a stacked state ``x[m] = (phi, f)`` of M same-grid members.
+    """Checked RK4 over a field-major stack ``x`` of M same-grid members.
 
-    Every buffer, and every view of one that a step uses, is made once, in
-    the constructor.  Members whose metric is frozen sit after the
-    ``evolving`` ones; their phi rate stays zero and their phi is never
-    updated.  Each member reproduces, bit for bit, a run of that member
-    alone: every operation is elementwise and keeps the operand order of
-    the single-field formulas.
+    ``x`` has shape ``(2, M, *field_shape)``: ``x[0]`` holds every member's
+    phi and ``x[1]`` every member's f, so each per-field operand of a step
+    is one contiguous block.  Every buffer, and every view of one that a
+    step uses, is made once, in the constructor.  Members whose metric is
+    frozen sit after the ``evolving`` ones; their phi rate stays zero and
+    their phi is never updated.  Each member reproduces, bit for bit, a run
+    of that member alone: every operation is elementwise and keeps the
+    operand order of the single-field formulas.
     """
 
     def __init__(self, geom, x, c, evolving, dt, names):
@@ -138,44 +130,50 @@ class _RK4Kernel:
         self.h = geom.background_spacing
         self.r_bg = geom.background_curvature
         self.dt = dt
-        lead = x.shape[0]
-        self.c = np.asarray(c, dtype=float).reshape((lead,) + (1,) * len(geom.field_shape))
-        self.e2m = np.empty((lead, 1) + geom.field_shape)
-        self.ctmp = np.empty((lead,) + geom.field_shape)
+        members = x.shape[1]
+        # a broadcast column: a full-shape c would stream one more field per stage
+        self.c = np.asarray(c, dtype=float).reshape((members,) + (1,) * len(geom.field_shape))
+        self.e2m = np.empty(x.shape[1:])
+        self.ctmp = np.empty(x.shape[1:])
         # rates start at zero: the frozen members' phi rates are never written
-        self.x, self.y, self.k1, self.acc, self.k = (
-            _Stack(a, evolving) for a in (x, *(np.zeros(x.shape) for _ in range(4)))
-        )
+        self.x, self.y, self.k1, self.acc, self.k = x, *(np.zeros(x.shape) for _ in range(4))
         self.z = np.empty(x.shape)
-        self.z0, self.z1, self.z0_ev = self.z[:, 0], self.z[:, 1], self.z[:evolving, 0]
-        # (lap phi, lap f) into z, from the state and from the stage state
-        self.lap_x = geom.laplacian_plan(x, self.z)
-        self.lap_y = geom.laplacian_plan(self.y.whole, self.z)
-        self.phi = x[:, 0]
-        # the update: whole evolving members, then the frozen members' f
-        acc = self.acc.whole
-        self.updates = [(x[:evolving], acc[:evolving])]
-        if evolving < lead:
-            self.updates.append((x[evolving:, 1], acc[evolving:, 1]))
+        self.z0, self.z1 = self.z
+        self.z0_ev = self.z0[:evolving]
+        self.phi, self.f = x
+        # (Laplacian plan into z, phi, f) of the state and of the stage state
+        self.at_x = (geom.laplacian_plan(x, self.z), *x)
+        self.at_y = (geom.laplacian_plan(self.y, self.z), *self.y)
+        # (df/dt, dphi/dt of the evolving members): the views each rate buffer is written through
+        self.into_k1, self.into_acc, self.into_k = ((k[1], k[0, :evolving]) for k in (self.k1, self.acc, self.k))
+        # the update: the whole stack when every member evolves, else the
+        # evolving members' phi and every f; a frozen phi is never touched
+        acc = self.acc
+        if evolving == members:
+            self.updates = [(x, acc)]
+        else:
+            self.updates = [(x[0, :evolving], acc[0, :evolving]), (x[1], acc[1])]
 
-    def _rhs(self, lap, y, k):
-        """k = (dphi/dt, df/dt) at the stage state y, whose Laplacian plan is lap."""
-        z, z0, e2m = self.z, self.z0, self.e2m
+    def _rhs(self, at, into):
+        """Rates (dphi/dt, df/dt) at the stage state ``at = (lap, phi, f)``, written ``into`` a rate buffer."""
+        lap, phi, f = at
+        k_f, k_phi_ev = into
+        z, z0, e2m, ctmp = self.z, self.z0, self.e2m, self.ctmp
         lap()
-        np.multiply(y.phi, -2.0, out=e2m)
+        np.multiply(phi, -2.0, out=e2m)
         np.exp(e2m, out=e2m)
         np.multiply(z0, 2.0, out=z0)
         np.subtract(self.r_bg, z0, out=z0)
         np.multiply(z, e2m, out=z)  # z = (R, e^(-2 phi) lap f)
-        np.multiply(self.c, z0, out=self.ctmp)
-        np.multiply(self.ctmp, y.f, out=self.ctmp)
-        np.subtract(self.z1, self.ctmp, out=k.f)
-        np.multiply(self.z0_ev, -0.5, out=k.phi_evolving)
+        np.multiply(self.c, z0, out=ctmp)
+        np.multiply(ctmp, f, out=ctmp)
+        np.subtract(self.z1, ctmp, out=k_f)
+        np.multiply(self.z0_ev, -0.5, out=k_phi_ev)
 
     def _stage(self, scale, k):
-        y = self.y.whole
-        np.multiply(k.whole, scale, out=y)
-        np.add(self.x.whole, y, out=y)
+        y = self.y
+        np.multiply(k, scale, out=y)
+        np.add(self.x, y, out=y)
 
     def step(self, t):
         """One checked step from time t; raises with the failing member attached.
@@ -183,30 +181,29 @@ class _RK4Kernel:
         The CFL bound of the current fields is checked before the step, the
         overflow guard and the positivity of f after it, on every member.
         """
-        x, dt = self.x, self.dt
+        dt = self.dt
         if dt > cfl_limit(self.h, self.phi) * (1.0 + 1e-12):
             self._raise_cfl()
         half = 0.5 * dt
-        acc, k = self.acc, self.k
-        self._rhs(self.lap_x, x, self.k1)
+        a, k = self.acc, self.k
+        self._rhs(self.at_x, self.into_k1)
         self._stage(half, self.k1)
-        self._rhs(self.lap_y, self.y, acc)
-        self._stage(half, acc)
-        self._rhs(self.lap_y, self.y, k)
-        a = acc.whole
-        np.add(a, k.whole, out=a)  # k2 + k3
+        self._rhs(self.at_y, self.into_acc)
+        self._stage(half, a)
+        self._rhs(self.at_y, self.into_k)
+        np.add(a, k, out=a)  # k2 + k3
         self._stage(dt, k)
-        self._rhs(self.lap_y, self.y, k)
+        self._rhs(self.at_y, self.into_k)
         np.multiply(a, 2.0, out=a)
-        np.add(a, self.k1.whole, out=a)
-        np.add(a, k.whole, out=a)
+        np.add(a, self.k1, out=a)
+        np.add(a, k, out=a)
         np.multiply(a, dt / 6.0, out=a)
         for xs, accs in self.updates:
             np.add(xs, accs, out=xs)
         # NaNs fail both comparisons, so non-finite fields are caught here
         # too; z is free until the next step's first Laplacian.
-        big = float(np.abs(x.whole, out=self.z).max())
-        fmin = float(x.f.min())
+        big = float(np.abs(self.x, out=self.z).max())
+        fmin = float(self.f.min())
         if not (big <= OVERFLOW_GUARD and fmin > 0.0):
             self._raise_state(t + dt)
 
@@ -217,12 +214,11 @@ class _RK4Kernel:
                 raise _member_error(StepTooLargeError(self.dt, bound), self.names[m], len(self.phi))
 
     def _raise_state(self, t):
-        x = self.x.whole
-        for m in range(len(x)):
+        for m, (phi, f) in enumerate(zip(self.phi, self.f)):
             try:
-                _check_state_arrays(x[m, 0], x[m, 1], t)
+                _check_state_arrays(phi, f, t)
             except HarnackFlowError as err:
-                raise _member_error(err, self.names[m], len(x)) from None
+                raise _member_error(err, self.names[m], len(self.phi)) from None
 
 
 def _check_state_arrays(phi, f, t):
@@ -336,10 +332,10 @@ def run_ensemble(members, t_end, dt, dt_out):
     # evolving members first, so the frozen ones are one trailing slice
     order = sorted(range(len(members)), key=lambda i: not members[i].evolve_metric)
     evolving = sum(1 for mem in members if mem.evolve_metric)
-    x = np.empty((len(members), 2) + geom.field_shape)
+    x = np.empty((2, len(members)) + geom.field_shape)
     for row, i in enumerate(order):
-        x[row, 0] = members[i].initial.geom.phi
-        x[row, 1] = members[i].initial.f
+        x[0, row] = members[i].initial.geom.phi
+        x[1, row] = members[i].initial.f
     kernel = _RK4Kernel(geom, x, [members[i].c for i in order], evolving, dt, order)
     states = [[mem.initial] for mem in members]
     t_cur = t_start
@@ -351,7 +347,7 @@ def run_ensemble(members, t_end, dt, dt_out):
             t_snap = t_start + k * dt_out
             for row, i in enumerate(order):
                 g = members[i].initial.geom
-                states[i].append(FlowState(t_snap, g.with_phi(x[row, 0]), x[row, 1]))
+                states[i].append(FlowState(t_snap, g.with_phi(x[0, row]), x[1, row]))
     except HarnackFlowError as err:
         if getattr(err, "time", None) is None:
             err.time = t_cur  # attach the failing time for the caller

@@ -49,6 +49,14 @@ def cfl_limit(h, phi):
     return CFL_FACTOR * h * h * float(np.exp(2.0 * np.asarray(phi).min()))
 
 
+def _require_c_contiguous(w, out):
+    # a plan reads and writes through flat views, which a strided array
+    # would silently turn into copies
+    for name, a in (("w", w), ("out", out)):
+        if not a.flags.c_contiguous:
+            raise GridMismatchError(f"laplacian_plan needs a C-contiguous {name}, not strides {a.strides}")
+
+
 def _as_field(values, shape, name="field"):
     w = np.asarray(values, dtype=float)
     if w.shape != shape:
@@ -96,9 +104,11 @@ class SurfaceGeometry:
         ``w`` may carry leading axes (the flow stacks members and fields
         there).  Every view and scratch buffer is made here, so a hot loop
         builds one plan per buffer pair and each call allocates nothing.
-        The torus plan needs C-contiguous ``w`` and ``out``, so that its
-        flat views read and write those arrays, not copies of them; it
-        raises GridMismatchError for a strided one.
+        Both plans work on flat views of the whole stack, so they need
+        C-contiguous ``w`` and ``out``: a flat view of a strided array would
+        be a copy.  A strided one raises GridMismatchError.  The flow's
+        field-major stack ``(2, members, *field_shape)`` is contiguous, and
+        so is every per-field block of it.
         """
         raise NotImplementedError
 
@@ -150,8 +160,8 @@ class SurfaceGeometry:
         raise NotImplementedError
 
     def grad_norm_sq(self, w):
-        """|grad w|^2 in the live metric; exactly grad_inner(w, w)."""
-        return self.grad_inner(w, w)
+        """|grad w|^2 in the live metric; exactly grad_inner(w, w), differentiating once."""
+        raise NotImplementedError
 
     def covariant_hessian(self, w):
         """Covariant Hessian of the live metric, shape field_shape + (2, 2).
@@ -242,9 +252,7 @@ class TorusGeometry(SurfaceGeometry):
         # (w[i+1,j] + w[i-1,j]) + w[i,j+1] + w[i,j-1] - 4 w, then / h^2,
         # each neighbour sum in one pass over contiguous memory: an add over
         # strided column slices costs about four times a flat pass.
-        for name, a in (("w", w), ("out", out)):
-            if not a.flags.c_contiguous:
-                raise GridMismatchError(f"laplacian_plan needs a C-contiguous {name}, not strides {a.strides}")
+        _require_c_contiguous(w, out)
         n = self.n
         # views, not copies, since both arrays are contiguous
         wf, of = w.reshape(-1), out.reshape(-1)
@@ -290,6 +298,11 @@ class TorusGeometry(SurfaceGeometry):
         w2 = self.check_field(w2, "w2")
         inner = self._dx(w1) * self._dx(w2) + self._dy(w1) * self._dy(w2)
         return np.exp(-2.0 * self.phi) * inner
+
+    def grad_norm_sq(self, w):
+        w = self.check_field(w)
+        wx, wy = self._dx(w), self._dy(w)
+        return np.exp(-2.0 * self.phi) * (wx * wx + wy * wy)
 
     def covariant_hessian(self, w):
         w = self.check_field(w)
@@ -396,18 +409,33 @@ class SphereGeometry(SurfaceGeometry):
         return (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (self.dtheta * self.dtheta)
 
     def laplacian_plan(self, w, out):
-        # flux form; the end entries of the flux buffer are the exact zero
-        # polar fluxes and are never written
-        flux = np.zeros(w.shape[:-1] + (self.n + 1,))
-        inner, upper, lower = flux[..., 1:-1], flux[..., 1:], flux[..., :-1]
-        w_next, w_prev = w[..., 1:], w[..., :-1]
-        sin_plus, inv_sin_dt2 = self._sin_plus[:-1], self._inv_sin_dt2
+        # Flux form over the flat stack of rows: flux[r*n + j] is the flux
+        # into node j of row r from node j - 1, so one exact-zero pole flux
+        # sits between consecutive rows and at both ends.  The difference
+        # pass skips those row junctions, which are never written and stay
+        # +0, so no difference across two rows can overflow or warn; the
+        # tiled sin_plus is the exact zero there.
+        _require_c_contiguous(w, out)
+        n = self.n
+        wf, of = w.reshape(-1), out.reshape(-1)
+        rows = wf.size // n
+        flux = np.zeros(rows * n + 1)
+        inner, upper, lower = flux[1:-1], flux[1:], flux[:-1]
+        w_next, w_prev = wf[1:], wf[:-1]
+        if rows == 1:
+            inside, sin_plus, inv_sin_dt2 = True, self._sin_plus[:-1], self._inv_sin_dt2
+        else:
+            inside = np.ones(rows * n - 1, dtype=bool)
+            inside[n - 1 :: n] = False
+            sin_plus = np.tile(self._sin_plus, rows)[:-1]
+            inv_sin_dt2 = np.tile(self._inv_sin_dt2, rows)
 
         def lap():
-            np.subtract(w_next, w_prev, out=inner)  # w_{j+1} - w_j
+            np.subtract(w_next, w_prev, out=inner, where=inside)  # w_{j+1} - w_j
             np.multiply(sin_plus, inner, out=inner)
-            np.subtract(upper, lower, out=out)
-            return np.multiply(out, inv_sin_dt2, out=out)
+            np.subtract(upper, lower, out=of)
+            np.multiply(of, inv_sin_dt2, out=of)
+            return out
 
         return lap
 
@@ -426,6 +454,10 @@ class SphereGeometry(SurfaceGeometry):
         w2 = self.check_field(w2, "w2")
         # product of derivatives first: keeps the operation exactly symmetric
         return (self._dtheta_centered(w1) * self._dtheta_centered(w2)) * np.exp(-2.0 * self.phi)
+
+    def grad_norm_sq(self, w):
+        dw = self._dtheta_centered(self.check_field(w))
+        return (dw * dw) * np.exp(-2.0 * self.phi)
 
     def covariant_hessian(self, w):
         w = self.check_field(w)

@@ -22,7 +22,7 @@ import numpy as np
 from . import action as action_mod
 from . import harnack, identities
 from .config import build_initial_state
-from .errors import ConstraintViolationError, HarnackFlowError
+from .errors import ConfigError, ConstraintViolationError, HarnackFlowError
 from .flow import EnsembleMember, FlowState, run_ensemble
 from .flow import run as run_flow
 from .geometry import SphereGeometry
@@ -358,8 +358,8 @@ def _fuzz_trajectory(n):
     return run_flow(state, _FUZZ_T_END, _FUZZ_DT_OUT / steps, _FUZZ_DT_OUT, c=-1.0)
 
 
-def _level_trajectories(lcfg, want):
-    """The flows of one ladder level, integrated as one ensemble.
+def _level_trajectories(lcfg, want, state0):
+    """The flows of one ladder level from its initial state, integrated as one ensemble.
 
     Returns ({reaction coefficient: trajectory}, round companion or None):
     the potential run (c = -1), one run per further c that a wanted preset
@@ -369,7 +369,6 @@ def _level_trajectories(lcfg, want):
     for name, (c, _) in identities.PRESET_REGISTRY.items():
         if name in want and c not in coeffs:
             coeffs.append(c)
-    state0 = build_initial_state(lcfg)
     members = [
         EnsembleMember(state0, c=c, evolve_metric=lcfg.evolve_metric, initial_id=lcfg.initial_id)
         for c in coeffs
@@ -397,10 +396,11 @@ class IdentityStudy:
     fuzz_max: dict  # family -> worst fuzz max-norm
     fuzz_bound: dict  # family -> 5x preset bound
     assertions: list
+    failure: str = ""  # the FAIL line of a stage that raised; no assertion then ran
 
     @property
     def passed(self):
-        return all(a.ok for a in self.assertions)
+        return not self.failure and all(a.ok for a in self.assertions)
 
     def table(self):
         lines = ["identity            " + "".join(f"{'N=' + str(l.n):>14}" for l in self.levels) + "   ratios"]
@@ -422,7 +422,13 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     The ``surface`` preset runs on sphere configs only: by Gauss-Bonnet a
     torus never has R > 0 everywhere.  The reports of an earlier ladder are
     removed first; fewer than two levels, which leave no convergence ratio
-    to check, then raise ConstraintViolationError before any flow runs.
+    to check, then raise ConstraintViolationError before any flow runs, as
+    does an invalid initial state at any level.  A HarnackFlowError in a
+    stage (a level's flows or residuals, the fuzz) that is not a config
+    error ends the ladder: identity_summary.txt then holds the single line
+    ``FAIL <stage> (level L, N = n): <error type>[ at t = ...]: <message>``,
+    no identities.csv is written, and the returned study carries that line
+    in ``failure`` and fails.
     """
     out_dir = resolve_out_dir(cfg, out_flag)
     os.makedirs(out_dir, exist_ok=True)
@@ -437,65 +443,79 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
 
+    level_cfgs = [
+        replace(cfg, n=cfg.n * 2**lvl, dt=cfg.dt / (4**lvl), dt_out=cfg.dt_out / (4**lvl))
+        for lvl in range(levels)
+    ]
+    # an invalid initial state is a config error (exit 2), found before any flow runs
+    starts = [build_initial_state(lcfg) for lcfg in level_cfgs]
+
     level_rows = []
     agree = {}
     fuzz_max = {}
     fuzz_bound = {}
     preset_max = {}
-    for lvl in range(levels):
-        scale = 2**lvl
-        lcfg = replace(
-            cfg,
-            n=cfg.n * scale,
-            dt=cfg.dt / (4**lvl),
-            dt_out=cfg.dt_out / (4**lvl),
-        )
-        k = int(round(cfg.t_check / lcfg.dt_out))
-        reports = []
-        trajs, traj_round = _level_trajectories(lcfg, want)
-        traj_pot = trajs[-1.0]
-        k = min(max(k, 1), len(traj_pot) - 2)
-        for name, (c, preset_reports) in identities.PRESET_REGISTRY.items():
-            if name not in want:
-                continue
-            traj = trajs[c]
-            if name != "surface":
-                reports.extend(preset_reports(traj, min(k, len(traj) - 2), cfg.d))
-                continue
-            # The one special case: the slaved f := R form chains six
-            # discrete derivatives of phi, so on generic data its float64
-            # noise floor grows ~ h^-6 and overtakes the signal by N = 256;
-            # its refinement study runs on the constant-curvature companion,
-            # where it is noise-free.  The general-f form stays on the
-            # scenario's own trajectory.
-            general_rep, _ = identities.residual_surface(traj, k)
-            reports.append(general_rep)
-            _, fr_rep = identities.residual_surface(traj_round, min(k, len(traj_round) - 2))
-            reports.append(fr_rep)
-        level_rows.append(
-            IdentityLevel(n=lcfg.n, dt=lcfg.dt, dt_out=lcfg.dt_out, t_check=traj_pot[k].t, reports=reports)
-        )
-        if lvl == 0:
-            # preset agreement: general assemblies at the presets reproduce
-            # the dedicated collapsed assemblies to reassociation round-off
-            agree["general_H/cor_H"] = identities.preset_agreement_H(traj_pot, k)
-            agree["general_P/cor_P"] = identities.preset_agreement_P(traj_pot, k, cfg.d)
-            if "grad" in want:
-                traj_heat = trajs[identities.GRAD_PRESET.c]
-                agree["general_H/grad"] = identities.preset_agreement_grad(
-                    traj_heat, min(k, len(traj_heat) - 2)
-                )
-            if cfg.fuzz_count:
-                traj_fuzz = _fuzz_trajectory(cfg.n)
-                kf = int(round(_FUZZ_T_CHECK / _FUZZ_DT_OUT))
-                for family, preset_report in (
-                    ("H", identities.residual_general_H(traj_fuzz, kf, identities.COR_H_PRESET)),
-                    ("P", identities.residual_general_P(traj_fuzz, kf, replace(identities.COR_P_PRESET, d=cfg.d))),
-                ):
-                    fz = identities.fuzz_residuals(traj_fuzz, kf, cfg.fuzz_count, rng, family)
-                    fuzz_max[family] = max(r.max_norm for r in fz)
-                    fuzz_bound[family] = FUZZ_FACTOR * preset_report.max_norm
-                    preset_max[family] = preset_report.max_norm
+    try:
+        for lvl, (lcfg, state0) in enumerate(zip(level_cfgs, starts)):
+            where = f"level {lvl}, N = {lcfg.n}"
+            stage = f"flow ({where})"
+            trajs, traj_round = _level_trajectories(lcfg, want, state0)
+            stage = f"residuals ({where})"
+            traj_pot = trajs[-1.0]
+            k = int(round(cfg.t_check / lcfg.dt_out))
+            k = min(max(k, 1), len(traj_pot) - 2)
+            reports = []
+            for name, (c, preset_reports) in identities.PRESET_REGISTRY.items():
+                if name not in want:
+                    continue
+                traj = trajs[c]
+                if name != "surface":
+                    reports.extend(preset_reports(traj, min(k, len(traj) - 2), cfg.d))
+                    continue
+                # The one special case: the slaved f := R form chains six
+                # discrete derivatives of phi, so on generic data its float64
+                # noise floor grows ~ h^-6 and overtakes the signal by N = 256;
+                # its refinement study runs on the constant-curvature companion,
+                # where it is noise-free.  The general-f form stays on the
+                # scenario's own trajectory.
+                general_rep, _ = identities.residual_surface(traj, k)
+                reports.append(general_rep)
+                _, fr_rep = identities.residual_surface(traj_round, min(k, len(traj_round) - 2))
+                reports.append(fr_rep)
+            level_rows.append(
+                IdentityLevel(n=lcfg.n, dt=lcfg.dt, dt_out=lcfg.dt_out, t_check=traj_pot[k].t, reports=reports)
+            )
+            if lvl == 0:
+                # preset agreement: general assemblies at the presets reproduce
+                # the dedicated collapsed assemblies to reassociation round-off
+                agree["general_H/cor_H"] = identities.preset_agreement_H(traj_pot, k)
+                agree["general_P/cor_P"] = identities.preset_agreement_P(traj_pot, k, cfg.d)
+                if "grad" in want:
+                    traj_heat = trajs[identities.GRAD_PRESET.c]
+                    agree["general_H/grad"] = identities.preset_agreement_grad(
+                        traj_heat, min(k, len(traj_heat) - 2)
+                    )
+                if cfg.fuzz_count:
+                    stage = f"fuzz ({where})"
+                    traj_fuzz = _fuzz_trajectory(cfg.n)
+                    kf = int(round(_FUZZ_T_CHECK / _FUZZ_DT_OUT))
+                    for family, preset_report in (
+                        ("H", identities.residual_general_H(traj_fuzz, kf, identities.COR_H_PRESET)),
+                        ("P", identities.residual_general_P(traj_fuzz, kf, replace(identities.COR_P_PRESET, d=cfg.d))),
+                    ):
+                        fz = identities.fuzz_residuals(traj_fuzz, kf, cfg.fuzz_count, rng, family)
+                        fuzz_max[family] = max(r.max_norm for r in fz)
+                        fuzz_bound[family] = FUZZ_FACTOR * preset_report.max_norm
+                        preset_max[family] = preset_report.max_norm
+    except HarnackFlowError as err:
+        if isinstance(err, ConfigError):
+            raise
+        when = getattr(err, "time", None)
+        stamp = f" at t = {when:.6g}" if when is not None else ""
+        failure = f"FAIL {stage}: {type(err).__name__}{stamp}: {err}"
+        with open(os.path.join(out_dir, "identity_summary.txt"), "w", newline="\n") as fh:
+            fh.write(failure + "\n")
+        return IdentityStudy(level_rows, {}, agree, fuzz_max, fuzz_bound, [], failure=failure)
 
     names = [r.identity for r in level_rows[0].reports]
     ratios = {}

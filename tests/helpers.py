@@ -153,3 +153,25 @@ def reference_torus_laplacian(w, h):
     total = total + np.roll(w, -1, axis=-1)
     total = total + np.roll(w, 1, axis=-1)
     return (total - 4.0 * w) / (h * h)
+
+
+def reference_sphere_laplacian(w):
+    """Flux-form sphere Laplacian over the trailing axis, one row at a time.
+
+    Each row gets its own flux array with exact-zero pole fluxes at both
+    ends; the flux into node j is sin(j*dtheta) * (w[j] - w[j-1]), and the
+    Laplacian is the flux difference times 1 / (sin(theta_j) * dtheta^2),
+    so ``SphereGeometry.laplacian_plan`` must match it bit for bit.
+    """
+    w = np.asarray(w, dtype=float)
+    n = w.shape[-1]
+    dtheta = np.pi / n
+    sin_half = np.sin(np.arange(n + 1) * dtheta)
+    sin_half[0] = sin_half[n] = 0.0
+    inv_sin_dt2 = 1.0 / (np.sin((np.arange(n) + 0.5) * dtheta) * dtheta * dtheta)
+    out = np.empty_like(w)
+    for idx in np.ndindex(w.shape[:-1]):
+        flux = np.zeros(n + 1)
+        flux[1:-1] = sin_half[1:-1] * (w[idx][1:] - w[idx][:-1])
+        out[idx] = (flux[1:] - flux[:-1]) * inv_sin_dt2
+    return out

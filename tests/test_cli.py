@@ -1,5 +1,7 @@
 import pytest
 
+from harnackflow.errors import BlowupError, ConstraintViolationError
+
 from harnackflow.cli import main
 
 SMALL_SPHERE = """
@@ -244,6 +246,55 @@ def test_verify_identities_rejects_t_check_past_t_end(tmp_path, capsys):
     assert code == 2
     assert "ConstraintViolationError" in capsys.readouterr().err
     assert not (tmp_path / "late").exists()
+
+
+def test_verify_identities_stage_failure_fails_ladder(tmp_path, capsys):
+    # level 0 breaks its CFL bound at t = 0.00624; the error used to escape
+    # with exit 2, no time and no identity_summary.txt
+    from conftest import SCENARIO_DIR
+
+    text = (SCENARIO_DIR / "sphere_identities.cfg").read_text()
+    for old, new in (("dt = 2.5e-4", "dt = 3.9e-4"), ("dt_out = 0.01", "dt_out = 0.0078"), ("t_check = 0.05", "t_check = 0.0468")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "cfl.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "cfl"
+    out.mkdir()
+    (out / "identities.csv").write_text("stale residuals of an earlier ladder\n")
+    code = main(["verify-identities", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    summary = (out / "identity_summary.txt").read_text()
+    assert summary.startswith("FAIL flow (level 0, N = 64): StepTooLargeError at t = 0.00624: member 0: ")
+    assert len(summary.splitlines()) == 1
+    assert not (out / "identities.csv").exists()
+    assert capsys.readouterr().out == summary
+
+
+@pytest.mark.parametrize(
+    "target, error, code, line",
+    [
+        ("_fuzz_trajectory", BlowupError("|field| too large", time=0.25), 1, "FAIL fuzz (level 0, N = 16): BlowupError at t = 0.25: "),
+        ("run_ensemble", ConstraintViolationError("t_end reaches extinction"), 2, None),
+    ],
+    ids=["fuzz", "config"],
+)
+def test_verify_identities_stage_errors(cfg_file, tmp_path, capsys, monkeypatch, target, error, code, line):
+    import harnackflow.runner as runner
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(runner, target, fail)
+    out = tmp_path / "ladder"
+    cfg = cfg_file(SMALL_TORUS.replace("n = 24", "n = 16") + "\n[identities]\nfuzz_count = 3\n", "fail.cfg")
+    assert main(["verify-identities", "--config", cfg, "--levels", "2", "--out", str(out)]) == code
+    assert not (out / "identities.csv").exists()
+    if line is None:  # a config error exits 2 and leaves no summary
+        assert type(error).__name__ in capsys.readouterr().err
+        assert not (out / "identity_summary.txt").exists()
+    else:
+        assert (out / "identity_summary.txt").read_text().startswith(line)
 
 
 def test_action_command(cfg_file, tmp_path, capsys):

@@ -313,6 +313,21 @@ def test_ensemble_members_match_single_runs_torus():
     _check_members_match_single_runs(members, 0.1, 0.0125 / 8, 0.0125)
 
 
+def test_ensemble_frozen_and_general_members_match_single_runs_sphere():
+    state = _sphere_cos()
+    phi = 0.1 * state.geom.cos_theta
+    phi[::5] = -0.0  # signed zeros, which the frozen member's phi must keep
+    frozen = hf.FlowState(0.0, state.geom.with_phi(phi), state.f)
+    members = [
+        hf.EnsembleMember(state, c=-1.0, initial_id="cos_theta"),
+        hf.EnsembleMember(frozen, c=0.5, evolve_metric=False, initial_id="frozen"),
+        hf.EnsembleMember(state, c=0.5, initial_id="general"),
+    ]
+    _check_members_match_single_runs(members, 0.05, 5e-4, 0.01)
+    for s in hf.run_ensemble(members, 0.05, 5e-4, 0.01)[1].states:
+        assert s.geom.phi.tobytes() == phi.tobytes()
+
+
 @pytest.mark.parametrize(
     "other",
     [

@@ -3,7 +3,7 @@ import pytest
 
 import harnackflow as hf
 from harnackflow.errors import GridMismatchError
-from helpers import reference_torus_laplacian
+from helpers import reference_sphere_laplacian, reference_torus_laplacian
 
 
 def sphere(n, phi_amp=0.0):
@@ -133,6 +133,51 @@ def test_torus_laplacian_plan_warns_no_more_than_reference():
     assert np.array_equal(bits(out), bits(expected))
 
 
+@pytest.mark.parametrize("n", [4, 5, 64])
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (3,), (4,), (5,), (6,), (2, 3)], ids=str)
+def test_sphere_laplacian_plan_matches_flux_reference(n, shape):
+    geom = sphere(n)
+    w = signed_stack(np.random.default_rng(10 * n + len(shape)), shape + (n,))
+    w[..., 0], w[..., -1] = -0.0, 0.0  # signed zeros on both sides of every row junction
+    out = np.empty_like(w)
+    assert geom.laplacian_plan(w, out)() is out
+    assert np.array_equal(bits(out), bits(reference_sphere_laplacian(w)))
+
+
+def test_sphere_laplacian_plan_reads_live_data():
+    geom = sphere(16)
+    rng = np.random.default_rng(8)
+    w = signed_stack(rng, (2, 3, 16))
+    out = np.empty_like(w)
+    lap = geom.laplacian_plan(w, out)
+    lap()
+    w[...] = signed_stack(rng, w.shape)  # rewrite the bound buffer in place
+    lap()
+    assert np.array_equal(bits(out), bits(reference_sphere_laplacian(w)))
+
+
+def test_sphere_laplacian_plan_rejects_strided_arrays():
+    geom = sphere(8)
+    w = np.zeros((3, 8))
+    with pytest.raises(GridMismatchError):
+        geom.laplacian_plan(np.zeros((8, 3)).T, np.empty_like(w))
+    with pytest.raises(GridMismatchError):
+        geom.laplacian_plan(w, np.empty((3, 16))[:, ::2])
+
+
+def test_sphere_laplacian_plan_warns_no_more_than_reference():
+    # Rows of +1e308 and -1e308 meet at row junctions: within each row the
+    # fluxes are zero, so the reference raises no warning (RuntimeWarning
+    # is an error here), but a difference across a junction overflows.
+    geom = sphere(8)
+    w = signed_stack(np.random.default_rng(12), (4, 8))
+    w[1], w[2] = 1e308, -1e308
+    expected = reference_sphere_laplacian(w)
+    out = np.empty_like(w)
+    geom.laplacian_plan(w, out)()
+    assert np.array_equal(bits(out), bits(expected))
+
+
 def test_sphere_harmonic_eigenfunction_second_order():
     errs = {}
     for n in (64, 128):
@@ -179,6 +224,12 @@ def test_torus_sine_gradient_norm():
     w = np.sin(k * x) * np.ones((1, 96))
     expected = k**2 * np.cos(k * x) ** 2 * np.ones((1, 96))
     assert np.max(np.abs(geom.grad_norm_sq(w) - expected)) < 5e-3 * k**2
+
+
+@pytest.mark.parametrize("geom", [sphere(48, phi_amp=0.2), torus(24, 3.0, 0.1 * np.outer(np.sin(np.arange(24)), np.cos(np.arange(24))))], ids=["sphere", "torus"])
+def test_grad_norm_sq_is_grad_inner_bit_for_bit(geom):
+    w = signed_stack(np.random.default_rng(5), geom.field_shape)
+    assert np.array_equal(bits(geom.grad_norm_sq(w)), bits(geom.grad_inner(w, w)))
 
 
 def test_grad_inner_symmetry_and_consistency():
