@@ -15,7 +15,8 @@ One layer DP over the grid's ``field_shape`` serves both geometries, which
 enter only through their ``_LAYER_GRAPHS`` entry: the window-distance table
 builder, whether the grid is periodic, and the widest useful window.  A
 table holds ``table[a+W, ..., q] = d(q - a -> q)`` for offsets a in [-W, W]
-per axis and arrival nodes q.  On the sphere, nodes are colatitude rings
+per axis and the arrival nodes q of a box, one range of nodes per grid
+axis.  On the sphere, nodes are colatitude rings
 and the optimal representative path runs along one meridian, so the entry
 is the ring-chain length ``|cum[q] - cum[q-a]|``, +inf where ring q - a is
 off the grid, and W <= n - 1.  On the torus it is the within-window
@@ -28,10 +29,25 @@ path that moves away from its start and a second pass, changing nothing,
 confirms it; passes repeat until one changes nothing.  Path sums
 accumulate from the departure end, so with positive weights the
 relaxation has one fixed point and the order of the updates cannot move a
-bit of the table.  The DP pads the departure values by W per axis
-(wrapped on the torus, +inf on the sphere), adds each offset plane to a
-shifted view of them, keeps per arrival node the index of the first
-offset attaining the minimum, and backtracks the path from those indices.
+bit of the table; every departure node relaxes on its own, so a box's
+table is the full grid's at the box's nodes.
+
+Each layer works only on its reach box: per axis, the arrival nodes that
+x1 reaches and that can still reach x2.  On a periodic axis that is the
+shorter of the two arcs (the whole circle once an arc would wrap onto
+itself), on the sphere the exact intersection of the two intervals.  A
+departure that feeds an in-box arrival able to reach x2 can itself reach
+x2, so it lies in the previous layer's box, and every value a path can
+use is the full-grid DP's, bit for bit.  The layer gathers the departure
+values on its box grown by W per axis (wrapped on the torus, +inf off the
+sphere and off the previous box), adds each offset plane to a shifted
+view of them and keeps only the elementwise minimum.  The arrival term is
+added once, after the minimum: rounding is monotone, so
+min_o fl(x_o + c) = fl(min_o x_o + c).  For the backtrack a layer keeps
+its departure values and its arrival term on its box, and no table.  At
+the one path node per layer the candidates are recomputed in the DP's
+order, ((depart + d^2/dt) + arrive), from that node's table, and
+``np.argmin`` takes the first offset attaining the minimum.
 
 ``check_integrated_harnack`` turns the minimized action into a pointwise
 certificate from one ``min_action`` call: with n = 2,
@@ -52,6 +68,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    ConstraintViolationError,
     NodesOutOfRangeError,
     NonPositiveTimeError,
     TimesNotStoredError,
@@ -81,7 +98,9 @@ def _locate_time(traj, t):
 def _flat_node(geom, node):
     """Flat index of a node given flat or as one index per grid axis."""
     shape = geom.field_shape if isinstance(node, (tuple, list)) else (geom.node_count,)
-    idx = tuple(int(i) for i in np.atleast_1d(node))
+    idx = tuple(node) if isinstance(node, (tuple, list)) else (node,)
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in idx):
+        raise NodesOutOfRangeError(f"node {node!r} is not an integer grid index")
     if len(idx) != len(shape) or not all(0 <= i < n for i, n in zip(idx, shape)):
         raise NodesOutOfRangeError(f"node {node!r} outside the grid of shape {geom.field_shape}")
     return int(np.ravel_multi_index(idx, shape))
@@ -89,32 +108,41 @@ def _flat_node(geom, node):
 
 # ---------------------------------------------------------------------------
 # window-distance tables, indexed by the arrival node
+#
+# A box is one range of node indices per grid axis, taken modulo n on a
+# periodic grid; a builder returns the table for the arrival nodes of its box.
 
 
-def _sphere_window_distances(geom, phi_mid, window):
+def _box_index(box, shape):
+    """Index of a box's nodes into a full-grid field."""
+    return np.ix_(*(np.arange(r.start, r.stop) % n for r, n in zip(box, shape)))
+
+
+def _sphere_window_distances(geom, phi_mid, window, box):
     """table[a+W, q] = |cum[q] - cum[q-a]|: the chain of rings, +inf off the grid."""
     n = geom.n
     # edge between rings j and j+1 has background length dtheta
     edge = np.exp(0.5 * (phi_mid[:-1] + phi_mid[1:])) * geom.dtheta
     cum = np.concatenate(([0.0], np.cumsum(edge)))
-    src = np.arange(n) - np.arange(-window, window + 1)[:, None]
+    (rings,) = box
+    src = np.arange(rings.start, rings.stop) - np.arange(-window, window + 1)[:, None]
     on_grid = (src >= 0) & (src < n)
-    return np.where(on_grid, np.abs(cum - cum[np.clip(src, 0, n - 1)]), np.inf)
+    return np.where(on_grid, np.abs(cum[rings.start : rings.stop] - cum[np.clip(src, 0, n - 1)]), np.inf)
 
 
-def _torus_window_distances(geom, phi_mid, window):
-    """table[a+W, b+W, i, j]: shortest within-box path (i-a, j-b) -> (i, j).
+def _torus_window_distances(geom, phi_mid, window, box):
+    """table[a+W, b+W, v, w]: shortest within-box path (i-a, j-b) -> (i, j).
 
-    The table is indexed by the arrival node, so the DP adds each offset
-    plane to the departure values read through a shifted view.  With
-    uniform weights the result is the exact graph distance
-    h*e^phi*(|a| + |b|), the same at every node, and the table has shape
-    (2W+1, 2W+1, 1, 1): one value per offset, broadcast over the grid.
-    Otherwise it is the in-box fixed point of a min-plus relaxation over
-    the (2W+1)^2 offset box; paths may wander anywhere inside the box of
-    relative offsets.
+    (i, j) is the box's node at position (v, w).  The table is indexed by
+    the arrival node, so the DP adds each offset plane to the departure
+    values read through a shifted view.  With uniform weights the result
+    is the exact graph distance h*e^phi*(|a| + |b|), the same at every
+    node, and the table has shape (2W+1, 2W+1, 1, 1): one value per
+    offset, broadcast over the box.  Otherwise it is the in-box fixed
+    point of a min-plus relaxation over the (2W+1)^2 offset box; paths may
+    wander anywhere inside the box of relative offsets.
     """
-    n, h = geom.n, geom.h
+    h = geom.h
     spread = float(np.ptp(phi_mid))
     size = 2 * window + 1
     offs = np.arange(-window, window + 1)
@@ -123,29 +151,34 @@ def _torus_window_distances(geom, phi_mid, window):
         taxi = np.abs(offs)[:, None] + np.abs(offs)[None, :]
         return (scale * taxi)[:, :, None, None]
 
-    # edge weights, indexed by the lower/left endpoint and wrap-padded by the
-    # window: ex[W + i, W + j] is the edge (i,j)-(i+1,j), ey[W + i, W + j]
-    # the edge (i,j)-(i,j+1)
-    ex = np.pad(np.exp(0.5 * (phi_mid + np.roll(phi_mid, -1, axis=0))) * h, window, mode="wrap")
-    ey = np.pad(np.exp(0.5 * (phi_mid + np.roll(phi_mid, -1, axis=1))) * h, window, mode="wrap")
+    # The relaxation runs over the departure nodes of the box, the box grown
+    # by W per axis, and the paths from them reach W further.  Departure
+    # position s on an axis is node start - W + s.  Edge weights are indexed
+    # by the lower/left endpoint: ex[s + W, t + W] is the edge from the
+    # departure node at (s, t) to its +1 neighbour on axis 0, ey on axis 1.
+    shape = tuple(len(r) + 2 * window for r in box)
+    phi = phi_mid[_box_index([range(r.start - 2 * window, r.stop + 2 * window + 1) for r in box], phi_mid.shape)]
+    ex = np.exp(0.5 * (phi[:-1, :-1] + phi[1:, :-1])) * h
+    ey = np.exp(0.5 * (phi[:-1, :-1] + phi[:-1, 1:])) * h
 
     def edge(e, a, b):
-        """Weight of edge e at node (i + a, j + b), for every departure node (i, j)."""
-        return e[window + a : window + a + n, window + b : window + b + n]
+        """Weight of edge e at node (s + a, t + b), for every departure position (s, t)."""
+        return e[window + a : window + a + shape[0], window + b : window + b + shape[1]]
 
-    # relaxed by departure node: dist[a+W, b+W, i, j] is (i,j) -> (i+a, j+b)
-    dist = np.full((size, size, n, n), np.inf)
+    # relaxed by departure node: dist[a+W, b+W, s, t] is (s,t) -> (s+a, t+b)
+    dist = np.full((size, size) + shape, np.inf)
     dist[window, window] = 0.0
-    planes = dist.reshape(size * size, n, n)
+    planes = dist.reshape(size * size, *shape)
     # Each offset plane is lowered in place from its box neighbours, with
     # the sum accumulated from the departure end: dist[a, b] = dist[a-1, b]
     # + the edge entered last.  That fixes every path's float sum, and with
     # positive weights and monotone rounding the relaxation has one fixed
     # point, the least in-box path sum, whatever the order of the updates.
-    # Visiting the offsets in rings of growing |a| + |b| builds every path
-    # that moves away from the origin in one pass; passes repeat until one
-    # changes nothing, so a metric whose shortest paths turn back still
-    # reaches the same fixed point, only later.
+    # Every departure node relaxes on its own, so a box's entries equal the
+    # full grid's.  Visiting the offsets in rings of growing |a| + |b|
+    # builds every path that moves away from the origin in one pass; passes
+    # repeat until one changes nothing, so a metric whose shortest paths
+    # turn back still reaches the same fixed point, only later.
     into = {}  # plane -> [(neighbour plane, edge from it), ...]
     for a, b in sorted(itertools.product(offs, offs), key=lambda ab: abs(ab[0]) + abs(ab[1]))[1:]:
         p = (a + window) * size + b + window
@@ -165,9 +198,9 @@ def _torus_window_distances(geom, phi_mid, window):
     lowered = [-1] * (size * size)  # clock of each plane's last decrease
     read = [-1] * (size * size)  # clock when each plane last read its neighbours
     lowered[window * size + window] = clock = 0
-    best = np.empty((n, n))
-    cand = np.empty((n, n))
-    lower = np.empty((n, n), dtype=bool)
+    best = np.empty(shape)
+    cand = np.empty(shape)
+    lower = np.empty(shape, dtype=bool)
     while True:
         start = clock
         for p, sources in into.items():
@@ -187,17 +220,17 @@ def _torus_window_distances(geom, phi_mid, window):
                 lowered[p] = clock
         if clock == start:  # a pass that lowered nothing
             break
-    for ai, a in enumerate(offs):
-        for bi, b in enumerate(offs):
-            dist[ai, bi] = np.roll(dist[ai, bi], (a, b), axis=(0, 1))
-    return dist
+    # arrival plane (a, b) at box position (v, w) departs from (v + W - a, w + W - b)
+    ends = sliding_window_view(dist, tuple(map(len, box)), axis=(2, 3))
+    o = np.arange(size)
+    return ends[o[:, None], o, 2 * window - o[:, None], 2 * window - o]
 
 
 @dataclass(frozen=True)
 class _LayerGraph:
     """How one geometry kind enters the layer DP."""
 
-    distances: Callable  # (geom, phi_mid, window) -> table indexed by arrival node
+    distances: Callable  # (geom, phi_mid, window, box) -> table indexed by the box's arrival nodes
     periodic: bool  # offsets wrap around the grid
     max_window: Callable  # n -> widest window that still adds transitions
 
@@ -210,10 +243,54 @@ _LAYER_GRAPHS = {
 
 def _layer_graph(geom, window):
     """The geometry's layer graph and ``window`` clamped to its widest useful value."""
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 0:
+        raise ConstraintViolationError(f"window must be an integer >= 0, got {window!r}")
     graph = _LAYER_GRAPHS.get(geom.kind)
     if graph is None:
         raise NodesOutOfRangeError(f"unsupported geometry kind {geom.kind!r}")
-    return graph, min(window, graph.max_window(geom.n))
+    return graph, int(min(window, graph.max_window(geom.n)))
+
+
+def _reach_boxes(shape, periodic, x1, x2, steps, window):
+    """Per layer, a box holding every arrival node reachable from x1 that still reaches x2.
+
+    On a periodic axis it is the shorter of the arc reached from x1 and the
+    arc that reaches x2 (the whole circle once an arc would wrap onto
+    itself); both arcs hold every such node.  Off the periodic grid it is
+    the exact intersection of the two intervals, clipped to the grid, and
+    empty when the pair is out of reach.
+    """
+    boxes = []
+    for j in range(steps):
+        r1, r2 = window * (j + 1), window * (steps - j - 1)  # reach from x1, to x2
+        box = []
+        for c1, c2, n in zip(np.unravel_index(x1, shape), np.unravel_index(x2, shape), shape):
+            c1, c2 = int(c1), int(c2)
+            if periodic:
+                arcs = [range(n) if 2 * r + 1 >= n else range(c - r, c + r + 1) for c, r in ((c2, r2), (c1, r1))]
+                box.append(min(arcs, key=len))
+            else:
+                box.append(range(max(c1 - r1, c2 - r2, 0), min(c1 + r1, c2 + r2, n - 1) + 1))
+        boxes.append(tuple(box))
+    return boxes
+
+
+def _departures(values, held, box, window, shape, periodic):
+    """Departure values for arrivals in ``box``: the box grown by W per axis.
+
+    ``values`` sit on the nodes of the box ``held``; every other departure
+    node, and every position off a non-periodic grid, reads the +inf slot
+    appended to each axis.
+    """
+    pad = np.full(tuple(len(h) + 1 for h in held), np.inf)
+    pad[(slice(-1),) * len(held)] = values
+    for axis, (h, r, n) in enumerate(zip(held, box, shape)):
+        pos = np.arange(r.start - window, r.stop + window) - h.start
+        if periodic:
+            pos %= n
+        pos[(pos < 0) | (pos >= len(h))] = len(h)
+        pad = pad.take(pos, axis=axis)
+    return pad
 
 
 def _layer_dp(traj, k1, k2, x1, x2, window):
@@ -221,56 +298,68 @@ def _layer_dp(traj, k1, k2, x1, x2, window):
     shape = traj.geom.field_shape
     dt = traj.dt_out
     size = 2 * window + 1
-    # depart values padded by the window on every axis: pad[W + i] = depart[i]
-    # inside, wrapped on a periodic grid and +inf (never written) otherwise
-    pad = np.full(tuple(n + 2 * window for n in shape), np.inf)
-    inner = pad[tuple(slice(window, window + n) for n in shape)]
-    wraps = []  # (destination, source) views, copied in order: later axes fill the corners
-    for axis, n in enumerate(shape if graph.periodic else ()):
-        lead = (slice(None),) * axis
-        wraps.append((pad[lead + (slice(0, window),)], pad[lead + (slice(n, n + window),)]))
-        wraps.append((pad[lead + (slice(window + n, None),)], pad[lead + (slice(window, 2 * window),)]))
-    # sources[a + W] is the view of pad holding depart[q - a] at arrival q
-    sources = sliding_window_view(pad, shape)[(slice(None, None, -1),) * len(shape)]
+    narrow = WindowTooNarrowError(f"no path from node {x1} to node {x2} in {k2 - k1} steps with window {window}")
+    boxes = _reach_boxes(shape, graph.periodic, x1, x2, k2 - k1, window)
+    if not all(len(r) for box in boxes for r in box):
+        raise narrow
     # row-major from (-W, ..., -W); an offset's index is its list position
     offsets = list(np.ndindex(*(size,) * len(shape)))
-    best = np.full(shape, np.inf)
-    best.flat[x1] = 0.0
-    cand = np.empty(shape)
-    better = np.empty(shape, dtype=bool)
-    offset_type = np.min_scalar_type(len(offsets) - 1)
-    choices = []
-    for k in range(k1, k2):
+    first, *rest = offsets
+    flip = (slice(None, None, -1),) * len(shape)
+
+    def step_costs(k, box):
+        """d^2 / dt from layer k's table for the arrival nodes of ``box``."""
         geom_a, geom_b = traj[k].geom, traj[k + 1].geom
-        r_a = geom_a.scalar_curvature()
-        arrive = 0.5 * geom_b.scalar_curvature() * dt
-        step = graph.distances(geom_a, 0.5 * (geom_a.phi + geom_b.phi), window)
+        step = graph.distances(geom_a, 0.5 * (geom_a.phi + geom_b.phi), window, box)
         step **= 2
         step /= dt
-        np.add(best, 0.5 * r_a * dt, out=inner)
-        for dst, src in wraps:
-            dst[...] = src
-        best.fill(np.inf)
-        best_off = np.zeros(shape, dtype=offset_type)
-        for o, off in enumerate(offsets):
+        return step
+
+    def position(node, box):
+        """Index of a flat node into values held on ``box``."""
+        return tuple((i - r.start) % n for i, r, n in zip(np.unravel_index(node, shape), box, shape))
+
+    held = tuple(range(i, i + 1) for i in np.unravel_index(x1, shape))
+    # departure values on the nodes held: the value so far plus 0.5 R dt
+    depart = 0.0 + 0.5 * traj[k1].geom.scalar_curvature()[_box_index(held, shape)] * dt
+    kept = []  # per layer, what the backtrack reads
+    for k, box in zip(range(k1, k2), boxes):
+        box_shape = tuple(map(len, box))
+        # sources[a + W] holds depart[q - a] at arrival q; every in-box arrival
+        # that can still reach x2 reads only departures that can, and those
+        # lie in the held box, so its value is the full-grid DP's
+        sources = sliding_window_view(_departures(depart, held, box, window, shape, graph.periodic), box_shape)[flip]
+        step = step_costs(k, box)
+        best = np.empty(box_shape)
+        cand = np.empty(box_shape)
+        np.add(sources[first], step[first], out=best)
+        for off in rest:
             np.add(sources[off], step[off], out=cand)
-            np.add(cand, arrive, out=cand)
-            np.less(cand, best, out=better)
             np.minimum(best, cand, out=best)
-            best_off[better] = o
-        choices.append(best_off)
-    if not np.isfinite(best.flat[x2]):
-        raise WindowTooNarrowError(
-            f"no path from node {x1} to node {x2} in {k2 - k1} steps with window {window}"
-        )
+        # rounding is monotone, so min_o fl(x_o + c) = fl(min_o x_o + c): the
+        # arrival term is added once, after the minimum
+        arrive = 0.5 * traj[k + 1].geom.scalar_curvature()[_box_index(box, shape)] * dt
+        best += arrive
+        kept.append((k, held, depart, box, arrive))
+        held, depart = box, best + arrive
+    # the last box holds x2
+    gamma = float(best[position(x2, held)])
+    if not np.isfinite(gamma):
+        raise narrow
+    # Backtrack: at the path node q of each layer, recompute its candidates
+    # in the DP's order, ((depart + d^2/dt) + arrive); np.argmin takes the
+    # first offset attaining the minimum.
     nodes = [x2]
     mode = "wrap" if graph.periodic else "raise"
-    for best_off in reversed(choices):
-        q = np.unravel_index(nodes[-1], shape)
-        source = [qi - ai + window for qi, ai in zip(q, offsets[best_off.flat[nodes[-1]]])]
+    for k, held, depart, box, arrive in reversed(kept):
+        node = tuple(range(i, i + 1) for i in np.unravel_index(nodes[-1], shape))
+        cand = _departures(depart, held, node, window, shape, graph.periodic)[flip]
+        cand += step_costs(k, node).reshape(cand.shape)
+        cand += arrive[position(nodes[-1], box)]
+        source = [r.start - ai + window for r, ai in zip(node, offsets[int(np.argmin(cand))])]
         nodes.append(int(np.ravel_multi_index(source, shape, mode=mode)))
     nodes.reverse()
-    return float(best.flat[x2]), nodes
+    return gamma, nodes
 
 
 def layer_distance_fn(traj, k, window=DEFAULT_WINDOW):
@@ -283,7 +372,7 @@ def layer_distance_fn(traj, k, window=DEFAULT_WINDOW):
     geom_a, geom_b = traj[k].geom, traj[k + 1].geom
     graph, window = _layer_graph(geom_a, window)
     shape = geom_a.field_shape
-    table = graph.distances(geom_a, 0.5 * (geom_a.phi + geom_b.phi), window)
+    table = graph.distances(geom_a, 0.5 * (geom_a.phi + geom_b.phi), window, tuple(map(range, shape)))
     table = np.broadcast_to(table, (2 * window + 1,) * len(shape) + shape)
 
     def dist(p, q):

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import harnackflow as hf
 from harnackflow.errors import (
+    ConstraintViolationError,
     NodesOutOfRangeError,
     TimesNotStoredError,
     WindowTooNarrowError,
@@ -120,8 +123,7 @@ def _path_action(traj, path, window):
     ],
 )
 def test_torus_path_recomputes_gamma(request, name, k1, k2, x1, x2, window):
-    # the nodes backtracked from the stored offset indices carry exactly
-    # the minimized action
+    # the backtracked nodes carry exactly the minimized action
     traj = request.getfixturevalue(name)
     gamma, path = hf.min_action(traj, (x1, traj.times[k1]), (x2, traj.times[k2]), window=window)
     n = traj.geom.n
@@ -196,6 +198,89 @@ def test_layer_dp_matches_loop_reference(request, name):
         assert path.nodes == tuple(ref_nodes)
 
 
+def _torus7(c, amp):
+    geom = hf.TorusGeometry(7, 1.0)
+    x, y = geom.coords()
+    geom = geom.with_phi(amp * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
+    f = 0.6 + 0.2 * np.sin(2 * np.pi * x) * np.ones((1, 7))
+    return hf.run(hf.FlowState(0.0, geom, f), 0.006, 1e-4, 1e-3, c=c)  # 7 snapshots
+
+
+@pytest.fixture(scope="module")
+def torus7_traj():
+    return _torus7(-1.0, 0.1)
+
+
+@pytest.fixture(scope="module")
+def torus7_flat_traj():
+    return _torus7(0.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def sphere_small_tight_traj():
+    # frozen sphere of radius e^-2: R dt / 2 is large next to the candidates'
+    # spread, so adding it merges candidates and moves the first minimum
+    geom = hf.SphereGeometry(24)
+    state = hf.FlowState(0.0, geom.with_phi(np.full(24, -2.0)), 0.5 + 0.2 * geom.cos_theta)
+    return hf.run(state, 0.04, 0.01 / 546, 0.01, c=-1.0, evolve_metric=False)
+
+
+REACH_BOX_CASES = [
+    # (trajectory, k1, k2, x1, x2, window, reachable)
+    # 7 x 7 torus, window 1, 6 layers: arcs around 0 and 6 cross the seam,
+    # and the mid-span boxes become the whole circle
+    ("torus7_traj", 0, 6, 0, 6 * 7 + 5, 1, True),
+    ("torus7_flat_traj", 0, 6, 0, 6 * 7 + 5, 1, True),
+    ("torus7_traj", 1, 5, 3 * 7 + 6, 5 * 7 + 1, 1, True),
+    ("torus7_flat_traj", 1, 5, 3 * 7 + 6, 5 * 7 + 1, 1, True),
+    ("torus7_traj", 0, 3, 8, 8, 1, True),  # x1 == x2
+    ("torus7_flat_traj", 2, 6, 24, 24, 2, True),
+    ("torus7_traj", 0, 2, 0, 3 * 7 + 3, 1, False),
+    ("torus7_flat_traj", 0, 2, 0, 3 * 7 + 3, 1, False),
+    # sphere rings next to both poles
+    ("sphere_small_traj", 0, 4, 0, 1, 2, True),
+    ("sphere_small_traj", 0, 4, 23, 22, 2, True),
+    ("sphere_small_traj", 1, 4, 0, 0, 1, True),
+    ("sphere_small_round_traj", 0, 4, 23, 23, 3, True),
+    ("sphere_small_round_traj", 0, 4, 1, 9, 2, True),
+    ("sphere_small_traj", 0, 4, 0, 12, 2, False),
+    ("sphere_small_tight_traj", 0, 4, 0, 3, 2, True),
+    ("sphere_small_tight_traj", 0, 4, 1, 4, 1, True),
+]
+
+
+@pytest.mark.parametrize("name, k1, k2, x1, x2, window, reachable", REACH_BOX_CASES)
+def test_reach_box_dp_matches_loop_reference(request, name, k1, k2, x1, x2, window, reachable):
+    # the DP over each layer's reach box gives the full-grid loop DP's value
+    # and path, bit for bit, and an unreachable pair still raises
+    traj = request.getfixturevalue(name)
+    p1, p2 = (x1, traj.times[k1]), (x2, traj.times[k2])
+    ref_gamma, ref_nodes = reference_layer_dp(traj, p1, p2, window)
+    assert np.isfinite(ref_gamma) == reachable
+    if not reachable:
+        with pytest.raises(WindowTooNarrowError):
+            hf.min_action(traj, p1, p2, window=window)
+        return
+    gamma, path = hf.min_action(traj, p1, p2, window=window)
+    assert gamma == ref_gamma
+    assert path.nodes == tuple(ref_nodes)
+
+
+def test_min_action_curvature_once_per_snapshot(monkeypatch, torus_small_traj):
+    traj = torus_small_traj
+    geom_type = type(traj.geom)
+    curvature = geom_type.scalar_curvature
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return curvature(self)
+
+    monkeypatch.setattr(geom_type, "scalar_curvature", counted)
+    hf.min_action(traj, (0, traj.times[0]), (7, traj.times[3]), window=1)
+    assert len(calls) == 4
+
+
 def test_torus_window_distances_match_dijkstra(torus_small_traj):
     # Independent oracle: heap-based shortest path over the same weighted
     # 4-neighbor graph, with intermediate offsets confined to the window box.
@@ -259,7 +344,7 @@ def test_torus_window_distances_match_relaxation_reference(request, name, window
     for k in (0, len(traj.times) - 2):
         geom_a, geom_b = traj[k].geom, traj[k + 1].geom
         phi_mid = 0.5 * (geom_a.phi + geom_b.phi)
-        table = _torus_window_distances(geom_a, phi_mid, window)
+        table = _torus_window_distances(geom_a, phi_mid, window, tuple(map(range, geom_a.field_shape)))
         assert np.array_equal(table, reference_torus_window_distances(geom_a, phi_mid, window))
 
 
@@ -271,8 +356,25 @@ def test_torus_window_distances_match_reference_on_rough_metrics(sigma, window):
     # the pass that confirms it
     geom = hf.TorusGeometry(16, 1.0)
     phi_mid = np.random.default_rng(7).normal(0.0, sigma, geom.field_shape)
-    table = _torus_window_distances(geom, phi_mid, window)
+    table = _torus_window_distances(geom, phi_mid, window, tuple(map(range, geom.field_shape)))
     assert np.array_equal(table, reference_torus_window_distances(geom, phi_mid, window))
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        (range(3, 4), range(15, 16)),  # one node, its departures across the seam
+        (range(-4, 3), range(12, 20)),  # across the seam on both axes
+        (range(16), range(16)),  # the full grid
+    ],
+)
+def test_torus_box_table_matches_reference_slice(box):
+    # a box's table is the full grid's at the box's arrival nodes, bit for bit
+    geom = hf.TorusGeometry(16, 1.0)
+    phi_mid = np.random.default_rng(7).normal(0.0, 2.0, geom.field_shape)
+    rows, cols = (np.arange(r.start, r.stop) % 16 for r in box)
+    table = _torus_window_distances(geom, phi_mid, 3, box)
+    assert np.array_equal(table, reference_torus_window_distances(geom, phi_mid, 3)[:, :, rows[:, None], cols])
 
 
 def test_gamma_monotone_in_window(sphere_small_traj):
@@ -308,9 +410,43 @@ def test_nodes_out_of_range(sphere_small_traj, torus_small_traj):
         (torus_small_traj, (1, 5)),
         (torus_small_traj, (1,)),
         (torus_small_traj, (1, 2, 3)),  # one index too many, not read as (1, 2)
+        (sphere_small_traj, 1.5),  # not truncated to ring 1
+        (sphere_small_traj, (2.0,)),
+        (torus_small_traj, (1, 2.5)),
+        (torus_small_traj, "3"),
     ):
         with pytest.raises(NodesOutOfRangeError):
             hf.min_action(traj, (node, traj.times[0]), (3, traj.times[2]))
+
+
+def test_numpy_integer_nodes_accepted(torus_small_traj):
+    traj = torus_small_traj
+    t1, t2 = traj.times[0], traj.times[2]
+    assert hf.min_action(traj, (np.int64(7), t1), ((np.int32(3), np.uint8(4)), t2)) == hf.min_action(
+        traj, (7, t1), (19, t2)
+    )
+
+
+@pytest.mark.parametrize("window", [-1, 2.5, "3", None, True])
+def test_window_must_be_a_nonnegative_integer(torus_small_traj, window):
+    traj = torus_small_traj
+    p1, p2 = (0, traj.times[0]), (7, traj.times[2])
+    calls = (
+        lambda: hf.min_action(traj, p1, p2, window=window),
+        lambda: hf.random_pairs(traj, 2, np.random.default_rng(0), window=window),
+        lambda: hf.layer_distance_fn(traj, 0, window),
+    )
+    for call in calls:
+        with pytest.raises(ConstraintViolationError, match=re.escape(repr(window))):
+            call()
+
+
+def test_window_zero_stays_put(torus_small_traj, sphere_small_traj):
+    for traj, node in ((torus_small_traj, 7), (sphere_small_traj, 5)):
+        gamma, path = hf.min_action(traj, (node, traj.times[0]), (node, traj.times[2]), window=0)
+        assert np.isfinite(gamma) and path.nodes == (node,) * 3
+        with pytest.raises(WindowTooNarrowError):
+            hf.min_action(traj, (node, traj.times[0]), (node + 1, traj.times[2]), window=0)
 
 
 def test_node_tuples_match_flat_indices(sphere_small_traj, torus_small_traj):
