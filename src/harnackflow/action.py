@@ -321,8 +321,8 @@ def _layer_dp(traj, k1, k2, x1, x2, window):
 
     held = tuple(range(i, i + 1) for i in np.unravel_index(x1, shape))
     # departure values on the nodes held: the value so far plus 0.5 R dt
-    depart = 0.0 + 0.5 * traj[k1].geom.scalar_curvature()[_box_index(held, shape)] * dt
-    kept = []  # per layer, what the backtrack reads
+    depart = 0.0 + 0.5 * traj[k1].R[_box_index(held, shape)] * dt
+    kept = []  # per layer, the departure values the backtrack reads
     for k, box in zip(range(k1, k2), boxes):
         box_shape = tuple(map(len, box))
         # sources[a + W] holds depart[q - a] at arrival q; every in-box arrival
@@ -338,9 +338,9 @@ def _layer_dp(traj, k1, k2, x1, x2, window):
             np.minimum(best, cand, out=best)
         # rounding is monotone, so min_o fl(x_o + c) = fl(min_o x_o + c): the
         # arrival term is added once, after the minimum
-        arrive = 0.5 * traj[k + 1].geom.scalar_curvature()[_box_index(box, shape)] * dt
+        arrive = 0.5 * traj[k + 1].R[_box_index(box, shape)] * dt
         best += arrive
-        kept.append((k, held, depart, box, arrive))
+        kept.append((k, held, depart))
         held, depart = box, best + arrive
     # the last box holds x2
     gamma = float(best[position(x2, held)])
@@ -351,11 +351,11 @@ def _layer_dp(traj, k1, k2, x1, x2, window):
     # first offset attaining the minimum.
     nodes = [x2]
     mode = "wrap" if graph.periodic else "raise"
-    for k, held, depart, box, arrive in reversed(kept):
+    for k, held, depart in reversed(kept):
         node = tuple(range(i, i + 1) for i in np.unravel_index(nodes[-1], shape))
         cand = _departures(depart, held, node, window, shape, graph.periodic)[flip]
         cand += step_costs(k, node).reshape(cand.shape)
-        cand += arrive[position(nodes[-1], box)]
+        cand += 0.5 * traj[k + 1].R.flat[nodes[-1]] * dt
         source = [r.start - ai + window for r, ai in zip(node, offsets[int(np.argmin(cand))])]
         nodes.append(int(np.ravel_multi_index(source, shape, mode=mode)))
     nodes.reverse()

@@ -34,6 +34,12 @@ bit-identical to a run of it alone.  The checks run on every member at
 every step: the CFL bound before the step, the overflow guard and the
 positivity of f after it; the extinction time is checked once per member.
 A failure raises its typed error with the failing time and the member.
+
+Each ``FlowState`` computes its scalar curvature once, on first use of
+``FlowState.R``; the monitors, the identity residuals, the action DP and the
+assertions all read it there.  Nothing else derived from a state is kept:
+u, lap u, |grad u|^2 and the v-family are recomputed on each call, which
+keeps a trajectory's memory at its fields plus one curvature per snapshot.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +83,8 @@ class FlowState:
 
     ``f`` must be strictly positive and finite; the time may be zero (runs
     start at t = 0) but quantities with 1/t terms demand t > 0 themselves.
+    ``R`` is the scalar curvature of ``geom``, computed on first use and
+    kept, read-only, for the life of the state.
     """
 
     t: float
@@ -93,6 +102,13 @@ class FlowState:
         object.__setattr__(self, "f", f)
         if self.t < 0:
             raise ConstraintViolationError(f"negative time t = {self.t}")
+
+    @cached_property
+    def R(self):
+        """Scalar curvature of the live metric; every stage reads it here."""
+        curv = self.geom.scalar_curvature()
+        curv.setflags(write=False)
+        return curv
 
 
 class EnsembleMember(NamedTuple):
@@ -265,6 +281,18 @@ class Trajectory:
         save_trajectory(self, path)
 
 
+def _steps_per_output(dt, dt_out):
+    """Steps of ``dt`` per output interval ``dt_out``: both positive and finite, dt dividing dt_out."""
+    if not (0 < dt < np.inf and 0 < dt_out < np.inf):
+        raise ConstraintViolationError(f"dt = {dt!r} and dt_out = {dt_out!r} must be positive and finite")
+    steps = int(round(dt_out / dt)) if dt_out / dt < np.inf else 0
+    if steps < 1 or abs(steps * dt - dt_out) > 1e-9 * dt_out:
+        raise ConstraintViolationError(
+            f"dt = {dt!r} must divide dt_out = {dt_out!r} (got {dt_out / dt:.6g} steps per output)"
+        )
+    return steps
+
+
 def run(initial, t_end, dt, dt_out, c=-1.0, evolve_metric=True, initial_id=""):
     """Integrate from ``initial`` to ``t_end``, recording every ``dt_out``.
 
@@ -297,13 +325,7 @@ def run_ensemble(members, t_end, dt, dt_out):
     members = list(members)
     if not members:
         raise ConstraintViolationError("run_ensemble needs at least one member")
-    if dt <= 0 or dt_out <= 0:
-        raise ConstraintViolationError("dt and dt_out must be positive")
-    steps_per_out = int(round(dt_out / dt))
-    if steps_per_out < 1 or abs(steps_per_out * dt - dt_out) > 1e-9 * dt_out:
-        raise ConstraintViolationError(
-            f"dt = {dt!r} must divide dt_out = {dt_out!r} (got {dt_out / dt:.6g} steps per output)"
-        )
+    steps_per_out = _steps_per_output(dt, dt_out)
     geom = members[0].initial.geom
     t_start = members[0].initial.t
     for i, mem in enumerate(members):
@@ -428,7 +450,11 @@ def load_trajectory(path):
 
     A file without that layout (wrong magic, a header that is not JSON or
     lacks a field, a size other than the header implies) raises
-    TrajectoryFormatError naming the path.
+    TrajectoryFormatError naming the path.  So does one that no run could
+    have written: a ``dt`` or ``dt_out`` that is not positive and finite, or
+    a ``dt`` that does not divide ``dt_out``; a snapshot time t_k other than
+    t_0 + k dt_out (within 1e-9 dt_out); or a snapshot whose fields fail
+    ``FlowState``'s checks, which the error names by its index.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -461,6 +487,11 @@ def load_trajectory(path):
         raise TrajectoryFormatError(f"{path}: bad header ({type(err).__name__}: {err})") from err
     if snapshots < 1:
         raise TrajectoryFormatError(f"{path}: header declares {snapshots} snapshots")
+    try:
+        _steps_per_output(params["dt"], params["dt_out"])
+    except ConstraintViolationError as err:
+        raise TrajectoryFormatError(f"{path}: bad header ({err})") from err
+    dt_out = params["dt_out"]
     count = base.node_count
     expected = offset + snapshots * (8 + 16 * count)
     if len(data) != expected:
@@ -469,10 +500,19 @@ def load_trajectory(path):
             f"of {count} nodes implies {expected}"
         )
     states = []
-    for _ in range(snapshots):
+    (t0,) = struct.unpack_from("<d", data, offset)
+    for k in range(snapshots):
         (t,) = struct.unpack_from("<d", data, offset)
         fields = np.frombuffer(data, dtype="<f8", count=2 * count, offset=offset + 8)
         phi, f = fields.reshape((2, *base.field_shape))
         offset += 8 + 16 * count
-        states.append(FlowState(t, base.with_phi(phi), f))
+        # NaN fails the comparison, so a non-finite time is caught here too
+        if not abs(t - (t0 + k * dt_out)) <= 1e-9 * dt_out:
+            raise TrajectoryFormatError(
+                f"{path}: snapshot {k} at t = {t!r}, expected t_0 + {k} * dt_out = {t0 + k * dt_out!r}"
+            )
+        try:
+            states.append(FlowState(t, base.with_phi(phi), f))
+        except HarnackFlowError as err:
+            raise TrajectoryFormatError(f"{path}: snapshot {k}: {type(err).__name__}: {err}") from err
     return Trajectory(states, **params)

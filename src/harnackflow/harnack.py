@@ -89,11 +89,10 @@ def quantity_H(state):
     _require_positive_time(state)
     geom = state.geom
     u = u_field(state)
-    curv = geom.scalar_curvature()
     return (
         2.0 * geom.laplace_beltrami(u)
         - geom.grad_norm_sq(u)
-        - 3.0 * curv
+        - 3.0 * state.R
         - 2.0 * DIMENSION / state.t
     )
 
@@ -102,11 +101,10 @@ def quantity_P(state, d=1.0):
     _require_positive_time(state)
     geom = state.geom
     v = v_field(state)
-    curv = geom.scalar_curvature()
     return (
         2.0 * geom.laplace_beltrami(v)
         - geom.grad_norm_sq(v)
-        - 3.0 * curv
+        - 3.0 * state.R
         + v / state.t
         - d * DIMENSION / state.t
     )
@@ -125,8 +123,8 @@ def trace_harnack(traj, k, vector="zero"):
     state = traj[k]
     _require_positive_time(state)
     geom = state.geom
-    drdt = time_derivative(traj, k, lambda s: s.geom.scalar_curvature())
-    curv = geom.scalar_curvature()
+    drdt = time_derivative(traj, k, lambda s: s.R)
+    curv = state.R
     out = drdt + curv / state.t
     if vector == "zero":
         return out
@@ -140,7 +138,7 @@ def surface_lyh(state, which="curvature"):
     """lap(ln R) + R + 1/t (which="curvature", needs R > 0) or lap(ln f) + R + 1/t."""
     _require_positive_time(state)
     geom = state.geom
-    curv = geom.scalar_curvature()
+    curv = state.R
     if which == "curvature":
         cmin = float(np.min(curv))
         if cmin <= 0.0:
@@ -232,7 +230,7 @@ def monitor_series(traj, d=1.0, t0=0.0, enable=None):
     plain_heat = traj.c == 0.0
     for row, k in enumerate(ks):
         state = traj[k]
-        curv_min = float(np.min(state.geom.scalar_curvature()))
+        curv_min = float(np.min(state.R))
         if "sup_H" in wants:
             cols["sup_H"][row] = float(np.max(quantity_H(state)))
         if "sup_tP" in wants:

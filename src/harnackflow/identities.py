@@ -141,7 +141,7 @@ def general_H_field(state, p):
     u = u_field(state)
     geom = state.geom
     out = p.alpha * geom.laplace_beltrami(u) - p.beta * geom.grad_norm_sq(u)
-    out = out + p.a * geom.scalar_curvature()
+    out = out + p.a * state.R
     if p.b != 0.0:
         out = out - p.b * u / state.t
     if p.d != 0.0:
@@ -153,7 +153,7 @@ def _general_H_rhs(state, p):
     geom, t = state.geom, state.t
     n = DIMENSION
     u = u_field(state)
-    curv = geom.scalar_curvature()
+    curv = state.R
     h = general_H_field(state, p)
     q = 2.0 * p.alpha - 2.0 * p.beta
     loa = (q / p.alpha) * p.lam if p.lam != 0.0 else 0.0
@@ -188,7 +188,7 @@ def _cor_H_rhs(state):
     p = COR_H_PRESET
     geom, t = state.geom, state.t
     u = u_field(state)
-    curv = geom.scalar_curvature()
+    curv = state.R
     h = general_H_field(state, p)
     sigma = curv / 2.0 + 1.0 / t
     return (
@@ -222,7 +222,7 @@ def general_P_field(state, p):
     v = v_field(state)
     geom = state.geom
     out = p.alpha * geom.laplace_beltrami(v) - geom.grad_norm_sq(v)
-    out = out + p.a * geom.scalar_curvature()
+    out = out + p.a * state.R
     if p.b != 0.0:
         out = out - p.b * v / state.t
     if p.d != 0.0:
@@ -234,7 +234,7 @@ def _general_P_rhs(state, p):
     geom, t = state.geom, state.t
     n = DIMENSION
     v = v_field(state)
-    curv = geom.scalar_curvature()
+    curv = state.R
     pfield = general_P_field(state, p)
     q = 2.0 * p.alpha - 2.0
     loa = (q / p.alpha) * p.lam if p.lam != 0.0 else 0.0
@@ -270,7 +270,7 @@ def _cor_P_rhs(state, d):
     p = replace(COR_P_PRESET, d=d)
     geom, t = state.geom, state.t
     v = v_field(state)
-    curv = geom.scalar_curvature()
+    curv = state.R
     pf = general_P_field(state, p)
     sigma = curv / 2.0 + 1.0 / (2.0 * t)
     return (
@@ -300,7 +300,7 @@ def residual_tP(traj, k, d=1.0):
         return s.t * general_P_field(s, p)
 
     v = v_field(state)
-    curv = geom.scalar_curvature()
+    curv = state.R
     tp = tp_field(state)
     sigma = curv / 2.0 + 1.0 / (2.0 * t)
     rhs = (
@@ -326,7 +326,7 @@ def residual_tP(traj, k, d=1.0):
 
 
 def _log_curv(state):
-    curv = state.geom.scalar_curvature()
+    curv = state.R
     cmin = float(np.min(curv))
     if cmin <= 0.0:
         raise NonPositiveCurvatureError(f"min R = {cmin:.6g} <= 0 at t = {state.t:.6g}")
@@ -336,13 +336,13 @@ def _log_curv(state):
 def _surface_H_field(state):
     geom = state.geom
     u = u_field(state)
-    return geom.laplace_beltrami(u) - geom.scalar_curvature()
+    return geom.laplace_beltrami(u) - state.R
 
 
 def _surface_fR_field(state):
     geom = state.geom
     _, ln_r = _log_curv(state)
-    return geom.laplace_beltrami(-ln_r) - geom.scalar_curvature()
+    return geom.laplace_beltrami(-ln_r) - state.R
 
 
 def residual_surface(traj, k):
@@ -458,7 +458,7 @@ def preset_agreement_grad(traj, k):
 
 def _surface_reports(traj, k, d):
     # eligible only where the curvature is positive at the checked snapshot
-    if float(np.min(traj[k].geom.scalar_curvature())) > 0:
+    if float(np.min(traj[k].R)) > 0:
         return list(residual_surface(traj, k))
     return []
 

@@ -82,6 +82,18 @@ def _remove_stale_reports(out_dir, *names):
             os.remove(path)
 
 
+def _seeded_rng(cfg, seed):
+    """The run's generator, from ``seed`` or, when that is None, the config's seed.
+
+    A negative seed raises ConstraintViolationError (exit 2); callers ask for
+    the generator after removing stale reports and before any flow runs.
+    """
+    seed = cfg.seed if seed is None else seed
+    if seed < 0:
+        raise ConstraintViolationError(f"the seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _series_extreme(series, column, reducer):
     vals = series.columns[column]
     vals = vals[~np.isnan(vals)]
@@ -111,7 +123,7 @@ def _step_increase_max(series, column):
 def evaluate_assertions(cfg, traj, series, margins=None):
     """Assertion list for a finished run; eligibility follows the scenario."""
     out = []
-    curv0 = traj[0].geom.scalar_curvature()
+    curv0 = traj[0].R
     weakly_positive = float(np.min(curv0)) >= -1e-12
     strictly_positive = float(np.min(curv0)) > 0.0
     with_potential = traj.c == -1.0
@@ -267,13 +279,13 @@ def run_scenario(cfg, out_flag=None, seed=None):
     A HarnackFlowError in any stage (flow, monitors, identities, action)
     ends the run: summary.txt then holds the single line
     ``FAIL <stage>: <error type>[ at t = ...]: <message>`` and the report
-    fails.  A summary.txt left by an earlier run is removed first.
+    fails.  A summary.txt left by an earlier run is removed first; a
+    negative seed then raises ConstraintViolationError before the flow runs.
     """
     out_dir = resolve_out_dir(cfg, out_flag)
     os.makedirs(out_dir, exist_ok=True)
-    seed = cfg.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
     _remove_stale_reports(out_dir, "summary.txt")
+    rng = _seeded_rng(cfg, seed)
     summary_path = os.path.join(out_dir, "summary.txt")
     stage = "flow"
     try:
@@ -423,9 +435,10 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     torus never has R > 0 everywhere.  The reports of an earlier ladder are
     removed first; fewer than two levels, which leave no convergence ratio
     to check, then raise ConstraintViolationError before any flow runs, as
-    does an invalid initial state at any level.  A HarnackFlowError in a
-    stage (a level's flows or residuals, the fuzz) that is not a config
-    error ends the ladder: identity_summary.txt then holds the single line
+    do a negative seed and an invalid initial state at any level.  A
+    HarnackFlowError in a stage (a level's flows or residuals, the fuzz)
+    that is not a config error ends the ladder: identity_summary.txt then
+    holds the single line
     ``FAIL <stage> (level L, N = n): <error type>[ at t = ...]: <message>``,
     no identities.csv is written, and the returned study carries that line
     in ``failure`` and fails.
@@ -440,8 +453,7 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     want = set(cfg.identity_presets)
     if cfg.kind != "rot_sphere":
         want.discard("surface")
-    seed = cfg.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(cfg, seed)
 
     level_cfgs = [
         replace(cfg, n=cfg.n * 2**lvl, dt=cfg.dt / (4**lvl), dt_out=cfg.dt_out / (4**lvl))

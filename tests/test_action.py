@@ -266,21 +266,6 @@ def test_reach_box_dp_matches_loop_reference(request, name, k1, k2, x1, x2, wind
     assert path.nodes == tuple(ref_nodes)
 
 
-def test_min_action_curvature_once_per_snapshot(monkeypatch, torus_small_traj):
-    traj = torus_small_traj
-    geom_type = type(traj.geom)
-    curvature = geom_type.scalar_curvature
-    calls = []
-
-    def counted(self):
-        calls.append(self)
-        return curvature(self)
-
-    monkeypatch.setattr(geom_type, "scalar_curvature", counted)
-    hf.min_action(traj, (0, traj.times[0]), (7, traj.times[3]), window=1)
-    assert len(calls) == 4
-
-
 def test_torus_window_distances_match_dijkstra(torus_small_traj):
     # Independent oracle: heap-based shortest path over the same weighted
     # 4-neighbor graph, with intermediate offsets confined to the window box.

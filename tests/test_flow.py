@@ -1,4 +1,7 @@
+import json
 import re
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -167,6 +170,51 @@ def test_trajectory_save_load_round_trip(tmp_path, torus_potential_traj):
         assert a.t == b.t
         assert np.array_equal(a.f, b.f)
         assert np.array_equal(a.geom.phi, b.geom.phi)
+
+
+def _rewritten(data, header=None, times=None, nan_f_at=None):
+    """A saved trajectory with header entries, snapshot times or one f value replaced."""
+    hlen = int.from_bytes(data[8:12], "little")
+    head = json.loads(data[12:12 + hlen])
+    head.update(header or {})
+    blob = json.dumps(head).encode("utf-8")
+    body = bytearray(data[12 + hlen:])
+    size = len(body) // head["snapshots"]
+    for k, t in enumerate(times or ()):
+        body[k * size:k * size + 8] = struct.pack("<d", t)
+    if nan_f_at is not None:
+        end = (nan_f_at + 1) * size  # the snapshot's last f value
+        body[end - 8:end] = struct.pack("<d", float("nan"))
+    return data[:8] + len(blob).to_bytes(4, "little") + blob + bytes(body)
+
+
+LOADER_REJECTIONS = [
+    ("negative dt_out", dict(header={"dt_out": -0.01}), "positive and finite"),
+    ("zero dt_out", dict(header={"dt_out": 0.0}), "positive and finite"),
+    ("NaN dt_out", dict(header={"dt_out": float("nan")}), "positive and finite"),
+    ("negative dt", dict(header={"dt": -1.0}), "positive and finite"),
+    ("dt not dividing dt_out", dict(header={"dt": 0.003}), "must divide"),
+    ("times not uniform", dict(times=[0.0, 0.01, 0.0333, 0.03]), "snapshot 2 at t = 0.0333"),
+    ("NaN in f", dict(nan_f_at=2), "snapshot 2: GridMismatchError"),
+]
+
+
+@pytest.mark.parametrize("label, changes, reason", LOADER_REJECTIONS, ids=[c[0] for c in LOADER_REJECTIONS])
+def test_trajectory_without_a_run_layout_raises_format_error(tmp_path, label, changes, reason):
+    # each used to load: a negative dt_out flipped time_derivative's sign,
+    # a zero or NaN one made it inf or NaN, and a NaN in f raised a bare
+    # GridMismatchError
+    geom = hf.TorusGeometry(8, 2 * np.pi)
+    x, _ = geom.coords()
+    state = hf.FlowState(0.0, geom, 0.5 + 0.2 * np.sin(x) * np.ones((1, 8)))
+    path = tmp_path / "trajectory.bin"
+    hf.run(state, 0.03, 0.01 / 8, 0.01, c=0.0).save(path)
+    assert len(hf.load_trajectory(path)) == 4
+    damaged = tmp_path / f"{label.replace(' ', '_')}.bin"
+    damaged.write_bytes(_rewritten(path.read_bytes(), **changes))
+    with pytest.raises(TrajectoryFormatError, match=re.escape(str(damaged))) as err:
+        hf.load_trajectory(damaged)
+    assert reason in str(err.value)
 
 
 def _damaged_trajectories(data):
@@ -381,3 +429,52 @@ def test_ensemble_member_losing_positivity_is_named():
         hf.run(tiny.initial, 4 * dt, dt, dt, c=tiny.c)
     assert alone.value.member == 0
     assert str(alone.value).startswith("min f = 0 <= 0")
+
+
+# -- the per-state curvature -------------------------------------------------
+
+
+def test_state_curvature_is_the_geometry_kernel_read_only(sphere_cosine_traj, torus_potential_traj):
+    for traj in (sphere_cosine_traj, torus_potential_traj):
+        state = traj[3]
+        assert state.R.tobytes() == state.geom.scalar_curvature().tobytes()
+        assert state.R is state.R
+        with pytest.raises(ValueError):
+            state.R[0] = 0.0
+        with pytest.raises(ValueError):
+            state.R += 1.0
+
+
+def test_curvature_computed_once_per_state_across_stages(tmp_path, monkeypatch):
+    # A freshly loaded trajectory holds no curvature yet.  Monitors, every
+    # identity preset of its variant, two action pairs and the assertions
+    # then read each state's curvature, and the geometry computes it once
+    # per state.
+    from harnackflow import identities, runner
+
+    geom = hf.SphereGeometry(48)
+    state = hf.FlowState(0.0, geom.with_phi(0.1 * geom.cos_theta), 0.5 + 0.2 * geom.cos_theta)
+    path = tmp_path / "trajectory.bin"
+    hf.run(state, 0.06, 5e-4, 0.01, c=-1.0).save(path)
+    traj = hf.load_trajectory(path)
+    calls = Counter()
+    kernel = hf.SphereGeometry.scalar_curvature
+
+    def counted(self):
+        calls[id(self)] += 1
+        return kernel(self)
+
+    monkeypatch.setattr(hf.SphereGeometry, "scalar_curvature", counted)
+    series = hf.monitor_series(traj, t0=0.01)
+    reports = []
+    for c, preset_reports in identities.PRESET_REGISTRY.values():
+        if c == traj.c:
+            reports.extend(preset_reports(traj, 2, 1.0))
+    assert {r.identity for r in reports} >= {"cor_H", "cor_tP", "surface_general", "surface_fR"}
+    margins = [
+        hf.check_integrated_harnack(traj, (x1, traj.times[k1]), (x2, traj.times[k2]), window=5)[0]
+        for x1, k1, x2, k2 in ((3, 1, 10, 4), (40, 2, 36, 6))
+    ]
+    assertions = runner.evaluate_assertions(None, traj, series, margins)
+    assert any(a.ident == "action-margin" for a in assertions)
+    assert calls == Counter({id(s.geom): 1 for s in traj.states})
