@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .config import parse_config
@@ -92,6 +91,9 @@ def _cmd_sweep(args):
     # the pool starts all its workers at once: no more than there are configs
     workers = min(args.jobs, len(items))
     if workers > 1:
+        # imported here: the process pool costs every other command start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, items))
     else:

@@ -41,11 +41,13 @@ Sections and keys (defaults in parentheses):
                   cor_tP, surface, grad             (all)
       fuzz_count  random tuples at the coarsest level (0)
       t_check     snapshot time for residuals, or auto (auto: output
-                                                     nearest t_end / 2; an
-                                                     explicit value must be a
-                                                     stored snapshot time
-                                                     other than the first and
-                                                     the last)
+                                                     nearest t_end / 2, and
+                                                     not the first output when
+                                                     there are three or more;
+                                                     an explicit value must be
+                                                     a stored snapshot time
+                                                     other than the first two
+                                                     and the last)
 
     [action]
       enable      true | false                      (false)
@@ -57,9 +59,13 @@ Sections and keys (defaults in parentheses):
       directory   output directory                  (out/<scenario name>)
       seed        RNG seed                          (0)
 
-``dt = auto`` picks half the CFL bound of the initial state, shrunk for
-evolving sphere runs by the area ratio at t_end; an explicit dt is
-trimmed down so an integer number of steps lands exactly on each output.
+``dt = auto`` leaves ``dt`` as None: the flow then picks each output
+interval's step by its CFL rule (``flow.CFL_SAFETY`` below the bound at the
+interval's start, shrunk by the area law on an evolving sphere).  An
+explicit dt, used in every interval, must meet the CFL bound of the initial
+state and is trimmed down so an integer number of steps lands exactly on
+each output.  An explicit ``t_check`` whose left neighbour is the snapshot
+at t = 0 is rejected, since the residuals divide by t there.
 """
 
 from __future__ import annotations
@@ -343,21 +349,22 @@ def _validate(cfg):
             raise ConstraintViolationError(
                 f"t_end = {cfg.t_end:.6g} reaches the sphere extinction time {extinction:.6g}"
             )
-        area_ratio = (extinction - cfg.t_end) / extinction
-    else:
-        area_ratio = 1.0
 
     if cfg.dt is None:
-        cfg.dt = 0.5 * bound0 * area_ratio
-    if not 0 < cfg.dt < np.inf:  # an auto dt overflows on a huge metric
-        raise ConstraintViolationError(f"flow.dt = {cfg.dt:.6g} must be positive and finite")
-    if cfg.dt > bound0 * (1.0 + 1e-12):
-        raise ConstraintViolationError(
-            f"flow.dt = {cfg.dt:.6g} violates the CFL rule dt <= 0.2*h^2*min(e^(2*phi)) = {bound0:.6g}"
-        )
-    # trim dt so that an integer number of steps lands on each output
-    steps = max(1, int(np.ceil(cfg.dt_out / cfg.dt - 1e-12)))
-    cfg.dt = cfg.dt_out / steps
+        if not 0 < bound0 < np.inf:  # a huge metric overflows the bound
+            raise ConstraintViolationError(
+                f"flow.dt = auto needs a positive, finite CFL bound 0.2*h^2*min(e^(2*phi)); got {bound0:.6g}"
+            )
+    else:
+        if not 0 < cfg.dt < np.inf:
+            raise ConstraintViolationError(f"flow.dt = {cfg.dt:.6g} must be positive and finite")
+        if cfg.dt > bound0 * (1.0 + 1e-12):
+            raise ConstraintViolationError(
+                f"flow.dt = {cfg.dt:.6g} violates the CFL rule dt <= 0.2*h^2*min(e^(2*phi)) = {bound0:.6g}"
+            )
+        # trim dt so that an integer number of steps lands on each output
+        steps = max(1, int(np.ceil(cfg.dt_out / cfg.dt - 1e-12)))
+        cfg.dt = cfg.dt_out / steps
 
     if cfg.t0 is None:
         k0 = int(np.floor(0.05 * cfg.t_end / cfg.dt_out + 1e-12)) + 1
@@ -365,22 +372,27 @@ def _validate(cfg):
     if cfg.t0 <= 0 or cfg.t0 >= cfg.t_end:
         raise ConstraintViolationError("flow.t0 must lie in (0, t_end)")
 
+    # the residuals at snapshot k divide by the time of snapshot k - 1, so k
+    # = 1 (left neighbour at t = 0) is refused, or left to fail typed in the
+    # identity stage when auto has no other interior snapshot
+    n_out = int(np.floor(cfg.t_end / cfg.dt_out + 1e-9))
     if cfg.t_check is None:
         k = max(1, int(round(0.5 * cfg.t_end / cfg.dt_out)))
+        if n_out >= 3:
+            k = max(k, 2)
         cfg.t_check = k * cfg.dt_out
     else:
         # an explicit check time must be a stored snapshot with a neighbour
         # on each side, or each refinement level would land elsewhere
         k = int(round(cfg.t_check / cfg.dt_out))
-        n_out = int(np.floor(cfg.t_end / cfg.dt_out + 1e-9))
         if abs(k * cfg.dt_out - cfg.t_check) > 1e-9 * cfg.dt_out:
             raise ConstraintViolationError(
                 f"identities.t_check = {cfg.t_check:.6g} is not a multiple of flow.dt_out = {cfg.dt_out:.6g}"
             )
-        if not 1 <= k <= n_out - 1:
+        if not 2 <= k <= n_out - 1:
             raise ConstraintViolationError(
-                f"identities.t_check = {cfg.t_check:.6g} needs a snapshot on each side; "
-                f"it must lie in [{cfg.dt_out:.6g}, {(n_out - 1) * cfg.dt_out:.6g}]"
+                f"identities.t_check = {cfg.t_check:.6g} needs a snapshot on each side, the left one "
+                f"at t > 0; it must lie in [{2 * cfg.dt_out:.6g}, {(n_out - 1) * cfg.dt_out:.6g}]"
             )
 
 

@@ -12,11 +12,18 @@ discretization conserves mass exactly for ``c = -1``: the flux-form
 Laplacian integrates to zero against the area weights, and the measure
 shrinks at rate ``-R dmu``.
 
-Time stepping is classic fixed-step RK4.  Adaptivity is deliberately
-absent: the identity checks difference stored snapshots in time and need
-exactly uniform output spacing.  The step size must satisfy the explicit
-CFL rule ``dt <= 0.2 * h^2 * min(e^(2 phi))``, re-checked against the
-current state before every step.
+Time stepping is classic RK4 with one step size per output interval.  The
+identity checks difference stored snapshots in time and need exactly
+uniform output spacing, so every interval ends on its snapshot time; only
+the RK4 step inside an interval may differ from one interval to the next.
+Every step must satisfy the explicit CFL rule
+``dt <= 0.2 * h^2 * min(e^(2 phi))``, re-checked against the current state
+before every step.  An explicit ``dt`` is used in every interval.  Without
+one (``dt=None``) each interval takes the fewest equal steps that keep
+``CFL_SAFETY`` below the bound at the interval's start, shrunk by the area
+law across it: an evolving sphere loses area at rate 8 pi, and
+``min(e^(2 phi))``, hence the bound, falls about in proportion.  The
+choice is a pure function of the state, so runs stay bit-identical.
 
 ``evolve_metric=False`` freezes ``phi`` (heat flow on a static metric);
 the gradient-estimate scenarios use it to probe curved static backgrounds.
@@ -65,6 +72,9 @@ from .errors import (
 from .geometry import SphereGeometry, SurfaceGeometry, TorusGeometry, cfl_limit
 
 OVERFLOW_GUARD = 1e12
+# Without an explicit dt, each interval's step stays this factor below its
+# estimate of the interval's smallest CFL bound.
+CFL_SAFETY = 1.25
 
 # variant name -> reaction coefficient c in df/dt = lap f - c R f
 VARIANT_C = {"with_potential": -1.0, "plain_heat": 0.0}
@@ -138,14 +148,14 @@ class _RK4Kernel:
     frozen sit after the ``evolving`` ones; their phi rate stays zero and
     their phi is never updated.  Each member reproduces, bit for bit, a run
     of that member alone: every operation is elementwise and keeps the
-    operand order of the single-field formulas.
+    operand order of the single-field formulas.  The step is an argument of
+    ``step``, so it may change between output intervals.
     """
 
-    def __init__(self, geom, x, c, evolving, dt, names):
+    def __init__(self, geom, x, c, evolving, names):
         self.names = names  # member index of each row, for error messages
         self.h = geom.background_spacing
         self.r_bg = geom.background_curvature
-        self.dt = dt
         members = x.shape[1]
         # a broadcast column: a full-shape c would stream one more field per stage
         self.c = np.asarray(c, dtype=float).reshape((members,) + (1,) * len(geom.field_shape))
@@ -191,15 +201,14 @@ class _RK4Kernel:
         np.multiply(k, scale, out=y)
         np.add(self.x, y, out=y)
 
-    def step(self, t):
-        """One checked step from time t; raises with the failing member attached.
+    def step(self, t, dt):
+        """One checked step of size dt from time t; raises with the failing member attached.
 
         The CFL bound of the current fields is checked before the step, the
         overflow guard and the positivity of f after it, on every member.
         """
-        dt = self.dt
         if dt > cfl_limit(self.h, self.phi) * (1.0 + 1e-12):
-            self._raise_cfl()
+            self._raise_cfl(dt)
         half = 0.5 * dt
         a, k = self.acc, self.k
         self._rhs(self.at_x, self.into_k1)
@@ -223,11 +232,11 @@ class _RK4Kernel:
         if not (big <= OVERFLOW_GUARD and fmin > 0.0):
             self._raise_state(t + dt)
 
-    def _raise_cfl(self):
+    def _raise_cfl(self, dt):
         for m, phi in enumerate(self.phi):
             bound = cfl_limit(self.h, phi)
-            if self.dt > bound * (1.0 + 1e-12):
-                raise _member_error(StepTooLargeError(self.dt, bound), self.names[m], len(self.phi))
+            if dt > bound * (1.0 + 1e-12):
+                raise _member_error(StepTooLargeError(dt, bound), self.names[m], len(self.phi))
 
     def _raise_state(self, t):
         for m, (phi, f) in enumerate(zip(self.phi, self.f)):
@@ -293,13 +302,23 @@ def _steps_per_output(dt, dt_out):
     return steps
 
 
+def _interval_steps(bound, shrink, dt_out):
+    """Steps of one output interval under the CFL rule: the fewest that keep
+    ``CFL_SAFETY`` below ``bound * shrink``, the interval's estimated smallest bound."""
+    if not bound > 0.0:  # NaN fails too
+        raise StepTooLargeError(dt_out, bound)
+    return max(1, int(np.ceil(dt_out * CFL_SAFETY / (bound * shrink) - 1e-12)))
+
+
 def run(initial, t_end, dt, dt_out, c=-1.0, evolve_metric=True, initial_id=""):
     """Integrate from ``initial`` to ``t_end``, recording every ``dt_out``.
 
-    ``dt`` must divide ``dt_out`` to float accuracy; recorded times are
-    ``t_start + k*dt_out`` (the system is autonomous, so snapping the time
-    label is exact).  ``t_end`` is truncated to the last full output
-    interval.  Deterministic: identical inputs give bit-identical states.
+    An explicit ``dt`` must divide ``dt_out`` to float accuracy and is used
+    in every interval; ``dt=None`` picks each interval's step by the CFL
+    rule of this module.  Recorded times are ``t_start + k*dt_out`` (the
+    system is autonomous, so snapping the time label is exact).  ``t_end``
+    is truncated to the last full output interval.  Deterministic:
+    identical inputs give bit-identical states.
 
     Step errors propagate with the failing time attached.  This is
     ``run_ensemble`` with one member.
@@ -314,8 +333,11 @@ def run_ensemble(members, t_end, dt, dt_out):
     ``members`` are ``EnsembleMember``s whose initial states share the
     geometry kind, grid shape, spacing and start time; each has its own
     ``c``, ``evolve_metric`` and ``initial_id``.  ``t_end``, ``dt`` and
-    ``dt_out`` are shared and follow the rules of ``run``.  Each returned
-    trajectory is bit-identical to a ``run`` of that member alone.
+    ``dt_out`` are shared and follow the rules of ``run``.  With
+    ``dt=None`` all members take the same steps, set by the smallest CFL
+    bound of the stack and the fastest-shrinking evolving sphere.  Each
+    returned trajectory is bit-identical to a ``run`` of that member alone
+    at the same steps, and its ``dt`` is the smallest step used.
 
     Mismatched grids raise GridMismatchError.  A step failure raises the
     error of the first failing member, with the failing time in ``.time``
@@ -325,7 +347,12 @@ def run_ensemble(members, t_end, dt, dt_out):
     members = list(members)
     if not members:
         raise ConstraintViolationError("run_ensemble needs at least one member")
-    steps_per_out = _steps_per_output(dt, dt_out)
+    if dt is None:
+        if not 0 < dt_out < np.inf:
+            raise ConstraintViolationError(f"dt_out = {dt_out!r} must be positive and finite")
+        steps = max_steps = 1
+    else:
+        steps = _steps_per_output(dt, dt_out)
     geom = members[0].initial.geom
     t_start = members[0].initial.t
     for i, mem in enumerate(members):
@@ -342,9 +369,12 @@ def run_ensemble(members, t_end, dt, dt_out):
             )
     if t_end < t_start - 1e-12:
         raise ConstraintViolationError("t_end precedes the initial time")
+    # initial areas of the evolving spheres, which lose area at rate 8 pi
+    areas = []
     for i, mem in enumerate(members):
         if isinstance(mem.initial.geom, SphereGeometry) and mem.evolve_metric:
-            extinction = mem.initial.geom.total_area() / (8.0 * np.pi)
+            areas.append(mem.initial.geom.total_area())
+            extinction = areas[-1] / (8.0 * np.pi)
             if t_end - t_start >= extinction:
                 where = f"member {i}: " if len(members) > 1 else ""
                 raise ConstraintViolationError(
@@ -358,14 +388,21 @@ def run_ensemble(members, t_end, dt, dt_out):
     for row, i in enumerate(order):
         x[0, row] = members[i].initial.geom.phi
         x[1, row] = members[i].initial.f
-    kernel = _RK4Kernel(geom, x, [members[i].c for i in order], evolving, dt, order)
+    kernel = _RK4Kernel(geom, x, [members[i].c for i in order], evolving, order)
     states = [[mem.initial] for mem in members]
     t_cur = t_start
+    step = dt
     try:
         for k in range(1, n_out + 1):
-            for _ in range(steps_per_out):
-                kernel.step(t_cur)
-                t_cur += dt
+            if dt is None:
+                # area fraction an evolving sphere keeps across this interval
+                lost = 8.0 * np.pi * (k - 1) * dt_out
+                shrink = min(((a - lost - 8.0 * np.pi * dt_out) / (a - lost) for a in areas), default=1.0)
+                steps = _interval_steps(cfl_limit(kernel.h, x[0]), shrink, dt_out)
+                step, max_steps = dt_out / steps, max(max_steps, steps)
+            for _ in range(steps):
+                kernel.step(t_cur, step)
+                t_cur += step
             t_snap = t_start + k * dt_out
             for row, i in enumerate(order):
                 g = members[i].initial.geom
@@ -377,7 +414,7 @@ def run_ensemble(members, t_end, dt, dt_out):
     return [
         Trajectory(
             states[i],
-            dt=dt,
+            dt=dt_out / max_steps if dt is None else dt,
             dt_out=dt_out,
             c=mem.c,
             evolve_metric=mem.evolve_metric,

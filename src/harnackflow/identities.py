@@ -44,6 +44,7 @@ from .errors import (
     DegenerateParamsError,
     IndexAtBoundaryError,
     NonPositiveCurvatureError,
+    NonPositiveTimeError,
     VariantMismatchError,
 )
 from .flow import time_derivative
@@ -121,8 +122,14 @@ def _report(identity, params, state, res):
 
 
 def _interior(traj, k):
+    """Snapshot k, which needs a neighbour on each side, the left one at t > 0:
+    the centered time difference evaluates 1/t terms there."""
     if k <= 0 or k >= len(traj) - 1:
         raise IndexAtBoundaryError(f"snapshot {k} is not interior (length {len(traj)})")
+    if traj[k - 1].t <= 0:
+        raise NonPositiveTimeError(
+            f"snapshot {k}'s left neighbour sits at t = {traj[k - 1].t:.6g}; residuals need it at t > 0"
+        )
     return traj[k]
 
 

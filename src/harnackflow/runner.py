@@ -8,8 +8,9 @@ enabled assertion holds.
 
 ``verify_identities`` runs only the identity machinery over a ladder of
 refinement levels (N, 2N, 4N, ... with dt and dt_out scaled by 1/4 per
-level) and reports the residual convergence table, the preset-agreement
-check and the randomized-parameter fuzz.
+level; with ``dt = auto`` every level steps by the flow's CFL rule) and
+reports the residual convergence table, the preset-agreement check and the
+randomized-parameter fuzz.
 """
 
 from __future__ import annotations
@@ -352,22 +353,15 @@ def _round_companion_state(cfg):
 _FUZZ_T_END = 0.42
 _FUZZ_T_CHECK = 0.40
 _FUZZ_DT_OUT = 0.01
-# The calibration step stays this factor below its estimate of the
-# smallest CFL bound of the run; the per-step CFL check still guards it.
-FUZZ_CFL_SAFETY = 1.25
 
 
 def _fuzz_trajectory(n):
+    """The calibration flow; each interval's step comes from the flow's CFL rule."""
     geom = SphereGeometry(n)
     state = FlowState(
         0.0, geom.with_phi(0.1 * geom.cos_theta), 0.5 + 0.2 * geom.cos_theta
     )
-    # The area shrinks at rate 8 pi, and min e^(2 phi), hence the CFL
-    # bound, about in proportion: estimate the bound at t_end from that.
-    shrink = 1.0 - 8.0 * np.pi * _FUZZ_T_END / state.geom.total_area()
-    dt_max = state.geom.cfl_bound() * shrink / FUZZ_CFL_SAFETY
-    steps = int(np.ceil(_FUZZ_DT_OUT / dt_max - 1e-12))
-    return run_flow(state, _FUZZ_T_END, _FUZZ_DT_OUT / steps, _FUZZ_DT_OUT, c=-1.0)
+    return run_flow(state, _FUZZ_T_END, None, _FUZZ_DT_OUT, c=-1.0)
 
 
 def _level_trajectories(lcfg, want, state0):
@@ -455,8 +449,14 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
         want.discard("surface")
     rng = _seeded_rng(cfg, seed)
 
+    # dt = auto (None) stays auto: every level then steps by the flow's CFL rule
     level_cfgs = [
-        replace(cfg, n=cfg.n * 2**lvl, dt=cfg.dt / (4**lvl), dt_out=cfg.dt_out / (4**lvl))
+        replace(
+            cfg,
+            n=cfg.n * 2**lvl,
+            dt=None if cfg.dt is None else cfg.dt / (4**lvl),
+            dt_out=cfg.dt_out / (4**lvl),
+        )
         for lvl in range(levels)
     ]
     # an invalid initial state is a config error (exit 2), found before any flow runs
@@ -495,7 +495,7 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
                 _, fr_rep = identities.residual_surface(traj_round, min(k, len(traj_round) - 2))
                 reports.append(fr_rep)
             level_rows.append(
-                IdentityLevel(n=lcfg.n, dt=lcfg.dt, dt_out=lcfg.dt_out, t_check=traj_pot[k].t, reports=reports)
+                IdentityLevel(n=lcfg.n, dt=traj_pot.dt, dt_out=lcfg.dt_out, t_check=traj_pot[k].t, reports=reports)
             )
             if lvl == 0:
                 # preset agreement: general assemblies at the presets reproduce

@@ -175,3 +175,54 @@ def reference_sphere_laplacian(w):
         flux[1:-1] = sin_half[1:-1] * (w[idx][1:] - w[idx][:-1])
         out[idx] = (flux[1:] - flux[:-1]) * inv_sin_dt2
     return out
+
+
+def reference_rk4_run(state, t_end, dt, dt_out, c=-1.0, evolve_metric=True):
+    """Fixed-step RK4 of one member, field by field, from the Laplacian oracles.
+
+    Returns the (phi, f) of every snapshot.  Each rate, stage and update is
+    written out on single fields in the operand order of the fixed-step
+    kernel, so ``run`` with an explicit ``dt`` must match it bit for bit.
+    """
+    geom = state.geom
+    if geom.kind == "torus":
+        lap = lambda w: reference_torus_laplacian(w, geom.background_spacing)  # noqa: E731
+    else:
+        lap = reference_sphere_laplacian
+    r_bg = geom.background_curvature
+    steps = int(round(dt_out / dt))
+    n_out = int(np.floor((t_end - state.t) / dt_out + 1e-9))
+
+    def rates(phi, f):
+        e2m = np.exp(phi * -2.0)
+        curv = (r_bg - lap(phi) * 2.0) * e2m
+        k_f = lap(f) * e2m - (c * curv) * f
+        return curv * -0.5 if evolve_metric else np.zeros_like(phi), k_f
+
+    phi, f = geom.phi.copy(), state.f.copy()
+    out = [(phi.copy(), f.copy())]
+    for _ in range(n_out):
+        for _ in range(steps):
+            k1 = rates(phi, f)
+            k2 = rates(phi + k1[0] * (0.5 * dt), f + k1[1] * (0.5 * dt))
+            k3 = rates(phi + k2[0] * (0.5 * dt), f + k2[1] * (0.5 * dt))
+            k4 = rates(phi + k3[0] * dt, f + k3[1] * dt)
+            inc = [((((a + b) * 2.0) + k) + d) * (dt / 6.0) for k, a, b, d in zip(k1, k2, k3, k4)]
+            if evolve_metric:
+                phi = phi + inc[0]
+            f = f + inc[1]
+        out.append((phi.copy(), f.copy()))
+    return out
+
+
+def record_kernel_steps(monkeypatch):
+    """Patch the flow kernel so that every RK4 step appends its (t, dt) to the returned list."""
+    steps = []
+    kernel_step = hf.flow._RK4Kernel.step
+
+    def recording_step(self, t, dt):
+        steps.append((t, dt))
+        return kernel_step(self, t, dt)
+
+    monkeypatch.setattr(hf.flow._RK4Kernel, "step", recording_step)
+    return steps

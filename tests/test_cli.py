@@ -248,6 +248,60 @@ def test_verify_identities_rejects_t_check_past_t_end(tmp_path, capsys):
     assert not (tmp_path / "late").exists()
 
 
+def test_verify_identities_dt_auto_steps_every_level_by_the_cfl_rule(cfg_file, tmp_path, capsys):
+    # the ladder used to divide the auto dt (None) by 4**level: a raw TypeError
+    text = SMALL_SPHERE.replace("n = 48", "n = 16").replace("dt = 5e-4", "dt = auto")
+    text = text.replace("[action]\nenable = true", "[identities]\nenable = true\nfuzz_count = 3\n\n[action]\nenable = false")
+    out = tmp_path / "auto"
+    assert main(["verify-identities", "--config", cfg_file(text, "auto.cfg"), "--levels", "2", "--out", str(out)]) == 0
+    shown = capsys.readouterr().out
+    assert "PASS residual-convergence-general_H" in shown and "FAIL" not in shown
+    assert (out / "identities.csv").exists()
+
+
+def _sphere_identities(tmp_path, **changes):
+    from conftest import SCENARIO_DIR
+
+    text = (SCENARIO_DIR / "sphere_identities.cfg").read_text()
+    for key, value in changes.items():
+        old = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+        text = text.replace(old, f"{key} = {value}")
+    path = tmp_path / "ids.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["run", "verify-identities"])
+def test_t_check_at_the_first_output_is_refused(tmp_path, capsys, command):
+    # its left neighbour sits at t = 0, where the residuals divide by t: this
+    # used to crash with a raw ZeroDivisionError and no summary
+    cfg = _sphere_identities(tmp_path, t_check="0.01")
+    out = tmp_path / "first"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ConstraintViolationError" in err and "t > 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, summary, line",
+    [
+        ("run", "summary.txt", "FAIL identities: NonPositiveTimeError: "),
+        ("verify-identities", "identity_summary.txt", "FAIL residuals (level 0, N = 64): NonPositiveTimeError: "),
+    ],
+)
+def test_auto_t_check_with_one_interior_output_fails_typed(tmp_path, capsys, command, summary, line):
+    # t_end = 2 dt_out leaves only snapshot 1 between the ends, and its left
+    # neighbour sits at t = 0: the identity stage fails with one FAIL line
+    cfg = _sphere_identities(tmp_path, t_end="0.02", t_check="auto")
+    out = tmp_path / "two"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    text = (out / summary).read_text()
+    assert text.startswith(line) and len(text.splitlines()) == 1
+    assert not (out / "identities.csv").exists()
+    assert line.split(":")[0] in capsys.readouterr().out
+
+
 def test_verify_identities_stage_failure_fails_ladder(tmp_path, capsys):
     # level 0 breaks its CFL bound at t = 0.00624; the error used to escape
     # with exit 2, no time and no identity_summary.txt
@@ -393,7 +447,7 @@ def test_sweep_rejects_jobs_below_one(cfg_file, tmp_path, capsys, jobs):
 
 
 def test_sweep_pool_has_no_more_workers_than_configs(cfg_file, tmp_path, monkeypatch):
-    import harnackflow.cli as cli
+    import concurrent.futures
 
     workers = []
 
@@ -411,7 +465,8 @@ def test_sweep_pool_has_no_more_workers_than_configs(cfg_file, tmp_path, monkeyp
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # cli imports the pool inside the sweep command, from concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     configs = [cfg_file(SMALL_TORUS, "p1.cfg"), cfg_file(SMALL_TORUS, "p2.cfg")]
     code = main(["sweep", *configs, "--jobs", "64", "--out", str(tmp_path / "sweep")])
     assert code == 0

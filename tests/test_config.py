@@ -7,6 +7,7 @@ from harnackflow.errors import (
     ConstraintViolationError,
     UnknownKeyError,
 )
+from harnackflow.runner import run_trajectory
 
 MINIMAL_SPHERE = """
 [geometry]
@@ -24,13 +25,15 @@ def test_minimal_sphere_config_defaults():
     assert cfg.radius == 1.0
     assert cfg.variant == "with_potential" and cfg.c == -1.0
     assert cfg.dt_out == pytest.approx(0.2 / 40)
-    assert cfg.dt is not None and cfg.dt > 0
-    # dt divides dt_out exactly
-    steps = cfg.dt_out / cfg.dt
-    assert abs(steps - round(steps)) < 1e-9
+    # dt = auto stays auto: the flow picks each output interval's step
+    assert cfg.dt is None
     # default t0 is the first output after 0.05 * t_end
     assert cfg.t0 == pytest.approx(cfg.dt_out * (int(0.05 * cfg.t_end / cfg.dt_out) + 1))
     assert cfg.seed == 0
+    # the run records its smallest step, which divides dt_out exactly
+    traj = run_trajectory(cfg)
+    steps = cfg.dt_out / traj.dt
+    assert steps >= 1 and abs(steps - round(steps)) < 1e-9
 
 
 def test_unknown_key_rejected():
@@ -174,6 +177,7 @@ T_CHECK_SPHERE = MINIMAL_SPHERE + "dt_out = 0.02\n\n[identities]\nenable = true\
         ("0.2", "each side"),  # the last snapshot
         ("5.0", "each side"),  # past t_end, was clamped to the last interior snapshot
         ("-0.02", "each side"),
+        ("0.02", "left one at t > 0"),  # its left neighbour is the snapshot at t = 0
     ],
 )
 def test_t_check_must_be_interior_snapshot(t_check, reason):
@@ -181,7 +185,7 @@ def test_t_check_must_be_interior_snapshot(t_check, reason):
         hf.parse_config(T_CHECK_SPHERE + f"t_check = {t_check}\n")
 
 
-@pytest.mark.parametrize("t_check, k", [("0.02", 1), ("0.1", 5), ("0.18", 9)])
+@pytest.mark.parametrize("t_check, k", [("0.04", 2), ("0.1", 5), ("0.18", 9)])
 def test_t_check_on_interior_snapshot_accepted(t_check, k):
     cfg = hf.parse_config(T_CHECK_SPHERE + f"t_check = {t_check}\n")
     assert round(cfg.t_check / cfg.dt_out) == k

@@ -17,6 +17,8 @@ from harnackflow.errors import (
     TrajectoryFormatError,
 )
 
+from helpers import record_kernel_steps, reference_rk4_run
+
 R0, F0 = 1.0, 0.5
 
 
@@ -478,3 +480,71 @@ def test_curvature_computed_once_per_state_across_stages(tmp_path, monkeypatch):
     assertions = runner.evaluate_assertions(None, traj, series, margins)
     assert any(a.ident == "action-margin" for a in assertions)
     assert calls == Counter({id(s.geom): 1 for s in traj.states})
+
+
+# -- the CFL step rule -------------------------------------------------------
+
+
+def test_explicit_dt_ensembles_match_the_fixed_step_reference():
+    # an explicit dt keeps the fixed-step arithmetic, bit for bit, in every member
+    state = _sphere_cos(16)
+    frozen = hf.FlowState(0.0, state.geom, state.f)
+    sphere = [
+        hf.EnsembleMember(state, c=-1.0),
+        hf.EnsembleMember(state, c=0.0),
+        hf.EnsembleMember(frozen, c=0.5, evolve_metric=False),
+    ]
+    geom = hf.TorusGeometry(12, 2 * np.pi)
+    x, y = geom.coords()
+    torus = [hf.EnsembleMember(hf.FlowState(0.0, geom.with_phi(0.05 * np.sin(x) * np.sin(y)), 0.5 + 0.2 * np.sin(x) * np.cos(y)))]
+    for members, t_end, dt, dt_out in ((sphere, 0.03, 1e-3, 0.01), (torus, 0.05, 0.0125 / 4, 0.0125)):
+        for mem, traj in zip(members, hf.run_ensemble(members, t_end, dt, dt_out)):
+            assert traj.dt == dt
+            want = reference_rk4_run(mem.initial, t_end, dt, dt_out, c=mem.c, evolve_metric=mem.evolve_metric)
+            assert len(traj) == len(want)
+            for s, (phi, f) in zip(traj.states, want):
+                assert s.geom.phi.tobytes() == phi.tobytes()
+                assert s.f.tobytes() == f.tobytes()
+
+
+def test_step_rule_runs_round_sphere_to_nine_tenths_of_extinction(monkeypatch):
+    # the CFL rule shrinks each interval's step with the sphere: no step is
+    # refused, and the closed form of criterion 1 still holds at every snapshot
+    steps = record_kernel_steps(monkeypatch)
+    n = 64
+    geom = hf.SphereGeometry(n, np.full(n, hf.SphereGeometry.round_phi(R0)))
+    state = hf.FlowState(0.0, geom, np.full(n, F0))
+    t_end = 0.9 * geom.total_area() / (8 * np.pi)
+    traj = hf.run(state, t_end, None, 0.01, c=-1.0)
+    assert traj[-1].t > 0.8 * R0**2 / 2
+    assert traj.dt == min(dt for _, dt in steps)
+    worst_r = worst_f = 0.0
+    for s in traj.states:
+        rho = R0**2 - 2.0 * s.t
+        worst_r = max(worst_r, float(np.max(np.abs(s.R - 2 / rho)) * rho / 2))
+        worst_f = max(worst_f, float(np.max(np.abs(s.f - F0 * R0**2 / rho)) * rho / (F0 * R0**2)))
+    assert worst_r <= 1e-3 and worst_f <= 1e-3
+
+
+def test_step_rule_is_deterministic_and_divides_dt_out():
+    state = _sphere_cos(24)
+    a = hf.run(state, 0.1, None, 0.01, c=-1.0)
+    b = hf.run(state, 0.1, None, 0.01, c=-1.0)
+    _same_trajectory(a, b)
+    steps = a.dt_out / a.dt
+    assert abs(steps - round(steps)) < 1e-9
+    assert np.allclose(a.times, 0.01 * np.arange(len(a)), rtol=0, atol=1e-15)
+    # the members of an ensemble share the rule's steps
+    members = [hf.EnsembleMember(state, c=-1.0), hf.EnsembleMember(state, c=0.0)]
+    pot, heat = hf.run_ensemble(members, 0.1, None, 0.01)
+    _same_trajectory(pot, a)
+    assert heat.dt == a.dt
+
+
+def test_step_rule_refuses_a_metric_without_a_positive_bound():
+    geom = hf.SphereGeometry(16)
+    state = hf.FlowState(0.0, geom.with_phi(np.full(16, -400.0)), np.full(16, F0))
+    assert state.geom.cfl_bound() == 0.0
+    with pytest.raises(StepTooLargeError) as err:
+        hf.run(state, 0.01, None, 0.01, evolve_metric=False)
+    assert err.value.time == 0.0

@@ -4,7 +4,10 @@ Every shipped scenario's text gets random value deletions and replacements
 and goes through ``parse_config`` and ``build_initial_state``; a small
 saved trajectory gets truncations and bit flips and goes through
 ``load_trajectory``.  Only ``HarnackFlowError`` subclasses may escape, and
-``cli.main`` exits 2 on every config that ``parse_config`` rejects.
+``cli.main`` exits 2 on every config that ``parse_config`` rejects.  A
+boundary-value fuzz puts the times, the window and the pairs of small
+valid-looking configs on the edges of the output grid and runs each
+through ``run_scenario`` and ``verify_identities``.
 """
 
 import numpy as np
@@ -96,3 +99,81 @@ def test_damaged_trajectory_fails_typed(tmp_path):
         except HarnackFlowError:
             pass
     assert loaded < TRAJECTORY_MUTANTS
+
+
+BOUNDARY_CONFIGS = 60  # accepted by parse_config, each run through both stages
+DT_OUT = 0.01
+
+
+def _boundary_config(rng):
+    """A small config whose times, window and pairs sit on the output grid's edges."""
+    kind = ("rot_sphere", "torus")[rng.integers(2)]
+    n_out = int(rng.choice([1, 2, 3, 4, 6]))
+    t_end = n_out * DT_OUT + float(rng.choice([0.0, 0.0, 1e-13, -1e-13, 0.5 * DT_OUT]))
+    last = n_out * DT_OUT
+    times = ["0", repr(DT_OUT), repr(2 * DT_OUT), repr(last - DT_OUT), repr(last), repr(0.5 * DT_OUT)]
+    t_check = rng.choice(["auto", "auto", *times])
+    t0 = rng.choice(["auto", "auto", *times])
+    nodes = [0, 1, 7, 8]
+    pairs = ";".join(
+        f"{rng.choice(nodes)},{rng.choice(times)},{rng.choice(nodes)},{rng.choice(times)}"
+        for _ in range(int(rng.integers(3)))
+    )
+    geometry = "kind = rot_sphere\nphi_mode = cos_theta\nphi_amp = 0.1" if kind == "rot_sphere" else "kind = torus"
+    initial = "id = cos_theta" if kind == "rot_sphere" else "id = sine_x"
+    return f"""
+[geometry]
+{geometry}
+n = 8
+
+[initial]
+{initial}
+f0 = 0.5
+amp = 0.2
+
+[flow]
+t_end = {t_end!r}
+dt = {rng.choice(["auto", repr(DT_OUT / 8)])}
+dt_out = {DT_OUT!r}
+t0 = {t0}
+
+[identities]
+enable = true
+t_check = {t_check}
+fuzz_count = {rng.choice([0, 2])}
+
+[action]
+enable = true
+pairs = {pairs}
+pair_count = {rng.integers(3)}
+window = {rng.choice([1, 2, 8])}
+"""
+
+
+def test_boundary_values_fail_typed(tmp_path):
+    # configs on the grid edges used to reach a raw ZeroDivisionError at t = 0
+    rng = np.random.default_rng(11)
+    ran = 0
+    for k in range(10 * BOUNDARY_CONFIGS):
+        if ran == BOUNDARY_CONFIGS:
+            break
+        text = _boundary_config(rng)
+        try:
+            cfg = hf.parse_config(text, name=f"edge{k}")
+        except HarnackFlowError:
+            continue  # refused before any flow: typed
+        ran += 1
+        out = tmp_path / f"edge{k}"
+        for stage, summary in ((hf.run_scenario, "summary.txt"), (hf.verify_identities, "identity_summary.txt")):
+            kwargs = {"levels": 2} if stage is hf.verify_identities else {}
+            try:
+                report = stage(cfg, out_flag=str(out), **kwargs)
+            except HarnackFlowError:
+                continue
+            except Exception as err:  # noqa: BLE001 - the failure names the config
+                pytest.fail(f"{stage.__name__} raised {type(err).__name__}: {err}\n{text}")
+            lines = (out / summary).read_text().splitlines()
+            assert lines, text
+            if not report.passed:
+                assert any(line.startswith("FAIL") for line in lines), text
+    assert ran == BOUNDARY_CONFIGS

@@ -7,8 +7,10 @@ from harnackflow.errors import (
     DegenerateParamsError,
     IndexAtBoundaryError,
     NonPositiveCurvatureError,
+    NonPositiveTimeError,
     VariantMismatchError,
 )
+from helpers import record_kernel_steps
 
 R0, F0 = 1.0, 0.5
 
@@ -162,11 +164,16 @@ def test_variant_mismatch(coarse_sphere_pair):
 
 
 def test_boundary_snapshot_rejected(coarse_sphere_pair):
-    pot, _ = coarse_sphere_pair
+    pot, heat = coarse_sphere_pair
     with pytest.raises(IndexAtBoundaryError):
         idn.residual_cor_H(pot, 0)
     with pytest.raises(IndexAtBoundaryError):
         idn.residual_cor_H(pot, len(pot) - 1)
+    # snapshot 1 differences snapshot 0 at t = 0, where the 1/t terms divide by zero
+    assert pot[0].t == 0.0
+    for residual, traj in ((idn.residual_cor_H, pot), (idn.residual_surface, pot), (idn.residual_grad, heat)):
+        with pytest.raises(NonPositiveTimeError):
+            residual(traj, 1)
 
 
 def test_surface_requires_positive_curvature(torus_potential_traj):
@@ -197,12 +204,24 @@ def test_fuzz_residuals_bounded_on_coarse_sphere(coarse_sphere_pair):
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
-def test_fuzz_calibration_step_keeps_cfl_headroom(n):
-    from harnackflow import runner
+def test_fuzz_calibration_step_keeps_cfl_headroom(n, monkeypatch):
+    from harnackflow import flow, runner
 
+    steps = record_kernel_steps(monkeypatch)
     traj = runner._fuzz_trajectory(n)
-    headroom = min(s.geom.cfl_bound() for s in traj.states) / traj.dt
-    assert headroom >= runner.FUZZ_CFL_SAFETY
+    times, bounds = traj.times, [s.geom.cfl_bound() for s in traj.states]
+    used = []  # the one step of each output interval
+    for k in range(1, len(traj)):
+        interval = {dt for t, dt in steps if times[k - 1] - 1e-12 <= t < times[k] - 1e-12}
+        assert len(interval) == 1
+        (dt,) = interval
+        # the step stays CFL_SAFETY below the bound at both ends of its interval
+        assert dt * flow.CFL_SAFETY <= min(bounds[k - 1], bounds[k])
+        used.append(dt)
+    assert sum(round(traj.dt_out / dt) for dt in used) == len(steps)
+    # the sphere shrinks, and so does the step: it never grows
+    assert all(b <= a for a, b in zip(used, used[1:]))
+    assert traj.dt == min(used)
 
 
 # -- CSV ------------------------------------------------------------------------
