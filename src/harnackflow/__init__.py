@@ -21,6 +21,7 @@ from .config import ScenarioConfig, build_geometry, build_initial_state, parse_c
 from .errors import *  # noqa: F401,F403 -- the error module defines the public names
 from .flow import (
     EnsembleMember,
+    FlowRun,
     FlowState,
     Trajectory,
     load_trajectory,

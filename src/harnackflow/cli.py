@@ -51,6 +51,8 @@ def _out_flag(args):
 
 
 def _print_report(report):
+    if report.failure:
+        print(report.failure)
     for a in report.assertions:
         print(a.line())
     print(f"{'PASS' if report.passed else 'FAIL'} scenario {report.name} -> {report.out_dir}")

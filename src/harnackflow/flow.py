@@ -28,19 +28,27 @@ choice is a pure function of the state, so runs stay bit-identical.
 ``evolve_metric=False`` freezes ``phi`` (heat flow on a static metric);
 the gradient-estimate scenarios use it to probe curved static backgrounds.
 
-One kernel steps every flow.  ``run_ensemble`` integrates several members
-on one grid in lockstep, each with its own ``c`` and ``evolve_metric``.
-Their states are stacked field-major, ``x`` of shape
-``(2, members, *field_shape)``: ``x[0]`` holds every member's phi and
-``x[1]`` every member's f, evolving members first.  Every per-field
-operand of a step is then one C-contiguous block, and one RK4 step is one
-pass of numpy calls over the whole stack, on stage buffers allocated once
-per run.  ``run`` is ``run_ensemble`` with one member.  Every operation is
-elementwise in the single-field operand order, so each member is
-bit-identical to a run of it alone.  The checks run on every member at
-every step: the CFL bound before the step, the overflow guard and the
-positivity of f after it; the extinction time is checked once per member.
-A failure raises its typed error with the failing time and the member.
+One kernel steps every flow.  ``run_ensemble`` integrates several runs in
+lockstep; a run (``FlowRun``) is members on one grid, each with its own
+``c`` and ``evolve_metric``, plus the run's own ``t_end``, ``dt`` and
+``dt_out``.  ``run`` is its one-run, one-member case.  Runs share one
+field-major stack ``x`` of shape ``(2, *body)``: ``x[0]`` holds every
+member's phi and ``x[1]`` every member's f.  Sphere runs of any n share a
+stack whose body is one flat axis of rows; torus runs share one only with
+the same n and side length, and the stacks are stepped one after
+another.  Every per-field operand of a step is one C-contiguous block,
+the step is a list of numpy calls built once per stack, and the
+operands that differ between members (c, and the step of each run) are
+per node on the sphere and per member on the torus.  Between snapshot
+events the kernel takes as many steps as the nearest event allows; a
+run whose last interval ends leaves the stack, which is rebuilt.  Every
+operation is elementwise in the single-field operand order, so each
+member is bit-identical to a run of it alone.  The checks run on every
+member at every step: each run's CFL bound before the step, in one
+segmented reduction over the stack, and the overflow guard and the
+positivity of f after it; the extinction time is checked once per member
+before any step.  A failure raises its typed error with the failing run,
+time and member.
 
 Each ``FlowState`` computes its scalar curvature once, on first use of
 ``FlowState.R``; the monitors, the identity residuals, the action DP and the
@@ -69,7 +77,7 @@ from .errors import (
     StepTooLargeError,
     TrajectoryFormatError,
 )
-from .geometry import SphereGeometry, SurfaceGeometry, TorusGeometry, cfl_limit
+from .geometry import CFL_FACTOR, SphereGeometry, SurfaceGeometry, TorusGeometry, cfl_limit, sphere_flux_plan
 
 OVERFLOW_GUARD = 1e12
 # Without an explicit dt, each interval's step stays this factor below its
@@ -122,12 +130,25 @@ class FlowState:
 
 
 class EnsembleMember(NamedTuple):
-    """One member of ``run_ensemble``: its initial state and its own equation."""
+    """One member of a ``FlowRun``: its initial state and its own equation."""
 
     initial: FlowState
     c: float = -1.0
     evolve_metric: bool = True
     initial_id: str = ""
+
+
+class FlowRun(NamedTuple):
+    """One run of ``run_ensemble``: members on one grid, integrated to the run's own times.
+
+    ``t_end``, ``dt`` (explicit, or None for the CFL rule) and ``dt_out``
+    follow the rules of ``run``.
+    """
+
+    members: list
+    t_end: float
+    dt: float | None
+    dt_out: float
 
 
 def _member_error(err, member, count):
@@ -138,112 +159,185 @@ def _member_error(err, member, count):
     return err
 
 
-class _RK4Kernel:
-    """Checked RK4 over a field-major stack ``x`` of M same-grid members.
+# 0-d operands: numpy takes them faster than Python floats
+_TWO, _MINUS_TWO, _MINUS_HALF = (np.array(v) for v in (2.0, -2.0, -0.5))
+_CFL_SLACK = np.array(1.0 + 1e-12)
 
-    ``x`` has shape ``(2, M, *field_shape)``: ``x[0]`` holds every member's
+
+class _RK4Kernel:
+    """Checked RK4 over one field-major stack of the members of several runs.
+
+    The stack ``x`` has shape ``(2, *body)``: ``x[0]`` holds every member's
     phi and ``x[1]`` every member's f, so each per-field operand of a step
-    is one contiguous block.  Every buffer, and every view of one that a
-    step uses, is made once, in the constructor.  Members whose metric is
-    frozen sit after the ``evolving`` ones; their phi rate stays zero and
-    their phi is never updated.  Each member reproduces, bit for bit, a run
-    of that member alone: every operation is elementwise and keeps the
-    operand order of the single-field formulas.  The step is an argument of
-    ``step``, so it may change between output intervals.
+    is one contiguous block.  On the sphere the body is one flat axis of
+    rows, each member's row of its own n, and one flux plan serves rows of
+    mixed n; on the torus it is ``(members, n, n)``, one n and side length
+    for the whole stack.  Members sit run by run, the evolving ones first
+    within each run; a frozen member's phi rate stays zero and its phi is
+    never updated.
+
+    Every buffer, view and operand is made once, in the constructor, and
+    one step is a prebuilt list of (callable, operands) with positional
+    outputs.  Operands that differ between members are per node on the
+    sphere and per member on the torus: the reaction coefficient c and the
+    step operands dt/2, dt and dt/6, which are 0-d when the stack holds one
+    run.  ``set_step`` changes a run's step between its output intervals.
+    Every operation is elementwise and keeps the operand order of the
+    single-field formulas, so each member reproduces, bit for bit, a run of
+    that member alone.  ``t`` holds each run's time and ``dts`` its step.
     """
 
-    def __init__(self, geom, x, c, evolving, names):
-        self.names = names  # member index of each row, for error messages
-        self.h = geom.background_spacing
-        self.r_bg = geom.background_curvature
-        members = x.shape[1]
-        # a broadcast column: a full-shape c would stream one more field per stage
-        self.c = np.asarray(c, dtype=float).reshape((members,) + (1,) * len(geom.field_shape))
-        self.e2m = np.empty(x.shape[1:])
-        self.ctmp = np.empty(x.shape[1:])
-        # rates start at zero: the frozen members' phi rates are never written
-        self.x, self.y, self.k1, self.acc, self.k = x, *(np.zeros(x.shape) for _ in range(4))
-        self.z = np.empty(x.shape)
-        self.z0, self.z1 = self.z
-        self.z0_ev = self.z0[:evolving]
+    def __init__(self, runs, fields):
+        """``runs`` are ``_Run``s of one stack; ``fields`` their members' (phi, f), in stack order."""
+        self.runs = runs
+        geom = runs[0].geom
+        sphere = isinstance(geom, SphereGeometry)
+        slots = [(pos, i) for pos, run in enumerate(runs) for i in run.order]
+        # each member's extent along the first axis of the stack's body
+        sizes = [runs[pos].geom.n if sphere else 1 for pos, _ in slots]
+        ends = np.cumsum(sizes).tolist()
+        starts = [end - size for end, size in zip(ends, sizes)]
+        body = (ends[-1],) if sphere else (len(slots),) + geom.field_shape
+        x = np.empty((2,) + body)
+        views = [x[:, a:b] if sphere else x[:, a] for a, b in zip(starts, ends)]
+        for view, (phi, f) in zip(views, fields):
+            view[0], view[1] = phi, f
+        # per run: its members as (member index, (phi, f) view), and its span of the body
+        self.members, spans, first = [], [], 0
+        for run in runs:
+            last = first + len(run.order)
+            self.members.append([(i, views[s]) for s, (_, i) in enumerate(slots[first:last], first)])
+            spans.append(slice(starts[first], ends[last - 1]))
+            first = last
+        self.spans = spans
+        # a 0-d step operand is set whole
+        self.operand_spans = spans if len(runs) > 1 else [...]
+        if sphere:
+            spread = lambda values: np.repeat(values, sizes)  # noqa: E731
+        else:
+            spread = lambda values: np.reshape(values, (-1,) + (1,) * len(geom.field_shape))  # noqa: E731
+        self.c = spread([runs[pos].members[i].c for pos, i in slots])
+        if len(runs) == 1:
+            self.half, self.full, self.sixth = (np.empty(()) for _ in range(3))
+        else:
+            self.half, self.full, self.sixth = (spread(np.empty(len(slots))) for _ in range(3))
+        # the CFL check: one segmented minimum of phi per run
+        self.phi_flat = x[0].reshape(-1)
+        per_unit = self.phi_flat.size // body[0]
+        self.cfl_starts = np.array([span.start * per_unit for span in spans], dtype=np.intp)
+        self.coef = np.array([CFL_FACTOR * run.h * run.h for run in runs])
+        self.bound = np.empty(len(runs))
+        self.bad = np.empty(len(runs), dtype=bool)
+        self.t = np.array([run.t for run in runs])
+        self.dts = np.zeros(len(runs))
+
+        # contiguous spans of evolving members, whose phi alone is updated
+        evolving = []
+        for (pos, i), a, b in zip(slots, starts, ends):
+            if runs[pos].members[i].evolve_metric:
+                if evolving and evolving[-1][1] == a:
+                    evolving[-1][1] = b
+                else:
+                    evolving.append([a, b])
+        self.x = x
         self.phi, self.f = x
-        # (Laplacian plan into z, phi, f) of the state and of the stage state
-        self.at_x = (geom.laplacian_plan(x, self.z), *x)
-        self.at_y = (geom.laplacian_plan(self.y, self.z), *self.y)
-        # (df/dt, dphi/dt of the evolving members): the views each rate buffer is written through
-        self.into_k1, self.into_acc, self.into_k = ((k[1], k[0, :evolving]) for k in (self.k1, self.acc, self.k))
+        # rates start at zero: the frozen members' phi rates are never written
+        y, k1, acc, k = (np.zeros(x.shape) for _ in range(4))
+        self.z = z = np.empty(x.shape)
+        z0, z1 = z
+        e2m, ctmp = np.empty(body), np.empty(body)
+        r_bg = np.array(geom.background_curvature)
+        if sphere:
+            lap_x, lap_y = (sphere_flux_plan(w, z, sizes * 2) for w in (x, y))
+        else:
+            lap_x, lap_y = (geom.laplacian_plan(w, z) for w in (x, y))
+
+        def rhs(lap, state, rate):
+            """Rates (dphi/dt, df/dt) at ``state``, written into ``rate``."""
+            phi, f = state
+            return [
+                (lap, ()),
+                (np.multiply, (phi, _MINUS_TWO, e2m)),
+                (np.exp, (e2m, e2m)),
+                (np.multiply, (z0, _TWO, z0)),
+                (np.subtract, (r_bg, z0, z0)),
+                (np.multiply, (z, e2m, z)),  # z = (R, e^(-2 phi) lap f)
+                (np.multiply, (self.c, z0, ctmp)),
+                (np.multiply, (ctmp, f, ctmp)),
+                (np.subtract, (z1, ctmp, rate[1])),
+            ] + [(np.multiply, (z0[a:b], _MINUS_HALF, rate[0, a:b])) for a, b in evolving]
+
+        def stage(scale, rate):
+            return [(np.multiply, (rate, scale, y)), (np.add, (x, y, y))]
+
+        ops = rhs(lap_x, x, k1) + stage(self.half, k1)
+        ops += rhs(lap_y, y, acc) + stage(self.half, acc)
+        ops += rhs(lap_y, y, k) + [(np.add, (acc, k, acc))]  # k2 + k3
+        ops += stage(self.full, k) + rhs(lap_y, y, k)
+        ops += [(np.multiply, (acc, _TWO, acc)), (np.add, (acc, k1, acc)), (np.add, (acc, k, acc))]
+        ops.append((np.multiply, (acc, self.sixth, acc)))
         # the update: the whole stack when every member evolves, else the
         # evolving members' phi and every f; a frozen phi is never touched
-        acc = self.acc
-        if evolving == members:
-            self.updates = [(x, acc)]
+        if evolving == [[0, body[0]]]:
+            ops.append((np.add, (x, acc, x)))
         else:
-            self.updates = [(x[0, :evolving], acc[0, :evolving]), (x[1], acc[1])]
+            ops += [(np.add, (x[0, a:b], acc[0, a:b], x[0, a:b])) for a, b in evolving]
+            ops.append((np.add, (x[1], acc[1], x[1])))
+        self.ops = ops
 
-    def _rhs(self, at, into):
-        """Rates (dphi/dt, df/dt) at the stage state ``at = (lap, phi, f)``, written ``into`` a rate buffer."""
-        lap, phi, f = at
-        k_f, k_phi_ev = into
-        z, z0, e2m, ctmp = self.z, self.z0, self.e2m, self.ctmp
-        lap()
-        np.multiply(phi, -2.0, out=e2m)
-        np.exp(e2m, out=e2m)
-        np.multiply(z0, 2.0, out=z0)
-        np.subtract(self.r_bg, z0, out=z0)
-        np.multiply(z, e2m, out=z)  # z = (R, e^(-2 phi) lap f)
-        np.multiply(self.c, z0, out=ctmp)
-        np.multiply(ctmp, f, out=ctmp)
-        np.subtract(self.z1, ctmp, out=k_f)
-        np.multiply(self.z0_ev, -0.5, out=k_phi_ev)
+    def run_phi(self, pos):
+        """The phi of every member of run ``pos``."""
+        return self.phi[self.spans[pos]]
 
-    def _stage(self, scale, k):
-        y = self.y
-        np.multiply(k, scale, out=y)
-        np.add(self.x, y, out=y)
+    def set_step(self, pos, dt):
+        """Step run ``pos`` by ``dt`` from now on."""
+        span = self.operand_spans[pos]
+        self.half[span], self.full[span], self.sixth[span] = 0.5 * dt, dt, dt / 6.0
+        self.dts[pos] = dt
 
-    def step(self, t, dt):
-        """One checked step of size dt from time t; raises with the failing member attached.
+    def step(self):
+        """One checked RK4 step of every run by its own step; a failure names its run and member.
 
-        The CFL bound of the current fields is checked before the step, the
-        overflow guard and the positivity of f after it, on every member.
+        Each run's CFL bound is checked before the step, all in one
+        segmented reduction; the overflow guard and the positivity of f
+        after it, on every member.
         """
-        if dt > cfl_limit(self.h, self.phi) * (1.0 + 1e-12):
-            self._raise_cfl(dt)
-        half = 0.5 * dt
-        a, k = self.acc, self.k
-        self._rhs(self.at_x, self.into_k1)
-        self._stage(half, self.k1)
-        self._rhs(self.at_y, self.into_acc)
-        self._stage(half, a)
-        self._rhs(self.at_y, self.into_k)
-        np.add(a, k, out=a)  # k2 + k3
-        self._stage(dt, k)
-        self._rhs(self.at_y, self.into_k)
-        np.multiply(a, 2.0, out=a)
-        np.add(a, self.k1, out=a)
-        np.add(a, k, out=a)
-        np.multiply(a, dt / 6.0, out=a)
-        for xs, accs in self.updates:
-            np.add(xs, accs, out=xs)
+        bound = self.bound
+        np.minimum.reduceat(self.phi_flat, self.cfl_starts, out=bound)
+        np.multiply(bound, _TWO, bound)
+        np.exp(bound, bound)
+        np.multiply(self.coef, bound, bound)
+        np.multiply(bound, _CFL_SLACK, bound)
+        if np.greater(self.dts, bound, self.bad).any():
+            self._raise_cfl()
+        for fn, args in self.ops:
+            fn(*args)
         # NaNs fail both comparisons, so non-finite fields are caught here
         # too; z is free until the next step's first Laplacian.
         big = float(np.abs(self.x, out=self.z).max())
         fmin = float(self.f.min())
         if not (big <= OVERFLOW_GUARD and fmin > 0.0):
-            self._raise_state(t + dt)
+            self._raise_state()
+        np.add(self.t, self.dts, self.t)
 
-    def _raise_cfl(self, dt):
-        for m, phi in enumerate(self.phi):
-            bound = cfl_limit(self.h, phi)
-            if dt > bound * (1.0 + 1e-12):
-                raise _member_error(StepTooLargeError(dt, bound), self.names[m], len(self.phi))
+    def _raise_cfl(self):
+        # each member's own bound decides; the stack's check only says where to look
+        for pos in np.flatnonzero(self.bad):
+            run, dt = self.runs[pos], float(self.dts[pos])
+            for i, (phi, _) in self.members[pos]:
+                bound = cfl_limit(run.h, phi)
+                if dt > bound * (1.0 + 1e-12):
+                    err = _member_error(StepTooLargeError(dt, bound), i, len(run.members))
+                    raise run.tag(err, float(self.t[pos]))
 
-    def _raise_state(self, t):
-        for m, (phi, f) in enumerate(zip(self.phi, self.f)):
-            try:
-                _check_state_arrays(phi, f, t)
-            except HarnackFlowError as err:
-                raise _member_error(err, self.names[m], len(self.phi)) from None
+    def _raise_state(self):
+        for pos, run in enumerate(self.runs):
+            t = float(self.t[pos] + self.dts[pos])
+            for i, (phi, f) in self.members[pos]:
+                try:
+                    _check_state_arrays(phi, f, t)
+                except HarnackFlowError as err:
+                    raise run.tag(_member_error(err, i, len(run.members)), t) from None
 
 
 def _check_state_arrays(phi, f, t):
@@ -321,107 +415,171 @@ def run(initial, t_end, dt, dt_out, c=-1.0, evolve_metric=True, initial_id=""):
     identical inputs give bit-identical states.
 
     Step errors propagate with the failing time attached.  This is
-    ``run_ensemble`` with one member.
+    ``run_ensemble`` with one run of one member.
     """
     member = EnsembleMember(initial, c=c, evolve_metric=evolve_metric, initial_id=initial_id)
-    return run_ensemble([member], t_end, dt, dt_out)[0]
+    return run_ensemble([FlowRun([member], t_end, dt, dt_out)])[0][0]
 
 
-def run_ensemble(members, t_end, dt, dt_out):
-    """Integrate several members on one grid in lockstep; one Trajectory each.
+def run_ensemble(runs):
+    """Integrate several runs in lockstep; one list of Trajectories, one per member, per run.
 
-    ``members`` are ``EnsembleMember``s whose initial states share the
-    geometry kind, grid shape, spacing and start time; each has its own
-    ``c``, ``evolve_metric`` and ``initial_id``.  ``t_end``, ``dt`` and
-    ``dt_out`` are shared and follow the rules of ``run``.  With
-    ``dt=None`` all members take the same steps, set by the smallest CFL
-    bound of the stack and the fastest-shrinking evolving sphere.  Each
+    Each ``FlowRun`` has its own members, ``t_end``, ``dt`` and ``dt_out``.
+    Its members' initial states share the geometry kind, grid shape,
+    spacing and start time; each member has its own ``c``,
+    ``evolve_metric`` and ``initial_id``.  With ``dt=None`` a run's members
+    take the same steps, set by the smallest CFL bound among them and the
+    fastest-shrinking evolving sphere.  Every run is checked before any
+    step is taken.
+
+    Runs share one stack when they can: every sphere run, whatever its n,
+    and the torus runs of one n and side length.  The stacks are stepped
+    one after another, each until its last run has its last snapshot.
+    Within a stack every step advances each run by its own step; between
+    snapshot events the kernel takes as many steps as the nearest event
+    allows, and a run whose last interval ends leaves the stack.  Each
     returned trajectory is bit-identical to a ``run`` of that member alone
-    at the same steps, and its ``dt`` is the smallest step used.
+    at the same steps, and its ``dt`` is the smallest step its run used.
 
-    Mismatched grids raise GridMismatchError.  A step failure raises the
-    error of the first failing member, with the failing time in ``.time``
-    and the member index in ``.member`` (and in the message when there is
-    more than one member).
+    Every error carries the index of its run in ``.run``.  A run that fails
+    its checks (mismatched grids within it raise GridMismatchError) raises
+    before any step.  A step failure raises the error of the first run to
+    fail, in step order, with the failing time in ``.time`` and the member
+    index in ``.member`` (and in the message when its run has more than
+    one member).
     """
-    members = list(members)
-    if not members:
-        raise ConstraintViolationError("run_ensemble needs at least one member")
-    if dt is None:
-        if not 0 < dt_out < np.inf:
-            raise ConstraintViolationError(f"dt_out = {dt_out!r} must be positive and finite")
-        steps = max_steps = 1
-    else:
-        steps = _steps_per_output(dt, dt_out)
-    geom = members[0].initial.geom
-    t_start = members[0].initial.t
-    for i, mem in enumerate(members):
-        g = mem.initial.geom
-        if (g.kind, g.field_shape, g.background_spacing) != (geom.kind, geom.field_shape, geom.background_spacing):
-            raise GridMismatchError(
-                f"member {i} lives on a {g.kind} grid of shape {g.field_shape} and spacing "
-                f"{g.background_spacing:.6g}; member 0 on a {geom.kind} grid of shape "
-                f"{geom.field_shape} and spacing {geom.background_spacing:.6g}"
-            )
-        if mem.initial.t != t_start:
-            raise ConstraintViolationError(
-                f"member {i} starts at t = {mem.initial.t:.6g}, member 0 at t = {t_start:.6g}"
-            )
-    if t_end < t_start - 1e-12:
-        raise ConstraintViolationError("t_end precedes the initial time")
-    # initial areas of the evolving spheres, which lose area at rate 8 pi
-    areas = []
-    for i, mem in enumerate(members):
-        if isinstance(mem.initial.geom, SphereGeometry) and mem.evolve_metric:
-            areas.append(mem.initial.geom.total_area())
-            extinction = areas[-1] / (8.0 * np.pi)
-            if t_end - t_start >= extinction:
-                where = f"member {i}: " if len(members) > 1 else ""
-                raise ConstraintViolationError(
-                    f"{where}t_end = {t_end:.6g} reaches the extinction time {t_start + extinction:.6g}"
+    plans = [_Run(index, spec) for index, spec in enumerate(runs)]
+    stacks = {}
+    for plan in plans:
+        if plan.n_out:
+            g = plan.geom
+            key = (g.kind,) if isinstance(g, SphereGeometry) else (g.kind, g.field_shape, g.background_spacing)
+            stacks.setdefault(key, []).append(plan)
+    for live in stacks.values():
+        _step_stack(live)
+    return [plan.trajectories() for plan in plans]
+
+
+def _step_stack(live):
+    """Step the runs of one stack in lockstep until every one has its last snapshot."""
+    fields = [(run.members[i].initial.geom.phi, run.members[i].initial.f) for run in live for i in run.order]
+    while live:
+        kernel = _RK4Kernel(live, fields)
+        for pos, run in enumerate(live):
+            if not run.left:
+                run.begin_interval(kernel.run_phi(pos))
+            kernel.set_step(pos, run.step)
+        while all(run.k < run.n_out for run in live):
+            count = min(run.left for run in live)
+            for _ in range(count):
+                kernel.step()
+            for pos, run in enumerate(live):
+                run.left -= count
+                if not run.left:
+                    run.t = float(kernel.t[pos])
+                    run.snapshot(kernel.members[pos])
+                    if run.k < run.n_out:
+                        run.begin_interval(kernel.run_phi(pos))
+                        kernel.set_step(pos, run.step)
+        # the runs that go on move, mid-interval, to a stack without the finished ones
+        for pos, run in enumerate(live):
+            run.t = float(kernel.t[pos])
+        fields = [(phi, f) for pos, run in enumerate(live) if run.k < run.n_out for _, (phi, f) in kernel.members[pos]]
+        live = [run for run in live if run.k < run.n_out]
+
+
+class _Run:
+    """One run of ``run_ensemble``: its checked plan and its progress."""
+
+    def __init__(self, index, spec):
+        self.index = index
+        try:
+            self._check(spec)
+        except HarnackFlowError as err:
+            raise self.tag(err)
+        self.h = self.geom.background_spacing
+        # evolving members first, so the frozen ones trail within the run
+        self.order = sorted(range(len(self.members)), key=lambda i: not self.members[i].evolve_metric)
+        self.states = [[mem.initial] for mem in self.members]
+        self.t = self.t_start  # advanced step by step
+        self.k = 0  # output intervals done
+        self.left = 0  # steps left in the current interval
+        self.step, self.max_steps = self.dt, 1
+
+    def _check(self, spec):
+        members = self.members = list(spec.members)
+        if not members:
+            raise ConstraintViolationError("a run needs at least one member")
+        self.dt, self.dt_out = spec.dt, spec.dt_out
+        if self.dt is None:
+            if not 0 < self.dt_out < np.inf:
+                raise ConstraintViolationError(f"dt_out = {self.dt_out!r} must be positive and finite")
+        else:
+            self.steps = _steps_per_output(self.dt, self.dt_out)
+        geom = self.geom = members[0].initial.geom
+        t_start = self.t_start = members[0].initial.t
+        for i, mem in enumerate(members):
+            g = mem.initial.geom
+            if (g.kind, g.field_shape, g.background_spacing) != (geom.kind, geom.field_shape, geom.background_spacing):
+                raise GridMismatchError(
+                    f"member {i} lives on a {g.kind} grid of shape {g.field_shape} and spacing "
+                    f"{g.background_spacing:.6g}; member 0 on a {geom.kind} grid of shape "
+                    f"{geom.field_shape} and spacing {geom.background_spacing:.6g}"
                 )
-    n_out = int(np.floor((t_end - t_start) / dt_out + 1e-9))
-    # evolving members first, so the frozen ones are one trailing slice
-    order = sorted(range(len(members)), key=lambda i: not members[i].evolve_metric)
-    evolving = sum(1 for mem in members if mem.evolve_metric)
-    x = np.empty((2, len(members)) + geom.field_shape)
-    for row, i in enumerate(order):
-        x[0, row] = members[i].initial.geom.phi
-        x[1, row] = members[i].initial.f
-    kernel = _RK4Kernel(geom, x, [members[i].c for i in order], evolving, order)
-    states = [[mem.initial] for mem in members]
-    t_cur = t_start
-    step = dt
-    try:
-        for k in range(1, n_out + 1):
-            if dt is None:
-                # area fraction an evolving sphere keeps across this interval
-                lost = 8.0 * np.pi * (k - 1) * dt_out
-                shrink = min(((a - lost - 8.0 * np.pi * dt_out) / (a - lost) for a in areas), default=1.0)
-                steps = _interval_steps(cfl_limit(kernel.h, x[0]), shrink, dt_out)
-                step, max_steps = dt_out / steps, max(max_steps, steps)
-            for _ in range(steps):
-                kernel.step(t_cur, step)
-                t_cur += step
-            t_snap = t_start + k * dt_out
-            for row, i in enumerate(order):
-                g = members[i].initial.geom
-                states[i].append(FlowState(t_snap, g.with_phi(x[0, row]), x[1, row]))
-    except HarnackFlowError as err:
-        if getattr(err, "time", None) is None:
-            err.time = t_cur  # attach the failing time for the caller
-        raise
-    return [
-        Trajectory(
-            states[i],
-            dt=dt_out / max_steps if dt is None else dt,
-            dt_out=dt_out,
-            c=mem.c,
-            evolve_metric=mem.evolve_metric,
-            initial_id=mem.initial_id,
-        )
-        for i, mem in enumerate(members)
-    ]
+            if mem.initial.t != t_start:
+                raise ConstraintViolationError(
+                    f"member {i} starts at t = {mem.initial.t:.6g}, member 0 at t = {t_start:.6g}"
+                )
+        t_end = spec.t_end
+        if t_end < t_start - 1e-12:
+            raise ConstraintViolationError("t_end precedes the initial time")
+        # initial areas of the evolving spheres, which lose area at rate 8 pi
+        self.areas = []
+        for i, mem in enumerate(members):
+            if isinstance(mem.initial.geom, SphereGeometry) and mem.evolve_metric:
+                self.areas.append(mem.initial.geom.total_area())
+                extinction = self.areas[-1] / (8.0 * np.pi)
+                if t_end - t_start >= extinction:
+                    where = f"member {i}: " if len(members) > 1 else ""
+                    raise ConstraintViolationError(
+                        f"{where}t_end = {t_end:.6g} reaches the extinction time {t_start + extinction:.6g}"
+                    )
+        self.n_out = int(np.floor((t_end - t_start) / self.dt_out + 1e-9))
+
+    def tag(self, err, time=None):
+        """Attach this run's index, and the failing time unless the error has one."""
+        err.run = self.index
+        if time is not None and getattr(err, "time", None) is None:
+            err.time = time
+        return err
+
+    def begin_interval(self, phi):
+        """Plan the next output interval's steps; ``phi`` is every member's, now."""
+        if self.dt is None:
+            # area fraction an evolving sphere keeps across this interval
+            lost = 8.0 * np.pi * self.k * self.dt_out
+            shrink = min(((a - lost - 8.0 * np.pi * self.dt_out) / (a - lost) for a in self.areas), default=1.0)
+            try:
+                self.steps = _interval_steps(cfl_limit(self.h, phi), shrink, self.dt_out)
+            except HarnackFlowError as err:
+                raise self.tag(err, self.t)
+            self.step, self.max_steps = self.dt_out / self.steps, max(self.max_steps, self.steps)
+        self.left = self.steps
+
+    def snapshot(self, members):
+        """Record the (member index, (phi, f)) of ``members`` at the end of an interval."""
+        self.k += 1
+        t_snap = self.t_start + self.k * self.dt_out
+        for i, (phi, f) in members:
+            self.states[i].append(FlowState(t_snap, self.members[i].initial.geom.with_phi(phi), f))
+
+    def trajectories(self):
+        dt = self.dt_out / self.max_steps if self.dt is None else self.dt
+        return [
+            Trajectory(states, dt=dt, dt_out=self.dt_out, c=mem.c, evolve_metric=mem.evolve_metric,
+                       initial_id=mem.initial_id)
+            for states, mem in zip(self.states, self.members)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,48 @@ def _sphere_background(n):
 _SPHERE_BG_CACHE = {}
 
 
+def sphere_flux_plan(w, out, rows):
+    """Sphere Laplacian over a flat stack of rows of any resolutions, bound to ``w`` and ``out``.
+
+    ``rows`` lists the node count n of each row in flat order; together
+    they cover ``w``, which may be any C-contiguous array (the flow's
+    field-major stack is phi's rows, then f's).  Returns ``lap()`` as
+    ``SurfaceGeometry.laplacian_plan`` does, and each row gets exactly the
+    Laplacian of its own sphere.
+    """
+    # Flux form over the flat stack: flux[o + j] is the flux into node j of
+    # the row at offset o from node j - 1, so one exact-zero pole flux sits
+    # between consecutive rows and at both ends.  The difference pass skips
+    # those row junctions, which are never written and stay +0, so no
+    # difference across two rows can overflow or warn; each row's sin_plus
+    # ends in the exact zero there.
+    _require_c_contiguous(w, out)
+    wf, of = w.reshape(-1), out.reshape(-1)
+    if sum(rows) != wf.size:
+        raise GridMismatchError(f"rows of {sum(rows)} nodes in total do not cover a stack of {wf.size}")
+    flux = np.zeros(wf.size + 1)
+    inner, upper, lower = flux[1:-1], flux[1:], flux[:-1]
+    w_next, w_prev = wf[1:], wf[:-1]
+    if len(rows) == 1:
+        bg = _sphere_background(rows[0])
+        inside, sin_plus, inv_sin_dt2 = True, bg["sin_plus"][:-1], bg["inv_sin_dt2"]
+    else:
+        inside = np.ones(wf.size - 1, dtype=bool)
+        inside[np.cumsum(rows)[:-1] - 1] = False
+        backgrounds = [_sphere_background(n) for n in rows]
+        sin_plus = np.concatenate([bg["sin_plus"] for bg in backgrounds])[:-1]
+        inv_sin_dt2 = np.concatenate([bg["inv_sin_dt2"] for bg in backgrounds])
+
+    def lap():
+        np.subtract(w_next, w_prev, inner, where=inside)  # w_{j+1} - w_j
+        np.multiply(sin_plus, inner, inner)
+        np.subtract(upper, lower, of)
+        np.multiply(of, inv_sin_dt2, of)
+        return out
+
+    return lap
+
+
 class SphereGeometry(SurfaceGeometry):
     """Unit round sphere background, rotationally symmetric fields of theta."""
 
@@ -409,35 +451,8 @@ class SphereGeometry(SurfaceGeometry):
         return (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (self.dtheta * self.dtheta)
 
     def laplacian_plan(self, w, out):
-        # Flux form over the flat stack of rows: flux[r*n + j] is the flux
-        # into node j of row r from node j - 1, so one exact-zero pole flux
-        # sits between consecutive rows and at both ends.  The difference
-        # pass skips those row junctions, which are never written and stay
-        # +0, so no difference across two rows can overflow or warn; the
-        # tiled sin_plus is the exact zero there.
-        _require_c_contiguous(w, out)
-        n = self.n
-        wf, of = w.reshape(-1), out.reshape(-1)
-        rows = wf.size // n
-        flux = np.zeros(rows * n + 1)
-        inner, upper, lower = flux[1:-1], flux[1:], flux[:-1]
-        w_next, w_prev = wf[1:], wf[:-1]
-        if rows == 1:
-            inside, sin_plus, inv_sin_dt2 = True, self._sin_plus[:-1], self._inv_sin_dt2
-        else:
-            inside = np.ones(rows * n - 1, dtype=bool)
-            inside[n - 1 :: n] = False
-            sin_plus = np.tile(self._sin_plus, rows)[:-1]
-            inv_sin_dt2 = np.tile(self._inv_sin_dt2, rows)
-
-        def lap():
-            np.subtract(w_next, w_prev, out=inner, where=inside)  # w_{j+1} - w_j
-            np.multiply(sin_plus, inner, out=inner)
-            np.subtract(upper, lower, out=of)
-            np.multiply(of, inv_sin_dt2, out=of)
-            return out
-
-        return lap
+        # the uniform case of the flux plan: every row has this sphere's n
+        return sphere_flux_plan(w, out, [self.n] * (w.size // self.n))
 
     def background_area_weights(self):
         # Band area 2*pi*(cos(theta-) - cos(theta+)) written as an exact

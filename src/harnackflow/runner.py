@@ -24,7 +24,7 @@ from . import action as action_mod
 from . import harnack, identities
 from .config import build_initial_state
 from .errors import ConfigError, ConstraintViolationError, HarnackFlowError
-from .flow import EnsembleMember, FlowState, run_ensemble
+from .flow import EnsembleMember, FlowRun, FlowState, run_ensemble
 from .flow import run as run_flow
 from .geometry import SphereGeometry
 
@@ -65,10 +65,11 @@ class ScenarioReport:
     name: str
     assertions: list
     out_dir: str
+    failure: str = ""  # the FAIL line of a stage that raised; no assertion then ran
 
     @property
     def passed(self):
-        return all(a.ok for a in self.assertions)
+        return not self.failure and all(a.ok for a in self.assertions)
 
 
 def resolve_out_dir(cfg, out_flag=None):
@@ -83,16 +84,41 @@ def _remove_stale_reports(out_dir, *names):
             os.remove(path)
 
 
+class _SeededGenerator:
+    """numpy's Generator for ``seed``, made on the first draw.
+
+    Importing numpy.random costs every command ~20 ms, and a run whose
+    pairs are all explicit never draws.
+    """
+
+    def __init__(self, seed):
+        self._seed = seed
+
+    def __getattr__(self, name):
+        # reached only for names the instance lacks: the generator's own
+        if "_generator" not in self.__dict__:
+            self._generator = np.random.default_rng(self._seed)
+        return getattr(self._generator, name)
+
+
 def _seeded_rng(cfg, seed):
     """The run's generator, from ``seed`` or, when that is None, the config's seed.
 
     A negative seed raises ConstraintViolationError (exit 2); callers ask for
     the generator after removing stale reports and before any flow runs.
+    The generator itself is made on its first draw.
     """
     seed = cfg.seed if seed is None else seed
     if seed < 0:
         raise ConstraintViolationError(f"the seed must be a non-negative integer, got {seed}")
-    return np.random.default_rng(seed)
+    return _SeededGenerator(seed)
+
+
+def _failure_line(stage, err):
+    """``FAIL <stage>: <error type>[ at t = ...]: <message>`` for a stage that raised."""
+    when = getattr(err, "time", None)
+    stamp = f" at t = {when:.6g}" if when is not None else ""
+    return f"FAIL {stage}: {type(err).__name__}{stamp}: {err}"
 
 
 def _series_extreme(series, column, reducer):
@@ -279,9 +305,10 @@ def run_scenario(cfg, out_flag=None, seed=None):
 
     A HarnackFlowError in any stage (flow, monitors, identities, action)
     ends the run: summary.txt then holds the single line
-    ``FAIL <stage>: <error type>[ at t = ...]: <message>`` and the report
-    fails.  A summary.txt left by an earlier run is removed first; a
-    negative seed then raises ConstraintViolationError before the flow runs.
+    ``FAIL <stage>: <error type>[ at t = ...]: <message>``, which the
+    report carries in ``failure``, and the report fails.  A summary.txt
+    left by an earlier run is removed first; a negative seed then raises
+    ConstraintViolationError before the flow runs.
     """
     out_dir = resolve_out_dir(cfg, out_flag)
     os.makedirs(out_dir, exist_ok=True)
@@ -313,11 +340,10 @@ def run_scenario(cfg, out_flag=None, seed=None):
             action_mod.write_action_csv(rows, os.path.join(out_dir, "action.csv"))
             margins = np.array([r[5] for r in rows])
     except HarnackFlowError as err:
-        when = getattr(err, "time", None)
-        stamp = f" at t = {when:.6g}" if when is not None else ""
+        failure = _failure_line(stage, err)
         with open(summary_path, "w", newline="\n") as fh:
-            fh.write(f"FAIL {stage}: {type(err).__name__}{stamp}: {err}\n")
-        return ScenarioReport(cfg.name, [AssertionResult(stage, False, np.nan, np.nan, str(err))], out_dir)
+            fh.write(failure + "\n")
+        return ScenarioReport(cfg.name, [], out_dir, failure=failure)
 
     assertions = evaluate_assertions(cfg, traj, series, margins)
     with open(summary_path, "w", newline="\n") as fh:
@@ -355,34 +381,37 @@ _FUZZ_T_CHECK = 0.40
 _FUZZ_DT_OUT = 0.01
 
 
-def _fuzz_trajectory(n):
-    """The calibration flow; each interval's step comes from the flow's CFL rule."""
+def _fuzz_run(n):
+    """The calibration flow, one member; each interval's step comes from the flow's CFL rule."""
     geom = SphereGeometry(n)
     state = FlowState(
         0.0, geom.with_phi(0.1 * geom.cos_theta), 0.5 + 0.2 * geom.cos_theta
     )
-    return run_flow(state, _FUZZ_T_END, None, _FUZZ_DT_OUT, c=-1.0)
+    return FlowRun([EnsembleMember(state, c=-1.0)], _FUZZ_T_END, None, _FUZZ_DT_OUT)
 
 
-def _level_trajectories(lcfg, want, state0):
-    """The flows of one ladder level from its initial state, integrated as one ensemble.
-
-    Returns ({reaction coefficient: trajectory}, round companion or None):
-    the potential run (c = -1), one run per further c that a wanted preset
-    needs, and, for ``surface``, the round companion of ``surface_fR``.
-    """
+def _level_coeffs(want):
+    """Reaction coefficients of a level's runs: c = -1, then each further c a wanted preset needs."""
     coeffs = [-1.0]
     for name, (c, _) in identities.PRESET_REGISTRY.items():
         if name in want and c not in coeffs:
             coeffs.append(c)
+    return coeffs
+
+
+def _level_run(lcfg, want, state0):
+    """The flows of one ladder level from its initial state, as one run.
+
+    Its members are one per ``_level_coeffs`` and, for ``surface``, the
+    round companion of ``surface_fR`` last.
+    """
     members = [
         EnsembleMember(state0, c=c, evolve_metric=lcfg.evolve_metric, initial_id=lcfg.initial_id)
-        for c in coeffs
+        for c in _level_coeffs(want)
     ]
     if "surface" in want:
         members.append(EnsembleMember(_round_companion_state(lcfg), c=-1.0, initial_id="constant"))
-    runs = run_ensemble(members, lcfg.t_end, lcfg.dt, lcfg.dt_out)
-    return dict(zip(coeffs, runs)), (runs[-1] if "surface" in want else None)
+    return FlowRun(members, lcfg.t_end, lcfg.dt, lcfg.dt_out)
 
 
 @dataclass
@@ -424,7 +453,9 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     dt and dt_out scale by 1/4 per level so spatial and temporal residual
     components shrink together; each level evaluates the residuals at the
     same snapshot time t_check.  The flows of a level share n, dt and
-    dt_out and run as one ensemble.  Fuzz tuples run at the coarsest level.
+    dt_out and form one run; the fuzz calibration is one more.  All of
+    them are integrated by one ``run_ensemble`` call, in lockstep stacks,
+    before any residual.  Fuzz tuples run at the coarsest level.
     The ``surface`` preset runs on sphere configs only: by Gauss-Bonnet a
     torus never has R > 0 everywhere.  The reports of an earlier ladder are
     removed first; fewer than two levels, which leave no convergence ratio
@@ -435,7 +466,9 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     holds the single line
     ``FAIL <stage> (level L, N = n): <error type>[ at t = ...]: <message>``,
     no identities.csv is written, and the returned study carries that line
-    in ``failure`` and fails.
+    in ``failure`` and fails.  Since the flows all finish first, a flow
+    failure is reported for the first run to fail in step order: ``flow``
+    for a level's run, ``fuzz`` for the calibration.
     """
     out_dir = resolve_out_dir(cfg, out_flag)
     os.makedirs(out_dir, exist_ok=True)
@@ -462,17 +495,26 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     # an invalid initial state is a config error (exit 2), found before any flow runs
     starts = [build_initial_state(lcfg) for lcfg in level_cfgs]
 
+    runs = [_level_run(lcfg, want, state0) for lcfg, state0 in zip(level_cfgs, starts)]
+    stages = [f"flow (level {lvl}, N = {lcfg.n})" for lvl, lcfg in enumerate(level_cfgs)]
+    if cfg.fuzz_count:
+        runs.append(_fuzz_run(cfg.n))
+        stages.append(f"fuzz (level 0, N = {cfg.n})")
+    coeffs = _level_coeffs(want)
+
     level_rows = []
     agree = {}
     fuzz_max = {}
     fuzz_bound = {}
     preset_max = {}
+    stage = None  # while the flows run: the failing run's stage
     try:
-        for lvl, (lcfg, state0) in enumerate(zip(level_cfgs, starts)):
+        flows = run_ensemble(runs)
+        for lvl, (lcfg, level_flows) in enumerate(zip(level_cfgs, flows)):
             where = f"level {lvl}, N = {lcfg.n}"
-            stage = f"flow ({where})"
-            trajs, traj_round = _level_trajectories(lcfg, want, state0)
             stage = f"residuals ({where})"
+            trajs = dict(zip(coeffs, level_flows))
+            traj_round = level_flows[-1] if "surface" in want else None
             traj_pot = trajs[-1.0]
             k = int(round(cfg.t_check / lcfg.dt_out))
             k = min(max(k, 1), len(traj_pot) - 2)
@@ -509,7 +551,7 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
                     )
                 if cfg.fuzz_count:
                     stage = f"fuzz ({where})"
-                    traj_fuzz = _fuzz_trajectory(cfg.n)
+                    (traj_fuzz,) = flows[-1]
                     kf = int(round(_FUZZ_T_CHECK / _FUZZ_DT_OUT))
                     for family, preset_report in (
                         ("H", identities.residual_general_H(traj_fuzz, kf, identities.COR_H_PRESET)),
@@ -522,9 +564,7 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     except HarnackFlowError as err:
         if isinstance(err, ConfigError):
             raise
-        when = getattr(err, "time", None)
-        stamp = f" at t = {when:.6g}" if when is not None else ""
-        failure = f"FAIL {stage}: {type(err).__name__}{stamp}: {err}"
+        failure = _failure_line(stage or stages[getattr(err, "run", 0)], err)
         with open(os.path.join(out_dir, "identity_summary.txt"), "w", newline="\n") as fh:
             fh.write(failure + "\n")
         return IdentityStudy(level_rows, {}, agree, fuzz_max, fuzz_bound, [], failure=failure)

@@ -180,9 +180,10 @@ def reference_sphere_laplacian(w):
 def reference_rk4_run(state, t_end, dt, dt_out, c=-1.0, evolve_metric=True):
     """Fixed-step RK4 of one member, field by field, from the Laplacian oracles.
 
-    Returns the (phi, f) of every snapshot.  Each rate, stage and update is
-    written out on single fields in the operand order of the fixed-step
-    kernel, so ``run`` with an explicit ``dt`` must match it bit for bit.
+    ``dt`` is the step of every output interval, or a list of each
+    interval's step.  Returns the (phi, f) of every snapshot.  Each rate,
+    stage and update is written out on single fields in the operand order
+    of the kernel, so ``run`` at the same steps must match it bit for bit.
     """
     geom = state.geom
     if geom.kind == "torus":
@@ -190,8 +191,8 @@ def reference_rk4_run(state, t_end, dt, dt_out, c=-1.0, evolve_metric=True):
     else:
         lap = reference_sphere_laplacian
     r_bg = geom.background_curvature
-    steps = int(round(dt_out / dt))
     n_out = int(np.floor((t_end - state.t) / dt_out + 1e-9))
+    interval_steps = [dt] * n_out if np.isscalar(dt) else list(dt)
 
     def rates(phi, f):
         e2m = np.exp(phi * -2.0)
@@ -201,8 +202,8 @@ def reference_rk4_run(state, t_end, dt, dt_out, c=-1.0, evolve_metric=True):
 
     phi, f = geom.phi.copy(), state.f.copy()
     out = [(phi.copy(), f.copy())]
-    for _ in range(n_out):
-        for _ in range(steps):
+    for dt in interval_steps:
+        for _ in range(int(round(dt_out / dt))):
             k1 = rates(phi, f)
             k2 = rates(phi + k1[0] * (0.5 * dt), f + k1[1] * (0.5 * dt))
             k3 = rates(phi + k2[0] * (0.5 * dt), f + k2[1] * (0.5 * dt))
@@ -216,13 +217,17 @@ def reference_rk4_run(state, t_end, dt, dt_out, c=-1.0, evolve_metric=True):
 
 
 def record_kernel_steps(monkeypatch):
-    """Patch the flow kernel so that every RK4 step appends its (t, dt) to the returned list."""
+    """Patch the flow kernel so that every RK4 step appends its runs' (t, dt) to the returned list.
+
+    One kernel step advances every run of its stack, so each entry is a
+    tuple with one (t, dt) per run, in the stack's order.
+    """
     steps = []
     kernel_step = hf.flow._RK4Kernel.step
 
-    def recording_step(self, t, dt):
-        steps.append((t, dt))
-        return kernel_step(self, t, dt)
+    def recording_step(self):
+        steps.append(tuple(zip(self.t.tolist(), self.dts.tolist())))
+        return kernel_step(self)
 
     monkeypatch.setattr(hf.flow._RK4Kernel, "step", recording_step)
     return steps

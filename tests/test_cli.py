@@ -299,7 +299,8 @@ def test_auto_t_check_with_one_interior_output_fails_typed(tmp_path, capsys, com
     text = (out / summary).read_text()
     assert text.startswith(line) and len(text.splitlines()) == 1
     assert not (out / "identities.csv").exists()
-    assert line.split(":")[0] in capsys.readouterr().out
+    # stdout prints the summary's whole line, error type and message included
+    assert capsys.readouterr().out.splitlines()[0] == text.rstrip("\n")
 
 
 def test_verify_identities_stage_failure_fails_ladder(tmp_path, capsys):
@@ -325,21 +326,54 @@ def test_verify_identities_stage_failure_fails_ladder(tmp_path, capsys):
     assert capsys.readouterr().out == summary
 
 
+def test_verify_identities_flow_failure_names_its_level(tmp_path, capsys, monkeypatch):
+    # level 1 starts with f just under the overflow guard and crosses it in
+    # its first step, while level 0, stepped in the same stack, stays healthy
+    from conftest import SCENARIO_DIR
+
+    import harnackflow.runner as runner
+
+    build = runner.build_initial_state
+
+    def level_1_near_overflow(lcfg):
+        state = build(lcfg)
+        if lcfg.n == 32:
+            state = runner.FlowState(state.t, state.geom, state.f * (0.999999 * 1e12 / state.f.max()))
+        return state
+
+    monkeypatch.setattr(runner, "build_initial_state", level_1_near_overflow)
+    text = (SCENARIO_DIR / "sphere_identities.cfg").read_text().replace("n = 64", "n = 16")
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "blowup"
+    assert main(["verify-identities", "--config", str(cfg), "--levels", "2", "--out", str(out)]) == 1
+    summary = (out / "identity_summary.txt").read_text()
+    assert summary == (
+        "FAIL flow (level 1, N = 32): BlowupError at t = 6.25e-05: member 0: "
+        "|field| = 1e+12 exceeds overflow guard at t = 6.25e-05\n"
+    )
+    assert capsys.readouterr().out == summary
+    assert not (out / "identities.csv").exists()
+
+
 @pytest.mark.parametrize(
-    "target, error, code, line",
+    "run, error, code, line",
     [
-        ("_fuzz_trajectory", BlowupError("|field| too large", time=0.25), 1, "FAIL fuzz (level 0, N = 16): BlowupError at t = 0.25: "),
-        ("run_ensemble", ConstraintViolationError("t_end reaches extinction"), 2, None),
+        (-1, BlowupError("|field| too large", time=0.25), 1, "FAIL fuzz (level 0, N = 16): BlowupError at t = 0.25: "),
+        (0, ConstraintViolationError("t_end reaches extinction"), 2, None),
     ],
     ids=["fuzz", "config"],
 )
-def test_verify_identities_stage_errors(cfg_file, tmp_path, capsys, monkeypatch, target, error, code, line):
+def test_verify_identities_stage_errors(cfg_file, tmp_path, capsys, monkeypatch, run, error, code, line):
+    # every flow of the ladder, the fuzz calibration last, is one run of a
+    # single run_ensemble call, whose error names the run that failed
     import harnackflow.runner as runner
 
-    def fail(*args, **kwargs):
+    def fail(runs):
+        error.run = range(len(runs))[run]
         raise error
 
-    monkeypatch.setattr(runner, target, fail)
+    monkeypatch.setattr(runner, "run_ensemble", fail)
     out = tmp_path / "ladder"
     cfg = cfg_file(SMALL_TORUS.replace("n = 24", "n = 16") + "\n[identities]\nfuzz_count = 3\n", "fail.cfg")
     assert main(["verify-identities", "--config", cfg, "--levels", "2", "--out", str(out)]) == code
@@ -505,3 +539,27 @@ def test_negative_seed_exits_before_any_flow(cfg_file, tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert "ConstraintViolationError" in err and "seed" in err
     assert not (out / stale).exists()
+
+
+@pytest.mark.parametrize("pairs, imported", [("pairs = 0,0.04,30,0.08", False), ("pair_count = 2", True)],
+                         ids=["explicit", "drawn"])
+def test_run_imports_numpy_random_only_to_draw(cfg_file, tmp_path, pairs, imported):
+    # importing numpy.random costs every command ~20 ms; a run whose action
+    # pairs are all explicit never draws, so it never makes the generator
+    import os
+    import subprocess
+    import sys
+
+    from conftest import REPO_ROOT
+
+    cfg = cfg_file(SMALL_TORUS + f"\n[action]\nenable = true\n{pairs}\nwindow = 3\n", "pairs.cfg")
+    script = (
+        "import sys\nfrom harnackflow.cli import main\n"
+        "code = main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == f"0 {imported}"

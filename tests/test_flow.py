@@ -318,8 +318,14 @@ def _same_trajectory(a, b):
         assert sa.f.tobytes() == sb.f.tobytes()
 
 
+def _ensemble(members, t_end, dt, dt_out):
+    """The trajectories of one run of ``members``."""
+    (trajs,) = hf.run_ensemble([hf.FlowRun(members, t_end, dt, dt_out)])
+    return trajs
+
+
 def _check_members_match_single_runs(members, t_end, dt, dt_out):
-    trajs = hf.run_ensemble(members, t_end, dt, dt_out)
+    trajs = _ensemble(members, t_end, dt, dt_out)
     assert len(trajs) == len(members)
     for member, traj in zip(members, trajs):
         alone = hf.run(member.initial, t_end, dt, dt_out, c=member.c,
@@ -374,7 +380,7 @@ def test_ensemble_frozen_and_general_members_match_single_runs_sphere():
         hf.EnsembleMember(state, c=0.5, initial_id="general"),
     ]
     _check_members_match_single_runs(members, 0.05, 5e-4, 0.01)
-    for s in hf.run_ensemble(members, 0.05, 5e-4, 0.01)[1].states:
+    for s in _ensemble(members, 0.05, 5e-4, 0.01)[1].states:
         assert s.geom.phi.tobytes() == phi.tobytes()
 
 
@@ -389,14 +395,14 @@ def test_ensemble_rejects_mismatched_grid(other):
     member = hf.EnsembleMember(_sphere_cos())
     odd = hf.EnsembleMember(hf.FlowState(0.0, other, np.full(other.field_shape, F0)))
     with pytest.raises(GridMismatchError, match="member 1"):
-        hf.run_ensemble([member, odd], 0.01, 1e-3, 0.01)
+        _ensemble([member, odd], 0.01, 1e-3, 0.01)
 
 
 def test_ensemble_rejects_mismatched_spacing():
     a, b = hf.TorusGeometry(16, 2 * np.pi), hf.TorusGeometry(16, np.pi)
     members = [hf.EnsembleMember(hf.FlowState(0.0, g, np.full((16, 16), F0)), c=0.0) for g in (a, b)]
     with pytest.raises(GridMismatchError, match="spacing"):
-        hf.run_ensemble(members, 0.01, 1e-3, 0.01)
+        _ensemble(members, 0.01, 1e-3, 0.01)
 
 
 def test_ensemble_member_breaking_cfl_is_named():
@@ -410,7 +416,7 @@ def test_ensemble_member_breaking_cfl_is_named():
         hf.EnsembleMember(hf.FlowState(0.0, small, np.full(32, F0))),
     ]
     with pytest.raises(StepTooLargeError, match="member 1") as err:
-        hf.run_ensemble(members, 10 * dt, dt, dt)
+        _ensemble(members, 10 * dt, dt, dt)
     assert err.value.member == 1
     assert err.value.time == 0.0
     assert err.value.bound == small.cfl_bound()
@@ -423,7 +429,7 @@ def test_ensemble_member_losing_positivity_is_named():
     healthy = hf.EnsembleMember(hf.FlowState(0.0, geom, np.full(16, F0)))
     tiny = hf.EnsembleMember(hf.FlowState(0.0, geom, np.full(16, 5e-324)), c=0.8 / dt)
     with pytest.raises(PositivityLostError, match="member 1") as err:
-        hf.run_ensemble([healthy, tiny], 4 * dt, dt, dt)
+        _ensemble([healthy, tiny], 4 * dt, dt, dt)
     assert err.value.member == 1
     assert err.value.time == dt
     # alone, the member fails the same way without a member prefix
@@ -498,7 +504,7 @@ def test_explicit_dt_ensembles_match_the_fixed_step_reference():
     x, y = geom.coords()
     torus = [hf.EnsembleMember(hf.FlowState(0.0, geom.with_phi(0.05 * np.sin(x) * np.sin(y)), 0.5 + 0.2 * np.sin(x) * np.cos(y)))]
     for members, t_end, dt, dt_out in ((sphere, 0.03, 1e-3, 0.01), (torus, 0.05, 0.0125 / 4, 0.0125)):
-        for mem, traj in zip(members, hf.run_ensemble(members, t_end, dt, dt_out)):
+        for mem, traj in zip(members, _ensemble(members, t_end, dt, dt_out)):
             assert traj.dt == dt
             want = reference_rk4_run(mem.initial, t_end, dt, dt_out, c=mem.c, evolve_metric=mem.evolve_metric)
             assert len(traj) == len(want)
@@ -517,7 +523,7 @@ def test_step_rule_runs_round_sphere_to_nine_tenths_of_extinction(monkeypatch):
     t_end = 0.9 * geom.total_area() / (8 * np.pi)
     traj = hf.run(state, t_end, None, 0.01, c=-1.0)
     assert traj[-1].t > 0.8 * R0**2 / 2
-    assert traj.dt == min(dt for _, dt in steps)
+    assert traj.dt == min(dt for ((_, dt),) in steps)
     worst_r = worst_f = 0.0
     for s in traj.states:
         rho = R0**2 - 2.0 * s.t
@@ -536,7 +542,7 @@ def test_step_rule_is_deterministic_and_divides_dt_out():
     assert np.allclose(a.times, 0.01 * np.arange(len(a)), rtol=0, atol=1e-15)
     # the members of an ensemble share the rule's steps
     members = [hf.EnsembleMember(state, c=-1.0), hf.EnsembleMember(state, c=0.0)]
-    pot, heat = hf.run_ensemble(members, 0.1, None, 0.01)
+    pot, heat = _ensemble(members, 0.1, None, 0.01)
     _same_trajectory(pot, a)
     assert heat.dt == a.dt
 
@@ -548,3 +554,101 @@ def test_step_rule_refuses_a_metric_without_a_positive_bound():
     with pytest.raises(StepTooLargeError) as err:
         hf.run(state, 0.01, None, 0.01, evolve_metric=False)
     assert err.value.time == 0.0
+
+
+# -- lockstep runs -------------------------------------------------------------
+
+
+def _interval_steps(record, dt_out):
+    """Each output interval's step, from the kernel steps of a run stepped alone."""
+    dts = [dt for ((_, dt),) in record]
+    out, i = [], 0
+    while i < len(dts):
+        out.append(dts[i])
+        i += round(dt_out / dts[i])
+    return out
+
+
+def test_lockstep_sphere_runs_of_mixed_n_match_solo_runs_and_the_reference(monkeypatch):
+    # runs at n, 2n and 4n with explicit steps, a frozen member with signed
+    # zeros, and a CFL-rule run whose step changes between intervals, all in
+    # one stack; each leaves it at its own t_end, the others mid-interval
+    state16, state24, state32, state64 = (_sphere_cos(n) for n in (16, 24, 32, 64))
+    phi = 0.1 * state16.geom.cos_theta
+    phi[::5] = -0.0
+    frozen = hf.FlowState(0.0, state16.geom.with_phi(phi), state16.f)
+    runs = [
+        hf.FlowRun([hf.EnsembleMember(state16, c=-1.0), hf.EnsembleMember(frozen, c=0.5, evolve_metric=False)],
+                   0.03, 1e-3, 0.01),
+        hf.FlowRun([hf.EnsembleMember(state32, c=-1.0, initial_id="n32")], 0.05, 2.5e-4, 0.01),
+        hf.FlowRun([hf.EnsembleMember(state64, c=0.0)], 0.02, 1.25e-4, 0.005),
+        hf.FlowRun([hf.EnsembleMember(state24, c=-1.0)], 0.1, None, 0.01),
+    ]
+    record = record_kernel_steps(monkeypatch)
+    alone, steps, counts = [], [], []
+    for run in runs:
+        alone.append(hf.run_ensemble([run])[0])
+        steps.append(run.dt if run.dt is not None else _interval_steps(record, run.dt_out))
+        counts.append(len(record))
+        del record[:]
+    assert len(set(steps[-1])) > 1  # the rule changed the step between intervals
+    together = hf.run_ensemble(runs)
+    # one kernel step per step of the longest run, and each run leaves in turn
+    assert len(record) == max(counts)
+    assert [len(step) for step in record] == sorted((len(step) for step in record), reverse=True)
+    assert len(record[0]) == 4 and len(record[-1]) == 1
+    for run, trajs, solo, dt in zip(runs, together, alone, steps):
+        assert len(trajs) == len(run.members)
+        for mem, traj, solo_traj in zip(run.members, trajs, solo):
+            _same_trajectory(traj, solo_traj)
+            want = reference_rk4_run(mem.initial, run.t_end, dt, run.dt_out, c=mem.c, evolve_metric=mem.evolve_metric)
+            assert len(traj) == len(want)
+            for s, (phi, f) in zip(traj.states, want):
+                assert s.geom.phi.tobytes() == phi.tobytes()
+                assert s.f.tobytes() == f.tobytes()
+
+
+def _torus_run(n, t_end, c=0.0):
+    geom = hf.TorusGeometry(n, 2 * np.pi)
+    x, y = geom.coords()
+    state = hf.FlowState(0.0, geom.with_phi(0.05 * np.sin(x) * np.sin(y)), 0.5 + 0.2 * np.sin(x) * np.cos(y))
+    return hf.FlowRun([hf.EnsembleMember(state, c=c)], t_end, 0.0125 / 4, 0.0125)
+
+
+@pytest.mark.parametrize(
+    "n, per_step", [(12, [1] * (16 + 8)), (8, [2] * 8 + [1] * 8)], ids=["separate stacks", "one stack"]
+)
+def test_lockstep_torus_runs_share_a_stack_only_on_one_grid(monkeypatch, n, per_step):
+    # runs of different n step one stack after the other, so every kernel
+    # step advances one run; runs on one grid step together
+    runs = [_torus_run(8, 0.05), _torus_run(n, 0.025, c=-1.0)]
+    record = record_kernel_steps(monkeypatch)
+    together = hf.run_ensemble(runs)
+    assert [len(step) for step in record] == per_step
+    for run, trajs in zip(runs, together):
+        (alone,) = hf.run_ensemble([run])
+        _same_trajectory(trajs[0], alone[0])
+
+
+def test_lockstep_step_too_large_names_run_member_and_cfl_bound():
+    # run 1 has a healthy member and one on the half-radius sphere, whose
+    # CFL bound is a quarter of the unit sphere's; run 0 is healthy
+    geom = hf.SphereGeometry(32)
+    small = geom.with_phi(np.full(32, hf.SphereGeometry.round_phi(0.5)))
+    dt = 0.5 * geom.cfl_bound()
+    members = [hf.EnsembleMember(hf.FlowState(0.0, g, np.full(32, F0))) for g in (geom, small)]
+    runs = [hf.FlowRun([hf.EnsembleMember(_sphere_cos(16))], 0.01, 1e-3, 0.01), hf.FlowRun(members, 10 * dt, dt, dt)]
+    with pytest.raises(StepTooLargeError, match="member 1") as err:
+        hf.run_ensemble(runs)
+    assert (err.value.run, err.value.member, err.value.time) == (1, 1, 0.0)
+    assert err.value.bound == hf.geometry.cfl_limit(geom.background_spacing, small.phi) == small.cfl_bound()
+
+
+def test_lockstep_checks_every_run_before_any_step(monkeypatch):
+    record = record_kernel_steps(monkeypatch)
+    geom = hf.SphereGeometry(32)
+    late = hf.FlowRun([hf.EnsembleMember(hf.FlowState(0.0, geom, np.full(32, F0)))], 0.51, 1e-4, 1e-2)
+    with pytest.raises(ConstraintViolationError, match="extinction") as err:
+        hf.run_ensemble([hf.FlowRun([hf.EnsembleMember(_sphere_cos(16))], 0.01, 1e-3, 0.01), late])
+    assert err.value.run == 1
+    assert record == []

@@ -207,8 +207,9 @@ def test_fuzz_residuals_bounded_on_coarse_sphere(coarse_sphere_pair):
 def test_fuzz_calibration_step_keeps_cfl_headroom(n, monkeypatch):
     from harnackflow import flow, runner
 
-    steps = record_kernel_steps(monkeypatch)
-    traj = runner._fuzz_trajectory(n)
+    record = record_kernel_steps(monkeypatch)
+    ((traj,),) = flow.run_ensemble([runner._fuzz_run(n)])
+    steps = [step for (step,) in record]  # one run: one (t, dt) per kernel step
     times, bounds = traj.times, [s.geom.cfl_bound() for s in traj.states]
     used = []  # the one step of each output interval
     for k in range(1, len(traj)):
