@@ -13,7 +13,9 @@ Subcommands:
   summary.txt.
 * ``sweep CONFIG [CONFIG ...] [--jobs J] [--out DIR]`` -- several scenarios,
   fanned out across min(J, number of configs) processes, each writing to
-  its own subdirectory; J must be at least 1.
+  its own subdirectory; J must be at least 1.  Every config is parsed
+  first, and two that resolve to one output directory exit 2 before any
+  scenario runs.
 
 Exit status is 0 iff every enabled assertion of every scenario passed; a
 stage that fails with a typed error fails its scenario (exit 1), while
@@ -31,7 +33,7 @@ from dataclasses import replace
 
 from .config import parse_config
 from .errors import ConfigFileError, ConstraintViolationError, HarnackFlowError
-from .runner import run_scenario, verify_identities
+from .runner import resolve_out_dir, run_scenario, verify_identities
 
 
 def _load_config(path):
@@ -79,9 +81,7 @@ def _cmd_action(args):
 
 
 def _sweep_worker(item):
-    path, out_base, seed = item
-    cfg = _load_config(path)
-    out_dir = os.path.join(out_base, cfg.name) if out_base else None
+    cfg, out_dir, seed = item
     report = run_scenario(cfg, out_flag=out_dir, seed=seed)
     return cfg.name, report.passed, report.out_dir
 
@@ -89,7 +89,19 @@ def _sweep_worker(item):
 def _cmd_sweep(args):
     if args.jobs < 1:
         raise ConstraintViolationError(f"--jobs must be at least 1, got {args.jobs}")
-    items = [(path, _out_flag(args), args.seed) for path in args.configs]
+    out_base = _out_flag(args)
+    # every config is parsed, and every output directory known, before any scenario runs
+    items, owners = [], {}
+    for path in args.configs:
+        cfg = _load_config(path)
+        out_dir = os.path.join(out_base, cfg.name) if out_base else None
+        where = os.path.realpath(resolve_out_dir(cfg, out_dir))
+        if where in owners:
+            raise ConstraintViolationError(
+                f"configs {owners[where]!r} and {path!r} both write to {where!r}"
+            )
+        owners[where] = path
+        items.append((cfg, out_dir, args.seed))
     # the pool starts all its workers at once: no more than there are configs
     workers = min(args.jobs, len(items))
     if workers > 1:

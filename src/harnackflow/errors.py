@@ -1,13 +1,18 @@
 """Exception hierarchy for the harnackflow package.
 
 All package errors derive from :class:`HarnackFlowError` so callers can
-catch the whole family at an orchestration boundary.  Time-stamped errors
-raised during integration carry the failing time in ``.time``.
+catch the whole family at an orchestration boundary.  Every error carries
+the failing time in ``.time``: set by errors raised during integration,
+None where no time applies.
 """
 
 
 class HarnackFlowError(Exception):
     """Base class for all harnackflow errors."""
+
+    def __init__(self, message, time=None):
+        super().__init__(message)
+        self.time = time
 
 
 class GridMismatchError(HarnackFlowError):
@@ -17,17 +22,9 @@ class GridMismatchError(HarnackFlowError):
 class PositivityLostError(HarnackFlowError):
     """The heat field dropped to or below zero."""
 
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
-
 
 class BlowupError(HarnackFlowError):
     """A field exceeded the overflow guard (|value| > 1e12) or went non-finite."""
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
 
 
 class StepTooLargeError(HarnackFlowError):

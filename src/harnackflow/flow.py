@@ -549,7 +549,7 @@ class _Run:
     def tag(self, err, time=None):
         """Attach this run's index, and the failing time unless the error has one."""
         err.run = self.index
-        if time is not None and getattr(err, "time", None) is None:
+        if time is not None and err.time is None:
             err.time = time
         return err
 

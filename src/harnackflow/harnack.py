@@ -18,9 +18,12 @@ With ``u = -ln f`` and ``v = u - (n/2) ln(4 pi t)`` on surfaces (n = 2):
   equivalently |grad f|^2 + f^2 ln f / t <= 0 after multiplying by f^2;
 * ``mass`` -- integral of f dmu.
 
-All 1/t quantities demand t > 0; monitors along a trajectory start at a
-configured t0 > 0 for that reason.  Grid extrema are taken over all nodes
-with no smoothing (the monotonicity statements are pointwise).
+H and P are two cases of one formula, ``harnack_field``, which the general
+identities evaluate too, and ``gradient_field`` is the one body of
+|grad u|^2 - u/t.  All 1/t quantities demand t > 0; monitors along a
+trajectory start at a configured t0 > 0 for that reason.  Grid extrema
+are taken over all nodes with no smoothing (the monotonicity statements
+are pointwise).
 """
 
 from __future__ import annotations
@@ -85,29 +88,30 @@ def v_field(state):
     return u_field(state) - (DIMENSION / 2.0) * np.log(4.0 * np.pi * state.t)
 
 
+def harnack_field(state, w, alpha, beta, a, b, d):
+    """alpha lap(w) - beta |grad w|^2 + a R - b w/t - d n/t at ``state``.
+
+    The one formula behind H (w = u) and P (w = v), for the monitors and
+    for the general identities alike.  The w/t and n/t terms are left out
+    when their coefficient is zero.
+    """
+    geom = state.geom
+    out = alpha * geom.laplace_beltrami(w) - beta * geom.grad_norm_sq(w)
+    out = out + a * state.R
+    if b != 0.0:
+        out = out - b * w / state.t
+    if d != 0.0:
+        out = out - d * DIMENSION / state.t
+    return out
+
+
 def quantity_H(state):
     _require_positive_time(state)
-    geom = state.geom
-    u = u_field(state)
-    return (
-        2.0 * geom.laplace_beltrami(u)
-        - geom.grad_norm_sq(u)
-        - 3.0 * state.R
-        - 2.0 * DIMENSION / state.t
-    )
+    return harnack_field(state, u_field(state), 2.0, 1.0, -3.0, 0.0, 2.0)
 
 
 def quantity_P(state, d=1.0):
-    _require_positive_time(state)
-    geom = state.geom
-    v = v_field(state)
-    return (
-        2.0 * geom.laplace_beltrami(v)
-        - geom.grad_norm_sq(v)
-        - 3.0 * state.R
-        + v / state.t
-        - d * DIMENSION / state.t
-    )
+    return harnack_field(state, v_field(state), 2.0, 1.0, -3.0, -1.0, d)
 
 
 def quantity_tP(state, d=1.0):
@@ -153,19 +157,27 @@ def surface_lyh(state, which="curvature"):
 
 def entropy_F(state):
     """F = integral of t^2 H e^(-u) dmu = t^2 * integral of H f dmu."""
-    h = quantity_H(state)
-    return state.t**2 * state.geom.integrate(h * state.f)
+    return state.t**2 * _f_integral(state, quantity_H(state))
 
 
 def entropy_W(state, d=1.0):
     """W = integral of tP (4 pi t)^(-n/2) e^(-v) dmu = integral of tP f dmu."""
-    tp = quantity_tP(state, d)
-    return state.geom.integrate(tp * state.f)
+    return _f_integral(state, quantity_tP(state, d))
+
+
+def _f_integral(state, field):
+    return state.geom.integrate(field * state.f)
 
 
 def mass(state):
     """Total heat content, integral of f dmu."""
     return state.geom.integrate(state.f)
+
+
+def gradient_field(state):
+    """|grad u|^2 - u/t, without the range checks of ``gradient_quantity``."""
+    u = u_field(state)
+    return state.geom.grad_norm_sq(u) - u / state.t
 
 
 def gradient_quantity(state):
@@ -175,8 +187,7 @@ def gradient_quantity(state):
     if fmin <= 0.0 or fmax >= 1.0:
         raise FOutOfRangeError(f"f range [{fmin:.6g}, {fmax:.6g}] not inside (0, 1)")
     _require_positive_time(state)
-    u = u_field(state)
-    return state.geom.grad_norm_sq(u) - u / state.t
+    return gradient_field(state)
 
 
 def gradient_quantity_f_form(state):
@@ -231,14 +242,19 @@ def monitor_series(traj, d=1.0, t0=0.0, enable=None):
     for row, k in enumerate(ks):
         state = traj[k]
         curv_min = float(np.min(state.R))
-        if "sup_H" in wants:
-            cols["sup_H"][row] = float(np.max(quantity_H(state)))
-        if "sup_tP" in wants:
-            cols["sup_tP"][row] = float(np.max(quantity_tP(state, d)))
-        if "F" in wants:
-            cols["F"][row] = entropy_F(state)
-        if "W" in wants:
-            cols["W"][row] = entropy_W(state, d)
+        # H feeds sup_H and F, tP feeds sup_tP and W: each is evaluated once
+        if wants & {"sup_H", "F"}:
+            h = quantity_H(state)
+            if "sup_H" in wants:
+                cols["sup_H"][row] = float(np.max(h))
+            if "F" in wants:
+                cols["F"][row] = state.t**2 * _f_integral(state, h)
+        if wants & {"sup_tP", "W"}:
+            tp = quantity_tP(state, d)
+            if "sup_tP" in wants:
+                cols["sup_tP"][row] = float(np.max(tp))
+            if "W" in wants:
+                cols["W"][row] = _f_integral(state, tp)
         if "mass" in wants:
             cols["mass"][row] = mass(state)
         if "sup_grad" in wants and plain_heat and _f_in_unit_interval(state):

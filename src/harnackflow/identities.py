@@ -25,9 +25,18 @@ Families, with their parameter tuples (alpha, beta, a, b, c, d, lambda):
 * ``residual_surface`` -- the surface specialization with H = lap(u) - R:
   the general-f chain (requires R > 0 for its log-curvature terms) and the
   slaved f := R form, where u = -ln R is rebuilt from the curvature of
-  each snapshot and the heat field is ignored.
+  each snapshot and the heat field is ignored.  The two forms may run on
+  different trajectories: the refinement ladder runs the f := R form on a
+  round companion.
 * ``residual_grad`` -- plain-heat gradient identity for
   H = |grad u|^2 - u/t (preset alpha=0, beta=-1, a=c=0, b=1, d=0, lambda=0).
+
+The H and P fields and |grad u|^2 - u/t are the monitors' own formulas
+(``harnack.harnack_field`` and ``harnack.gradient_field``).  Every residual
+goes through one helper: variant check, interior snapshot, centered left
+side, report.  ``preset_reports`` evaluates the named presets of
+``PRESET_REGISTRY`` at one snapshot; it is the one path by which both
+``run`` and the refinement ladder report them.
 
 On surfaces every tensor term is scalar: Rc = (R/2) g, |Rc|^2 = R^2/2,
 Rc(V,V) = (R/2)|V|^2, and the Hessian-square terms are pure-trace
@@ -48,7 +57,7 @@ from .errors import (
     VariantMismatchError,
 )
 from .flow import time_derivative
-from .harnack import DIMENSION, u_field, v_field
+from .harnack import DIMENSION, gradient_field, harnack_field, u_field, v_field
 
 _DEGENERACY_TOL = 1e-9
 
@@ -102,25 +111,6 @@ class ResidualReport:
     l2_norm: float
 
 
-def _norms(geom, res):
-    max_norm = float(np.max(np.abs(res)))
-    l2 = float(np.sqrt(geom.integrate(res * res) / geom.total_area()))
-    return max_norm, l2
-
-
-def _report(identity, params, state, res):
-    max_norm, l2 = _norms(state.geom, res)
-    return ResidualReport(
-        identity=identity,
-        params=params,
-        t=state.t,
-        n=state.geom.n,
-        kind=state.geom.kind,
-        max_norm=max_norm,
-        l2_norm=l2,
-    )
-
-
 def _interior(traj, k):
     """Snapshot k, which needs a neighbour on each side, the left one at t > 0:
     the centered time difference evaluates 1/t terms there."""
@@ -140,20 +130,34 @@ def _check_variant(traj, c):
         )
 
 
+def _residual(identity, traj, k, p, field, rhs):
+    """Report of d(field)/dt - rhs at interior snapshot k of ``traj``.
+
+    ``field`` and ``rhs`` take (state, p).  The left side is the centered
+    difference of ``field`` between snapshots k - 1 and k + 1; the right
+    side is assembled at k.
+    """
+    _check_variant(traj, p.c)
+    state = _interior(traj, k)
+    res = time_derivative(traj, k, lambda s: field(s, p)) - rhs(state, p)
+    geom = state.geom
+    return ResidualReport(
+        identity=identity,
+        params=p,
+        t=state.t,
+        n=geom.n,
+        kind=geom.kind,
+        max_norm=float(np.max(np.abs(res))),
+        l2_norm=float(np.sqrt(geom.integrate(res * res) / geom.total_area())),
+    )
+
+
 # ---------------------------------------------------------------------------
 # general H family
 
 
 def general_H_field(state, p):
-    u = u_field(state)
-    geom = state.geom
-    out = p.alpha * geom.laplace_beltrami(u) - p.beta * geom.grad_norm_sq(u)
-    out = out + p.a * state.R
-    if p.b != 0.0:
-        out = out - p.b * u / state.t
-    if p.d != 0.0:
-        out = out - p.d * DIMENSION / state.t
-    return out
+    return harnack_field(state, u_field(state), p.alpha, p.beta, p.a, p.b, p.d)
 
 
 def _general_H_rhs(state, p):
@@ -183,16 +187,11 @@ def _general_H_rhs(state, p):
 
 def residual_general_H(traj, k, params):
     params.validate_h()
-    _check_variant(traj, params.c)
-    state = _interior(traj, k)
-    lhs = time_derivative(traj, k, lambda s: general_H_field(s, params))
-    res = lhs - _general_H_rhs(state, params)
-    return _report("general_H", params, state, res)
+    return _residual("general_H", traj, k, params, general_H_field, _general_H_rhs)
 
 
-def _cor_H_rhs(state):
-    """Right side of the collapsed H identity at the preset, assembled directly."""
-    p = COR_H_PRESET
+def _cor_H_rhs(state, p):
+    """Right side of the collapsed H identity at the preset ``p``, assembled directly."""
     geom, t = state.geom, state.t
     u = u_field(state)
     curv = state.R
@@ -214,11 +213,7 @@ def _cor_H_rhs(state):
 
 def residual_cor_H(traj, k):
     """Dedicated assembly at the H preset (same residual as the general form)."""
-    p = COR_H_PRESET
-    _check_variant(traj, p.c)
-    state = _interior(traj, k)
-    lhs = time_derivative(traj, k, lambda s: general_H_field(s, p))
-    return _report("cor_H", p, state, lhs - _cor_H_rhs(state))
+    return _residual("cor_H", traj, k, COR_H_PRESET, general_H_field, _cor_H_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +221,8 @@ def residual_cor_H(traj, k):
 
 
 def general_P_field(state, p):
-    v = v_field(state)
-    geom = state.geom
-    out = p.alpha * geom.laplace_beltrami(v) - geom.grad_norm_sq(v)
-    out = out + p.a * state.R
-    if p.b != 0.0:
-        out = out - p.b * v / state.t
-    if p.d != 0.0:
-        out = out - p.d * DIMENSION / state.t
-    return out
+    # beta is 1 by the definition of P
+    return harnack_field(state, v_field(state), p.alpha, 1.0, p.a, p.b, p.d)
 
 
 def _general_P_rhs(state, p):
@@ -265,67 +253,57 @@ def _general_P_rhs(state, p):
 
 def residual_general_P(traj, k, params):
     params.validate_p()
-    _check_variant(traj, params.c)
-    state = _interior(traj, k)
-    lhs = time_derivative(traj, k, lambda s: general_P_field(s, params))
-    res = lhs - _general_P_rhs(state, params)
-    return _report("general_P", params, state, res)
+    return _residual("general_P", traj, k, params, general_P_field, _general_P_rhs)
 
 
-def _cor_P_rhs(state, d):
-    """Right side of the collapsed P identity at the preset (before the t-weighting)."""
-    p = replace(COR_P_PRESET, d=d)
+def _curvature_bracket(state, v):
+    """lap R + R^2 + R/t + 2 grad R . grad v + R |grad v|^2, the curvature
+    terms of the collapsed P identity and of its t-weighted form."""
+    geom, curv = state.geom, state.R
+    return (
+        geom.laplace_beltrami(curv)
+        + curv * curv
+        + curv / state.t
+        + 2.0 * geom.grad_inner(curv, v)
+        + curv * geom.grad_norm_sq(v)
+    )
+
+
+def _cor_P_rhs(state, p):
+    """Right side of the collapsed P identity at the preset ``p`` (before the t-weighting)."""
     geom, t = state.geom, state.t
     v = v_field(state)
-    curv = state.R
     pf = general_P_field(state, p)
-    sigma = curv / 2.0 + 1.0 / (2.0 * t)
+    sigma = state.R / 2.0 + 1.0 / (2.0 * t)
     return (
         geom.laplace_beltrami(pf)
         - 2.0 * geom.grad_inner(pf, v)
         - 2.0 * geom.hessian_deviation_sq(v, sigma)
         - pf / t
-        - 2.0
-        * (
-            geom.laplace_beltrami(curv)
-            + curv * curv
-            + curv / t
-            + 2.0 * geom.grad_inner(curv, v)
-            + curv * geom.grad_norm_sq(v)
-        )
+        - 2.0 * _curvature_bracket(state, v)
+    )
+
+
+def _tP_field(state, p):
+    return state.t * general_P_field(state, p)
+
+
+def _tP_rhs(state, p):
+    geom, t = state.geom, state.t
+    v = v_field(state)
+    tp = _tP_field(state, p)
+    sigma = state.R / 2.0 + 1.0 / (2.0 * t)
+    return (
+        geom.laplace_beltrami(tp)
+        - 2.0 * geom.grad_inner(tp, v)
+        - 2.0 * t * geom.hessian_deviation_sq(v, sigma)
+        - 2.0 * t * _curvature_bracket(state, v)
     )
 
 
 def residual_tP(traj, k, d=1.0):
     """Residual of the t-weighted identity at the preset (free d)."""
-    p = replace(COR_P_PRESET, d=d)
-    _check_variant(traj, p.c)
-    state = _interior(traj, k)
-    geom, t = state.geom, state.t
-
-    def tp_field(s):
-        return s.t * general_P_field(s, p)
-
-    v = v_field(state)
-    curv = state.R
-    tp = tp_field(state)
-    sigma = curv / 2.0 + 1.0 / (2.0 * t)
-    rhs = (
-        geom.laplace_beltrami(tp)
-        - 2.0 * geom.grad_inner(tp, v)
-        - 2.0 * t * geom.hessian_deviation_sq(v, sigma)
-        - 2.0
-        * t
-        * (
-            geom.laplace_beltrami(curv)
-            + curv * curv
-            + curv / t
-            + 2.0 * geom.grad_inner(curv, v)
-            + curv * geom.grad_norm_sq(v)
-        )
-    )
-    lhs = time_derivative(traj, k, tp_field)
-    return _report("cor_tP", p, state, lhs - rhs)
+    return _residual("cor_tP", traj, k, replace(COR_P_PRESET, d=d), _tP_field, _tP_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -341,80 +319,72 @@ def _log_curv(state):
 
 
 def _surface_H_field(state):
-    geom = state.geom
-    u = u_field(state)
-    return geom.laplace_beltrami(u) - state.R
+    return state.geom.laplace_beltrami(u_field(state)) - state.R
 
 
 def _surface_fR_field(state):
-    geom = state.geom
     _, ln_r = _log_curv(state)
-    return geom.laplace_beltrami(-ln_r) - state.R
+    return state.geom.laplace_beltrami(-ln_r) - state.R
 
 
-def residual_surface(traj, k):
+def residual_surface(traj, k, fr_traj=None):
     """Surface identity residuals: (general-f report, f := R report).
 
-    The general-f chain assembles, with H = lap(u) - R and
-    H_ij = hess(u) - (R/2) g,
+    The general-f chain runs on ``traj`` and assembles, with H = lap(u) - R
+    and H_ij = hess(u) - (R/2) g,
 
         dH/dt = lap H - 2|H_ij|^2 - 2 grad H . grad u - R H
                 - R |grad u + grad ln R|^2 - R (d(ln R)/dt - |grad ln R|^2),
 
-    using the measured centered d(ln R)/dt.  The slaved form replaces the
-    heat field by the curvature itself (u = -ln R), for which
+    using the measured centered d(ln R)/dt.  The slaved form runs on
+    ``fr_traj`` (default ``traj``) and replaces the heat field by the
+    curvature itself (u = -ln R), for which
 
         dH/dt = lap H - 2|H_ij|^2 + 2 grad H . grad ln R.
 
-    Both need R > 0 at the three snapshots involved.
+    Each form needs R > 0 at the three snapshots it reads.
     """
-    _check_variant(traj, SURFACE_PRESET.c)
-    state = _interior(traj, k)
-    geom = state.geom
-    for kk in (k - 1, k, k + 1):
-        _log_curv(traj[kk])
+    fr_traj = traj if fr_traj is None else fr_traj
 
-    u = u_field(state)
-    curv, ln_r = _log_curv(state)
-    h = _surface_H_field(state)
-    hess_sq = geom.hessian_deviation_sq(u, curv / 2.0)
-    dlnr_dt = time_derivative(traj, k, lambda s: _log_curv(s)[1])
-    rhs = (
-        geom.laplace_beltrami(h)
-        - 2.0 * hess_sq
-        - 2.0 * geom.grad_inner(h, u)
-        - curv * h
-        - curv * geom.grad_norm_sq(u + ln_r)
-        - curv * (dlnr_dt - geom.grad_norm_sq(ln_r))
-    )
-    lhs = time_derivative(traj, k, _surface_H_field)
-    general_report = _report("surface_general", SURFACE_PRESET, state, lhs - rhs)
+    def general_rhs(state, p):
+        geom = state.geom
+        dlnr_dt = time_derivative(traj, k, lambda s: _log_curv(s)[1])
+        curv, ln_r = _log_curv(state)
+        u = u_field(state)
+        h = _surface_H_field(state)
+        return (
+            geom.laplace_beltrami(h)
+            - 2.0 * geom.hessian_deviation_sq(u, curv / 2.0)
+            - 2.0 * geom.grad_inner(h, u)
+            - curv * h
+            - curv * geom.grad_norm_sq(u + ln_r)
+            - curv * (dlnr_dt - geom.grad_norm_sq(ln_r))
+        )
 
-    u_r = -ln_r
-    h_r = _surface_fR_field(state)
-    rhs_r = (
-        geom.laplace_beltrami(h_r)
-        - 2.0 * geom.hessian_deviation_sq(u_r, curv / 2.0)
-        + 2.0 * geom.grad_inner(h_r, ln_r)
+    def fr_rhs(state, p):
+        geom = state.geom
+        curv, ln_r = _log_curv(state)
+        h = _surface_fR_field(state)
+        return (
+            geom.laplace_beltrami(h)
+            - 2.0 * geom.hessian_deviation_sq(-ln_r, curv / 2.0)
+            + 2.0 * geom.grad_inner(h, ln_r)
+        )
+
+    return (
+        _residual("surface_general", traj, k, SURFACE_PRESET, lambda s, p: _surface_H_field(s), general_rhs),
+        _residual("surface_fR", fr_traj, k, SURFACE_PRESET, lambda s, p: _surface_fR_field(s), fr_rhs),
     )
-    lhs_r = time_derivative(traj, k, _surface_fR_field)
-    fr_report = _report("surface_fR", SURFACE_PRESET, state, lhs_r - rhs_r)
-    return general_report, fr_report
 
 
 # ---------------------------------------------------------------------------
 # gradient identity (plain heat)
 
 
-def _grad_H_field(state):
-    u = u_field(state)
-    return state.geom.grad_norm_sq(u) - u / state.t
-
-
-def _grad_rhs(state):
+def _grad_rhs(state, p):
     geom, t = state.geom, state.t
     u = u_field(state)
-    h = _grad_H_field(state)
+    h = gradient_field(state)
     return (
         geom.laplace_beltrami(h)
         - 2.0 * geom.grad_inner(h, u)
@@ -425,66 +395,70 @@ def _grad_rhs(state):
 
 def residual_grad(traj, k):
     """Residual of dH/dt = lap H - 2 grad H . grad u - H/t - 2|hess u|^2."""
-    _check_variant(traj, GRAD_PRESET.c)
-    state = _interior(traj, k)
-    lhs = time_derivative(traj, k, _grad_H_field)
-    return _report("grad", GRAD_PRESET, state, lhs - _grad_rhs(state))
+    return _residual("grad", traj, k, GRAD_PRESET, lambda s, p: gradient_field(s), _grad_rhs)
 
 
 # ---------------------------------------------------------------------------
 # preset-reduction agreement
 
 
-def preset_agreement_H(traj, k):
-    """Max pointwise gap between the general assembly at the H preset and
+def _agreement(traj, k, p, general_rhs, dedicated_rhs):
+    """Max pointwise gap between the general assembly at the preset ``p`` and
     the dedicated collapsed assembly (identical left sides, so this is the
     residual-field mismatch; nonzero only through float reassociation)."""
-    _check_variant(traj, COR_H_PRESET.c)
+    _check_variant(traj, p.c)
     state = _interior(traj, k)
-    gap = _general_H_rhs(state, COR_H_PRESET) - _cor_H_rhs(state)
-    return float(np.max(np.abs(gap)))
+    return float(np.max(np.abs(general_rhs(state, p) - dedicated_rhs(state, p))))
+
+
+def preset_agreement_H(traj, k):
+    return _agreement(traj, k, COR_H_PRESET, _general_H_rhs, _cor_H_rhs)
 
 
 def preset_agreement_P(traj, k, d=1.0):
-    _check_variant(traj, COR_P_PRESET.c)
-    state = _interior(traj, k)
-    gap = _general_P_rhs(state, replace(COR_P_PRESET, d=d)) - _cor_P_rhs(state, d)
-    return float(np.max(np.abs(gap)))
+    return _agreement(traj, k, replace(COR_P_PRESET, d=d), _general_P_rhs, _cor_P_rhs)
 
 
 def preset_agreement_grad(traj, k):
-    _check_variant(traj, GRAD_PRESET.c)
-    state = _interior(traj, k)
-    gap = _general_H_rhs(state, GRAD_PRESET) - _grad_rhs(state)
-    return float(np.max(np.abs(gap)))
+    return _agreement(traj, k, GRAD_PRESET, _general_H_rhs, _grad_rhs)
 
 
 # ---------------------------------------------------------------------------
 # preset registry
 
 
-def _surface_reports(traj, k, d):
-    # eligible only where the curvature is positive at the checked snapshot
-    if float(np.min(traj[k].R)) > 0:
-        return list(residual_surface(traj, k))
-    return []
-
-
 # Preset name -> (reaction coefficient c the identity requires,
-# (traj, k, d) -> list of ResidualReport), in report order.  The entries
-# look the residual functions up by their module-level names at call time,
-# so wrappers installed on those names (bench/tracing.py) see every call.
+# (traj, k, d, fr_traj) -> list of ResidualReport), in report order; only
+# ``surface`` reads fr_traj, the trajectory of its f := R form.
+# ``preset_reports`` is the one path that evaluates them.  The entries look
+# the residual functions up by their module-level names at call time, so
+# wrappers installed on those names (bench/tracing.py) see every call.
 PRESET_REGISTRY = {
-    "general_H": (COR_H_PRESET.c, lambda traj, k, d: [residual_general_H(traj, k, COR_H_PRESET)]),
-    "cor_H": (COR_H_PRESET.c, lambda traj, k, d: [residual_cor_H(traj, k)]),
+    "general_H": (COR_H_PRESET.c, lambda traj, k, d, fr: [residual_general_H(traj, k, COR_H_PRESET)]),
+    "cor_H": (COR_H_PRESET.c, lambda traj, k, d, fr: [residual_cor_H(traj, k)]),
     "general_P": (
         COR_P_PRESET.c,
-        lambda traj, k, d: [residual_general_P(traj, k, replace(COR_P_PRESET, d=d))],
+        lambda traj, k, d, fr: [residual_general_P(traj, k, replace(COR_P_PRESET, d=d))],
     ),
-    "cor_tP": (COR_P_PRESET.c, lambda traj, k, d: [residual_tP(traj, k, d=d)]),
-    "surface": (SURFACE_PRESET.c, _surface_reports),
-    "grad": (GRAD_PRESET.c, lambda traj, k, d: [residual_grad(traj, k)]),
+    "cor_tP": (COR_P_PRESET.c, lambda traj, k, d, fr: [residual_tP(traj, k, d=d)]),
+    "surface": (SURFACE_PRESET.c, lambda traj, k, d, fr: list(residual_surface(traj, k, fr))),
+    "grad": (GRAD_PRESET.c, lambda traj, k, d, fr: [residual_grad(traj, k)]),
 }
+
+
+def preset_reports(trajs, k, want, d=1.0, fr_traj=None):
+    """Residual reports of the presets named in ``want`` at snapshot k, in registry order.
+
+    ``trajs`` maps a reaction coefficient c to the trajectory evolved with
+    it; a wanted preset whose c has none there is left out.  ``surface``
+    needs R > 0 at the snapshots it reads, and its f := R form runs on
+    ``fr_traj``, by default on the same trajectory as its general-f form.
+    """
+    out = []
+    for name, (c, reports) in PRESET_REGISTRY.items():
+        if name in want and c in trajs:
+            out.extend(reports(trajs[c], k, d, fr_traj))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,7 @@ def _seeded_rng(cfg, seed):
 
 def _failure_line(stage, err):
     """``FAIL <stage>: <error type>[ at t = ...]: <message>`` for a stage that raised."""
-    when = getattr(err, "time", None)
-    stamp = f" at t = {when:.6g}" if when is not None else ""
+    stamp = f" at t = {err.time:.6g}" if err.time is not None else ""
     return f"FAIL {stage}: {type(err).__name__}{stamp}: {err}"
 
 
@@ -328,9 +327,11 @@ def run_scenario(cfg, out_flag=None, seed=None):
 
         if cfg.identities_enable:
             stage = "identities"
-            k = int(round(cfg.t_check / cfg.dt_out))
-            k = min(max(k, 1), len(traj) - 2)
-            reports = _identity_reports(traj, k, cfg)
+            k = _check_index(cfg.t_check, cfg.dt_out, traj)
+            want = set(cfg.identity_presets)
+            if float(np.min(traj[k].R)) <= 0:
+                want.discard("surface")  # it needs R > 0 at the checked snapshot
+            reports = identities.preset_reports({traj.c: traj}, k, want, cfg.d)
             identities.write_identity_csv(reports, os.path.join(out_dir, "identities.csv"))
 
         margins = None
@@ -352,12 +353,9 @@ def run_scenario(cfg, out_flag=None, seed=None):
     return ScenarioReport(cfg.name, assertions, out_dir)
 
 
-def _identity_reports(traj, k, cfg):
-    out = []
-    for name, (c, preset_reports) in identities.PRESET_REGISTRY.items():
-        if name in cfg.identity_presets and traj.c == c:
-            out.extend(preset_reports(traj, k, cfg.d))
-    return out
+def _check_index(t_check, dt_out, traj):
+    """Index of the snapshot nearest ``t_check``, clamped to the interior of ``traj``."""
+    return min(max(int(round(t_check / dt_out)), 1), len(traj) - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -452,18 +450,21 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
 
     dt and dt_out scale by 1/4 per level so spatial and temporal residual
     components shrink together; each level evaluates the residuals at the
-    same snapshot time t_check.  The flows of a level share n, dt and
-    dt_out and form one run; the fuzz calibration is one more.  All of
-    them are integrated by one ``run_ensemble`` call, in lockstep stacks,
-    before any residual.  Fuzz tuples run at the coarsest level.
+    same snapshot time t_check, through ``identities.preset_reports`` as
+    ``run`` does.  The flows of a level share n, dt and dt_out and form
+    one run; the fuzz calibration is one more.  All of them are
+    integrated by one ``run_ensemble`` call, in lockstep stacks, before
+    any residual.  Fuzz tuples run at the coarsest level.
     The ``surface`` preset runs on sphere configs only: by Gauss-Bonnet a
-    torus never has R > 0 everywhere.  The reports of an earlier ladder are
-    removed first; fewer than two levels, which leave no convergence ratio
-    to check, then raise ConstraintViolationError before any flow runs, as
-    do a negative seed and an invalid initial state at any level.  A
-    HarnackFlowError in a stage (a level's flows or residuals, the fuzz)
-    that is not a config error ends the ladder: identity_summary.txt then
-    holds the single line
+    torus never has R > 0 everywhere.  Its general-f form runs on the
+    scenario's trajectory and its f := R form on the round companion, in
+    one ``residual_surface`` call per level.  The reports of an earlier
+    ladder are removed first; fewer than two levels, which leave no
+    convergence ratio to check, then raise ConstraintViolationError before
+    any flow runs, as do a negative seed and an invalid initial state at
+    any level.  A HarnackFlowError in a stage (a level's flows or
+    residuals, the fuzz) that is not a config error ends the ladder:
+    identity_summary.txt then holds the single line
     ``FAIL <stage> (level L, N = n): <error type>[ at t = ...]: <message>``,
     no identities.csv is written, and the returned study carries that line
     in ``failure`` and fails.  Since the flows all finish first, a flow
@@ -514,28 +515,16 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
             where = f"level {lvl}, N = {lcfg.n}"
             stage = f"residuals ({where})"
             trajs = dict(zip(coeffs, level_flows))
-            traj_round = level_flows[-1] if "surface" in want else None
             traj_pot = trajs[-1.0]
-            k = int(round(cfg.t_check / lcfg.dt_out))
-            k = min(max(k, 1), len(traj_pot) - 2)
-            reports = []
-            for name, (c, preset_reports) in identities.PRESET_REGISTRY.items():
-                if name not in want:
-                    continue
-                traj = trajs[c]
-                if name != "surface":
-                    reports.extend(preset_reports(traj, min(k, len(traj) - 2), cfg.d))
-                    continue
-                # The one special case: the slaved f := R form chains six
-                # discrete derivatives of phi, so on generic data its float64
-                # noise floor grows ~ h^-6 and overtakes the signal by N = 256;
-                # its refinement study runs on the constant-curvature companion,
-                # where it is noise-free.  The general-f form stays on the
-                # scenario's own trajectory.
-                general_rep, _ = identities.residual_surface(traj, k)
-                reports.append(general_rep)
-                _, fr_rep = identities.residual_surface(traj_round, min(k, len(traj_round) - 2))
-                reports.append(fr_rep)
+            # every run's members share one length, so k holds for all of them
+            k = _check_index(cfg.t_check, lcfg.dt_out, traj_pot)
+            # The slaved f := R form chains six discrete derivatives of phi,
+            # so on generic data its float64 noise floor grows ~ h^-6 and
+            # overtakes the signal by N = 256; its refinement study runs on
+            # the constant-curvature companion, where it is noise-free.  The
+            # general-f form stays on the scenario's own trajectory.
+            traj_round = level_flows[-1] if "surface" in want else None
+            reports = identities.preset_reports(trajs, k, want, cfg.d, traj_round)
             level_rows.append(
                 IdentityLevel(n=lcfg.n, dt=traj_pot.dt, dt_out=lcfg.dt_out, t_check=traj_pot[k].t, reports=reports)
             )
@@ -545,10 +534,7 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
                 agree["general_H/cor_H"] = identities.preset_agreement_H(traj_pot, k)
                 agree["general_P/cor_P"] = identities.preset_agreement_P(traj_pot, k, cfg.d)
                 if "grad" in want:
-                    traj_heat = trajs[identities.GRAD_PRESET.c]
-                    agree["general_H/grad"] = identities.preset_agreement_grad(
-                        traj_heat, min(k, len(traj_heat) - 2)
-                    )
+                    agree["general_H/grad"] = identities.preset_agreement_grad(trajs[identities.GRAD_PRESET.c], k)
                 if cfg.fuzz_count:
                     stage = f"fuzz ({where})"
                     (traj_fuzz,) = flows[-1]

@@ -471,6 +471,33 @@ def test_env_var_sweep_keeps_members_apart(cfg_file, tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
+@pytest.mark.parametrize("shared", ["file name", "directory"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_refuses_two_configs_with_one_output_directory(tmp_path, capsys, monkeypatch, shared, jobs):
+    # the second run used to overwrite the first (serial) or race it (--jobs 2)
+    import harnackflow.runner as runner
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(runner, "run_flow", no_flow)
+    out = tmp_path / "out"
+    paths = []
+    for sub, name in (("a", "tiny.cfg"), ("b", "tiny.cfg" if shared == "file name" else "other.cfg")):
+        text = SMALL_TORUS
+        if shared == "directory":
+            text = SMALL_TORUS.replace("seed = 2", f"seed = 2\ndirectory = {out / 'shared'}")
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / name).write_text(text)
+        paths.append(str(tmp_path / sub / name))
+    flags = ["--out", str(out)] if shared == "file name" else []
+    assert main(["sweep", *paths, "--jobs", jobs, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "ConstraintViolationError" in err
+    assert paths[0] in err and paths[1] in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_rejects_jobs_below_one(cfg_file, tmp_path, capsys, jobs):
     cfg = cfg_file(SMALL_TORUS, "j.cfg")

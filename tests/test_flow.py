@@ -474,10 +474,7 @@ def test_curvature_computed_once_per_state_across_stages(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hf.SphereGeometry, "scalar_curvature", counted)
     series = hf.monitor_series(traj, t0=0.01)
-    reports = []
-    for c, preset_reports in identities.PRESET_REGISTRY.values():
-        if c == traj.c:
-            reports.extend(preset_reports(traj, 2, 1.0))
+    reports = identities.preset_reports({traj.c: traj}, 2, identities.PRESET_REGISTRY, 1.0)
     assert {r.identity for r in reports} >= {"cor_H", "cor_tP", "surface_general", "surface_fR"}
     margins = [
         hf.check_integrated_harnack(traj, (x1, traj.times[k1]), (x2, traj.times[k2]), window=5)[0]

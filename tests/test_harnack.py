@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,37 @@ def test_monitor_trace_columns_require_evolving_metric(torus_bump_static_traj):
     assert np.all(np.isnan(series.columns["min_traceH_Vu"]))
     # the gradient column still applies (plain heat, 0 < f < 1)
     assert not np.any(np.isnan(series.columns["sup_grad"]))
+
+
+def test_monitor_series_evaluates_H_and_tP_once_per_snapshot(torus_potential_traj, monkeypatch):
+    # sup_H and F share one H per snapshot, sup_tP and W one tP
+    from harnackflow import harnack
+
+    traj = torus_potential_traj
+    expected = hf.monitor_series(traj, d=1.0, t0=0.1)
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(harnack, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("quantity_H", "quantity_tP"):
+        monkeypatch.setattr(harnack, name, counted(name))
+    series = hf.monitor_series(traj, d=1.0, t0=0.1)
+    rows = len(series.times)
+    assert rows > 2
+    assert calls == Counter({"quantity_H": rows, "quantity_tP": rows})
+    monkeypatch.undo()
+    for row, t in enumerate(series.times):
+        state = next(s for s in traj.states if s.t == t)
+        assert series.columns["sup_H"][row] == float(np.max(hf.quantity_H(state)))
+        assert series.columns["F"][row] == hf.entropy_F(state)
+        assert series.columns["sup_tP"][row] == float(np.max(hf.quantity_tP(state, 1.0)))
+        assert series.columns["W"][row] == hf.entropy_W(state, 1.0)
+    for name in ("sup_H", "F", "sup_tP", "W"):
+        assert series.columns[name].tobytes() == expected.columns[name].tobytes()

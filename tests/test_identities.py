@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,81 @@ def test_tP_residual_independent_of_d(coarse_sphere_pair):
     k = 5
     norms = [idn.residual_tP(pot, k, d=d).max_norm for d in (0.0, 1.0, 2.0)]
     assert max(norms) - min(norms) <= 1e-9 * (1.0 + max(norms))
+
+
+# -- one field formula and one report path --------------------------------------
+
+
+@pytest.mark.parametrize("name", ["sphere_cosine_traj", "torus_bump_ricci_traj", "torus_potential_traj"])
+def test_monitored_quantities_are_the_general_fields_at_their_presets(name, request):
+    # the monitors and the identities evaluate one formula, bit for bit
+    traj = request.getfixturevalue(name)
+    in_unit_interval = 0
+    for state in traj.states[1:]:
+        assert hf.quantity_H(state).tobytes() == idn.general_H_field(state, idn.COR_H_PRESET).tobytes()
+        for d in (0.0, 1.0, 2.0):
+            preset = replace(idn.COR_P_PRESET, d=d)
+            assert hf.quantity_P(state, d).tobytes() == idn.general_P_field(state, preset).tobytes()
+        if 0.0 < np.min(state.f) and np.max(state.f) < 1.0:  # the range gradient_quantity accepts
+            in_unit_interval += 1
+            assert hf.gradient_quantity(state).tobytes() == idn.general_H_field(state, idn.GRAD_PRESET).tobytes()
+    assert in_unit_interval >= 10
+
+
+SMALL_LADDER = """
+[geometry]
+kind = rot_sphere
+n = 32
+phi_mode = cos_theta
+phi_amp = 0.1
+
+[initial]
+id = cos_theta
+f0 = 0.5
+amp = 0.2
+
+[flow]
+t_end = 0.1
+dt = 1e-3
+dt_out = 0.01
+
+[identities]
+enable = true
+t_check = 0.05
+"""
+
+
+def test_ladder_runs_each_surface_form_once_on_its_own_trajectory(tmp_path, monkeypatch):
+    # one residual_surface call per level: the general-f form on the
+    # scenario's trajectory, the f := R form on the round companion
+    from harnackflow import runner
+
+    flows, calls = [], []
+    run_ensemble, residual_surface = runner.run_ensemble, idn.residual_surface
+
+    def recorded_flows(runs):
+        flows.extend(run_ensemble(runs))
+        return flows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return residual_surface(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_ensemble", recorded_flows)
+    monkeypatch.setattr(idn, "residual_surface", counted)
+    cfg = hf.parse_config(SMALL_LADDER, name="ladder")
+    study = hf.verify_identities(cfg, levels=2, out_flag=str(tmp_path))
+    assert study.passed
+    assert len(calls) == 2
+    for level, level_flows in zip(study.levels, flows):
+        scenario, companion = level_flows[0], level_flows[-1]
+        assert scenario.c == -1.0 and scenario.initial_id == "cos_theta"
+        first = companion[0]
+        assert np.ptp(first.f) == 0.0 and np.ptp(first.geom.phi) == 0.0  # round, constant heat
+        k = int(np.flatnonzero(scenario.times == level.t_check)[0])
+        rows = {r.identity: r for r in level.reports}
+        assert rows["surface_general"] == residual_surface(scenario, k)[0]
+        assert rows["surface_fR"] == residual_surface(companion, k)[1]
 
 
 # -- degenerate tuples and variant checks -------------------------------------
