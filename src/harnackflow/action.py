@@ -40,14 +40,22 @@ departure that feeds an in-box arrival able to reach x2 can itself reach
 x2, so it lies in the previous layer's box, and every value a path can
 use is the full-grid DP's, bit for bit.  The layer gathers the departure
 values on its box grown by W per axis (wrapped on the torus, +inf off the
-sphere and off the previous box), adds each offset plane to a shifted
-view of them and keeps only the elementwise minimum.  The arrival term is
+sphere and off the previous box) and takes, at every arrival node, the
+minimum over offsets of departure plus step cost.  The arrival term is
 added once, after the minimum: rounding is monotone, so
-min_o fl(x_o + c) = fl(min_o x_o + c).  For the backtrack a layer keeps
-its departure values and its arrival term on its box, and no table.  At
-the one path node per layer the candidates are recomputed in the DP's
-order, ((depart + d^2/dt) + arrive), from that node's table, and
-``np.argmin`` takes the first offset attaining the minimum.
+min_o fl(x_o + c) = fl(min_o x_o + c).  On a curved layer each offset
+plane of the table is added to a shifted view of the departures, two
+numpy calls per offset.  On a uniform torus layer, which the table
+builder reports by giving its distances per taxicab radius, the cost of
+offset (a, b) depends on |a| + |b| alone, so the same argument lets the
+layer take exact minima of the departures shell by shell (first over the
+two columns at +-b, then over the rows at +-a) and add each shell's cost
+once: 2W + 1 cost adds instead of (2W + 1)^2, the same bits.  For the
+backtrack a layer keeps its departure values and its arrival term on its
+box, and only a uniform layer's (2W+1)^2 table.  At the one path node per
+layer the candidates are recomputed in the DP's order,
+((depart + d^2/dt) + arrive), from that table or the node's own curved
+table, and ``np.argmin`` takes the first offset attaining the minimum.
 
 ``check_integrated_harnack`` turns the minimized action into a pointwise
 certificate from one ``min_action`` call: with n = 2,
@@ -87,9 +95,13 @@ class SpaceTimePath:
     action: float
 
 
+def _same_time(stored, t):
+    """Whether a stored time names t: within 1e-9 relative, absolute below 1."""
+    return np.abs(stored - t) <= 1e-9 * max(1.0, abs(t))
+
+
 def _locate_time(traj, t):
-    times = traj.times
-    hits = np.nonzero(np.abs(times - t) <= 1e-9 * max(1.0, abs(t)))[0]
+    hits = np.nonzero(_same_time(traj.times, t))[0]
     if hits.size == 0:
         raise TimesNotStoredError(f"t = {t!r} is not a stored snapshot time")
     return int(hits[0])
@@ -130,26 +142,40 @@ def _sphere_window_distances(geom, phi_mid, window, box):
     return np.where(on_grid, np.abs(cum[rings.start : rings.stop] - cum[np.clip(src, 0, n - 1)]), np.inf)
 
 
+def _torus_taxicab_distances(geom, phi_mid, window):
+    """d at taxicab radius m = |a| + |b| for m = 0..2W on a uniform metric, else None.
+
+    With uniform weights the within-window distance of offset (a, b) is
+    the exact graph distance h*e^phi*(|a| + |b|), the same at every node.
+    """
+    if float(np.ptp(phi_mid)) > 1e-13:
+        return None
+    return geom.h * float(np.exp(phi_mid.flat[0])) * np.arange(2 * window + 1)
+
+
+def _taxicab_table(radial, window):
+    """table[a+W, b+W, 0, 0] = radial[|a| + |b|]: one value per offset, broadcast over a box."""
+    offs = np.abs(np.arange(-window, window + 1))
+    return radial[offs[:, None] + offs][:, :, None, None]
+
+
 def _torus_window_distances(geom, phi_mid, window, box):
     """table[a+W, b+W, v, w]: shortest within-box path (i-a, j-b) -> (i, j).
 
     (i, j) is the box's node at position (v, w).  The table is indexed by
-    the arrival node, so the DP adds each offset plane to the departure
-    values read through a shifted view.  With uniform weights the result
-    is the exact graph distance h*e^phi*(|a| + |b|), the same at every
-    node, and the table has shape (2W+1, 2W+1, 1, 1): one value per
-    offset, broadcast over the box.  Otherwise it is the in-box fixed
+    the arrival node, so the DP on a curved layer adds each offset plane to
+    the departure values read through a shifted view.  With uniform weights
+    the table has shape (2W+1, 2W+1, 1, 1), the taxicab distances of
+    ``_torus_taxicab_distances``.  Otherwise it is the in-box fixed
     point of a min-plus relaxation over the (2W+1)^2 offset box; paths may
     wander anywhere inside the box of relative offsets.
     """
+    radial = _torus_taxicab_distances(geom, phi_mid, window)
+    if radial is not None:
+        return _taxicab_table(radial, window)
     h = geom.h
-    spread = float(np.ptp(phi_mid))
     size = 2 * window + 1
     offs = np.arange(-window, window + 1)
-    if spread <= 1e-13:
-        scale = h * float(np.exp(phi_mid.flat[0]))
-        taxi = np.abs(offs)[:, None] + np.abs(offs)[None, :]
-        return (scale * taxi)[:, :, None, None]
 
     # The relaxation runs over the departure nodes of the box, the box grown
     # by W per axis, and the paths from them reach W further.  Departure
@@ -231,13 +257,14 @@ class _LayerGraph:
     """How one geometry kind enters the layer DP."""
 
     distances: Callable  # (geom, phi_mid, window, box) -> table indexed by the box's arrival nodes
+    taxicab: Callable  # (geom, phi_mid, window) -> d by |a| + |b| on a uniform 2-D layer, else None
     periodic: bool  # offsets wrap around the grid
     max_window: Callable  # n -> widest window that still adds transitions
 
 
 _LAYER_GRAPHS = {
-    "rot_sphere": _LayerGraph(_sphere_window_distances, False, lambda n: n - 1),
-    "torus": _LayerGraph(_torus_window_distances, True, lambda n: (n - 1) // 2),
+    "rot_sphere": _LayerGraph(_sphere_window_distances, lambda geom, phi_mid, window: None, False, lambda n: n - 1),
+    "torus": _LayerGraph(_torus_window_distances, _torus_taxicab_distances, True, lambda n: (n - 1) // 2),
 }
 
 
@@ -293,6 +320,49 @@ def _departures(values, held, box, window, shape, periodic):
     return pad
 
 
+def _view(a, shape, steps):
+    """View of the C-contiguous array ``a``: element [i, j, ...] at flat position i*steps[0] + j*steps[1] + ...."""
+    return np.ndarray(shape, a.dtype, a, 0, tuple(step * a.itemsize for step in steps))
+
+
+def _shell_minimum(grown, costs, window, box_shape):
+    """min over offsets (a, b) of fl(grown[i + W - a, j + W - b] + costs[|a| + |b|]) at box position (i, j).
+
+    ``grown`` holds the departure values on the box grown by W per axis.
+    The cost depends on the offset only through its taxicab radius m, and
+    rounding is monotone, so the minimum over a shell of fl(x + costs[m])
+    is fl(min over the shell of x + costs[m]): each shell's departures are
+    reduced first and its cost added once.  Min is exact, so the result is
+    the per-offset minimum bit for bit.
+    """
+    w = window
+    nx, ny = box_shape
+    rows = nx + 2 * w
+    # cols[b, s, j] = min(grown[s, j + W - b], grown[s, j + W + b]): the
+    # departures |b| columns away, one block of rows per |b|
+    cols = np.empty((w + 1, rows, ny))
+    across = _view(grown, (rows, 2 * w + 1, ny), (ny + 2 * w, 1, 1))  # across[s, c, j] = grown[s, c + j]
+    np.minimum(across[:, w::-1], across[:, w:], out=cols.transpose(1, 0, 2))
+    # shifts[r] = the box-sized rows r .. r + nx - 1 of cols, r = |b| * rows + s.
+    # Shell m reads |a| = a and |b| = m - a, at rows (m - a) * rows + W -/+ a:
+    # as a runs down from its largest value, two arithmetic progressions of
+    # step rows + 1 (departure row i + W - a) and rows - 1 (row i + W + a).
+    shifts = _view(cols, ((w + 1) * rows - nx + 1, nx, ny), (ny, ny, 1))
+    best = costs[0] + shifts[w]
+    low = np.empty(box_shape)
+    high = np.empty(box_shape)
+    for m in range(1, 2 * w + 1):
+        top = min(m, w)
+        count = top - max(0, m - w) + 1
+        start = (m - top) * rows + w
+        np.minimum.reduce(shifts[start - top :: rows + 1][:count], axis=0, out=low)
+        np.minimum.reduce(shifts[start + top :: rows - 1][:count], axis=0, out=high)
+        np.minimum(low, high, out=low)
+        low += costs[m]
+        np.minimum(best, low, out=best)
+    return best
+
+
 def _layer_dp(traj, k1, k2, x1, x2, window):
     graph, window = _layer_graph(traj.geom, window)
     shape = traj.geom.field_shape
@@ -307,13 +377,16 @@ def _layer_dp(traj, k1, k2, x1, x2, window):
     first, *rest = offsets
     flip = (slice(None, None, -1),) * len(shape)
 
-    def step_costs(k, box):
-        """d^2 / dt from layer k's table for the arrival nodes of ``box``."""
+    def layer_metric(k):
+        """Layer k's geometry and its mid-step conformal exponent."""
         geom_a, geom_b = traj[k].geom, traj[k + 1].geom
-        step = graph.distances(geom_a, 0.5 * (geom_a.phi + geom_b.phi), window, box)
-        step **= 2
-        step /= dt
-        return step
+        return geom_a, 0.5 * (geom_a.phi + geom_b.phi)
+
+    def cost(distances):
+        """d^2 / dt, in place."""
+        distances **= 2
+        distances /= dt
+        return distances
 
     def position(node, box):
         """Index of a flat node into values held on ``box``."""
@@ -322,39 +395,52 @@ def _layer_dp(traj, k1, k2, x1, x2, window):
     held = tuple(range(i, i + 1) for i in np.unravel_index(x1, shape))
     # departure values on the nodes held: the value so far plus 0.5 R dt
     depart = 0.0 + 0.5 * traj[k1].R[_box_index(held, shape)] * dt
-    kept = []  # per layer, the departure values the backtrack reads
+    kept = []  # per layer, the departure values the backtrack reads and a uniform layer's table
     for k, box in zip(range(k1, k2), boxes):
         box_shape = tuple(map(len, box))
-        # sources[a + W] holds depart[q - a] at arrival q; every in-box arrival
-        # that can still reach x2 reads only departures that can, and those
-        # lie in the held box, so its value is the full-grid DP's
-        sources = sliding_window_view(_departures(depart, held, box, window, shape, graph.periodic), box_shape)[flip]
-        step = step_costs(k, box)
-        best = np.empty(box_shape)
-        cand = np.empty(box_shape)
-        np.add(sources[first], step[first], out=best)
-        for off in rest:
-            np.add(sources[off], step[off], out=cand)
-            np.minimum(best, cand, out=best)
+        grown = _departures(depart, held, box, window, shape, graph.periodic)
+        geom, mid = layer_metric(k)
+        radial = graph.taxicab(geom, mid, window)
+        if radial is not None:
+            # a uniform layer: one cost per taxicab shell
+            costs = cost(radial)
+            best = _shell_minimum(grown, costs, window, box_shape)
+            table = _taxicab_table(costs, window)
+        else:
+            # sources[a + W] holds depart[q - a] at arrival q; every in-box arrival
+            # that can still reach x2 reads only departures that can, and those
+            # lie in the held box, so its value is the full-grid DP's
+            sources = sliding_window_view(grown, box_shape)[flip]
+            step = cost(graph.distances(geom, mid, window, box))
+            best = np.empty(box_shape)
+            cand = np.empty(box_shape)
+            np.add(sources[first], step[first], out=best)
+            for off in rest:
+                np.add(sources[off], step[off], out=cand)
+                np.minimum(best, cand, out=best)
+            table = None
         # rounding is monotone, so min_o fl(x_o + c) = fl(min_o x_o + c): the
         # arrival term is added once, after the minimum
         arrive = 0.5 * traj[k + 1].R[_box_index(box, shape)] * dt
         best += arrive
-        kept.append((k, held, depart))
+        kept.append((k, held, depart, table))
         held, depart = box, best + arrive
     # the last box holds x2
     gamma = float(best[position(x2, held)])
     if not np.isfinite(gamma):
         raise narrow
     # Backtrack: at the path node q of each layer, recompute its candidates
-    # in the DP's order, ((depart + d^2/dt) + arrive); np.argmin takes the
-    # first offset attaining the minimum.
+    # in the DP's order, ((depart + d^2/dt) + arrive), from a uniform layer's
+    # table or a curved layer's table for q; np.argmin takes the first offset
+    # attaining the minimum.
     nodes = [x2]
     mode = "wrap" if graph.periodic else "raise"
-    for k, held, depart in reversed(kept):
+    for k, held, depart, table in reversed(kept):
         node = tuple(range(i, i + 1) for i in np.unravel_index(nodes[-1], shape))
         cand = _departures(depart, held, node, window, shape, graph.periodic)[flip]
-        cand += step_costs(k, node).reshape(cand.shape)
+        if table is None:
+            table = cost(graph.distances(*layer_metric(k), window, node))
+        cand += table.reshape(cand.shape)
         cand += 0.5 * traj[k + 1].R.flat[nodes[-1]] * dt
         source = [r.start - ai + window for r, ai in zip(node, offsets[int(np.argmin(cand))])]
         nodes.append(int(np.ravel_multi_index(source, shape, mode=mode)))

@@ -74,6 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .action import _same_time
 from .errors import (
     ConfigSyntaxError,
     ConstraintViolationError,
@@ -394,6 +395,24 @@ def _validate(cfg):
                 f"identities.t_check = {cfg.t_check:.6g} needs a snapshot on each side, the left one "
                 f"at t > 0; it must lie in [{2 * cfg.dt_out:.6g}, {(n_out - 1) * cfg.dt_out:.6g}]"
             )
+
+    # explicit action pairs, checked whether or not the action stage is on
+    # (the action subcommand turns it on after parsing): each needs nodes on
+    # the grid and 0 < t1 < t2 at stored snapshot times
+    nodes = cfg.n * cfg.n if cfg.kind == "torus" else cfg.n
+    for x1, t1, x2, t2 in cfg.pairs:
+        pair = f"action.pairs entry {x1},{t1!r},{x2},{t2!r}"
+        for x in (x1, x2):
+            if not 0 <= x < nodes:
+                raise ConstraintViolationError(f"{pair}: node {x} outside the grid's nodes 0 .. {nodes - 1}")
+        if not 0 < t1 < t2:
+            raise ConstraintViolationError(f"{pair}: needs 0 < t1 < t2")
+        for t in (t1, t2):
+            k = round(min(t / cfg.dt_out, n_out))  # the nearest output, or the last
+            if not _same_time(k * cfg.dt_out, t):
+                raise ConstraintViolationError(
+                    f"{pair}: t = {t!r} is not an output time k * {cfg.dt_out!r}, k = 0 .. {n_out}"
+                )
 
 
 def build_geometry(cfg):

@@ -37,6 +37,7 @@ from .errors import (
     NonPositiveCurvatureError,
     NonPositiveFError,
     NonPositiveTimeError,
+    TimesNotStoredError,
 )
 from .flow import time_derivative
 
@@ -85,7 +86,11 @@ def u_field(state):
 def v_field(state):
     """v = -ln f - (n/2) ln(4 pi t)."""
     _require_positive_time(state)
-    return u_field(state) - (DIMENSION / 2.0) * np.log(4.0 * np.pi * state.t)
+    return _v_of(state, u_field(state))
+
+
+def _v_of(state, u):
+    return u - (DIMENSION / 2.0) * np.log(4.0 * np.pi * state.t)
 
 
 def harnack_field(state, w, alpha, beta, a, b, d):
@@ -107,11 +112,19 @@ def harnack_field(state, w, alpha, beta, a, b, d):
 
 def quantity_H(state):
     _require_positive_time(state)
-    return harnack_field(state, u_field(state), 2.0, 1.0, -3.0, 0.0, 2.0)
+    return _H_of(state, u_field(state))
+
+
+def _H_of(state, u):
+    return harnack_field(state, u, 2.0, 1.0, -3.0, 0.0, 2.0)
 
 
 def quantity_P(state, d=1.0):
-    return harnack_field(state, v_field(state), 2.0, 1.0, -3.0, -1.0, d)
+    return _P_of(state, v_field(state), d)
+
+
+def _P_of(state, v, d):
+    return harnack_field(state, v, 2.0, 1.0, -3.0, -1.0, d)
 
 
 def quantity_tP(state, d=1.0):
@@ -126,22 +139,30 @@ def trace_harnack(traj, k, vector="zero"):
     """
     state = traj[k]
     _require_positive_time(state)
-    geom = state.geom
-    drdt = time_derivative(traj, k, lambda s: s.R)
+    drdt = _drdt(traj, k)
+    if vector == "zero":
+        return _trace_of(state, drdt)
+    if vector in ("grad_u", "grad_v"):
+        return _trace_of(state, drdt, u_field(state))
+    raise KeyError(f"unknown vector selector {vector!r}")
+
+
+def _drdt(traj, k):
+    return time_derivative(traj, k, lambda s: s.R)
+
+
+def _trace_of(state, drdt, u=None):
+    """dR/dt + R/t, plus 2 grad R . grad u + R |grad u|^2 when u is given."""
     curv = state.R
     out = drdt + curv / state.t
-    if vector == "zero":
+    if u is None:
         return out
-    if vector in ("grad_u", "grad_v"):
-        u = u_field(state)
-        return out + 2.0 * geom.grad_inner(curv, u) + curv * geom.grad_norm_sq(u)
-    raise KeyError(f"unknown vector selector {vector!r}")
+    return out + 2.0 * state.geom.grad_inner(curv, u) + curv * state.geom.grad_norm_sq(u)
 
 
 def surface_lyh(state, which="curvature"):
     """lap(ln R) + R + 1/t (which="curvature", needs R > 0) or lap(ln f) + R + 1/t."""
     _require_positive_time(state)
-    geom = state.geom
     curv = state.R
     if which == "curvature":
         cmin = float(np.min(curv))
@@ -152,7 +173,11 @@ def surface_lyh(state, which="curvature"):
         w = -u_field(state)
     else:
         raise KeyError(f"unknown variant {which!r}")
-    return geom.laplace_beltrami(w) + curv + 1.0 / state.t
+    return _lyh_of(state, w)
+
+
+def _lyh_of(state, w):
+    return state.geom.laplace_beltrami(w) + state.R + 1.0 / state.t
 
 
 def entropy_F(state):
@@ -176,7 +201,10 @@ def mass(state):
 
 def gradient_field(state):
     """|grad u|^2 - u/t, without the range checks of ``gradient_quantity``."""
-    u = u_field(state)
+    return _gradient_of(state, u_field(state))
+
+
+def _gradient_of(state, u):
     return state.geom.grad_norm_sq(u) - u / state.t
 
 
@@ -229,45 +257,55 @@ def monitor_series(traj, d=1.0, t0=0.0, enable=None):
 
     ``enable`` restricts the reported columns (iterable of names from
     MONITOR_COLUMNS); the rest are NaN.  The last snapshot is skipped so
-    the centered trace-quantity difference always exists.
+    the centered trace-quantity difference always exists.  Raises
+    TimesNotStoredError when no snapshot is left to monitor.
     """
-    ks = [k for k in range(1, len(traj) - 1) if traj[k].t >= t0 - 1e-12]
-    times = np.array([traj[k].t for k in ks])
-    cols = {name: np.full(len(ks), np.nan) for name in MONITOR_COLUMNS}
     wants = set(MONITOR_COLUMNS if enable is None else enable)
     unknown = wants - set(MONITOR_COLUMNS)
     if unknown:
         raise KeyError(f"unknown monitor columns: {sorted(unknown)}")
+    ks = [k for k in range(1, len(traj) - 1) if traj[k].t >= t0 - 1e-12]
+    if not ks:
+        raise TimesNotStoredError(f"no output to monitor: none at t >= t0 = {t0:.6g} before the last, t = {traj[-1].t:.6g}")
+    times = np.array([traj[k].t for k in ks])
+    cols = {name: np.full(len(ks), np.nan) for name in MONITOR_COLUMNS}
     plain_heat = traj.c == 0.0
+    trace = traj.evolve_metric and bool(wants & {"min_traceH_V0", "min_traceH_Vu"})
+    # columns that read u = -ln f; sup_grad reads it too where it applies
+    u_columns = {"sup_H", "F", "sup_tP", "W", "min_LYH_heat"} | ({"min_traceH_Vu"} if trace else set())
     for row, k in enumerate(ks):
         state = traj[k]
-        curv_min = float(np.min(state.R))
-        # H feeds sup_H and F, tP feeds sup_tP and W: each is evaluated once
+        _require_positive_time(state)  # every column but mass has 1/t terms
+        gradient = "sup_grad" in wants and plain_heat and _f_in_unit_interval(state)
+        # u and dR/dt are derived once per snapshot and shared by the columns;
+        # H feeds sup_H and F, tP feeds sup_tP and W
+        u = u_field(state) if gradient or wants & u_columns else None
         if wants & {"sup_H", "F"}:
-            h = quantity_H(state)
+            h = _H_of(state, u)
             if "sup_H" in wants:
                 cols["sup_H"][row] = float(np.max(h))
             if "F" in wants:
                 cols["F"][row] = state.t**2 * _f_integral(state, h)
         if wants & {"sup_tP", "W"}:
-            tp = quantity_tP(state, d)
+            tp = state.t * _P_of(state, _v_of(state, u), d)
             if "sup_tP" in wants:
                 cols["sup_tP"][row] = float(np.max(tp))
             if "W" in wants:
                 cols["W"][row] = _f_integral(state, tp)
         if "mass" in wants:
             cols["mass"][row] = mass(state)
-        if "sup_grad" in wants and plain_heat and _f_in_unit_interval(state):
-            cols["sup_grad"][row] = float(np.max(gradient_quantity(state)))
-        if traj.evolve_metric:
+        if gradient:
+            cols["sup_grad"][row] = float(np.max(_gradient_of(state, u)))
+        if trace:
+            drdt = _drdt(traj, k)
             if "min_traceH_V0" in wants:
-                cols["min_traceH_V0"][row] = float(np.min(trace_harnack(traj, k, "zero")))
+                cols["min_traceH_V0"][row] = float(np.min(_trace_of(state, drdt)))
             if "min_traceH_Vu" in wants:
-                cols["min_traceH_Vu"][row] = float(np.min(trace_harnack(traj, k, "grad_u")))
-        if "min_LYH_curv" in wants and curv_min > 0.0:
+                cols["min_traceH_Vu"][row] = float(np.min(_trace_of(state, drdt, u)))
+        if "min_LYH_curv" in wants and float(np.min(state.R)) > 0.0:
             cols["min_LYH_curv"][row] = float(np.min(surface_lyh(state, "curvature")))
         if "min_LYH_heat" in wants:
-            cols["min_LYH_heat"][row] = float(np.min(surface_lyh(state, "heat")))
+            cols["min_LYH_heat"][row] = float(np.min(_lyh_of(state, -u)))
     return MonitorSeries(times=times, columns=cols, d=d)
 
 

@@ -266,6 +266,93 @@ def test_reach_box_dp_matches_loop_reference(request, name, k1, k2, x1, x2, wind
     assert path.nodes == tuple(ref_nodes)
 
 
+def _uniform_torus(n):
+    # a flat torus with a uniform, nonzero conformal exponent: R = 0 and one
+    # edge length e^0.3 * h, so every layer is uniform and costs depend on
+    # |a| + |b| alone; many equal-cost paths test the tie-breaking
+    geom = hf.TorusGeometry(n, 1.0)
+    x, _ = geom.coords()
+    geom = geom.with_phi(np.full(geom.field_shape, 0.3))
+    f = 0.6 + 0.2 * np.sin(2 * np.pi * x) * np.ones((1, n))
+    return hf.run(hf.FlowState(0.0, geom, f), 0.004, 1e-4, 1e-3, c=-1.0)  # 5 snapshots
+
+
+@pytest.fixture(scope="module")
+def uniform_tori():
+    return {n: _uniform_torus(n) for n in (11, 13)}
+
+
+UNIFORM_TORUS_CASES = [
+    # (n, window, k1, k2, x1, x2, kind): "whole" has a mid-span box that is
+    # the whole circle on both axes, "seam" arcs that cross the seam, "same"
+    # x1 == x2, "unreachable" an end more than W nodes away in one layer
+    (11, 3, 0, 4, (0, 0), (5, 10), "whole"),
+    (11, 4, 1, 3, (1, 9), (9, 2), "seam"),
+    (11, 5, 0, 3, (4, 7), (4, 7), "same"),
+    (11, 4, 0, 1, (0, 0), (5, 5), "unreachable"),
+    (13, 3, 0, 1, (2, 2), (6, 12), "unreachable"),
+    (13, 4, 0, 4, (12, 0), (6, 6), "whole"),
+    (13, 5, 2, 4, (11, 1), (2, 10), "seam"),
+    (13, 5, 0, 2, (6, 0), (6, 0), "same"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, window, k1, k2, x1, x2, kind", UNIFORM_TORUS_CASES, ids=[f"n{c[0]}-W{c[1]}-{c[-1]}" for c in UNIFORM_TORUS_CASES]
+)
+def test_uniform_torus_shell_layers_match_loop_reference(uniform_tori, n, window, k1, k2, x1, x2, kind):
+    # the shell-by-shell layer gives the plain loop DP's value and path, bit for bit
+    from harnackflow import action
+
+    traj = uniform_tori[n]
+    flat1, flat2 = x1[0] * n + x1[1], x2[0] * n + x2[1]
+    boxes = action._reach_boxes((n, n), True, flat1, flat2, k2 - k1, window)
+    if kind == "whole":
+        assert any(all(len(r) == n for r in box) for box in boxes)
+    elif kind == "seam":
+        assert any(r.start < 0 or r.stop > n for box in boxes for r in box)
+    p1, p2 = (x1, traj.times[k1]), (x2, traj.times[k2])
+    ref_gamma, ref_nodes = reference_layer_dp(traj, (flat1, p1[1]), (flat2, p2[1]), window)
+    if kind == "unreachable":
+        assert not np.isfinite(ref_gamma)
+        with pytest.raises(WindowTooNarrowError):
+            hf.min_action(traj, p1, p2, window=window)
+        return
+    gamma, path = hf.min_action(traj, p1, p2, window=window)
+    assert gamma == ref_gamma
+    assert path.nodes == tuple(ref_nodes)
+
+
+def test_shell_layer_runs_on_uniform_layers_only(monkeypatch, uniform_tori, torus7_traj):
+    # uniform layers take the shell path on boxes of many nodes, so a silent
+    # fallback to the per-offset loop fails here; curved layers keep the
+    # loop, including a last box of one node, whose table has the shape of
+    # a uniform one
+    from harnackflow import action
+
+    shell_minimum = action._shell_minimum
+    shapes = []
+
+    def recorded(grown, costs, window, box_shape):
+        shapes.append(box_shape)
+        return shell_minimum(grown, costs, window, box_shape)
+
+    monkeypatch.setattr(action, "_shell_minimum", recorded)
+    traj = uniform_tori[13]
+    hf.min_action(traj, (0, traj.times[0]), (40, traj.times[4]), window=3)
+    assert len(shapes) == 4
+    assert max(a * b for a, b in shapes) > 1
+    shapes.clear()
+    traj = torus7_traj
+    for k2, window in ((1, 1), (3, 2)):
+        p1, p2 = (9, traj.times[0]), (17, traj.times[k2])
+        gamma, path = hf.min_action(traj, p1, p2, window=window)
+        ref_gamma, ref_nodes = reference_layer_dp(traj, p1, p2, window)
+        assert gamma == ref_gamma
+        assert path.nodes == tuple(ref_nodes)
+    assert shapes == []
+
+
 def test_torus_window_distances_match_dijkstra(torus_small_traj):
     # Independent oracle: heap-based shortest path over the same weighted
     # 4-neighbor graph, with intermediate offsets confined to the window box.

@@ -413,6 +413,28 @@ def test_unreachable_pair_fails_action_stage(cfg_file, tmp_path, capsys, command
     assert "FAIL scenario far" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["run", "action"])
+@pytest.mark.parametrize(
+    "pair, reason",
+    [
+        ("0,0.04,576,0.08", "node 576 outside"),  # n = 24: nodes 0 .. 575
+        ("0,0.0,30,0.08", "needs 0 < t1 < t2"),
+        ("0,0.08,30,0.08", "needs 0 < t1 < t2"),
+        ("0,0.04,30,0.05", "not an output time"),
+    ],
+    ids=["node-off-grid", "t1-zero", "t1-not-before-t2", "time-off-grid"],
+)
+def test_impossible_action_pair_exits_before_any_flow(cfg_file, tmp_path, capsys, command, pair, reason):
+    # the config leaves the action stage off; the action command turns it on
+    # after parsing, and both commands refuse the pair before the flow
+    cfg = cfg_file(SMALL_TORUS + f"\n[action]\npairs = {pair}\nwindow = 3\n", "pair.cfg")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ConstraintViolationError" in err and reason in err
+    assert not (out / "trajectory.bin").exists()
+
+
 def test_stale_summary_removed_when_run_stops_early(cfg_file, tmp_path, monkeypatch):
     import harnackflow.runner as runner
 

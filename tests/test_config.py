@@ -159,6 +159,29 @@ def test_malformed_action_pair_rejected(pair):
     assert err.value.line == 10
 
 
+@pytest.mark.parametrize(
+    "pair, accepted",
+    [
+        ("127,0.05,0,0.2", True),  # the last ring of n = 128, the last output
+        ("128,0.05,0,0.2", False),
+        ("-1,0.05,0,0.2", False),
+        ("0,0.05,0,0.1000000000001", True),  # a stored time within its tolerance
+        ("0,0.05,0,0.1001", False),
+        ("0,0.05,0,0.205", False),  # past the last output
+        ("0,0.05,0,0.05", False),
+        ("0,0,0,0.05", False),
+    ],
+)
+def test_action_pairs_checked_against_the_output_grid(pair, accepted):
+    # whether or not the action stage is on: the action command turns it on
+    text = MINIMAL_SPHERE + f"\n[action]\npairs = {pair}\n"
+    if accepted:
+        assert hf.parse_config(text).pairs
+    else:
+        with pytest.raises(ConstraintViolationError, match="action.pairs entry"):
+            hf.parse_config(text)
+
+
 def test_t_check_resolved_without_identities():
     cfg = hf.parse_config(MINIMAL_SPHERE)
     assert not cfg.identities_enable

@@ -9,6 +9,7 @@ from harnackflow.errors import (
     NonPositiveCurvatureError,
     NonPositiveFError,
     NonPositiveTimeError,
+    TimesNotStoredError,
 )
 from harnackflow.harnack import MONITOR_COLUMNS
 
@@ -231,16 +232,12 @@ def test_monitor_trace_columns_require_evolving_metric(torus_bump_static_traj):
     assert not np.any(np.isnan(series.columns["sup_grad"]))
 
 
-def test_monitor_series_evaluates_H_and_tP_once_per_snapshot(torus_potential_traj, monkeypatch):
-    # sup_H and F share one H per snapshot, sup_tP and W one tP
-    from harnackflow import harnack
-
-    traj = torus_potential_traj
-    expected = hf.monitor_series(traj, d=1.0, t0=0.1)
+def _count_calls(monkeypatch, module, names):
+    """Counter of calls to ``module``'s functions ``names``, patched in place."""
     calls = Counter()
 
     def counted(name):
-        fn = getattr(harnack, name)
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -248,12 +245,23 @@ def test_monitor_series_evaluates_H_and_tP_once_per_snapshot(torus_potential_tra
 
         return wrapper
 
-    for name in ("quantity_H", "quantity_tP"):
-        monkeypatch.setattr(harnack, name, counted(name))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name))
+    return calls
+
+
+def test_monitor_series_evaluates_H_and_tP_once_per_snapshot(torus_potential_traj, monkeypatch):
+    # sup_H and F share one H per snapshot, sup_tP and W one tP: one
+    # harnack_field call each
+    from harnackflow import harnack
+
+    traj = torus_potential_traj
+    expected = hf.monitor_series(traj, d=1.0, t0=0.1)
+    calls = _count_calls(monkeypatch, harnack, ("harnack_field",))
     series = hf.monitor_series(traj, d=1.0, t0=0.1)
     rows = len(series.times)
     assert rows > 2
-    assert calls == Counter({"quantity_H": rows, "quantity_tP": rows})
+    assert calls == Counter({"harnack_field": 2 * rows})
     monkeypatch.undo()
     for row, t in enumerate(series.times):
         state = next(s for s in traj.states if s.t == t)
@@ -263,3 +271,35 @@ def test_monitor_series_evaluates_H_and_tP_once_per_snapshot(torus_potential_tra
         assert series.columns["W"][row] == hf.entropy_W(state, 1.0)
     for name in ("sup_H", "F", "sup_tP", "W"):
         assert series.columns[name].tobytes() == expected.columns[name].tobytes()
+
+
+def test_monitor_series_derives_u_and_drdt_once_per_snapshot(torus_bump_ricci_traj, monkeypatch):
+    # u = -ln f feeds H, tP, the V = grad u trace column, the heat
+    # log-Harnack column and the gradient column; dR/dt feeds both trace
+    # columns.  Each is derived once per snapshot, and every column equals
+    # its public function's value bit for bit.
+    from harnackflow import harnack
+
+    traj = torus_bump_ricci_traj
+    calls = _count_calls(monkeypatch, harnack, ("u_field", "time_derivative"))
+    series = hf.monitor_series(traj, d=1.0, t0=0.05)
+    rows = len(series.times)
+    assert rows > 2
+    assert calls == Counter({"u_field": rows, "time_derivative": rows})
+    monkeypatch.undo()
+    for row, t in enumerate(series.times):
+        k = next(k for k, s in enumerate(traj.states) if s.t == t)
+        state = traj[k]
+        assert series.columns["sup_H"][row] == float(np.max(hf.quantity_H(state)))
+        assert series.columns["sup_tP"][row] == float(np.max(hf.quantity_tP(state, 1.0)))
+        assert series.columns["sup_grad"][row] == float(np.max(hf.gradient_quantity(state)))
+        assert series.columns["min_traceH_V0"][row] == float(np.min(hf.trace_harnack(traj, k, "zero")))
+        assert series.columns["min_traceH_Vu"][row] == float(np.min(hf.trace_harnack(traj, k, "grad_u")))
+        assert series.columns["min_LYH_heat"][row] == float(np.min(hf.surface_lyh(state, "heat")))
+
+
+def test_monitor_series_refuses_an_empty_range(torus_potential_traj):
+    # the last output has no right neighbour, so t0 there leaves nothing
+    traj = torus_potential_traj
+    with pytest.raises(TimesNotStoredError, match="no output to monitor"):
+        hf.monitor_series(traj, t0=traj.times[-1])
