@@ -80,7 +80,7 @@ from .errors import (
     ConstraintViolationError,
     UnknownKeyError,
 )
-from .flow import VARIANT_C, FlowState
+from .flow import VARIANT_C, FlowState, output_count
 from .geometry import SphereGeometry, TorusGeometry
 from .harnack import MONITOR_GROUPS
 from .identities import PRESET_REGISTRY
@@ -341,11 +341,15 @@ def _validate(cfg):
         cfg.dt_out = cfg.t_end / 40.0
     if cfg.dt_out <= 0 or cfg.dt_out > cfg.t_end:
         raise ConstraintViolationError("flow.dt_out must lie in (0, t_end]")
+    if not cfg.t_end / cfg.dt_out < np.inf:
+        raise ConstraintViolationError(
+            f"flow.t_end / flow.dt_out = {cfg.t_end:.6g} / {cfg.dt_out:.6g} overflows a float"
+        )
 
     geom0 = build_geometry(cfg)
     bound0 = geom0.cfl_bound()
     if cfg.kind == "rot_sphere" and cfg.evolve_metric:
-        extinction = geom0.total_area() / (8.0 * np.pi)
+        extinction = geom0.extinction_time()
         if cfg.t_end >= extinction:
             raise ConstraintViolationError(
                 f"t_end = {cfg.t_end:.6g} reaches the sphere extinction time {extinction:.6g}"
@@ -363,6 +367,10 @@ def _validate(cfg):
             raise ConstraintViolationError(
                 f"flow.dt = {cfg.dt:.6g} violates the CFL rule dt <= 0.2*h^2*min(e^(2*phi)) = {bound0:.6g}"
             )
+        if not cfg.dt_out / cfg.dt < np.inf:
+            raise ConstraintViolationError(
+                f"flow.dt_out / flow.dt = {cfg.dt_out:.6g} / {cfg.dt:.6g} overflows a float"
+            )
         # trim dt so that an integer number of steps lands on each output
         steps = max(1, int(np.ceil(cfg.dt_out / cfg.dt - 1e-12)))
         cfg.dt = cfg.dt_out / steps
@@ -376,7 +384,7 @@ def _validate(cfg):
     # the residuals at snapshot k divide by the time of snapshot k - 1, so k
     # = 1 (left neighbour at t = 0) is refused, or left to fail typed in the
     # identity stage when auto has no other interior snapshot
-    n_out = int(np.floor(cfg.t_end / cfg.dt_out + 1e-9))
+    n_out = output_count(cfg.t_end, cfg.dt_out)
     if cfg.t_check is None:
         k = max(1, int(round(0.5 * cfg.t_end / cfg.dt_out)))
         if n_out >= 3:

@@ -142,13 +142,20 @@ class FlowRun(NamedTuple):
     """One run of ``run_ensemble``: members on one grid, integrated to the run's own times.
 
     ``t_end``, ``dt`` (explicit, or None for the CFL rule) and ``dt_out``
-    follow the rules of ``run``.
+    follow the rules of ``run``.  A ``last`` snapshot index stops the run
+    there if it comes before ``t_end``; ``t_end`` is still checked.
     """
 
     members: list
     t_end: float
     dt: float | None
     dt_out: float
+    last: int | None = None
+
+
+def output_count(span, dt_out):
+    """Full output intervals of ``dt_out`` in a time span, to float tolerance."""
+    return int(np.floor(span / dt_out + 1e-9))
 
 
 def _member_error(err, member, count):
@@ -424,7 +431,8 @@ def run(initial, t_end, dt, dt_out, c=-1.0, evolve_metric=True, initial_id=""):
 def run_ensemble(runs):
     """Integrate several runs in lockstep; one list of Trajectories, one per member, per run.
 
-    Each ``FlowRun`` has its own members, ``t_end``, ``dt`` and ``dt_out``.
+    Each ``FlowRun`` has its own members, ``t_end``, ``dt`` and ``dt_out``,
+    and stops at its ``last`` snapshot if that comes first.
     Its members' initial states share the geometry kind, grid shape,
     spacing and start time; each member has its own ``c``,
     ``evolve_metric`` and ``initial_id``.  With ``dt=None`` a run's members
@@ -538,13 +546,17 @@ class _Run:
         for i, mem in enumerate(members):
             if isinstance(mem.initial.geom, SphereGeometry) and mem.evolve_metric:
                 self.areas.append(mem.initial.geom.total_area())
-                extinction = self.areas[-1] / (8.0 * np.pi)
+                extinction = mem.initial.geom.extinction_time()
                 if t_end - t_start >= extinction:
                     where = f"member {i}: " if len(members) > 1 else ""
                     raise ConstraintViolationError(
                         f"{where}t_end = {t_end:.6g} reaches the extinction time {t_start + extinction:.6g}"
                     )
-        self.n_out = int(np.floor((t_end - t_start) / self.dt_out + 1e-9))
+        self.n_out = output_count(t_end - t_start, self.dt_out)
+        if spec.last is not None:
+            if spec.last < 0:
+                raise ConstraintViolationError(f"last = {spec.last!r} must be a nonnegative snapshot index")
+            self.n_out = min(self.n_out, spec.last)
 
     def tag(self, err, time=None):
         """Attach this run's index, and the failing time unless the error has one."""

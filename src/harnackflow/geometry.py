@@ -429,6 +429,14 @@ class SphereGeometry(SurfaceGeometry):
     def with_phi(self, phi):
         return SphereGeometry(self.n, phi)
 
+    def extinction_time(self):
+        """Time left until the flow shrinks this sphere to a point.
+
+        An evolving sphere loses area at the constant rate 8 pi
+        (Gauss-Bonnet), so that time is its total area over 8 pi.
+        """
+        return self.total_area() / (8.0 * np.pi)
+
     @staticmethod
     def round_phi(radius):
         """Conformal exponent of the round sphere of the given radius."""

@@ -24,7 +24,7 @@ from . import action as action_mod
 from . import harnack, identities
 from .config import build_initial_state
 from .errors import ConfigError, ConstraintViolationError, HarnackFlowError
-from .flow import EnsembleMember, FlowRun, FlowState, run_ensemble
+from .flow import EnsembleMember, FlowRun, FlowState, output_count, run_ensemble
 from .flow import run as run_flow
 from .geometry import SphereGeometry
 
@@ -327,7 +327,7 @@ def run_scenario(cfg, out_flag=None, seed=None):
 
         if cfg.identities_enable:
             stage = "identities"
-            k = _check_index(cfg.t_check, cfg.dt_out, traj)
+            k = _check_index(cfg.t_check, cfg.dt_out, len(traj) - 1)
             want = set(cfg.identity_presets)
             if float(np.min(traj[k].R)) <= 0:
                 want.discard("surface")  # it needs R > 0 at the checked snapshot
@@ -353,9 +353,9 @@ def run_scenario(cfg, out_flag=None, seed=None):
     return ScenarioReport(cfg.name, assertions, out_dir)
 
 
-def _check_index(t_check, dt_out, traj):
-    """Index of the snapshot nearest ``t_check``, clamped to the interior of ``traj``."""
-    return min(max(int(round(t_check / dt_out)), 1), len(traj) - 2)
+def _check_index(t_check, dt_out, last):
+    """Index of the snapshot nearest ``t_check``, clamped to the interior of snapshots 0 .. ``last``."""
+    return min(max(int(round(t_check / dt_out)), 1), last - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +373,11 @@ def _round_companion_state(cfg):
 # close to its extinction time.  There the curvature dynamics dominate the
 # residual's time-differencing error for every tuple, so the preset
 # residual sits at generic scale instead of in a cancellation dip of the
-# singular 1/t terms, and the 5x bound is meaningful.
-_FUZZ_T_END = 0.42
-_FUZZ_T_CHECK = 0.40
+# singular 1/t terms, and the 5x bound is meaningful.  The residuals read
+# snapshots _FUZZ_CHECK - 1 .. _FUZZ_CHECK + 1 (t = 0.39 .. 0.41), and the
+# flow stops at the last of them.
 _FUZZ_DT_OUT = 0.01
+_FUZZ_CHECK = 40
 
 
 def _fuzz_run(n):
@@ -385,7 +386,8 @@ def _fuzz_run(n):
     state = FlowState(
         0.0, geom.with_phi(0.1 * geom.cos_theta), 0.5 + 0.2 * geom.cos_theta
     )
-    return FlowRun([EnsembleMember(state, c=-1.0)], _FUZZ_T_END, None, _FUZZ_DT_OUT)
+    t_end = (_FUZZ_CHECK + 1) * _FUZZ_DT_OUT
+    return FlowRun([EnsembleMember(state, c=-1.0)], t_end, None, _FUZZ_DT_OUT)
 
 
 def _level_coeffs(want):
@@ -397,11 +399,13 @@ def _level_coeffs(want):
     return coeffs
 
 
-def _level_run(lcfg, want, state0):
+def _level_run(lcfg, want, state0, last):
     """The flows of one ladder level from its initial state, as one run.
 
     Its members are one per ``_level_coeffs`` and, for ``surface``, the
-    round companion of ``surface_fR`` last.
+    round companion of ``surface_fR`` last.  The run stops at snapshot
+    ``last``; the level's ``t_end`` is still checked against every
+    evolving sphere's extinction time.
     """
     members = [
         EnsembleMember(state0, c=c, evolve_metric=lcfg.evolve_metric, initial_id=lcfg.initial_id)
@@ -409,11 +413,15 @@ def _level_run(lcfg, want, state0):
     ]
     if "surface" in want:
         members.append(EnsembleMember(_round_companion_state(lcfg), c=-1.0, initial_id="constant"))
-    return FlowRun(members, lcfg.t_end, lcfg.dt, lcfg.dt_out)
+    return FlowRun(members, lcfg.t_end, lcfg.dt, lcfg.dt_out, last)
 
 
 @dataclass
 class IdentityLevel:
+    """One ladder level.  ``dt`` is the level's smallest step; under
+    ``dt = auto`` that is over the intervals its flows ran, up to
+    snapshot k + 1 of its check index k."""
+
     n: int
     dt: float
     dt_out: float
@@ -454,7 +462,13 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     ``run`` does.  The flows of a level share n, dt and dt_out and form
     one run; the fuzz calibration is one more.  All of them are
     integrated by one ``run_ensemble`` call, in lockstep stacks, before
-    any residual.  Fuzz tuples run at the coarsest level.
+    any residual.  Each level's run stops at snapshot k + 1 (t_check +
+    dt_out), the last one its residuals at the check index k read, with k
+    picked as on a run to t_end; the configured t_end is still checked,
+    so a member whose extinction time it reaches raises
+    ConstraintViolationError before any flow.  Fuzz tuples run at the
+    coarsest level, on a calibration flow that likewise stops one
+    snapshot after its own check time.
     The ``surface`` preset runs on sphere configs only: by Gauss-Bonnet a
     torus never has R > 0 everywhere.  Its general-f form runs on the
     scenario's trajectory and its f := R form on the round companion, in
@@ -496,7 +510,9 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     # an invalid initial state is a config error (exit 2), found before any flow runs
     starts = [build_initial_state(lcfg) for lcfg in level_cfgs]
 
-    runs = [_level_run(lcfg, want, state0) for lcfg, state0 in zip(level_cfgs, starts)]
+    # each level's check index k, as on a run to t_end; its flows stop at k + 1
+    checks = [_check_index(cfg.t_check, lcfg.dt_out, output_count(lcfg.t_end, lcfg.dt_out)) for lcfg in level_cfgs]
+    runs = [_level_run(lcfg, want, state0, k + 1) for lcfg, state0, k in zip(level_cfgs, starts, checks)]
     stages = [f"flow (level {lvl}, N = {lcfg.n})" for lvl, lcfg in enumerate(level_cfgs)]
     if cfg.fuzz_count:
         runs.append(_fuzz_run(cfg.n))
@@ -511,13 +527,11 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     stage = None  # while the flows run: the failing run's stage
     try:
         flows = run_ensemble(runs)
-        for lvl, (lcfg, level_flows) in enumerate(zip(level_cfgs, flows)):
+        for lvl, (lcfg, k, level_flows) in enumerate(zip(level_cfgs, checks, flows)):
             where = f"level {lvl}, N = {lcfg.n}"
             stage = f"residuals ({where})"
             trajs = dict(zip(coeffs, level_flows))
             traj_pot = trajs[-1.0]
-            # every run's members share one length, so k holds for all of them
-            k = _check_index(cfg.t_check, lcfg.dt_out, traj_pot)
             # The slaved f := R form chains six discrete derivatives of phi,
             # so on generic data its float64 noise floor grows ~ h^-6 and
             # overtakes the signal by N = 256; its refinement study runs on
@@ -538,7 +552,7 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
                 if cfg.fuzz_count:
                     stage = f"fuzz ({where})"
                     (traj_fuzz,) = flows[-1]
-                    kf = int(round(_FUZZ_T_CHECK / _FUZZ_DT_OUT))
+                    kf = _FUZZ_CHECK
                     for family, preset_report in (
                         ("H", identities.residual_general_H(traj_fuzz, kf, identities.COR_H_PRESET)),
                         ("P", identities.residual_general_P(traj_fuzz, kf, replace(identities.COR_P_PRESET, d=cfg.d))),

@@ -235,6 +235,41 @@ def test_verify_identities_rejects_fewer_than_two_levels(cfg_file, tmp_path, cap
     assert not (out / "identity_summary.txt").exists()
 
 
+def test_verify_identities_checks_the_configured_t_end(cfg_file, tmp_path, capsys, monkeypatch):
+    # the flows stop at t_check + dt_out = 0.302 on level 0, but the round
+    # companion's extinction time, 0.5, is still checked against t_end
+    import harnackflow.flow as flow
+
+    def no_step(self):
+        raise AssertionError("a flow stepped")
+
+    monkeypatch.setattr(flow._RK4Kernel, "step", no_step)
+    text = """
+[geometry]
+kind = rot_sphere
+n = 16
+phi_mode = cos_theta
+phi_amp = 0.1
+
+[initial]
+id = cos_theta
+
+[flow]
+t_end = 0.50335
+dt = auto
+dt_out = 0.050335
+
+[identities]
+fuzz_count = 0
+"""
+    out = tmp_path / "late"
+    code = main(["verify-identities", "--config", cfg_file(text, "late.cfg"), "--levels", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ConstraintViolationError: member 2:" in err and "extinction time 0.5" in err
+    assert list(out.iterdir()) == []
+
+
 def test_verify_identities_rejects_t_check_past_t_end(tmp_path, capsys):
     # was clamped per level: N=64 evaluated t = 0.09 and N=128 t = 0.0975
     from conftest import SCENARIO_DIR

@@ -145,6 +145,26 @@ t_end = 0.1
         hf.parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "flow",
+    [
+        "t_end = 1e300\ndt_out = 1e-10",  # t_end / dt_out
+        "t_end = 1.0\ndt_out = 0.5\ndt = 1e-320",  # dt_out / dt
+    ],
+)
+def test_output_and_step_counts_that_overflow_rejected(flow, tmp_path, capsys):
+    # both used to escape as a raw OverflowError from int(inf)
+    text = f"[geometry]\nkind = torus\nn = 8\n\n[flow]\n{flow}\n"
+    with pytest.raises(ConstraintViolationError, match="overflows a float"):
+        hf.parse_config(text)
+    from harnackflow.cli import main
+
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "ConstraintViolationError" in capsys.readouterr().err
+
+
 def test_action_pairs_parsing():
     text = MINIMAL_SPHERE + "\n[action]\nenable = true\npairs = 3,0.05,7,0.1; 1,0.1,1,0.15\n"
     cfg = hf.parse_config(text)

@@ -649,3 +649,23 @@ def test_lockstep_checks_every_run_before_any_step(monkeypatch):
         hf.run_ensemble([hf.FlowRun([hf.EnsembleMember(_sphere_cos(16))], 0.01, 1e-3, 0.01), late])
     assert err.value.run == 1
     assert record == []
+
+
+def test_run_stops_at_its_last_snapshot_but_checks_t_end(monkeypatch):
+    # the stopped run is the full one cut after snapshot `last`, bit for
+    # bit; t_end is still checked against the extinction time
+    member = hf.EnsembleMember(_sphere_cos(16))
+    for dt in (1e-3, None):
+        (full,), (cut,) = hf.run_ensemble([hf.FlowRun([member], 0.1, dt, 0.01), hf.FlowRun([member], 0.1, dt, 0.01, 3)])
+        assert len(full) == 11 and len(cut) == 4
+        for a, b in zip(full.states, cut.states):
+            assert (a.t, a.geom.phi.tobytes(), a.f.tobytes()) == (b.t, b.geom.phi.tobytes(), b.f.tobytes())
+    ((past,),) = hf.run_ensemble([hf.FlowRun([member], 0.05, 1e-3, 0.01, 9)])
+    assert len(past) == 6
+    record = record_kernel_steps(monkeypatch)
+    round_state = hf.FlowState(0.0, hf.SphereGeometry(16), np.full(16, F0))
+    with pytest.raises(ConstraintViolationError, match="extinction time 0.5"):
+        hf.run_ensemble([hf.FlowRun([hf.EnsembleMember(round_state)], 0.51, 1e-3, 0.01, 2)])
+    with pytest.raises(ConstraintViolationError, match="nonnegative"):
+        hf.run_ensemble([hf.FlowRun([member], 0.1, 1e-3, 0.01, -1)])
+    assert record == []

@@ -218,6 +218,60 @@ def test_ladder_runs_each_surface_form_once_on_its_own_trajectory(tmp_path, monk
         assert rows["surface_fR"] == residual_surface(companion, k)[1]
 
 
+# -- where the ladder's flows stop ---------------------------------------------
+
+STOP_SPHERE = SMALL_LADDER.replace("n = 32", "n = 16") + "fuzz_count = 3\n"
+
+
+def _stop_torus():
+    from conftest import SCENARIO_DIR
+
+    text = (SCENARIO_DIR / "torus_bump_ricci.cfg").read_text(encoding="utf-8")
+    return text.replace("n = 64", "n = 16") + "\n[identities]\nfuzz_count = 3\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [STOP_SPHERE, STOP_SPHERE.replace("dt = 1e-3", "dt = auto"), _stop_torus()],
+    ids=["sphere", "sphere-dt-auto", "torus"],
+)
+def test_ladder_flows_stop_after_the_last_snapshot_they_read(text, tmp_path, monkeypatch):
+    # each level's flows end at snapshot k + 1 of its check index k, the
+    # calibration at kf + 1; longer flows leave every report byte for byte
+    from harnackflow import runner
+
+    run_ensemble = runner.run_ensemble
+    lengths = []
+
+    def recorded(runs):
+        flows = run_ensemble(runs)
+        lengths.extend({len(traj) for traj in run} for run in flows)
+        return flows
+
+    def longer(runs):
+        # the level runs to t_end; the calibration, which has no configured
+        # t_end, two snapshots further
+        return run_ensemble([
+            run._replace(last=None) if run.last is not None else run._replace(t_end=run.t_end + 2 * run.dt_out)
+            for run in runs
+        ])
+
+    cfg = hf.parse_config(text, name="ladder")
+    monkeypatch.setattr(runner, "run_ensemble", recorded)
+    hf.verify_identities(cfg, levels=2, out_flag=str(tmp_path / "short"), seed=7)
+    monkeypatch.setattr(runner, "run_ensemble", longer)
+    study = hf.verify_identities(cfg, levels=2, out_flag=str(tmp_path / "long"), seed=7)
+
+    *level_lengths, fuzz_length = lengths
+    assert len(level_lengths) == len(study.levels) == 2
+    for level, length in zip(study.levels, level_lengths):
+        k = int(round(level.t_check / level.dt_out))
+        assert length == {k + 2}
+    assert fuzz_length == {runner._FUZZ_CHECK + 2}
+    for name in ("identities.csv", "identity_summary.txt"):
+        assert (tmp_path / "short" / name).read_bytes() == (tmp_path / "long" / name).read_bytes()
+
+
 # -- degenerate tuples and variant checks -------------------------------------
 
 
