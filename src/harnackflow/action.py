@@ -51,11 +51,12 @@ offset (a, b) depends on |a| + |b| alone, so the same argument lets the
 layer take exact minima of the departures shell by shell (first over the
 two columns at +-b, then over the rows at +-a) and add each shell's cost
 once: 2W + 1 cost adds instead of (2W + 1)^2, the same bits.  For the
-backtrack a layer keeps its departure values and its arrival term on its
-box, and only a uniform layer's (2W+1)^2 table.  At the one path node per
-layer the candidates are recomputed in the DP's order,
-((depart + d^2/dt) + arrive), from that table or the node's own curved
-table, and ``np.argmin`` takes the first offset attaining the minimum.
+backtrack a layer keeps its departure values on the previous box and its
+step-cost table on its own box (a uniform layer's one value per offset),
+for the pair's life.  At the one path node per layer the candidates are
+recomputed in the DP's order, ((depart + d^2/dt) + arrive), from that
+node's column of the table, and ``np.argmin`` takes the first offset
+attaining the minimum.
 
 ``check_integrated_harnack`` turns the minimized action into a pointwise
 certificate from one ``min_action`` call: with n = 2,
@@ -377,11 +378,6 @@ def _layer_dp(traj, k1, k2, x1, x2, window):
     first, *rest = offsets
     flip = (slice(None, None, -1),) * len(shape)
 
-    def layer_metric(k):
-        """Layer k's geometry and its mid-step conformal exponent."""
-        geom_a, geom_b = traj[k].geom, traj[k + 1].geom
-        return geom_a, 0.5 * (geom_a.phi + geom_b.phi)
-
     def cost(distances):
         """d^2 / dt, in place."""
         distances **= 2
@@ -395,52 +391,50 @@ def _layer_dp(traj, k1, k2, x1, x2, window):
     held = tuple(range(i, i + 1) for i in np.unravel_index(x1, shape))
     # departure values on the nodes held: the value so far plus 0.5 R dt
     depart = 0.0 + 0.5 * traj[k1].R[_box_index(held, shape)] * dt
-    kept = []  # per layer, the departure values the backtrack reads and a uniform layer's table
+    kept = []  # per layer, what the backtrack reads: the departure values, and the box and its table
     for k, box in zip(range(k1, k2), boxes):
         box_shape = tuple(map(len, box))
         grown = _departures(depart, held, box, window, shape, graph.periodic)
-        geom, mid = layer_metric(k)
+        geom = traj[k].geom
+        mid = 0.5 * (geom.phi + traj[k + 1].geom.phi)  # the mid-step conformal exponent
         radial = graph.taxicab(geom, mid, window)
         if radial is not None:
             # a uniform layer: one cost per taxicab shell
             costs = cost(radial)
             best = _shell_minimum(grown, costs, window, box_shape)
-            table = _taxicab_table(costs, window)
+            table = _taxicab_table(costs, window)  # one value per offset, broadcast over the box
         else:
             # sources[a + W] holds depart[q - a] at arrival q; every in-box arrival
             # that can still reach x2 reads only departures that can, and those
             # lie in the held box, so its value is the full-grid DP's
             sources = sliding_window_view(grown, box_shape)[flip]
-            step = cost(graph.distances(geom, mid, window, box))
+            table = cost(graph.distances(geom, mid, window, box))
             best = np.empty(box_shape)
             cand = np.empty(box_shape)
-            np.add(sources[first], step[first], out=best)
+            np.add(sources[first], table[first], out=best)
             for off in rest:
-                np.add(sources[off], step[off], out=cand)
+                np.add(sources[off], table[off], out=cand)
                 np.minimum(best, cand, out=best)
-            table = None
         # rounding is monotone, so min_o fl(x_o + c) = fl(min_o x_o + c): the
         # arrival term is added once, after the minimum
         arrive = 0.5 * traj[k + 1].R[_box_index(box, shape)] * dt
         best += arrive
-        kept.append((k, held, depart, table))
+        kept.append((k, held, depart, box, np.broadcast_to(table, table.shape[: len(shape)] + box_shape)))
         held, depart = box, best + arrive
     # the last box holds x2
     gamma = float(best[position(x2, held)])
     if not np.isfinite(gamma):
         raise narrow
-    # Backtrack: at the path node q of each layer, recompute its candidates
-    # in the DP's order, ((depart + d^2/dt) + arrive), from a uniform layer's
-    # table or a curved layer's table for q; np.argmin takes the first offset
-    # attaining the minimum.
+    # Backtrack: at the path node q of each layer, which lies in the layer's
+    # box, recompute its candidates in the DP's order, ((depart + d^2/dt) +
+    # arrive), from q's column of the layer's table; np.argmin takes the
+    # first offset attaining the minimum.
     nodes = [x2]
     mode = "wrap" if graph.periodic else "raise"
-    for k, held, depart, table in reversed(kept):
+    for k, held, depart, box, table in reversed(kept):
         node = tuple(range(i, i + 1) for i in np.unravel_index(nodes[-1], shape))
         cand = _departures(depart, held, node, window, shape, graph.periodic)[flip]
-        if table is None:
-            table = cost(graph.distances(*layer_metric(k), window, node))
-        cand += table.reshape(cand.shape)
+        cand += table[(...,) + position(nodes[-1], box)]
         cand += 0.5 * traj[k + 1].R.flat[nodes[-1]] * dt
         source = [r.start - ai + window for r, ai in zip(node, offsets[int(np.argmin(cand))])]
         nodes.append(int(np.ravel_multi_index(source, shape, mode=mode)))
@@ -513,7 +507,15 @@ def check_integrated_harnack(traj, point1, point2, window=DEFAULT_WINDOW):
 
 
 def random_pairs(traj, count, rng, t_min=0.0, window=DEFAULT_WINDOW):
-    """Sample reachable random space-time pairs from stored snapshots."""
+    """Sample reachable random space-time pairs from stored snapshots.
+
+    ``rng`` is any object whose ``random()`` returns a float uniform in
+    [0, 1), such as ``random.Random`` or a numpy ``Generator``, and every
+    draw is one such u: an index below m is int(m * u).  Per pair: two
+    distinct snapshots at or after ``t_min`` (an index below m, then one
+    below m - 1 moved up past the first), the start node, then per grid
+    axis the end node, within the reach of the clamped window.
+    """
     times = traj.times
     eligible = np.nonzero(times >= max(t_min, times[0]) - 1e-12)[0]
     if eligible.size < 2:
@@ -521,20 +523,30 @@ def random_pairs(traj, count, rng, t_min=0.0, window=DEFAULT_WINDOW):
     geom = traj.geom
     graph, window = _layer_graph(geom, window)
     shape = geom.field_shape
+
+    def below(m):
+        """An index uniform in 0 .. m - 1."""
+        return int(m * rng.random())
+
     pairs = []
     for _ in range(count):
-        k1, k2 = sorted(int(k) for k in rng.choice(eligible, size=2, replace=False))
-        x1 = int(rng.integers(geom.node_count))
+        first = below(eligible.size)
+        second = below(eligible.size - 1)
+        if second >= first:
+            second += 1
+        k1, k2 = sorted((int(eligible[first]), int(eligible[second])))
+        x1 = below(geom.node_count)
         # keep the pair reachable inside the clamped window the DP uses, one
         # grid axis at a time
-        reach = window * int(k2 - k1)
+        reach = window * (k2 - k1)
         end = []
         for i, n in zip(np.unravel_index(x1, shape), shape):
             if graph.periodic:
                 r = min(reach, n // 2)
-                end.append((i + int(rng.integers(-r, r + 1))) % n)
+                end.append((i - r + below(2 * r + 1)) % n)
             else:
-                end.append(int(rng.integers(max(0, i - reach), min(n - 1, i + reach) + 1)))
+                lo, hi = max(0, i - reach), min(n - 1, i + reach)
+                end.append(lo + below(hi - lo + 1))
         x2 = int(np.ravel_multi_index(end, shape))
         pairs.append(((x1, float(times[k1])), (x2, float(times[k2]))))
     return pairs

@@ -65,7 +65,10 @@ interval's start, shrunk by the area law on an evolving sphere).  An
 explicit dt, used in every interval, must meet the CFL bound of the initial
 state and is trimmed down so an integer number of steps lands exactly on
 each output.  An explicit ``t_check`` whose left neighbour is the snapshot
-at t = 0 is rejected, since the residuals divide by t there.
+at t = 0 is rejected, since the residuals divide by t there.  A run keeps
+every snapshot (phi and f, float64 at every node) in memory, so a plan
+of more than ``MAX_SNAPSHOT_BYTES`` of them is rejected before any field
+is built.
 """
 
 from __future__ import annotations
@@ -88,6 +91,9 @@ from .identities import PRESET_REGISTRY
 MONITOR_NAMES = tuple(MONITOR_GROUPS)
 
 IDENTITY_PRESETS = tuple(PRESET_REGISTRY)
+
+# Largest set of snapshots a run may plan to hold in memory: 16 GiB.
+MAX_SNAPSHOT_BYTES = 2**34
 
 
 @dataclass
@@ -345,6 +351,8 @@ def _validate(cfg):
         raise ConstraintViolationError(
             f"flow.t_end / flow.dt_out = {cfg.t_end:.6g} / {cfg.dt_out:.6g} overflows a float"
         )
+    n_out = output_count(cfg.t_end, cfg.dt_out)
+    check_snapshot_plan(cfg, n_out + 1)
 
     geom0 = build_geometry(cfg)
     bound0 = geom0.cfl_bound()
@@ -384,7 +392,6 @@ def _validate(cfg):
     # the residuals at snapshot k divide by the time of snapshot k - 1, so k
     # = 1 (left neighbour at t = 0) is refused, or left to fail typed in the
     # identity stage when auto has no other interior snapshot
-    n_out = output_count(cfg.t_end, cfg.dt_out)
     if cfg.t_check is None:
         k = max(1, int(round(0.5 * cfg.t_end / cfg.dt_out)))
         if n_out >= 3:
@@ -407,7 +414,7 @@ def _validate(cfg):
     # explicit action pairs, checked whether or not the action stage is on
     # (the action subcommand turns it on after parsing): each needs nodes on
     # the grid and 0 < t1 < t2 at stored snapshot times
-    nodes = cfg.n * cfg.n if cfg.kind == "torus" else cfg.n
+    nodes = _node_count(cfg)
     for x1, t1, x2, t2 in cfg.pairs:
         pair = f"action.pairs entry {x1},{t1!r},{x2},{t2!r}"
         for x in (x1, x2):
@@ -421,6 +428,25 @@ def _validate(cfg):
                 raise ConstraintViolationError(
                     f"{pair}: t = {t!r} is not an output time k * {cfg.dt_out!r}, k = 0 .. {n_out}"
                 )
+
+
+def _node_count(cfg):
+    return cfg.n * cfg.n if cfg.kind == "torus" else cfg.n
+
+
+def check_snapshot_plan(cfg, snapshots, members=1, what="the run"):
+    """Refuse ``snapshots`` snapshots of ``members`` runs on cfg's grid above MAX_SNAPSHOT_BYTES.
+
+    Each snapshot holds phi and f, float64 at every node.  Raises
+    ConstraintViolationError (exit 2), before anything is allocated.
+    """
+    nodes = _node_count(cfg)
+    planned = snapshots * members * 2 * nodes * 8
+    if planned > MAX_SNAPSHOT_BYTES:
+        raise ConstraintViolationError(
+            f"{what} plans {snapshots} snapshots x {members} run(s) x 2 fields x {nodes} nodes x 8 bytes "
+            f"= {planned:.4g} bytes, above the limit of {MAX_SNAPSHOT_BYTES} bytes (2^34)"
+        )
 
 
 def build_geometry(cfg):

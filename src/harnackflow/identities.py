@@ -466,14 +466,18 @@ def preset_reports(trajs, k, want, d=1.0, fr_traj=None):
 
 
 def random_params(rng, family, c):
-    """Draw a non-degenerate tuple with coefficients in [-2, 2].
+    """Draw a non-degenerate tuple with coefficients uniform in [-2, 2).
 
-    ``c`` is pinned to the trajectory's reaction coefficient (the evolved
-    field must satisfy the matching equation).  Denominator combinations
-    are kept away from zero so coefficient amplification stays moderate.
+    ``rng`` is any object whose ``random()`` returns a float uniform in
+    [0, 1), such as ``random.Random`` or a numpy ``Generator``; each
+    coefficient is -2 + 4u from one such draw u, in the order alpha, beta,
+    a, b, d, lambda.  ``c`` is pinned to the trajectory's reaction
+    coefficient (the evolved field must satisfy the matching equation).
+    Denominator combinations are kept away from zero, by drawing a new
+    tuple, so coefficient amplification stays moderate.
     """
     while True:
-        alpha, beta, a, b, d, lam = rng.uniform(-2.0, 2.0, size=6)
+        alpha, beta, a, b, d, lam = (-2.0 + 4.0 * rng.random() for _ in range(6))
         p = HarnackParams(alpha=alpha, beta=beta, a=a, b=b, c=c, d=d, lam=lam)
         if family == "H":
             if abs(alpha - beta) < 0.75 or abs(alpha) < 0.5:
@@ -487,7 +491,7 @@ def random_params(rng, family, c):
 
 
 def fuzz_residuals(traj, k, count, rng, family="H"):
-    """Residual reports for ``count`` random non-degenerate tuples."""
+    """Residual reports for ``count`` random non-degenerate tuples, drawn from ``rng`` by ``random_params``."""
     out = []
     for _ in range(count):
         p = random_params(rng, family, traj.c)

@@ -16,13 +16,14 @@ randomized-parameter fuzz.
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import action as action_mod
 from . import harnack, identities
-from .config import build_initial_state
+from .config import build_initial_state, check_snapshot_plan
 from .errors import ConfigError, ConstraintViolationError, HarnackFlowError
 from .flow import EnsembleMember, FlowRun, FlowState, output_count, run_ensemble
 from .flow import run as run_flow
@@ -84,34 +85,18 @@ def _remove_stale_reports(out_dir, *names):
             os.remove(path)
 
 
-class _SeededGenerator:
-    """numpy's Generator for ``seed``, made on the first draw.
-
-    Importing numpy.random costs every command ~20 ms, and a run whose
-    pairs are all explicit never draws.
-    """
-
-    def __init__(self, seed):
-        self._seed = seed
-
-    def __getattr__(self, name):
-        # reached only for names the instance lacks: the generator's own
-        if "_generator" not in self.__dict__:
-            self._generator = np.random.default_rng(self._seed)
-        return getattr(self._generator, name)
-
-
 def _seeded_rng(cfg, seed):
-    """The run's generator, from ``seed`` or, when that is None, the config's seed.
+    """The run's ``random.Random``, from ``seed`` or, when that is None, the config's seed.
 
-    A negative seed raises ConstraintViolationError (exit 2); callers ask for
-    the generator after removing stale reports and before any flow runs.
-    The generator itself is made on its first draw.
+    Every draw reads its ``random()`` alone, whose stream Python keeps the
+    same across versions.  A negative seed raises ConstraintViolationError
+    (exit 2); callers ask for the generator after removing stale reports
+    and before any flow runs.
     """
     seed = cfg.seed if seed is None else seed
     if seed < 0:
         raise ConstraintViolationError(f"the seed must be a non-negative integer, got {seed}")
-    return _SeededGenerator(seed)
+    return random.Random(seed)
 
 
 def _failure_line(stage, err):
@@ -475,10 +460,11 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     one ``residual_surface`` call per level.  The reports of an earlier
     ladder are removed first; fewer than two levels, which leave no
     convergence ratio to check, then raise ConstraintViolationError before
-    any flow runs, as do a negative seed and an invalid initial state at
-    any level.  A HarnackFlowError in a stage (a level's flows or
-    residuals, the fuzz) that is not a config error ends the ladder:
-    identity_summary.txt then holds the single line
+    any flow runs, as do a negative seed, an invalid initial state at any
+    level and a level whose snapshots 0 .. k + 1 of all its runs exceed
+    ``config.MAX_SNAPSHOT_BYTES``.  A HarnackFlowError in a stage (a
+    level's flows or residuals, the fuzz) that is not a config error ends
+    the ladder: identity_summary.txt then holds the single line
     ``FAIL <stage> (level L, N = n): <error type>[ at t = ...]: <message>``,
     no identities.csv is written, and the returned study carries that line
     in ``failure`` and fails.  Since the flows all finish first, a flow
@@ -497,27 +483,30 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
         want.discard("surface")
     rng = _seeded_rng(cfg, seed)
 
-    # dt = auto (None) stays auto: every level then steps by the flow's CFL rule
-    level_cfgs = [
-        replace(
+    coeffs = _level_coeffs(want)
+    level_cfgs, checks = [], []
+    for lvl in range(levels):
+        # dt = auto (None) stays auto: every level then steps by the flow's CFL rule
+        lcfg = replace(
             cfg,
             n=cfg.n * 2**lvl,
             dt=None if cfg.dt is None else cfg.dt / (4**lvl),
             dt_out=cfg.dt_out / (4**lvl),
         )
-        for lvl in range(levels)
-    ]
+        # the level's check index k, as on a run to t_end; its flows stop at
+        # k + 1, and its snapshots 0 .. k + 1 must fit before any state is
+        # built, or any further level made: each level multiplies n
+        k = _check_index(cfg.t_check, lcfg.dt_out, output_count(lcfg.t_end, lcfg.dt_out))
+        check_snapshot_plan(lcfg, k + 2, len(coeffs) + ("surface" in want), f"ladder level {lvl} (N = {lcfg.n})")
+        level_cfgs.append(lcfg)
+        checks.append(k)
     # an invalid initial state is a config error (exit 2), found before any flow runs
     starts = [build_initial_state(lcfg) for lcfg in level_cfgs]
-
-    # each level's check index k, as on a run to t_end; its flows stop at k + 1
-    checks = [_check_index(cfg.t_check, lcfg.dt_out, output_count(lcfg.t_end, lcfg.dt_out)) for lcfg in level_cfgs]
     runs = [_level_run(lcfg, want, state0, k + 1) for lcfg, state0, k in zip(level_cfgs, starts, checks)]
     stages = [f"flow (level {lvl}, N = {lcfg.n})" for lvl, lcfg in enumerate(level_cfgs)]
     if cfg.fuzz_count:
         runs.append(_fuzz_run(cfg.n))
         stages.append(f"fuzz (level 0, N = {cfg.n})")
-    coeffs = _level_coeffs(want)
 
     level_rows = []
     agree = {}

@@ -561,6 +561,51 @@ def test_random_pairs_reachable_at_clamped_window():
         assert np.isfinite(gamma)
 
 
+def test_seeded_draws_are_golden(torus_small_traj):
+    # every draw is one random() of a random.Random, whose stream Python
+    # keeps across versions: a change of stream or of draw order fails here
+    import random
+
+    p = hf.random_params(random.Random(0), "H", -1.0)  # the first tuple drawn is rejected
+    assert (p.alpha, p.beta, p.a, p.b, p.c, p.d, p.lam) == (
+        1.1351943561390905, -0.7867490956842902, -0.09361218339057675, 0.3335281578201248,
+        -1.0, 1.6324515407813407, 0.018747423269561025,
+    )
+    t = torus_small_traj.times
+    # the second pair's later snapshot is moved up past the first
+    assert hf.random_pairs(torus_small_traj, 2, random.Random(0)) == [
+        ((10, t[2]), (5, t[3])), ((7, t[1]), (7, t[3])),
+    ]
+
+
+@pytest.mark.parametrize("name, x1, x2", [("torus_small_traj", 3, 21), ("torus7_traj", 9, 40),
+                                          ("sphere_small_traj", 4, 9)])
+def test_curved_tables_built_once_per_layer(monkeypatch, request, name, x1, x2):
+    # the backtrack reads each curved layer's table from the forward pass
+    # instead of building a one-node table of its own
+    from dataclasses import replace
+
+    from harnackflow import action
+
+    traj = request.getfixturevalue(name)
+    kind = traj.geom.kind
+    graph = action._LAYER_GRAPHS[kind]
+    boxes = []
+
+    def counted(geom, phi_mid, window, box):
+        boxes.append(box)
+        return graph.distances(geom, phi_mid, window, box)
+
+    monkeypatch.setitem(action._LAYER_GRAPHS, kind, replace(graph, distances=counted))
+    p1, p2 = (x1, traj.times[0]), (x2, traj.times[3])
+    gamma, path = hf.min_action(traj, p1, p2, window=2)
+    assert len(boxes) == 3
+    assert max(np.prod([len(r) for r in box]) for box in boxes) > 1
+    ref_gamma, ref_nodes = reference_layer_dp(traj, p1, p2, 2)
+    assert gamma == ref_gamma
+    assert path.nodes == tuple(ref_nodes)
+
+
 def test_action_csv(tmp_path):
     rows = [(0, 0.1, 3, 0.2, 1.5, 0.25)]
     path = tmp_path / "action.csv"

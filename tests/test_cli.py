@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from harnackflow.errors import BlowupError, ConstraintViolationError
@@ -625,25 +627,92 @@ def test_negative_seed_exits_before_any_flow(cfg_file, tmp_path, capsys, monkeyp
     assert not (out / stale).exists()
 
 
-@pytest.mark.parametrize("pairs, imported", [("pairs = 0,0.04,30,0.08", False), ("pair_count = 2", True)],
-                         ids=["explicit", "drawn"])
-def test_run_imports_numpy_random_only_to_draw(cfg_file, tmp_path, pairs, imported):
-    # importing numpy.random costs every command ~20 ms; a run whose action
-    # pairs are all explicit never draws, so it never makes the generator
+# an n = 16 sphere ladder whose fuzz draws parameter tuples
+FUZZ_LADDER = SMALL_SPHERE.replace("n = 48", "n = 16").replace(
+    "[action]\nenable = true\npair_count = 5\nwindow = 5\n", "[identities]\nfuzz_count = 4\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, command, drawn",
+    [
+        (SMALL_TORUS + "\n[action]\nenable = true\npairs = 0,0.04,30,0.08\nwindow = 3\n", ["run"], None),
+        (SMALL_TORUS + "\n[action]\nenable = true\npair_count = 2\nwindow = 3\n", ["run"], "action.csv"),
+        (FUZZ_LADDER, ["verify-identities", "--levels", "2"], "identity_summary.txt"),
+    ],
+    ids=["explicit", "drawn", "fuzz-ladder"],
+)
+def test_no_command_imports_numpy_random(cfg_file, tmp_path, text, command, drawn):
+    # importing numpy.random costs every command ~6 MiB of peak RSS and
+    # ~15 ms; the seeded draws come from the standard library's random
     import os
     import subprocess
     import sys
 
     from conftest import REPO_ROOT
 
-    cfg = cfg_file(SMALL_TORUS + f"\n[action]\nenable = true\n{pairs}\nwindow = 3\n", "pairs.cfg")
+    out = tmp_path / "out"
+    cfg = cfg_file(text, "draws.cfg")
     script = (
         "import sys\nfrom harnackflow.cli import main\n"
-        "code = main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "code = main(sys.argv[1:])\n"
         "print(code, 'numpy.random' in sys.modules)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+        [sys.executable, "-c", script, *command, "--config", cfg, "--out", str(out)],
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == f"0 {imported}"
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    # the command did draw: two sampled pairs, or fuzz tuples of both families
+    if drawn == "action.csv":
+        assert len((out / drawn).read_text().splitlines()) == 3
+    elif drawn:
+        assert re.findall(r"^PASS (fuzz-bounded-[HP])", (out / drawn).read_text(), re.M) == [
+            "fuzz-bounded-H", "fuzz-bounded-P"]
+
+
+# 10^18 output intervals on an 8 x 8 torus: 1.0e21 bytes of snapshots
+HUGE_PLAN = """
+[geometry]
+kind = torus
+n = 8
+
+[flow]
+t_end = 1e12
+dt_out = 1e-6
+"""
+
+
+def test_plan_above_snapshot_limit_exits_before_any_flow(cfg_file, tmp_path, capsys, monkeypatch):
+    import harnackflow.runner as runner
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(runner, "run_ensemble", no_flow)
+    monkeypatch.setattr(runner, "run_flow", no_flow)
+    out = tmp_path / "out"
+    for command in ("run", "verify-identities"):
+        assert main([command, "--config", cfg_file(HUGE_PLAN, "huge.cfg"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ConstraintViolationError" in err and "above the limit of 17179869184 bytes" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("levels", ["8", "600"])
+def test_verify_identities_refuses_a_level_above_snapshot_limit(tmp_path, capsys, monkeypatch, levels):
+    # the shipped ladder's level 7 (N = 8192, 81,922 snapshots of 3 runs)
+    # plans 32 GB; levels 0 .. 6 stay below the limit.  No later level is
+    # made: at level 512 the scaled dt_out would overflow a float
+    import harnackflow.runner as runner
+    from conftest import SCENARIO_DIR
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(runner, "build_initial_state", no_state)
+    cfg = str(SCENARIO_DIR / "sphere_identities.cfg")
+    assert main(["verify-identities", "--config", cfg, "--levels", levels, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "ladder level 7 (N = 8192) plans 81922 snapshots x 3 run(s)" in err
+    assert list(tmp_path.iterdir()) == []

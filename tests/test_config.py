@@ -254,3 +254,35 @@ def test_initial_state_construction():
     assert state.t == 0.0
     assert np.all(state.f == 0.5)
     assert state.geom.kind == "rot_sphere"
+
+
+@pytest.mark.parametrize(
+    "kind, n, outputs, accepted",
+    [
+        # 2^18 snapshots x 2 fields x 64^2 nodes x 8 bytes = 2^34, the limit itself
+        ("torus", 64, 2**18 - 1, True),
+        ("torus", 64, 2**18, False),
+        # 2^24 snapshots x 2 fields x 64 rings x 8 bytes = 2^34
+        ("rot_sphere", 64, 2**24 - 1, True),
+        ("rot_sphere", 64, 2**24, False),
+        # one snapshot of a 2^15 x 2^15 torus plans 2^34 bytes, before any field is built
+        ("torus", 2**15, 1, False),
+    ],
+)
+def test_snapshot_plan_limit(monkeypatch, kind, n, outputs, accepted):
+    from harnackflow import config
+    from harnackflow.config import MAX_SNAPSHOT_BYTES
+
+    dt_out = 2.0**-30  # exact, so t_end / dt_out is exactly the output count
+    text = f"[geometry]\nkind = {kind}\nn = {n}\n[flow]\nt_end = {outputs * dt_out!r}\ndt_out = {dt_out!r}\n"
+    assert MAX_SNAPSHOT_BYTES == 2**34
+    if accepted:
+        assert hf.parse_config(text).t_end == outputs * dt_out
+        return
+
+    def no_field(cfg):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(config, "build_geometry", no_field)
+    with pytest.raises(ConstraintViolationError, match="above the limit of 17179869184 bytes"):
+        hf.parse_config(text)
