@@ -43,12 +43,22 @@ per node on the sphere and per member on the torus.  Between snapshot
 events the kernel takes as many steps as the nearest event allows; a
 run whose last interval ends leaves the stack, which is rebuilt.  Every
 operation is elementwise in the single-field operand order, so each
-member is bit-identical to a run of it alone.  The checks run on every
-member at every step: each run's CFL bound before the step, in one
-segmented reduction over the stack, and the overflow guard and the
-positivity of f after it; the extinction time is checked once per member
-before any step.  A failure raises its typed error with the failing run,
-time and member.
+member is bit-identical to a run of it alone.
+
+Each rate evaluation writes its Laplacians straight into its rate buffer
+and folds the curvature into the phi rate,
+``dphi/dt = (lap_bg phi - R_bg/2) e^(-2 phi)``, which is -R/2; the
+reaction term reads R as -2 times it, ``((-2c) dphi/dt) f``.  Scaling by
+2 is exact above the subnormal range, so -2 dphi/dt is the R of
+``SurfaceGeometry.scalar_curvature`` and both rates are those of the
+unfolded formulas bit for bit, but for the sign of an exactly-zero phi
+rate: +0 where ``lap_bg phi - R_bg/2`` is +0, where -R/2 is -0.
+
+The checks run on every member at every step: each run's CFL bound
+before the step, in one segmented reduction over the stack, and the
+overflow guard and the positivity of f after it; the extinction time is
+checked once per member before any step.  A failure raises its typed
+error with the failing run, time and member.
 
 Each ``FlowState`` computes its scalar curvature once, on first use of
 ``FlowState.R``; the monitors, the identity residuals, the action DP and the
@@ -77,7 +87,7 @@ from .errors import (
     StepTooLargeError,
     TrajectoryFormatError,
 )
-from .geometry import CFL_FACTOR, SphereGeometry, SurfaceGeometry, TorusGeometry, cfl_limit, sphere_flux_plan
+from .geometry import CFL_FACTOR, SphereGeometry, SurfaceGeometry, TorusGeometry, cfl_limit, sphere_flux_plans
 
 OVERFLOW_GUARD = 1e12
 # Without an explicit dt, each interval's step stays this factor below its
@@ -167,7 +177,7 @@ def _member_error(err, member, count):
 
 
 # 0-d operands: numpy takes them faster than Python floats
-_TWO, _MINUS_TWO, _MINUS_HALF = (np.array(v) for v in (2.0, -2.0, -0.5))
+_TWO, _MINUS_TWO = np.array(2.0), np.array(-2.0)
 _CFL_SLACK = np.array(1.0 + 1e-12)
 
 
@@ -186,12 +196,26 @@ class _RK4Kernel:
     Every buffer, view and operand is made once, in the constructor, and
     one step is a prebuilt list of (callable, operands) with positional
     outputs.  Operands that differ between members are per node on the
-    sphere and per member on the torus: the reaction coefficient c and the
+    sphere and per member on the torus: the reaction operand -2c and the
     step operands dt/2, dt and dt/6, which are 0-d when the stack holds one
     run.  ``set_step`` changes a run's step between its output intervals.
     Every operation is elementwise and keeps the operand order of the
     single-field formulas, so each member reproduces, bit for bit, a run of
     that member alone.  ``t`` holds each run's time and ``dts`` its step.
+
+    A step works on six arrays of the stack's shape: ``x``, the stage
+    state ``y``, the rate buffers ``k1``, ``acc`` (k2, then the weighted
+    sum) and ``k`` (k3, then k4), and one scratch block.  One Laplacian
+    plan per (state, rate) pair writes the stage's Laplacians into its rate
+    buffer; the phi rate is then ``(lap phi - R_bg/2) e^(-2 phi)``, with
+    no subtraction on the torus, where R_bg = 0 and x - 0 is x bit for
+    bit, and the f rate ``e^(-2 phi) lap f - ((-2c) rate_phi) f``.  The
+    scratch block holds e^(-2 phi) and that reaction term after each
+    Laplacian, and the torus plans' 4w during it; the sphere plans share
+    their flux buffer, mask and coefficients.  A frozen member's phi rate
+    is refilled with zeros after each evaluation.  After the step, the
+    overflow guard and the positivity of f are checked by reductions
+    alone, and a failure is then located member by member.
     """
 
     def __init__(self, runs, fields):
@@ -223,7 +247,7 @@ class _RK4Kernel:
             spread = lambda values: np.repeat(values, sizes)  # noqa: E731
         else:
             spread = lambda values: np.reshape(values, (-1,) + (1,) * len(geom.field_shape))  # noqa: E731
-        self.c = spread([runs[pos].members[i].c for pos, i in slots])
+        c = spread([runs[pos].members[i].c for pos, i in slots])
         if len(runs) == 1:
             self.half, self.full, self.sixth = (np.empty(()) for _ in range(3))
         else:
@@ -238,54 +262,57 @@ class _RK4Kernel:
         self.t = np.array([run.t for run in runs])
         self.dts = np.zeros(len(runs))
 
-        # contiguous spans of evolving members, whose phi alone is updated
-        evolving = []
+        # contiguous spans of the evolving members, whose phi alone is
+        # updated, and of the frozen ones, whose phi rate is zero
+        evolving, frozen = [], []
         for (pos, i), a, b in zip(slots, starts, ends):
-            if runs[pos].members[i].evolve_metric:
-                if evolving and evolving[-1][1] == a:
-                    evolving[-1][1] = b
-                else:
-                    evolving.append([a, b])
+            spans_of_kind = evolving if runs[pos].members[i].evolve_metric else frozen
+            if spans_of_kind and spans_of_kind[-1][1] == a:
+                spans_of_kind[-1][1] = b
+            else:
+                spans_of_kind.append([a, b])
         self.x = x
         self.phi, self.f = x
-        # rates start at zero: the frozen members' phi rates are never written
-        y, k1, acc, k = (np.zeros(x.shape) for _ in range(4))
-        self.z = z = np.empty(x.shape)
-        z0, z1 = z
-        e2m, ctmp = np.empty(body), np.empty(body)
-        r_bg = np.array(geom.background_curvature)
+        y, k1, acc, k = (np.empty(x.shape) for _ in range(4))
+        # one scratch block: e^(-2 phi) and the reaction term after each
+        # Laplacian, and the torus plans' 4w during it
+        scratch = np.empty(x.shape)
+        e2m, react = scratch
+        pairs = ((x, k1), (y, acc), (y, k))
         if sphere:
-            lap_x, lap_y = (sphere_flux_plan(w, z, sizes * 2) for w in (x, y))
+            lap_k1, lap_acc, lap_k = sphere_flux_plans(sizes * 2, *pairs)
         else:
-            lap_x, lap_y = (geom.laplacian_plan(w, z) for w in (x, y))
+            lap_k1, lap_acc, lap_k = (geom.laplacian_plan(w, out, scratch) for w, out in pairs)
+        # R = -2 rate_phi, so the reaction term -c R f is ((-2c) rate_phi) f
+        minus_two_c = np.multiply(c, _MINUS_TWO)
+        half_r_bg = np.array(0.5 * geom.background_curvature)
 
         def rhs(lap, state, rate):
-            """Rates (dphi/dt, df/dt) at ``state``, written into ``rate``."""
+            """Rates (dphi/dt, df/dt) at ``state``, written into ``rate`` by its Laplacian plan."""
             phi, f = state
-            return [
-                (lap, ()),
-                (np.multiply, (phi, _MINUS_TWO, e2m)),
-                (np.exp, (e2m, e2m)),
-                (np.multiply, (z0, _TWO, z0)),
-                (np.subtract, (r_bg, z0, z0)),
-                (np.multiply, (z, e2m, z)),  # z = (R, e^(-2 phi) lap f)
-                (np.multiply, (self.c, z0, ctmp)),
-                (np.multiply, (ctmp, f, ctmp)),
-                (np.subtract, (z1, ctmp, rate[1])),
-            ] + [(np.multiply, (z0[a:b], _MINUS_HALF, rate[0, a:b])) for a, b in evolving]
+            ops = [(lap, ()), (np.multiply, (phi, _MINUS_TWO, e2m)), (np.exp, (e2m, e2m))]
+            if sphere:  # on the torus R_bg = 0, and lap phi - 0 is lap phi bit for bit
+                ops.append((np.subtract, (rate[0], half_r_bg, rate[0])))
+            ops += [
+                (np.multiply, (rate, e2m, rate)),  # rate = ((lap phi - R_bg/2) e^(-2 phi), e^(-2 phi) lap f)
+                (np.multiply, (minus_two_c, rate[0], react)),
+                (np.multiply, (react, f, react)),
+                (np.subtract, (rate[1], react, rate[1])),
+            ]
+            return ops + [(rate[0, a:b].fill, (0.0,)) for a, b in frozen]
 
         def stage(scale, rate):
             return [(np.multiply, (rate, scale, y)), (np.add, (x, y, y))]
 
-        ops = rhs(lap_x, x, k1) + stage(self.half, k1)
-        ops += rhs(lap_y, y, acc) + stage(self.half, acc)
-        ops += rhs(lap_y, y, k) + [(np.add, (acc, k, acc))]  # k2 + k3
-        ops += stage(self.full, k) + rhs(lap_y, y, k)
+        ops = rhs(lap_k1, x, k1) + stage(self.half, k1)
+        ops += rhs(lap_acc, y, acc) + stage(self.half, acc)
+        ops += rhs(lap_k, y, k) + [(np.add, (acc, k, acc))]  # k2 + k3
+        ops += stage(self.full, k) + rhs(lap_k, y, k)
         ops += [(np.multiply, (acc, _TWO, acc)), (np.add, (acc, k1, acc)), (np.add, (acc, k, acc))]
         ops.append((np.multiply, (acc, self.sixth, acc)))
         # the update: the whole stack when every member evolves, else the
         # evolving members' phi and every f; a frozen phi is never touched
-        if evolving == [[0, body[0]]]:
+        if not frozen:
             ops.append((np.add, (x, acc, x)))
         else:
             ops += [(np.add, (x[0, a:b], acc[0, a:b], x[0, a:b])) for a, b in evolving]
@@ -319,9 +346,10 @@ class _RK4Kernel:
             self._raise_cfl()
         for fn, args in self.ops:
             fn(*args)
-        # NaNs fail both comparisons, so non-finite fields are caught here
-        # too; z is free until the next step's first Laplacian.
-        big = float(np.abs(self.x, out=self.z).max())
+        # Reductions alone: with every f positive, max(x.max(), -phi.min())
+        # is max |x|.  A NaN makes every reduction NaN, which fails both
+        # comparisons, so non-finite fields are caught here too.
+        big = max(float(self.x.max()), -float(self.phi.min()))
         fmin = float(self.f.min())
         if not (big <= OVERFLOW_GUARD and fmin > 0.0):
             self._raise_state()

@@ -96,14 +96,17 @@ class SurfaceGeometry:
     def background_curvature(self):
         raise NotImplementedError
 
-    def laplacian_plan(self, w, out):
+    def laplacian_plan(self, w, out, scratch=None):
         """Background Laplacian bound to the arrays ``w`` and ``out``.
 
         Returns ``lap()``, which writes the Laplacian of the current contents
         of ``w`` over its trailing field axes into ``out`` and returns it.
         ``w`` may carry leading axes (the flow stacks members and fields
-        there).  Every view and scratch buffer is made here, so a hot loop
-        builds one plan per buffer pair and each call allocates nothing.
+        there).  Every view and buffer is made here, so a hot loop builds
+        one plan per buffer pair and each call allocates nothing.
+        ``scratch``, an array shaped like ``w``, is free for the torus plan
+        to overwrite on every call, so plans used one at a time may share
+        it; one is made when it is None, and the sphere plan needs none.
         Both plans work on flat views of the whole stack, so they need
         C-contiguous ``w`` and ``out``: a flat view of a strided array would
         be a copy.  A strided one raises GridMismatchError.  The flow's
@@ -247,7 +250,7 @@ class TorusGeometry(SurfaceGeometry):
     def _dy(self, w):
         return (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / (2.0 * self.h)
 
-    def laplacian_plan(self, w, out):
+    def laplacian_plan(self, w, out, scratch=None):
         # Five-point stencil summed in the order
         # (w[i+1,j] + w[i-1,j]) + w[i,j+1] + w[i,j-1] - 4 w, then / h^2,
         # each neighbour sum in one pass over contiguous memory: an add over
@@ -257,7 +260,11 @@ class TorusGeometry(SurfaceGeometry):
         # views, not copies, since both arrays are contiguous
         wf, of = w.reshape(-1), out.reshape(-1)
         w_fields, out_fields = w.reshape(-1, n * n), out.reshape(-1, n * n)
-        four_w = np.empty(w.shape)
+        if scratch is None:
+            scratch = np.empty(w.shape)
+        elif scratch.shape != w.shape:
+            raise GridMismatchError(f"laplacian_plan needs a scratch of shape {w.shape}, not {scratch.shape}")
+        four_w = scratch
         saved = np.empty(w.shape[:-1])
         h2 = self.h * self.h
         # (flat target, flat neighbour, wrap column, its wrap neighbour): the
@@ -305,24 +312,36 @@ class TorusGeometry(SurfaceGeometry):
         return np.exp(-2.0 * self.phi) * (wx * wx + wy * wy)
 
     def covariant_hessian(self, w):
+        # Every neighbour is a slice of one wrap-padded copy of w or of phi,
+        # p[1 + i, 1 + j] = w[i mod n, j mod n]: p[2:, 1:-1] is w[i + 1, j],
+        # p[:-2, 2:] is w[i - 1, j + 1], and so on.  Each stencil keeps the
+        # operand order of its np.roll form, so the result is the same bits.
+        # Each second derivative goes straight into its component, and
+        # phi's copy is dropped once read, so no more fields are alive at
+        # once than the roll form held.
         w = self.check_field(w)
-        h2 = self.h * self.h
-        wxx = (np.roll(w, -1, axis=0) - 2.0 * w + np.roll(w, 1, axis=0)) / h2
-        wyy = (np.roll(w, -1, axis=1) - 2.0 * w + np.roll(w, 1, axis=1)) / h2
-        wxy = (
-            np.roll(w, (-1, -1), axis=(0, 1))
-            - np.roll(w, (-1, 1), axis=(0, 1))
-            - np.roll(w, (1, -1), axis=(0, 1))
-            + np.roll(w, (1, 1), axis=(0, 1))
-        ) / (4.0 * h2)
-        px, py = self._dx(self.phi), self._dy(self.phi)
-        wx, wy = self._dx(w), self._dy(w)
+        h2, two_h = self.h * self.h, 2.0 * self.h
+        pp = _wrap_pad(self.phi)
+        px, py = (pp[2:, 1:-1] - pp[:-2, 1:-1]) / two_h, (pp[1:-1, 2:] - pp[1:-1, :-2]) / two_h
+        del pp
+        wp = _wrap_pad(w)
+        wx, wy = (wp[2:, 1:-1] - wp[:-2, 1:-1]) / two_h, (wp[1:-1, 2:] - wp[1:-1, :-2]) / two_h
+        two_w = 2.0 * w
         t = np.empty(self.field_shape + (2, 2))
-        t[..., 0, 0] = wxx - px * wx + py * wy
-        t[..., 1, 1] = wyy - py * wy + px * wx
-        t[..., 0, 1] = wxy - py * wx - px * wy
+        t[..., 0, 0] = (wp[2:, 1:-1] - two_w + wp[:-2, 1:-1]) / h2 - px * wx + py * wy
+        t[..., 1, 1] = (wp[1:-1, 2:] - two_w + wp[1:-1, :-2]) / h2 - py * wy + px * wx
+        t[..., 0, 1] = (wp[2:, 2:] - wp[2:, :-2] - wp[:-2, 2:] + wp[:-2, :-2]) / (4.0 * h2) - py * wx - px * wy
         t[..., 1, 0] = t[..., 0, 1]
         return t
+
+
+def _wrap_pad(w):
+    """An (n + 2, n + 2) copy of a periodic (n, n) field with one wrapped node on every side."""
+    p = np.empty((w.shape[0] + 2, w.shape[1] + 2))
+    p[1:-1, 1:-1] = w
+    p[0, 1:-1], p[-1, 1:-1] = w[-1], w[0]
+    p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
+    return p
 
 
 def _sphere_background(n):
@@ -356,14 +375,15 @@ def _sphere_background(n):
 _SPHERE_BG_CACHE = {}
 
 
-def sphere_flux_plan(w, out, rows):
-    """Sphere Laplacian over a flat stack of rows of any resolutions, bound to ``w`` and ``out``.
+def sphere_flux_plans(rows, *pairs):
+    """Sphere Laplacians over flat stacks of rows of any resolutions, one per ``(w, out)`` pair.
 
     ``rows`` lists the node count n of each row in flat order; together
-    they cover ``w``, which may be any C-contiguous array (the flow's
-    field-major stack is phi's rows, then f's).  Returns ``lap()`` as
-    ``SurfaceGeometry.laplacian_plan`` does, and each row gets exactly the
-    Laplacian of its own sphere.
+    they cover each ``w``, which may be any C-contiguous array (the flow's
+    field-major stack is phi's rows, then f's).  Returns one ``lap()`` per
+    pair, as ``SurfaceGeometry.laplacian_plan`` does, and each row gets
+    exactly the Laplacian of its own sphere.  The plans share their flux
+    buffer, junction mask and coefficients, so they must run one at a time.
     """
     # Flux form over the flat stack: flux[o + j] is the flux into node j of
     # the row at offset o from node j - 1, so one exact-zero pole flux sits
@@ -371,31 +391,36 @@ def sphere_flux_plan(w, out, rows):
     # those row junctions, which are never written and stay +0, so no
     # difference across two rows can overflow or warn; each row's sin_plus
     # ends in the exact zero there.
-    _require_c_contiguous(w, out)
-    wf, of = w.reshape(-1), out.reshape(-1)
-    if sum(rows) != wf.size:
-        raise GridMismatchError(f"rows of {sum(rows)} nodes in total do not cover a stack of {wf.size}")
-    flux = np.zeros(wf.size + 1)
+    size = sum(rows)
+    flux = np.zeros(size + 1)
     inner, upper, lower = flux[1:-1], flux[1:], flux[:-1]
-    w_next, w_prev = wf[1:], wf[:-1]
     if len(rows) == 1:
         bg = _sphere_background(rows[0])
         inside, sin_plus, inv_sin_dt2 = True, bg["sin_plus"][:-1], bg["inv_sin_dt2"]
     else:
-        inside = np.ones(wf.size - 1, dtype=bool)
+        inside = np.ones(size - 1, dtype=bool)
         inside[np.cumsum(rows)[:-1] - 1] = False
         backgrounds = [_sphere_background(n) for n in rows]
         sin_plus = np.concatenate([bg["sin_plus"] for bg in backgrounds])[:-1]
         inv_sin_dt2 = np.concatenate([bg["inv_sin_dt2"] for bg in backgrounds])
 
-    def lap():
-        np.subtract(w_next, w_prev, inner, where=inside)  # w_{j+1} - w_j
-        np.multiply(sin_plus, inner, inner)
-        np.subtract(upper, lower, of)
-        np.multiply(of, inv_sin_dt2, of)
-        return out
+    def plan(w, out):
+        _require_c_contiguous(w, out)
+        wf, of = w.reshape(-1), out.reshape(-1)
+        if wf.size != size:
+            raise GridMismatchError(f"rows of {size} nodes in total do not cover a stack of {wf.size}")
+        w_next, w_prev = wf[1:], wf[:-1]
 
-    return lap
+        def lap():
+            np.subtract(w_next, w_prev, inner, where=inside)  # w_{j+1} - w_j
+            np.multiply(sin_plus, inner, inner)
+            np.subtract(upper, lower, of)
+            np.multiply(of, inv_sin_dt2, of)
+            return out
+
+        return lap
+
+    return [plan(w, out) for w, out in pairs]
 
 
 class SphereGeometry(SurfaceGeometry):
@@ -458,9 +483,9 @@ class SphereGeometry(SurfaceGeometry):
         g = self._ghost(w)
         return (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (self.dtheta * self.dtheta)
 
-    def laplacian_plan(self, w, out):
+    def laplacian_plan(self, w, out, scratch=None):
         # the uniform case of the flux plan: every row has this sphere's n
-        return sphere_flux_plan(w, out, [self.n] * (w.size // self.n))
+        return sphere_flux_plans([self.n] * (w.size // self.n), (w, out))[0]
 
     def background_area_weights(self):
         # Band area 2*pi*(cos(theta-) - cos(theta+)) written as an exact

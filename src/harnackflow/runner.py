@@ -290,13 +290,16 @@ def run_scenario(cfg, out_flag=None, seed=None):
     A HarnackFlowError in any stage (flow, monitors, identities, action)
     ends the run: summary.txt then holds the single line
     ``FAIL <stage>: <error type>[ at t = ...]: <message>``, which the
-    report carries in ``failure``, and the report fails.  A summary.txt
-    left by an earlier run is removed first; a negative seed then raises
-    ConstraintViolationError before the flow runs.
+    report carries in ``failure``, and the report fails.  Every file a run
+    writes that an earlier run left is removed first, so a stage this run
+    disables or never reaches leaves no report behind; a negative seed then
+    raises ConstraintViolationError before the flow runs.
     """
     out_dir = resolve_out_dir(cfg, out_flag)
     os.makedirs(out_dir, exist_ok=True)
-    _remove_stale_reports(out_dir, "summary.txt")
+    _remove_stale_reports(
+        out_dir, "trajectory.bin", "monitors.csv", "plots.gp", "identities.csv", "action.csv", "summary.txt"
+    )
     rng = _seeded_rng(cfg, seed)
     summary_path = os.path.join(out_dir, "summary.txt")
     stage = "flow"

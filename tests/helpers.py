@@ -155,6 +155,25 @@ def reference_torus_laplacian(w, h):
     return (total - 4.0 * w) / (h * h)
 
 
+def reference_torus_hessian(geom, w):
+    """Covariant Hessian of a torus geometry from ``np.roll``, in the operand order of the geometry."""
+    h, h2 = geom.h, geom.h * geom.h
+    roll = lambda a, shift, axis: np.roll(a, shift, axis=axis)  # noqa: E731
+    dx = lambda a: (roll(a, -1, 0) - roll(a, 1, 0)) / (2.0 * h)  # noqa: E731
+    dy = lambda a: (roll(a, -1, 1) - roll(a, 1, 1)) / (2.0 * h)  # noqa: E731
+    wxx = (roll(w, -1, 0) - 2.0 * w + roll(w, 1, 0)) / h2
+    wyy = (roll(w, -1, 1) - 2.0 * w + roll(w, 1, 1)) / h2
+    wxy = (
+        roll(w, (-1, -1), (0, 1)) - roll(w, (-1, 1), (0, 1)) - roll(w, (1, -1), (0, 1)) + roll(w, (1, 1), (0, 1))
+    ) / (4.0 * h2)
+    px, py, wx, wy = dx(geom.phi), dy(geom.phi), dx(w), dy(w)
+    t = np.empty(w.shape + (2, 2))
+    t[..., 0, 0] = wxx - px * wx + py * wy
+    t[..., 1, 1] = wyy - py * wy + px * wx
+    t[..., 0, 1] = t[..., 1, 0] = wxy - py * wx - px * wy
+    return t
+
+
 def reference_sphere_laplacian(w):
     """Flux-form sphere Laplacian over the trailing axis, one row at a time.
 
@@ -184,6 +203,9 @@ def reference_rk4_run(state, t_end, dt, dt_out, c=-1.0, evolve_metric=True):
     interval's step.  Returns the (phi, f) of every snapshot.  Each rate,
     stage and update is written out on single fields in the operand order
     of the kernel, so ``run`` at the same steps must match it bit for bit.
+    The phi rate is (lap phi - R_bg / 2) e^(-2 phi), which is -R/2, and the
+    reaction term reads R as -2 times it: an exactly-zero phi rate is then
+    +0 wherever lap phi - R_bg / 2 is +0.
     """
     geom = state.geom
     if geom.kind == "torus":
@@ -196,9 +218,9 @@ def reference_rk4_run(state, t_end, dt, dt_out, c=-1.0, evolve_metric=True):
 
     def rates(phi, f):
         e2m = np.exp(phi * -2.0)
-        curv = (r_bg - lap(phi) * 2.0) * e2m
-        k_f = lap(f) * e2m - (c * curv) * f
-        return curv * -0.5 if evolve_metric else np.zeros_like(phi), k_f
+        k_phi = (lap(phi) - r_bg * 0.5) * e2m
+        k_f = lap(f) * e2m - ((c * -2.0) * k_phi) * f
+        return k_phi if evolve_metric else np.zeros_like(phi), k_f
 
     phi, f = geom.phi.copy(), state.f.copy()
     out = [(phi.copy(), f.copy())]

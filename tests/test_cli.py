@@ -488,6 +488,28 @@ def test_stale_summary_removed_when_run_stops_early(cfg_file, tmp_path, monkeypa
     assert not (out / "summary.txt").exists()
 
 
+RUN_FILES = ("trajectory.bin", "monitors.csv", "plots.gp", "identities.csv", "action.csv", "summary.txt")
+EVERY_STAGE = SMALL_SPHERE.replace("[output]", "[identities]\nenable = true\nt_check = 0.05\n\n[output]")
+
+
+def test_rerun_with_stages_off_leaves_no_report_of_theirs(cfg_file, tmp_path):
+    out = tmp_path / "rerun"
+    assert main(["run", "--config", cfg_file(EVERY_STAGE, "every.cfg"), "--out", str(out)]) == 0
+    assert all((out / name).exists() for name in RUN_FILES)
+    stages_off = EVERY_STAGE.replace("enable = true", "enable = false")
+    assert main(["run", "--config", cfg_file(stages_off, "off.cfg"), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["monitors.csv", "plots.gp", "summary.txt", "trajectory.bin"]
+    assert "action-margin" not in (out / "summary.txt").read_text()
+
+
+def test_rerun_failing_in_the_flow_leaves_only_its_summary(cfg_file, tmp_path):
+    out = tmp_path / "rerun"
+    assert main(["run", "--config", cfg_file(EVERY_STAGE, "every.cfg"), "--out", str(out)]) == 0
+    assert main(["run", "--config", cfg_file(BAD_INITIAL, "bad.cfg"), "--out", str(out)]) == 1
+    assert [p.name for p in out.iterdir()] == ["summary.txt"]
+    assert (out / "summary.txt").read_text().startswith("FAIL flow: PositivityLostError")
+
+
 def test_verify_identities_without_identities_section(cfg_file, tmp_path, capsys):
     cfg = cfg_file(IDENTITIES_OFF, "ids_off.cfg")
     out = tmp_path / "ids_off"

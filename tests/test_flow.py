@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -510,6 +511,25 @@ def test_explicit_dt_ensembles_match_the_fixed_step_reference():
                 assert s.f.tobytes() == f.tobytes()
 
 
+def test_flat_torus_signed_zero_phi_matches_the_folded_reference():
+    # the phi rate (lap phi - 0) e^(-2 phi) is +0 where lap phi is +0, so a
+    # -0 phi with a +0 neighbour turns +0; as -R/2 that rate was -0 and
+    # would keep it -0
+    geom = hf.TorusGeometry(12, 2 * np.pi)
+    x, y = geom.coords()
+    phi = np.zeros(geom.field_shape)
+    phi[::3, ::2] = -0.0
+    state = hf.FlowState(0.0, geom.with_phi(phi), 0.5 + 0.2 * np.sin(x) * np.cos(y))
+    for c in (-1.0, 0.0):
+        traj = hf.run(state, 0.05, 0.0125 / 4, 0.0125, c=c)
+        want = reference_rk4_run(state, 0.05, 0.0125 / 4, 0.0125, c=c)
+        assert len(traj) == len(want)
+        for s, (phi_k, f_k) in zip(traj.states, want):
+            assert s.geom.phi.tobytes() == phi_k.tobytes()
+            assert s.f.tobytes() == f_k.tobytes()
+        assert np.signbit(phi).any() and not np.signbit(traj[-1].geom.phi).any()
+
+
 def test_step_rule_runs_round_sphere_to_nine_tenths_of_extinction(monkeypatch):
     # the CFL rule shrinks each interval's step with the sphere: no step is
     # refused, and the closed form of criterion 1 still holds at every snapshot
@@ -625,6 +645,45 @@ def test_lockstep_torus_runs_share_a_stack_only_on_one_grid(monkeypatch, n, per_
     for run, trajs in zip(runs, together):
         (alone,) = hf.run_ensemble([run])
         _same_trajectory(trajs[0], alone[0])
+
+
+def _kernel(runs, dt):
+    """The flow kernel over one stack of ``runs``, every run stepping by ``dt``."""
+    plans = [hf.flow._Run(index, run) for index, run in enumerate(runs)]
+    fields = [(plan.members[i].initial.geom.phi, plan.members[i].initial.f) for plan in plans for i in plan.order]
+    kernel = hf.flow._RK4Kernel(plans, fields)
+    for pos in range(len(plans)):
+        kernel.set_step(pos, dt)
+    return kernel
+
+
+def test_rk4_step_allocates_no_array():
+    # every buffer of a step is made with its kernel; numpy's iterator
+    # buffers for strided and broadcast operands are not arrays, and a
+    # 16-element buffer size keeps them far below the limit
+    run = _torus_run(32, 0.05)
+    frozen = hf.EnsembleMember(run.members[0].initial, c=0.5, evolve_metric=False)
+    torus = [_torus_run(32, 0.05, c=-1.0), run._replace(members=[*run.members, frozen])]
+    sphere = [hf.FlowRun([hf.EnsembleMember(_sphere_cos(n)), hf.EnsembleMember(_sphere_cos(n), c=0.0)], 0.1, None, 0.01)
+              for n in (64, 128, 256)]
+    limit = 4096
+    bufsize = np.setbufsize(16)
+    try:
+        for runs in (torus, sphere):
+            kernel = _kernel(runs, 1e-6)
+            assert kernel.phi.nbytes > limit
+            kernel.step()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(20):
+                    kernel.step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - before < limit
+    finally:
+        np.setbufsize(bufsize)
 
 
 def test_lockstep_step_too_large_names_run_member_and_cfl_bound():

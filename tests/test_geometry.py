@@ -3,7 +3,7 @@ import pytest
 
 import harnackflow as hf
 from harnackflow.errors import GridMismatchError
-from helpers import reference_sphere_laplacian, reference_torus_laplacian
+from helpers import reference_sphere_laplacian, reference_torus_hessian, reference_torus_laplacian
 
 
 def sphere(n, phi_amp=0.0):
@@ -260,6 +260,14 @@ def test_unit_sphere_hessian_of_cos_theta():
     assert np.max(np.abs(t[:, 0, 0] + w * g_theta)) < 2e-3
     assert np.max(np.abs(t[:, 1, 1] + w * g_phi)) < 2e-3
     assert np.all(t[:, 0, 1] == 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 33])
+def test_torus_hessian_matches_roll_reference(n):
+    rng = np.random.default_rng(20 + n)
+    geom = torus(n, 3.0, signed_stack(rng, (n, n)))
+    w = signed_stack(rng, (n, n))
+    assert np.array_equal(bits(geom.covariant_hessian(w)), bits(reference_torus_hessian(geom, w)))
 
 
 def test_torus_hessian_trace_matches_laplacian_exactly():
