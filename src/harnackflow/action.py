@@ -307,18 +307,37 @@ def _departures(values, held, box, window, shape, periodic):
     """Departure values for arrivals in ``box``: the box grown by W per axis.
 
     ``values`` sit on the nodes of the box ``held``; every other departure
-    node, and every position off a non-periodic grid, reads the +inf slot
-    appended to each axis.
+    node, and every position off a non-periodic grid, holds +inf.  The
+    values are copied in by slices, one block for each combination of the
+    per-axis runs that land in ``held``.
     """
-    pad = np.full(tuple(len(h) + 1 for h in held), np.inf)
-    pad[(slice(-1),) * len(held)] = values
-    for axis, (h, r, n) in enumerate(zip(held, box, shape)):
-        pos = np.arange(r.start - window, r.stop + window) - h.start
-        if periodic:
-            pos %= n
-        pos[(pos < 0) | (pos >= len(h))] = len(h)
-        pad = pad.take(pos, axis=axis)
-    return pad
+    grown = [range(r.start - window, r.stop + window) for r in box]
+    out = np.full(tuple(map(len, grown)), np.inf)
+    for runs in itertools.product(*(_runs_in(g, h, n, periodic) for g, h, n in zip(grown, held, shape))):
+        to, of = zip(*runs)
+        out[to] = values[of]
+    return out
+
+
+def _runs_in(grown, held, n, periodic):
+    """The runs of the positions ``grown`` that land in ``held``, as (slice of grown, slice of held).
+
+    On a periodic axis a position lands at its node mod n.
+    """
+    runs, q = [], grown.start
+    while q < grown.stop:
+        p = (q - held.start) % n if periodic else q - held.start
+        if 0 <= p < len(held):
+            size = min(len(held) - p, grown.stop - q)
+            runs.append((slice(q - grown.start, q - grown.start + size), slice(p, p + size)))
+            q += size
+        elif periodic:
+            q += n - p  # on to the node held.start
+        elif p < 0:
+            q -= p
+        else:
+            break
+    return runs
 
 
 def _view(a, shape, steps):

@@ -27,16 +27,22 @@ choice is a pure function of the state, so runs stay bit-identical.
 
 ``evolve_metric=False`` freezes ``phi`` (heat flow on a static metric);
 the gradient-estimate scenarios use it to probe curved static backgrounds.
+A flat torus, ``phi = +0`` everywhere, is a fixed point of the flow.  Both
+are static members: their phi never changes, so the kernel steps their f
+alone, by ``df/dt = e^(-2 phi) lap f - ((-2c) dphi/dt) f`` with the
+e^(-2 phi) and the reaction factor computed once, and their snapshots
+share the initial geometry.
 
 One kernel steps every flow.  ``run_ensemble`` integrates several runs in
 lockstep; a run (``FlowRun``) is members on one grid, each with its own
 ``c`` and ``evolve_metric``, plus the run's own ``t_end``, ``dt`` and
 ``dt_out``.  ``run`` is its one-run, one-member case.  Runs share one
 field-major stack ``x`` of shape ``(2, *body)``: ``x[0]`` holds every
-member's phi and ``x[1]`` every member's f.  Sphere runs of any n share a
-stack whose body is one flat axis of rows; torus runs share one only with
-the same n and side length, and the stacks are stepped one after
-another.  Every per-field operand of a step is one C-contiguous block,
+member's phi and ``x[1]`` every member's f, the static members first.
+Flat, the part a step updates is then one tail: the evolving members'
+phi, then every f.  Sphere runs of any n share a stack whose body is one
+flat axis of rows; torus runs share one only with the same n and side
+length, and the stacks are stepped one after another.  Every per-field operand of a step is one C-contiguous block,
 the step is a list of numpy calls built once per stack, and the
 operands that differ between members (c, and the step of each run) are
 per node on the sphere and per member on the torus.  Between snapshot
@@ -54,11 +60,11 @@ reaction term reads R as -2 times it, ``((-2c) dphi/dt) f``.  Scaling by
 unfolded formulas bit for bit, but for the sign of an exactly-zero phi
 rate: +0 where ``lap_bg phi - R_bg/2`` is +0, where -R/2 is -0.
 
-The checks run on every member at every step: each run's CFL bound
-before the step, in one segmented reduction over the stack, and the
-overflow guard and the positivity of f after it; the extinction time is
-checked once per member before any step.  A failure raises its typed
-error with the failing run, time and member.
+The checks run on every member at every step: its CFL bound against its
+run's step before the step, in one segmented reduction over the stack,
+and the overflow guard and the positivity of f after it; the extinction
+time is checked once per member before any step.  A failure raises its
+typed error with the failing run, time and member.
 
 Each ``FlowState`` computes its scalar curvature once, on first use of
 ``FlowState.R``; the monitors, the identity residuals, the action DP and the
@@ -181,6 +187,18 @@ _TWO, _MINUS_TWO = np.array(2.0), np.array(-2.0)
 _CFL_SLACK = np.array(1.0 + 1e-12)
 
 
+def _static(member):
+    """Whether a member's phi never changes: a frozen metric, or a flat torus at +0 everywhere.
+
+    On the torus R_bg = 0, so a +0 phi has the rate (lap phi) e^(-2 phi) =
+    +0 at every stage and stays +0; a -0 would turn +0.
+    """
+    phi = member.initial.geom.phi
+    if not member.evolve_metric:
+        return True
+    return isinstance(member.initial.geom, TorusGeometry) and not (phi.any() or np.signbit(phi).any())
+
+
 class _RK4Kernel:
     """Checked RK4 over one field-major stack of the members of several runs.
 
@@ -189,9 +207,10 @@ class _RK4Kernel:
     is one contiguous block.  On the sphere the body is one flat axis of
     rows, each member's row of its own n, and one flux plan serves rows of
     mixed n; on the torus it is ``(members, n, n)``, one n and side length
-    for the whole stack.  Members sit run by run, the evolving ones first
-    within each run; a frozen member's phi rate stays zero and its phi is
-    never updated.
+    for the whole stack.  The static members (``_static``: frozen, or a
+    flat torus at +0) sit first, run by run, then the evolving ones, so a
+    run's members may sit in two blocks.  Flat, the part of the stack a
+    step updates is then one tail: the evolving members' phi, then every f.
 
     Every buffer, view and operand is made once, in the constructor, and
     one step is a prebuilt list of (callable, operands) with positional
@@ -206,43 +225,54 @@ class _RK4Kernel:
     A step works on six arrays of the stack's shape: ``x``, the stage
     state ``y``, the rate buffers ``k1``, ``acc`` (k2, then the weighted
     sum) and ``k`` (k3, then k4), and one scratch block.  One Laplacian
-    plan per (state, rate) pair writes the stage's Laplacians into its rate
-    buffer; the phi rate is then ``(lap phi - R_bg/2) e^(-2 phi)``, with
-    no subtraction on the torus, where R_bg = 0 and x - 0 is x bit for
-    bit, and the f rate ``e^(-2 phi) lap f - ((-2c) rate_phi) f``.  The
-    scratch block holds e^(-2 phi) and that reaction term after each
-    Laplacian, and the torus plans' 4w during it; the sphere plans share
-    their flux buffer, mask and coefficients.  A frozen member's phi rate
-    is refilled with zeros after each evaluation.  After the step, the
-    overflow guard and the positivity of f are checked by reductions
-    alone, and a failure is then located member by member.
+    plan per (state, rate) pair writes the Laplacians of the tail into its
+    rate buffer; an evolving member's phi rate is then
+    ``(lap phi - R_bg/2) e^(-2 phi)``, with no subtraction on the torus,
+    where R_bg = 0 and x - 0 is x bit for bit, and its f rate
+    ``e^(-2 phi) lap f - ((-2c) rate_phi) f``.  A static member's
+    e^(-2 phi) and reaction factor (-2c) rate_phi are computed once, here,
+    by the same formulas, so its rate is ``e^(-2 phi) lap f - factor f``,
+    without the multiply where e^(-2 phi) is exactly 1 and without the
+    subtraction where the factor is exactly 0: x 1 is x, and a reaction of
+    +-0 flips only the sign of an exactly-zero rate, which f + rate dt
+    hides since f > 0.  The scratch block holds e^(-2 phi) and the
+    reaction term after each Laplacian, and the torus plans' 4w of the
+    tail during it; the static members' e^(-2 phi) lies outside the tail
+    and is never overwritten.  The sphere plans share their flux buffer,
+    mask and coefficients.  After the step, the overflow guard and the
+    positivity of f are checked by reductions alone, and a failure is then
+    located member by member.
     """
 
     def __init__(self, runs, fields):
-        """``runs`` are ``_Run``s of one stack; ``fields`` their members' (phi, f), in stack order."""
+        """``runs`` are ``_Run``s of one stack; ``fields`` their members' (phi, f), run by run in ``run.order``."""
         self.runs = runs
         geom = runs[0].geom
         sphere = isinstance(geom, SphereGeometry)
-        slots = [(pos, i) for pos, run in enumerate(runs) for i in run.order]
+        entries = [(pos, i) for pos, run in enumerate(runs) for i in run.order]
+        static = [runs[pos].static[i] for pos, i in entries]
+        n_static = sum(static)
+        # stack order: the static members, then the evolving ones, each run by run
+        stack = sorted(range(len(entries)), key=lambda e: not static[e])
+        slots = [entries[e] for e in stack]
+        slot_runs = [pos for pos, _ in slots]
         # each member's extent along the first axis of the stack's body
-        sizes = [runs[pos].geom.n if sphere else 1 for pos, _ in slots]
+        sizes = [runs[pos].geom.n if sphere else 1 for pos in slot_runs]
         ends = np.cumsum(sizes).tolist()
         starts = [end - size for end, size in zip(ends, sizes)]
         body = (ends[-1],) if sphere else (len(slots),) + geom.field_shape
         x = np.empty((2,) + body)
-        views = [x[:, a:b] if sphere else x[:, a] for a, b in zip(starts, ends)]
-        for view, (phi, f) in zip(views, fields):
-            view[0], view[1] = phi, f
-        # per run: its members as (member index, (phi, f) view), and its span of the body
-        self.members, spans, first = [], [], 0
-        for run in runs:
-            last = first + len(run.order)
-            self.members.append([(i, views[s]) for s, (_, i) in enumerate(slots[first:last], first)])
-            spans.append(slice(starts[first], ends[last - 1]))
-            first = last
-        self.spans = spans
-        # a 0-d step operand is set whole
-        self.operand_spans = spans if len(runs) > 1 else [...]
+        views = [None] * len(entries)
+        for e, a, b in zip(stack, starts, ends):
+            views[e] = x[:, a:b] if sphere else x[:, a]
+            views[e][0], views[e][1] = fields[e]
+        # per run: its members as (member index, (phi, f) view), in run order
+        self.members = [[] for _ in runs]
+        for (pos, i), view in zip(entries, views):
+            self.members[pos].append((i, view))
+        # per run: the body slices of its members, where a per-member step operand is set
+        spans = [[slice(a, b) for p, a, b in zip(slot_runs, starts, ends) if p == pos] for pos in range(len(runs))]
+        self.operand_spans = spans if len(runs) > 1 else [[...]]  # a 0-d step operand is set whole
         if sphere:
             spread = lambda values: np.repeat(values, sizes)  # noqa: E731
         else:
@@ -252,25 +282,18 @@ class _RK4Kernel:
             self.half, self.full, self.sixth = (np.empty(()) for _ in range(3))
         else:
             self.half, self.full, self.sixth = (spread(np.empty(len(slots))) for _ in range(3))
-        # the CFL check: one segmented minimum of phi per run
+        # the CFL check: one segmented minimum of phi per member, against its run's step
         self.phi_flat = x[0].reshape(-1)
         per_unit = self.phi_flat.size // body[0]
-        self.cfl_starts = np.array([span.start * per_unit for span in spans], dtype=np.intp)
-        self.coef = np.array([CFL_FACTOR * run.h * run.h for run in runs])
-        self.bound = np.empty(len(runs))
-        self.bad = np.empty(len(runs), dtype=bool)
+        self.cfl_starts = np.array(starts, dtype=np.intp) * per_unit
+        self.coef = np.array([CFL_FACTOR * runs[pos].h * runs[pos].h for pos in slot_runs])
+        self.bound = np.empty(len(slots))
+        self.bad = np.empty(len(slots), dtype=bool)
+        self.slot_runs = np.array(slot_runs)
+        self.slot_dts = np.zeros(len(slots))
         self.t = np.array([run.t for run in runs])
         self.dts = np.zeros(len(runs))
 
-        # contiguous spans of the evolving members, whose phi alone is
-        # updated, and of the frozen ones, whose phi rate is zero
-        evolving, frozen = [], []
-        for (pos, i), a, b in zip(slots, starts, ends):
-            spans_of_kind = evolving if runs[pos].members[i].evolve_metric else frozen
-            if spans_of_kind and spans_of_kind[-1][1] == a:
-                spans_of_kind[-1][1] = b
-            else:
-                spans_of_kind.append([a, b])
         self.x = x
         self.phi, self.f = x
         y, k1, acc, k = (np.empty(x.shape) for _ in range(4))
@@ -278,63 +301,108 @@ class _RK4Kernel:
         # Laplacian, and the torus plans' 4w during it
         scratch = np.empty(x.shape)
         e2m, react = scratch
-        pairs = ((x, k1), (y, acc), (y, k))
+        # the first evolving unit of the body: S holds the static members, E the evolving ones
+        e0 = starts[n_static] if n_static < len(slots) else body[0]
+        S, E = slice(0, e0), slice(e0, None)
+        evolving = e0 < body[0]
+
+        def tail(a):
+            """The part of a stack-shaped array that a step updates: flat, from the first evolving phi on."""
+            return a.reshape((-1,) + body[1:])[e0:] if n_static else a
+
+        pairs = [(tail(w), tail(out)) for w, out in ((x, k1), (y, acc), (y, k))]
         if sphere:
-            lap_k1, lap_acc, lap_k = sphere_flux_plans(sizes * 2, *pairs)
+            lap_k1, lap_acc, lap_k = sphere_flux_plans(sizes[n_static:] + sizes, *pairs)
         else:
-            lap_k1, lap_acc, lap_k = (geom.laplacian_plan(w, out, scratch) for w, out in pairs)
+            lap_k1, lap_acc, lap_k = (geom.laplacian_plan(w, out, tail(scratch)) for w, out in pairs)
         # R = -2 rate_phi, so the reaction term -c R f is ((-2c) rate_phi) f
         minus_two_c = np.multiply(c, _MINUS_TWO)
         half_r_bg = np.array(0.5 * geom.background_curvature)
+        e2m_one = reacts = False
+        if n_static:
+            # the static members' e^(-2 phi) into e2m[S], which no tail
+            # reaches, and their reaction factor, by the formulas of rhs; a
+            # phi whose e^(-2 phi) overflows fails the CFL check before any step
+            phi_s, factor = x[0, S], np.empty(x[0, S].shape)
+            if sphere:
+                sphere_flux_plans(sizes[:n_static], (phi_s, factor))[0]()
+            else:
+                geom.laplacian_plan(phi_s, factor)()
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.exp(np.multiply(phi_s, _MINUS_TWO, e2m[S]), e2m[S])
+                if sphere:
+                    np.subtract(factor, half_r_bg, factor)
+                np.multiply(factor, e2m[S], factor)
+                np.multiply(minus_two_c[S], factor, factor)
+            e2m_one, reacts = bool(np.all(e2m[S] == 1.0)), bool(factor.any())
 
         def rhs(lap, state, rate):
             """Rates (dphi/dt, df/dt) at ``state``, written into ``rate`` by its Laplacian plan."""
             phi, f = state
-            ops = [(lap, ()), (np.multiply, (phi, _MINUS_TWO, e2m)), (np.exp, (e2m, e2m))]
-            if sphere:  # on the torus R_bg = 0, and lap phi - 0 is lap phi bit for bit
-                ops.append((np.subtract, (rate[0], half_r_bg, rate[0])))
-            ops += [
-                (np.multiply, (rate, e2m, rate)),  # rate = ((lap phi - R_bg/2) e^(-2 phi), e^(-2 phi) lap f)
-                (np.multiply, (minus_two_c, rate[0], react)),
-                (np.multiply, (react, f, react)),
-                (np.subtract, (rate[1], react, rate[1])),
-            ]
-            return ops + [(rate[0, a:b].fill, (0.0,)) for a, b in frozen]
+            ops = [(lap, ())]
+            if evolving:
+                ops += [(np.multiply, (phi[E], _MINUS_TWO, e2m[E])), (np.exp, (e2m[E], e2m[E]))]
+                if sphere:  # on the torus R_bg = 0, and lap phi - 0 is lap phi bit for bit
+                    ops.append((np.subtract, (rate[0, E], half_r_bg, rate[0, E])))
+                ops += [
+                    (np.multiply, (rate[:, E], e2m[E], rate[:, E])),  # ((lap phi - R_bg/2) e^(-2 phi), e^(-2 phi) lap f)
+                    (np.multiply, (minus_two_c[E], rate[0, E], react[E])),
+                    (np.multiply, (react[E], f[E], react[E])),
+                ]
+            if n_static and not e2m_one:
+                ops.append((np.multiply, (rate[1, S], e2m[S], rate[1, S])))
+            if reacts:
+                ops.append((np.multiply, (factor, f[S], react[S])))
+            # less the reaction term, wherever there is one
+            if reacts or evolving:
+                part = slice(None) if reacts else E
+                ops.append((np.subtract, (rate[1, part], react[part], rate[1, part])))
+            return ops
+
+        def scaled(a, operand, out):
+            """``out = a * operand`` over the part a step updates; a per-member operand splits it by field."""
+            if not n_static:
+                return [(np.multiply, (a, operand, out))]
+            if operand.ndim == 0:
+                return [(np.multiply, (tail(a), operand, tail(out)))]
+            ops = [(np.multiply, (a[0, E], operand[E], out[0, E]))] if evolving else []
+            return ops + [(np.multiply, (a[1], operand, out[1]))]
 
         def stage(scale, rate):
-            return [(np.multiply, (rate, scale, y)), (np.add, (x, y, y))]
+            return scaled(rate, scale, y) + [(np.add, (tail(x), tail(y), tail(y)))]
 
         ops = rhs(lap_k1, x, k1) + stage(self.half, k1)
         ops += rhs(lap_acc, y, acc) + stage(self.half, acc)
-        ops += rhs(lap_k, y, k) + [(np.add, (acc, k, acc))]  # k2 + k3
+        ops += rhs(lap_k, y, k) + [(np.add, (tail(acc), tail(k), tail(acc)))]  # k2 + k3
         ops += stage(self.full, k) + rhs(lap_k, y, k)
-        ops += [(np.multiply, (acc, _TWO, acc)), (np.add, (acc, k1, acc)), (np.add, (acc, k, acc))]
-        ops.append((np.multiply, (acc, self.sixth, acc)))
-        # the update: the whole stack when every member evolves, else the
-        # evolving members' phi and every f; a frozen phi is never touched
-        if not frozen:
-            ops.append((np.add, (x, acc, x)))
-        else:
-            ops += [(np.add, (x[0, a:b], acc[0, a:b], x[0, a:b])) for a, b in evolving]
-            ops.append((np.add, (x[1], acc[1], x[1])))
+        total = tail(acc)
+        ops += [
+            (np.multiply, (total, _TWO, total)),
+            (np.add, (total, tail(k1), total)),
+            (np.add, (total, tail(k), total)),
+        ]
+        ops += scaled(acc, self.sixth, acc)
+        # the update: a static member's phi is never touched
+        ops.append((np.add, (tail(x), total, tail(x))))
         self.ops = ops
 
     def run_phi(self, pos):
-        """The phi of every member of run ``pos``."""
-        return self.phi[self.spans[pos]]
+        """The phi of each member of run ``pos``."""
+        return [phi for _, (phi, _) in self.members[pos]]
 
     def set_step(self, pos, dt):
         """Step run ``pos`` by ``dt`` from now on."""
-        span = self.operand_spans[pos]
-        self.half[span], self.full[span], self.sixth[span] = 0.5 * dt, dt, dt / 6.0
+        for span in self.operand_spans[pos]:
+            self.half[span], self.full[span], self.sixth[span] = 0.5 * dt, dt, dt / 6.0
+        self.slot_dts[self.slot_runs == pos] = dt
         self.dts[pos] = dt
 
     def step(self):
         """One checked RK4 step of every run by its own step; a failure names its run and member.
 
-        Each run's CFL bound is checked before the step, all in one
-        segmented reduction; the overflow guard and the positivity of f
-        after it, on every member.
+        Each member's CFL bound is checked against its run's step before
+        the step, all in one segmented reduction; the overflow guard and
+        the positivity of f after it, on every member.
         """
         bound = self.bound
         np.minimum.reduceat(self.phi_flat, self.cfl_starts, out=bound)
@@ -342,7 +410,7 @@ class _RK4Kernel:
         np.exp(bound, bound)
         np.multiply(self.coef, bound, bound)
         np.multiply(bound, _CFL_SLACK, bound)
-        if np.greater(self.dts, bound, self.bad).any():
+        if np.greater(self.slot_dts, bound, self.bad).any():
             self._raise_cfl()
         for fn, args in self.ops:
             fn(*args)
@@ -357,7 +425,7 @@ class _RK4Kernel:
 
     def _raise_cfl(self):
         # each member's own bound decides; the stack's check only says where to look
-        for pos in np.flatnonzero(self.bad):
+        for pos in np.unique(self.slot_runs[self.bad]):
             run, dt = self.runs[pos], float(self.dts[pos])
             for i, (phi, _) in self.members[pos]:
                 bound = cfl_limit(run.h, phi)
@@ -534,8 +602,9 @@ class _Run:
         except HarnackFlowError as err:
             raise self.tag(err)
         self.h = self.geom.background_spacing
-        # evolving members first, so the frozen ones trail within the run
+        # evolving members first: the order in which a failed step looks for its member
         self.order = sorted(range(len(self.members)), key=lambda i: not self.members[i].evolve_metric)
+        self.static = [_static(mem) for mem in self.members]
         self.states = [[mem.initial] for mem in self.members]
         self.t = self.t_start  # advanced step by step
         self.k = 0  # output intervals done
@@ -593,25 +662,30 @@ class _Run:
             err.time = time
         return err
 
-    def begin_interval(self, phi):
-        """Plan the next output interval's steps; ``phi`` is every member's, now."""
+    def begin_interval(self, phis):
+        """Plan the next output interval's steps; ``phis`` are the members' phi, now."""
         if self.dt is None:
             # area fraction an evolving sphere keeps across this interval
             lost = 8.0 * np.pi * self.k * self.dt_out
             shrink = min(((a - lost - 8.0 * np.pi * self.dt_out) / (a - lost) for a in self.areas), default=1.0)
             try:
-                self.steps = _interval_steps(cfl_limit(self.h, phi), shrink, self.dt_out)
+                bound = min(cfl_limit(self.h, phi) for phi in phis)
+                self.steps = _interval_steps(bound, shrink, self.dt_out)
             except HarnackFlowError as err:
                 raise self.tag(err, self.t)
             self.step, self.max_steps = self.dt_out / self.steps, max(self.max_steps, self.steps)
         self.left = self.steps
 
     def snapshot(self, members):
-        """Record the (member index, (phi, f)) of ``members`` at the end of an interval."""
+        """Record the (member index, (phi, f)) of ``members`` at the end of an interval.
+
+        A static member's snapshots share its initial geometry.
+        """
         self.k += 1
         t_snap = self.t_start + self.k * self.dt_out
         for i, (phi, f) in members:
-            self.states[i].append(FlowState(t_snap, self.members[i].initial.geom.with_phi(phi), f))
+            geom = self.members[i].initial.geom
+            self.states[i].append(FlowState(t_snap, geom if self.static[i] else geom.with_phi(phi), f))
 
     def trajectories(self):
         dt = self.dt_out / self.max_steps if self.dt is None else self.dt

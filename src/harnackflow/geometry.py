@@ -244,11 +244,9 @@ class TorusGeometry(SurfaceGeometry):
         ax = np.arange(self.n) * self.h
         return ax[:, None], ax[None, :]
 
-    def _dx(self, w):
-        return (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0)) / (2.0 * self.h)
-
-    def _dy(self, w):
-        return (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / (2.0 * self.h)
+    def _gradient(self, w):
+        """Centered (d/dx, d/dy) of w, (w[i+1] - w[i-1]) / (2h), from one wrap-padded copy."""
+        return _centered(_wrap_pad(w), 2.0 * self.h)
 
     def laplacian_plan(self, w, out, scratch=None):
         # Five-point stencil summed in the order
@@ -303,13 +301,19 @@ class TorusGeometry(SurfaceGeometry):
     def grad_inner(self, w1, w2):
         w1 = self.check_field(w1, "w1")
         w2 = self.check_field(w2, "w2")
-        inner = self._dx(w1) * self._dx(w2) + self._dy(w1) * self._dy(w2)
-        return np.exp(-2.0 * self.phi) * inner
+        (x1, y1), (x2, y2) = self._gradient(w1), self._gradient(w2)
+        x1 *= x2
+        y1 *= y2
+        x1 += y1
+        return np.exp(-2.0 * self.phi) * x1
 
     def grad_norm_sq(self, w):
         w = self.check_field(w)
-        wx, wy = self._dx(w), self._dy(w)
-        return np.exp(-2.0 * self.phi) * (wx * wx + wy * wy)
+        wx, wy = self._gradient(w)
+        wx *= wx
+        wy *= wy
+        wx += wy
+        return np.exp(-2.0 * self.phi) * wx
 
     def covariant_hessian(self, w):
         # Every neighbour is a slice of one wrap-padded copy of w or of phi,
@@ -321,11 +325,9 @@ class TorusGeometry(SurfaceGeometry):
         # once than the roll form held.
         w = self.check_field(w)
         h2, two_h = self.h * self.h, 2.0 * self.h
-        pp = _wrap_pad(self.phi)
-        px, py = (pp[2:, 1:-1] - pp[:-2, 1:-1]) / two_h, (pp[1:-1, 2:] - pp[1:-1, :-2]) / two_h
-        del pp
+        px, py = self._gradient(self.phi)
         wp = _wrap_pad(w)
-        wx, wy = (wp[2:, 1:-1] - wp[:-2, 1:-1]) / two_h, (wp[1:-1, 2:] - wp[1:-1, :-2]) / two_h
+        wx, wy = _centered(wp, two_h)
         two_w = 2.0 * w
         t = np.empty(self.field_shape + (2, 2))
         t[..., 0, 0] = (wp[2:, 1:-1] - two_w + wp[:-2, 1:-1]) / h2 - px * wx + py * wy
@@ -342,6 +344,18 @@ def _wrap_pad(w):
     p[0, 1:-1], p[-1, 1:-1] = w[-1], w[0]
     p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
     return p
+
+
+def _centered(p, two_h):
+    """Centered first differences (d/dx, d/dy) of the field wrap-padded into p, over 2h.
+
+    Each is ``(w[i+1] - w[i-1]) / (2h)``, divided in place: at n = 128 a
+    field is 128 KiB, and every temporary of that size is a fresh mapping.
+    """
+    dx, dy = np.subtract(p[2:, 1:-1], p[:-2, 1:-1]), np.subtract(p[1:-1, 2:], p[1:-1, :-2])
+    dx /= two_h
+    dy /= two_h
+    return dx, dy
 
 
 def _sphere_background(n):

@@ -155,18 +155,24 @@ def reference_torus_laplacian(w, h):
     return (total - 4.0 * w) / (h * h)
 
 
+def reference_torus_gradient(geom, w):
+    """Centered (d/dx, d/dy) of a torus field from ``np.roll``: (w[i+1] - w[i-1]) / (2h)."""
+    two_h = 2.0 * geom.h
+    dx = (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0)) / two_h
+    dy = (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / two_h
+    return dx, dy
+
+
 def reference_torus_hessian(geom, w):
     """Covariant Hessian of a torus geometry from ``np.roll``, in the operand order of the geometry."""
-    h, h2 = geom.h, geom.h * geom.h
+    h2 = geom.h * geom.h
     roll = lambda a, shift, axis: np.roll(a, shift, axis=axis)  # noqa: E731
-    dx = lambda a: (roll(a, -1, 0) - roll(a, 1, 0)) / (2.0 * h)  # noqa: E731
-    dy = lambda a: (roll(a, -1, 1) - roll(a, 1, 1)) / (2.0 * h)  # noqa: E731
     wxx = (roll(w, -1, 0) - 2.0 * w + roll(w, 1, 0)) / h2
     wyy = (roll(w, -1, 1) - 2.0 * w + roll(w, 1, 1)) / h2
     wxy = (
         roll(w, (-1, -1), (0, 1)) - roll(w, (-1, 1), (0, 1)) - roll(w, (1, -1), (0, 1)) + roll(w, (1, 1), (0, 1))
     ) / (4.0 * h2)
-    px, py, wx, wy = dx(geom.phi), dy(geom.phi), dx(w), dy(w)
+    (px, py), (wx, wy) = reference_torus_gradient(geom, geom.phi), reference_torus_gradient(geom, w)
     t = np.empty(w.shape + (2, 2))
     t[..., 0, 0] = wxx - px * wx + py * wy
     t[..., 1, 1] = wyy - py * wy + px * wx

@@ -530,6 +530,100 @@ def test_flat_torus_signed_zero_phi_matches_the_folded_reference():
         assert np.signbit(phi).any() and not np.signbit(traj[-1].geom.phi).any()
 
 
+# -- static members ------------------------------------------------------------
+
+
+def _torus_state(n, phi_amp):
+    geom = hf.TorusGeometry(n, 2 * np.pi)
+    x, y = geom.coords()
+    phi = phi_amp * np.sin(x) * np.sin(y) if phi_amp else np.zeros(geom.field_shape)
+    return hf.FlowState(0.0, geom.with_phi(phi), 0.5 + 0.2 * np.sin(x) * np.cos(y))
+
+
+def _matches_reference(traj, mem, t_end, dt, dt_out):
+    want = reference_rk4_run(mem.initial, t_end, dt, dt_out, c=mem.c, evolve_metric=mem.evolve_metric)
+    assert len(traj) == len(want)
+    for s, (phi, f) in zip(traj.states, want):
+        assert s.geom.phi.tobytes() == phi.tobytes()
+        assert s.f.tobytes() == f.tobytes()
+
+
+@pytest.mark.parametrize(
+    "phi_amp, c, evolve_metric",
+    [(0.0, -1.0, True), (0.0, 0.0, True), (0.05, -1.0, False), (0.05, 0.5, False)],
+    ids=["flat c=-1", "flat c=0", "frozen c=-1", "frozen c=0.5"],
+)
+def test_static_torus_members_match_the_reference(phi_amp, c, evolve_metric):
+    # a flat torus at +0 and a frozen curved one step f alone; the frozen
+    # members' reaction factor (-2c) rate_phi is nonzero
+    mem = hf.EnsembleMember(_torus_state(12, phi_amp), c=c, evolve_metric=evolve_metric)
+    assert hf.flow._static(mem)
+    (traj,) = _ensemble([mem], 0.05, 0.0125 / 4, 0.0125)
+    _matches_reference(traj, mem, 0.05, 0.0125 / 4, 0.0125)
+    assert all(s.geom is traj[0].geom for s in traj.states)
+
+
+def test_static_and_evolving_members_of_two_runs_share_a_stack(monkeypatch, tmp_path):
+    # each run has static and evolving members, so each run sits in two
+    # blocks of the stack; every member matches the reference and its run
+    # alone, and only the static members' snapshots share their geometry
+    flat, bump = _torus_state(12, 0.0), _torus_state(12, 0.05)
+    runs = [
+        hf.FlowRun([hf.EnsembleMember(bump, c=-1.0), hf.EnsembleMember(flat, c=0.0),
+                    hf.EnsembleMember(bump, c=0.5, evolve_metric=False)], 0.05, 0.0125 / 4, 0.0125),
+        hf.FlowRun([hf.EnsembleMember(flat, c=-1.0), hf.EnsembleMember(bump, c=0.0)], 0.025, 0.0125 / 8, 0.0125),
+    ]
+    record = record_kernel_steps(monkeypatch)
+    together = hf.run_ensemble(runs)
+    assert len(record[0]) == 2  # one stack
+    for run, trajs in zip(runs, together):
+        (alone,) = hf.run_ensemble([run])
+        for mem, traj, solo in zip(run.members, trajs, alone):
+            _same_trajectory(traj, solo)
+            _matches_reference(traj, mem, run.t_end, run.dt, run.dt_out)
+            shared = [s.geom is traj[0].geom for s in traj.states[1:]]
+            assert shared == [hf.flow._static(mem)] * (len(traj) - 1)
+    # the shared geometry writes the bytes of one geometry per snapshot
+    mem, traj = runs[0].members[1], together[0][1]
+    want = reference_rk4_run(mem.initial, 0.05, 0.0125 / 4, 0.0125, c=0.0)
+    fresh = hf.Trajectory([hf.FlowState(s.t, flat.geom.with_phi(phi), f) for s, (phi, f) in zip(traj.states, want)],
+                          dt=traj.dt, dt_out=traj.dt_out, c=traj.c)
+    traj.save(tmp_path / "shared.bin")
+    fresh.save(tmp_path / "fresh.bin")
+    assert (tmp_path / "shared.bin").read_bytes() == (tmp_path / "fresh.bin").read_bytes()
+
+
+@pytest.mark.parametrize("failing", ["static", "evolving"])
+def test_step_too_large_in_a_mixed_stack_names_run_and_member(failing):
+    # the member on phi - 1 has e^-2 times the CFL bound of the others; it
+    # is member 1 of run 1, static (frozen) or evolving
+    flat, bump = _torus_state(12, 0.0), _torus_state(12, 0.05)
+    small = hf.FlowState(0.0, bump.geom.with_phi(bump.geom.phi - 1.0), bump.f)
+    dt = 0.5 * bump.geom.cfl_bound()
+    assert dt > small.geom.cfl_bound()
+    odd = hf.EnsembleMember(small, c=-1.0, evolve_metric=failing == "evolving")
+    runs = [
+        hf.FlowRun([hf.EnsembleMember(bump, c=-1.0), hf.EnsembleMember(flat, c=0.0)], 4 * dt, dt, dt),
+        hf.FlowRun([hf.EnsembleMember(flat, c=-1.0), odd], 4 * dt, dt, dt),
+    ]
+    with pytest.raises(StepTooLargeError, match="member 1") as err:
+        hf.run_ensemble(runs)
+    assert (err.value.run, err.value.member, err.value.time) == (1, 1, 0.0)
+    assert err.value.bound == small.geom.cfl_bound()
+    # each member is held to its own run's step: at an eighth of it, its run passes
+    assert dt / 8 < small.geom.cfl_bound()
+    hf.run_ensemble([runs[1]._replace(dt=dt / 8), runs[0]])
+
+
+def test_static_members_are_frozen_or_flat_tori_at_plus_zero():
+    flat, bump = _torus_state(8, 0.0), _torus_state(8, 0.05)
+    minus = hf.FlowState(0.0, flat.geom.with_phi(np.full((8, 8), -0.0)), flat.f)
+    sphere = hf.FlowState(0.0, hf.SphereGeometry(16), np.full(16, F0))
+    static = [hf.flow._static(hf.EnsembleMember(state, evolve_metric=evolve))
+              for state in (flat, bump, minus, sphere) for evolve in (True, False)]
+    assert static == [True, True, False, True, False, True, False, True]
+
+
 def test_step_rule_runs_round_sphere_to_nine_tenths_of_extinction(monkeypatch):
     # the CFL rule shrinks each interval's step with the sphere: no step is
     # refused, and the closed form of criterion 1 still holds at every snapshot
@@ -626,10 +720,7 @@ def test_lockstep_sphere_runs_of_mixed_n_match_solo_runs_and_the_reference(monke
 
 
 def _torus_run(n, t_end, c=0.0):
-    geom = hf.TorusGeometry(n, 2 * np.pi)
-    x, y = geom.coords()
-    state = hf.FlowState(0.0, geom.with_phi(0.05 * np.sin(x) * np.sin(y)), 0.5 + 0.2 * np.sin(x) * np.cos(y))
-    return hf.FlowRun([hf.EnsembleMember(state, c=c)], t_end, 0.0125 / 4, 0.0125)
+    return hf.FlowRun([hf.EnsembleMember(_torus_state(n, 0.05), c=c)], t_end, 0.0125 / 4, 0.0125)
 
 
 @pytest.mark.parametrize(
@@ -660,16 +751,22 @@ def _kernel(runs, dt):
 def test_rk4_step_allocates_no_array():
     # every buffer of a step is made with its kernel; numpy's iterator
     # buffers for strided and broadcast operands are not arrays, and a
-    # 16-element buffer size keeps them far below the limit
+    # 16-element buffer size keeps them far below the limit.  Stacks with
+    # static members (frozen, or a flat torus at +0) are stepped too: a
+    # mixed torus stack, an all-static one, and a sphere stack with a frozen member
     run = _torus_run(32, 0.05)
     frozen = hf.EnsembleMember(run.members[0].initial, c=0.5, evolve_metric=False)
     torus = [_torus_run(32, 0.05, c=-1.0), run._replace(members=[*run.members, frozen])]
+    flat = hf.EnsembleMember(_torus_state(32, 0.0), c=-1.0)
+    static = [run._replace(members=[flat]), run._replace(members=[frozen, flat])]
     sphere = [hf.FlowRun([hf.EnsembleMember(_sphere_cos(n)), hf.EnsembleMember(_sphere_cos(n), c=0.0)], 0.1, None, 0.01)
               for n in (64, 128, 256)]
+    sphere_frozen = hf.EnsembleMember(_sphere_cos(128), c=-1.0, evolve_metric=False)
+    mixed_sphere = [sphere[2], sphere[1]._replace(members=[*sphere[1].members, sphere_frozen])]
     limit = 4096
     bufsize = np.setbufsize(16)
     try:
-        for runs in (torus, sphere):
+        for runs in (torus, static, sphere, mixed_sphere):
             kernel = _kernel(runs, 1e-6)
             assert kernel.phi.nbytes > limit
             kernel.step()

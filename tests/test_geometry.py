@@ -3,7 +3,12 @@ import pytest
 
 import harnackflow as hf
 from harnackflow.errors import GridMismatchError
-from helpers import reference_sphere_laplacian, reference_torus_hessian, reference_torus_laplacian
+from helpers import (
+    reference_sphere_laplacian,
+    reference_torus_gradient,
+    reference_torus_hessian,
+    reference_torus_laplacian,
+)
 
 
 def sphere(n, phi_amp=0.0):
@@ -260,6 +265,17 @@ def test_unit_sphere_hessian_of_cos_theta():
     assert np.max(np.abs(t[:, 0, 0] + w * g_theta)) < 2e-3
     assert np.max(np.abs(t[:, 1, 1] + w * g_phi)) < 2e-3
     assert np.all(t[:, 0, 1] == 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 33])
+def test_torus_gradients_match_roll_reference(n):
+    rng = np.random.default_rng(40 + n)
+    geom = torus(n, 3.0, np.tanh(signed_stack(rng, (n, n))))  # e^(-2 phi) stays finite
+    w1, w2 = signed_stack(rng, (n, n)), signed_stack(rng, (n, n))
+    (x1, y1), (x2, y2) = reference_torus_gradient(geom, w1), reference_torus_gradient(geom, w2)
+    e2m = np.exp(-2.0 * geom.phi)
+    assert np.array_equal(bits(geom.grad_norm_sq(w1)), bits(e2m * (x1 * x1 + y1 * y1)))
+    assert np.array_equal(bits(geom.grad_inner(w1, w2)), bits(e2m * (x1 * x2 + y1 * y2)))
 
 
 @pytest.mark.parametrize("n", [4, 5, 33])
