@@ -36,7 +36,8 @@ Sections and keys (defaults in parentheses):
       enable      auto | comma list of monitor columns (auto)
 
     [identities]
-      enable      true | false                      (false)
+      enable      true | false                      (false; true needs
+                                                     flow.evolve_metric)
       presets     comma list of general_H, cor_H, general_P,
                   cor_tP, surface, grad             (all)
       fuzz_count  random tuples at the coarsest level (0)
@@ -333,6 +334,9 @@ def _validate(cfg):
             raise ConstraintViolationError(
                 f"flow.c = {cfg.c} contradicts variant {cfg.variant} (c = {preset_c})"
             )
+
+    if cfg.identities_enable and not cfg.evolve_metric:
+        raise ConstraintViolationError("identities.enable needs flow.evolve_metric: the identities assume dg/dt = -R g")
 
     if "gradient" in cfg.monitors:
         if cfg.c != 0.0:

@@ -42,14 +42,18 @@ member's phi and ``x[1]`` every member's f, the static members first.
 Flat, the part a step updates is then one tail: the evolving members'
 phi, then every f.  Sphere runs of any n share a stack whose body is one
 flat axis of rows; torus runs share one only with the same n and side
-length, and the stacks are stepped one after another.  Every per-field operand of a step is one C-contiguous block,
-the step is a list of numpy calls built once per stack, and the
-operands that differ between members (c, and the step of each run) are
-per node on the sphere and per member on the torus.  Between snapshot
-events the kernel takes as many steps as the nearest event allows; a
-run whose last interval ends leaves the stack, which is rebuilt.  Every
+length, and the stacks are stepped one after another.  Every per-field
+operand of a step is one C-contiguous block, the step is a list of numpy
+calls built once per stack, and the operands that differ between members
+(c, and each run's step, 0-d in a stack of one run) are per node on the
+sphere and per member on the torus.  Between snapshot events the kernel
+takes as many steps as the nearest event allows; each event starts the
+intervals that end there and sets every run's step.  A run whose last
+interval ends leaves the stack, which is rebuilt.  Every
 operation is elementwise in the single-field operand order, so each
-member is bit-identical to a run of it alone.
+member is bit-identical to a run of it alone.  Only the stack puts the
+members in another order: everywhere else, outputs and errors included,
+a run's members are in member-index order.
 
 Each rate evaluation writes its Laplacians straight into its rate buffer
 and folds the curvature into the phi rate,
@@ -64,13 +68,16 @@ The checks run on every member at every step: its CFL bound against its
 run's step before the step, in one segmented reduction over the stack,
 and the overflow guard and the positivity of f after it; the extinction
 time is checked once per member before any step.  A failure raises its
-typed error with the failing run, time and member.
+typed error with the failing time, the first failing run in stack order
+and that run's lowest-index failing member.
 
-Each ``FlowState`` computes its scalar curvature once, on first use of
-``FlowState.R``; the monitors, the identity residuals, the action DP and the
-assertions all read it there.  Nothing else derived from a state is kept:
-u, lap u, |grad u|^2 and the v-family are recomputed on each call, which
-keeps a trajectory's memory at its fields plus one curvature per snapshot.
+Each geometry computes its scalar curvature once, on first use of
+``SurfaceGeometry.R``, and ``FlowState.R`` reads it there; so do the
+monitors, the identity residuals, the action DP and the assertions.
+Nothing else derived from a state is kept: u, lap u, |grad u|^2 and the
+v-family are recomputed on each call, which keeps a trajectory's memory
+at its fields plus one curvature per geometry, one for all the snapshots
+of a static member.
 """
 
 from __future__ import annotations
@@ -78,7 +85,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -117,8 +123,8 @@ class FlowState:
 
     ``f`` must be strictly positive and finite; the time may be zero (runs
     start at t = 0) but quantities with 1/t terms demand t > 0 themselves.
-    ``R`` is the scalar curvature of ``geom``, computed on first use and
-    kept, read-only, for the life of the state.
+    ``R`` is the scalar curvature of ``geom``, cached on the geometry, so
+    states that share a geometry share it.
     """
 
     t: float
@@ -137,12 +143,10 @@ class FlowState:
         if self.t < 0:
             raise ConstraintViolationError(f"negative time t = {self.t}")
 
-    @cached_property
+    @property
     def R(self):
         """Scalar curvature of the live metric; every stage reads it here."""
-        curv = self.geom.scalar_curvature()
-        curv.setflags(write=False)
-        return curv
+        return self.geom.R
 
 
 class EnsembleMember(NamedTuple):
@@ -211,16 +215,19 @@ class _RK4Kernel:
     flat torus at +0) sit first, run by run, then the evolving ones, so a
     run's members may sit in two blocks.  Flat, the part of the stack a
     step updates is then one tail: the evolving members' phi, then every f.
+    Only the stack has this order: ``members`` holds each run's (phi, f)
+    views in member order, as ``fields`` gives them.
 
     Every buffer, view and operand is made once, in the constructor, and
     one step is a prebuilt list of (callable, operands) with positional
-    outputs.  Operands that differ between members are per node on the
-    sphere and per member on the torus: the reaction operand -2c and the
-    step operands dt/2, dt and dt/6, which are 0-d when the stack holds one
-    run.  ``set_step`` changes a run's step between its output intervals.
-    Every operation is elementwise and keeps the operand order of the
-    single-field formulas, so each member reproduces, bit for bit, a run of
-    that member alone.  ``t`` holds each run's time and ``dts`` its step.
+    outputs.  The reaction operand -2c is per node on the sphere and per
+    member on the torus.  The step operands dt/2, dt and dt/6, set by
+    ``set_steps``, are stack-shaped, so one multiply scales the whole tail,
+    but 0-d when the stack holds one run: a broadcast operand costs two to
+    three times as much per call.  Every operation is elementwise and keeps
+    the operand order of the single-field formulas, so each member
+    reproduces, bit for bit, a run of that member alone.  ``t`` holds each
+    run's time and ``dts`` its step.
 
     A step works on six arrays of the stack's shape: ``x``, the stage
     state ``y``, the rate buffers ``k1``, ``acc`` (k2, then the weighted
@@ -245,16 +252,14 @@ class _RK4Kernel:
     """
 
     def __init__(self, runs, fields):
-        """``runs`` are ``_Run``s of one stack; ``fields`` their members' (phi, f), run by run in ``run.order``."""
+        """``runs`` are ``_Run``s of one stack; ``fields`` their members' (phi, f), one list per run."""
         self.runs = runs
         geom = runs[0].geom
         sphere = isinstance(geom, SphereGeometry)
-        entries = [(pos, i) for pos, run in enumerate(runs) for i in run.order]
-        static = [runs[pos].static[i] for pos, i in entries]
-        n_static = sum(static)
         # stack order: the static members, then the evolving ones, each run by run
-        stack = sorted(range(len(entries)), key=lambda e: not static[e])
-        slots = [entries[e] for e in stack]
+        slots = sorted(((pos, i) for pos, run in enumerate(runs) for i in range(len(run.members))),
+                       key=lambda slot: not runs[slot[0]].static[slot[1]])
+        n_static = sum(sum(run.static) for run in runs)
         slot_runs = [pos for pos, _ in slots]
         # each member's extent along the first axis of the stack's body
         sizes = [runs[pos].geom.n if sphere else 1 for pos in slot_runs]
@@ -262,26 +267,20 @@ class _RK4Kernel:
         starts = [end - size for end, size in zip(ends, sizes)]
         body = (ends[-1],) if sphere else (len(slots),) + geom.field_shape
         x = np.empty((2,) + body)
-        views = [None] * len(entries)
-        for e, a, b in zip(stack, starts, ends):
-            views[e] = x[:, a:b] if sphere else x[:, a]
-            views[e][0], views[e][1] = fields[e]
-        # per run: its members as (member index, (phi, f) view), in run order
-        self.members = [[] for _ in runs]
-        for (pos, i), view in zip(entries, views):
-            self.members[pos].append((i, view))
-        # per run: the body slices of its members, where a per-member step operand is set
-        spans = [[slice(a, b) for p, a, b in zip(slot_runs, starts, ends) if p == pos] for pos in range(len(runs))]
-        self.operand_spans = spans if len(runs) > 1 else [[...]]  # a 0-d step operand is set whole
+        # per run: its members' (phi, f) views, in member order
+        self.members = [[None] * len(run.members) for run in runs]
+        for (pos, i), a, b in zip(slots, starts, ends):
+            view = self.members[pos][i] = x[:, a:b] if sphere else x[:, a]
+            view[0], view[1] = fields[pos][i]
         if sphere:
             spread = lambda values: np.repeat(values, sizes)  # noqa: E731
         else:
             spread = lambda values: np.reshape(values, (-1,) + (1,) * len(geom.field_shape))  # noqa: E731
         c = spread([runs[pos].members[i].c for pos, i in slots])
-        if len(runs) == 1:
-            self.half, self.full, self.sixth = (np.empty(()) for _ in range(3))
-        else:
-            self.half, self.full, self.sixth = (spread(np.empty(len(slots))) for _ in range(3))
+        # the step operands, and the run each of their entries reads its step from
+        self.operand_runs = 0 if len(runs) == 1 else spread(slot_runs)
+        shape = () if len(runs) == 1 else (2,) + c.shape
+        self.half, self.full, self.sixth = (np.empty(shape) for _ in range(3))
         # the CFL check: one segmented minimum of phi per member, against its run's step
         self.phi_flat = x[0].reshape(-1)
         per_unit = self.phi_flat.size // body[0]
@@ -308,7 +307,7 @@ class _RK4Kernel:
 
         def tail(a):
             """The part of a stack-shaped array that a step updates: flat, from the first evolving phi on."""
-            return a.reshape((-1,) + body[1:])[e0:] if n_static else a
+            return a.reshape((-1,) + a.shape[2:])[e0:] if n_static else a
 
         pairs = [(tail(w), tail(out)) for w, out in ((x, k1), (y, acc), (y, k))]
         if sphere:
@@ -359,43 +358,34 @@ class _RK4Kernel:
                 ops.append((np.subtract, (rate[1, part], react[part], rate[1, part])))
             return ops
 
-        def scaled(a, operand, out):
-            """``out = a * operand`` over the part a step updates; a per-member operand splits it by field."""
-            if not n_static:
-                return [(np.multiply, (a, operand, out))]
-            if operand.ndim == 0:
-                return [(np.multiply, (tail(a), operand, tail(out)))]
-            ops = [(np.multiply, (a[0, E], operand[E], out[0, E]))] if evolving else []
-            return ops + [(np.multiply, (a[1], operand, out[1]))]
+        # a 0-d step operand scales the whole tail
+        half, full, sixth = (tail(a) if a.ndim else a for a in (self.half, self.full, self.sixth))
 
         def stage(scale, rate):
-            return scaled(rate, scale, y) + [(np.add, (tail(x), tail(y), tail(y)))]
+            return [(np.multiply, (tail(rate), scale, tail(y))), (np.add, (tail(x), tail(y), tail(y)))]
 
-        ops = rhs(lap_k1, x, k1) + stage(self.half, k1)
-        ops += rhs(lap_acc, y, acc) + stage(self.half, acc)
+        ops = rhs(lap_k1, x, k1) + stage(half, k1)
+        ops += rhs(lap_acc, y, acc) + stage(half, acc)
         ops += rhs(lap_k, y, k) + [(np.add, (tail(acc), tail(k), tail(acc)))]  # k2 + k3
-        ops += stage(self.full, k) + rhs(lap_k, y, k)
+        ops += stage(full, k) + rhs(lap_k, y, k)
         total = tail(acc)
         ops += [
             (np.multiply, (total, _TWO, total)),
             (np.add, (total, tail(k1), total)),
             (np.add, (total, tail(k), total)),
+            (np.multiply, (total, sixth, total)),
         ]
-        ops += scaled(acc, self.sixth, acc)
         # the update: a static member's phi is never touched
         ops.append((np.add, (tail(x), total, tail(x))))
         self.ops = ops
 
-    def run_phi(self, pos):
-        """The phi of each member of run ``pos``."""
-        return [phi for _, (phi, _) in self.members[pos]]
-
-    def set_step(self, pos, dt):
-        """Step run ``pos`` by ``dt`` from now on."""
-        for span in self.operand_spans[pos]:
-            self.half[span], self.full[span], self.sixth[span] = 0.5 * dt, dt, dt / 6.0
-        self.slot_dts[self.slot_runs == pos] = dt
-        self.dts[pos] = dt
+    def set_steps(self, steps):
+        """Step each run by its entry of ``steps`` from now on."""
+        self.dts[:] = steps
+        np.take(self.dts, self.slot_runs, out=self.slot_dts)
+        self.full[...] = self.dts[self.operand_runs]
+        np.multiply(self.full, 0.5, self.half)
+        np.divide(self.full, 6.0, self.sixth)
 
     def step(self):
         """One checked RK4 step of every run by its own step; a failure names its run and member.
@@ -427,7 +417,7 @@ class _RK4Kernel:
         # each member's own bound decides; the stack's check only says where to look
         for pos in np.unique(self.slot_runs[self.bad]):
             run, dt = self.runs[pos], float(self.dts[pos])
-            for i, (phi, _) in self.members[pos]:
+            for i, (phi, _) in enumerate(self.members[pos]):
                 bound = cfl_limit(run.h, phi)
                 if dt > bound * (1.0 + 1e-12):
                     err = _member_error(StepTooLargeError(dt, bound), i, len(run.members))
@@ -436,7 +426,7 @@ class _RK4Kernel:
     def _raise_state(self):
         for pos, run in enumerate(self.runs):
             t = float(self.t[pos] + self.dts[pos])
-            for i, (phi, f) in self.members[pos]:
+            for i, (phi, f) in enumerate(self.members[pos]):
                 try:
                     _check_state_arrays(phi, f, t)
                 except HarnackFlowError as err:
@@ -548,9 +538,9 @@ def run_ensemble(runs):
     Every error carries the index of its run in ``.run``.  A run that fails
     its checks (mismatched grids within it raise GridMismatchError) raises
     before any step.  A step failure raises the error of the first run to
-    fail, in step order, with the failing time in ``.time`` and the member
-    index in ``.member`` (and in the message when its run has more than
-    one member).
+    fail, in step order, with the failing time in ``.time`` and the index
+    of that run's lowest-index failing member in ``.member`` (and in the
+    message when its run has more than one member).
     """
     plans = [_Run(index, spec) for index, spec in enumerate(runs)]
     stacks = {}
@@ -566,29 +556,24 @@ def run_ensemble(runs):
 
 def _step_stack(live):
     """Step the runs of one stack in lockstep until every one has its last snapshot."""
-    fields = [(run.members[i].initial.geom.phi, run.members[i].initial.f) for run in live for i in run.order]
+    fields = [[(mem.initial.geom.phi, mem.initial.f) for mem in run.members] for run in live]
     while live:
         kernel = _RK4Kernel(live, fields)
-        for pos, run in enumerate(live):
-            if not run.left:
-                run.begin_interval(kernel.run_phi(pos))
-            kernel.set_step(pos, run.step)
         while all(run.k < run.n_out for run in live):
+            for pos, run in enumerate(live):
+                if not run.left:
+                    run.begin_interval(kernel.members[pos])
+            kernel.set_steps([run.step for run in live])
             count = min(run.left for run in live)
             for _ in range(count):
                 kernel.step()
             for pos, run in enumerate(live):
                 run.left -= count
+                run.t = float(kernel.t[pos])
                 if not run.left:
-                    run.t = float(kernel.t[pos])
                     run.snapshot(kernel.members[pos])
-                    if run.k < run.n_out:
-                        run.begin_interval(kernel.run_phi(pos))
-                        kernel.set_step(pos, run.step)
         # the runs that go on move, mid-interval, to a stack without the finished ones
-        for pos, run in enumerate(live):
-            run.t = float(kernel.t[pos])
-        fields = [(phi, f) for pos, run in enumerate(live) if run.k < run.n_out for _, (phi, f) in kernel.members[pos]]
+        fields = [kernel.members[pos] for pos, run in enumerate(live) if run.k < run.n_out]
         live = [run for run in live if run.k < run.n_out]
 
 
@@ -602,8 +587,6 @@ class _Run:
         except HarnackFlowError as err:
             raise self.tag(err)
         self.h = self.geom.background_spacing
-        # evolving members first: the order in which a failed step looks for its member
-        self.order = sorted(range(len(self.members)), key=lambda i: not self.members[i].evolve_metric)
         self.static = [_static(mem) for mem in self.members]
         self.states = [[mem.initial] for mem in self.members]
         self.t = self.t_start  # advanced step by step
@@ -662,14 +645,14 @@ class _Run:
             err.time = time
         return err
 
-    def begin_interval(self, phis):
-        """Plan the next output interval's steps; ``phis`` are the members' phi, now."""
+    def begin_interval(self, members):
+        """Plan the next output interval's steps from the members' (phi, f), now."""
         if self.dt is None:
             # area fraction an evolving sphere keeps across this interval
             lost = 8.0 * np.pi * self.k * self.dt_out
             shrink = min(((a - lost - 8.0 * np.pi * self.dt_out) / (a - lost) for a in self.areas), default=1.0)
             try:
-                bound = min(cfl_limit(self.h, phi) for phi in phis)
+                bound = min(cfl_limit(self.h, phi) for phi, _ in members)
                 self.steps = _interval_steps(bound, shrink, self.dt_out)
             except HarnackFlowError as err:
                 raise self.tag(err, self.t)
@@ -677,13 +660,13 @@ class _Run:
         self.left = self.steps
 
     def snapshot(self, members):
-        """Record the (member index, (phi, f)) of ``members`` at the end of an interval.
+        """Record the members' (phi, f), in member order, at the end of an interval.
 
         A static member's snapshots share its initial geometry.
         """
         self.k += 1
         t_snap = self.t_start + self.k * self.dt_out
-        for i, (phi, f) in members:
+        for i, (phi, f) in enumerate(members):
             geom = self.members[i].initial.geom
             self.states[i].append(FlowState(t_snap, geom if self.static[i] else geom.with_phi(phi), f))
 

@@ -33,6 +33,8 @@ read-only copy of ``phi`` and never mutate it.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import GridMismatchError
@@ -152,6 +154,13 @@ class SurfaceGeometry:
         return np.exp(-2.0 * self.phi) * (
             self.background_curvature - 2.0 * self._bg_lap_raw(self.phi)
         )
+
+    @cached_property
+    def R(self):
+        """``scalar_curvature()``, computed on first use and kept, read-only, for the life of the geometry."""
+        curv = self.scalar_curvature()
+        curv.setflags(write=False)
+        return curv
 
     def laplace_beltrami(self, w):
         """Laplace-Beltrami of the live metric: e^(-2 phi) * background Laplacian."""
@@ -449,8 +458,6 @@ class SphereGeometry(SurfaceGeometry):
         self.theta = bg["theta"]
         self.sin_theta = bg["sin_theta"]
         self.cos_theta = bg["cos_theta"]
-        self._sin_plus = bg["sin_plus"]
-        self._inv_sin_dt2 = bg["inv_sin_dt2"]
         self._weights = bg["weights"]
 
     @property

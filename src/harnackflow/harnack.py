@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConstraintViolationError,
     FOutOfRangeError,
     NonPositiveCurvatureError,
     NonPositiveFError,
@@ -137,14 +138,11 @@ def trace_harnack(traj, k, vector="zero"):
     ``vector`` selects V: "zero", "grad_u" or "grad_v".  On surfaces
     Rc(V,V) = (R/2)|V|^2, and grad v = grad u exactly.
     """
+    if vector not in ("zero", "grad_u", "grad_v"):
+        raise ConstraintViolationError(f"unknown vector selector {vector!r}")
     state = traj[k]
     _require_positive_time(state)
-    drdt = _drdt(traj, k)
-    if vector == "zero":
-        return _trace_of(state, drdt)
-    if vector in ("grad_u", "grad_v"):
-        return _trace_of(state, drdt, u_field(state))
-    raise KeyError(f"unknown vector selector {vector!r}")
+    return _trace_of(state, _drdt(traj, k), None if vector == "zero" else u_field(state))
 
 
 def _drdt(traj, k):
@@ -172,7 +170,7 @@ def surface_lyh(state, which="curvature"):
     elif which == "heat":
         w = -u_field(state)
     else:
-        raise KeyError(f"unknown variant {which!r}")
+        raise ConstraintViolationError(f"unknown variant {which!r}")
     return _lyh_of(state, w)
 
 
@@ -263,7 +261,7 @@ def monitor_series(traj, d=1.0, t0=0.0, enable=None):
     wants = set(MONITOR_COLUMNS if enable is None else enable)
     unknown = wants - set(MONITOR_COLUMNS)
     if unknown:
-        raise KeyError(f"unknown monitor columns: {sorted(unknown)}")
+        raise ConstraintViolationError(f"unknown monitor columns: {sorted(unknown)}")
     ks = [k for k in range(1, len(traj) - 1) if traj[k].t >= t0 - 1e-12]
     if not ks:
         raise TimesNotStoredError(f"no output to monitor: none at t >= t0 = {t0:.6g} before the last, t = {traj[-1].t:.6g}")

@@ -50,6 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    ConstraintViolationError,
     DegenerateParamsError,
     IndexAtBoundaryError,
     NonPositiveCurvatureError,
@@ -476,18 +477,13 @@ def random_params(rng, family, c):
     Denominator combinations are kept away from zero, by drawing a new
     tuple, so coefficient amplification stays moderate.
     """
+    if family not in ("H", "P"):
+        raise ConstraintViolationError(f"unknown family {family!r}")
     while True:
         alpha, beta, a, b, d, lam = (-2.0 + 4.0 * rng.random() for _ in range(6))
-        p = HarnackParams(alpha=alpha, beta=beta, a=a, b=b, c=c, d=d, lam=lam)
-        if family == "H":
-            if abs(alpha - beta) < 0.75 or abs(alpha) < 0.5:
-                continue
-            return p
-        if family == "P":
-            if abs(alpha - 1.0) < 0.75 or abs(alpha) < 0.5:
-                continue
-            return p
-        raise KeyError(f"unknown family {family!r}")
+        gap = abs(alpha - beta) if family == "H" else abs(alpha - 1.0)
+        if gap >= 0.75 and abs(alpha) >= 0.5:
+            return HarnackParams(alpha=alpha, beta=beta, a=a, b=b, c=c, d=d, lam=lam)
 
 
 def fuzz_residuals(traj, k, count, rng, family="H"):

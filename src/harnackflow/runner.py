@@ -463,11 +463,12 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     one ``residual_surface`` call per level.  The reports of an earlier
     ladder are removed first; fewer than two levels, which leave no
     convergence ratio to check, then raise ConstraintViolationError before
-    any flow runs, as do a negative seed, an invalid initial state at any
-    level and a level whose snapshots 0 .. k + 1 of all its runs exceed
-    ``config.MAX_SNAPSHOT_BYTES``.  A HarnackFlowError in a stage (a
-    level's flows or residuals, the fuzz) that is not a config error ends
-    the ladder: identity_summary.txt then holds the single line
+    any flow runs, as do a frozen metric (``evolve_metric = false``; the
+    identities assume dg/dt = -R g), a negative seed, an invalid initial
+    state at any level and a level whose snapshots 0 .. k + 1 of all its
+    runs exceed ``config.MAX_SNAPSHOT_BYTES``.  A HarnackFlowError in a
+    stage (a level's flows or residuals, the fuzz) that is not a config
+    error ends the ladder: identity_summary.txt then holds the single line
     ``FAIL <stage> (level L, N = n): <error type>[ at t = ...]: <message>``,
     no identities.csv is written, and the returned study carries that line
     in ``failure`` and fails.  Since the flows all finish first, a flow
@@ -481,6 +482,8 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
         raise ConstraintViolationError(
             f"the identity ladder needs at least 2 levels to check convergence, got {levels}"
         )
+    if not cfg.evolve_metric:
+        raise ConstraintViolationError("the evolution identities assume dg/dt = -R g; flow.evolve_metric is false")
     want = set(cfg.identity_presets)
     if cfg.kind != "rot_sphere":
         want.discard("surface")

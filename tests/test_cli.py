@@ -285,6 +285,35 @@ def test_verify_identities_rejects_t_check_past_t_end(tmp_path, capsys):
     assert not (tmp_path / "late").exists()
 
 
+def test_verify_identities_refuses_a_frozen_metric_before_any_flow(tmp_path, capsys, monkeypatch):
+    # the identities assume dg/dt = -R g: on a frozen metric every
+    # residual-convergence check used to fail, after the whole ladder's flows
+    import harnackflow.flow as flow
+    from conftest import SCENARIO_DIR
+
+    def no_step(self):
+        raise AssertionError("a flow stepped")
+
+    monkeypatch.setattr(flow._RK4Kernel, "step", no_step)
+    out = tmp_path / "static"
+    cfg = str(SCENARIO_DIR / "torus_bump_static.cfg")
+    assert main(["verify-identities", "--config", cfg, "--levels", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ConstraintViolationError" in err and "evolve_metric" in err
+    assert list(out.iterdir()) == []
+
+
+def test_identities_on_a_frozen_metric_are_refused_at_parse_time(tmp_path, capsys):
+    from conftest import SCENARIO_DIR
+
+    cfg = tmp_path / "static.cfg"
+    cfg.write_text((SCENARIO_DIR / "torus_bump_static.cfg").read_text() + "\n[identities]\nenable = true\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "static")]) == 2
+    err = capsys.readouterr().err
+    assert "ConstraintViolationError" in err and "evolve_metric" in err
+    assert not (tmp_path / "static").exists()
+
+
 def test_verify_identities_dt_auto_steps_every_level_by_the_cfl_rule(cfg_file, tmp_path, capsys):
     # the ladder used to divide the auto dt (None) by 4**level: a raw TypeError
     text = SMALL_SPHERE.replace("n = 48", "n = 16").replace("dt = 5e-4", "dt = auto")

@@ -567,6 +567,7 @@ def test_static_and_evolving_members_of_two_runs_share_a_stack(monkeypatch, tmp_
     # each run has static and evolving members, so each run sits in two
     # blocks of the stack; every member matches the reference and its run
     # alone, and only the static members' snapshots share their geometry
+    # and its curvature
     flat, bump = _torus_state(12, 0.0), _torus_state(12, 0.05)
     runs = [
         hf.FlowRun([hf.EnsembleMember(bump, c=-1.0), hf.EnsembleMember(flat, c=0.0),
@@ -583,6 +584,9 @@ def test_static_and_evolving_members_of_two_runs_share_a_stack(monkeypatch, tmp_
             _matches_reference(traj, mem, run.t_end, run.dt, run.dt_out)
             shared = [s.geom is traj[0].geom for s in traj.states[1:]]
             assert shared == [hf.flow._static(mem)] * (len(traj) - 1)
+            # the curvature is cached on the geometry, so a shared geometry shares it
+            assert [s.R is traj[0].R for s in traj.states[1:]] == shared
+            assert all(s.R.tobytes() == s.geom.scalar_curvature().tobytes() for s in traj.states)
     # the shared geometry writes the bytes of one geometry per snapshot
     mem, traj = runs[0].members[1], together[0][1]
     want = reference_rk4_run(mem.initial, 0.05, 0.0125 / 4, 0.0125, c=0.0)
@@ -741,10 +745,9 @@ def test_lockstep_torus_runs_share_a_stack_only_on_one_grid(monkeypatch, n, per_
 def _kernel(runs, dt):
     """The flow kernel over one stack of ``runs``, every run stepping by ``dt``."""
     plans = [hf.flow._Run(index, run) for index, run in enumerate(runs)]
-    fields = [(plan.members[i].initial.geom.phi, plan.members[i].initial.f) for plan in plans for i in plan.order]
+    fields = [[(mem.initial.geom.phi, mem.initial.f) for mem in run.members] for run in runs]
     kernel = hf.flow._RK4Kernel(plans, fields)
-    for pos in range(len(plans)):
-        kernel.set_step(pos, dt)
+    kernel.set_steps([dt] * len(plans))
     return kernel
 
 
@@ -795,6 +798,38 @@ def test_lockstep_step_too_large_names_run_member_and_cfl_bound():
         hf.run_ensemble(runs)
     assert (err.value.run, err.value.member, err.value.time) == (1, 1, 0.0)
     assert err.value.bound == hf.geometry.cfl_limit(geom.background_spacing, small.phi) == small.cfl_bound()
+
+
+def test_step_too_large_names_the_lowest_failing_member():
+    # both members of run 0 are on the half-radius sphere and fail the CFL
+    # check at once; the error names the lower member index, the frozen one
+    geom = hf.SphereGeometry(32)
+    small = hf.FlowState(0.0, geom.with_phi(np.full(32, hf.SphereGeometry.round_phi(0.5))), np.full(32, F0))
+    dt = 0.5 * geom.cfl_bound()
+    members = [hf.EnsembleMember(small, evolve_metric=False), hf.EnsembleMember(small)]
+    runs = [hf.FlowRun(members, 10 * dt, dt, dt), hf.FlowRun([hf.EnsembleMember(_sphere_cos(16))], 0.01, 1e-3, 0.01)]
+    with pytest.raises(StepTooLargeError, match="member 0") as err:
+        hf.run_ensemble(runs)
+    assert (err.value.run, err.value.member, err.value.time) == (0, 0, 0.0)
+
+
+def test_step_op_counts():
+    # the numpy calls of one step, pinned per stack: static members step f
+    # alone, and a stack of several runs scales the whole tail by its
+    # stack-shaped step operands in one multiply
+    members = [hf.EnsembleMember(_sphere_cos(32)), hf.EnsembleMember(_sphere_cos(32), c=0.0)]
+    sphere = hf.FlowRun(members, 0.05, None, 0.01)
+    frozen = hf.EnsembleMember(_sphere_cos(64), evolve_metric=False)
+    stacks = {
+        "flat torus": [_torus_run(16, 0.05)._replace(members=[hf.EnsembleMember(_torus_state(16, 0.0))])],
+        "torus": [_torus_run(16, 0.05)],
+        "sphere": [sphere],
+        "sphere ladder": [sphere, sphere._replace(members=[hf.EnsembleMember(_sphere_cos(64))])],
+        "sphere with a frozen member": [sphere, sphere._replace(members=[hf.EnsembleMember(_sphere_cos(64)), frozen])],
+    }
+    counts = {name: len(_kernel(runs, 1e-6).ops) for name, runs in stacks.items()}
+    assert counts == {"flat torus": 16, "torus": 40, "sphere": 44, "sphere ladder": 44,
+                      "sphere with a frozen member": 52}
 
 
 def test_lockstep_checks_every_run_before_any_step(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 import harnackflow as hf
 from harnackflow.errors import (
+    ConstraintViolationError,
     FOutOfRangeError,
     NonPositiveCurvatureError,
     NonPositiveFError,
@@ -220,8 +221,15 @@ def test_monitor_enable_subset(torus_potential_traj):
 
 
 def test_monitor_unknown_column_rejected(torus_potential_traj):
-    with pytest.raises(KeyError):
+    with pytest.raises(ConstraintViolationError, match="not_a_monitor"):
         hf.monitor_series(torus_potential_traj, enable=("not_a_monitor",))
+
+
+def test_unknown_harnack_selectors_rejected(torus_potential_traj):
+    with pytest.raises(ConstraintViolationError, match="grad_w"):
+        hf.trace_harnack(torus_potential_traj, 5, "grad_w")
+    with pytest.raises(ConstraintViolationError, match="mass"):
+        hf.surface_lyh(torus_potential_traj[5], "mass")
 
 
 def test_monitor_trace_columns_require_evolving_metric(torus_bump_static_traj):

@@ -6,6 +6,7 @@ import pytest
 import harnackflow as hf
 from harnackflow import identities as idn
 from harnackflow.errors import (
+    ConstraintViolationError,
     DegenerateParamsError,
     IndexAtBoundaryError,
     NonPositiveCurvatureError,
@@ -324,6 +325,15 @@ def test_random_params_respect_constraints():
         assert p.c == -1.0
         q = idn.random_params(rng, "P", -1.0)
         q.validate_p()
+
+
+def test_random_params_refuse_an_unknown_family_before_drawing():
+    class NoDraws:
+        def random(self):
+            raise AssertionError("a tuple was drawn")
+
+    with pytest.raises(ConstraintViolationError, match="'Q'"):
+        idn.random_params(NoDraws(), "Q", -1.0)
 
 
 def test_fuzz_residuals_bounded_on_coarse_sphere(coarse_sphere_pair):
