@@ -32,7 +32,12 @@ from .flow import (
 )
 from .geometry import SphereGeometry, SurfaceGeometry, TorusGeometry
 from .harnack import (
+    COR_H_PRESET,
+    COR_P_PRESET,
+    GRAD_PRESET,
     MONITOR_COLUMNS,
+    SURFACE_PRESET,
+    HarnackParams,
     MonitorSeries,
     entropy_F,
     entropy_W,
@@ -50,11 +55,6 @@ from .harnack import (
     write_monitor_csv,
 )
 from .identities import (
-    COR_H_PRESET,
-    COR_P_PRESET,
-    GRAD_PRESET,
-    SURFACE_PRESET,
-    HarnackParams,
     ResidualReport,
     fuzz_residuals,
     preset_agreement_H,

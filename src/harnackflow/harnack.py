@@ -18,22 +18,27 @@ With ``u = -ln f`` and ``v = u - (n/2) ln(4 pi t)`` on surfaces (n = 2):
   equivalently |grad f|^2 + f^2 ln f / t <= 0 after multiplying by f^2;
 * ``mass`` -- integral of f dmu.
 
-H and P are two cases of one formula, ``harnack_field``, which the general
-identities evaluate too, and ``gradient_field`` is the one body of
-|grad u|^2 - u/t.  All 1/t quantities demand t > 0; monitors along a
-trajectory start at a configured t0 > 0 for that reason.  Grid extrema
-are taken over all nodes with no smoothing (the monotonicity statements
-are pointwise).
+The module owns the parameter tuple ``HarnackParams`` (alpha, beta, a, b,
+c, d, lambda) and its presets, and ``harnack_field``, the one formula
+alpha lap(w) - beta |grad w|^2 + a R - b w/t - d n/t: H is it on u at
+``COR_H_PRESET``, P on v at ``COR_P_PRESET``, |grad u|^2 - u/t on u at
+``GRAD_PRESET`` and the surface quantity lap(u) - R at ``SURFACE_PRESET``.
+The general identities evaluate the same formula, and ``log_curvature`` is
+the one ln R with its R > 0 check.  All 1/t quantities demand t > 0;
+monitors along a trajectory start at a configured t0 > 0 for that reason.
+Grid extrema are taken over all nodes with no smoothing (the monotonicity
+statements are pointwise).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     ConstraintViolationError,
+    DegenerateParamsError,
     FOutOfRangeError,
     NonPositiveCurvatureError,
     NonPositiveFError,
@@ -43,6 +48,41 @@ from .errors import (
 from .flow import time_derivative
 
 DIMENSION = 2
+
+_DEGENERACY_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class HarnackParams:
+    """Constant tuple (alpha, beta, a, b, c, d, lam) of a Harnack quantity and its identity."""
+
+    alpha: float
+    beta: float
+    a: float
+    b: float
+    c: float
+    d: float
+    lam: float
+
+    def validate_h(self):
+        if abs(self.alpha - self.beta) < _DEGENERACY_TOL:
+            raise DegenerateParamsError(
+                f"alpha = {self.alpha}, beta = {self.beta}: identity divides by 2(alpha - beta)"
+            )
+        if self.lam != 0.0 and abs(self.alpha) < _DEGENERACY_TOL:
+            raise DegenerateParamsError("alpha = 0 with lambda != 0: identity divides lambda by alpha")
+
+    def validate_p(self):
+        """``validate_h`` with beta = 1, which the definition of P fixes."""
+        replace(self, beta=1.0).validate_h()
+
+
+# The paper's quantities as tuples; the presets also collapse the general
+# identities to the dedicated ones.
+COR_H_PRESET = HarnackParams(alpha=2.0, beta=1.0, a=-3.0, b=0.0, c=-1.0, d=2.0, lam=2.0)
+COR_P_PRESET = HarnackParams(alpha=2.0, beta=1.0, a=-3.0, b=-1.0, c=-1.0, d=1.0, lam=1.0)
+SURFACE_PRESET = HarnackParams(alpha=1.0, beta=0.0, a=-1.0, b=0.0, c=-1.0, d=0.0, lam=0.0)
+GRAD_PRESET = HarnackParams(alpha=0.0, beta=-1.0, a=0.0, b=1.0, c=0.0, d=0.0, lam=0.0)
 
 MONITOR_COLUMNS = (
     "sup_H",
@@ -94,38 +134,44 @@ def _v_of(state, u):
     return u - (DIMENSION / 2.0) * np.log(4.0 * np.pi * state.t)
 
 
-def harnack_field(state, w, alpha, beta, a, b, d):
-    """alpha lap(w) - beta |grad w|^2 + a R - b w/t - d n/t at ``state``.
+def harnack_field(state, w, p):
+    """alpha lap(w) - beta |grad w|^2 + a R - b w/t - d n/t at ``state`` for the tuple ``p``.
 
-    The one formula behind H (w = u) and P (w = v), for the monitors and
-    for the general identities alike.  The w/t and n/t terms are left out
-    when their coefficient is zero.
+    The one formula behind every preset's quantity, for the monitors and
+    the general identities alike.  A term whose coefficient is zero is left
+    out; the others are added as (coefficient * term), so - beta |grad w|^2
+    is + (-beta) |grad w|^2, the same float.
     """
-    geom = state.geom
-    out = alpha * geom.laplace_beltrami(w) - beta * geom.grad_norm_sq(w)
-    out = out + a * state.R
-    if b != 0.0:
-        out = out - b * w / state.t
-    if d != 0.0:
-        out = out - d * DIMENSION / state.t
-    return out
+    geom, t = state.geom, state.t
+    terms = []
+    if p.alpha != 0.0:
+        terms.append(p.alpha * geom.laplace_beltrami(w))
+    if p.beta != 0.0:
+        terms.append(-p.beta * geom.grad_norm_sq(w))
+    if p.a != 0.0:
+        terms.append(p.a * state.R)
+    if p.b != 0.0:
+        terms.append(-p.b * w / t)
+    if p.d != 0.0:
+        terms.append(-p.d * DIMENSION / t)
+    return sum(terms[1:], terms[0])
+
+
+def log_curvature(state):
+    """ln R; raises if R is not strictly positive."""
+    cmin = float(np.min(state.R))
+    if cmin <= 0.0:
+        raise NonPositiveCurvatureError(f"min R = {cmin:.6g} <= 0 at t = {state.t:.6g}")
+    return np.log(state.R)
 
 
 def quantity_H(state):
     _require_positive_time(state)
-    return _H_of(state, u_field(state))
-
-
-def _H_of(state, u):
-    return harnack_field(state, u, 2.0, 1.0, -3.0, 0.0, 2.0)
+    return harnack_field(state, u_field(state), COR_H_PRESET)
 
 
 def quantity_P(state, d=1.0):
-    return _P_of(state, v_field(state), d)
-
-
-def _P_of(state, v, d):
-    return harnack_field(state, v, 2.0, 1.0, -3.0, -1.0, d)
+    return harnack_field(state, v_field(state), replace(COR_P_PRESET, d=d))
 
 
 def quantity_tP(state, d=1.0):
@@ -140,9 +186,10 @@ def trace_harnack(traj, k, vector="zero"):
     """
     if vector not in ("zero", "grad_u", "grad_v"):
         raise ConstraintViolationError(f"unknown vector selector {vector!r}")
+    drdt = _drdt(traj, k)  # refuses a k without two neighbours before traj[k] is read
     state = traj[k]
     _require_positive_time(state)
-    return _trace_of(state, _drdt(traj, k), None if vector == "zero" else u_field(state))
+    return _trace_of(state, drdt, None if vector == "zero" else u_field(state))
 
 
 def _drdt(traj, k):
@@ -161,12 +208,8 @@ def _trace_of(state, drdt, u=None):
 def surface_lyh(state, which="curvature"):
     """lap(ln R) + R + 1/t (which="curvature", needs R > 0) or lap(ln f) + R + 1/t."""
     _require_positive_time(state)
-    curv = state.R
     if which == "curvature":
-        cmin = float(np.min(curv))
-        if cmin <= 0.0:
-            raise NonPositiveCurvatureError(f"min R = {cmin:.6g} <= 0")
-        w = np.log(curv)
+        w = log_curvature(state)
     elif which == "heat":
         w = -u_field(state)
     else:
@@ -197,15 +240,6 @@ def mass(state):
     return state.geom.integrate(state.f)
 
 
-def gradient_field(state):
-    """|grad u|^2 - u/t, without the range checks of ``gradient_quantity``."""
-    return _gradient_of(state, u_field(state))
-
-
-def _gradient_of(state, u):
-    return state.geom.grad_norm_sq(u) - u / state.t
-
-
 def gradient_quantity(state):
     """|grad u|^2 - u/t; requires 0 < f < 1 so that u > 0."""
     fmax = float(np.max(state.f))
@@ -213,7 +247,7 @@ def gradient_quantity(state):
     if fmin <= 0.0 or fmax >= 1.0:
         raise FOutOfRangeError(f"f range [{fmin:.6g}, {fmax:.6g}] not inside (0, 1)")
     _require_positive_time(state)
-    return gradient_field(state)
+    return harnack_field(state, u_field(state), GRAD_PRESET)
 
 
 def gradient_quantity_f_form(state):
@@ -271,6 +305,7 @@ def monitor_series(traj, d=1.0, t0=0.0, enable=None):
     trace = traj.evolve_metric and bool(wants & {"min_traceH_V0", "min_traceH_Vu"})
     # columns that read u = -ln f; sup_grad reads it too where it applies
     u_columns = {"sup_H", "F", "sup_tP", "W", "min_LYH_heat"} | ({"min_traceH_Vu"} if trace else set())
+    p_preset = replace(COR_P_PRESET, d=d)
     for row, k in enumerate(ks):
         state = traj[k]
         _require_positive_time(state)  # every column but mass has 1/t terms
@@ -279,13 +314,13 @@ def monitor_series(traj, d=1.0, t0=0.0, enable=None):
         # H feeds sup_H and F, tP feeds sup_tP and W
         u = u_field(state) if gradient or wants & u_columns else None
         if wants & {"sup_H", "F"}:
-            h = _H_of(state, u)
+            h = harnack_field(state, u, COR_H_PRESET)
             if "sup_H" in wants:
                 cols["sup_H"][row] = float(np.max(h))
             if "F" in wants:
                 cols["F"][row] = state.t**2 * _f_integral(state, h)
         if wants & {"sup_tP", "W"}:
-            tp = state.t * _P_of(state, _v_of(state, u), d)
+            tp = state.t * harnack_field(state, _v_of(state, u), p_preset)
             if "sup_tP" in wants:
                 cols["sup_tP"][row] = float(np.max(tp))
             if "W" in wants:
@@ -293,7 +328,7 @@ def monitor_series(traj, d=1.0, t0=0.0, enable=None):
         if "mass" in wants:
             cols["mass"][row] = mass(state)
         if gradient:
-            cols["sup_grad"][row] = float(np.max(_gradient_of(state, u)))
+            cols["sup_grad"][row] = float(np.max(harnack_field(state, u, GRAD_PRESET)))
         if trace:
             drdt = _drdt(traj, k)
             if "min_traceH_V0" in wants:

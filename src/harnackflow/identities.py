@@ -21,7 +21,10 @@ Families, with their parameter tuples (alpha, beta, a, b, c, d, lambda):
 * ``residual_general_P`` / ``residual_tP`` -- same construction for
   P = alpha lap(v) - |grad v|^2 + a R - b v/t - d n/t (beta is fixed to 1
   by the definition and ignored in the tuple) and for t*P at the preset
-  (2, -, -3, -1, -1, d, 1).
+  (2, -, -3, -1, -1, d, 1).  v = u - (n/2) ln(4 pi t) obeys u's equation
+  plus the constant source -n/(2t), which reaches dP/dt only through
+  -b v/t: the general P identity is the general H identity on v, with
+  beta = 1, plus b n/(2t^2).
 * ``residual_surface`` -- the surface specialization with H = lap(u) - R:
   the general-f chain (requires R > 0 for its log-curvature terms) and the
   slaved f := R form, where u = -ln R is rebuilt from the curvature of
@@ -31,8 +34,8 @@ Families, with their parameter tuples (alpha, beta, a, b, c, d, lambda):
 * ``residual_grad`` -- plain-heat gradient identity for
   H = |grad u|^2 - u/t (preset alpha=0, beta=-1, a=c=0, b=1, d=0, lambda=0).
 
-The H and P fields and |grad u|^2 - u/t are the monitors' own formulas
-(``harnack.harnack_field`` and ``harnack.gradient_field``).  Every residual
+Every field is the monitors' own formula, ``harnack.harnack_field`` at the
+tuple, and the tuples and presets are ``harnack``'s.  Every residual
 goes through one helper: variant check, interior snapshot, centered left
 side, report.  ``preset_reports`` evaluates the named presets of
 ``PRESET_REGISTRY`` at one snapshot; it is the one path by which both
@@ -51,52 +54,23 @@ import numpy as np
 
 from .errors import (
     ConstraintViolationError,
-    DegenerateParamsError,
     IndexAtBoundaryError,
-    NonPositiveCurvatureError,
     NonPositiveTimeError,
     VariantMismatchError,
 )
 from .flow import time_derivative
-from .harnack import DIMENSION, gradient_field, harnack_field, u_field, v_field
-
-_DEGENERACY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class HarnackParams:
-    """Constant tuple (alpha, beta, a, b, c, d, lam) of the general identities."""
-
-    alpha: float
-    beta: float
-    a: float
-    b: float
-    c: float
-    d: float
-    lam: float
-
-    def validate_h(self):
-        if abs(self.alpha - self.beta) < _DEGENERACY_TOL:
-            raise DegenerateParamsError(
-                f"alpha = {self.alpha}, beta = {self.beta}: identity divides by 2(alpha - beta)"
-            )
-        if self.lam != 0.0 and abs(self.alpha) < _DEGENERACY_TOL:
-            raise DegenerateParamsError("alpha = 0 with lambda != 0: identity divides lambda by alpha")
-
-    def validate_p(self):
-        if abs(self.alpha - 1.0) < _DEGENERACY_TOL:
-            raise DegenerateParamsError(
-                f"alpha = {self.alpha}: identity divides by 2(alpha - 1)"
-            )
-        if self.lam != 0.0 and abs(self.alpha) < _DEGENERACY_TOL:
-            raise DegenerateParamsError("alpha = 0 with lambda != 0: identity divides lambda by alpha")
-
-
-# Presets that collapse the general forms to the dedicated ones.
-COR_H_PRESET = HarnackParams(alpha=2.0, beta=1.0, a=-3.0, b=0.0, c=-1.0, d=2.0, lam=2.0)
-COR_P_PRESET = HarnackParams(alpha=2.0, beta=1.0, a=-3.0, b=-1.0, c=-1.0, d=1.0, lam=1.0)
-SURFACE_PRESET = HarnackParams(alpha=1.0, beta=0.0, a=-1.0, b=0.0, c=-1.0, d=0.0, lam=0.0)
-GRAD_PRESET = HarnackParams(alpha=0.0, beta=-1.0, a=0.0, b=1.0, c=0.0, d=0.0, lam=0.0)
+from .harnack import (
+    COR_H_PRESET,
+    COR_P_PRESET,
+    DIMENSION,
+    GRAD_PRESET,
+    SURFACE_PRESET,
+    HarnackParams,
+    harnack_field,
+    log_curvature,
+    u_field,
+    v_field,
+)
 
 
 @dataclass(frozen=True)
@@ -154,36 +128,45 @@ def _residual(identity, traj, k, p, field, rhs):
 
 
 # ---------------------------------------------------------------------------
-# general H family
+# the general identity, for the H and P families
 
 
-def general_H_field(state, p):
-    return harnack_field(state, u_field(state), p.alpha, p.beta, p.a, p.b, p.d)
-
-
-def _general_H_rhs(state, p):
+def _general_rhs(state, w, p):
+    """Right side of the evolution of h = harnack_field(state, w, p) for a w
+    obeying dw/dt = lap w - |grad w|^2 + c R, as u = -ln f does."""
     geom, t = state.geom, state.t
     n = DIMENSION
-    u = u_field(state)
     curv = state.R
-    h = general_H_field(state, p)
+    h = harnack_field(state, w, p)
     q = 2.0 * p.alpha - 2.0 * p.beta
     loa = (q / p.alpha) * p.lam if p.lam != 0.0 else 0.0
     sigma = (p.alpha / q) * (curv / 2.0) + p.lam / (2.0 * t)
-    grad_usq = geom.grad_norm_sq(u)
-    rhs = geom.laplace_beltrami(h) - 2.0 * geom.grad_inner(h, u)
-    rhs = rhs - q * geom.hessian_deviation_sq(u, sigma)
+    grad_wsq = geom.grad_norm_sq(w)
+    rhs = geom.laplace_beltrami(h) - 2.0 * geom.grad_inner(h, w)
+    rhs = rhs - q * geom.hessian_deviation_sq(w, sigma)
     rhs = rhs - loa / t * h
     rhs = rhs + q * (n * p.lam**2) / (4.0 * t * t)
-    rhs = rhs - (p.b + loa * p.beta) * grad_usq / t
-    rhs = rhs + (1.0 - loa) * p.b * u / (t * t)
+    rhs = rhs - (p.b + loa * p.beta) * grad_wsq / t
+    rhs = rhs + (1.0 - loa) * p.b * w / (t * t)
     rhs = rhs + (1.0 - loa) * p.d * n / (t * t)
     rhs = rhs + p.alpha * p.c * geom.laplace_beltrami(curv)
     rhs = rhs + (2.0 * p.a + p.alpha**2 / q) * (curv * curv / 2.0)
     rhs = rhs + (p.alpha * p.lam + p.a * loa - p.b * p.c) * curv / t
-    rhs = rhs - p.alpha * curv * grad_usq  # -2 alpha Rc(grad u, grad u)
-    rhs = rhs + 2.0 * (p.a - p.beta * p.c) * geom.grad_inner(curv, u)
+    rhs = rhs - p.alpha * curv * grad_wsq  # -2 alpha Rc(grad w, grad w)
+    rhs = rhs + 2.0 * (p.a - p.beta * p.c) * geom.grad_inner(curv, w)
     return rhs
+
+
+# ---------------------------------------------------------------------------
+# general H family
+
+
+def general_H_field(state, p):
+    return harnack_field(state, u_field(state), p)
+
+
+def _general_H_rhs(state, p):
+    return _general_rhs(state, u_field(state), p)
 
 
 def residual_general_H(traj, k, params):
@@ -223,33 +206,13 @@ def residual_cor_H(traj, k):
 
 def general_P_field(state, p):
     # beta is 1 by the definition of P
-    return harnack_field(state, v_field(state), p.alpha, 1.0, p.a, p.b, p.d)
+    return harnack_field(state, v_field(state), replace(p, beta=1.0))
 
 
 def _general_P_rhs(state, p):
-    geom, t = state.geom, state.t
-    n = DIMENSION
-    v = v_field(state)
-    curv = state.R
-    pfield = general_P_field(state, p)
-    q = 2.0 * p.alpha - 2.0
-    loa = (q / p.alpha) * p.lam if p.lam != 0.0 else 0.0
-    sigma = (p.alpha / q) * (curv / 2.0) + p.lam / (2.0 * t)
-    grad_vsq = geom.grad_norm_sq(v)
-    rhs = geom.laplace_beltrami(pfield) - 2.0 * geom.grad_inner(pfield, v)
-    rhs = rhs + 2.0 * (p.a - p.c) * geom.grad_inner(curv, v)
-    rhs = rhs - q * geom.hessian_deviation_sq(v, sigma)
-    rhs = rhs - loa / t * pfield
-    rhs = rhs + (p.alpha * p.lam + p.a * loa - p.b * p.c) * curv / t
-    rhs = rhs + (p.alpha - 1.0) * n * p.lam**2 / (2.0 * t * t)
-    rhs = rhs + (2.0 * p.a + p.alpha**2 / q) * (curv * curv / 2.0)
-    rhs = rhs - (p.b + loa) * grad_vsq / t
-    rhs = rhs - p.alpha * curv * grad_vsq  # -2 alpha Rc(grad v, grad v)
-    rhs = rhs + (1.0 - loa) * p.b * v / (t * t)
-    rhs = rhs + p.b * n / (2.0 * t * t)
-    rhs = rhs + (1.0 - loa) * p.d * n / (t * t)
-    rhs = rhs + p.alpha * p.c * geom.laplace_beltrami(curv)
-    return rhs
+    # v's source -n/(2t) enters dP/dt through -b v/t alone
+    t = state.t
+    return _general_rhs(state, v_field(state), replace(p, beta=1.0)) + p.b * DIMENSION / (2.0 * t * t)
 
 
 def residual_general_P(traj, k, params):
@@ -311,21 +274,8 @@ def residual_tP(traj, k, d=1.0):
 # surface specialization
 
 
-def _log_curv(state):
-    curv = state.R
-    cmin = float(np.min(curv))
-    if cmin <= 0.0:
-        raise NonPositiveCurvatureError(f"min R = {cmin:.6g} <= 0 at t = {state.t:.6g}")
-    return curv, np.log(curv)
-
-
-def _surface_H_field(state):
-    return state.geom.laplace_beltrami(u_field(state)) - state.R
-
-
-def _surface_fR_field(state):
-    _, ln_r = _log_curv(state)
-    return state.geom.laplace_beltrami(-ln_r) - state.R
+def _surface_fR_field(state, p):
+    return harnack_field(state, -log_curvature(state), p)
 
 
 def residual_surface(traj, k, fr_traj=None):
@@ -349,10 +299,10 @@ def residual_surface(traj, k, fr_traj=None):
 
     def general_rhs(state, p):
         geom = state.geom
-        dlnr_dt = time_derivative(traj, k, lambda s: _log_curv(s)[1])
-        curv, ln_r = _log_curv(state)
+        dlnr_dt = time_derivative(traj, k, log_curvature)
+        curv, ln_r = state.R, log_curvature(state)
         u = u_field(state)
-        h = _surface_H_field(state)
+        h = general_H_field(state, p)
         return (
             geom.laplace_beltrami(h)
             - 2.0 * geom.hessian_deviation_sq(u, curv / 2.0)
@@ -364,8 +314,8 @@ def residual_surface(traj, k, fr_traj=None):
 
     def fr_rhs(state, p):
         geom = state.geom
-        curv, ln_r = _log_curv(state)
-        h = _surface_fR_field(state)
+        curv, ln_r = state.R, log_curvature(state)
+        h = _surface_fR_field(state, p)
         return (
             geom.laplace_beltrami(h)
             - 2.0 * geom.hessian_deviation_sq(-ln_r, curv / 2.0)
@@ -373,8 +323,8 @@ def residual_surface(traj, k, fr_traj=None):
         )
 
     return (
-        _residual("surface_general", traj, k, SURFACE_PRESET, lambda s, p: _surface_H_field(s), general_rhs),
-        _residual("surface_fR", fr_traj, k, SURFACE_PRESET, lambda s, p: _surface_fR_field(s), fr_rhs),
+        _residual("surface_general", traj, k, SURFACE_PRESET, general_H_field, general_rhs),
+        _residual("surface_fR", fr_traj, k, SURFACE_PRESET, _surface_fR_field, fr_rhs),
     )
 
 
@@ -385,7 +335,7 @@ def residual_surface(traj, k, fr_traj=None):
 def _grad_rhs(state, p):
     geom, t = state.geom, state.t
     u = u_field(state)
-    h = gradient_field(state)
+    h = general_H_field(state, p)
     return (
         geom.laplace_beltrami(h)
         - 2.0 * geom.grad_inner(h, u)
@@ -396,7 +346,7 @@ def _grad_rhs(state, p):
 
 def residual_grad(traj, k):
     """Residual of dH/dt = lap H - 2 grad H . grad u - H/t - 2|hess u|^2."""
-    return _residual("grad", traj, k, GRAD_PRESET, lambda s, p: gradient_field(s), _grad_rhs)
+    return _residual("grad", traj, k, GRAD_PRESET, general_H_field, _grad_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +404,11 @@ def preset_reports(trajs, k, want, d=1.0, fr_traj=None):
     it; a wanted preset whose c has none there is left out.  ``surface``
     needs R > 0 at the snapshots it reads, and its f := R form runs on
     ``fr_traj``, by default on the same trajectory as its general-f form.
+    A name that is not a preset is refused before any residual.
     """
+    unknown = set(want) - PRESET_REGISTRY.keys()
+    if unknown:
+        raise ConstraintViolationError(f"unknown presets: {sorted(unknown)}")
     out = []
     for name, (c, reports) in PRESET_REGISTRY.items():
         if name in want and c in trajs:

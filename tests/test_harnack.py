@@ -7,6 +7,7 @@ import harnackflow as hf
 from harnackflow.errors import (
     ConstraintViolationError,
     FOutOfRangeError,
+    IndexAtBoundaryError,
     NonPositiveCurvatureError,
     NonPositiveFError,
     NonPositiveTimeError,
@@ -230,6 +231,13 @@ def test_unknown_harnack_selectors_rejected(torus_potential_traj):
         hf.trace_harnack(torus_potential_traj, 5, "grad_w")
     with pytest.raises(ConstraintViolationError, match="mass"):
         hf.surface_lyh(torus_potential_traj[5], "mass")
+
+
+def test_trace_harnack_refuses_a_snapshot_past_the_end(torus_potential_traj):
+    traj = torus_potential_traj
+    for k in (len(traj), len(traj) + 3):
+        with pytest.raises(IndexAtBoundaryError, match=f"snapshot {k} "):
+            hf.trace_harnack(traj, k)
 
 
 def test_monitor_trace_columns_require_evolving_metric(torus_bump_static_traj):

@@ -32,19 +32,24 @@ def closed_forms(t, r0=R0, f0=F0):
     return 2.0 / rho, -np.log(f0 * r0**2 / rho)  # R(t), u(t)
 
 
-def hand_general_H(t, p):
-    """Closed-form H(t) on the constant-f shrinking sphere (n = 2)."""
+def closed_forms_v(t):
     r, u = closed_forms(t)
+    return r, u - np.log(4.0 * np.pi * t)  # v = u - (n/2) ln(4 pi t)
+
+
+def hand_general_H(t, p, forms=closed_forms):
+    """Closed-form H(t) on the constant-f shrinking sphere (n = 2), on u or, with closed_forms_v, on v."""
+    r, u = forms(t)
     return p.a * r - p.b * u / t - p.d * 2.0 / t
 
 
-def hand_general_H_rhs(t, p):
+def hand_general_H_rhs(t, p, forms=closed_forms):
     """Right side of the general identity with all gradients zero."""
-    r, u = closed_forms(t)
+    r, u = forms(t)
     q = 2.0 * p.alpha - 2.0 * p.beta
     loa = (q / p.alpha) * p.lam if p.lam != 0.0 else 0.0
     sigma = (p.alpha / q) * (r / 2.0) + p.lam / (2.0 * t)
-    h = hand_general_H(t, p)
+    h = hand_general_H(t, p, forms)
     return (
         -q * 2.0 * sigma**2
         - loa / t * h
@@ -54,6 +59,11 @@ def hand_general_H_rhs(t, p):
         + (2.0 * p.a + p.alpha**2 / q) * (r * r / 2.0)
         + (p.alpha * p.lam + p.a * loa - p.b * p.c) * r / t
     )
+
+
+def hand_general_P_rhs(t, p):
+    """The H right side on v with beta := 1, plus b n/(2t^2) from v's source -n/(2t)."""
+    return hand_general_H_rhs(t, replace(p, beta=1.0), closed_forms_v) + p.b * 2.0 / (2.0 * t * t)
 
 
 def test_general_H_matches_hand_assembly(constant_sphere_fine):
@@ -66,6 +76,19 @@ def test_general_H_matches_hand_assembly(constant_sphere_fine):
         lhs = (hand_general_H(t + dt, p) - hand_general_H(t - dt, p)) / (2 * dt)
         hand_residual = abs(lhs - hand_general_H_rhs(t, p))
         report = idn.residual_general_H(traj, k, p)
+        assert abs(report.max_norm - hand_residual) <= 1e-7 * (1.0 + hand_residual)
+
+
+def test_general_P_matches_hand_assembly(constant_sphere_fine):
+    # the same oracle on v; the second tuple's beta = -0.5 must be ignored
+    traj = constant_sphere_fine
+    k = int(round(0.2 / traj.dt_out))
+    t = traj[k].t
+    dt = traj.dt_out
+    for p in (idn.COR_P_PRESET, hf.HarnackParams(1.5, -0.5, 1.0, 0.7, -1.0, -0.4, 0.9)):
+        lhs = (hand_general_H(t + dt, p, closed_forms_v) - hand_general_H(t - dt, p, closed_forms_v)) / (2 * dt)
+        hand_residual = abs(lhs - hand_general_P_rhs(t, p))
+        report = idn.residual_general_P(traj, k, p)
         assert abs(report.max_norm - hand_residual) <= 1e-7 * (1.0 + hand_residual)
 
 
@@ -135,6 +158,16 @@ def test_cor_H_report_equals_general_at_preset(coarse_sphere_pair):
     a = idn.residual_general_H(pot, k, idn.COR_H_PRESET)
     b = idn.residual_cor_H(pot, k)
     assert abs(a.max_norm - b.max_norm) <= 1e-12
+
+
+def test_preset_reports_refuse_unknown_names_before_any_residual(coarse_sphere_pair):
+    pot, _ = coarse_sphere_pair
+    # snapshot 0 is not interior: any residual evaluated would raise IndexAtBoundaryError
+    for want, names in (({"general_h", "cor_H"}, "'general_h'"), ({"nonsense"}, "'nonsense'")):
+        with pytest.raises(ConstraintViolationError, match=names):
+            idn.preset_reports({pot.c: pot}, 0, want)
+    # a known preset whose c has no trajectory is still left out
+    assert idn.preset_reports({pot.c: pot}, 5, {"grad"}) == []
 
 
 def test_tP_residual_independent_of_d(coarse_sphere_pair):
