@@ -12,6 +12,7 @@ space-time paths.
 from .action import (
     SpaceTimePath,
     check_integrated_harnack,
+    check_pairs,
     layer_distance_fn,
     min_action,
     random_pairs,

@@ -50,21 +50,35 @@ builder reports by giving its distances per taxicab radius, the cost of
 offset (a, b) depends on |a| + |b| alone, so the same argument lets the
 layer take exact minima of the departures shell by shell (first over the
 two columns at +-b, then over the rows at +-a) and add each shell's cost
-once: 2W + 1 cost adds instead of (2W + 1)^2, the same bits.  For the
-backtrack a layer keeps its departure values on the previous box and its
-step-cost table on its own box (a uniform layer's one value per offset),
-for the pair's life.  At the one path node per layer the candidates are
+once: 2W + 1 cost adds instead of (2W + 1)^2, the same bits.
+
+``min_action`` is the forward loop plus the backtrack.  For the backtrack
+a layer keeps its departure values on the previous box and its step-cost
+table on its own box (a uniform layer's one value per offset), for the
+pair's life.  At the one path node per layer the candidates are
 recomputed in the DP's order, ((depart + d^2/dt) + arrive), from that
 node's column of the table, and ``np.argmin`` takes the first offset
 attaining the minimum.
 
-``check_integrated_harnack`` turns the minimized action into a pointwise
-certificate from one ``min_action`` call: with n = 2,
+``check_pairs`` turns the minimized action into pointwise certificates:
+with n = 2,
 
     margin = ln f(x2, t2) + n ln(t2 / t1) + gamma / 2 - ln f(x1, t1)
 
 must be nonnegative up to discretization slack whenever the nonpositivity
-of the H quantity holds on the trajectory.
+of the H quantity holds on the trajectory.  The margin reads f at x1 and
+x2, the path's end nodes by construction (the first layer holds x1 alone
+and the window never aliases), so it runs the forward loop without the
+backtrack and keeps nothing per layer.  When every snapshot of a pair
+shares one geometry on a periodic grid, the layer is uniform and R is
+exactly constant, every layer reads one taxicab table and one constant
+arrival term, so the DP from (x1, k1) is the DP from node 0 shifted by
+x1, bit for bit, whatever k1: the pair reads gamma at the wrapped offset
+x2 - x1 of one forward sweep from node 0 whose boxes are the arcs
+reached from it (they hold every reachable node, so their values are the
+full-grid DP's).  The sweep grows on demand to the longest span asked
+and lives for one ``check_pairs`` call.  Every other pair runs its own
+forward loop over its reach boxes.
 """
 
 from __future__ import annotations
@@ -78,6 +92,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConstraintViolationError,
+    IndexAtBoundaryError,
     NodesOutOfRangeError,
     NonPositiveTimeError,
     TimesNotStoredError,
@@ -383,51 +398,39 @@ def _shell_minimum(grown, costs, window, box_shape):
     return best
 
 
-def _layer_dp(traj, k1, k2, x1, x2, window):
-    graph, window = _layer_graph(traj.geom, window)
-    shape = traj.geom.field_shape
-    dt = traj.dt_out
-    size = 2 * window + 1
-    narrow = WindowTooNarrowError(f"no path from node {x1} to node {x2} in {k2 - k1} steps with window {window}")
-    boxes = _reach_boxes(shape, graph.periodic, x1, x2, k2 - k1, window)
-    if not all(len(r) for box in boxes for r in box):
-        raise narrow
-    # row-major from (-W, ..., -W); an offset's index is its list position
-    offsets = list(np.ndindex(*(size,) * len(shape)))
-    first, *rest = offsets
-    flip = (slice(None, None, -1),) * len(shape)
+def _position(node, box, shape):
+    """Index of a flat node into values held on ``box``."""
+    return tuple((i - r.start) % n for i, r, n in zip(np.unravel_index(node, shape), box, shape))
 
-    def cost(distances):
-        """d^2 / dt, in place."""
-        distances **= 2
-        distances /= dt
-        return distances
 
-    def position(node, box):
-        """Index of a flat node into values held on ``box``."""
-        return tuple((i - r.start) % n for i, r, n in zip(np.unravel_index(node, shape), box, shape))
+def _forward(graph, window, dt, held, depart, layers):
+    """The forward DP loop: per layer, the least action of reaching each node of its box.
 
-    held = tuple(range(i, i + 1) for i in np.unravel_index(x1, shape))
-    # departure values on the nodes held: the value so far plus 0.5 R dt
-    depart = 0.0 + 0.5 * traj[k1].R[_box_index(held, shape)] * dt
-    kept = []  # per layer, what the backtrack reads: the departure values, and the box and its table
-    for k, box in zip(range(k1, k2), boxes):
+    ``depart`` holds the departure values (the value so far plus 0.5 R dt)
+    on the nodes of the box ``held``; ``layers`` yields per layer the
+    geometries at k and k + 1 and the layer's box.  Yields per layer
+    (held, depart, box, table, best): the departure values it read, its
+    step-cost table, and ``best``, the action of reaching each node of its
+    box with the arrival term added once.
+    """
+    for geom, after, box in layers:
+        shape = geom.field_shape
         box_shape = tuple(map(len, box))
         grown = _departures(depart, held, box, window, shape, graph.periodic)
-        geom = traj[k].geom
-        mid = 0.5 * (geom.phi + traj[k + 1].geom.phi)  # the mid-step conformal exponent
+        mid = 0.5 * (geom.phi + after.phi)  # the mid-step conformal exponent
         radial = graph.taxicab(geom, mid, window)
         if radial is not None:
             # a uniform layer: one cost per taxicab shell
-            costs = cost(radial)
+            costs = _cost(radial, dt)
             best = _shell_minimum(grown, costs, window, box_shape)
-            table = _taxicab_table(costs, window)  # one value per offset, broadcast over the box
+            table = _taxicab_table(costs, window)  # one value per offset
         else:
             # sources[a + W] holds depart[q - a] at arrival q; every in-box arrival
             # that can still reach x2 reads only departures that can, and those
             # lie in the held box, so its value is the full-grid DP's
-            sources = sliding_window_view(grown, box_shape)[flip]
-            table = cost(graph.distances(geom, mid, window, box))
+            sources = sliding_window_view(grown, box_shape)[(slice(None, None, -1),) * len(shape)]
+            table = _cost(graph.distances(geom, mid, window, box), dt)
+            first, *rest = np.ndindex(table.shape[: len(shape)])
             best = np.empty(box_shape)
             cand = np.empty(box_shape)
             np.add(sources[first], table[first], out=best)
@@ -436,29 +439,75 @@ def _layer_dp(traj, k1, k2, x1, x2, window):
                 np.minimum(best, cand, out=best)
         # rounding is monotone, so min_o fl(x_o + c) = fl(min_o x_o + c): the
         # arrival term is added once, after the minimum
-        arrive = 0.5 * traj[k + 1].R[_box_index(box, shape)] * dt
+        arrive = 0.5 * after.R[_box_index(box, shape)] * dt
         best += arrive
-        kept.append((k, held, depart, box, np.broadcast_to(table, table.shape[: len(shape)] + box_shape)))
+        yield held, depart, box, table, best
         held, depart = box, best + arrive
-    # the last box holds x2
-    gamma = float(best[position(x2, held)])
+
+
+def _cost(distances, dt):
+    """d^2 / dt, in place."""
+    distances **= 2
+    distances /= dt
+    return distances
+
+
+def _start(geom, x1, dt):
+    """The one-node box of x1 and its departure value 0.5 R dt."""
+    shape = geom.field_shape
+    held = tuple(range(i, i + 1) for i in np.unravel_index(x1, shape))
+    return held, 0.0 + 0.5 * geom.R[_box_index(held, shape)] * dt
+
+
+def _narrow(x1, x2, steps, window):
+    return WindowTooNarrowError(f"no path from node {x1} to node {x2} in {steps} steps with window {window}")
+
+
+def _pair_gamma(traj, k1, k2, x1, x2, graph, window, kept=None):
+    """Gamma of one pair from its own forward loop over the reach boxes.
+
+    Appends each layer's (k, held, depart, box, table) to ``kept`` when
+    given, for the backtrack.
+    """
+    shape = traj.geom.field_shape
+    boxes = _reach_boxes(shape, graph.periodic, x1, x2, k2 - k1, window)
+    if not all(len(r) for box in boxes for r in box):
+        raise _narrow(x1, x2, k2 - k1, window)
+    dt = traj.dt_out
+    layers = ((traj[k].geom, traj[k + 1].geom, box) for k, box in zip(range(k1, k2), boxes))
+    steps = _forward(graph, window, dt, *_start(traj[k1].geom, x1, dt), layers)
+    for k, (held, depart, box, table, best) in zip(range(k1, k2), steps):
+        if kept is not None:
+            kept.append((k, held, depart, box, np.broadcast_to(table, table.shape[: len(shape)] + best.shape)))
+    gamma = float(best[_position(x2, box, shape)])
     if not np.isfinite(gamma):
-        raise narrow
-    # Backtrack: at the path node q of each layer, which lies in the layer's
-    # box, recompute its candidates in the DP's order, ((depart + d^2/dt) +
-    # arrive), from q's column of the layer's table; np.argmin takes the
-    # first offset attaining the minimum.
-    nodes = [x2]
+        raise _narrow(x1, x2, k2 - k1, window)
+    return gamma
+
+
+def _backtrack(traj, kept, x2, graph, window):
+    """The minimizing path's nodes, from x2 back through the kept layers.
+
+    At the path node q of each layer, which lies in the layer's box,
+    recompute its candidates in the DP's order, ((depart + d^2/dt) +
+    arrive), from q's column of the layer's table; ``np.argmin`` takes the
+    first offset attaining the minimum.
+    """
+    shape = traj.geom.field_shape
+    dt = traj.dt_out
+    offsets = list(np.ndindex(*(2 * window + 1,) * len(shape)))  # row-major from (-W, ..., -W)
+    flip = (slice(None, None, -1),) * len(shape)
     mode = "wrap" if graph.periodic else "raise"
+    nodes = [x2]
     for k, held, depart, box, table in reversed(kept):
         node = tuple(range(i, i + 1) for i in np.unravel_index(nodes[-1], shape))
         cand = _departures(depart, held, node, window, shape, graph.periodic)[flip]
-        cand += table[(...,) + position(nodes[-1], box)]
+        cand += table[(...,) + _position(nodes[-1], box, shape)]
         cand += 0.5 * traj[k + 1].R.flat[nodes[-1]] * dt
         source = [r.start - ai + window for r, ai in zip(node, offsets[int(np.argmin(cand))])]
         nodes.append(int(np.ravel_multi_index(source, shape, mode=mode)))
     nodes.reverse()
-    return gamma, nodes
+    return nodes
 
 
 def layer_distance_fn(traj, k, window=DEFAULT_WINDOW):
@@ -466,8 +515,11 @@ def layer_distance_fn(traj, k, window=DEFAULT_WINDOW):
 
     Exposes exactly the mid-step grid distances the minimizer uses
     (including its window clamps), so an exhaustive path enumeration can
-    reproduce DP costs bit for bit.  Returns inf outside the window.
+    reproduce DP costs bit for bit.  Returns inf outside the window.  A
+    layer k outside 0 .. len(traj) - 2 raises ``IndexAtBoundaryError``.
     """
+    if not 0 <= k < len(traj) - 1:
+        raise IndexAtBoundaryError(f"layer {k} has no snapshot pair in a trajectory of length {len(traj)}")
     geom_a, geom_b = traj[k].geom, traj[k + 1].geom
     graph, window = _layer_graph(geom_a, window)
     shape = geom_a.field_shape
@@ -486,6 +538,16 @@ def layer_distance_fn(traj, k, window=DEFAULT_WINDOW):
     return dist
 
 
+def _pair_nodes(traj, point1, point2):
+    """(k1, k2, x1, x2): the snapshots of t1 < t2 and the flat indices of the two nodes."""
+    (x1, t1), (x2, t2) = point1, point2
+    k1, k2 = _locate_time(traj, t1), _locate_time(traj, t2)
+    if k1 >= k2:
+        raise TimesNotStoredError(f"need t1 < t2 at stored snapshots, got {t1!r} >= {t2!r}")
+    geom = traj.geom
+    return k1, k2, _flat_node(geom, x1), _flat_node(geom, x2)
+
+
 def min_action(traj, point1, point2, window=DEFAULT_WINDOW):
     """Minimize the path action between (x1, t1) and (x2, t2).
 
@@ -495,34 +557,99 @@ def min_action(traj, point1, point2, window=DEFAULT_WINDOW):
     (gamma, SpaceTimePath).  The value is an upper bound of the continuum
     infimum, non-increasing in ``window``.
     """
-    (x1, t1), (x2, t2) = point1, point2
-    k1, k2 = _locate_time(traj, t1), _locate_time(traj, t2)
-    if k1 >= k2:
-        raise TimesNotStoredError(f"need t1 < t2 at stored snapshots, got {t1!r} >= {t2!r}")
-    geom = traj.geom
-    gamma, nodes = _layer_dp(traj, k1, k2, _flat_node(geom, x1), _flat_node(geom, x2), window)
-    path = SpaceTimePath(
-        snapshots=tuple(range(k1, k2 + 1)), nodes=tuple(nodes), action=gamma
-    )
+    k1, k2, x1, x2 = _pair_nodes(traj, point1, point2)
+    graph, window = _layer_graph(traj.geom, window)
+    kept = []
+    gamma = _pair_gamma(traj, k1, k2, x1, x2, graph, window, kept)
+    nodes = _backtrack(traj, kept, x2, graph, window)
+    path = SpaceTimePath(snapshots=tuple(range(k1, k2 + 1)), nodes=tuple(nodes), action=gamma)
     return gamma, path
+
+
+def _origin_sweep(geom, graph, window, dt):
+    """Gamma of the pairs on a translation-invariant static geometry, or None.
+
+    When every layer reads ``geom`` alone, the grid is periodic, the
+    layer is uniform and R is exactly constant, the DP from x1 is the DP
+    from node 0 shifted by x1, whatever the start snapshot.  Returns then
+    gamma(x1, x2, steps), read at the wrapped offset x2 - x1 from one
+    forward loop from node 0 whose boxes are the arcs reached from it; the
+    loop grows on demand to the longest span asked.
+    """
+    R = geom.R
+    if not graph.periodic or graph.taxicab(geom, 0.5 * (geom.phi + geom.phi), window) is None:
+        return None
+    if not (R == R.flat[0]).all():
+        return None
+    shape = geom.field_shape
+    # layer j holds the nodes reached from node 0 in j + 1 steps: per axis
+    # the arc of radius W(j + 1), or the whole circle
+    radii = itertools.count(window, window)
+    arcs = (tuple(range(n) if 2 * r + 1 >= n else range(-r, r + 1) for n in shape) for r in radii)
+    layers = _forward(graph, window, dt, *_start(geom, 0, dt), ((geom, geom, box) for box in arcs))
+    reached = []  # per span, the last box and the values on it
+
+    def gamma(x1, x2, steps):
+        while len(reached) < steps:
+            _, _, box, _, best = next(layers)
+            reached.append((box, best))
+        box, best = reached[steps - 1]
+        offset = [(b - a) % n for a, b, n in zip(np.unravel_index(x1, shape), np.unravel_index(x2, shape), shape)]
+        at = _position(int(np.ravel_multi_index(offset, shape)), box, shape)
+        value = float(best[at]) if all(p < len(r) for p, r in zip(at, box)) else np.inf
+        if not np.isfinite(value):
+            raise _narrow(x1, x2, steps, window)
+        return value
+
+    return gamma
+
+
+def check_pairs(traj, pairs, window=DEFAULT_WINDOW):
+    """Margins of the integrated inequality for space-time pairs: [(margin, gamma), ...] in order.
+
+    ``pairs`` holds (point1, point2) as for ``min_action``; each margin is
+    ln f(x2, t2) + n ln(t2/t1) + gamma/2 - ln f(x1, t1), read at the two
+    end nodes without a backtrack.  Pairs whose layers share one uniform
+    periodic geometry with constant R read gamma from one origin sweep per
+    geometry, kept for this call only; every other pair runs its own
+    forward loop.  The first pair that fails raises.
+    """
+    sweeps = {}  # (id of geometry, clamped window) -> its origin sweep or None
+    dt = traj.dt_out
+    results = []
+    for point1, point2 in pairs:
+        (_, t1), (_, t2) = point1, point2
+        if t1 <= 0:
+            raise NonPositiveTimeError("integrated inequality needs t1 > 0")
+        k1, k2, x1, x2 = _pair_nodes(traj, point1, point2)
+        graph, clamped = _layer_graph(traj.geom, window)
+        geom, sweep = traj[k1].geom, None
+        if all(traj[k].geom is geom for k in range(k1 + 1, k2 + 1)):
+            key = id(geom), clamped
+            if key not in sweeps:
+                sweeps[key] = _origin_sweep(geom, graph, clamped, dt)
+            sweep = sweeps[key]
+        if sweep is None:
+            gamma = _pair_gamma(traj, k1, k2, x1, x2, graph, clamped)
+        else:
+            gamma = sweep(x1, x2, k2 - k1)
+        lnf1 = float(np.log(traj[k1].f.flat[x1]))
+        lnf2 = float(np.log(traj[k2].f.flat[x2]))
+        results.append((lnf2 + 2.0 * np.log(t2 / t1) + 0.5 * gamma - lnf1, gamma))
+    return results
 
 
 def check_integrated_harnack(traj, point1, point2, window=DEFAULT_WINDOW):
     """Margin of the integrated inequality for one space-time pair.
 
-    Returns (margin, gamma) from one ``min_action`` call, with
+    Returns (margin, gamma), ``check_pairs`` of the one pair, with
     margin = ln f(x2, t2) + n ln(t2/t1) + gamma/2 - ln f(x1, t1); the
     certified inequality is margin >= 0 up to discretization slack.
     Assumes the trajectory satisfies the pointwise bound sup H <= 0
     (weakly positive curvature scenarios).
     """
-    (_, t1), (_, t2) = point1, point2
-    if t1 <= 0:
-        raise NonPositiveTimeError("integrated inequality needs t1 > 0")
-    gamma, path = min_action(traj, point1, point2, window)
-    lnf1 = float(np.log(traj[path.snapshots[0]].f.flat[path.nodes[0]]))
-    lnf2 = float(np.log(traj[path.snapshots[-1]].f.flat[path.nodes[-1]]))
-    return lnf2 + 2.0 * np.log(t2 / t1) + 0.5 * gamma - lnf1, gamma
+    ((margin, gamma),) = check_pairs(traj, [(point1, point2)], window)
+    return margin, gamma
 
 
 def random_pairs(traj, count, rng, t_min=0.0, window=DEFAULT_WINDOW):

@@ -11,11 +11,10 @@ Subcommands:
   action stage forced on and the monitor and identity stages off: writes
   trajectory.bin, an empty-column monitors.csv, action.csv and
   summary.txt.
-* ``sweep CONFIG [CONFIG ...] [--jobs J] [--out DIR]`` -- several scenarios,
-  fanned out across min(J, number of configs) processes, each writing to
-  its own subdirectory; J must be at least 1.  Every config is parsed
-  first, and two that resolve to one output directory exit 2 before any
-  scenario runs.
+* ``sweep CONFIG [CONFIG ...] [--out DIR]`` -- several scenarios, run in
+  order in this process, each writing to its own subdirectory.  Every
+  config is parsed first, and two that resolve to one output directory
+  exit 2 before any scenario runs.
 
 Exit status is 0 iff every enabled assertion of every scenario passed; a
 stage that fails with a typed error fails its scenario (exit 1), while
@@ -80,15 +79,7 @@ def _cmd_action(args):
     return _print_report(run_scenario(cfg, out_flag=_out_flag(args), seed=args.seed))
 
 
-def _sweep_worker(item):
-    cfg, out_dir, seed = item
-    report = run_scenario(cfg, out_flag=out_dir, seed=seed)
-    return cfg.name, report.passed, report.out_dir
-
-
 def _cmd_sweep(args):
-    if args.jobs < 1:
-        raise ConstraintViolationError(f"--jobs must be at least 1, got {args.jobs}")
     out_base = _out_flag(args)
     # every config is parsed, and every output directory known, before any scenario runs
     items, owners = [], {}
@@ -101,21 +92,12 @@ def _cmd_sweep(args):
                 f"configs {owners[where]!r} and {path!r} both write to {where!r}"
             )
         owners[where] = path
-        items.append((cfg, out_dir, args.seed))
-    # the pool starts all its workers at once: no more than there are configs
-    workers = min(args.jobs, len(items))
-    if workers > 1:
-        # imported here: the process pool costs every other command start-up time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, items))
-    else:
-        results = [_sweep_worker(item) for item in items]
+        items.append((cfg, out_dir))
     ok = True
-    for name, passed, out_dir in results:
-        ok = ok and passed
-        print(f"{'PASS' if passed else 'FAIL'} {name} -> {out_dir}")
+    for cfg, out_dir in items:
+        report = run_scenario(cfg, out_flag=out_dir, seed=args.seed)
+        ok = ok and report.passed
+        print(f"{'PASS' if report.passed else 'FAIL'} {cfg.name} -> {report.out_dir}")
     return 0 if ok else 1
 
 
@@ -144,7 +126,6 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="run several scenario configs")
     p_sweep.add_argument("configs", nargs="+")
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.set_defaults(func=_cmd_sweep)

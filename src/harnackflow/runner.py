@@ -255,7 +255,6 @@ def run_trajectory(cfg):
 
 def action_rows(cfg, traj, rng, window=None):
     window = cfg.window if window is None else window
-    rows = []
     pairs = [
         ((x1, t1), (x2, t2)) for (x1, t1, x2, t2) in cfg.pairs
     ]
@@ -263,10 +262,8 @@ def action_rows(cfg, traj, rng, window=None):
         pairs.extend(
             action_mod.random_pairs(traj, cfg.pair_count, rng, t_min=cfg.t0, window=window)
         )
-    for (x1, t1), (x2, t2) in pairs:
-        margin, gamma = action_mod.check_integrated_harnack(traj, (x1, t1), (x2, t2), window)
-        rows.append((x1, t1, x2, t2, gamma, margin))
-    return rows
+    results = action_mod.check_pairs(traj, pairs, window)
+    return [(x1, t1, x2, t2, gamma, margin) for ((x1, t1), (x2, t2)), (margin, gamma) in zip(pairs, results)]
 
 
 def _write_plot_script(path, monitors_csv):

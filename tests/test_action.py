@@ -6,6 +6,7 @@ import pytest
 import harnackflow as hf
 from harnackflow.errors import (
     ConstraintViolationError,
+    IndexAtBoundaryError,
     NodesOutOfRangeError,
     TimesNotStoredError,
     WindowTooNarrowError,
@@ -131,31 +132,157 @@ def test_torus_path_recomputes_gamma(request, name, k1, k2, x1, x2, window):
     assert _path_action(traj, path, window) == gamma
 
 
-def test_action_rows_one_dp_per_pair(monkeypatch, torus_plain_traj):
+def test_action_rows_one_dp_per_pair(monkeypatch, torus_plain_traj, torus_bump_static_traj):
+    # at most one forward DP per pair, counted in layers swept: the pairs of
+    # a flat static torus share one sweep as long as the longest span, the
+    # pairs of a curved one sweep their own spans, and no margin runs a
+    # second DP for its path
     from dataclasses import replace
 
     from harnackflow import action, runner
 
+    departures = action._departures
+    for traj, swept in ((torus_plain_traj, max), (torus_bump_static_traj, sum)):
+        times = traj.times
+        spans = (2, 3, 1)
+        cfg = replace(
+            hf.ScenarioConfig(),
+            pairs=((0, times[4], 130, times[6]), (100, times[10], 100, times[13]), (2000, times[20], 2069, times[21])),
+            pair_count=0,
+            window=5,
+        )
+        layers = []
+
+        def counted(*args):
+            layers.append(args[2])
+            return departures(*args)
+
+        monkeypatch.setattr(action, "_departures", counted)
+        rows = runner.action_rows(cfg, traj, np.random.default_rng(0))
+        assert len(layers) == swept(spans)
+        monkeypatch.setattr(action, "_departures", departures)
+        for x1, t1, x2, t2, gamma, _ in rows:
+            assert gamma == hf.min_action(traj, (x1, t1), (x2, t2), cfg.window)[0]
+
+
+def _margin_of_path(traj, p1, p2, window):
+    """(margin, gamma) from min_action's value and the ends of its path."""
+    gamma, path = hf.min_action(traj, p1, p2, window)
+    lnf1 = float(np.log(traj[path.snapshots[0]].f.flat[path.nodes[0]]))
+    lnf2 = float(np.log(traj[path.snapshots[-1]].f.flat[path.nodes[-1]]))
+    return lnf2 + 2.0 * np.log(p2[1] / p1[1]) + 0.5 * gamma - lnf1, gamma
+
+
+def _check_pairs_cases(traj, window, seed, count):
+    """Seeded reachable pairs after t = 0, then a seam crossing, x1 = x2 and span-1 pairs."""
+    import random
+
+    t, n = traj.times, traj.geom.n
+    pairs = hf.random_pairs(traj, count, random.Random(seed), t_min=t[1], window=window)
+    last = len(t) - 1
+    return pairs + [
+        (((0, 0), t[1]), ((n - 1, n - 1), t[2])),  # across both seams in one layer
+        (((n - 1, 1), t[1]), ((1, n - 2), t[last])),  # the longest span: whole-circle boxes
+        (((2, 3), t[1]), ((2, 3), t[last])),  # x1 = x2
+        (((1, 1), t[last - 1]), ((1, 2), t[last])),  # span 1
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, window, seed",
+    [("torus_plain_traj", 5, 1), ("torus_plain_traj", 2, 7), ("torus_plain_traj", 40, 13),
+     ("torus_small_flat_traj", 1, 3), ("torus_small_flat_traj", 5, 5)],
+    ids=["n64-W5", "n64-W2", "n64-clamped", "n5-W1", "n5-clamped"],
+)
+def test_check_pairs_sweep_matches_min_action(monkeypatch, request, name, window, seed):
+    # on a flat static torus the pairs read one origin sweep, as long as the
+    # longest span; each (margin, gamma) is the margin of min_action's value
+    # and path, bit for bit
+    from harnackflow import action
+
+    traj = request.getfixturevalue(name)
+    pairs = _check_pairs_cases(traj, window, seed, 8 if traj.geom.n > 5 else 20)
+    departures = action._departures
+    layers = []
+
+    def counted(*args):
+        layers.append(args[2])
+        return departures(*args)
+
+    monkeypatch.setattr(action, "_departures", counted)
+    results = hf.check_pairs(traj, pairs, window)
+    longest = max(action._locate_time(traj, t2) - action._locate_time(traj, t1) for (_, t1), (_, t2) in pairs)
+    assert len(layers) == longest
+    n, clamped = traj.geom.n, min(window, (traj.geom.n - 1) // 2)
+    assert [len(r) for r in layers[0]] == [min(2 * clamped + 1, n)] * 2  # the arc reached from node 0
+    if window > (traj.geom.n - 1) // 2:
+        assert all(len(r) == traj.geom.n for r in layers[1])  # whole circles from the second layer on
+    monkeypatch.setattr(action, "_departures", departures)
+    assert results == [_margin_of_path(traj, p1, p2, window) for p1, p2 in pairs]
+
+
+def _static_torus7(amp):
+    geom = hf.TorusGeometry(7, 1.0)
+    x, y = geom.coords()
+    geom = geom.with_phi(amp * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
+    f = 0.6 + 0.2 * np.sin(2 * np.pi * x) * np.ones((1, 7))
+    return hf.run(hf.FlowState(0.0, geom, f), 0.006, 1e-4, 1e-3, c=-1.0, evolve_metric=False)
+
+
+def _uniform_jumps():
+    # uniform layers of R = 0 whose metric changes between snapshots: each
+    # snapshot has a geometry of its own
+    geom = hf.TorusGeometry(7, 1.0)
+    x, _ = geom.coords()
+    f = 0.6 + 0.2 * np.sin(2 * np.pi * x) * np.ones((1, 7))
+    states = [hf.FlowState(0.001 * k, geom.with_phi(np.full((7, 7), 0.2 * k)), f) for k in range(6)]
+    return hf.Trajectory(states, dt=1e-4, dt_out=1e-3, c=0.0)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["curved static", "near-flat static", "uniform jumps", "torus7_traj", "torus_small_traj", "sphere_small_traj",
+     "loaded"],
+)
+def test_check_pairs_own_loop_matches_min_action(request, tmp_path, torus_plain_traj, name):
+    # curved, evolving, spherical and loaded trajectories take one forward
+    # loop per pair; so do a static torus whose layers are uniform but whose
+    # R is not exactly constant (phi of amplitude 1e-14) and uniform layers
+    # whose metric changes, where an origin sweep would move some of these
+    # bits; a loaded copy of a flat torus gives the sweep's values
+    import random
+
+    if name.endswith("static"):
+        traj = _static_torus7(0.1 if name == "curved static" else 1e-14)
+    elif name == "uniform jumps":
+        traj = _uniform_jumps()
+    elif name == "loaded":
+        torus_plain_traj.save(tmp_path / "trajectory.bin")
+        traj = hf.load_trajectory(tmp_path / "trajectory.bin")
+    else:
+        traj = request.getfixturevalue(name)
+    window = 2
+    pairs = hf.random_pairs(traj, 6 if name == "loaded" else 30, random.Random(11), t_min=traj.times[1], window=window)
+    results = hf.check_pairs(traj, pairs, window)
+    assert results == [_margin_of_path(traj, p1, p2, window) for p1, p2 in pairs]
+    if name == "loaded":
+        assert results == hf.check_pairs(torus_plain_traj, pairs, window)
+
+
+def test_check_pairs_raises_at_the_first_failing_pair(torus_plain_traj):
+    # a valid pair, an unreachable one, then one at an unstored time: the
+    # unreachable pair's error, with min_action's message
     traj = torus_plain_traj
-    times = traj.times
-    cfg = replace(
-        hf.ScenarioConfig(),
-        pairs=((0, times[4], 130, times[6]), (100, times[10], 100, times[13]), (2000, times[20], 2069, times[21])),
-        pair_count=0,
-        window=5,
-    )
-    min_action = action.min_action
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return min_action(*args, **kwargs)
-
-    monkeypatch.setattr(action, "min_action", counted)
-    rows = runner.action_rows(cfg, traj, np.random.default_rng(0))
-    assert len(calls) == 3
-    for x1, t1, x2, t2, gamma, _ in rows:
-        assert gamma == min_action(traj, (x1, t1), (x2, t2), cfg.window)[0]
+    t = traj.times
+    valid = ((0, t[1]), (65, t[3]))
+    unreachable = ((0, t[1]), ((0, 5), t[2]))
+    unstored = ((0, t[1]), (0, 0.5 * (t[2] + t[3])))
+    with pytest.raises(WindowTooNarrowError) as expected:
+        hf.min_action(traj, *unreachable, window=1)
+    with pytest.raises(WindowTooNarrowError, match=f"^{re.escape(str(expected.value))}$"):
+        hf.check_pairs(traj, [valid, unreachable, unstored], window=1)
+    with pytest.raises(TimesNotStoredError):
+        hf.check_pairs(traj, [valid, unstored, unreachable], window=1)
 
 
 @pytest.fixture(scope="module")
@@ -537,6 +664,13 @@ def test_window_too_narrow(sphere_small_traj):
     traj = sphere_small_traj
     with pytest.raises(WindowTooNarrowError):
         hf.min_action(traj, (0, traj.times[2]), (20, traj.times[3]), window=2)
+
+
+def test_layer_distance_fn_refuses_a_layer_out_of_range(torus_small_traj):
+    traj = torus_small_traj
+    for k in (len(traj) - 1, len(traj), -1):
+        with pytest.raises(IndexAtBoundaryError, match=f"layer {k} "):
+            hf.layer_distance_fn(traj, k, 1)
 
 
 def test_random_pairs_certify(sphere_cosine_traj):

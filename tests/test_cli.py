@@ -552,10 +552,12 @@ def test_sweep_command(cfg_file, tmp_path, capsys):
     c1 = cfg_file(SMALL_SPHERE, "s1.cfg")
     c2 = cfg_file(SMALL_TORUS, "s2.cfg")
     out = tmp_path / "sweep"
-    code = main(["sweep", c1, c2, "--jobs", "2", "--out", str(out)])
+    code = main(["sweep", c1, c2, "--out", str(out)])
     assert code == 0
     assert (out / "s1" / "summary.txt").exists()
     assert (out / "s2" / "summary.txt").exists()
+    # the configs run in the order given
+    assert [line.split()[1] for line in capsys.readouterr().out.splitlines()] == ["s1", "s2"]
 
 
 def test_env_var_overrides_out(cfg_file, tmp_path, monkeypatch):
@@ -582,9 +584,8 @@ def test_env_var_sweep_keeps_members_apart(cfg_file, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("shared", ["file name", "directory"])
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_sweep_refuses_two_configs_with_one_output_directory(tmp_path, capsys, monkeypatch, shared, jobs):
-    # the second run used to overwrite the first (serial) or race it (--jobs 2)
+def test_sweep_refuses_two_configs_with_one_output_directory(tmp_path, capsys, monkeypatch, shared):
+    # the second run used to overwrite the first
     import harnackflow.runner as runner
 
     def no_flow(*args, **kwargs):
@@ -601,50 +602,11 @@ def test_sweep_refuses_two_configs_with_one_output_directory(tmp_path, capsys, m
         (tmp_path / sub / name).write_text(text)
         paths.append(str(tmp_path / sub / name))
     flags = ["--out", str(out)] if shared == "file name" else []
-    assert main(["sweep", *paths, "--jobs", jobs, *flags]) == 2
+    assert main(["sweep", *paths, *flags]) == 2
     err = capsys.readouterr().err
     assert "ConstraintViolationError" in err
     assert paths[0] in err and paths[1] in err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_rejects_jobs_below_one(cfg_file, tmp_path, capsys, jobs):
-    cfg = cfg_file(SMALL_TORUS, "j.cfg")
-    code = main(["sweep", cfg, "--jobs", jobs, "--out", str(tmp_path / "sweep")])
-    assert code == 2
-    assert "ConstraintViolationError" in capsys.readouterr().err
-    assert not (tmp_path / "sweep").exists()
-
-
-def test_sweep_pool_has_no_more_workers_than_configs(cfg_file, tmp_path, monkeypatch):
-    import concurrent.futures
-
-    workers = []
-
-    class SerialPool:
-        # records the pool size and maps in this process: starts no worker
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    # cli imports the pool inside the sweep command, from concurrent.futures
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    configs = [cfg_file(SMALL_TORUS, "p1.cfg"), cfg_file(SMALL_TORUS, "p2.cfg")]
-    code = main(["sweep", *configs, "--jobs", "64", "--out", str(tmp_path / "sweep")])
-    assert code == 0
-    assert workers == [2]
-    assert main(["sweep", configs[0], "--jobs", "64", "--out", str(tmp_path / "one")]) == 0
-    assert workers == [2]  # one config runs in this process, without a pool
-    assert (tmp_path / "one" / "p1" / "summary.txt").exists()
 
 
 @pytest.mark.parametrize(
@@ -652,7 +614,7 @@ def test_sweep_pool_has_no_more_workers_than_configs(cfg_file, tmp_path, monkeyp
     [
         (["run", "--seed", "-1"], "summary.txt"),
         (["verify-identities"], "identity_summary.txt"),
-        (["sweep", "--jobs", "1", "--seed", "-1"], "neg/summary.txt"),
+        (["sweep", "--seed", "-1"], "neg/summary.txt"),
     ],
     ids=["run", "verify-identities", "sweep"],
 )
