@@ -460,6 +460,7 @@ def _start(geom, x1, dt):
 
 
 def _narrow(x1, x2, steps, window):
+    """The error of a pair that no path joins."""
     return WindowTooNarrowError(f"no path from node {x1} to node {x2} in {steps} steps with window {window}")
 
 
@@ -623,16 +624,13 @@ def check_pairs(traj, pairs, window=DEFAULT_WINDOW):
             raise NonPositiveTimeError("integrated inequality needs t1 > 0")
         k1, k2, x1, x2 = _pair_nodes(traj, point1, point2)
         graph, clamped = _layer_graph(traj.geom, window)
-        geom, sweep = traj[k1].geom, None
-        if all(traj[k].geom is geom for k in range(k1 + 1, k2 + 1)):
-            key = id(geom), clamped
-            if key not in sweeps:
-                sweeps[key] = _origin_sweep(geom, graph, clamped, dt)
-            sweep = sweeps[key]
-        if sweep is None:
-            gamma = _pair_gamma(traj, k1, k2, x1, x2, graph, clamped)
-        else:
-            gamma = sweep(x1, x2, k2 - k1)
+        geom = traj[k1].geom
+        shared = all(traj[k].geom is geom for k in range(k1 + 1, k2 + 1))
+        key = id(geom), clamped
+        if shared and key not in sweeps:
+            sweeps[key] = _origin_sweep(geom, graph, clamped, dt)
+        sweep = sweeps[key] if shared else None
+        gamma = _pair_gamma(traj, k1, k2, x1, x2, graph, clamped) if sweep is None else sweep(x1, x2, k2 - k1)
         lnf1 = float(np.log(traj[k1].f.flat[x1]))
         lnf2 = float(np.log(traj[k2].f.flat[x2]))
         results.append((lnf2 + 2.0 * np.log(t2 / t1) + 0.5 * gamma - lnf1, gamma))
