@@ -55,14 +55,18 @@ member is bit-identical to a run of it alone.  Only the stack puts the
 members in another order: everywhere else, outputs and errors included,
 a run's members are in member-index order.
 
-Each rate evaluation writes its Laplacians straight into its rate buffer
-and folds the curvature into the phi rate,
+Each rate evaluation writes its Laplacians straight into its rate buffer,
+in the unit of the Laplacian plans (``SurfaceGeometry.plan_unit``: h^2 on
+the torus, 1 on the sphere), so the kernel carries every rate in that
+unit and folds 1/unit into the step operands it multiplies by anyway: no
+stage divides.  The CFL check reads each run's real step.  A rate
+evaluation also folds the curvature into the phi rate,
 ``dphi/dt = (lap_bg phi - R_bg/2) e^(-2 phi)``, which is -R/2; the
 reaction term reads R as -2 times it, ``((-2c) dphi/dt) f``.  Scaling by
-2 is exact above the subnormal range, so -2 dphi/dt is the R of
-``SurfaceGeometry.scalar_curvature`` and both rates are those of the
-unfolded formulas bit for bit, but for the sign of an exactly-zero phi
-rate: +0 where ``lap_bg phi - R_bg/2`` is +0, where -R/2 is -0.
+2 is exact above the subnormal range, so -2 dphi/dt is R in the plans'
+unit, and both rates are those of the unfolded formulas in that unit bit
+for bit, but for the sign of an exactly-zero phi rate: +0 where
+``lap_bg phi - R_bg/2`` is +0, where -R/2 is -0.
 
 The checks run on every member at every step: its CFL bound against its
 run's step before the step, in one segmented reduction over the stack,
@@ -221,10 +225,13 @@ class _RK4Kernel:
     Every buffer, view and operand is made once, in the constructor, and
     one step is a prebuilt list of (callable, operands) with positional
     outputs.  The reaction operand -2c is per node on the sphere and per
-    member on the torus.  The step operands dt/2, dt and dt/6, set by
-    ``set_steps``, are stack-shaped, so one multiply scales the whole tail,
-    but 0-d when the stack holds one run: a broadcast operand costs two to
-    three times as much per call.  Every operation is elementwise and keeps
+    member on the torus.  Every rate is carried in the plans' unit u
+    (``plan_unit``, one per stack: h^2 on the torus, 1 on the sphere), so
+    the step operands are (dt/u)/2, dt/u and (dt/u)/6: no stage divides by
+    h^2, and on the sphere dt/1 is dt bit for bit.  Set by ``set_steps``,
+    they are stack-shaped, so one multiply scales the whole tail, but 0-d
+    when the stack holds one run: a broadcast operand costs two to three
+    times as much per call.  Every operation is elementwise and keeps
     the operand order of the single-field formulas, so each member
     reproduces, bit for bit, a run of that member alone.  ``t`` holds each
     run's time and ``dts`` its step.
@@ -232,17 +239,17 @@ class _RK4Kernel:
     A step works on six arrays of the stack's shape: ``x``, the stage
     state ``y``, the rate buffers ``k1``, ``acc`` (k2, then the weighted
     sum) and ``k`` (k3, then k4), and one scratch block.  One Laplacian
-    plan per (state, rate) pair writes the Laplacians of the tail into its
-    rate buffer; an evolving member's phi rate is then
+    plan per (state, rate) pair writes the Laplacians of the tail, times
+    u, into its rate buffer; an evolving member's phi rate is then u times
     ``(lap phi - R_bg/2) e^(-2 phi)``, with no subtraction on the torus,
-    where R_bg = 0 and x - 0 is x bit for bit, and its f rate
+    where R_bg = 0 and x - 0 is x bit for bit, and its f rate u times
     ``e^(-2 phi) lap f - ((-2c) rate_phi) f``.  A static member's
     e^(-2 phi) and reaction factor (-2c) rate_phi are computed once, here,
-    by the same formulas, so its rate is ``e^(-2 phi) lap f - factor f``,
-    without the multiply where e^(-2 phi) is exactly 1 and without the
-    subtraction where the factor is exactly 0: x 1 is x, and a reaction of
-    +-0 flips only the sign of an exactly-zero rate, which f + rate dt
-    hides since f > 0.  The scratch block holds e^(-2 phi) and the
+    by the same formulas from the same plan, in the same unit, so its
+    rate is ``e^(-2 phi) lap f - factor f``, without the multiply where
+    e^(-2 phi) is exactly 1 and without the subtraction where the factor
+    is exactly 0: x 1 is x, and a reaction of +-0 flips only the sign of
+    an exactly-zero rate, which f + rate dt hides since f > 0.  The scratch block holds e^(-2 phi) and the
     reaction term after each Laplacian, and the torus plans' 4w of the
     tail during it; the static members' e^(-2 phi) lies outside the tail
     and is never overwritten.  The sphere plans share their flux buffer,
@@ -281,6 +288,9 @@ class _RK4Kernel:
         self.operand_runs = 0 if len(runs) == 1 else spread(slot_runs)
         shape = () if len(runs) == 1 else (2,) + c.shape
         self.half, self.full, self.sixth = (np.empty(shape) for _ in range(3))
+        # the rates are carried in the plans' unit, one for the stack: a
+        # torus stack has one h, and every sphere's unit is 1
+        self.unit = geom.plan_unit
         # the CFL check: one segmented minimum of phi per member, against its run's step
         self.phi_flat = x[0].reshape(-1)
         per_unit = self.phi_flat.size // body[0]
@@ -316,7 +326,7 @@ class _RK4Kernel:
             lap_k1, lap_acc, lap_k = (geom.laplacian_plan(w, out, tail(scratch)) for w, out in pairs)
         # R = -2 rate_phi, so the reaction term -c R f is ((-2c) rate_phi) f
         minus_two_c = np.multiply(c, _MINUS_TWO)
-        half_r_bg = np.array(0.5 * geom.background_curvature)
+        half_r_bg = np.array(0.5 * geom.background_curvature * self.unit)
         e2m_one = reacts = False
         if n_static:
             # the static members' e^(-2 phi) into e2m[S], which no tail
@@ -380,10 +390,11 @@ class _RK4Kernel:
         self.ops = ops
 
     def set_steps(self, steps):
-        """Step each run by its entry of ``steps`` from now on."""
+        """Step each run by its entry of ``steps`` from now on; the operands carry them over the plans' unit."""
         self.dts[:] = steps
         np.take(self.dts, self.slot_runs, out=self.slot_dts)
         self.full[...] = self.dts[self.operand_runs]
+        np.divide(self.full, self.unit, self.full)
         np.multiply(self.full, 0.5, self.half)
         np.divide(self.full, 6.0, self.sixth)
 
@@ -762,9 +773,9 @@ def load_trajectory(path):
         header = json.loads(data[12:offset].decode("utf-8"))
         kind, n, snapshots = header["kind"], int(header["n"]), int(header["snapshots"])
         if kind == "torus":
-            base = TorusGeometry(n, float(header["length"]))
+            length, count = float(header["length"]), n * n
         elif kind == "rot_sphere":
-            base = SphereGeometry(n)
+            count = n
         else:
             raise TrajectoryFormatError(f"{path}: unknown geometry kind {kind!r}")
         params = dict(
@@ -775,7 +786,7 @@ def load_trajectory(path):
             variant=str(header["variant"]),
             initial_id=str(header["initial_id"]),
         )
-    except (KeyError, TypeError, ValueError, OverflowError, GridMismatchError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise TrajectoryFormatError(f"{path}: bad header ({type(err).__name__}: {err})") from err
     if snapshots < 1:
         raise TrajectoryFormatError(f"{path}: header declares {snapshots} snapshots")
@@ -784,13 +795,18 @@ def load_trajectory(path):
     except ConstraintViolationError as err:
         raise TrajectoryFormatError(f"{path}: bad header ({err})") from err
     dt_out = params["dt_out"]
-    count = base.node_count
+    # the size the header's integers imply, checked before any geometry is
+    # built: a header that declares a huge grid must not allocate its fields
     expected = offset + snapshots * (8 + 16 * count)
     if len(data) != expected:
         raise TrajectoryFormatError(
             f"{path}: {len(data)} bytes, but a header of {snapshots} snapshots "
             f"of {count} nodes implies {expected}"
         )
+    try:
+        base = TorusGeometry(n, length) if kind == "torus" else SphereGeometry(n)
+    except GridMismatchError as err:
+        raise TrajectoryFormatError(f"{path}: bad header ({type(err).__name__}: {err})") from err
     states = []
     (t0,) = struct.unpack_from("<d", data, offset)
     for k in range(snapshots):

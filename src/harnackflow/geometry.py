@@ -98,11 +98,19 @@ class SurfaceGeometry:
     def background_curvature(self):
         raise NotImplementedError
 
-    def laplacian_plan(self, w, out, scratch=None):
-        """Background Laplacian bound to the arrays ``w`` and ``out``.
+    @property
+    def plan_unit(self):
+        """Unit of a ``laplacian_plan``'s output: h^2 on the torus, 1 on the sphere."""
+        raise NotImplementedError
 
-        Returns ``lap()``, which writes the Laplacian of the current contents
-        of ``w`` over its trailing field axes into ``out`` and returns it.
+    def laplacian_plan(self, w, out, scratch=None):
+        """Background Laplacian, in units of ``plan_unit``, bound to the arrays ``w`` and ``out``.
+
+        Returns ``lap()``, which writes ``plan_unit`` times the Laplacian of
+        the current contents of ``w`` over its trailing field axes into
+        ``out`` and returns it: the torus plan writes the bare five-point
+        sum, and leaves the division by h^2 to its reader, which can fold
+        it into an operand it multiplies by anyway.
         ``w`` may carry leading axes (the flow stacks members and fields
         there).  Every view and buffer is made here, so a hot loop builds
         one plan per buffer pair and each call allocates nothing.
@@ -118,9 +126,10 @@ class SurfaceGeometry:
         raise NotImplementedError
 
     def _bg_lap_raw(self, w):
-        """Background Laplacian without shape validation."""
+        """Background Laplacian without shape validation: the plan's output over ``plan_unit``."""
         w = np.ascontiguousarray(w)
-        return self.laplacian_plan(w, np.empty(w.shape))()
+        out = self.laplacian_plan(w, np.empty(w.shape))()
+        return np.divide(out, self.plan_unit, out=out)
 
     def background_laplacian(self, w):
         return self._bg_lap_raw(self.check_field(w))
@@ -245,6 +254,10 @@ class TorusGeometry(SurfaceGeometry):
     def background_curvature(self):
         return 0.0
 
+    @property
+    def plan_unit(self):
+        return self.h * self.h
+
     def with_phi(self, phi):
         return TorusGeometry(self.n, self.length, phi)
 
@@ -259,9 +272,11 @@ class TorusGeometry(SurfaceGeometry):
 
     def laplacian_plan(self, w, out, scratch=None):
         # Five-point stencil summed in the order
-        # (w[i+1,j] + w[i-1,j]) + w[i,j+1] + w[i,j-1] - 4 w, then / h^2,
-        # each neighbour sum in one pass over contiguous memory: an add over
-        # strided column slices costs about four times a flat pass.
+        # (w[i+1,j] + w[i-1,j]) + w[i,j+1] + w[i,j-1] - 4 w, not divided by
+        # h^2, the plan's unit: a reader folds 1/h^2 into an operand it
+        # multiplies by anyway.  Each neighbour sum is one pass over
+        # contiguous memory: an add over strided column slices costs about
+        # four times a flat pass.
         _require_c_contiguous(w, out)
         n = self.n
         # views, not copies, since both arrays are contiguous
@@ -273,7 +288,6 @@ class TorusGeometry(SurfaceGeometry):
             raise GridMismatchError(f"laplacian_plan needs a scratch of shape {w.shape}, not {scratch.shape}")
         four_w = scratch
         saved = np.empty(w.shape[:-1])
-        h2 = self.h * self.h
         # (flat target, flat neighbour, wrap column, its wrap neighbour): the
         # flat j + 1 pass is wrong in the last column, the j - 1 pass in the first
         cols = (
@@ -295,8 +309,7 @@ class TorusGeometry(SurfaceGeometry):
                 np.add(target, b, out=target)
                 np.add(saved, wrap_b, out=wrap)
             np.multiply(w, 4.0, out=four_w)
-            np.subtract(out, four_w, out=out)
-            return np.divide(out, h2, out=out)
+            return np.subtract(out, four_w, out=out)
 
         return lap
 
@@ -471,6 +484,10 @@ class SphereGeometry(SurfaceGeometry):
     @property
     def background_curvature(self):
         return SPHERE_BACKGROUND_CURVATURE
+
+    @property
+    def plan_unit(self):
+        return 1.0
 
     def with_phi(self, phi):
         return SphereGeometry(self.n, phi)

@@ -141,18 +141,24 @@ def reference_torus_window_distances(geom, phi_mid, window):
     return dist
 
 
-def reference_torus_laplacian(w, h):
-    """Five-point torus Laplacian over the two trailing axes, from ``np.roll``.
+def reference_torus_stencil(w):
+    """Bare five-point torus stencil over the two trailing axes, from ``np.roll``.
 
     Sums in the order ((w[i+1,j] + w[i-1,j]) + w[i,j+1]) + w[i,j-1], then
-    subtracts 4 w and divides by h^2, so ``TorusGeometry.laplacian_plan``
-    must match it bit for bit.
+    subtracts 4 w, and does not divide by h^2: this is h^2 times the
+    Laplacian, in the unit of ``TorusGeometry.laplacian_plan``, which must
+    match it bit for bit.
     """
     w = np.asarray(w, dtype=float)
     total = np.roll(w, -1, axis=-2) + np.roll(w, 1, axis=-2)
     total = total + np.roll(w, -1, axis=-1)
     total = total + np.roll(w, 1, axis=-1)
-    return (total - 4.0 * w) / (h * h)
+    return total - 4.0 * w
+
+
+def reference_torus_laplacian(w, h):
+    """Five-point torus Laplacian: the stencil divided by h^2, as the geometry operators take it."""
+    return reference_torus_stencil(w) / (h * h)
 
 
 def reference_torus_gradient(geom, w):
@@ -211,32 +217,36 @@ def reference_rk4_run(state, t_end, dt, dt_out, c=-1.0, evolve_metric=True):
     of the kernel, so ``run`` at the same steps must match it bit for bit.
     The phi rate is (lap phi - R_bg / 2) e^(-2 phi), which is -R/2, and the
     reaction term reads R as -2 times it: an exactly-zero phi rate is then
-    +0 wherever lap phi - R_bg / 2 is +0.
+    +0 wherever lap phi - R_bg / 2 is +0.  The rates are in the unit of the
+    Laplacian plans, h^2 on the torus and 1 on the sphere: the torus
+    Laplacian is the bare stencil, and the unit divides the step instead,
+    in the operands (dt / h^2) * 0.5, dt / h^2 and (dt / h^2) / 6.
     """
     geom = state.geom
     if geom.kind == "torus":
-        lap = lambda w: reference_torus_laplacian(w, geom.background_spacing)  # noqa: E731
+        lap, unit = reference_torus_stencil, geom.background_spacing * geom.background_spacing
     else:
-        lap = reference_sphere_laplacian
-    r_bg = geom.background_curvature
+        lap, unit = reference_sphere_laplacian, 1.0
+    half_r_bg = (geom.background_curvature * 0.5) * unit
     n_out = int(np.floor((t_end - state.t) / dt_out + 1e-9))
     interval_steps = [dt] * n_out if np.isscalar(dt) else list(dt)
 
     def rates(phi, f):
         e2m = np.exp(phi * -2.0)
-        k_phi = (lap(phi) - r_bg * 0.5) * e2m
+        k_phi = (lap(phi) - half_r_bg) * e2m
         k_f = lap(f) * e2m - ((c * -2.0) * k_phi) * f
         return k_phi if evolve_metric else np.zeros_like(phi), k_f
 
     phi, f = geom.phi.copy(), state.f.copy()
     out = [(phi.copy(), f.copy())]
     for dt in interval_steps:
+        scale = dt / unit
         for _ in range(int(round(dt_out / dt))):
             k1 = rates(phi, f)
-            k2 = rates(phi + k1[0] * (0.5 * dt), f + k1[1] * (0.5 * dt))
-            k3 = rates(phi + k2[0] * (0.5 * dt), f + k2[1] * (0.5 * dt))
-            k4 = rates(phi + k3[0] * dt, f + k3[1] * dt)
-            inc = [((((a + b) * 2.0) + k) + d) * (dt / 6.0) for k, a, b, d in zip(k1, k2, k3, k4)]
+            k2 = rates(phi + k1[0] * (scale * 0.5), f + k1[1] * (scale * 0.5))
+            k3 = rates(phi + k2[0] * (scale * 0.5), f + k2[1] * (scale * 0.5))
+            k4 = rates(phi + k3[0] * scale, f + k3[1] * scale)
+            inc = [((((a + b) * 2.0) + k) + d) * (scale / 6.0) for k, a, b, d in zip(k1, k2, k3, k4)]
             if evolve_metric:
                 phi = phi + inc[0]
             f = f + inc[1]

@@ -266,6 +266,27 @@ def test_damaged_trajectory_raises_format_error(tmp_path, torus_plain_traj):
             hf.load_trajectory(damaged)
 
 
+@pytest.mark.parametrize("n", [3000, 10**9])
+def test_trajectory_declaring_a_huge_grid_is_refused_before_any_allocation(tmp_path, n):
+    # the size the header implies is checked before any geometry is built:
+    # a short file whose header declares a torus of n = 3000 used to peak at
+    # 137 MiB (its phi, twice) before it raised, and one of n = 10**9 would
+    # let a raw MemoryError escape
+    header = dict(kind="torus", n=n, length=6.0, dt=0.01, dt_out=0.01, variant="plain_heat", c=0.0,
+                  evolve_metric=True, initial_id="", snapshots=1)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"HFTRAJ01" + len(blob).to_bytes(4, "little") + blob + bytes(8 + 16 * 16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TrajectoryFormatError, match=f"of {n * n} nodes implies"):
+            hf.load_trajectory(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # -- time differencing -------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ from helpers import (
     reference_torus_gradient,
     reference_torus_hessian,
     reference_torus_laplacian,
+    reference_torus_stencil,
 )
 
 
@@ -91,7 +92,7 @@ def test_torus_laplacian_plan_matches_roll_reference(n, members):
     w = signed_stack(np.random.default_rng(100 * n + members), (members, 2, n, n))
     out = np.empty_like(w)
     assert geom.laplacian_plan(w, out)() is out
-    assert np.array_equal(bits(out), bits(reference_torus_laplacian(w, geom.h)))
+    assert np.array_equal(bits(out), bits(reference_torus_stencil(w)))
 
 
 def test_torus_laplacian_plan_reads_live_data():
@@ -103,7 +104,7 @@ def test_torus_laplacian_plan_reads_live_data():
     lap()
     w[...] = signed_stack(rng, w.shape)  # rewrite the bound buffer in place
     lap()
-    assert np.array_equal(bits(out), bits(reference_torus_laplacian(w, geom.h)))
+    assert np.array_equal(bits(out), bits(reference_torus_stencil(w)))
 
 
 def test_torus_laplacian_plan_rejects_strided_arrays():
@@ -123,6 +124,21 @@ def test_background_laplacian_of_non_contiguous_field():
     assert np.array_equal(bits(geom.background_laplacian(field)), bits(expected))
 
 
+def test_torus_operators_keep_the_divided_stencil():
+    # the plan writes the bare stencil, and the geometry operators divide it
+    # by h^2 before anything else, so on a curved torus each is the
+    # divide-form composition bit for bit
+    geom = torus(16, 3.0)
+    x, y = geom.coords()
+    geom = geom.with_phi(0.2 * np.sin(2 * np.pi * x / 3.0) * np.cos(4 * np.pi * y / 3.0) + 0.05)
+    w = signed_stack(np.random.default_rng(5), geom.field_shape)
+    e2m = np.exp(-2.0 * geom.phi)
+    assert np.array_equal(bits(geom.laplace_beltrami(w)), bits(e2m * reference_torus_laplacian(w, geom.h)))
+    curvature = e2m * (0.0 - 2.0 * reference_torus_laplacian(geom.phi, geom.h))
+    assert np.array_equal(bits(geom.scalar_curvature()), bits(curvature))
+    assert np.array_equal(bits(geom.R), bits(curvature))
+
+
 def test_torus_laplacian_plan_warns_no_more_than_reference():
     # Infinities of both signs placed so that no stencil sum mixes them,
     # but a flat pass over the whole stack would: across the two fields in
@@ -132,7 +148,7 @@ def test_torus_laplacian_plan_warns_no_more_than_reference():
     w = signed_stack(np.random.default_rng(11), (1, 2, 8, 8))
     w[0, 0, -1, 3], w[0, 1, 1, 3] = np.inf, -np.inf
     w[0, 0, 4, -1], w[0, 0, 4, 0] = np.inf, -np.inf
-    expected = reference_torus_laplacian(w, geom.h)
+    expected = reference_torus_stencil(w)
     out = np.empty_like(w)
     geom.laplacian_plan(w, out)()
     assert np.array_equal(bits(out), bits(expected))
