@@ -38,27 +38,30 @@ shorter of the two arcs (the whole circle once an arc would wrap onto
 itself), on the sphere the exact intersection of the two intervals.  A
 departure that feeds an in-box arrival able to reach x2 can itself reach
 x2, so it lies in the previous layer's box, and every value a path can
-use is the full-grid DP's, bit for bit.  The layer gathers the departure
-values on its box grown by W per axis (wrapped on the torus, +inf off the
-sphere and off the previous box) and takes, at every arrival node, the
-minimum over offsets of departure plus step cost.  The arrival term is
-added once, after the minimum: rounding is monotone, so
-min_o fl(x_o + c) = fl(min_o x_o + c).  On a curved layer each offset
-plane of the table is added to a shifted view of the departures, two
-numpy calls per offset.  On a uniform torus layer, which the table
-builder reports by giving its distances per taxicab radius, the cost of
-offset (a, b) depends on |a| + |b| alone, so the same argument lets the
-layer take exact minima of the departures shell by shell (first over the
-two columns at +-b, then over the rows at +-a) and add each shell's cost
-once: 2W + 1 cost adds instead of (2W + 1)^2, the same bits.
+use is the full-grid DP's, bit for bit.  The DP values are indexed by
+node: a layer's departure and arrival values are full-grid fields, +inf
+off its box, so the box only bounds the work.  The layer gathers the
+departure values on its box grown by W per axis (through ``_box_index``
+on the torus, which wraps, and by one slice copy on the sphere, +inf off
+the grid) and takes, at every arrival node, the minimum over offsets of
+departure plus step cost.  The arrival term is added once, after the
+minimum: rounding is monotone, so min_o fl(x_o + c) = fl(min_o x_o + c).
+On a curved layer each offset plane of the table is added to a shifted
+view of the departures, two numpy calls per offset.  On a uniform torus
+layer, which the table builder reports by giving its distances per
+taxicab radius, the cost of offset (a, b) depends on |a| + |b| alone, so
+the same argument lets the layer take exact minima of the departures
+shell by shell (first over the two columns at +-b, then over the rows at
++-a) and add each shell's cost once: 2W + 1 cost adds instead of
+(2W + 1)^2, the same bits.
 
 ``min_action`` is the forward loop plus the backtrack.  For the backtrack
-a layer keeps its departure values on the previous box and its step-cost
-table on its own box (a uniform layer's one value per offset), for the
-pair's life.  At the one path node per layer the candidates are
-recomputed in the DP's order, ((depart + d^2/dt) + arrive), from that
-node's column of the table, and ``np.argmin`` takes the first offset
-attaining the minimum.
+a layer keeps its full-grid departure values and its step-cost table on
+its box (a uniform layer's one value per offset), for the pair's life.
+At the one path node per layer the candidates are recomputed in the DP's
+order, ((depart + d^2/dt) + arrive), from the departures gathered around
+that node and its column of the table, and ``np.argmin`` takes the first
+offset attaining the minimum.
 
 ``check_pairs`` turns the minimized action into pointwise certificates:
 with n = 2,
@@ -318,41 +321,21 @@ def _reach_boxes(shape, periodic, x1, x2, steps, window):
     return boxes
 
 
-def _departures(values, held, box, window, shape, periodic):
+def _departures(values, box, window, periodic):
     """Departure values for arrivals in ``box``: the box grown by W per axis.
 
-    ``values`` sit on the nodes of the box ``held``; every other departure
-    node, and every position off a non-periodic grid, holds +inf.  The
-    values are copied in by slices, one block for each combination of the
-    per-axis runs that land in ``held``.
+    ``values`` is a full-grid field, +inf off the nodes a path can leave
+    from.  On a periodic grid the grown box wraps and is gathered through
+    ``_box_index``; off a non-periodic grid its positions hold +inf, and
+    the part on the grid is copied in by one slice.
     """
     grown = [range(r.start - window, r.stop + window) for r in box]
+    if periodic:
+        return values[_box_index(grown, values.shape)]
     out = np.full(tuple(map(len, grown)), np.inf)
-    for runs in itertools.product(*(_runs_in(g, h, n, periodic) for g, h, n in zip(grown, held, shape))):
-        to, of = zip(*runs)
-        out[to] = values[of]
+    on = [slice(max(g.start, 0), min(g.stop, n)) for g, n in zip(grown, values.shape)]
+    out[tuple(slice(s.start - g.start, s.stop - g.start) for s, g in zip(on, grown))] = values[tuple(on)]
     return out
-
-
-def _runs_in(grown, held, n, periodic):
-    """The runs of the positions ``grown`` that land in ``held``, as (slice of grown, slice of held).
-
-    On a periodic axis a position lands at its node mod n.
-    """
-    runs, q = [], grown.start
-    while q < grown.stop:
-        p = (q - held.start) % n if periodic else q - held.start
-        if 0 <= p < len(held):
-            size = min(len(held) - p, grown.stop - q)
-            runs.append((slice(q - grown.start, q - grown.start + size), slice(p, p + size)))
-            q += size
-        elif periodic:
-            q += n - p  # on to the node held.start
-        elif p < 0:
-            q -= p
-        else:
-            break
-    return runs
 
 
 def _view(a, shape, steps):
@@ -398,25 +381,22 @@ def _shell_minimum(grown, costs, window, box_shape):
     return best
 
 
-def _position(node, box, shape):
-    """Index of a flat node into values held on ``box``."""
-    return tuple((i - r.start) % n for i, r, n in zip(np.unravel_index(node, shape), box, shape))
-
-
-def _forward(graph, window, dt, held, depart, layers):
+def _forward(graph, window, dt, depart, layers):
     """The forward DP loop: per layer, the least action of reaching each node of its box.
 
-    ``depart`` holds the departure values (the value so far plus 0.5 R dt)
-    on the nodes of the box ``held``; ``layers`` yields per layer the
-    geometries at k and k + 1 and the layer's box.  Yields per layer
-    (held, depart, box, table, best): the departure values it read, its
-    step-cost table, and ``best``, the action of reaching each node of its
-    box with the arrival term added once.
+    ``depart`` is the full-grid field of departure values (the value so
+    far plus 0.5 R dt), +inf off the nodes a path can leave from;
+    ``layers`` yields per layer the geometries at k and k + 1 and the
+    layer's box, which bounds the work.  Yields per layer (depart, box,
+    table, values): the departure values it read, its step-cost table on
+    the box, and the full-grid field of the action of reaching each node
+    with the arrival term added once, +inf off the box.  The next layer
+    departs from ``values`` plus its arrival term.
     """
     for geom, after, box in layers:
         shape = geom.field_shape
         box_shape = tuple(map(len, box))
-        grown = _departures(depart, held, box, window, shape, graph.periodic)
+        grown = _departures(depart, box, window, graph.periodic)
         mid = 0.5 * (geom.phi + after.phi)  # the mid-step conformal exponent
         radial = graph.taxicab(geom, mid, window)
         if radial is not None:
@@ -427,7 +407,7 @@ def _forward(graph, window, dt, held, depart, layers):
         else:
             # sources[a + W] holds depart[q - a] at arrival q; every in-box arrival
             # that can still reach x2 reads only departures that can, and those
-            # lie in the held box, so its value is the full-grid DP's
+            # lie in the previous box, so its value is the full-grid DP's
             sources = sliding_window_view(grown, box_shape)[(slice(None, None, -1),) * len(shape)]
             table = _cost(graph.distances(geom, mid, window, box), dt)
             first, *rest = np.ndindex(table.shape[: len(shape)])
@@ -439,10 +419,12 @@ def _forward(graph, window, dt, held, depart, layers):
                 np.minimum(best, cand, out=best)
         # rounding is monotone, so min_o fl(x_o + c) = fl(min_o x_o + c): the
         # arrival term is added once, after the minimum
-        arrive = 0.5 * after.R[_box_index(box, shape)] * dt
-        best += arrive
-        yield held, depart, box, table, best
-        held, depart = box, best + arrive
+        arrive = 0.5 * after.R * dt
+        at = _box_index(box, shape)
+        values = np.full(shape, np.inf)
+        values[at] = best + arrive[at]
+        yield depart, box, table, values
+        depart = values + arrive
 
 
 def _cost(distances, dt):
@@ -453,10 +435,10 @@ def _cost(distances, dt):
 
 
 def _start(geom, x1, dt):
-    """The one-node box of x1 and its departure value 0.5 R dt."""
-    shape = geom.field_shape
-    held = tuple(range(i, i + 1) for i in np.unravel_index(x1, shape))
-    return held, 0.0 + 0.5 * geom.R[_box_index(held, shape)] * dt
+    """The departure values of a path from x1: 0.5 R dt at x1, +inf elsewhere."""
+    depart = np.full(geom.field_shape, np.inf)
+    depart.flat[x1] = 0.0 + 0.5 * geom.R.flat[x1] * dt
+    return depart
 
 
 def _narrow(x1, x2, steps, window):
@@ -467,8 +449,8 @@ def _narrow(x1, x2, steps, window):
 def _pair_gamma(traj, k1, k2, x1, x2, graph, window, kept=None):
     """Gamma of one pair from its own forward loop over the reach boxes.
 
-    Appends each layer's (k, held, depart, box, table) to ``kept`` when
-    given, for the backtrack.
+    Appends each layer's (k, depart, box, table) to ``kept`` when given,
+    for the backtrack.
     """
     shape = traj.geom.field_shape
     boxes = _reach_boxes(shape, graph.periodic, x1, x2, k2 - k1, window)
@@ -476,11 +458,11 @@ def _pair_gamma(traj, k1, k2, x1, x2, graph, window, kept=None):
         raise _narrow(x1, x2, k2 - k1, window)
     dt = traj.dt_out
     layers = ((traj[k].geom, traj[k + 1].geom, box) for k, box in zip(range(k1, k2), boxes))
-    steps = _forward(graph, window, dt, *_start(traj[k1].geom, x1, dt), layers)
-    for k, (held, depart, box, table, best) in zip(range(k1, k2), steps):
+    steps = _forward(graph, window, dt, _start(traj[k1].geom, x1, dt), layers)
+    for k, (depart, box, table, values) in zip(range(k1, k2), steps):
         if kept is not None:
-            kept.append((k, held, depart, box, np.broadcast_to(table, table.shape[: len(shape)] + best.shape)))
-    gamma = float(best[_position(x2, box, shape)])
+            kept.append((k, depart, box, table))
+    gamma = float(values.flat[x2])
     if not np.isfinite(gamma):
         raise _narrow(x1, x2, k2 - k1, window)
     return gamma
@@ -491,8 +473,9 @@ def _backtrack(traj, kept, x2, graph, window):
 
     At the path node q of each layer, which lies in the layer's box,
     recompute its candidates in the DP's order, ((depart + d^2/dt) +
-    arrive), from q's column of the layer's table; ``np.argmin`` takes the
-    first offset attaining the minimum.
+    arrive), from the layer's departures gathered around q and q's column
+    of its table; ``np.argmin`` takes the first offset attaining the
+    minimum.
     """
     shape = traj.geom.field_shape
     dt = traj.dt_out
@@ -500,10 +483,12 @@ def _backtrack(traj, kept, x2, graph, window):
     flip = (slice(None, None, -1),) * len(shape)
     mode = "wrap" if graph.periodic else "raise"
     nodes = [x2]
-    for k, held, depart, box, table in reversed(kept):
-        node = tuple(range(i, i + 1) for i in np.unravel_index(nodes[-1], shape))
-        cand = _departures(depart, held, node, window, shape, graph.periodic)[flip]
-        cand += table[(...,) + _position(nodes[-1], box, shape)]
+    for k, depart, box, table in reversed(kept):
+        q = np.unravel_index(nodes[-1], shape)
+        node = tuple(range(i, i + 1) for i in q)
+        cand = _departures(depart, node, window, graph.periodic)[flip]
+        column = tuple((i - r.start) % n for i, r, n in zip(q, box, shape))  # q's position in the box
+        cand += np.broadcast_to(table, table.shape[: len(shape)] + tuple(map(len, box)))[(...,) + column]
         cand += 0.5 * traj[k + 1].R.flat[nodes[-1]] * dt
         source = [r.start - ai + window for r, ai in zip(node, offsets[int(np.argmin(cand))])]
         nodes.append(int(np.ravel_multi_index(source, shape, mode=mode)))
@@ -587,17 +572,14 @@ def _origin_sweep(geom, graph, window, dt):
     # the arc of radius W(j + 1), or the whole circle
     radii = itertools.count(window, window)
     arcs = (tuple(range(n) if 2 * r + 1 >= n else range(-r, r + 1) for n in shape) for r in radii)
-    layers = _forward(graph, window, dt, *_start(geom, 0, dt), ((geom, geom, box) for box in arcs))
-    reached = []  # per span, the last box and the values on it
+    layers = _forward(graph, window, dt, _start(geom, 0, dt), ((geom, geom, box) for box in arcs))
+    reached = []  # per span, the values of its last layer
 
     def gamma(x1, x2, steps):
         while len(reached) < steps:
-            _, _, box, _, best = next(layers)
-            reached.append((box, best))
-        box, best = reached[steps - 1]
+            reached.append(next(layers)[-1])
         offset = [(b - a) % n for a, b, n in zip(np.unravel_index(x1, shape), np.unravel_index(x2, shape), shape)]
-        at = _position(int(np.ravel_multi_index(offset, shape)), box, shape)
-        value = float(best[at]) if all(p < len(r) for p, r in zip(at, box)) else np.inf
+        value = float(reached[steps - 1][tuple(offset)])
         if not np.isfinite(value):
             raise _narrow(x1, x2, steps, window)
         return value

@@ -144,8 +144,8 @@ class FlowState:
             )
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
-        if self.t < 0:
-            raise ConstraintViolationError(f"negative time t = {self.t}")
+        if not 0 <= self.t < np.inf:  # NaN fails too
+            raise ConstraintViolationError(f"time t = {self.t} must be finite and nonnegative")
 
     @property
     def R(self):
@@ -630,6 +630,8 @@ class _Run:
                     f"member {i} starts at t = {mem.initial.t:.6g}, member 0 at t = {t_start:.6g}"
                 )
         t_end = spec.t_end
+        if not abs(t_end) < np.inf:  # NaN fails too
+            raise ConstraintViolationError(f"t_end = {t_end!r} must be finite")
         if t_end < t_start - 1e-12:
             raise ConstraintViolationError("t_end precedes the initial time")
         # initial areas of the evolving spheres, which lose area at rate 8 pi

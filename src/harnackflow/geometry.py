@@ -237,8 +237,8 @@ class TorusGeometry(SurfaceGeometry):
 
     def __init__(self, n, length, phi=None):
         self.length = float(length)
-        if not self.length > 0:
-            raise GridMismatchError("torus side length must be positive")
+        if not 0 < self.length < np.inf:  # NaN fails too
+            raise GridMismatchError(f"torus side length {self.length!r} must be positive and finite")
         super().__init__(n, phi)
         self.h = self.length / self.n
 

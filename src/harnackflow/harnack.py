@@ -140,7 +140,8 @@ def harnack_field(state, w, p):
     The one formula behind every preset's quantity, for the monitors and
     the general identities alike.  A term whose coefficient is zero is left
     out; the others are added as (coefficient * term), so - beta |grad w|^2
-    is + (-beta) |grad w|^2, the same float.
+    is + (-beta) |grad w|^2, the same float.  A tuple with no term that
+    varies over the grid (all zero, or d alone) gives a constant field.
     """
     geom, t = state.geom, state.t
     terms = []
@@ -154,6 +155,8 @@ def harnack_field(state, w, p):
         terms.append(-p.b * w / t)
     if p.d != 0.0:
         terms.append(-p.d * DIMENSION / t)
+    if not any(np.ndim(term) for term in terms):
+        return np.full(geom.field_shape, sum(terms, 0.0))
     return sum(terms[1:], terms[0])
 
 

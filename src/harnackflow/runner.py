@@ -253,16 +253,15 @@ def run_trajectory(cfg):
     )
 
 
-def action_rows(cfg, traj, rng, window=None):
-    window = cfg.window if window is None else window
+def action_rows(cfg, traj, rng):
     pairs = [
         ((x1, t1), (x2, t2)) for (x1, t1, x2, t2) in cfg.pairs
     ]
     if cfg.pair_count:
         pairs.extend(
-            action_mod.random_pairs(traj, cfg.pair_count, rng, t_min=cfg.t0, window=window)
+            action_mod.random_pairs(traj, cfg.pair_count, rng, t_min=cfg.t0, window=cfg.window)
         )
-    results = action_mod.check_pairs(traj, pairs, window)
+    results = action_mod.check_pairs(traj, pairs, cfg.window)
     return [(x1, t1, x2, t2, gamma, margin) for ((x1, t1), (x2, t2)), (margin, gamma) in zip(pairs, results)]
 
 

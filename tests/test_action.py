@@ -154,7 +154,7 @@ def test_action_rows_one_dp_per_pair(monkeypatch, torus_plain_traj, torus_bump_s
         layers = []
 
         def counted(*args):
-            layers.append(args[2])
+            layers.append(args[1])
             return departures(*args)
 
         monkeypatch.setattr(action, "_departures", counted)
@@ -206,7 +206,7 @@ def test_check_pairs_sweep_matches_min_action(monkeypatch, request, name, window
     layers = []
 
     def counted(*args):
-        layers.append(args[2])
+        layers.append(args[1])
         return departures(*args)
 
     monkeypatch.setattr(action, "_departures", counted)

@@ -199,14 +199,15 @@ LOADER_REJECTIONS = [
     ("dt not dividing dt_out", dict(header={"dt": 0.003}), "must divide"),
     ("times not uniform", dict(times=[0.0, 0.01, 0.0333, 0.03]), "snapshot 2 at t = 0.0333"),
     ("NaN in f", dict(nan_f_at=2), "snapshot 2: GridMismatchError"),
+    ("infinite length", dict(header={"length": 1e999}), "bad header (GridMismatchError: torus side length inf"),
 ]
 
 
 @pytest.mark.parametrize("label, changes, reason", LOADER_REJECTIONS, ids=[c[0] for c in LOADER_REJECTIONS])
 def test_trajectory_without_a_run_layout_raises_format_error(tmp_path, label, changes, reason):
     # each used to load: a negative dt_out flipped time_derivative's sign,
-    # a zero or NaN one made it inf or NaN, and a NaN in f raised a bare
-    # GridMismatchError
+    # a zero or NaN one made it inf or NaN, a NaN in f raised a bare
+    # GridMismatchError, and an infinite side length gave h = inf and R = 0
     geom = hf.TorusGeometry(8, 2 * np.pi)
     x, _ = geom.coords()
     state = hf.FlowState(0.0, geom, 0.5 + 0.2 * np.sin(x) * np.ones((1, 8)))
@@ -861,6 +862,29 @@ def test_lockstep_checks_every_run_before_any_step(monkeypatch):
         hf.run_ensemble([hf.FlowRun([hf.EnsembleMember(_sphere_cos(16))], 0.01, 1e-3, 0.01), late])
     assert err.value.run == 1
     assert record == []
+
+
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("state", [_sphere_cos(16), _torus_state(8, 0.05)], ids=["sphere", "torus"])
+def test_non_finite_t_end_is_refused_before_any_step(monkeypatch, state, t_end):
+    # a NaN t_end used to raise a raw ValueError from the output count, and
+    # an infinite one on a torus a raw OverflowError
+    record = record_kernel_steps(monkeypatch)
+    with pytest.raises(ConstraintViolationError, match="t_end = .* must be finite"):
+        hf.run(state, t_end, None, 0.01)
+    good = hf.FlowRun([hf.EnsembleMember(state)], 0.01, None, 0.01)
+    with pytest.raises(ConstraintViolationError, match="t_end = .* must be finite") as err:
+        hf.run_ensemble([good, good._replace(t_end=t_end)])
+    assert err.value.run == 1
+    assert record == []
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_flow_state_refuses_a_non_finite_time(t):
+    # a NaN time used to be accepted, and a run from it failed its member
+    # check with "member 0 starts at t = nan, member 0 at t = nan"
+    with pytest.raises(ConstraintViolationError, match="finite and nonnegative"):
+        hf.FlowState(t, hf.SphereGeometry(16), np.full(16, F0))
 
 
 def test_run_stops_at_its_last_snapshot_but_checks_t_end(monkeypatch):

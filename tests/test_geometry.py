@@ -371,6 +371,13 @@ def test_grid_mismatch_raises():
         torus(16).grad_inner(np.zeros((16, 16)), np.zeros(16))
 
 
+@pytest.mark.parametrize("length", [0.0, -1.0, float("inf"), float("nan")], ids=["zero", "negative", "inf", "nan"])
+def test_torus_side_length_must_be_positive_and_finite(length):
+    # an infinite side length used to build a torus with h = inf
+    with pytest.raises(GridMismatchError, match="positive and finite"):
+        torus(8, length)
+
+
 def test_non_finite_field_rejected():
     geom = sphere(32)
     bad = np.zeros(32)

@@ -319,3 +319,45 @@ def test_monitor_series_refuses_an_empty_range(torus_potential_traj):
     traj = torus_potential_traj
     with pytest.raises(TimesNotStoredError, match="no output to monitor"):
         hf.monitor_series(traj, t0=traj.times[-1])
+
+
+def _curved_torus_state(t, n=8):
+    geom = hf.TorusGeometry(n, 2 * np.pi)
+    x, y = geom.coords()
+    return hf.FlowState(t, geom.with_phi(0.05 * np.sin(x) * np.sin(y)), 0.5 + 0.2 * np.sin(x) * np.cos(y))
+
+
+@pytest.mark.parametrize("state", [constant_sphere_state(0.1, n=16), _curved_torus_state(0.3)], ids=["sphere", "torus"])
+def test_harnack_field_is_a_field_for_every_tuple(state):
+    # an all-zero tuple used to raise a raw IndexError, and a tuple of d
+    # alone returned a Python float; every other tuple keeps its bits
+    from harnackflow import harnack
+
+    w = harnack.u_field(state)
+    zero = hf.HarnackParams(0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0)
+    field = harnack.harnack_field(state, w, zero)
+    assert isinstance(field, np.ndarray) and field.shape == state.geom.field_shape
+    assert np.array_equal(field, np.zeros(state.geom.field_shape))
+    field = harnack.harnack_field(state, w, hf.HarnackParams(0.0, 0.0, 0.0, 0.0, -1.0, 0.7, 0.0))
+    assert isinstance(field, np.ndarray) and field.shape == state.geom.field_shape
+    assert np.all(field == -0.7 * 2 / state.t)
+    for p in (harnack.COR_H_PRESET, hf.HarnackParams(1.5, -0.5, 1.0, 0.7, -1.0, -0.4, 0.9),
+              hf.HarnackParams(0.0, 0.0, 0.0, 0.7, -1.0, 0.4, 0.0), hf.HarnackParams(0.0, 0.0, 2.0, 0.0, -1.0, 0.0, 0.0)):
+        assert harnack.harnack_field(state, w, p).tobytes() == _summed_terms(state, w, p).tobytes()
+
+
+def _summed_terms(state, w, p):
+    """The nonzero terms of the Harnack formula, summed in order from the first."""
+    geom, t = state.geom, state.t
+    terms = []
+    if p.alpha:
+        terms.append(p.alpha * geom.laplace_beltrami(w))
+    if p.beta:
+        terms.append(-p.beta * geom.grad_norm_sq(w))
+    if p.a:
+        terms.append(p.a * state.R)
+    if p.b:
+        terms.append(-p.b * w / t)
+    if p.d:
+        terms.append(-p.d * 2 / t)
+    return sum(terms[1:], terms[0])
