@@ -82,25 +82,36 @@ reached from it (they hold every reachable node, so their values are the
 full-grid DP's).  The sweep grows on demand to the longest span asked
 and lives for one ``check_pairs`` call.  Every other pair runs its own
 forward loop over its reach boxes.
+
+``PairChecks`` is ``check_pairs`` one snapshot at a time, so a flow can
+feed it as it makes the snapshots: the pairs are located, in list order,
+before any snapshot; a pair's own loop advances one layer per snapshot
+made, reading the last two; and its margin is taken when its t2 arrives.
+Whether the sweep may serve a pair, every snapshot k1 .. k2 sharing one
+geometry object, is known before any step for a flow's member: a static
+member's snapshots share one, an evolving member's never do.
+``check_pairs`` feeds it a stored trajectory, which gives the same bits.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConstraintViolationError,
+    HarnackFlowError,
     IndexAtBoundaryError,
     NodesOutOfRangeError,
     NonPositiveTimeError,
     TimesNotStoredError,
     WindowTooNarrowError,
 )
+from .flow import replay
 
 DEFAULT_WINDOW = 5
 
@@ -446,25 +457,26 @@ def _narrow(x1, x2, steps, window):
     return WindowTooNarrowError(f"no path from node {x1} to node {x2} in {steps} steps with window {window}")
 
 
-def _pair_gamma(traj, k1, k2, x1, x2, graph, window, kept=None):
-    """Gamma of one pair from its own forward loop over the reach boxes.
+def _pair_layers(traj, k1, k2, x1, x2, graph, window):
+    """The forward loop of one pair over its reach boxes, from snapshot k1.
 
-    Appends each layer's (k, depart, box, table) to ``kept`` when given,
-    for the backtrack.
+    Reads snapshot k1 now and snapshots k and k + 1 only when layer k is
+    asked for, so a flow can advance it one layer per snapshot made.
     """
-    shape = traj.geom.field_shape
+    shape = traj[k1].geom.field_shape
     boxes = _reach_boxes(shape, graph.periodic, x1, x2, k2 - k1, window)
     if not all(len(r) for box in boxes for r in box):
         raise _narrow(x1, x2, k2 - k1, window)
     dt = traj.dt_out
     layers = ((traj[k].geom, traj[k + 1].geom, box) for k, box in zip(range(k1, k2), boxes))
-    steps = _forward(graph, window, dt, _start(traj[k1].geom, x1, dt), layers)
-    for k, (depart, box, table, values) in zip(range(k1, k2), steps):
-        if kept is not None:
-            kept.append((k, depart, box, table))
+    return _forward(graph, window, dt, _start(traj[k1].geom, x1, dt), layers)
+
+
+def _gamma_at(values, x1, x2, steps, window):
+    """Gamma at x2 from the last layer's values; +inf there means no path joins the pair."""
     gamma = float(values.flat[x2])
     if not np.isfinite(gamma):
-        raise _narrow(x1, x2, k2 - k1, window)
+        raise _narrow(x1, x2, steps, window)
     return gamma
 
 
@@ -546,7 +558,9 @@ def min_action(traj, point1, point2, window=DEFAULT_WINDOW):
     k1, k2, x1, x2 = _pair_nodes(traj, point1, point2)
     graph, window = _layer_graph(traj.geom, window)
     kept = []
-    gamma = _pair_gamma(traj, k1, k2, x1, x2, graph, window, kept)
+    for k, (depart, box, table, values) in zip(range(k1, k2), _pair_layers(traj, k1, k2, x1, x2, graph, window)):
+        kept.append((k, depart, box, table))
+    gamma = _gamma_at(values, x1, x2, k2 - k1, window)
     nodes = _backtrack(traj, kept, x2, graph, window)
     path = SpaceTimePath(snapshots=tuple(range(k1, k2 + 1)), nodes=tuple(nodes), action=gamma)
     return gamma, path
@@ -590,33 +604,126 @@ def _origin_sweep(geom, graph, window, dt):
 def check_pairs(traj, pairs, window=DEFAULT_WINDOW):
     """Margins of the integrated inequality for space-time pairs: [(margin, gamma), ...] in order.
 
-    ``pairs`` holds (point1, point2) as for ``min_action``; each margin is
+    ``PairChecks`` fed from the stored trajectory.  ``pairs`` holds
+    (point1, point2) as for ``min_action``; each margin is
     ln f(x2, t2) + n ln(t2/t1) + gamma/2 - ln f(x1, t1), read at the two
     end nodes without a backtrack.  Pairs whose layers share one uniform
     periodic geometry with constant R read gamma from one origin sweep per
     geometry, kept for this call only; every other pair runs its own
-    forward loop.  The first pair that fails raises.
+    forward loop.  The first pair in list order that fails raises.
     """
-    sweeps = {}  # (id of geometry, clamped window) -> its origin sweep or None
-    dt = traj.dt_out
-    results = []
-    for point1, point2 in pairs:
-        (_, t1), (_, t2) = point1, point2
-        if t1 <= 0:
-            raise NonPositiveTimeError("integrated inequality needs t1 > 0")
-        k1, k2, x1, x2 = _pair_nodes(traj, point1, point2)
-        graph, clamped = _layer_graph(traj.geom, window)
-        geom = traj[k1].geom
-        shared = all(traj[k].geom is geom for k in range(k1 + 1, k2 + 1))
-        key = id(geom), clamped
-        if shared and key not in sweeps:
-            sweeps[key] = _origin_sweep(geom, graph, clamped, dt)
-        sweep = sweeps[key] if shared else None
-        gamma = _pair_gamma(traj, k1, k2, x1, x2, graph, clamped) if sweep is None else sweep(x1, x2, k2 - k1)
-        lnf1 = float(np.log(traj[k1].f.flat[x1]))
-        lnf2 = float(np.log(traj[k2].f.flat[x2]))
-        results.append((lnf2 + 2.0 * np.log(t2 / t1) + 0.5 * gamma - lnf1, gamma))
-    return results
+    return replay(PairChecks(traj, pairs, window), traj)
+
+
+class PlannedSnapshots(NamedTuple):
+    """What pairs are drawn and located from before a flow makes its snapshots.
+
+    A Trajectory has the same fields: the snapshot times, the geometry of
+    the first snapshot (its grid) and the output spacing.
+    """
+
+    times: np.ndarray
+    geom: object
+    dt_out: float
+
+
+@dataclass
+class _Pair:
+    """One pair of ``PairChecks``: where it starts and ends, and its DP so far."""
+
+    index: int
+    t1: float
+    t2: float
+    k1: int
+    k2: int
+    x1: int
+    x2: int
+    sweep: Callable | None = None  # gamma from an origin sweep, or None
+    steps: object = None  # its own forward loop, or None
+    values: np.ndarray | None = None  # that loop's last layer
+    lnf1: float = 0.0
+
+
+class PairChecks:
+    """``check_pairs`` one snapshot at a time: each pair's DP advances a layer as its snapshot arrives.
+
+    Every pair is located, in list order, before any snapshot, from
+    ``planned`` (a Trajectory, or the ``PlannedSnapshots`` of one not made
+    yet).  ``feed(traj, k)`` starts the pairs whose t1 is snapshot k,
+    advances every own loop by layer k - 1 .. k, and finishes the pairs
+    whose t2 is snapshot k; it reads snapshots k - 1 and k alone.
+    ``finish(traj)`` returns [(margin, gamma), ...] in list order, or
+    raises the error of the first failing pair in list order: once a pair
+    fails, the pairs after it are dropped.
+
+    The origin sweep serves a pair exactly when every snapshot k1 .. k2
+    shares one geometry object.  ``static`` tells that before the
+    snapshots exist: True when all of them share the first one's (a
+    static member of a flow), False when none do (an evolving one).  None
+    reads it, at snapshot k1, from the fed trajectory, which must then
+    hold every snapshot up to the pair's t2.
+    """
+
+    def __init__(self, planned, pairs, window=DEFAULT_WINDOW, static=None):
+        self.dt = planned.dt_out
+        self.static = static
+        self.sweeps = {}  # id of geometry -> (geometry, its origin sweep or None)
+        self.results = [None] * len(pairs)
+        self.failure = None  # the error of the first failing pair in list order so far
+        self.pairs = []  # the pairs still fed, in list order
+        for index, (point1, point2) in enumerate(pairs):
+            try:
+                (_, t1), (_, t2) = point1, point2
+                if t1 <= 0:
+                    raise NonPositiveTimeError("integrated inequality needs t1 > 0")
+                k1, k2, x1, x2 = _pair_nodes(planned, point1, point2)
+                self.graph, self.window = _layer_graph(planned.geom, window)
+            except HarnackFlowError as err:
+                self.failure = err
+                break
+            self.pairs.append(_Pair(index, t1, t2, k1, k2, x1, x2))
+
+    def feed(self, traj, k):
+        for pair in list(self.pairs):
+            try:
+                if pair.k1 == k:
+                    self._begin(traj, pair)
+                elif pair.k1 < k <= pair.k2 and pair.steps is not None:
+                    pair.values = next(pair.steps)[-1]
+                if pair.k2 == k:
+                    self._end(traj, pair)
+            except HarnackFlowError as err:
+                self.failure = err
+                self.pairs = [p for p in self.pairs if p.index < pair.index]
+                break
+
+    def _begin(self, traj, pair):
+        geom = traj[pair.k1].geom
+        if self.static is None:
+            shared = all(traj[j].geom is geom for j in range(pair.k1 + 1, pair.k2 + 1))
+        else:
+            shared = self.static
+        if shared and id(geom) not in self.sweeps:
+            self.sweeps[id(geom)] = geom, _origin_sweep(geom, self.graph, self.window, self.dt)
+        pair.sweep = self.sweeps[id(geom)][1] if shared else None
+        if pair.sweep is None:
+            pair.steps = _pair_layers(traj, pair.k1, pair.k2, pair.x1, pair.x2, self.graph, self.window)
+        pair.lnf1 = float(np.log(traj[pair.k1].f.flat[pair.x1]))
+
+    def _end(self, traj, pair):
+        steps = pair.k2 - pair.k1
+        if pair.sweep is None:
+            gamma = _gamma_at(pair.values, pair.x1, pair.x2, steps, self.window)
+        else:
+            gamma = pair.sweep(pair.x1, pair.x2, steps)
+        lnf2 = float(np.log(traj[pair.k2].f.flat[pair.x2]))
+        self.results[pair.index] = (lnf2 + 2.0 * np.log(pair.t2 / pair.t1) + 0.5 * gamma - pair.lnf1, gamma)
+        self.pairs.remove(pair)
+
+    def finish(self, traj):
+        if self.failure is not None:
+            raise self.failure
+        return self.results
 
 
 def check_integrated_harnack(traj, point1, point2, window=DEFAULT_WINDOW):
@@ -634,6 +741,9 @@ def check_integrated_harnack(traj, point1, point2, window=DEFAULT_WINDOW):
 
 def random_pairs(traj, count, rng, t_min=0.0, window=DEFAULT_WINDOW):
     """Sample reachable random space-time pairs from stored snapshots.
+
+    ``traj`` is a Trajectory, or the ``PlannedSnapshots`` of one not made
+    yet: the draws read its times and grid alone.
 
     ``rng`` is any object whose ``random()`` returns a float uniform in
     [0, 1), such as ``random.Random`` or a numpy ``Generator``, and every

@@ -66,10 +66,12 @@ interval's start, shrunk by the area law on an evolving sphere).  An
 explicit dt, used in every interval, must meet the CFL bound of the initial
 state and is trimmed down so an integer number of steps lands exactly on
 each output.  An explicit ``t_check`` whose left neighbour is the snapshot
-at t = 0 is rejected, since the residuals divide by t there.  A run keeps
-every snapshot (phi and f, float64 at every node) in memory, so a plan
-of more than ``MAX_SNAPSHOT_BYTES`` of them is rejected before any field
-is built.
+at t = 0 is rejected, since the residuals divide by t there.  A run
+writes every snapshot (phi and f, float64 at every node) to
+``trajectory.bin``, though it keeps only a window of them in memory, and a
+ladder level plans its snapshots up to the one after its check time; a
+plan of more than ``MAX_SNAPSHOT_BYTES`` of them is rejected before any
+field is built.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ MONITOR_NAMES = tuple(MONITOR_GROUPS)
 
 IDENTITY_PRESETS = tuple(PRESET_REGISTRY)
 
-# Largest set of snapshots a run may plan to hold in memory: 16 GiB.
+# Largest set of snapshots a plan may make: 16 GiB, what a run writes to
+# trajectory.bin and what a ladder level plans up to its last snapshot.
 MAX_SNAPSHOT_BYTES = 2**34
 
 

@@ -33,10 +33,12 @@ alone, by ``df/dt = e^(-2 phi) lap f - ((-2c) dphi/dt) f`` with the
 e^(-2 phi) and the reaction factor computed once, and their snapshots
 share the initial geometry.
 
-One kernel steps every flow.  ``run_ensemble`` integrates several runs in
-lockstep; a run (``FlowRun``) is members on one grid, each with its own
-``c`` and ``evolve_metric``, plus the run's own ``t_end``, ``dt`` and
-``dt_out``.  ``run`` is its one-run, one-member case.  Runs share one
+One kernel steps every flow.  ``snapshots`` integrates several runs in
+lockstep and hands each snapshot on as it is made; a run (``FlowRun``) is
+members on one grid, each with its own ``c`` and ``evolve_metric``, plus
+the run's own ``t_end``, ``dt`` and ``dt_out``.  ``run_ensemble`` keeps
+every snapshot as Trajectories, and ``run`` is its one-run, one-member
+case.  Runs share one
 field-major stack ``x`` of shape ``(2, *body)``: ``x[0]`` holds every
 member's phi and ``x[1]`` every member's f, the static members first.
 Flat, the part a step updates is then one tail: the evolving members'
@@ -79,14 +81,21 @@ Each geometry computes its scalar curvature once, on first use of
 ``SurfaceGeometry.R``, and ``FlowState.R`` reads it there; so do the
 monitors, the identity residuals, the action DP and the assertions.
 Nothing else derived from a state is kept: u, lap u, |grad u|^2 and the
-v-family are recomputed on each call, which keeps a trajectory's memory
-at its fields plus one curvature per geometry, one for all the snapshots
-of a static member.
+v-family are recomputed on each call, which keeps a snapshot's memory at
+its fields plus one curvature per geometry, one for all the snapshots of
+a static member.  A caller of ``snapshots`` keeps what it reads: a
+``SnapshotWindow`` holds the last few snapshots of a live trajectory, and
+``replay`` feeds a stored trajectory to the same consumers, snapshot by
+snapshot.  ``TrajectoryWriter`` is the one such consumer here: it writes
+``save_trajectory``'s file as the snapshots arrive.
 """
 
 from __future__ import annotations
 
+import collections
 import json
+import os
+import shutil
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -161,13 +170,28 @@ class EnsembleMember(NamedTuple):
     evolve_metric: bool = True
     initial_id: str = ""
 
+    @property
+    def static(self):
+        """Whether its phi never changes: a frozen metric, or a flat torus at +0 everywhere.
+
+        Its snapshots then share the initial geometry; an evolving member's
+        snapshots each have their own.  On the torus R_bg = 0, so a +0 phi
+        has the rate (lap phi) e^(-2 phi) = +0 at every stage and stays +0;
+        a -0 would turn +0.
+        """
+        phi = self.initial.geom.phi
+        if not self.evolve_metric:
+            return True
+        return isinstance(self.initial.geom, TorusGeometry) and not (phi.any() or np.signbit(phi).any())
+
 
 class FlowRun(NamedTuple):
     """One run of ``run_ensemble``: members on one grid, integrated to the run's own times.
 
     ``t_end``, ``dt`` (explicit, or None for the CFL rule) and ``dt_out``
-    follow the rules of ``run``.  A ``last`` snapshot index stops the run
-    there if it comes before ``t_end``; ``t_end`` is still checked.
+    follow the rules of ``run``.  A ``last`` snapshot index, a nonnegative
+    int, stops the run there if it comes before ``t_end``; ``t_end`` is
+    still checked.
     """
 
     members: list
@@ -195,18 +219,6 @@ _TWO, _MINUS_TWO = np.array(2.0), np.array(-2.0)
 _CFL_SLACK = np.array(1.0 + 1e-12)
 
 
-def _static(member):
-    """Whether a member's phi never changes: a frozen metric, or a flat torus at +0 everywhere.
-
-    On the torus R_bg = 0, so a +0 phi has the rate (lap phi) e^(-2 phi) =
-    +0 at every stage and stays +0; a -0 would turn +0.
-    """
-    phi = member.initial.geom.phi
-    if not member.evolve_metric:
-        return True
-    return isinstance(member.initial.geom, TorusGeometry) and not (phi.any() or np.signbit(phi).any())
-
-
 class _RK4Kernel:
     """Checked RK4 over one field-major stack of the members of several runs.
 
@@ -215,8 +227,8 @@ class _RK4Kernel:
     is one contiguous block.  On the sphere the body is one flat axis of
     rows, each member's row of its own n, and one flux plan serves rows of
     mixed n; on the torus it is ``(members, n, n)``, one n and side length
-    for the whole stack.  The static members (``_static``: frozen, or a
-    flat torus at +0) sit first, run by run, then the evolving ones, so a
+    for the whole stack.  The static members (``EnsembleMember.static``:
+    frozen, or a flat torus at +0) sit first, run by run, then the evolving ones, so a
     run's members may sit in two blocks.  Flat, the part of the stack a
     step updates is then one tail: the evolving members' phi, then every f.
     Only the stack has this order: ``members`` holds each run's (phi, f)
@@ -488,6 +500,48 @@ class Trajectory:
         save_trajectory(self, path)
 
 
+class SnapshotWindow:
+    """The last ``size`` snapshots of a growing trajectory, indexed as the whole trajectory.
+
+    A Trajectory whose ``states`` is a window is the live trajectory of a
+    flow that hands its snapshots on one by one: ``len`` counts every
+    snapshot made, ``[k]`` (or ``[-1]``, the newest) reads a kept one, and
+    asking for a dropped one raises LookupError, which iterating from the
+    start does too.  So ``geom`` and ``times``, which read the first
+    snapshot or all of them, do not apply.
+    """
+
+    def __init__(self, size):
+        self.kept = collections.deque(maxlen=size)
+        self.count = 0
+
+    def append(self, state):
+        self.kept.append(state)
+        self.count += 1
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, k):
+        pos = (k if k >= 0 else k + self.count) - (self.count - len(self.kept))
+        if not 0 <= pos < len(self.kept):
+            raise LookupError(f"snapshot {k} is not kept: the window holds the last {len(self.kept)} of {self.count}")
+        return self.kept[pos]
+
+
+def replay(consumer, traj):
+    """Feed every snapshot of a stored trajectory to ``consumer`` in order; its ``finish``'s result.
+
+    A consumer takes ``feed(traj, k)`` once snapshot k of ``traj`` exists,
+    reading that snapshot and, at most, the two before it, and
+    ``finish(traj)`` after the last.  A flow's live trajectory feeds the
+    same consumers snapshot by snapshot, so one code path serves both.
+    """
+    for k in range(len(traj)):
+        consumer.feed(traj, k)
+    return consumer.finish(traj)
+
+
 def _steps_per_output(dt, dt_out):
     """Steps of ``dt`` per output interval ``dt_out``: both positive and finite, dt dividing dt_out."""
     if not (0 < dt < np.inf and 0 < dt_out < np.inf):
@@ -525,26 +579,64 @@ def run(initial, t_end, dt, dt_out, c=-1.0, evolve_metric=True, initial_id=""):
     return run_ensemble([FlowRun([member], t_end, dt, dt_out)])[0][0]
 
 
+class Snapshot(NamedTuple):
+    """One snapshot of one run, as ``snapshots`` makes it."""
+
+    run: int  # index of its run in the list given
+    k: int  # snapshot index, 0 for the initial states
+    states: list  # one FlowState per member, in member order
+    dt: float  # the run's smallest step so far: its trajectories' dt once its last snapshot is made
+
+
 def run_ensemble(runs):
     """Integrate several runs in lockstep; one list of Trajectories, one per member, per run.
 
-    Each ``FlowRun`` has its own members, ``t_end``, ``dt`` and ``dt_out``,
-    and stops at its ``last`` snapshot if that comes first.
-    Its members' initial states share the geometry kind, grid shape,
-    spacing and start time; each member has its own ``c``,
+    ``snapshots`` with every snapshot kept.  Each returned trajectory is
+    bit-identical to a ``run`` of that member alone at the same steps, and
+    its ``dt`` is the smallest step its run used.
+    """
+    runs = list(runs)
+    kept = [[] for _ in runs]
+    dts = [None] * len(runs)
+    for snap in snapshots(runs):
+        kept[snap.run].append(snap.states)
+        dts[snap.run] = snap.dt
+    return [member_trajectories(run, states, dt) for run, states, dt in zip(runs, kept, dts)]
+
+
+def member_trajectories(run, states, dt):
+    """One Trajectory per member of ``run`` from its snapshots' ``states`` lists, in member order."""
+    return [
+        Trajectory(list(member_states), dt=dt, dt_out=run.dt_out, c=mem.c, evolve_metric=mem.evolve_metric,
+                   initial_id=mem.initial_id)
+        for mem, member_states in zip(run.members, zip(*states))
+    ]
+
+
+def snapshots(runs):
+    """Integrate several runs in lockstep, handing each snapshot to the caller as it is made.
+
+    Yields a ``Snapshot`` per run and snapshot index: first every run's
+    initial states (k = 0), then each snapshot when its run's interval
+    ends, in step order.  Nothing is kept here, so the caller decides what
+    stays in memory.  Each ``FlowRun`` has its own members, ``t_end``,
+    ``dt`` and ``dt_out``, and stops at its ``last`` snapshot if that comes
+    first.  Its members' initial states share the geometry kind, grid
+    shape, spacing and start time; each member has its own finite ``c``,
     ``evolve_metric`` and ``initial_id``.  With ``dt=None`` a run's members
     take the same steps, set by the smallest CFL bound among them and the
-    fastest-shrinking evolving sphere.  Every run is checked before any
-    step is taken.
+    fastest-shrinking evolving sphere.  Every run is checked before the
+    first snapshot is handed on.
 
     Runs share one stack when they can: every sphere run, whatever its n,
     and the torus runs of one n and side length.  The stacks are stepped
     one after another, each until its last run has its last snapshot.
     Within a stack every step advances each run by its own step; between
     snapshot events the kernel takes as many steps as the nearest event
-    allows, and a run whose last interval ends leaves the stack.  Each
-    returned trajectory is bit-identical to a ``run`` of that member alone
-    at the same steps, and its ``dt`` is the smallest step its run used.
+    allows, and a run whose last interval ends leaves the stack.  Every
+    member is bit-identical to a ``run`` of it alone at the same steps.  A
+    static member's snapshots share its initial geometry, and so its
+    cached curvature.
 
     Every error carries the index of its run in ``.run``.  A run that fails
     its checks (mismatched grids within it raise GridMismatchError) raises
@@ -556,17 +648,27 @@ def run_ensemble(runs):
     plans = [_Run(index, spec) for index, spec in enumerate(runs)]
     stacks = {}
     for plan in plans:
+        yield plan.made([mem.initial for mem in plan.members])
         if plan.n_out:
             g = plan.geom
             key = (g.kind,) if isinstance(g, SphereGeometry) else (g.kind, g.field_shape, g.background_spacing)
             stacks.setdefault(key, []).append(plan)
     for live in stacks.values():
-        _step_stack(live)
-    return [plan.trajectories() for plan in plans]
+        yield from _step_stack(live)
+
+
+def snapshot_times(spec):
+    """The times of the snapshots a ``FlowRun`` records, t_start + k dt_out for k = 0 .. its last.
+
+    The run is checked as ``snapshots`` checks it, so a run it would refuse
+    raises the same error here, before any step.
+    """
+    plan = _Run(0, spec)
+    return [plan.t_start] + [plan.time(k) for k in range(1, plan.n_out + 1)]
 
 
 def _step_stack(live):
-    """Step the runs of one stack in lockstep until every one has its last snapshot."""
+    """Step the runs of one stack in lockstep, yielding each snapshot as its interval ends."""
     fields = [[(mem.initial.geom.phi, mem.initial.f) for mem in run.members] for run in live]
     while live:
         kernel = _RK4Kernel(live, fields)
@@ -582,14 +684,14 @@ def _step_stack(live):
                 run.left -= count
                 run.t = float(kernel.t[pos])
                 if not run.left:
-                    run.snapshot(kernel.members[pos])
+                    yield run.snapshot(kernel.members[pos])
         # the runs that go on move, mid-interval, to a stack without the finished ones
         fields = [kernel.members[pos] for pos, run in enumerate(live) if run.k < run.n_out]
         live = [run for run in live if run.k < run.n_out]
 
 
 class _Run:
-    """One run of ``run_ensemble``: its checked plan and its progress."""
+    """One run of ``snapshots``: its checked plan and its progress."""
 
     def __init__(self, index, spec):
         self.index = index
@@ -598,8 +700,7 @@ class _Run:
         except HarnackFlowError as err:
             raise self.tag(err)
         self.h = self.geom.background_spacing
-        self.static = [_static(mem) for mem in self.members]
-        self.states = [[mem.initial] for mem in self.members]
+        self.static = [mem.static for mem in self.members]
         self.t = self.t_start  # advanced step by step
         self.k = 0  # output intervals done
         self.left = 0  # steps left in the current interval
@@ -629,6 +730,8 @@ class _Run:
                 raise ConstraintViolationError(
                     f"member {i} starts at t = {mem.initial.t:.6g}, member 0 at t = {t_start:.6g}"
                 )
+            if not abs(mem.c) < np.inf:  # NaN fails too
+                raise ConstraintViolationError(f"member {i}: c = {mem.c!r} must be finite")
         t_end = spec.t_end
         if not abs(t_end) < np.inf:  # NaN fails too
             raise ConstraintViolationError(f"t_end = {t_end!r} must be finite")
@@ -646,10 +749,11 @@ class _Run:
                         f"{where}t_end = {t_end:.6g} reaches the extinction time {t_start + extinction:.6g}"
                     )
         self.n_out = output_count(t_end - t_start, self.dt_out)
-        if spec.last is not None:
-            if spec.last < 0:
-                raise ConstraintViolationError(f"last = {spec.last!r} must be a nonnegative snapshot index")
-            self.n_out = min(self.n_out, spec.last)
+        last = spec.last
+        if last is not None:
+            if isinstance(last, bool) or not isinstance(last, (int, np.integer)) or last < 0:
+                raise ConstraintViolationError(f"last = {last!r} must be a nonnegative snapshot index")
+            self.n_out = min(self.n_out, int(last))
 
     def tag(self, err, time=None):
         """Attach this run's index, and the failing time unless the error has one."""
@@ -672,24 +776,25 @@ class _Run:
             self.step, self.max_steps = self.dt_out / self.steps, max(self.max_steps, self.steps)
         self.left = self.steps
 
+    def time(self, k):
+        """The time of snapshot k >= 1."""
+        return self.t_start + k * self.dt_out
+
     def snapshot(self, members):
-        """Record the members' (phi, f), in member order, at the end of an interval.
+        """The members' (phi, f), in member order, as the next snapshot, at the end of an interval.
 
         A static member's snapshots share its initial geometry.
         """
         self.k += 1
-        t_snap = self.t_start + self.k * self.dt_out
-        for i, (phi, f) in enumerate(members):
-            geom = self.members[i].initial.geom
-            self.states[i].append(FlowState(t_snap, geom if self.static[i] else geom.with_phi(phi), f))
+        t_snap = self.time(self.k)
+        return self.made([
+            FlowState(t_snap, mem.initial.geom if static else mem.initial.geom.with_phi(phi), f)
+            for mem, static, (phi, f) in zip(self.members, self.static, members)
+        ])
 
-    def trajectories(self):
-        dt = self.dt_out / self.max_steps if self.dt is None else self.dt
-        return [
-            Trajectory(states, dt=dt, dt_out=self.dt_out, c=mem.c, evolve_metric=mem.evolve_metric,
-                       initial_id=mem.initial_id)
-            for states, mem in zip(self.states, self.members)
-        ]
+    def made(self, states):
+        """``states`` as snapshot ``self.k``, with the smallest step taken so far."""
+        return Snapshot(self.index, self.k, states, self.dt_out / self.max_steps if self.dt is None else self.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +823,7 @@ _MAGIC = b"HFTRAJ01"
 
 
 def save_trajectory(traj, path):
-    """Write a trajectory to one binary file.
+    """Write a trajectory to one binary file: ``TrajectoryWriter`` fed from the stored trajectory.
 
     Layout: 8-byte magic ``HFTRAJ01``; little-endian uint32 header length;
     UTF-8 JSON header (geometry kind, n, length for the torus, dt, dt_out,
@@ -726,28 +831,67 @@ def save_trajectory(traj, path):
     snapshot the time followed by the flat phi and f arrays, all
     little-endian float64, torus fields in row-major order.
     """
-    geom = traj.geom
-    header = {
-        "kind": geom.kind,
-        "n": geom.n,
-        "length": getattr(geom, "length", None),
-        "dt": traj.dt,
-        "dt_out": traj.dt_out,
-        "variant": traj.variant,
-        "c": traj.c,
-        "evolve_metric": traj.evolve_metric,
-        "initial_id": traj.initial_id,
-        "snapshots": len(traj),
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for s in traj.states:
-            fh.write(struct.pack("<d", s.t))
-            fh.write(np.ascontiguousarray(s.geom.phi, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(s.f, dtype="<f8").tobytes())
+    with TrajectoryWriter(path) as writer:
+        replay(writer, traj)
+
+
+class TrajectoryWriter:
+    """``save_trajectory`` one snapshot at a time, as a flow makes them.
+
+    ``feed(traj, k)`` appends snapshot k's record to ``<path>.part``, in
+    the directory of ``path``; ``finish(traj)`` writes the header, which
+    needs the snapshot count and the run's ``dt`` (under the CFL rule the
+    smallest step, known only when the flow ends), then moves the records
+    into place under it.  Closing the writer removes the ``.part`` file, so
+    a run that stops early leaves neither it nor ``path``.
+    """
+
+    def __init__(self, path):
+        self.path = os.fspath(path)
+        self.part = self.path + ".part"
+        self.fh = open(self.part, "wb")
+        self.count = 0
+
+    def feed(self, traj, k):
+        s = traj[k]
+        self.fh.write(struct.pack("<d", s.t))
+        self.fh.write(np.ascontiguousarray(s.geom.phi, dtype="<f8").tobytes())
+        self.fh.write(np.ascontiguousarray(s.f, dtype="<f8").tobytes())
+        self.count += 1
+
+    def finish(self, traj):
+        geom = traj[-1].geom
+        header = {
+            "kind": geom.kind,
+            "n": geom.n,
+            "length": getattr(geom, "length", None),
+            "dt": traj.dt,
+            "dt_out": traj.dt_out,
+            "variant": traj.variant,
+            "c": traj.c,
+            "evolve_metric": traj.evolve_metric,
+            "initial_id": traj.initial_id,
+            "snapshots": self.count,
+        }
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        self.fh.close()
+        with open(self.path, "wb") as fh, open(self.part, "rb") as records:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            shutil.copyfileobj(records, fh)
+        os.remove(self.part)
+
+    def close(self):
+        self.fh.close()
+        if os.path.exists(self.part):
+            os.remove(self.part)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def load_trajectory(path):

@@ -45,7 +45,7 @@ from .errors import (
     NonPositiveTimeError,
     TimesNotStoredError,
 )
-from .flow import time_derivative
+from .flow import replay, time_derivative
 
 DIMENSION = 2
 
@@ -290,26 +290,46 @@ def _f_in_unit_interval(state):
 def monitor_series(traj, d=1.0, t0=0.0, enable=None):
     """Evaluate all applicable monitors at interior snapshots with t >= t0.
 
-    ``enable`` restricts the reported columns (iterable of names from
-    MONITOR_COLUMNS); the rest are NaN.  The last snapshot is skipped so
-    the centered trace-quantity difference always exists.  Raises
-    TimesNotStoredError when no snapshot is left to monitor.
+    ``MonitorRows`` fed from the stored trajectory.  ``enable`` restricts
+    the reported columns (iterable of names from MONITOR_COLUMNS); the rest
+    are NaN.  The last snapshot is skipped so the centered trace-quantity
+    difference always exists.  Raises TimesNotStoredError when no snapshot
+    is left to monitor.
     """
-    wants = set(MONITOR_COLUMNS if enable is None else enable)
-    unknown = wants - set(MONITOR_COLUMNS)
-    if unknown:
-        raise ConstraintViolationError(f"unknown monitor columns: {sorted(unknown)}")
-    ks = [k for k in range(1, len(traj) - 1) if traj[k].t >= t0 - 1e-12]
-    if not ks:
-        raise TimesNotStoredError(f"no output to monitor: none at t >= t0 = {t0:.6g} before the last, t = {traj[-1].t:.6g}")
-    times = np.array([traj[k].t for k in ks])
-    cols = {name: np.full(len(ks), np.nan) for name in MONITOR_COLUMNS}
-    plain_heat = traj.c == 0.0
-    trace = traj.evolve_metric and bool(wants & {"min_traceH_V0", "min_traceH_Vu"})
-    # columns that read u = -ln f; sup_grad reads it too where it applies
-    u_columns = {"sup_H", "F", "sup_tP", "W", "min_LYH_heat"} | ({"min_traceH_Vu"} if trace else set())
-    p_preset = replace(COR_P_PRESET, d=d)
-    for row, k in enumerate(ks):
+    return replay(MonitorRows(d, t0, enable), traj)
+
+
+class MonitorRows:
+    """``monitor_series`` one snapshot at a time, as a flow makes them.
+
+    ``feed(traj, k)`` computes the row of snapshot k - 1 when it is
+    monitored: it reads snapshots k - 2 .. k, the three a live window
+    keeps.  Rows come in time order, so the first failing snapshot raises
+    first.  ``finish(traj)`` returns the ``MonitorSeries``.
+    """
+
+    def __init__(self, d=1.0, t0=0.0, enable=None):
+        self.wants = set(MONITOR_COLUMNS if enable is None else enable)
+        unknown = self.wants - set(MONITOR_COLUMNS)
+        if unknown:
+            raise ConstraintViolationError(f"unknown monitor columns: {sorted(unknown)}")
+        self.d, self.t0 = d, t0
+        self.p_preset = replace(COR_P_PRESET, d=d)
+        self.times = []
+        self.rows = []
+
+    def feed(self, traj, k):
+        if k >= 2 and traj[k - 1].t >= self.t0 - 1e-12:
+            self.times.append(traj[k - 1].t)
+            self.rows.append(self._row(traj, k - 1))
+
+    def _row(self, traj, k):
+        wants = self.wants
+        row = dict.fromkeys(MONITOR_COLUMNS, np.nan)
+        plain_heat = traj.c == 0.0
+        trace = traj.evolve_metric and bool(wants & {"min_traceH_V0", "min_traceH_Vu"})
+        # columns that read u = -ln f; sup_grad reads it too where it applies
+        u_columns = {"sup_H", "F", "sup_tP", "W", "min_LYH_heat"} | ({"min_traceH_Vu"} if trace else set())
         state = traj[k]
         _require_positive_time(state)  # every column but mass has 1/t terms
         gradient = "sup_grad" in wants and plain_heat and _f_in_unit_interval(state)
@@ -319,30 +339,38 @@ def monitor_series(traj, d=1.0, t0=0.0, enable=None):
         if wants & {"sup_H", "F"}:
             h = harnack_field(state, u, COR_H_PRESET)
             if "sup_H" in wants:
-                cols["sup_H"][row] = float(np.max(h))
+                row["sup_H"] = float(np.max(h))
             if "F" in wants:
-                cols["F"][row] = state.t**2 * _f_integral(state, h)
+                row["F"] = state.t**2 * _f_integral(state, h)
         if wants & {"sup_tP", "W"}:
-            tp = state.t * harnack_field(state, _v_of(state, u), p_preset)
+            tp = state.t * harnack_field(state, _v_of(state, u), self.p_preset)
             if "sup_tP" in wants:
-                cols["sup_tP"][row] = float(np.max(tp))
+                row["sup_tP"] = float(np.max(tp))
             if "W" in wants:
-                cols["W"][row] = _f_integral(state, tp)
+                row["W"] = _f_integral(state, tp)
         if "mass" in wants:
-            cols["mass"][row] = mass(state)
+            row["mass"] = mass(state)
         if gradient:
-            cols["sup_grad"][row] = float(np.max(harnack_field(state, u, GRAD_PRESET)))
+            row["sup_grad"] = float(np.max(harnack_field(state, u, GRAD_PRESET)))
         if trace:
             drdt = _drdt(traj, k)
             if "min_traceH_V0" in wants:
-                cols["min_traceH_V0"][row] = float(np.min(_trace_of(state, drdt)))
+                row["min_traceH_V0"] = float(np.min(_trace_of(state, drdt)))
             if "min_traceH_Vu" in wants:
-                cols["min_traceH_Vu"][row] = float(np.min(_trace_of(state, drdt, u)))
+                row["min_traceH_Vu"] = float(np.min(_trace_of(state, drdt, u)))
         if "min_LYH_curv" in wants and float(np.min(state.R)) > 0.0:
-            cols["min_LYH_curv"][row] = float(np.min(surface_lyh(state, "curvature")))
+            row["min_LYH_curv"] = float(np.min(surface_lyh(state, "curvature")))
         if "min_LYH_heat" in wants:
-            cols["min_LYH_heat"][row] = float(np.min(_lyh_of(state, -u)))
-    return MonitorSeries(times=times, columns=cols, d=d)
+            row["min_LYH_heat"] = float(np.min(_lyh_of(state, -u)))
+        return row
+
+    def finish(self, traj):
+        if not self.rows:
+            raise TimesNotStoredError(
+                f"no output to monitor: none at t >= t0 = {self.t0:.6g} before the last, t = {traj[-1].t:.6g}"
+            )
+        cols = {name: np.array([row[name] for row in self.rows]) for name in MONITOR_COLUMNS}
+        return MonitorSeries(times=np.array(self.times), columns=cols, d=self.d)
 
 
 def write_monitor_csv(series, path):

@@ -2,15 +2,22 @@
 
 ``run_scenario`` executes one configured scenario end to end, persists the
 trajectory and CSV reports, evaluates every enabled assertion at its fixed
-tolerance and writes a one-line-per-assertion summary.  The process is
-deterministic given the config and seed; a scenario passes iff every
-enabled assertion holds.
+tolerance and writes a one-line-per-assertion summary.  It is one pass over
+the flow: ``flow.snapshots`` hands on each snapshot as it is made, and
+every stage consumes it at once, so only a window of the last three
+snapshots stays in memory.  Each stage is a consumer with ``feed(traj, k)``
+and ``finish(traj)``; ``flow.replay`` feeds the same consumers from a stored
+trajectory, which is all ``save_trajectory``, ``monitor_series``,
+``check_pairs``, ``action_rows`` and ``evaluate_assertions`` do.  The
+process is deterministic given the config and seed; a scenario passes iff
+every enabled assertion holds.
 
 ``verify_identities`` runs only the identity machinery over a ladder of
 refinement levels (N, 2N, 4N, ... with dt and dt_out scaled by 1/4 per
 level; with ``dt = auto`` every level steps by the flow's CFL rule) and
 reports the residual convergence table, the preset-agreement check and the
-randomized-parameter fuzz.
+randomized-parameter fuzz.  Each of its flows keeps only the three
+snapshots its residuals read.
 """
 
 from __future__ import annotations
@@ -25,8 +32,20 @@ from . import action as action_mod
 from . import harnack, identities
 from .config import build_initial_state, check_snapshot_plan
 from .errors import ConfigError, ConstraintViolationError, HarnackFlowError
-from .flow import EnsembleMember, FlowRun, FlowState, output_count, run_ensemble
-from .flow import run as run_flow
+from .flow import (
+    EnsembleMember,
+    FlowRun,
+    FlowState,
+    SnapshotWindow,
+    Trajectory,
+    TrajectoryWriter,
+    member_trajectories,
+    output_count,
+    replay,
+    run_ensemble,
+    snapshot_times,
+    snapshots,
+)
 from .geometry import SphereGeometry
 
 # Fixed tolerances of the assertion suite.
@@ -131,13 +150,40 @@ def _step_increase_max(series, column):
     return float(np.max(np.diff(vals)))
 
 
+class _RunFacts:
+    """The running summaries of a trajectory that the assertions read, fed snapshot by snapshot.
+
+    The smallest R at the first snapshot and its largest |phi|, the
+    largest |phi| over every snapshot, and the trajectory's equation and
+    geometry kind.
+    """
+
+    def feed(self, traj, k):
+        state = traj[k]
+        phi_max = float(np.max(np.abs(state.geom.phi)))
+        if k == 0:
+            self.min_r0, self.phi0_max, self.phi_max = float(np.min(state.R)), phi_max, phi_max
+        self.phi_max = max(self.phi_max, phi_max)
+
+    def finish(self, traj):
+        self.c, self.evolve_metric, self.kind = traj.c, traj.evolve_metric, traj[-1].geom.kind
+        return self
+
+
 def evaluate_assertions(cfg, traj, series, margins=None):
-    """Assertion list for a finished run; eligibility follows the scenario."""
+    """Assertion list for a finished run; eligibility follows the scenario.
+
+    ``traj`` is the stored trajectory, summarized by ``_RunFacts``.
+    """
+    return _assertions(replay(_RunFacts(), traj), series, margins)
+
+
+def _assertions(facts, series, margins=None):
+    """Assertion list from a run's ``_RunFacts``, monitor series and action margins."""
     out = []
-    curv0 = traj[0].R
-    weakly_positive = float(np.min(curv0)) >= -1e-12
-    strictly_positive = float(np.min(curv0)) > 0.0
-    with_potential = traj.c == -1.0
+    weakly_positive = facts.min_r0 >= -1e-12
+    strictly_positive = facts.min_r0 > 0.0
+    with_potential = facts.c == -1.0
 
     def add(ident, ok, observed, bound, description):
         out.append(AssertionResult(ident, bool(ok), observed, bound, description))
@@ -156,7 +202,7 @@ def evaluate_assertions(cfg, traj, series, margins=None):
                 "relative drift of integral f dmu per unit time",
             )
 
-    if with_potential and weakly_positive and traj.evolve_metric:
+    if with_potential and weakly_positive and facts.evolve_metric:
         sup_h = _series_extreme(series, "sup_H", np.max)
         if sup_h is not None:
             add("log-harnack-sup", sup_h <= TOL_SUP_H, sup_h, TOL_SUP_H, "sup_x H <= 0")
@@ -196,7 +242,7 @@ def evaluate_assertions(cfg, traj, series, margins=None):
                     f"discrete d{col}/dt",
                 )
 
-    if strictly_positive and traj.evolve_metric and with_potential:
+    if strictly_positive and facts.evolve_metric and with_potential:
         for col, ident in (("min_LYH_curv", "lyh-curvature"), ("min_LYH_heat", "lyh-heat")):
             mn = _series_extreme(series, col, np.min)
             if mn is not None:
@@ -212,8 +258,8 @@ def evaluate_assertions(cfg, traj, series, margins=None):
             "sup(|grad u|^2 - u/t) for plain heat, 0 < f < 1",
         )
 
-    if traj.geom.kind == "torus" and traj.evolve_metric and float(np.max(np.abs(traj[0].geom.phi))) == 0.0:
-        dev = max(float(np.max(np.abs(s.geom.phi))) for s in traj.states)
+    if facts.kind == "torus" and facts.evolve_metric and facts.phi0_max == 0.0:
+        dev = facts.phi_max
         add(
             "flat-fixed-point",
             dev <= TOL_FLAT_PHI,
@@ -240,29 +286,116 @@ def _monitor_enable(cfg):
     return [col for name in cfg.monitors for col in harnack.MONITOR_GROUPS[name]]
 
 
+def _flow_run(cfg):
+    """The scenario's flow: one run of one member from the configured initial state."""
+    member = EnsembleMember(build_initial_state(cfg), c=cfg.c, evolve_metric=cfg.evolve_metric,
+                            initial_id=cfg.initial_id)
+    return FlowRun([member], cfg.t_end, cfg.dt, cfg.dt_out)
+
+
 def run_trajectory(cfg):
-    state0 = build_initial_state(cfg)
-    return run_flow(
-        state0,
-        cfg.t_end,
-        cfg.dt,
-        cfg.dt_out,
-        c=cfg.c,
-        evolve_metric=cfg.evolve_metric,
-        initial_id=cfg.initial_id,
-    )
+    """The scenario's flow with every snapshot kept, as one Trajectory."""
+    return run_ensemble([_flow_run(cfg)])[0][0]
+
+
+class _ActionStage:
+    """The action stage: the configured pairs, then ``pair_count`` drawn ones, checked by ``PairChecks``.
+
+    The pairs are drawn and located from ``planned`` before any snapshot
+    exists (a Trajectory, or the ``PlannedSnapshots`` of one), and
+    ``static`` says, as for ``PairChecks``, whether its snapshots share
+    one geometry.  ``finish`` returns the rows of action.csv.
+    """
+
+    def __init__(self, cfg, planned, rng, static=None):
+        self.pairs = [((x1, t1), (x2, t2)) for (x1, t1, x2, t2) in cfg.pairs]
+        if cfg.pair_count:
+            self.pairs.extend(
+                action_mod.random_pairs(planned, cfg.pair_count, rng, t_min=cfg.t0, window=cfg.window)
+            )
+        self.checks = action_mod.PairChecks(planned, self.pairs, cfg.window, static)
+
+    def feed(self, traj, k):
+        self.checks.feed(traj, k)
+
+    def finish(self, traj):
+        results = self.checks.finish(traj)
+        return [(x1, t1, x2, t2, gamma, margin) for ((x1, t1), (x2, t2)), (margin, gamma) in zip(self.pairs, results)]
 
 
 def action_rows(cfg, traj, rng):
-    pairs = [
-        ((x1, t1), (x2, t2)) for (x1, t1, x2, t2) in cfg.pairs
-    ]
-    if cfg.pair_count:
-        pairs.extend(
-            action_mod.random_pairs(traj, cfg.pair_count, rng, t_min=cfg.t0, window=cfg.window)
-        )
-    results = action_mod.check_pairs(traj, pairs, cfg.window)
-    return [(x1, t1, x2, t2, gamma, margin) for ((x1, t1), (x2, t2)), (margin, gamma) in zip(pairs, results)]
+    """The action stage's rows on a stored trajectory."""
+    return replay(_ActionStage(cfg, traj, rng), traj)
+
+
+def _kept_range(k):
+    """The snapshots the residuals at check index k read: k - 1, k and k + 1 (0 and 1 when k = 0)."""
+    return range(max(k - 1, 0), k + 2)
+
+
+class _IdentityStage:
+    """The identity stage of ``run``: the presets at the check index k, from snapshots k - 1 .. k + 1 alone.
+
+    They are kept as they arrive and evaluated, re-based so that k reads
+    index 1, when snapshot k + 1 arrives; ``finish`` returns the reports.
+    """
+
+    def __init__(self, cfg, last):
+        self.k = _check_index(cfg.t_check, cfg.dt_out, last)
+        self.want, self.d = set(cfg.identity_presets), cfg.d
+        self.kept, self.reports = [], None
+
+    def feed(self, traj, k):
+        kept = _kept_range(self.k)
+        if k in kept:
+            self.kept.append(traj[k])
+        if k == kept[-1]:
+            short, k = replace(traj, states=self.kept), self.k - kept[0]
+            if float(np.min(short[k].R)) <= 0:
+                self.want.discard("surface")  # it needs R > 0 at the checked snapshot
+            self.reports = identities.preset_reports({short.c: short}, k, self.want, self.d)
+            self.kept = None
+
+    def finish(self, traj):
+        return self.reports
+
+
+class _Stages:
+    """The stages after the flow, in pipeline order, each fed every snapshot until it fails.
+
+    ``makers`` are (name, make) in pipeline order.  A stage that raises a
+    HarnackFlowError, when it is made, fed or finished, stops being fed,
+    and so does every later stage.  Only an earlier stage can fail after
+    that, so ``failure`` ends as the earliest failing stage's (name,
+    error), with its first failure in time order; ``results`` holds each
+    finished stage's result by name.
+    """
+
+    def __init__(self, makers):
+        self.names = [name for name, _ in makers]
+        self.fed = []  # the stages still fed: a prefix of the pipeline
+        self.results = {}
+        self.failure = None
+        for pos, (_, make) in enumerate(makers):
+            stage = self._call(pos, make)
+            if self.failure is not None:
+                break
+            self.fed.append(stage)
+
+    def _call(self, pos, call, *args):
+        try:
+            return call(*args)
+        except HarnackFlowError as err:
+            self.failure = self.names[pos], err
+            del self.fed[pos:]  # which also ends a loop over self.fed
+
+    def feed(self, traj, k):
+        for pos, stage in enumerate(self.fed):
+            self._call(pos, stage.feed, traj, k)
+
+    def finish(self, traj):
+        for pos, stage in enumerate(self.fed):
+            self.results[self.names[pos]] = self._call(pos, stage.finish, traj)
 
 
 def _write_plot_script(path, monitors_csv):
@@ -283,58 +416,84 @@ def _write_plot_script(path, monitors_csv):
 def run_scenario(cfg, out_flag=None, seed=None):
     """Full pipeline for one scenario; returns a ScenarioReport.
 
+    One pass over the flow: each snapshot goes to ``trajectory.bin`` and
+    through every stage (monitors, identities, action, and the
+    assertions' running summaries) as the flow makes it, and a window of
+    the last three snapshots is all that stays in memory.  The action
+    pairs are drawn and located before the flow, from its planned times.
+
     A HarnackFlowError in any stage (flow, monitors, identities, action)
     ends the run: summary.txt then holds the single line
     ``FAIL <stage>: <error type>[ at t = ...]: <message>``, which the
-    report carries in ``failure``, and the report fails.  Every file a run
+    report carries in ``failure``, and the report fails.  The stage named
+    is the earliest failing one in that order, with its first failing
+    snapshot in time order (the first failing pair in list order for the
+    action); a failing stage stops being fed, and so does every later one.
+    ``trajectory.bin`` is written when the flow finishes, and a stage's
+    reports only if it and every earlier stage passed.  Every file a run
     writes that an earlier run left is removed first, so a stage this run
     disables or never reaches leaves no report behind; a negative seed then
-    raises ConstraintViolationError before the flow runs.
+    raises ConstraintViolationError before the flow runs.  A run that stops
+    early leaves no partial ``trajectory.bin`` and no ``trajectory.bin.part``.
     """
     out_dir = resolve_out_dir(cfg, out_flag)
     os.makedirs(out_dir, exist_ok=True)
     _remove_stale_reports(
-        out_dir, "trajectory.bin", "monitors.csv", "plots.gp", "identities.csv", "action.csv", "summary.txt"
+        out_dir, "trajectory.bin", "trajectory.bin.part", "monitors.csv", "plots.gp", "identities.csv",
+        "action.csv", "summary.txt",
     )
     rng = _seeded_rng(cfg, seed)
-    summary_path = os.path.join(out_dir, "summary.txt")
-    stage = "flow"
     try:
-        traj = run_trajectory(cfg)
-        traj.save(os.path.join(out_dir, "trajectory.bin"))
-
-        stage = "monitors"
-        series = harnack.monitor_series(traj, d=cfg.d, t0=cfg.t0, enable=_monitor_enable(cfg))
-        monitors_csv = os.path.join(out_dir, "monitors.csv")
-        harnack.write_monitor_csv(series, monitors_csv)
-        _write_plot_script(os.path.join(out_dir, "plots.gp"), "monitors.csv")
-
+        run = _flow_run(cfg)
+        (member,) = run.members
+        times = snapshot_times(run)
+        makers = [("monitors", lambda: harnack.MonitorRows(cfg.d, cfg.t0, _monitor_enable(cfg)))]
         if cfg.identities_enable:
-            stage = "identities"
-            k = _check_index(cfg.t_check, cfg.dt_out, len(traj) - 1)
-            want = set(cfg.identity_presets)
-            if float(np.min(traj[k].R)) <= 0:
-                want.discard("surface")  # it needs R > 0 at the checked snapshot
-            reports = identities.preset_reports({traj.c: traj}, k, want, cfg.d)
-            identities.write_identity_csv(reports, os.path.join(out_dir, "identities.csv"))
-
-        margins = None
+            makers.append(("identities", lambda: _IdentityStage(cfg, len(times) - 1)))
         if cfg.action_enable:
-            stage = "action"
-            rows = action_rows(cfg, traj, rng)
-            action_mod.write_action_csv(rows, os.path.join(out_dir, "action.csv"))
-            margins = np.array([r[5] for r in rows])
+            planned = action_mod.PlannedSnapshots(np.array(times), member.initial.geom, cfg.dt_out)
+            makers.append(("action", lambda: _ActionStage(cfg, planned, rng, member.static)))
+        stages, facts = _Stages(makers), _RunFacts()
+        live = Trajectory(SnapshotWindow(3), dt=cfg.dt, dt_out=cfg.dt_out, c=member.c,
+                          evolve_metric=member.evolve_metric, initial_id=member.initial_id)
+        with TrajectoryWriter(os.path.join(out_dir, "trajectory.bin")) as writer:
+            for snap in snapshots([run]):
+                live.states.append(snap.states[0])
+                live.dt = snap.dt
+                for consumer in (writer, facts, stages):
+                    consumer.feed(live, snap.k)
+            writer.finish(live)
     except HarnackFlowError as err:
-        failure = _failure_line(stage, err)
-        with open(summary_path, "w", newline="\n") as fh:
-            fh.write(failure + "\n")
-        return ScenarioReport(cfg.name, [], out_dir, failure=failure)
+        return _failed(cfg, out_dir, _failure_line("flow", err))
+    facts.finish(live)
+    stages.finish(live)
 
-    assertions = evaluate_assertions(cfg, traj, series, margins)
-    with open(summary_path, "w", newline="\n") as fh:
+    for name in stages.names:
+        if stages.failure is not None and stages.failure[0] == name:
+            return _failed(cfg, out_dir, _failure_line(*stages.failure))
+        result = stages.results[name]
+        if name == "monitors":
+            series = result
+            harnack.write_monitor_csv(series, os.path.join(out_dir, "monitors.csv"))
+            _write_plot_script(os.path.join(out_dir, "plots.gp"), "monitors.csv")
+        elif name == "identities":
+            identities.write_identity_csv(result, os.path.join(out_dir, "identities.csv"))
+        else:
+            action_mod.write_action_csv(result, os.path.join(out_dir, "action.csv"))
+    margins = np.array([r[5] for r in stages.results["action"]]) if cfg.action_enable else None
+
+    assertions = _assertions(facts, series, margins)
+    with open(os.path.join(out_dir, "summary.txt"), "w", newline="\n") as fh:
         for a in assertions:
             fh.write(a.line() + "\n")
     return ScenarioReport(cfg.name, assertions, out_dir)
+
+
+def _failed(cfg, out_dir, failure):
+    """Write a run's FAIL line as its summary.txt; the failed report."""
+    with open(os.path.join(out_dir, "summary.txt"), "w", newline="\n") as fh:
+        fh.write(failure + "\n")
+    return ScenarioReport(cfg.name, [], out_dir, failure=failure)
 
 
 def _check_index(t_check, dt_out, last):
@@ -400,6 +559,24 @@ def _level_run(lcfg, want, state0, last):
     return FlowRun(members, lcfg.t_end, lcfg.dt, lcfg.dt_out, last)
 
 
+def _checked_flows(runs, checks):
+    """Integrate the runs; per run, its members' trajectories of the snapshots its check index reads.
+
+    Run i keeps only ``_kept_range(checks[i])``, snapshots k - 1, k and
+    k + 1 of its check index k, as they are made, so its trajectories are
+    re-based: k reads index 1 (index 0 when k = 0).  ``dt_out`` is the
+    run's, and ``dt`` its smallest step up to snapshot k + 1.
+    """
+    runs = list(runs)
+    kept = [[] for _ in runs]
+    dts = [None] * len(runs)
+    for snap in snapshots(runs):
+        if snap.k in _kept_range(checks[snap.run]):
+            kept[snap.run].append(snap.states)
+            dts[snap.run] = snap.dt
+    return [member_trajectories(run, states, dt) for run, states, dt in zip(runs, kept, dts)]
+
+
 @dataclass
 class IdentityLevel:
     """One ladder level.  ``dt`` is the level's smallest step; under
@@ -445,10 +622,11 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     same snapshot time t_check, through ``identities.preset_reports`` as
     ``run`` does.  The flows of a level share n, dt and dt_out and form
     one run; the fuzz calibration is one more.  All of them are
-    integrated by one ``run_ensemble`` call, in lockstep stacks, before
-    any residual.  Each level's run stops at snapshot k + 1 (t_check +
-    dt_out), the last one its residuals at the check index k read, with k
-    picked as on a run to t_end; the configured t_end is still checked,
+    integrated by one ``snapshots`` call, in lockstep stacks, before any
+    residual, and each run keeps only the snapshots k - 1, k and k + 1 of
+    its check index k (``_checked_flows``).  Each level's run stops at
+    snapshot k + 1 (t_check + dt_out), the last one its residuals read,
+    with k picked as on a run to t_end; the configured t_end is still checked,
     so a member whose extinction time it reaches raises
     ConstraintViolationError before any flow.  Fuzz tuples run at the
     coarsest level, on a calibration flow that likewise stops one
@@ -496,8 +674,9 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
             dt_out=cfg.dt_out / (4**lvl),
         )
         # the level's check index k, as on a run to t_end; its flows stop at
-        # k + 1, and its snapshots 0 .. k + 1 must fit before any state is
-        # built, or any further level made: each level multiplies n
+        # k + 1, and the plan of its snapshots 0 .. k + 1, of which they keep
+        # three, must fit before any state is built, or any further level
+        # made: each level multiplies n
         k = _check_index(cfg.t_check, lcfg.dt_out, output_count(lcfg.t_end, lcfg.dt_out))
         check_snapshot_plan(lcfg, k + 2, len(coeffs) + ("surface" in want), f"ladder level {lvl} (N = {lcfg.n})")
         level_cfgs.append(lcfg)
@@ -506,9 +685,11 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     starts = [build_initial_state(lcfg) for lcfg in level_cfgs]
     runs = [_level_run(lcfg, want, state0, k + 1) for lcfg, state0, k in zip(level_cfgs, starts, checks)]
     stages = [f"flow (level {lvl}, N = {lcfg.n})" for lvl, lcfg in enumerate(level_cfgs)]
+    run_checks = list(checks)  # per run, the check index whose snapshots it keeps
     if cfg.fuzz_count:
         runs.append(_fuzz_run(cfg.n))
         stages.append(f"fuzz (level 0, N = {cfg.n})")
+        run_checks.append(_FUZZ_CHECK)
 
     level_rows = []
     agree = {}
@@ -517,8 +698,9 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     preset_max = {}
     stage = None  # while the flows run: the failing run's stage
     try:
-        flows = run_ensemble(runs)
-        for lvl, (lcfg, k, level_flows) in enumerate(zip(level_cfgs, checks, flows)):
+        flows = _checked_flows(runs, run_checks)
+        for lvl, (lcfg, check, level_flows) in enumerate(zip(level_cfgs, checks, flows)):
+            k = check - _kept_range(check).start  # the check index in the kept snapshots
             where = f"level {lvl}, N = {lcfg.n}"
             stage = f"residuals ({where})"
             trajs = dict(zip(coeffs, level_flows))
@@ -543,7 +725,7 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
                 if cfg.fuzz_count:
                     stage = f"fuzz ({where})"
                     (traj_fuzz,) = flows[-1]
-                    kf = _FUZZ_CHECK
+                    kf = _FUZZ_CHECK - _kept_range(_FUZZ_CHECK).start
                     for family, preset_report in (
                         ("H", identities.residual_general_H(traj_fuzz, kf, identities.COR_H_PRESET)),
                         ("P", identities.residual_general_P(traj_fuzz, kf, replace(identities.COR_P_PRESET, d=cfg.d))),

@@ -226,7 +226,7 @@ def test_verify_identities_rejects_fewer_than_two_levels(cfg_file, tmp_path, cap
         raise AssertionError("a flow ran")
 
     monkeypatch.setattr(runner, "run_ensemble", no_flow)
-    monkeypatch.setattr(runner, "run_flow", no_flow)
+    monkeypatch.setattr(runner, "snapshots", no_flow)
     out = tmp_path / "ladder"
     out.mkdir()
     (out / "identity_summary.txt").write_text("PASS stale summary of an earlier ladder\n")
@@ -432,14 +432,14 @@ def test_verify_identities_flow_failure_names_its_level(tmp_path, capsys, monkey
 )
 def test_verify_identities_stage_errors(cfg_file, tmp_path, capsys, monkeypatch, run, error, code, line):
     # every flow of the ladder, the fuzz calibration last, is one run of a
-    # single run_ensemble call, whose error names the run that failed
+    # single snapshots call, whose error names the run that failed
     import harnackflow.runner as runner
 
     def fail(runs):
         error.run = range(len(runs))[run]
         raise error
 
-    monkeypatch.setattr(runner, "run_ensemble", fail)
+    monkeypatch.setattr(runner, "snapshots", fail)
     out = tmp_path / "ladder"
     cfg = cfg_file(SMALL_TORUS.replace("n = 24", "n = 16") + "\n[identities]\nfuzz_count = 3\n", "fail.cfg")
     assert main(["verify-identities", "--config", cfg, "--levels", "2", "--out", str(out)]) == code
@@ -507,7 +507,7 @@ def test_stale_summary_removed_when_run_stops_early(cfg_file, tmp_path, monkeypa
     def crash(*args, **kwargs):
         raise RuntimeError("interrupted")
 
-    monkeypatch.setattr(runner, "action_rows", crash)
+    monkeypatch.setattr(runner._ActionStage, "feed", crash)
     cfg = cfg_file(SMALL_SPHERE, "stale.cfg")
     out = tmp_path / "stale"
     out.mkdir()
@@ -591,7 +591,7 @@ def test_sweep_refuses_two_configs_with_one_output_directory(tmp_path, capsys, m
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran")
 
-    monkeypatch.setattr(runner, "run_flow", no_flow)
+    monkeypatch.setattr(runner, "snapshots", no_flow)
     out = tmp_path / "out"
     paths = []
     for sub, name in (("a", "tiny.cfg"), ("b", "tiny.cfg" if shared == "file name" else "other.cfg")):
@@ -627,7 +627,7 @@ def test_negative_seed_exits_before_any_flow(cfg_file, tmp_path, capsys, monkeyp
         raise AssertionError("a flow ran")
 
     monkeypatch.setattr(runner, "run_ensemble", no_flow)
-    monkeypatch.setattr(runner, "run_flow", no_flow)
+    monkeypatch.setattr(runner, "snapshots", no_flow)
     out = tmp_path / "out"
     (out / stale).parent.mkdir(parents=True)
     (out / stale).write_text("PASS stale summary of an earlier run\n")
@@ -703,7 +703,7 @@ def test_plan_above_snapshot_limit_exits_before_any_flow(cfg_file, tmp_path, cap
         raise AssertionError("a flow ran")
 
     monkeypatch.setattr(runner, "run_ensemble", no_flow)
-    monkeypatch.setattr(runner, "run_flow", no_flow)
+    monkeypatch.setattr(runner, "snapshots", no_flow)
     out = tmp_path / "out"
     for command in ("run", "verify-identities"):
         assert main([command, "--config", cfg_file(HUGE_PLAN, "huge.cfg"), "--out", str(out)]) == 2

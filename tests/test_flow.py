@@ -579,7 +579,7 @@ def test_static_torus_members_match_the_reference(phi_amp, c, evolve_metric):
     # a flat torus at +0 and a frozen curved one step f alone; the frozen
     # members' reaction factor (-2c) rate_phi is nonzero
     mem = hf.EnsembleMember(_torus_state(12, phi_amp), c=c, evolve_metric=evolve_metric)
-    assert hf.flow._static(mem)
+    assert mem.static
     (traj,) = _ensemble([mem], 0.05, 0.0125 / 4, 0.0125)
     _matches_reference(traj, mem, 0.05, 0.0125 / 4, 0.0125)
     assert all(s.geom is traj[0].geom for s in traj.states)
@@ -605,7 +605,7 @@ def test_static_and_evolving_members_of_two_runs_share_a_stack(monkeypatch, tmp_
             _same_trajectory(traj, solo)
             _matches_reference(traj, mem, run.t_end, run.dt, run.dt_out)
             shared = [s.geom is traj[0].geom for s in traj.states[1:]]
-            assert shared == [hf.flow._static(mem)] * (len(traj) - 1)
+            assert shared == [mem.static] * (len(traj) - 1)
             # the curvature is cached on the geometry, so a shared geometry shares it
             assert [s.R is traj[0].R for s in traj.states[1:]] == shared
             assert all(s.R.tobytes() == s.geom.scalar_curvature().tobytes() for s in traj.states)
@@ -645,7 +645,7 @@ def test_static_members_are_frozen_or_flat_tori_at_plus_zero():
     flat, bump = _torus_state(8, 0.0), _torus_state(8, 0.05)
     minus = hf.FlowState(0.0, flat.geom.with_phi(np.full((8, 8), -0.0)), flat.f)
     sphere = hf.FlowState(0.0, hf.SphereGeometry(16), np.full(16, F0))
-    static = [hf.flow._static(hf.EnsembleMember(state, evolve_metric=evolve))
+    static = [hf.EnsembleMember(state, evolve_metric=evolve).static
               for state in (flat, bump, minus, sphere) for evolve in (True, False)]
     assert static == [True, True, False, True, False, True, False, True]
 
@@ -905,3 +905,60 @@ def test_run_stops_at_its_last_snapshot_but_checks_t_end(monkeypatch):
     with pytest.raises(ConstraintViolationError, match="nonnegative"):
         hf.run_ensemble([hf.FlowRun([member], 0.1, 1e-3, 0.01, -1)])
     assert record == []
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("state", [_sphere_cos(16), _torus_state(8, 0.05)], ids=["sphere", "torus"])
+def test_non_finite_c_is_refused_before_any_step(monkeypatch, state, c):
+    # a NaN or infinite c used to take a step, then fail it with
+    # PositivityLostError "min f = nan <= 0"
+    record = record_kernel_steps(monkeypatch)
+    with pytest.raises(ConstraintViolationError, match=r"^member 0: c = .* must be finite$"):
+        hf.run(state, 0.02, 1e-3, 0.01, c=c)
+    good = hf.EnsembleMember(state)
+    with pytest.raises(ConstraintViolationError, match=r"^member 1: c = .* must be finite$") as err:
+        hf.run_ensemble([hf.FlowRun([good], 0.02, 1e-3, 0.01), hf.FlowRun([good, good._replace(c=c)], 0.02, 1e-3, 0.01)])
+    assert err.value.run == 1
+    assert record == []
+
+
+@pytest.mark.parametrize("last", [2.5, True, float("nan")], ids=["float", "bool", "nan"])
+def test_last_must_be_a_nonnegative_int(monkeypatch, last):
+    # 2.5 used to stop after snapshot 3, True after snapshot 1, and NaN was
+    # ignored, returning every snapshot
+    record = record_kernel_steps(monkeypatch)
+    member = hf.EnsembleMember(_sphere_cos(16))
+    with pytest.raises(ConstraintViolationError, match="must be a nonnegative snapshot index"):
+        hf.run_ensemble([hf.FlowRun([member], 0.1, 1e-3, 0.01, last)])
+    assert record == []
+    ((cut,),) = hf.run_ensemble([hf.FlowRun([member], 0.1, 1e-3, 0.01, np.int64(2))])
+    assert len(cut) == 3
+
+
+def test_snapshots_hand_on_each_run_as_it_is_made():
+    # every run's initial states first, then each snapshot in step order;
+    # run_ensemble is this stream with every snapshot kept
+    member = hf.EnsembleMember(_sphere_cos(16))
+    runs = [hf.FlowRun([member], 0.03, 1e-3, 0.01), hf.FlowRun([member, member._replace(c=0.0)], 0.02, 5e-4, 0.01)]
+    made = [(snap.run, snap.k, len(snap.states)) for snap in hf.flow.snapshots(runs)]
+    assert made[:2] == [(0, 0, 1), (1, 0, 2)]
+    assert sorted(made) == [(0, k, 1) for k in range(4)] + [(1, k, 2) for k in range(3)]
+    assert [k for run, k, _ in made if run == 0] == [0, 1, 2, 3]
+    assert hf.flow.snapshot_times(runs[0]) == [0.0, 0.01, 0.02, 0.03]
+    together = hf.run_ensemble(runs)
+    for snap in hf.flow.snapshots(runs):
+        for state, traj in zip(snap.states, together[snap.run]):
+            assert (state.t, state.f.tobytes()) == (traj[snap.k].t, traj[snap.k].f.tobytes())
+        assert snap.dt == together[snap.run][0].dt
+
+
+def test_snapshot_window_reads_kept_snapshots_by_their_index():
+    window = hf.flow.SnapshotWindow(3)
+    for k in range(5):
+        window.append(k)
+    assert len(window) == 5 and [window[k] for k in (2, 3, 4, -1, -3)] == [2, 3, 4, 4, 2]
+    for k in (0, 1, 5, -4):
+        with pytest.raises(LookupError):
+            window[k]
+    with pytest.raises(LookupError):
+        list(window)

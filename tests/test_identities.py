@@ -224,27 +224,29 @@ def test_ladder_runs_each_surface_form_once_on_its_own_trajectory(tmp_path, monk
     # scenario's trajectory, the f := R form on the round companion
     from harnackflow import runner
 
-    flows, calls = [], []
-    run_ensemble, residual_surface = runner.run_ensemble, idn.residual_surface
+    runs, flows, calls = [], [], []
+    checked_flows, residual_surface = runner._checked_flows, idn.residual_surface
 
-    def recorded_flows(runs):
-        flows.extend(run_ensemble(runs))
+    def recorded_flows(level_runs, checks):
+        runs.extend(level_runs)
+        flows.extend(checked_flows(level_runs, checks))
         return flows
 
     def counted(*args, **kwargs):
         calls.append(args)
         return residual_surface(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "run_ensemble", recorded_flows)
+    monkeypatch.setattr(runner, "_checked_flows", recorded_flows)
     monkeypatch.setattr(idn, "residual_surface", counted)
     cfg = hf.parse_config(SMALL_LADDER, name="ladder")
     study = hf.verify_identities(cfg, levels=2, out_flag=str(tmp_path))
     assert study.passed
     assert len(calls) == 2
-    for level, level_flows in zip(study.levels, flows):
+    assert len(flows) == len(study.levels)
+    for level, run, level_flows in zip(study.levels, runs, flows):
         scenario, companion = level_flows[0], level_flows[-1]
         assert scenario.c == -1.0 and scenario.initial_id == "cos_theta"
-        first = companion[0]
+        first = run.members[-1].initial  # the companion's initial state
         assert np.ptp(first.f) == 0.0 and np.ptp(first.geom.phi) == 0.0  # round, constant heat
         k = int(np.flatnonzero(scenario.times == level.t_check)[0])
         rows = {r.identity: r for r in level.reports}
@@ -271,37 +273,48 @@ def _stop_torus():
 )
 def test_ladder_flows_stop_after_the_last_snapshot_they_read(text, tmp_path, monkeypatch):
     # each level's flows end at snapshot k + 1 of its check index k, the
-    # calibration at kf + 1; longer flows leave every report byte for byte
+    # calibration at kf + 1, and keep snapshots k - 1, k and k + 1 alone;
+    # longer flows leave every report byte for byte
     from harnackflow import runner
 
-    run_ensemble = runner.run_ensemble
-    lengths = []
+    snapshots, checked_flows = runner.snapshots, runner._checked_flows
+    stops, kept = {}, []
 
-    def recorded(runs):
-        flows = run_ensemble(runs)
-        lengths.extend({len(traj) for traj in run} for run in flows)
+    def recorded_snapshots(runs):
+        for snap in snapshots(runs):
+            stops[snap.run] = snap.k
+            yield snap
+
+    def recorded_flows(runs, checks):
+        flows = checked_flows(runs, checks)
+        kept.extend({tuple(traj.times) for traj in run} for run in flows)
         return flows
 
     def longer(runs):
         # the level runs to t_end; the calibration, which has no configured
         # t_end, two snapshots further
-        return run_ensemble([
+        return snapshots([
             run._replace(last=None) if run.last is not None else run._replace(t_end=run.t_end + 2 * run.dt_out)
             for run in runs
         ])
 
     cfg = hf.parse_config(text, name="ladder")
-    monkeypatch.setattr(runner, "run_ensemble", recorded)
+    monkeypatch.setattr(runner, "snapshots", recorded_snapshots)
+    monkeypatch.setattr(runner, "_checked_flows", recorded_flows)
     hf.verify_identities(cfg, levels=2, out_flag=str(tmp_path / "short"), seed=7)
-    monkeypatch.setattr(runner, "run_ensemble", longer)
+    monkeypatch.setattr(runner, "snapshots", longer)
+    monkeypatch.setattr(runner, "_checked_flows", checked_flows)
     study = hf.verify_identities(cfg, levels=2, out_flag=str(tmp_path / "long"), seed=7)
 
-    *level_lengths, fuzz_length = lengths
-    assert len(level_lengths) == len(study.levels) == 2
-    for level, length in zip(study.levels, level_lengths):
+    *level_kept, fuzz_kept = kept
+    assert len(level_kept) == len(study.levels) == 2
+    for run, (level, times) in enumerate(zip(study.levels, level_kept)):
         k = int(round(level.t_check / level.dt_out))
-        assert length == {k + 2}
-    assert fuzz_length == {runner._FUZZ_CHECK + 2}
+        assert stops[run] == k + 1
+        assert times == {tuple((k + j) * level.dt_out for j in (-1, 0, 1))}
+    kf = runner._FUZZ_CHECK
+    assert stops[len(level_kept)] == kf + 1
+    assert fuzz_kept == {tuple((kf + j) * runner._FUZZ_DT_OUT for j in (-1, 0, 1))}
     for name in ("identities.csv", "identity_summary.txt"):
         assert (tmp_path / "short" / name).read_bytes() == (tmp_path / "long" / name).read_bytes()
 
