@@ -399,43 +399,54 @@ def _forward(graph, window, dt, depart, layers):
     far plus 0.5 R dt), +inf off the nodes a path can leave from;
     ``layers`` yields per layer the geometries at k and k + 1 and the
     layer's box, which bounds the work.  Yields per layer (depart, box,
-    table, values): the departure values it read, its step-cost table on
-    the box, and the full-grid field of the action of reaching each node
-    with the arrival term added once, +inf off the box.  The next layer
-    departs from ``values`` plus its arrival term.
+    table, values): the departure values it read and ``_layer``'s table
+    and values.  The next layer departs from ``values`` plus its arrival
+    term.
     """
     for geom, after, box in layers:
-        shape = geom.field_shape
-        box_shape = tuple(map(len, box))
-        grown = _departures(depart, box, window, graph.periodic)
-        mid = 0.5 * (geom.phi + after.phi)  # the mid-step conformal exponent
-        radial = graph.taxicab(geom, mid, window)
-        if radial is not None:
-            # a uniform layer: one cost per taxicab shell
-            costs = _cost(radial, dt)
-            best = _shell_minimum(grown, costs, window, box_shape)
-            table = _taxicab_table(costs, window)  # one value per offset
-        else:
-            # sources[a + W] holds depart[q - a] at arrival q; every in-box arrival
-            # that can still reach x2 reads only departures that can, and those
-            # lie in the previous box, so its value is the full-grid DP's
-            sources = sliding_window_view(grown, box_shape)[(slice(None, None, -1),) * len(shape)]
-            table = _cost(graph.distances(geom, mid, window, box), dt)
-            first, *rest = np.ndindex(table.shape[: len(shape)])
-            best = np.empty(box_shape)
-            cand = np.empty(box_shape)
-            np.add(sources[first], table[first], out=best)
-            for off in rest:
-                np.add(sources[off], table[off], out=cand)
-                np.minimum(best, cand, out=best)
-        # rounding is monotone, so min_o fl(x_o + c) = fl(min_o x_o + c): the
-        # arrival term is added once, after the minimum
-        arrive = 0.5 * after.R * dt
-        at = _box_index(box, shape)
-        values = np.full(shape, np.inf)
-        values[at] = best + arrive[at]
+        table, values, arrive = _layer(graph, window, dt, depart, geom, after, box)
         yield depart, box, table, values
         depart = values + arrive
+
+
+def _layer(graph, window, dt, depart, geom, after, box):
+    """One layer of the forward DP, from the geometries at k and k + 1: (table, values, arrive).
+
+    ``table`` is the layer's step-cost table on ``box``, ``values`` the
+    full-grid field of the action of reaching each node with the arrival
+    term added once, +inf off the box, and ``arrive`` that term, 0.5 R dt
+    at k + 1, which the next layer's departures add to ``values``.
+    """
+    shape = geom.field_shape
+    box_shape = tuple(map(len, box))
+    grown = _departures(depart, box, window, graph.periodic)
+    mid = 0.5 * (geom.phi + after.phi)  # the mid-step conformal exponent
+    radial = graph.taxicab(geom, mid, window)
+    if radial is not None:
+        # a uniform layer: one cost per taxicab shell
+        costs = _cost(radial, dt)
+        best = _shell_minimum(grown, costs, window, box_shape)
+        table = _taxicab_table(costs, window)  # one value per offset
+    else:
+        # sources[a + W] holds depart[q - a] at arrival q; every in-box arrival
+        # that can still reach x2 reads only departures that can, and those
+        # lie in the previous box, so its value is the full-grid DP's
+        sources = sliding_window_view(grown, box_shape)[(slice(None, None, -1),) * len(shape)]
+        table = _cost(graph.distances(geom, mid, window, box), dt)
+        first, *rest = np.ndindex(table.shape[: len(shape)])
+        best = np.empty(box_shape)
+        cand = np.empty(box_shape)
+        np.add(sources[first], table[first], out=best)
+        for off in rest:
+            np.add(sources[off], table[off], out=cand)
+            np.minimum(best, cand, out=best)
+    # rounding is monotone, so min_o fl(x_o + c) = fl(min_o x_o + c): the
+    # arrival term is added once, after the minimum
+    arrive = 0.5 * after.R * dt
+    at = _box_index(box, shape)
+    values = np.full(shape, np.inf)
+    values[at] = best + arrive[at]
+    return table, values, arrive
 
 
 def _cost(distances, dt):
@@ -457,19 +468,15 @@ def _narrow(x1, x2, steps, window):
     return WindowTooNarrowError(f"no path from node {x1} to node {x2} in {steps} steps with window {window}")
 
 
-def _pair_layers(traj, k1, k2, x1, x2, graph, window):
-    """The forward loop of one pair over its reach boxes, from snapshot k1.
+def _pair_start(traj, k1, k2, x1, x2, graph, window):
+    """(boxes, depart) of one pair's own forward loop: its reach boxes and its first departures.
 
-    Reads snapshot k1 now and snapshots k and k + 1 only when layer k is
-    asked for, so a flow can advance it one layer per snapshot made.
+    Reads snapshot k1 alone; a pair whose boxes are empty has no path.
     """
-    shape = traj[k1].geom.field_shape
-    boxes = _reach_boxes(shape, graph.periodic, x1, x2, k2 - k1, window)
+    boxes = _reach_boxes(traj[k1].geom.field_shape, graph.periodic, x1, x2, k2 - k1, window)
     if not all(len(r) for box in boxes for r in box):
         raise _narrow(x1, x2, k2 - k1, window)
-    dt = traj.dt_out
-    layers = ((traj[k].geom, traj[k + 1].geom, box) for k, box in zip(range(k1, k2), boxes))
-    return _forward(graph, window, dt, _start(traj[k1].geom, x1, dt), layers)
+    return boxes, _start(traj[k1].geom, x1, traj.dt_out)
 
 
 def _gamma_at(values, x1, x2, steps, window):
@@ -557,8 +564,10 @@ def min_action(traj, point1, point2, window=DEFAULT_WINDOW):
     """
     k1, k2, x1, x2 = _pair_nodes(traj, point1, point2)
     graph, window = _layer_graph(traj.geom, window)
+    boxes, depart = _pair_start(traj, k1, k2, x1, x2, graph, window)
+    layers = ((traj[k].geom, traj[k + 1].geom, box) for k, box in zip(range(k1, k2), boxes))
     kept = []
-    for k, (depart, box, table, values) in zip(range(k1, k2), _pair_layers(traj, k1, k2, x1, x2, graph, window)):
+    for k, (depart, box, table, values) in zip(range(k1, k2), _forward(graph, window, traj.dt_out, depart, layers)):
         kept.append((k, depart, box, table))
     gamma = _gamma_at(values, x1, x2, k2 - k1, window)
     nodes = _backtrack(traj, kept, x2, graph, window)
@@ -638,9 +647,9 @@ class _Pair:
     k2: int
     x1: int
     x2: int
-    sweep: Callable | None = None  # gamma from an origin sweep, or None
-    steps: object = None  # its own forward loop, or None
-    values: np.ndarray | None = None  # that loop's last layer
+    sweep: Callable | None = None  # gamma from an origin sweep, or None for its own loop:
+    boxes: list | None = None  # the loop's reach boxes
+    depart: np.ndarray | None = None  # and its next layer's departures
     lnf1: float = 0.0
 
 
@@ -688,10 +697,8 @@ class PairChecks:
             try:
                 if pair.k1 == k:
                     self._begin(traj, pair)
-                elif pair.k1 < k <= pair.k2 and pair.steps is not None:
-                    pair.values = next(pair.steps)[-1]
-                if pair.k2 == k:
-                    self._end(traj, pair)
+                elif pair.k1 < k <= pair.k2:
+                    self._advance(traj, pair, k)
             except HarnackFlowError as err:
                 self.failure = err
                 self.pairs = [p for p in self.pairs if p.index < pair.index]
@@ -707,13 +714,24 @@ class PairChecks:
             self.sweeps[id(geom)] = geom, _origin_sweep(geom, self.graph, self.window, self.dt)
         pair.sweep = self.sweeps[id(geom)][1] if shared else None
         if pair.sweep is None:
-            pair.steps = _pair_layers(traj, pair.k1, pair.k2, pair.x1, pair.x2, self.graph, self.window)
+            pair.boxes, pair.depart = _pair_start(traj, pair.k1, pair.k2, pair.x1, pair.x2, self.graph, self.window)
         pair.lnf1 = float(np.log(traj[pair.k1].f.flat[pair.x1]))
 
-    def _end(self, traj, pair):
+    def _advance(self, traj, pair, k):
+        """Layer k - 1 .. k of the pair's own loop, as ``_forward`` runs it, and at t2 its margin.
+
+        Between snapshots a pair holds its next departures alone.
+        """
+        values = None
+        if pair.sweep is None:
+            box = pair.boxes[k - pair.k1 - 1]
+            _, values, arrive = _layer(self.graph, self.window, self.dt, pair.depart, traj[k - 1].geom, traj[k].geom, box)
+            pair.depart = values + arrive if k < pair.k2 else None
+        if k < pair.k2:
+            return
         steps = pair.k2 - pair.k1
         if pair.sweep is None:
-            gamma = _gamma_at(pair.values, pair.x1, pair.x2, steps, self.window)
+            gamma = _gamma_at(values, pair.x1, pair.x2, steps, self.window)
         else:
             gamma = pair.sweep(pair.x1, pair.x2, steps)
         lnf2 = float(np.log(traj[pair.k2].f.flat[pair.x2]))

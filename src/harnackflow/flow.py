@@ -228,9 +228,10 @@ class _RK4Kernel:
     rows, each member's row of its own n, and one flux plan serves rows of
     mixed n; on the torus it is ``(members, n, n)``, one n and side length
     for the whole stack.  The static members (``EnsembleMember.static``:
-    frozen, or a flat torus at +0) sit first, run by run, then the evolving ones, so a
-    run's members may sit in two blocks.  Flat, the part of the stack a
-    step updates is then one tail: the evolving members' phi, then every f.
+    frozen, or a flat torus at +0) sit first, run by run, then the
+    evolving ones, so a run's members may sit in two blocks.  Flat, the
+    part of the stack a step updates is then one tail: the evolving
+    members' phi, then every f.
     Only the stack has this order: ``members`` holds each run's (phi, f)
     views in member order, as ``fields`` gives them.
 
