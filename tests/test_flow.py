@@ -917,7 +917,8 @@ def test_non_finite_c_is_refused_before_any_step(monkeypatch, state, c):
         hf.run(state, 0.02, 1e-3, 0.01, c=c)
     good = hf.EnsembleMember(state)
     with pytest.raises(ConstraintViolationError, match=r"^member 1: c = .* must be finite$") as err:
-        hf.run_ensemble([hf.FlowRun([good], 0.02, 1e-3, 0.01), hf.FlowRun([good, good._replace(c=c)], 0.02, 1e-3, 0.01)])
+        hf.run_ensemble([hf.FlowRun([good], 0.02, 1e-3, 0.01),
+                         hf.FlowRun([good, good._replace(c=c)], 0.02, 1e-3, 0.01)])
     assert err.value.run == 1
     assert record == []
 
