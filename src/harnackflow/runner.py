@@ -350,10 +350,10 @@ class _IdentityStage:
         if k in kept:
             self.kept.append(traj[k])
         if k == kept[-1]:
-            short, k = replace(traj, states=self.kept), self.k - kept[0]
-            if float(np.min(short[k].R)) <= 0:
+            short, check = replace(traj, states=self.kept), self.k - kept[0]
+            if float(np.min(short[check].R)) <= 0:
                 self.want.discard("surface")  # it needs R > 0 at the checked snapshot
-            self.reports = identities.preset_reports({short.c: short}, k, self.want, self.d)
+            self.reports = identities.preset_reports({short.c: short}, check, self.want, self.d)
             self.kept = None
 
     def finish(self, traj):
