@@ -103,7 +103,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    ConstraintViolationError,
     HarnackFlowError,
     IndexAtBoundaryError,
     NodesOutOfRangeError,
@@ -111,7 +110,7 @@ from .errors import (
     TimesNotStoredError,
     WindowTooNarrowError,
 )
-from .flow import replay
+from .flow import replay, require_count
 
 DEFAULT_WINDOW = 5
 
@@ -300,8 +299,7 @@ _LAYER_GRAPHS = {
 
 def _layer_graph(geom, window):
     """The geometry's layer graph and ``window`` clamped to its widest useful value."""
-    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 0:
-        raise ConstraintViolationError(f"window must be an integer >= 0, got {window!r}")
+    require_count(window, "window")
     graph = _LAYER_GRAPHS.get(geom.kind)
     if graph is None:
         raise NodesOutOfRangeError(f"unsupported geometry kind {geom.kind!r}")
@@ -673,6 +671,8 @@ class PairChecks:
     hold every snapshot up to the pair's t2.
     """
 
+    reads = 2
+
     def __init__(self, planned, pairs, window=DEFAULT_WINDOW, static=None):
         self.dt = planned.dt_out
         self.static = static
@@ -770,6 +770,7 @@ def random_pairs(traj, count, rng, t_min=0.0, window=DEFAULT_WINDOW):
     below m - 1 moved up past the first), the start node, then per grid
     axis the end node, within the reach of the clamped window.
     """
+    require_count(count, "count")
     times = traj.times
     eligible = np.nonzero(times >= max(t_min, times[0]) - 1e-12)[0]
     if eligible.size < 2:

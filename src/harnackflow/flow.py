@@ -94,6 +94,7 @@ from __future__ import annotations
 
 import collections
 import json
+import numbers
 import os
 import shutil
 import struct
@@ -123,6 +124,20 @@ CFL_SAFETY = 1.25
 VARIANT_C = {"with_potential": -1.0, "plain_heat": 0.0}
 
 
+def require_real(value, name, finite=False):
+    """Refuse a ``value`` that is not a real number, or is a bool, or if ``finite`` is not finite, naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConstraintViolationError(f"{name} = {value!r} must be a real number")
+    if finite and not abs(value) < np.inf:  # NaN fails too
+        raise ConstraintViolationError(f"{name} = {value!r} must be finite")
+
+
+def require_count(value, name, what="a nonnegative integer"):
+    """Refuse a ``value`` that is not a nonnegative integer, or is a bool, naming it as ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConstraintViolationError(f"{name} = {value!r} must be {what}")
+
+
 def variant_name(c):
     for name, cv in VARIANT_C.items():
         if c == cv:
@@ -134,8 +149,9 @@ def variant_name(c):
 class FlowState:
     """One time slice of the evolution: time, geometry, heat field.
 
-    ``f`` must be strictly positive and finite; the time may be zero (runs
-    start at t = 0) but quantities with 1/t terms demand t > 0 themselves.
+    ``f`` must be strictly positive and finite; the time, a real number
+    and not a bool, may be zero (runs start at t = 0) but quantities with
+    1/t terms demand t > 0 themselves.
     ``R`` is the scalar curvature of ``geom``, cached on the geometry, so
     states that share a geometry share it.
     """
@@ -145,6 +161,7 @@ class FlowState:
     f: np.ndarray
 
     def __post_init__(self):
+        require_real(self.t, "time t")
         f = self.geom.check_field(self.f, "f").copy()
         fmin = float(np.min(f))
         if fmin <= 0.0:
@@ -271,32 +288,32 @@ class _RK4Kernel:
     located member by member.
     """
 
-    def __init__(self, runs, fields):
-        """``runs`` are ``_Run``s of one stack; ``fields`` their members' (phi, f), one list per run."""
+    def __init__(self, runs):
+        """``runs`` are ``_Run``s of one stack, each holding its members' (phi, f) in ``fields``."""
         self.runs = runs
-        geom = runs[0].geom
+        geom = runs[0].geoms[0]  # the grid, which every geometry of the stack shares
         sphere = isinstance(geom, SphereGeometry)
         # stack order: the static members, then the evolving ones, each run by run
-        slots = sorted(((pos, i) for pos, run in enumerate(runs) for i in range(len(run.members))),
+        slots = sorted(((pos, i) for pos, run in enumerate(runs) for i in range(len(run.c))),
                        key=lambda slot: not runs[slot[0]].static[slot[1]])
         n_static = sum(sum(run.static) for run in runs)
         slot_runs = [pos for pos, _ in slots]
         # each member's extent along the first axis of the stack's body
-        sizes = [runs[pos].geom.n if sphere else 1 for pos in slot_runs]
+        sizes = [runs[pos].geoms[0].n if sphere else 1 for pos in slot_runs]
         ends = np.cumsum(sizes).tolist()
         starts = [end - size for end, size in zip(ends, sizes)]
         body = (ends[-1],) if sphere else (len(slots),) + geom.field_shape
         x = np.empty((2,) + body)
         # per run: its members' (phi, f) views, in member order
-        self.members = [[None] * len(run.members) for run in runs]
+        self.members = [[None] * len(run.c) for run in runs]
         for (pos, i), a, b in zip(slots, starts, ends):
             view = self.members[pos][i] = x[:, a:b] if sphere else x[:, a]
-            view[0], view[1] = fields[pos][i]
+            view[0], view[1] = runs[pos].fields[i]
         if sphere:
             spread = lambda values: np.repeat(values, sizes)  # noqa: E731
         else:
             spread = lambda values: np.reshape(values, (-1,) + (1,) * len(geom.field_shape))  # noqa: E731
-        c = spread([runs[pos].members[i].c for pos, i in slots])
+        c = spread([runs[pos].c[i] for pos, i in slots])
         # the step operands, and the run each of their entries reads its step from
         self.operand_runs = 0 if len(runs) == 1 else spread(slot_runs)
         shape = () if len(runs) == 1 else (2,) + c.shape
@@ -444,7 +461,7 @@ class _RK4Kernel:
             for i, (phi, _) in enumerate(self.members[pos]):
                 bound = cfl_limit(run.h, phi)
                 if dt > bound * (1.0 + 1e-12):
-                    err = _member_error(StepTooLargeError(dt, bound), i, len(run.members))
+                    err = _member_error(StepTooLargeError(dt, bound), i, len(run.c))
                     raise run.tag(err, float(self.t[pos]))
 
     def _raise_state(self):
@@ -454,7 +471,7 @@ class _RK4Kernel:
                 try:
                     _check_state_arrays(phi, f, t)
                 except HarnackFlowError as err:
-                    raise run.tag(_member_error(err, i, len(run.members)), t) from None
+                    raise run.tag(_member_error(err, i, len(run.c)), t) from None
 
 
 def _check_state_arrays(phi, f, t):
@@ -534,7 +551,7 @@ def replay(consumer, traj):
     """Feed every snapshot of a stored trajectory to ``consumer`` in order; its ``finish``'s result.
 
     A consumer takes ``feed(traj, k)`` once snapshot k of ``traj`` exists,
-    reading that snapshot and, at most, the two before it, and
+    reading that snapshot and, at most, the ``reads - 1`` before it, and
     ``finish(traj)`` after the last.  A flow's live trajectory feeds the
     same consumers snapshot by snapshot, so one code path serves both.
     """
@@ -602,15 +619,10 @@ def run_ensemble(runs):
     for snap in snapshots(runs):
         kept[snap.run].append(snap.states)
         dts[snap.run] = snap.dt
-    return [member_trajectories(run, states, dt) for run, states, dt in zip(runs, kept, dts)]
-
-
-def member_trajectories(run, states, dt):
-    """One Trajectory per member of ``run`` from its snapshots' ``states`` lists, in member order."""
     return [
-        Trajectory(list(member_states), dt=dt, dt_out=run.dt_out, c=mem.c, evolve_metric=mem.evolve_metric,
-                   initial_id=mem.initial_id)
-        for mem, member_states in zip(run.members, zip(*states))
+        [Trajectory(list(member_states), dt=dt, dt_out=run.dt_out, c=mem.c, evolve_metric=mem.evolve_metric,
+                    initial_id=mem.initial_id) for mem, member_states in zip(run.members, zip(*states))]
+        for run, states, dt in zip(runs, kept, dts)
     ]
 
 
@@ -626,8 +638,11 @@ def snapshots(runs):
     shape, spacing and start time; each member has its own finite ``c``,
     ``evolve_metric`` and ``initial_id``.  With ``dt=None`` a run's members
     take the same steps, set by the smallest CFL bound among them and the
-    fastest-shrinking evolving sphere.  Every run is checked before the
-    first snapshot is handed on.
+    fastest-shrinking evolving sphere.  Every run is checked when
+    ``snapshots`` is called, before any snapshot is handed on, and none is
+    held here beyond what the next snapshot needs: a run holds its initial
+    states until it hands them on, their (phi, f) until its stack starts,
+    and from then on each member's newest geometry.
 
     Runs share one stack when they can: every sphere run, whatever its n,
     and the torus runs of one n and side length.  The stacks are stepped
@@ -646,14 +661,17 @@ def snapshots(runs):
     of that run's lowest-index failing member in ``.member`` (and in the
     message when its run has more than one member).
     """
-    plans = [_Run(index, spec) for index, spec in enumerate(runs)]
+    return _handed_on([_Run(index, spec) for index, spec in enumerate(runs)])
+
+
+def _handed_on(plans):
+    """The snapshots of the checked runs ``plans``, in the order ``snapshots`` hands them on."""
     stacks = {}
     for plan in plans:
-        yield plan.made([mem.initial for mem in plan.members])
+        yield plan.made(plan.initial)
+        plan.initial = None  # handed on: the run holds its members' (phi, f) alone until its stack starts
         if plan.n_out:
-            g = plan.geom
-            key = (g.kind,) if isinstance(g, SphereGeometry) else (g.kind, g.field_shape, g.background_spacing)
-            stacks.setdefault(key, []).append(plan)
+            stacks.setdefault(plan.stack, []).append(plan)
     for live in stacks.values():
         yield from _step_stack(live)
 
@@ -670,9 +688,10 @@ def snapshot_times(spec):
 
 def _step_stack(live):
     """Step the runs of one stack in lockstep, yielding each snapshot as its interval ends."""
-    fields = [[(mem.initial.geom.phi, mem.initial.f) for mem in run.members] for run in live]
     while live:
-        kernel = _RK4Kernel(live, fields)
+        kernel = _RK4Kernel(live)
+        for run, fields in zip(live, kernel.members):
+            run.fields = fields  # the stack holds them from now on
         while all(run.k < run.n_out for run in live):
             for pos, run in enumerate(live):
                 if not run.left:
@@ -686,38 +705,59 @@ def _step_stack(live):
                 run.t = float(kernel.t[pos])
                 if not run.left:
                     yield run.snapshot(kernel.members[pos])
-        # the runs that go on move, mid-interval, to a stack without the finished ones
-        fields = [kernel.members[pos] for pos, run in enumerate(live) if run.k < run.n_out]
-        live = [run for run in live if run.k < run.n_out]
+        # a finished run lets go of the stack; the others move, mid-interval,
+        # to a stack without it
+        for run in live:
+            if run.k == run.n_out:
+                run.fields = None
+        live = [run for run in live if run.fields is not None]
 
 
 class _Run:
-    """One run of ``snapshots``: its checked plan and its progress."""
+    """One run of ``snapshots``: its checked plan and its progress.
+
+    Of its members it keeps their ``c`` and whether they are static, their
+    initial states until ``snapshots`` hands them on, their (phi, f) in
+    ``fields`` (the initial ones until its stack starts, then the stack's
+    views until it ends) and in ``geoms`` each one's newest geometry, from
+    which the next snapshot's is made: a static member's is its initial
+    one throughout.
+    """
 
     def __init__(self, index, spec):
         self.index = index
         try:
-            self._check(spec)
+            members = self._check(spec)
         except HarnackFlowError as err:
             raise self.tag(err)
-        self.h = self.geom.background_spacing
-        self.static = [mem.static for mem in self.members]
+        self.initial = [mem.initial for mem in members]
+        self.fields = [(state.geom.phi, state.f) for state in self.initial]
+        self.geoms = [state.geom for state in self.initial]
+        self.c = [mem.c for mem in members]
+        self.static = [mem.static for mem in members]
+        g = self.geoms[0]
+        self.h = g.background_spacing
+        # the runs it may share a stack with have the same key: every sphere, a torus of its n and side length
+        self.stack = (g.kind,) if isinstance(g, SphereGeometry) else (g.kind, g.field_shape, self.h)
         self.t = self.t_start  # advanced step by step
         self.k = 0  # output intervals done
         self.left = 0  # steps left in the current interval
         self.step, self.max_steps = self.dt, 1
 
     def _check(self, spec):
-        members = self.members = list(spec.members)
+        """Check ``spec`` and plan its intervals; its members, in member order."""
+        members = list(spec.members)
         if not members:
             raise ConstraintViolationError("a run needs at least one member")
         self.dt, self.dt_out = spec.dt, spec.dt_out
+        require_real(self.dt_out, "dt_out")
         if self.dt is None:
             if not 0 < self.dt_out < np.inf:
                 raise ConstraintViolationError(f"dt_out = {self.dt_out!r} must be positive and finite")
         else:
+            require_real(self.dt, "dt")
             self.steps = _steps_per_output(self.dt, self.dt_out)
-        geom = self.geom = members[0].initial.geom
+        geom = members[0].initial.geom
         t_start = self.t_start = members[0].initial.t
         for i, mem in enumerate(members):
             g = mem.initial.geom
@@ -731,11 +771,9 @@ class _Run:
                 raise ConstraintViolationError(
                     f"member {i} starts at t = {mem.initial.t:.6g}, member 0 at t = {t_start:.6g}"
                 )
-            if not abs(mem.c) < np.inf:  # NaN fails too
-                raise ConstraintViolationError(f"member {i}: c = {mem.c!r} must be finite")
+            require_real(mem.c, f"member {i}: c", finite=True)
         t_end = spec.t_end
-        if not abs(t_end) < np.inf:  # NaN fails too
-            raise ConstraintViolationError(f"t_end = {t_end!r} must be finite")
+        require_real(t_end, "t_end", finite=True)
         if t_end < t_start - 1e-12:
             raise ConstraintViolationError("t_end precedes the initial time")
         # initial areas of the evolving spheres, which lose area at rate 8 pi
@@ -752,9 +790,9 @@ class _Run:
         self.n_out = output_count(t_end - t_start, self.dt_out)
         last = spec.last
         if last is not None:
-            if isinstance(last, bool) or not isinstance(last, (int, np.integer)) or last < 0:
-                raise ConstraintViolationError(f"last = {last!r} must be a nonnegative snapshot index")
+            require_count(last, "last", "a nonnegative snapshot index")
             self.n_out = min(self.n_out, int(last))
+        return members
 
     def tag(self, err, time=None):
         """Attach this run's index, and the failing time unless the error has one."""
@@ -788,10 +826,12 @@ class _Run:
         """
         self.k += 1
         t_snap = self.time(self.k)
-        return self.made([
-            FlowState(t_snap, mem.initial.geom if static else mem.initial.geom.with_phi(phi), f)
-            for mem, static, (phi, f) in zip(self.members, self.static, members)
-        ])
+        states = [
+            FlowState(t_snap, geom if static else geom.with_phi(phi), f)
+            for geom, static, (phi, f) in zip(self.geoms, self.static, members)
+        ]
+        self.geoms = [state.geom for state in states]
+        return self.made(states)
 
     def made(self, states):
         """``states`` as snapshot ``self.k``, with the smallest step taken so far."""
@@ -846,6 +886,8 @@ class TrajectoryWriter:
     into place under it.  Closing the writer removes the ``.part`` file, so
     a run that stops early leaves neither it nor ``path``.
     """
+
+    reads = 1
 
     def __init__(self, path):
         self.path = os.fspath(path)

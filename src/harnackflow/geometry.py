@@ -33,6 +33,7 @@ read-only copy of ``phi`` and never mutate it.
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -74,6 +75,8 @@ class SurfaceGeometry:
     kind = "abstract"
 
     def __init__(self, n, phi=None):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise GridMismatchError(f"resolution n = {n!r} must be an integer")
         self.n = int(n)
         if self.n < 4:
             raise GridMismatchError(f"resolution n = {n} is too coarse (need n >= 4)")

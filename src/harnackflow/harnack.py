@@ -45,7 +45,7 @@ from .errors import (
     NonPositiveTimeError,
     TimesNotStoredError,
 )
-from .flow import replay, time_derivative
+from .flow import replay, require_real, time_derivative
 
 DIMENSION = 2
 
@@ -308,7 +308,10 @@ class MonitorRows:
     first.  ``finish(traj)`` returns the ``MonitorSeries``.
     """
 
+    reads = 3
+
     def __init__(self, d=1.0, t0=0.0, enable=None):
+        require_real(d, "d", finite=True)
         self.wants = set(MONITOR_COLUMNS if enable is None else enable)
         unknown = self.wants - set(MONITOR_COLUMNS)
         if unknown:

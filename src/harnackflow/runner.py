@@ -2,22 +2,30 @@
 
 ``run_scenario`` executes one configured scenario end to end, persists the
 trajectory and CSV reports, evaluates every enabled assertion at its fixed
-tolerance and writes a one-line-per-assertion summary.  It is one pass over
-the flow: ``flow.snapshots`` hands on each snapshot as it is made, and
-every stage consumes it at once, so only a window of the last three
-snapshots stays in memory.  Each stage is a consumer with ``feed(traj, k)``
-and ``finish(traj)``; ``flow.replay`` feeds the same consumers from a stored
-trajectory, which is all ``save_trajectory``, ``monitor_series``,
-``check_pairs``, ``action_rows`` and ``evaluate_assertions`` do.  The
-process is deterministic given the config and seed; a scenario passes iff
-every enabled assertion holds.
+tolerance and writes a one-line-per-assertion summary.  The process is
+deterministic given the config and seed; a scenario passes iff every
+enabled assertion holds.
 
 ``verify_identities`` runs only the identity machinery over a ladder of
 refinement levels (N, 2N, 4N, ... with dt and dt_out scaled by 1/4 per
 level; with ``dt = auto`` every level steps by the flow's CFL rule) and
 reports the residual convergence table, the preset-agreement check and the
-randomized-parameter fuzz.  Each of its flows keeps only the three
-snapshots its residuals read.
+randomized-parameter fuzz.
+
+Both commands are one pass over the flow, by one stage driver,
+``_drive``: ``flow.snapshots`` hands on each snapshot as it is made, and
+the driver feeds it at once to every stage of its run, so a run keeps no
+more snapshots than its stages read.  Each stage is a consumer with
+``feed(traj, k)``, ``finish(traj)`` and ``reads``, the number of snapshots
+it reads, the newest and those just before it; ``flow.replay`` feeds the
+same consumers from a stored trajectory, which is all ``save_trajectory``,
+``monitor_series``, ``check_pairs``, ``action_rows`` and
+``evaluate_assertions`` do.  The driver also owns the one failure rule:
+a flow failure beats every stage failure, and otherwise the earliest
+failing stage in pipeline order is reported, with its first failure in
+time order.  ``run``'s stages read a window of three snapshots; the
+residuals of either command read snapshots k - 1, k and k + 1 of a check
+index k, which ``_Kept`` keeps as they arrive.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +48,6 @@ from .flow import (
     SnapshotWindow,
     Trajectory,
     TrajectoryWriter,
-    member_trajectories,
     output_count,
     replay,
     run_ensemble,
@@ -157,6 +165,8 @@ class _RunFacts:
     largest |phi| over every snapshot, and the trajectory's equation and
     geometry kind.
     """
+
+    reads = 1
 
     def feed(self, traj, k):
         state = traj[k]
@@ -307,6 +317,8 @@ class _ActionStage:
     one geometry.  ``finish`` returns the rows of action.csv.
     """
 
+    reads = action_mod.PairChecks.reads
+
     def __init__(self, cfg, planned, rng, static=None):
         self.pairs = [((x1, t1), (x2, t2)) for (x1, t1, x2, t2) in cfg.pairs]
         if cfg.pair_count:
@@ -328,74 +340,127 @@ def action_rows(cfg, traj, rng):
     return replay(_ActionStage(cfg, traj, rng), traj)
 
 
-def _kept_range(k):
-    """The snapshots the residuals at check index k read: k - 1, k and k + 1 (0 and 1 when k = 0)."""
-    return range(max(k - 1, 0), k + 2)
+class _Kept:
+    """Snapshots k - 1, k and k + 1 (0 and 1 when k = 0) of a run's check index k, kept, then evaluated.
 
-
-class _IdentityStage:
-    """The identity stage of ``run``: the presets at the check index k, from snapshots k - 1 .. k + 1 alone.
-
-    They are kept as they arrive and evaluated, re-based so that k reads
-    index 1, when snapshot k + 1 arrives; ``finish`` returns the reports.
+    ``evaluate(trajs, check)`` gets one trajectory per member of those
+    snapshots alone, re-based so that k reads index ``check``, whose ``dt``
+    is the run's smallest step up to snapshot k + 1.  With ``at_once`` it
+    runs when snapshot k + 1 arrives, and the snapshots go then; otherwise
+    in ``finish``, after the flow.  ``finish`` returns its result.  Since
+    it keeps what it reads, it reads the newest snapshot alone.
     """
 
-    def __init__(self, cfg, last):
-        self.k = _check_index(cfg.t_check, cfg.dt_out, last)
-        self.want, self.d = set(cfg.identity_presets), cfg.d
-        self.kept, self.reports = [], None
+    reads = 1
 
-    def feed(self, traj, k):
-        kept = _kept_range(self.k)
-        if k in kept:
-            self.kept.append(traj[k])
-        if k == kept[-1]:
-            short, check = replace(traj, states=self.kept), self.k - kept[0]
-            if float(np.min(short[check].R)) <= 0:
-                self.want.discard("surface")  # it needs R > 0 at the checked snapshot
-            self.reports = identities.preset_reports({short.c: short}, check, self.want, self.d)
+    def __init__(self, k, evaluate, at_once=False):
+        self.range, self.check = range(max(k - 1, 0), k + 2), min(k, 1)
+        self.evaluate, self.at_once = evaluate, at_once
+        self.kept = []
+
+    def feed(self, trajs, k):
+        if k in self.range:
+            self.kept.append([traj[k] for traj in trajs])
+        if k == self.range[-1]:
+            self.trajs = [replace(traj, states=list(states)) for traj, states in zip(trajs, zip(*self.kept))]
             self.kept = None
+            if self.at_once:
+                self.result, self.trajs = self.evaluate(self.trajs, self.check), None
 
-    def finish(self, traj):
-        return self.reports
+    def finish(self, trajs):
+        return self.result if self.at_once else self.evaluate(self.trajs, self.check)
 
 
-class _Stages:
-    """The stages after the flow, in pipeline order, each fed every snapshot until it fails.
+def _identity_stage(cfg, last):
+    """The identity stage of ``run``: the presets at the check index k, evaluated when snapshot k + 1 arrives."""
+    want = set(cfg.identity_presets)
 
-    ``makers`` are (name, make) in pipeline order.  A stage that raises a
-    HarnackFlowError, when it is made, fed or finished, stops being fed,
-    and so does every later stage.  Only an earlier stage can fail after
-    that, so ``failure`` ends as the earliest failing stage's (name,
-    error), with its first failure in time order; ``results`` holds each
-    finished stage's result by name.
+    def evaluate(trajs, check):
+        (traj,) = trajs
+        if float(np.min(traj[check].R)) <= 0:
+            want.discard("surface")  # it needs R > 0 at the checked snapshot
+        return identities.preset_reports({traj.c: traj}, check, want, cfg.d)
+
+    return _Kept(_check_index(cfg.t_check, cfg.dt_out, last), evaluate, at_once=True)
+
+
+class _Stage(NamedTuple):
+    """A stage of ``_drive``: its name in a FAIL line, its run, ``make(run)`` and the member it reads.
+
+    ``make`` gets the FlowRun of the stage's run.  A ``member`` of None
+    gives the stage every member's trajectory, as a list.
     """
 
-    def __init__(self, makers):
-        self.names = [name for name, _ in makers]
-        self.fed = []  # the stages still fed: a prefix of the pipeline
-        self.results = {}
-        self.failure = None
-        for pos, (_, make) in enumerate(makers):
-            stage = self._call(pos, make)
-            if self.failure is not None:
-                break
-            self.fed.append(stage)
+    name: str
+    run: int
+    make: Callable
+    member: int | None = 0
 
-    def _call(self, pos, call, *args):
+
+def _drive(runs, flow_names, stages):
+    """One pass over the flow of ``runs``, a list of FlowRuns, feeding each snapshot to its run's stages.
+
+    The stages, in pipeline order, are made before any step, each from its
+    run, and are fed its run's live trajectories: windows of as many
+    snapshots as the run's stages read, indexed as the whole trajectory,
+    whose ``dt`` is the run's smallest step so far.  Returns (results,
+    failure) by the one failure rule:
+
+    - a HarnackFlowError of the flow ends the pass, and the flow stage of
+      its run, ``flow_names[err.run]``, fails, whatever the stages did;
+    - otherwise a stage that raises one, when it is made, fed or finished,
+      stops being fed, and so does every later stage, so the earliest
+      failing stage in pipeline order fails, with its first failure in
+      time order.
+
+    ``failure`` is the failing stage's FAIL line, or None; ``results``
+    holds the finished stages' results, a prefix of the pipeline.  A
+    config error of the flow, which comes before any step, propagates.
+    The driver empties ``runs`` once the stages are made, so that, held by
+    nothing else, each run's initial states go once its stack starts.
+    """
+    fed, results, failure = [], [], None
+
+    def call(pos, method, *args):
+        nonlocal failure
         try:
-            return call(*args)
+            return method(*args)
         except HarnackFlowError as err:
-            self.failure = self.names[pos], err
-            del self.fed[pos:]  # which also ends a loop over self.fed
+            failure = _failure_line(stages[pos].name, err)
+            del fed[pos:]  # which also ends a loop over fed
 
-    def feed(self, traj, k):
-        for pos, stage in enumerate(self.fed):
-            self._call(pos, stage.feed, traj, k)
+    def view(stage):
+        trajs = lives[stage.run]
+        return trajs if stage.member is None else trajs[stage.member]
 
-    def finish(self, traj):
-        for pos, stage in enumerate(self.fed):
-            self.results[self.names[pos]] = self._call(pos, stage.finish, traj)
+    try:
+        flow = snapshots(runs)
+        for pos, stage in enumerate(stages):
+            consumer = call(pos, stage.make, runs[stage.run])
+            if failure is not None:
+                break
+            fed.append(consumer)
+        reads = [max([c.reads for s, c in zip(stages, fed) if s.run == i], default=1) for i in range(len(runs))]
+        lives = [
+            [Trajectory(SnapshotWindow(size), run.dt, run.dt_out, mem.c, mem.evolve_metric, initial_id=mem.initial_id)
+             for mem in run.members]
+            for run, size in zip(runs, reads)
+        ]
+        runs.clear()
+        for snap in flow:
+            for traj, state in zip(lives[snap.run], snap.states):
+                traj.states.append(state)
+                traj.dt = snap.dt
+            for pos, (stage, consumer) in enumerate(zip(stages, fed)):
+                if stage.run == snap.run:
+                    call(pos, consumer.feed, view(stage), snap.k)
+    except HarnackFlowError as err:
+        if isinstance(err, ConfigError):
+            raise
+        return [], _failure_line(flow_names[getattr(err, "run", 0)], err)
+    for pos, consumer in enumerate(fed):
+        results.append(call(pos, consumer.finish, view(stages[pos])))
+    return results[: len(fed)], failure
 
 
 def _write_plot_script(path, monitors_csv):
@@ -416,19 +481,22 @@ def _write_plot_script(path, monitors_csv):
 def run_scenario(cfg, out_flag=None, seed=None):
     """Full pipeline for one scenario; returns a ScenarioReport.
 
-    One pass over the flow: each snapshot goes to ``trajectory.bin`` and
-    through every stage (monitors, identities, action, and the
-    assertions' running summaries) as the flow makes it, and a window of
-    the last three snapshots is all that stays in memory.  The action
-    pairs are drawn and located before the flow, from its planned times.
+    One pass over the flow, by ``_drive``: each snapshot goes to
+    ``trajectory.bin`` and through every stage (the assertions' running
+    summaries, monitors, identities, action) as the flow makes it, and a
+    window of the last three snapshots is all that stays in memory.  The
+    action pairs are drawn and located before the flow, from its planned
+    times.
 
     A HarnackFlowError in any stage (flow, monitors, identities, action)
     ends the run: summary.txt then holds the single line
     ``FAIL <stage>: <error type>[ at t = ...]: <message>``, which the
-    report carries in ``failure``, and the report fails.  The stage named
-    is the earliest failing one in that order, with its first failing
-    snapshot in time order (the first failing pair in list order for the
-    action); a failing stage stops being fed, and so does every later one.
+    report carries in ``failure``, and the report fails.  A flow failure
+    is reported whatever the stages did; otherwise the stage named is the
+    earliest failing one in that order, with its first failing snapshot in
+    time order (the first failing pair in list order for the action); a
+    failing stage stops being fed, and so does every later one.  A config
+    error of the flow, raised before any step, is a flow failure too.
     ``trajectory.bin`` is written when the flow finishes, and a stage's
     reports only if it and every earlier stage passed.  Every file a run
     writes that an earlier run left is removed first, so a stage this run
@@ -443,50 +511,44 @@ def run_scenario(cfg, out_flag=None, seed=None):
         "action.csv", "summary.txt",
     )
     rng = _seeded_rng(cfg, seed)
-    try:
-        run = _flow_run(cfg)
-        (member,) = run.members
-        times = snapshot_times(run)
-        makers = [("monitors", lambda: harnack.MonitorRows(cfg.d, cfg.t0, _monitor_enable(cfg)))]
-        if cfg.identities_enable:
-            makers.append(("identities", lambda: _IdentityStage(cfg, len(times) - 1)))
-        if cfg.action_enable:
-            planned = action_mod.PlannedSnapshots(np.array(times), member.initial.geom, cfg.dt_out)
-            makers.append(("action", lambda: _ActionStage(cfg, planned, rng, member.static)))
-        stages, facts = _Stages(makers), _RunFacts()
-        live = Trajectory(SnapshotWindow(3), dt=cfg.dt, dt_out=cfg.dt_out, c=member.c,
-                          evolve_metric=member.evolve_metric, initial_id=member.initial_id)
-        with TrajectoryWriter(os.path.join(out_dir, "trajectory.bin")) as writer:
-            for snap in snapshots([run]):
-                live.states.append(snap.states[0])
-                live.dt = snap.dt
-                for consumer in (writer, facts, stages):
-                    consumer.feed(live, snap.k)
-            writer.finish(live)
-    except HarnackFlowError as err:
-        return _failed(cfg, out_dir, _failure_line("flow", err))
-    facts.finish(live)
-    stages.finish(live)
+    stages = [
+        _Stage("flow", 0, lambda run: writer),
+        _Stage("flow", 0, lambda run: _RunFacts()),
+        _Stage("monitors", 0, lambda run: harnack.MonitorRows(cfg.d, cfg.t0, _monitor_enable(cfg))),
+    ]
+    if cfg.identities_enable:
+        stages.append(_Stage("identities", 0, lambda run: _identity_stage(cfg, len(snapshot_times(run)) - 1), None))
+    if cfg.action_enable:
+        stages.append(_Stage("action", 0, lambda run: _ActionStage(cfg, _planned(run), rng, run.members[0].static)))
+    with TrajectoryWriter(os.path.join(out_dir, "trajectory.bin")) as writer:
+        try:
+            results, failure = _drive([_flow_run(cfg)], ["flow"], stages)
+        except HarnackFlowError as err:  # a config error of the flow, or an invalid initial state
+            results, failure = [], _failure_line("flow", err)
 
-    for name in stages.names:
-        if stages.failure is not None and stages.failure[0] == name:
-            return _failed(cfg, out_dir, _failure_line(*stages.failure))
-        result = stages.results[name]
-        if name == "monitors":
+    for stage, result in zip(stages[2:], results[2:]):
+        if stage.name == "monitors":
             series = result
             harnack.write_monitor_csv(series, os.path.join(out_dir, "monitors.csv"))
             _write_plot_script(os.path.join(out_dir, "plots.gp"), "monitors.csv")
-        elif name == "identities":
+        elif stage.name == "identities":
             identities.write_identity_csv(result, os.path.join(out_dir, "identities.csv"))
         else:
             action_mod.write_action_csv(result, os.path.join(out_dir, "action.csv"))
-    margins = np.array([r[5] for r in stages.results["action"]]) if cfg.action_enable else None
+    if failure is not None:
+        return _failed(cfg, out_dir, failure)
+    margins = np.array([r[5] for r in results[-1]]) if cfg.action_enable else None
 
-    assertions = _assertions(facts, series, margins)
+    assertions = _assertions(results[1], series, margins)
     with open(os.path.join(out_dir, "summary.txt"), "w", newline="\n") as fh:
         for a in assertions:
             fh.write(a.line() + "\n")
     return ScenarioReport(cfg.name, assertions, out_dir)
+
+
+def _planned(run):
+    """What a FlowRun's stages know of its snapshots before any step: their times, its grid and ``dt_out``."""
+    return action_mod.PlannedSnapshots(np.array(snapshot_times(run)), run.members[0].initial.geom, run.dt_out)
 
 
 def _failed(cfg, out_dir, failure):
@@ -559,24 +621,6 @@ def _level_run(lcfg, want, state0, last):
     return FlowRun(members, lcfg.t_end, lcfg.dt, lcfg.dt_out, last)
 
 
-def _checked_flows(runs, checks):
-    """Integrate the runs; per run, its members' trajectories of the snapshots its check index reads.
-
-    Run i keeps only ``_kept_range(checks[i])``, snapshots k - 1, k and
-    k + 1 of its check index k, as they are made, so its trajectories are
-    re-based: k reads index 1 (index 0 when k = 0).  ``dt_out`` is the
-    run's, and ``dt`` its smallest step up to snapshot k + 1.
-    """
-    runs = list(runs)
-    kept = [[] for _ in runs]
-    dts = [None] * len(runs)
-    for snap in snapshots(runs):
-        if snap.k in _kept_range(checks[snap.run]):
-            kept[snap.run].append(snap.states)
-            dts[snap.run] = snap.dt
-    return [member_trajectories(run, states, dt) for run, states, dt in zip(runs, kept, dts)]
-
-
 @dataclass
 class IdentityLevel:
     """One ladder level.  ``dt`` is the level's smallest step; under
@@ -621,10 +665,12 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     components shrink together; each level evaluates the residuals at the
     same snapshot time t_check, through ``identities.preset_reports`` as
     ``run`` does.  The flows of a level share n, dt and dt_out and form
-    one run; the fuzz calibration is one more.  All of them are
-    integrated by one ``snapshots`` call, in lockstep stacks, before any
-    residual, and each run keeps only the snapshots k - 1, k and k + 1 of
-    its check index k (``_checked_flows``).  Each level's run stops at
+    one run; the fuzz calibration is one more.  ``_drive`` integrates all
+    of them in one ``snapshots`` call, in lockstep stacks, and feeds each
+    run to one stage (``_Kept``), which keeps only its snapshots k - 1, k
+    and k + 1 of its check index k and evaluates them after every flow has
+    finished: the levels' residuals, each level a stage, with the fuzz
+    after level 0.  Each level's run stops at
     snapshot k + 1 (t_check + dt_out), the last one its residuals read,
     with k picked as on a run to t_end; the configured t_end is still checked,
     so a member whose extinction time it reaches raises
@@ -645,9 +691,12 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     error ends the ladder: identity_summary.txt then holds the single line
     ``FAIL <stage> (level L, N = n): <error type>[ at t = ...]: <message>``,
     no identities.csv is written, and the returned study carries that line
-    in ``failure`` and fails.  Since the flows all finish first, a flow
-    failure is reported for the first run to fail in step order: ``flow``
-    for a level's run, ``fuzz`` for the calibration.
+    in ``failure`` and fails.  By ``_drive``'s rule a flow failure beats
+    every residual failure, since no residual is evaluated before every
+    flow has finished; it is reported for the first run to fail in step
+    order: ``flow`` for a level's run, ``fuzz`` for the calibration.
+    Otherwise the first failing stage in the order level 0, fuzz, level 1,
+    ... is reported, and no later one is evaluated.
     """
     out_dir = resolve_out_dir(cfg, out_flag)
     os.makedirs(out_dir, exist_ok=True)
@@ -682,27 +731,14 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
         level_cfgs.append(lcfg)
         checks.append(k)
     # an invalid initial state is a config error (exit 2), found before any flow runs
-    starts = [build_initial_state(lcfg) for lcfg in level_cfgs]
-    runs = [_level_run(lcfg, want, state0, k + 1) for lcfg, state0, k in zip(level_cfgs, starts, checks)]
-    stages = [f"flow (level {lvl}, N = {lcfg.n})" for lvl, lcfg in enumerate(level_cfgs)]
-    run_checks = list(checks)  # per run, the check index whose snapshots it keeps
-    if cfg.fuzz_count:
-        runs.append(_fuzz_run(cfg.n))
-        stages.append(f"fuzz (level 0, N = {cfg.n})")
-        run_checks.append(_FUZZ_CHECK)
+    runs = [_level_run(lcfg, want, build_initial_state(lcfg), k + 1) for lcfg, k in zip(level_cfgs, checks)]
+    names = [f"flow (level {lvl}, N = {lcfg.n})" for lvl, lcfg in enumerate(level_cfgs)]
+    agree, fuzz_max, fuzz_bound, preset_max = {}, {}, {}, {}
 
-    level_rows = []
-    agree = {}
-    fuzz_max = {}
-    fuzz_bound = {}
-    preset_max = {}
-    stage = None  # while the flows run: the failing run's stage
-    try:
-        flows = _checked_flows(runs, run_checks)
-        for lvl, (lcfg, check, level_flows) in enumerate(zip(level_cfgs, checks, flows)):
-            k = check - _kept_range(check).start  # the check index in the kept snapshots
-            where = f"level {lvl}, N = {lcfg.n}"
-            stage = f"residuals ({where})"
+    def level(lvl, lcfg, check):
+        """The stage of a ladder level: its presets, and at level 0 their agreement."""
+
+        def evaluate(level_flows, k):
             trajs = dict(zip(coeffs, level_flows))
             traj_pot = trajs[-1.0]
             # The slaved f := R form chains six discrete derivatives of phi,
@@ -712,9 +748,6 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
             # general-f form stays on the scenario's own trajectory.
             traj_round = level_flows[-1] if "surface" in want else None
             reports = identities.preset_reports(trajs, k, want, cfg.d, traj_round)
-            level_rows.append(
-                IdentityLevel(n=lcfg.n, dt=traj_pot.dt, dt_out=lcfg.dt_out, t_check=traj_pot[k].t, reports=reports)
-            )
             if lvl == 0:
                 # preset agreement: general assemblies at the presets reproduce
                 # the dedicated collapsed assemblies to reassociation round-off
@@ -722,22 +755,29 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
                 agree["general_P/cor_P"] = identities.preset_agreement_P(traj_pot, k, cfg.d)
                 if "grad" in want:
                     agree["general_H/grad"] = identities.preset_agreement_grad(trajs[identities.GRAD_PRESET.c], k)
-                if cfg.fuzz_count:
-                    stage = f"fuzz ({where})"
-                    (traj_fuzz,) = flows[-1]
-                    kf = _FUZZ_CHECK - _kept_range(_FUZZ_CHECK).start
-                    for family, preset_report in (
-                        ("H", identities.residual_general_H(traj_fuzz, kf, identities.COR_H_PRESET)),
-                        ("P", identities.residual_general_P(traj_fuzz, kf, replace(identities.COR_P_PRESET, d=cfg.d))),
-                    ):
-                        fz = identities.fuzz_residuals(traj_fuzz, kf, cfg.fuzz_count, rng, family)
-                        fuzz_max[family] = max(r.max_norm for r in fz)
-                        fuzz_bound[family] = FUZZ_FACTOR * preset_report.max_norm
-                        preset_max[family] = preset_report.max_norm
-    except HarnackFlowError as err:
-        if isinstance(err, ConfigError):
-            raise
-        failure = _failure_line(stage or stages[getattr(err, "run", 0)], err)
+            return IdentityLevel(n=lcfg.n, dt=traj_pot.dt, dt_out=lcfg.dt_out, t_check=traj_pot[k].t, reports=reports)
+
+        return _Stage(f"residuals (level {lvl}, N = {lcfg.n})", lvl, lambda run: _Kept(check, evaluate), None)
+
+    def fuzz(flows, k):
+        (traj_fuzz,) = flows
+        for family, preset_report in (
+            ("H", identities.residual_general_H(traj_fuzz, k, identities.COR_H_PRESET)),
+            ("P", identities.residual_general_P(traj_fuzz, k, replace(identities.COR_P_PRESET, d=cfg.d))),
+        ):
+            fz = identities.fuzz_residuals(traj_fuzz, k, cfg.fuzz_count, rng, family)
+            fuzz_max[family] = max(r.max_norm for r in fz)
+            fuzz_bound[family] = FUZZ_FACTOR * preset_report.max_norm
+            preset_max[family] = preset_report.max_norm
+
+    stages = [level(lvl, lcfg, k) for lvl, (lcfg, k) in enumerate(zip(level_cfgs, checks))]
+    if cfg.fuzz_count:
+        runs.append(_fuzz_run(cfg.n))
+        names.append(f"fuzz (level 0, N = {cfg.n})")
+        stages.insert(1, _Stage(names[-1], levels, lambda run: _Kept(_FUZZ_CHECK, fuzz), None))
+    results, failure = _drive(runs, names, stages)
+    level_rows = [r for r in results if isinstance(r, IdentityLevel)]
+    if failure is not None:
         with open(os.path.join(out_dir, "identity_summary.txt"), "w", newline="\n") as fh:
             fh.write(failure + "\n")
         return IdentityStudy(level_rows, {}, agree, fuzz_max, fuzz_bound, [], failure=failure)

@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -671,6 +672,12 @@ def test_layer_distance_fn_refuses_a_layer_out_of_range(torus_small_traj):
     for k in (len(traj) - 1, len(traj), -1):
         with pytest.raises(IndexAtBoundaryError, match=f"layer {k} "):
             hf.layer_distance_fn(traj, k, 1)
+
+
+def test_random_pairs_refuses_a_negative_count(sphere_small_traj):
+    # it used to return no pair
+    with pytest.raises(ConstraintViolationError, match="^count = -1 must be a nonnegative integer$"):
+        hf.random_pairs(sphere_small_traj, -1, random.Random(0))
 
 
 def test_random_pairs_certify(sphere_cosine_traj):

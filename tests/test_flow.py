@@ -767,8 +767,7 @@ def test_lockstep_torus_runs_share_a_stack_only_on_one_grid(monkeypatch, n, per_
 def _kernel(runs, dt):
     """The flow kernel over one stack of ``runs``, every run stepping by ``dt``."""
     plans = [hf.flow._Run(index, run) for index, run in enumerate(runs)]
-    fields = [[(mem.initial.geom.phi, mem.initial.f) for mem in run.members] for run in runs]
-    kernel = hf.flow._RK4Kernel(plans, fields)
+    kernel = hf.flow._RK4Kernel(plans)
     kernel.set_steps([dt] * len(plans))
     return kernel
 
@@ -920,6 +919,29 @@ def test_non_finite_c_is_refused_before_any_step(monkeypatch, state, c):
         hf.run_ensemble([hf.FlowRun([good], 0.02, 1e-3, 0.01),
                          hf.FlowRun([good, good._replace(c=c)], 0.02, 1e-3, 0.01)])
     assert err.value.run == 1
+    assert record == []
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda state: hf.run(state, "0.02", 1e-3, 0.01), "t_end"),
+        (lambda state: hf.run(state, 0.02, "1e-3", 0.01), "dt"),
+        (lambda state: hf.run(state, 0.02, None, "0.01"), "dt_out"),
+        (lambda state: hf.run(state, 0.02, 1e-3, 0.01, c=None), "member 0: c"),
+        (lambda state: hf.run(state, 0.02, 1e-3, 0.01, c=True), "member 0: c"),
+        (lambda state: hf.FlowState("0.1", state.geom, state.f), "time t"),
+        (lambda state: hf.FlowState(True, state.geom, state.f), "time t"),
+    ],
+    ids=["string-t_end", "string-dt", "string-dt_out", "c-none", "c-bool", "string-time", "bool-time"],
+)
+@pytest.mark.parametrize("state", [_sphere_cos(16), _torus_state(8, 0.05)], ids=["sphere", "torus"])
+def test_the_flow_refuses_an_argument_of_the_wrong_kind(monkeypatch, state, call, name):
+    # the strings and None used to raise a raw TypeError, and c = True ran
+    # as c = 1, with Trajectory.c = True and variant "general"
+    record = record_kernel_steps(monkeypatch)
+    with pytest.raises(ConstraintViolationError, match=f"^{name} = .* must be a real number$"):
+        call(state)
     assert record == []
 
 

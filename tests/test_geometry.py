@@ -378,6 +378,17 @@ def test_torus_side_length_must_be_positive_and_finite(length):
         torus(8, length)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: hf.SphereGeometry(8.7), lambda: hf.SphereGeometry("8"), lambda: hf.TorusGeometry(8.7, 1.0)],
+    ids=["sphere-float", "sphere-string", "torus-float"],
+)
+def test_a_non_integral_resolution_is_refused(make):
+    # each used to build a grid of n = 8
+    with pytest.raises(GridMismatchError, match="must be an integer"):
+        make()
+
+
 def test_non_finite_field_rejected():
     geom = sphere(32)
     bad = np.zeros(32)

@@ -221,6 +221,15 @@ def test_monitor_enable_subset(torus_potential_traj):
     assert np.all(np.isnan(series.columns["sup_H"]))
 
 
+def test_monitor_series_refuses_a_non_finite_d(torus_potential_traj):
+    # it used to raise GridMismatchError "field contains non-finite entries"
+    # at the first monitored snapshot
+    with pytest.raises(ConstraintViolationError, match="^d = nan must be finite$"):
+        hf.harnack.MonitorRows(d=float("nan"))
+    with pytest.raises(ConstraintViolationError, match="^d = nan must be finite$"):
+        hf.monitor_series(torus_potential_traj, d=float("nan"))
+
+
 def test_monitor_unknown_column_rejected(torus_potential_traj):
     with pytest.raises(ConstraintViolationError, match="not_a_monitor"):
         hf.monitor_series(torus_potential_traj, enable=("not_a_monitor",))

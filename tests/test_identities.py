@@ -6,6 +6,7 @@ import pytest
 import harnackflow as hf
 from harnackflow import identities as idn
 from harnackflow.errors import (
+    BlowupError,
     ConstraintViolationError,
     DegenerateParamsError,
     IndexAtBoundaryError,
@@ -219,27 +220,36 @@ t_check = 0.05
 """
 
 
+def _recorded_drive(drive, runs, kept):
+    """``runner._drive`` recording the runs it is given, and by run each stage it makes."""
+
+    def recorded(flow_runs, flow_names, stages):
+        def recording(stage):
+            return stage._replace(make=lambda run: kept.setdefault(stage.run, stage.make(run)))
+
+        runs.extend(flow_runs)
+        return drive(flow_runs, flow_names, [recording(stage) for stage in stages])
+
+    return recorded
+
+
 def test_ladder_runs_each_surface_form_once_on_its_own_trajectory(tmp_path, monkeypatch):
     # one residual_surface call per level: the general-f form on the
     # scenario's trajectory, the f := R form on the round companion
     from harnackflow import runner
 
-    runs, flows, calls = [], [], []
-    checked_flows, residual_surface = runner._checked_flows, idn.residual_surface
-
-    def recorded_flows(level_runs, checks):
-        runs.extend(level_runs)
-        flows.extend(checked_flows(level_runs, checks))
-        return flows
+    runs, kept, calls = [], {}, []
+    drive, residual_surface = runner._drive, idn.residual_surface
 
     def counted(*args, **kwargs):
         calls.append(args)
         return residual_surface(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "_checked_flows", recorded_flows)
+    monkeypatch.setattr(runner, "_drive", _recorded_drive(drive, runs, kept))
     monkeypatch.setattr(idn, "residual_surface", counted)
     cfg = hf.parse_config(SMALL_LADDER, name="ladder")
     study = hf.verify_identities(cfg, levels=2, out_flag=str(tmp_path))
+    flows = [kept[run].trajs for run in sorted(kept)]
     assert study.passed
     assert len(calls) == 2
     assert len(flows) == len(study.levels)
@@ -277,18 +287,16 @@ def test_ladder_flows_stop_after_the_last_snapshot_they_read(text, tmp_path, mon
     # longer flows leave every report byte for byte
     from harnackflow import runner
 
-    snapshots, checked_flows = runner.snapshots, runner._checked_flows
-    stops, kept = {}, []
+    snapshots, drive = runner.snapshots, runner._drive
+    stops, stages = {}, {}
+
+    def recorded(snap):
+        stops[snap.run] = snap.k
+        return snap
 
     def recorded_snapshots(runs):
-        for snap in snapshots(runs):
-            stops[snap.run] = snap.k
-            yield snap
-
-    def recorded_flows(runs, checks):
-        flows = checked_flows(runs, checks)
-        kept.extend({tuple(traj.times) for traj in run} for run in flows)
-        return flows
+        # planned at the call, as snapshots plans them: the driver then empties runs
+        return map(recorded, snapshots(runs))
 
     def longer(runs):
         # the level runs to t_end; the calibration, which has no configured
@@ -300,10 +308,11 @@ def test_ladder_flows_stop_after_the_last_snapshot_they_read(text, tmp_path, mon
 
     cfg = hf.parse_config(text, name="ladder")
     monkeypatch.setattr(runner, "snapshots", recorded_snapshots)
-    monkeypatch.setattr(runner, "_checked_flows", recorded_flows)
+    monkeypatch.setattr(runner, "_drive", _recorded_drive(drive, [], stages))
     hf.verify_identities(cfg, levels=2, out_flag=str(tmp_path / "short"), seed=7)
+    kept = [{tuple(traj.times) for traj in stages[run].trajs} for run in sorted(stages)]
     monkeypatch.setattr(runner, "snapshots", longer)
-    monkeypatch.setattr(runner, "_checked_flows", checked_flows)
+    monkeypatch.setattr(runner, "_drive", drive)
     study = hf.verify_identities(cfg, levels=2, out_flag=str(tmp_path / "long"), seed=7)
 
     *level_kept, fuzz_kept = kept
@@ -317,6 +326,65 @@ def test_ladder_flows_stop_after_the_last_snapshot_they_read(text, tmp_path, mon
     assert fuzz_kept == {tuple((kf + j) * runner._FUZZ_DT_OUT for j in (-1, 0, 1))}
     for name in ("identities.csv", "identity_summary.txt"):
         assert (tmp_path / "short" / name).read_bytes() == (tmp_path / "long" / name).read_bytes()
+
+
+# -- which failure the ladder reports -------------------------------------------
+# levels N = 16 and 32, then the fuzz calibration; the residuals are evaluated
+# in the order level 0, fuzz, level 1, after every flow
+
+
+def _failing_ladder(tmp_path, monkeypatch, residuals_at=(), fuzz=False, flow_of_run=None):
+    """The FAIL line of the ladder on STOP_SPHERE, and the levels whose residuals and the fuzz it evaluated."""
+    from harnackflow import runner
+
+    evaluated = []
+    preset_reports, fuzz_residuals, step = idn.preset_reports, idn.fuzz_residuals, hf.flow._RK4Kernel.step
+
+    def reports(trajs, k, *args, **kwargs):
+        n = trajs[-1.0][k].geom.n
+        evaluated.append(n)
+        if n in residuals_at:
+            raise NonPositiveCurvatureError(f"injected at N = {n}")
+        return preset_reports(trajs, k, *args, **kwargs)
+
+    def fuzzed(*args, **kwargs):
+        evaluated.append("fuzz")
+        if fuzz:
+            raise BlowupError("injected in the fuzz")
+        return fuzz_residuals(*args, **kwargs)
+
+    def stepped(self):
+        for pos, run in enumerate(self.runs):
+            if run.index == flow_of_run and self.t[pos] >= 0.02:
+                raise run.tag(BlowupError("injected in the flow"), float(self.t[pos]))
+        step(self)
+
+    monkeypatch.setattr(idn, "preset_reports", reports)
+    monkeypatch.setattr(idn, "fuzz_residuals", fuzzed)
+    monkeypatch.setattr(hf.flow._RK4Kernel, "step", stepped)
+    study = runner.verify_identities(hf.parse_config(STOP_SPHERE, name="ladder"), levels=2, out_flag=str(tmp_path))
+    assert (tmp_path / "identity_summary.txt").read_text() == study.failure + "\n"
+    assert not (tmp_path / "identities.csv").exists()
+    return study.failure, evaluated
+
+
+def test_a_flow_failure_beats_an_earlier_residual_failure(tmp_path, monkeypatch):
+    failure, evaluated = _failing_ladder(tmp_path, monkeypatch, residuals_at=(16,), flow_of_run=1)
+    assert failure.startswith("FAIL flow (level 1, N = 32): BlowupError at t = 0.02")
+    assert failure.endswith(": injected in the flow")
+    assert evaluated == []
+
+
+def test_the_fuzz_fails_before_the_next_level(tmp_path, monkeypatch):
+    failure, evaluated = _failing_ladder(tmp_path, monkeypatch, residuals_at=(32,), fuzz=True)
+    assert failure == "FAIL fuzz (level 0, N = 16): BlowupError: injected in the fuzz"
+    assert evaluated == [16, "fuzz"]
+
+
+def test_a_level_0_failure_evaluates_no_later_level(tmp_path, monkeypatch):
+    failure, evaluated = _failing_ladder(tmp_path, monkeypatch, residuals_at=(16, 32), fuzz=True)
+    assert failure == "FAIL residuals (level 0, N = 16): NonPositiveCurvatureError: injected at N = 16"
+    assert evaluated == [16]
 
 
 # -- degenerate tuples and variant checks -------------------------------------

@@ -2,12 +2,13 @@
 
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import harnackflow as hf
-from harnackflow import flow, harnack, identities, runner
+from harnackflow import flow, geometry, harnack, identities, runner
 from harnackflow.errors import BlowupError
 
 # t = 0 .. 0.1 in 10 outputs; identities at t = 0.05, and a valid pair
@@ -166,6 +167,37 @@ def test_peak_memory_does_not_grow_with_the_snapshot_count(tmp_path):
         assert report.passed
     assert os.path.getsize(tmp_path / "out" / "trajectory.bin") > 20 * snapshot
     assert peaks[2] - peaks[1] < snapshot
+
+
+def test_a_run_holds_no_snapshot_beyond_its_window(tmp_path, monkeypatch):
+    # every stage on: each snapshot of an evolving torus has a geometry of
+    # its own, on which the curvature the stages read is cached, and once
+    # the window has dropped snapshot 0 nothing holds the initial state
+    states, geoms, counts = [], [], []  # weak references to every one made
+    post_init, geom_init, feed = flow.FlowState.__post_init__, geometry.SurfaceGeometry.__init__, harnack.MonitorRows.feed
+
+    def made_state(self):
+        post_init(self)
+        states.append(weakref.ref(self))
+
+    def made_geometry(self, *args, **kwargs):
+        geom_init(self, *args, **kwargs)
+        geoms.append(weakref.ref(self))
+
+    def counted(self, traj, k):
+        feed(self, traj, k)
+        live = [geom() for geom in geoms]
+        counts.append((sum(state() is not None for state in states), sum("R" in vars(g) for g in live if g)))
+
+    monkeypatch.setattr(flow.FlowState, "__post_init__", made_state)
+    monkeypatch.setattr(geometry.SurfaceGeometry, "__init__", made_geometry)
+    monkeypatch.setattr(harnack.MonitorRows, "feed", counted)
+    text = TORUS.format(t_end=0.1) + "\n[identities]\nenable = true\nt_check = 0.05\n\n[action]\nenable = true\n"
+    report, summary, files = _run(tmp_path, text + "pairs = 3,0.02,5,0.04\npair_count = 2\nwindow = 1\n")
+    assert not report.failure and files == MONITORS | {"identities.csv", "action.csv", "summary.txt"}
+    assert len(counts) == 11
+    assert max(count for count, _ in counts) == 3  # live FlowStates
+    assert max(cached for _, cached in counts) == 3  # live geometries with a cached curvature
 
 
 def test_stored_and_streamed_stages_agree(tmp_path):
