@@ -103,6 +103,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    ConstraintViolationError,
     HarnackFlowError,
     IndexAtBoundaryError,
     NodesOutOfRangeError,
@@ -110,7 +111,7 @@ from .errors import (
     TimesNotStoredError,
     WindowTooNarrowError,
 )
-from .flow import replay, require_count
+from .flow import replay, require_count, require_real
 
 DEFAULT_WINDOW = 5
 
@@ -541,6 +542,17 @@ def layer_distance_fn(traj, k, window=DEFAULT_WINDOW):
     return dist
 
 
+def _points(pair, name):
+    """The two (node, time) points of ``pair``, with real times; anything else is refused, naming ``name``."""
+    try:
+        (x1, t1), (x2, t2) = pair
+    except (TypeError, ValueError):
+        raise ConstraintViolationError(f"{name} = {pair!r} must be two (node, time) points") from None
+    require_real(t1, f"{name}: t1")
+    require_real(t2, f"{name}: t2")
+    return (x1, t1), (x2, t2)
+
+
 def _pair_nodes(traj, point1, point2):
     """(k1, k2, x1, x2): the snapshots of t1 < t2 and the flat indices of the two nodes."""
     (x1, t1), (x2, t2) = point1, point2
@@ -560,7 +572,7 @@ def min_action(traj, point1, point2, window=DEFAULT_WINDOW):
     (gamma, SpaceTimePath).  The value is an upper bound of the continuum
     infimum, non-increasing in ``window``.
     """
-    k1, k2, x1, x2 = _pair_nodes(traj, point1, point2)
+    k1, k2, x1, x2 = _pair_nodes(traj, *_points((point1, point2), "pair"))
     graph, window = _layer_graph(traj.geom, window)
     boxes, depart = _pair_start(traj, k1, k2, x1, x2, graph, window)
     layers = ((traj[k].geom, traj[k + 1].geom, box) for k, box in zip(range(k1, k2), boxes))
@@ -617,7 +629,9 @@ def check_pairs(traj, pairs, window=DEFAULT_WINDOW):
     end nodes without a backtrack.  Pairs whose layers share one uniform
     periodic geometry with constant R read gamma from one origin sweep per
     geometry, kept for this call only; every other pair runs its own
-    forward loop.  The first pair in list order that fails raises.
+    forward loop.  The first pair in list order that fails raises; a pair
+    that is not two (node, time) points with real times fails with
+    ConstraintViolationError.
     """
     return replay(PairChecks(traj, pairs, window), traj)
 
@@ -680,9 +694,9 @@ class PairChecks:
         self.results = [None] * len(pairs)
         self.failure = None  # the error of the first failing pair in list order so far
         self.pairs = []  # the pairs still fed, in list order
-        for index, (point1, point2) in enumerate(pairs):
+        for index, pair in enumerate(pairs):
             try:
-                (_, t1), (_, t2) = point1, point2
+                (_, t1), (_, t2) = point1, point2 = _points(pair, f"pair {index}")
                 if t1 <= 0:
                     raise NonPositiveTimeError("integrated inequality needs t1 > 0")
                 k1, k2, x1, x2 = _pair_nodes(planned, point1, point2)

@@ -71,9 +71,13 @@ for bit, but for the sign of an exactly-zero phi rate: +0 where
 ``lap_bg phi - R_bg/2`` is +0, where -R/2 is -0.
 
 The checks run on every member at every step: its CFL bound against its
-run's step before the step, in one segmented reduction over the stack,
-and the overflow guard and the positivity of f after it; the extinction
-time is checked once per member before any step.  A failure raises its
+run's step before the step, and the overflow guard and the positivity of
+f after it; the extinction time is checked once per member before any
+step.  One segmented reduction over the stack, each member's min phi
+after an update, serves both the guard and the next step's CFL check,
+which compares it with a floor set per member with the step,
+1/2 ln(dt / (0.2 h^2)): a hair conservative, so that only the exact rule
+of ``cfl_limit``, applied to the member alone, raises.  A failure raises its
 typed error with the failing time, the first failing run in stack order
 and that run's lowest-index failing member.
 
@@ -208,7 +212,10 @@ class FlowRun(NamedTuple):
     ``t_end``, ``dt`` (explicit, or None for the CFL rule) and ``dt_out``
     follow the rules of ``run``.  A ``last`` snapshot index, a nonnegative
     int, stops the run there if it comes before ``t_end``; ``t_end`` is
-    still checked.
+    still checked.  A ``first`` snapshot index, a nonnegative int, is the
+    first one whose states are built: the snapshots 1 .. first - 1 between
+    are stepped to and handed on, each with None for every state, for a
+    caller that reads none of them.
     """
 
     members: list
@@ -216,6 +223,7 @@ class FlowRun(NamedTuple):
     dt: float | None
     dt_out: float
     last: int | None = None
+    first: int = 0
 
 
 def output_count(span, dt_out):
@@ -233,7 +241,6 @@ def _member_error(err, member, count):
 
 # 0-d operands: numpy takes them faster than Python floats
 _TWO, _MINUS_TWO = np.array(2.0), np.array(-2.0)
-_CFL_SLACK = np.array(1.0 + 1e-12)
 
 
 class _RK4Kernel:
@@ -285,7 +292,9 @@ class _RK4Kernel:
     and is never overwritten.  The sphere plans share their flux buffer,
     mask and coefficients.  After the step, the overflow guard and the
     positivity of f are checked by reductions alone, and a failure is then
-    located member by member.
+    located member by member.  The members' min phi (``phi_min``), one
+    segmented reduction after each update, is both the guard's min phi and
+    the next step's CFL check against ``floor``, set by ``set_steps``.
     """
 
     def __init__(self, runs):
@@ -321,12 +330,14 @@ class _RK4Kernel:
         # the rates are carried in the plans' unit, one for the stack: a
         # torus stack has one h, and every sphere's unit is 1
         self.unit = geom.plan_unit
-        # the CFL check: one segmented minimum of phi per member, against its run's step
+        # the checks: one segmented minimum of phi per member, taken after
+        # each update, serves the overflow guard and the next step's CFL check
         self.phi_flat = x[0].reshape(-1)
         per_unit = self.phi_flat.size // body[0]
         self.cfl_starts = np.array(starts, dtype=np.intp) * per_unit
         self.coef = np.array([CFL_FACTOR * runs[pos].h * runs[pos].h for pos in slot_runs])
-        self.bound = np.empty(len(slots))
+        self.phi_min = np.empty(len(slots))
+        self.floor = np.empty(len(slots))
         self.bad = np.empty(len(slots), dtype=bool)
         self.slot_runs = np.array(slot_runs)
         self.slot_dts = np.zeros(len(slots))
@@ -335,6 +346,7 @@ class _RK4Kernel:
 
         self.x = x
         self.phi, self.f = x
+        np.minimum.reduceat(self.phi_flat, self.cfl_starts, out=self.phi_min)
         y, k1, acc, k = (np.empty(x.shape) for _ in range(4))
         # one scratch block: e^(-2 phi) and the reaction term after each
         # Laplacian, and the torus plans' 4w during it
@@ -420,42 +432,48 @@ class _RK4Kernel:
         self.ops = ops
 
     def set_steps(self, steps):
-        """Step each run by its entry of ``steps`` from now on; the operands carry them over the plans' unit."""
+        """Step each run by its entry of ``steps`` from now on; the operands carry them over the plans' unit.
+
+        Each member's CFL floor is set here: the step passes while the
+        member's min phi is at least 1/2 ln(dt / coef), with coef = 0.2 h^2,
+        which is dt <= coef e^(2 min phi).  It leaves out the 1 + 1e-12 slack
+        of the exact rule, so it is a hair conservative: the rounding of the
+        ln and of the exact rule's exp is far below 1e-12, and a step it
+        flags that the exact rule passes goes on.
+        """
         self.dts[:] = steps
         np.take(self.dts, self.slot_runs, out=self.slot_dts)
         self.full[...] = self.dts[self.operand_runs]
         np.divide(self.full, self.unit, self.full)
         np.multiply(self.full, 0.5, self.half)
         np.divide(self.full, 6.0, self.sixth)
+        np.multiply(np.log(self.slot_dts / self.coef), 0.5, self.floor)
 
     def step(self):
         """One checked RK4 step of every run by its own step; a failure names its run and member.
 
-        Each member's CFL bound is checked against its run's step before
-        the step, all in one segmented reduction; the overflow guard and
-        the positivity of f after it, on every member.
+        Each member's min phi, taken in one segmented reduction after the
+        previous update (or when the stack was built), is checked against
+        its CFL floor before the step; after it, the overflow guard and
+        the positivity of f are checked on every member, and the segmented
+        minimum is taken again for both the guard and the next step.
         """
-        bound = self.bound
-        np.minimum.reduceat(self.phi_flat, self.cfl_starts, out=bound)
-        np.multiply(bound, _TWO, bound)
-        np.exp(bound, bound)
-        np.multiply(self.coef, bound, bound)
-        np.multiply(bound, _CFL_SLACK, bound)
-        if np.greater(self.slot_dts, bound, self.bad).any():
+        if np.less(self.phi_min, self.floor, self.bad).any():
             self._raise_cfl()
         for fn, args in self.ops:
             fn(*args)
+        np.minimum.reduceat(self.phi_flat, self.cfl_starts, out=self.phi_min)
         # Reductions alone: with every f positive, max(x.max(), -phi.min())
         # is max |x|.  A NaN makes every reduction NaN, which fails both
         # comparisons, so non-finite fields are caught here too.
-        big = max(float(self.x.max()), -float(self.phi.min()))
+        big = max(float(self.x.max()), -float(self.phi_min.min()))
         fmin = float(self.f.min())
         if not (big <= OVERFLOW_GUARD and fmin > 0.0):
             self._raise_state()
         np.add(self.t, self.dts, self.t)
 
     def _raise_cfl(self):
-        # each member's own bound decides; the stack's check only says where to look
+        # each member's own bound, by the exact rule, decides; the stack's check only says where to look
         for pos in np.unique(self.slot_runs[self.bad]):
             run, dt = self.runs[pos], float(self.dts[pos])
             for i, (phi, _) in enumerate(self.members[pos]):
@@ -634,7 +652,8 @@ def snapshots(runs):
     ends, in step order.  Nothing is kept here, so the caller decides what
     stays in memory.  Each ``FlowRun`` has its own members, ``t_end``,
     ``dt`` and ``dt_out``, and stops at its ``last`` snapshot if that comes
-    first.  Its members' initial states share the geometry kind, grid
+    first, and builds no state before its ``first`` snapshot.  Its
+    members' initial states share the geometry kind, grid
     shape, spacing and start time; each member has its own finite ``c``,
     ``evolve_metric`` and ``initial_id``.  With ``dt=None`` a run's members
     take the same steps, set by the smallest CFL bound among them and the
@@ -792,6 +811,8 @@ class _Run:
         if last is not None:
             require_count(last, "last", "a nonnegative snapshot index")
             self.n_out = min(self.n_out, int(last))
+        require_count(spec.first, "first", "a nonnegative snapshot index")
+        self.first = spec.first
         return members
 
     def tag(self, err, time=None):
@@ -822,9 +843,12 @@ class _Run:
     def snapshot(self, members):
         """The members' (phi, f), in member order, as the next snapshot, at the end of an interval.
 
-        A static member's snapshots share its initial geometry.
+        A static member's snapshots share its initial geometry.  Before the
+        run's ``first`` snapshot no state is built: each is None.
         """
         self.k += 1
+        if self.k < self.first:
+            return self.made([None] * len(members))
         t_snap = self.time(self.k)
         states = [
             FlowState(t_snap, geom if static else geom.with_phi(phi), f)
@@ -847,8 +871,10 @@ def time_derivative(traj, k, field):
 
     ``field`` is a callable mapping a FlowState to a field.  Snapshots
     share one coordinate grid (only phi evolves), so the difference is
-    pointwise; accuracy is O(dt_out^2).
+    pointwise; accuracy is O(dt_out^2).  A ``k`` that is not a nonnegative
+    int is refused.
     """
+    require_count(k, "k", "a nonnegative snapshot index")
     if k <= 0 or k >= len(traj) - 1:
         raise IndexAtBoundaryError(
             f"snapshot {k} has no two neighbors in a trajectory of length {len(traj)}"

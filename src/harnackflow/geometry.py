@@ -15,7 +15,12 @@ supported:
 
 Scalar fields are plain ``numpy`` arrays whose shape ties them to the
 geometry; every operator validates the shape and raises
-:class:`~harnackflow.errors.GridMismatchError` on mismatch.
+:class:`~harnackflow.errors.GridMismatchError` on mismatch.  The
+differential operators (the Laplacians, gradients and Hessians) work over
+the trailing field axes of a stack with any leading axes, each field of it
+exactly as alone, and two stacked arguments broadcast against each other:
+one call differentiates a field for every tuple of a batch.  A state's
+fields, the integral and the total area take one field exactly.
 
 Numerical choices, in one place:
 
@@ -60,10 +65,13 @@ def _require_c_contiguous(w, out):
             raise GridMismatchError(f"laplacian_plan needs a C-contiguous {name}, not strides {a.strides}")
 
 
-def _as_field(values, shape, name="field"):
+def _as_field(values, shape, name="field", stacked=False):
+    """``values`` as a finite float array of ``shape``, after any leading axes if ``stacked``."""
     w = np.asarray(values, dtype=float)
-    if w.shape != shape:
-        raise GridMismatchError(f"{name} has shape {w.shape}, expected {shape}")
+    tail = w.shape[w.ndim - len(shape):] if stacked and w.ndim >= len(shape) else w.shape
+    if tail != shape:
+        where = " after any leading axes" if stacked else ""
+        raise GridMismatchError(f"{name} has shape {w.shape}, expected {shape}{where}")
     if not np.all(np.isfinite(w)):
         raise GridMismatchError(f"{name} contains non-finite entries")
     return w
@@ -135,7 +143,7 @@ class SurfaceGeometry:
         return np.divide(out, self.plan_unit, out=out)
 
     def background_laplacian(self, w):
-        return self._bg_lap_raw(self.check_field(w))
+        return self._bg_lap_raw(self.check_fields(w))
 
     def background_area_weights(self):
         """Exact cell areas of the background metric."""
@@ -151,7 +159,22 @@ class SurfaceGeometry:
     # -- conformal-metric operators ---------------------------------------
 
     def check_field(self, w, name="field"):
+        """``w`` as a float array of exactly the field shape, finite everywhere."""
         return _as_field(w, self.field_shape, name)
+
+    def check_fields(self, w, name="field"):
+        """``w`` as a finite float stack of fields: the field shape after any leading axes."""
+        return _as_field(w, self.field_shape, name, stacked=True)
+
+    def check_pair(self, w1, w2):
+        """Two stacks of fields whose leading axes broadcast against each other, checked."""
+        w1, w2 = self.check_fields(w1, "w1"), self.check_fields(w2, "w2")
+        if w1.shape != w2.shape:
+            try:
+                np.broadcast_shapes(w1.shape, w2.shape)
+            except ValueError:
+                raise GridMismatchError(f"stacks of shapes {w1.shape} and {w2.shape} do not broadcast") from None
+        return w1, w2
 
     @property
     def node_count(self):
@@ -176,11 +199,11 @@ class SurfaceGeometry:
 
     def laplace_beltrami(self, w):
         """Laplace-Beltrami of the live metric: e^(-2 phi) * background Laplacian."""
-        w = self.check_field(w)
+        w = self.check_fields(w)
         return np.exp(-2.0 * self.phi) * self._bg_lap_raw(w)
 
     def grad_inner(self, w1, w2):
-        """Pointwise inner product of gradients in the live metric."""
+        """Pointwise inner product of gradients in the live metric; the stacks broadcast."""
         raise NotImplementedError
 
     def grad_norm_sq(self, w):
@@ -188,7 +211,7 @@ class SurfaceGeometry:
         raise NotImplementedError
 
     def covariant_hessian(self, w):
-        """Covariant Hessian of the live metric, shape field_shape + (2, 2).
+        """Covariant Hessian of the live metric, shape ``w.shape + (2, 2)``.
 
         Components are in background coordinates (torus: x, y; sphere:
         theta, azimuth).  The g-trace of the result agrees with
@@ -205,9 +228,10 @@ class SurfaceGeometry:
     def hessian_deviation_sq(self, w, sigma):
         """|hessian(w) - sigma * g|^2 contracted with the live metric.
 
-        ``sigma`` may be a scalar or a field; the pure-trace subtraction is
-        what every identity's Hessian-square term reduces to on surfaces,
-        where the Ricci tensor is (R/2) g.
+        ``sigma`` may be a scalar, a field or a stack of them, which
+        broadcasts against ``w``; the pure-trace subtraction is what every
+        identity's Hessian-square term reduces to on surfaces, where the
+        Ricci tensor is (R/2) g.
         """
         t = self.covariant_hessian(w)
         g1, g2 = self._metric_diag()
@@ -270,7 +294,7 @@ class TorusGeometry(SurfaceGeometry):
         return ax[:, None], ax[None, :]
 
     def _gradient(self, w):
-        """Centered (d/dx, d/dy) of w, (w[i+1] - w[i-1]) / (2h), from one wrap-padded copy."""
+        """Centered (d/dx, d/dy) of each field of w, (w[i+1] - w[i-1]) / (2h), from one wrap-padded copy."""
         return _centered(_wrap_pad(w), 2.0 * self.h)
 
     def laplacian_plan(self, w, out, scratch=None):
@@ -324,16 +348,17 @@ class TorusGeometry(SurfaceGeometry):
         return e2p, e2p
 
     def grad_inner(self, w1, w2):
-        w1 = self.check_field(w1, "w1")
-        w2 = self.check_field(w2, "w2")
+        w1, w2 = self.check_pair(w1, w2)
         (x1, y1), (x2, y2) = self._gradient(w1), self._gradient(w2)
+        if x1.size < x2.size:  # the products go into the larger stack; they commute exactly
+            (x1, y1), (x2, y2) = (x2, y2), (x1, y1)
         x1 *= x2
         y1 *= y2
         x1 += y1
         return np.exp(-2.0 * self.phi) * x1
 
     def grad_norm_sq(self, w):
-        w = self.check_field(w)
+        w = self.check_fields(w)
         wx, wy = self._gradient(w)
         wx *= wx
         wy *= wy
@@ -348,36 +373,38 @@ class TorusGeometry(SurfaceGeometry):
         # Each second derivative goes straight into its component, and
         # phi's copy is dropped once read, so no more fields are alive at
         # once than the roll form held.
-        w = self.check_field(w)
+        w = self.check_fields(w)
         h2, two_h = self.h * self.h, 2.0 * self.h
         px, py = self._gradient(self.phi)
         wp = _wrap_pad(w)
         wx, wy = _centered(wp, two_h)
         two_w = 2.0 * w
-        t = np.empty(self.field_shape + (2, 2))
-        t[..., 0, 0] = (wp[2:, 1:-1] - two_w + wp[:-2, 1:-1]) / h2 - px * wx + py * wy
-        t[..., 1, 1] = (wp[1:-1, 2:] - two_w + wp[1:-1, :-2]) / h2 - py * wy + px * wx
-        t[..., 0, 1] = (wp[2:, 2:] - wp[2:, :-2] - wp[:-2, 2:] + wp[:-2, :-2]) / (4.0 * h2) - py * wx - px * wy
+        t = np.empty(w.shape + (2, 2))
+        t[..., 0, 0] = (wp[..., 2:, 1:-1] - two_w + wp[..., :-2, 1:-1]) / h2 - px * wx + py * wy
+        t[..., 1, 1] = (wp[..., 1:-1, 2:] - two_w + wp[..., 1:-1, :-2]) / h2 - py * wy + px * wx
+        t[..., 0, 1] = (
+            (wp[..., 2:, 2:] - wp[..., 2:, :-2] - wp[..., :-2, 2:] + wp[..., :-2, :-2]) / (4.0 * h2) - py * wx - px * wy
+        )
         t[..., 1, 0] = t[..., 0, 1]
         return t
 
 
 def _wrap_pad(w):
-    """An (n + 2, n + 2) copy of a periodic (n, n) field with one wrapped node on every side."""
-    p = np.empty((w.shape[0] + 2, w.shape[1] + 2))
-    p[1:-1, 1:-1] = w
-    p[0, 1:-1], p[-1, 1:-1] = w[-1], w[0]
-    p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
+    """An (n + 2, n + 2) copy of each periodic (n, n) field of w with one wrapped node on every side."""
+    p = np.empty(w.shape[:-2] + (w.shape[-2] + 2, w.shape[-1] + 2))
+    p[..., 1:-1, 1:-1] = w
+    p[..., 0, 1:-1], p[..., -1, 1:-1] = w[..., -1, :], w[..., 0, :]
+    p[..., :, 0], p[..., :, -1] = p[..., :, -2], p[..., :, 1]
     return p
 
 
 def _centered(p, two_h):
-    """Centered first differences (d/dx, d/dy) of the field wrap-padded into p, over 2h.
+    """Centered first differences (d/dx, d/dy) of the fields wrap-padded into p, over 2h.
 
     Each is ``(w[i+1] - w[i-1]) / (2h)``, divided in place: at n = 128 a
     field is 128 KiB, and every temporary of that size is a fresh mapping.
     """
-    dx, dy = np.subtract(p[2:, 1:-1], p[:-2, 1:-1]), np.subtract(p[1:-1, 2:], p[1:-1, :-2])
+    dx, dy = np.subtract(p[..., 2:, 1:-1], p[..., :-2, 1:-1]), np.subtract(p[..., 1:-1, 2:], p[..., 1:-1, :-2])
     dx /= two_h
     dy /= two_h
     return dx, dy
@@ -509,20 +536,20 @@ class SphereGeometry(SurfaceGeometry):
         return float(np.log(radius))
 
     def _ghost(self, w):
-        """Even reflection across both poles (smooth axisymmetric fields)."""
-        out = np.empty(self.n + 2)
-        out[1:-1] = w
-        out[0] = w[0]
-        out[-1] = w[-1]
+        """Even reflection of each field of w across both poles (smooth axisymmetric fields)."""
+        out = np.empty(w.shape[:-1] + (self.n + 2,))
+        out[..., 1:-1] = w
+        out[..., 0] = w[..., 0]
+        out[..., -1] = w[..., -1]
         return out
 
     def _dtheta_centered(self, w):
         g = self._ghost(w)
-        return (g[2:] - g[:-2]) / (2.0 * self.dtheta)
+        return (g[..., 2:] - g[..., :-2]) / (2.0 * self.dtheta)
 
     def _d2theta(self, w):
         g = self._ghost(w)
-        return (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (self.dtheta * self.dtheta)
+        return (g[..., 2:] - 2.0 * g[..., 1:-1] + g[..., :-2]) / (self.dtheta * self.dtheta)
 
     def laplacian_plan(self, w, out, scratch=None):
         # the uniform case of the flux plan: every row has this sphere's n
@@ -539,20 +566,19 @@ class SphereGeometry(SurfaceGeometry):
         return e2p, e2p * self.sin_theta**2
 
     def grad_inner(self, w1, w2):
-        w1 = self.check_field(w1, "w1")
-        w2 = self.check_field(w2, "w2")
+        w1, w2 = self.check_pair(w1, w2)
         # product of derivatives first: keeps the operation exactly symmetric
         return (self._dtheta_centered(w1) * self._dtheta_centered(w2)) * np.exp(-2.0 * self.phi)
 
     def grad_norm_sq(self, w):
-        dw = self._dtheta_centered(self.check_field(w))
+        dw = self._dtheta_centered(self.check_fields(w))
         return (dw * dw) * np.exp(-2.0 * self.phi)
 
     def covariant_hessian(self, w):
-        w = self.check_field(w)
+        w = self.check_fields(w)
         dphi = self._dtheta_centered(self.phi)
         dw = self._dtheta_centered(w)
-        t = np.zeros(self.field_shape + (2, 2))
-        t[:, 0, 0] = self._d2theta(w) - dphi * dw
-        t[:, 1, 1] = (self.sin_theta * self.cos_theta + self.sin_theta**2 * dphi) * dw
+        t = np.zeros(w.shape + (2, 2))
+        t[..., 0, 0] = self._d2theta(w) - dphi * dw
+        t[..., 1, 1] = (self.sin_theta * self.cos_theta + self.sin_theta**2 * dphi) * dw
         return t

@@ -54,7 +54,13 @@ _DEGENERACY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HarnackParams:
-    """Constant tuple (alpha, beta, a, b, c, d, lam) of a Harnack quantity and its identity."""
+    """Constant tuple (alpha, beta, a, b, c, d, lam) of a Harnack quantity and its identity.
+
+    Each coefficient is a float, or, for a batch of tuples, a column that
+    broadcasts against stacked fields, as ``identities`` builds them:
+    ``harnack_field`` and the general identity then evaluate all the tuples
+    in one pass, each entry by the float arithmetic of its tuple alone.
+    """
 
     alpha: float
     beta: float
@@ -138,26 +144,37 @@ def harnack_field(state, w, p):
     """alpha lap(w) - beta |grad w|^2 + a R - b w/t - d n/t at ``state`` for the tuple ``p``.
 
     The one formula behind every preset's quantity, for the monitors and
-    the general identities alike.  A term whose coefficient is zero is left
+    the general identities alike.  A term whose coefficient is zero (for a
+    batch of tuples: zero in every tuple) is left
     out; the others are added as (coefficient * term), so - beta |grad w|^2
     is + (-beta) |grad w|^2, the same float.  A tuple with no term that
-    varies over the grid (all zero, or d alone) gives a constant field.
+    varies over the grid (all zero, or d alone) gives a constant field.  A
+    batch gives one field per tuple, stacked along the leading axis; each
+    is the field of its tuple alone, bit for bit, but where a term left out
+    for that tuple is kept for another: there it adds a zero, which can
+    flip only the sign of an exactly-zero entry.
     """
     geom, t = state.geom, state.t
     terms = []
-    if p.alpha != 0.0:
+    if _nonzero(p.alpha):
         terms.append(p.alpha * geom.laplace_beltrami(w))
-    if p.beta != 0.0:
+    if _nonzero(p.beta):
         terms.append(-p.beta * geom.grad_norm_sq(w))
-    if p.a != 0.0:
+    if _nonzero(p.a):
         terms.append(p.a * state.R)
-    if p.b != 0.0:
+    if _nonzero(p.b):
         terms.append(-p.b * w / t)
-    if p.d != 0.0:
+    constant = not terms
+    if _nonzero(p.d):
         terms.append(-p.d * DIMENSION / t)
-    if not any(np.ndim(term) for term in terms):
-        return np.full(geom.field_shape, sum(terms, 0.0))
+    if constant:
+        return np.full(np.broadcast_shapes(np.shape(w), np.shape(p.d)), sum(terms, 0.0))
     return sum(terms[1:], terms[0])
+
+
+def _nonzero(coef):
+    """Whether a coefficient, a float or a column of a batch, is nonzero in some tuple."""
+    return coef.any() if isinstance(coef, np.ndarray) else coef != 0.0
 
 
 def log_curvature(state):

@@ -37,9 +37,20 @@ Families, with their parameter tuples (alpha, beta, a, b, c, d, lambda):
 Every field is the monitors' own formula, ``harnack.harnack_field`` at the
 tuple, and the tuples and presets are ``harnack``'s.  Every residual
 goes through one helper: variant check, interior snapshot, centered left
-side, report.  ``preset_reports`` evaluates the named presets of
+side, reports.  ``preset_reports`` evaluates the named presets of
 ``PRESET_REGISTRY`` at one snapshot; it is the one path by which both
 ``run`` and the refinement ladder report them.
+
+``fuzz_residuals`` evaluates its random tuples in batches: a batch is one
+``HarnackParams`` of columns (``_columns``), and one residual
+over the stacked fields, since every operator works over leading axes and
+every coefficient is combined elementwise.  So the parameter-free fields
+of a snapshot (u or v, their derivatives, R and its derivatives) are
+derived and validated once per batch, not once per tuple, and each
+report equals, bit for bit, the one ``residual_general_H`` or
+``residual_general_P`` gives for its tuple.  A batch holds at most
+``FUZZ_BATCH_NODES`` nodes, so the fuzz's memory does not grow with its
+count.
 
 On surfaces every tensor term is scalar: Rc = (R/2) g, |Rc|^2 = R^2/2,
 Rc(V,V) = (R/2)|V|^2, and the Hessian-square terms are pure-trace
@@ -58,7 +69,7 @@ from .errors import (
     NonPositiveTimeError,
     VariantMismatchError,
 )
-from .flow import time_derivative
+from .flow import require_count, time_derivative
 from .harnack import (
     COR_H_PRESET,
     COR_P_PRESET,
@@ -86,9 +97,15 @@ class ResidualReport:
     l2_norm: float
 
 
+# Nodes of one fuzz batch: its tuples times the nodes of a field.  A batch's
+# temporaries are some tens of stacks of this many floats.
+FUZZ_BATCH_NODES = 4096
+
+
 def _interior(traj, k):
     """Snapshot k, which needs a neighbour on each side, the left one at t > 0:
     the centered time difference evaluates 1/t terms there."""
+    require_count(k, "k", "a nonnegative snapshot index")
     if k <= 0 or k >= len(traj) - 1:
         raise IndexAtBoundaryError(f"snapshot {k} is not interior (length {len(traj)})")
     if traj[k - 1].t <= 0:
@@ -105,52 +122,81 @@ def _check_variant(traj, c):
         )
 
 
+def _columns(params, ndim):
+    """The tuples ``params`` as one, each coefficient a column of shape (len(params), 1, ...) with ``ndim`` ones."""
+    cols = np.array([(p.alpha, p.beta, p.a, p.b, p.c, p.d, p.lam) for p in params], dtype=float).T
+    return HarnackParams(*np.ascontiguousarray(cols).reshape((7, len(params)) + (1,) * ndim))
+
+
 def _residual(identity, traj, k, p, field, rhs):
-    """Report of d(field)/dt - rhs at interior snapshot k of ``traj``.
+    """Report of d(field)/dt - rhs at interior snapshot k of ``traj`` for the tuple ``p``."""
+    return _residuals(identity, traj, k, [p], field, rhs)[0]
+
+
+def _residuals(identity, traj, k, params, field, rhs):
+    """Reports of d(field)/dt - rhs at interior snapshot k of ``traj``, one per tuple of ``params``.
 
     ``field`` and ``rhs`` take (state, p).  The left side is the centered
     difference of ``field`` between snapshots k - 1 and k + 1; the right
-    side is assembled at k.
+    side is assembled at k.  Several tuples, all with the trajectory's c,
+    are evaluated as one batch of columns (``_columns``).
     """
-    _check_variant(traj, p.c)
+    _check_variant(traj, params[0].c)
     state = _interior(traj, k)
-    res = time_derivative(traj, k, lambda s: field(s, p)) - rhs(state, p)
     geom = state.geom
-    return ResidualReport(
-        identity=identity,
-        params=p,
-        t=state.t,
-        n=geom.n,
-        kind=geom.kind,
-        max_norm=float(np.max(np.abs(res))),
-        l2_norm=float(np.sqrt(geom.integrate(res * res) / geom.total_area())),
-    )
+    p = params[0] if len(params) == 1 else _columns(params, len(geom.field_shape))
+    res = time_derivative(traj, k, lambda s: field(s, p)) - rhs(state, p)
+    # one row per tuple: a row's norms are those of its field alone
+    rows = len(params)
+    max_norms = np.max(np.abs(res).reshape(rows, -1), axis=1)
+    square = geom.check_fields(res * res)  # as ``integrate`` checks the field it integrates
+    l2_norms = np.sqrt(np.sum(square.reshape(rows, -1) * geom.area_weights().reshape(-1), axis=1) / geom.total_area())
+    return [
+        ResidualReport(identity, pk, state.t, geom.n, geom.kind, float(max_norm), float(l2_norm))
+        for pk, max_norm, l2_norm in zip(params, max_norms, l2_norms)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # the general identity, for the H and P families
 
 
+def _squared(coef):
+    """``coef ** 2`` by ``pow``, as Python squares a float, for a float or for each entry of a column.
+
+    numpy squares a column by a product instead, which differs from ``pow``
+    in the last bit for about one value in a thousand.
+    """
+    if np.ndim(coef) == 0:
+        return coef**2
+    return np.reshape([float(x) ** 2 for x in coef.flat], np.shape(coef))
+
+
 def _general_rhs(state, w, p):
     """Right side of the evolution of h = harnack_field(state, w, p) for a w
-    obeying dw/dt = lap w - |grad w|^2 + c R, as u = -ln f does."""
+    obeying dw/dt = lap w - |grad w|^2 + c R, as u = -ln f does.
+
+    ``p`` may be a batch of tuples (``_columns``): w and R are
+    then differentiated once for all of them.
+    """
     geom, t = state.geom, state.t
     n = DIMENSION
     curv = state.R
     h = harnack_field(state, w, p)
     q = 2.0 * p.alpha - 2.0 * p.beta
-    loa = (q / p.alpha) * p.lam if p.lam != 0.0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # alpha may be 0 where lambda is
+        loa = np.where(p.lam != 0.0, np.divide(q, p.alpha) * p.lam, 0.0)
     sigma = (p.alpha / q) * (curv / 2.0) + p.lam / (2.0 * t)
     grad_wsq = geom.grad_norm_sq(w)
     rhs = geom.laplace_beltrami(h) - 2.0 * geom.grad_inner(h, w)
     rhs = rhs - q * geom.hessian_deviation_sq(w, sigma)
     rhs = rhs - loa / t * h
-    rhs = rhs + q * (n * p.lam**2) / (4.0 * t * t)
+    rhs = rhs + q * (n * _squared(p.lam)) / (4.0 * t * t)
     rhs = rhs - (p.b + loa * p.beta) * grad_wsq / t
     rhs = rhs + (1.0 - loa) * p.b * w / (t * t)
     rhs = rhs + (1.0 - loa) * p.d * n / (t * t)
     rhs = rhs + p.alpha * p.c * geom.laplace_beltrami(curv)
-    rhs = rhs + (2.0 * p.a + p.alpha**2 / q) * (curv * curv / 2.0)
+    rhs = rhs + (2.0 * p.a + _squared(p.alpha) / q) * (curv * curv / 2.0)
     rhs = rhs + (p.alpha * p.lam + p.a * loa - p.b * p.c) * curv / t
     rhs = rhs - p.alpha * curv * grad_wsq  # -2 alpha Rc(grad w, grad w)
     rhs = rhs + 2.0 * (p.a - p.beta * p.c) * geom.grad_inner(curv, w)
@@ -433,22 +479,32 @@ def random_params(rng, family, c):
     """
     if family not in ("H", "P"):
         raise ConstraintViolationError(f"unknown family {family!r}")
+    draw = rng.random
     while True:
-        alpha, beta, a, b, d, lam = (-2.0 + 4.0 * rng.random() for _ in range(6))
+        alpha, beta, a, b, d, lam = [-2.0 + 4.0 * draw() for _ in range(6)]
         gap = abs(alpha - beta) if family == "H" else abs(alpha - 1.0)
         if gap >= 0.75 and abs(alpha) >= 0.5:
             return HarnackParams(alpha=alpha, beta=beta, a=a, b=b, c=c, d=d, lam=lam)
 
 
 def fuzz_residuals(traj, k, count, rng, family="H"):
-    """Residual reports for ``count`` random non-degenerate tuples, drawn from ``rng`` by ``random_params``."""
+    """Residual reports for ``count`` random non-degenerate tuples, drawn from ``rng`` by ``random_params``.
+
+    The tuples are drawn in order and evaluated in batches of at most
+    ``FUZZ_BATCH_NODES`` nodes; each report is the one
+    ``residual_general_H`` (family "H") or ``residual_general_P`` ("P")
+    gives for its tuple.  A ``count``, or with a count a ``k``, that is
+    not a nonnegative int is refused before any draw.
+    """
+    require_count(count, "count")
+    field, rhs = (general_H_field, _general_H_rhs) if family == "H" else (general_P_field, _general_P_rhs)
+    if not count:
+        return []
+    batch = max(1, FUZZ_BATCH_NODES // _interior(traj, k).geom.node_count)
     out = []
-    for _ in range(count):
-        p = random_params(rng, family, traj.c)
-        if family == "H":
-            out.append(residual_general_H(traj, k, p))
-        else:
-            out.append(residual_general_P(traj, k, p))
+    while len(out) < count:
+        params = [random_params(rng, family, traj.c) for _ in range(min(batch, count - len(out)))]
+        out.extend(_residuals(f"general_{family}", traj, k, params, field, rhs))
     return out
 
 

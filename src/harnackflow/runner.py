@@ -604,12 +604,13 @@ def _level_coeffs(want):
     return coeffs
 
 
-def _level_run(lcfg, want, state0, last):
-    """The flows of one ladder level from its initial state, as one run.
+def _level_run(lcfg, want, state0, k):
+    """The flows of one ladder level from its initial state, as one run, for the check index ``k``.
 
     Its members are one per ``_level_coeffs`` and, for ``surface``, the
-    round companion of ``surface_fR`` last.  The run stops at snapshot
-    ``last``; the level's ``t_end`` is still checked against every
+    round companion of ``surface_fR`` last.  The run builds the states of
+    the snapshots its residuals read alone, k - 1, k and k + 1, and stops
+    at k + 1; the level's ``t_end`` is still checked against every
     evolving sphere's extinction time.
     """
     members = [
@@ -618,7 +619,7 @@ def _level_run(lcfg, want, state0, last):
     ]
     if "surface" in want:
         members.append(EnsembleMember(_round_companion_state(lcfg), c=-1.0, initial_id="constant"))
-    return FlowRun(members, lcfg.t_end, lcfg.dt, lcfg.dt_out, last)
+    return FlowRun(members, lcfg.t_end, lcfg.dt, lcfg.dt_out, last=k + 1, first=k - 1)
 
 
 @dataclass
@@ -672,11 +673,15 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     finished: the levels' residuals, each level a stage, with the fuzz
     after level 0.  Each level's run stops at
     snapshot k + 1 (t_check + dt_out), the last one its residuals read,
-    with k picked as on a run to t_end; the configured t_end is still checked,
+    and builds no state before k - 1, the first one they read (``FlowRun``'s
+    ``last`` and ``first``), with k picked as on a run to t_end; the
+    configured t_end is still checked,
     so a member whose extinction time it reaches raises
     ConstraintViolationError before any flow.  Fuzz tuples run at the
     coarsest level, on a calibration flow that likewise stops one
-    snapshot after its own check time.
+    snapshot after its own check time and builds its states from one
+    snapshot before it; ``identities.fuzz_residuals`` evaluates them in
+    batches.
     The ``surface`` preset runs on sphere configs only: by Gauss-Bonnet a
     torus never has R > 0 everywhere.  Its general-f form runs on the
     scenario's trajectory and its f := R form on the round companion, in
@@ -731,7 +736,7 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
         level_cfgs.append(lcfg)
         checks.append(k)
     # an invalid initial state is a config error (exit 2), found before any flow runs
-    runs = [_level_run(lcfg, want, build_initial_state(lcfg), k + 1) for lcfg, k in zip(level_cfgs, checks)]
+    runs = [_level_run(lcfg, want, build_initial_state(lcfg), k) for lcfg, k in zip(level_cfgs, checks)]
     names = [f"flow (level {lvl}, N = {lcfg.n})" for lvl, lcfg in enumerate(level_cfgs)]
     agree, fuzz_max, fuzz_bound, preset_max = {}, {}, {}, {}
 
@@ -772,7 +777,8 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
 
     stages = [level(lvl, lcfg, k) for lvl, (lcfg, k) in enumerate(zip(level_cfgs, checks))]
     if cfg.fuzz_count:
-        runs.append(_fuzz_run(cfg.n))
+        # the fuzz reads snapshots _FUZZ_CHECK - 1 .. _FUZZ_CHECK + 1 alone
+        runs.append(_fuzz_run(cfg.n)._replace(first=_FUZZ_CHECK - 1))
         names.append(f"fuzz (level 0, N = {cfg.n})")
         stages.insert(1, _Stage(names[-1], levels, lambda run: _Kept(_FUZZ_CHECK, fuzz), None))
     results, failure = _drive(runs, names, stages)

@@ -834,6 +834,41 @@ def test_step_too_large_names_the_lowest_failing_member():
     assert (err.value.run, err.value.member, err.value.time) == (0, 0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: _sphere_cos(16), lambda: _torus_state(16, 0.05)], ids=["sphere", "torus"]
+)
+def test_cfl_boundary_is_the_exact_rule(make):
+    # the kernel's per-member floor is a hair conservative; the exact rule
+    # decides: a step at the threshold passes, the next float above it fails
+    state = make()
+    geom = state.geom
+    bound = hf.geometry.cfl_limit(geom.background_spacing, geom.phi)
+    at = bound * (1 + 1e-12)
+    ((traj,),) = hf.run_ensemble([hf.FlowRun([hf.EnsembleMember(state)], at, at, at)])
+    assert len(traj) == 2 and traj.dt == at
+    above = np.nextafter(at, np.inf)
+    with pytest.raises(StepTooLargeError) as err:
+        hf.run_ensemble([hf.FlowRun([hf.EnsembleMember(state)], above, above, above)])
+    assert (err.value.bound, err.value.time, err.value.member, err.value.dt) == (bound, 0.0, 0, above)
+
+
+def test_snapshots_before_first_are_not_built():
+    # the snapshots from `first` on are those of the full run, bit for bit;
+    # the ones before it are stepped to and handed on with no state
+    members = [hf.EnsembleMember(_sphere_cos(16)), hf.EnsembleMember(_sphere_cos(16), c=0.0)]
+    (full,) = hf.run_ensemble([hf.FlowRun(members, 0.05, None, 0.01)])
+    (cut,) = hf.run_ensemble([hf.FlowRun(members, 0.05, None, 0.01, first=3)])
+    for whole, part in zip(full, cut):
+        assert part.states[1:3] == [None, None]
+        assert len(part) == len(whole) and part.dt == whole.dt
+        for k in (0, 3, 4, 5):
+            assert part[k].t == whole[k].t
+            assert np.array_equal(part[k].f, whole[k].f) and np.array_equal(part[k].geom.phi, whole[k].geom.phi)
+    for first in (-1, 1.5, True, "3"):
+        with pytest.raises(ConstraintViolationError, match="first"):
+            hf.run_ensemble([hf.FlowRun(members, 0.05, None, 0.01, first=first)])
+
+
 def test_step_op_counts():
     # the numpy calls of one step, pinned per stack: static members step f
     # alone, and a stack of several runs scales the whole tail by its

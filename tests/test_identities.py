@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -456,6 +457,83 @@ def test_fuzz_residuals_bounded_on_coarse_sphere(coarse_sphere_pair):
     reports = idn.fuzz_residuals(pot, 5, 10, rng, "H")
     assert len(reports) == 10
     assert all(np.isfinite(r.max_norm) for r in reports)
+
+
+def _fuzz_flow():
+    """The fuzz calibration flow of the ladder's level 0, N = 64, and its check index."""
+    from harnackflow import runner
+
+    ((traj,),) = hf.run_ensemble([runner._fuzz_run(64)])
+    return traj, runner._FUZZ_CHECK
+
+
+def _small_torus():
+    """A curved 16 x 16 torus under the potential flow, five snapshots."""
+    geom = hf.TorusGeometry(16, 2 * np.pi)
+    x, y = geom.coords()
+    state = hf.FlowState(0.0, geom.with_phi(0.05 * np.sin(x) * np.sin(y)), 0.5 + 0.2 * np.sin(x) * np.cos(y))
+    return hf.run(state, 0.05, 0.0125 / 4, 0.0125, c=-1.0), 2
+
+
+@pytest.mark.parametrize("make, count", [(_fuzz_flow, 150), (_small_torus, 40)], ids=["sphere-64", "torus-16"])
+@pytest.mark.parametrize("family", ["H", "P"])
+def test_fuzz_batches_equal_one_residual_per_tuple(make, count, family):
+    # the count spans three batches on either grid; every report, its
+    # tuple and both norms, is the one residual of its tuple alone
+    traj, k = make()
+    assert count > 2 * idn.FUZZ_BATCH_NODES // traj[k].geom.node_count
+    rng = np.random.default_rng(11)
+    single = idn.residual_general_H if family == "H" else idn.residual_general_P
+    want = [single(traj, k, idn.random_params(rng, family, traj.c)) for _ in range(count)]
+    got = idn.fuzz_residuals(traj, k, count, np.random.default_rng(11), family)
+    assert got == want  # each report's tuple, time, grid and both norms
+
+
+def test_fuzz_memory_stays_flat_in_count():
+    # batches are capped by nodes: 1,000 tuples at n = 64 peak at the
+    # reports plus one batch's temporaries
+    traj, k = _fuzz_flow()
+    idn.fuzz_residuals(traj, k, 2, np.random.default_rng(0), "H")  # caches made once
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reports = idn.fuzz_residuals(traj, k, 1000, np.random.default_rng(0), "H")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 1000
+    assert peak < 2**20
+
+
+@pytest.fixture(scope="module")
+def ring16_traj():
+    geom = hf.SphereGeometry(16)
+    state = hf.FlowState(0.0, geom.with_phi(0.1 * geom.cos_theta), 0.5 + 0.2 * geom.cos_theta)
+    return hf.run(state, 0.04, 1e-3, 0.01)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda traj: idn.fuzz_residuals(traj, 2, -1, np.random.default_rng(0)), "count"),
+        (lambda traj: idn.fuzz_residuals(traj, 2, 2.5, np.random.default_rng(0)), "count"),
+        (lambda traj: idn.fuzz_residuals(traj, 2, "3", np.random.default_rng(0)), "count"),
+        (lambda traj: idn.fuzz_residuals(traj, "2", 2, np.random.default_rng(0)), "k"),
+        (lambda traj: idn.residual_general_H(traj, 2.5, idn.COR_H_PRESET), "k"),
+        (lambda traj: hf.time_derivative(traj, 2.0, lambda s: s.f), "k"),
+        (lambda traj: hf.trace_harnack(traj, "2"), "k"),
+        (lambda traj: hf.trace_harnack(traj, True), "k"),
+        (lambda traj: hf.check_pairs(traj, [((3,), (5, 0.03))]), "pair 0"),
+        (lambda traj: hf.check_pairs(traj, [((3, 0.01), (5, 0.03), (6, 0.04))]), "pair 0"),
+    ],
+    ids=["negative-count", "float-count", "string-count", "string-k", "float-k-residual", "float-k-derivative",
+         "string-k-trace", "bool-k-trace", "point-without-time", "three-point-pair"],
+)
+def test_identity_entry_points_refuse_bad_arguments(ring16_traj, call, name):
+    # each used to raise a raw TypeError or ValueError, or, for a negative
+    # count or a bool k, to return a result
+    with pytest.raises(ConstraintViolationError, match=f"^{name} = "):
+        call(ring16_traj)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
