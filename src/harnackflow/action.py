@@ -96,6 +96,7 @@ member's snapshots share one, an evolving member's never do.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -520,10 +521,12 @@ def layer_distance_fn(traj, k, window=DEFAULT_WINDOW):
     Exposes exactly the mid-step grid distances the minimizer uses
     (including its window clamps), so an exhaustive path enumeration can
     reproduce DP costs bit for bit.  Returns inf outside the window.  A
-    layer k outside 0 .. len(traj) - 2 raises ``IndexAtBoundaryError``.
+    layer k outside 0 .. len(traj) - 2 raises ``IndexAtBoundaryError``, and
+    a k that is not an int, or is a bool, ``ConstraintViolationError``.
     """
-    if not 0 <= k < len(traj) - 1:
+    if isinstance(k, numbers.Integral) and not 0 <= k < len(traj) - 1:
         raise IndexAtBoundaryError(f"layer {k} has no snapshot pair in a trajectory of length {len(traj)}")
+    require_count(k, "k", "a layer index")
     geom_a, geom_b = traj[k].geom, traj[k + 1].geom
     graph, window = _layer_graph(geom_a, window)
     shape = geom_a.field_shape

@@ -3,8 +3,12 @@
 All package errors derive from :class:`HarnackFlowError` so callers can
 catch the whole family at an orchestration boundary.  Every error carries
 the failing time in ``.time``: set by errors raised during integration,
-None where no time applies.
+None where no time applies.  ``require_real`` and ``require_count`` are
+the typed refusals of a bad argument, shared by every module.
 """
+
+import math
+import numbers
 
 
 class HarnackFlowError(Exception):
@@ -106,3 +110,17 @@ class UnknownKeyError(ConfigError):
 
 class ConstraintViolationError(ConfigError):
     """A config value violates a documented constraint."""
+
+
+def require_real(value, name, finite=False):
+    """Refuse a ``value`` that is not a real number, or is a bool, or if ``finite`` is not finite, naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConstraintViolationError(f"{name} = {value!r} must be a real number")
+    if finite and not abs(value) < math.inf:  # NaN fails too
+        raise ConstraintViolationError(f"{name} = {value!r} must be finite")
+
+
+def require_count(value, name, what="a nonnegative integer"):
+    """Refuse a ``value`` that is not a nonnegative integer, or is a bool, naming it as ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConstraintViolationError(f"{name} = {value!r} must be {what}")

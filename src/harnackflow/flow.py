@@ -98,7 +98,6 @@ from __future__ import annotations
 
 import collections
 import json
-import numbers
 import os
 import shutil
 import struct
@@ -116,6 +115,8 @@ from .errors import (
     PositivityLostError,
     StepTooLargeError,
     TrajectoryFormatError,
+    require_count,
+    require_real,
 )
 from .geometry import CFL_FACTOR, SphereGeometry, SurfaceGeometry, TorusGeometry, cfl_limit, sphere_flux_plans
 
@@ -126,20 +127,6 @@ CFL_SAFETY = 1.25
 
 # variant name -> reaction coefficient c in df/dt = lap f - c R f
 VARIANT_C = {"with_potential": -1.0, "plain_heat": 0.0}
-
-
-def require_real(value, name, finite=False):
-    """Refuse a ``value`` that is not a real number, or is a bool, or if ``finite`` is not finite, naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConstraintViolationError(f"{name} = {value!r} must be a real number")
-    if finite and not abs(value) < np.inf:  # NaN fails too
-        raise ConstraintViolationError(f"{name} = {value!r} must be finite")
-
-
-def require_count(value, name, what="a nonnegative integer"):
-    """Refuse a ``value`` that is not a nonnegative integer, or is a bool, naming it as ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ConstraintViolationError(f"{name} = {value!r} must be {what}")
 
 
 def variant_name(c):

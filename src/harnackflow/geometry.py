@@ -25,6 +25,12 @@ fields, the integral and the total area take one field exactly.
 Numerical choices, in one place:
 
 * second-order centered differences throughout (no spectral machinery);
+* on the torus every stencil is a set of slice passes over the field
+  itself (``_wrapped``, and the Laplacian plan): no padded copy of a field
+  is made, and no pass combines two nodes the stencil does not pair;
+* the covariant Hessian is built one component at a time
+  (``_hessian_components``), so ``hessian_deviation_sq`` never holds the
+  whole (..., 2, 2) tensor;
 * the sphere Laplacian is in flux form with the pole fluxes exactly zero,
   so its integral against the area weights telescopes to zero exactly;
 * quadrature weights are exact cell areas of the background scaled by
@@ -43,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, require_real
 
 # Scalar curvature of the unit round sphere.
 SPHERE_BACKGROUND_CURVATURE = 2.0
@@ -65,9 +71,21 @@ def _require_c_contiguous(w, out):
             raise GridMismatchError(f"laplacian_plan needs a C-contiguous {name}, not strides {a.strides}")
 
 
+def _deviation_sq(t, sigma, g):
+    """((t - sigma g) / g)^2, written into t when t has the broadcast shape."""
+    sg = sigma * g
+    d = np.subtract(t, sg, out=t if np.broadcast_shapes(t.shape, sg.shape) == t.shape else None)
+    d /= g
+    d *= d
+    return d
+
+
 def _as_field(values, shape, name="field", stacked=False):
     """``values`` as a finite float array of ``shape``, after any leading axes if ``stacked``."""
-    w = np.asarray(values, dtype=float)
+    try:
+        w = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise GridMismatchError(f"{name} of type {type(values).__name__} is not an array of real numbers") from None
     tail = w.shape[w.ndim - len(shape):] if stacked and w.ndim >= len(shape) else w.shape
     if tail != shape:
         where = " after any leading axes" if stacked else ""
@@ -199,8 +217,9 @@ class SurfaceGeometry:
 
     def laplace_beltrami(self, w):
         """Laplace-Beltrami of the live metric: e^(-2 phi) * background Laplacian."""
-        w = self.check_fields(w)
-        return np.exp(-2.0 * self.phi) * self._bg_lap_raw(w)
+        lap = self._bg_lap_raw(self.check_fields(w))
+        lap *= np.exp(-2.0 * self.phi)
+        return lap
 
     def grad_inner(self, w1, w2):
         """Pointwise inner product of gradients in the live metric; the stacks broadcast."""
@@ -210,6 +229,15 @@ class SurfaceGeometry:
         """|grad w|^2 in the live metric; exactly grad_inner(w, w), differentiating once."""
         raise NotImplementedError
 
+    def _hessian_components(self, w):
+        """The covariant Hessian's components 12, 11 and 22 of the checked stack w, built one at a time.
+
+        A generator: each component is a fresh array of w's shape, made
+        when it is asked for, so a caller that reduces one before asking
+        for the next never holds the whole (..., 2, 2) tensor.
+        """
+        raise NotImplementedError
+
     def covariant_hessian(self, w):
         """Covariant Hessian of the live metric, shape ``w.shape + (2, 2)``.
 
@@ -217,13 +245,18 @@ class SurfaceGeometry:
         theta, azimuth).  The g-trace of the result agrees with
         :meth:`laplace_beltrami` to second order.
         """
-        raise NotImplementedError
+        w = self.check_fields(w)
+        t = np.empty(w.shape + (2, 2))
+        for (i, j), part in zip(((0, 1), (0, 0), (1, 1)), self._hessian_components(w)):
+            t[..., i, j] = part
+        t[..., 1, 0] = t[..., 0, 1]
+        return t
 
     def hessian_trace(self, w):
         """g^{ij} (hessian w)_{ij}; second-order consistent with laplace_beltrami."""
-        t = self.covariant_hessian(w)
+        _, t11, t22 = self._hessian_components(self.check_fields(w))
         g1, g2 = self._metric_diag()
-        return t[..., 0, 0] / g1 + t[..., 1, 1] / g2
+        return t11 / g1 + t22 / g2
 
     def hessian_deviation_sq(self, w, sigma):
         """|hessian(w) - sigma * g|^2 contracted with the live metric.
@@ -231,14 +264,24 @@ class SurfaceGeometry:
         ``sigma`` may be a scalar, a field or a stack of them, which
         broadcasts against ``w``; the pure-trace subtraction is what every
         identity's Hessian-square term reduces to on surfaces, where the
-        Ricci tensor is (R/2) g.
+        Ricci tensor is (R/2) g.  The sum is
+        ((t11 - sigma g11) / g11)^2 + 2 t12^2 / (g11 g22) + ((t22 - sigma g22) / g22)^2,
+        in that order.  Each term is reduced as soon as its component is
+        built, in place where the broadcast allows, so the (..., 2, 2)
+        tensor never exists; the mixed term is built first, while no sum
+        is alive yet, and added second, as a sum of two commutes exactly.
         """
-        t = self.covariant_hessian(w)
+        parts = self._hessian_components(self.check_fields(w))
+        mixed = next(parts)
         g1, g2 = self._metric_diag()
-        d11 = t[..., 0, 0] - sigma * g1
-        d22 = t[..., 1, 1] - sigma * g2
-        d12 = t[..., 0, 1]
-        return (d11 / g1) ** 2 + 2.0 * d12**2 / (g1 * g2) + (d22 / g2) ** 2
+        mixed *= mixed
+        mixed *= 2.0
+        mixed /= g1 * g2
+        total = _deviation_sq(next(parts), sigma, g1)
+        total += mixed
+        del mixed
+        total += _deviation_sq(next(parts), sigma, g2)
+        return total
 
     def area_weights(self):
         """Quadrature weights of the live area measure, dmu = e^(2 phi) dmu_bg."""
@@ -263,6 +306,7 @@ class TorusGeometry(SurfaceGeometry):
     kind = "torus"
 
     def __init__(self, n, length, phi=None):
+        require_real(length, "length")
         self.length = float(length)
         if not 0 < self.length < np.inf:  # NaN fails too
             raise GridMismatchError(f"torus side length {self.length!r} must be positive and finite")
@@ -293,9 +337,15 @@ class TorusGeometry(SurfaceGeometry):
         ax = np.arange(self.n) * self.h
         return ax[:, None], ax[None, :]
 
-    def _gradient(self, w):
-        """Centered (d/dx, d/dy) of each field of w, (w[i+1] - w[i-1]) / (2h), from one wrap-padded copy."""
-        return _centered(_wrap_pad(w), 2.0 * self.h)
+    def _derivative(self, w, axis):
+        """Centered d/dx (axis 0) or d/dy (axis 1) of each field of w, (w[i+1] - w[i-1]) / (2h), from slices of w itself.
+
+        Divided in place: at n = 128 a field is 128 KiB, and every
+        temporary of that size is a fresh mapping.
+        """
+        d = _wrapped(np.subtract, w, _shift(axis, 1), w, _shift(axis, -1), np.empty(w.shape))
+        d /= 2.0 * self.h
+        return d
 
     def laplacian_plan(self, w, out, scratch=None):
         # Five-point stencil summed in the order
@@ -348,66 +398,97 @@ class TorusGeometry(SurfaceGeometry):
         return e2p, e2p
 
     def grad_inner(self, w1, w2):
+        # one axis at a time, so at most two derivatives are alive at once
         w1, w2 = self.check_pair(w1, w2)
-        (x1, y1), (x2, y2) = self._gradient(w1), self._gradient(w2)
-        if x1.size < x2.size:  # the products go into the larger stack; they commute exactly
-            (x1, y1), (x2, y2) = (x2, y2), (x1, y1)
-        x1 *= x2
-        y1 *= y2
-        x1 += y1
-        return np.exp(-2.0 * self.phi) * x1
+        total = self._derivative_product(w1, w2, 0)
+        total += self._derivative_product(w1, w2, 1)
+        total *= np.exp(-2.0 * self.phi)
+        return total
+
+    def _derivative_product(self, w1, w2, axis):
+        d1, d2 = self._derivative(w1, axis), self._derivative(w2, axis)
+        if d1.size < d2.size:  # the product goes into the larger stack; it commutes exactly
+            d1, d2 = d2, d1
+        return np.multiply(d1, d2, out=d1 if d1.shape == np.broadcast_shapes(d1.shape, d2.shape) else None)
 
     def grad_norm_sq(self, w):
         w = self.check_fields(w)
-        wx, wy = self._gradient(w)
-        wx *= wx
-        wy *= wy
-        wx += wy
-        return np.exp(-2.0 * self.phi) * wx
+        total = self._derivative(w, 0)
+        total *= total
+        dy = self._derivative(w, 1)
+        total += np.multiply(dy, dy, out=dy)
+        del dy
+        total *= np.exp(-2.0 * self.phi)
+        return total
 
-    def covariant_hessian(self, w):
-        # Every neighbour is a slice of one wrap-padded copy of w or of phi,
-        # p[1 + i, 1 + j] = w[i mod n, j mod n]: p[2:, 1:-1] is w[i + 1, j],
-        # p[:-2, 2:] is w[i - 1, j + 1], and so on.  Each stencil keeps the
-        # operand order of its np.roll form, so the result is the same bits.
-        # Each second derivative goes straight into its component, and
-        # phi's copy is dropped once read, so no more fields are alive at
-        # once than the roll form held.
-        w = self.check_fields(w)
-        h2, two_h = self.h * self.h, 2.0 * self.h
-        px, py = self._gradient(self.phi)
-        wp = _wrap_pad(w)
-        wx, wy = _centered(wp, two_h)
-        two_w = 2.0 * w
-        t = np.empty(w.shape + (2, 2))
-        t[..., 0, 0] = (wp[..., 2:, 1:-1] - two_w + wp[..., :-2, 1:-1]) / h2 - px * wx + py * wy
-        t[..., 1, 1] = (wp[..., 1:-1, 2:] - two_w + wp[..., 1:-1, :-2]) / h2 - py * wy + px * wx
-        t[..., 0, 1] = (
-            (wp[..., 2:, 2:] - wp[..., 2:, :-2] - wp[..., :-2, 2:] + wp[..., :-2, :-2]) / (4.0 * h2) - py * wx - px * wy
-        )
-        t[..., 1, 0] = t[..., 0, 1]
-        return t
+    def _hessian_components(self, w):
+        # Each component keeps the operand order of the np.roll form, so it
+        # is the same bits: ((w[i+1] - 2w) + w[i-1]) / h^2 - px wx + py wy
+        # for 11, its transpose for 22, and for 12
+        # (((w[i+1,j+1] - w[i+1,j-1]) - w[i-1,j+1]) + w[i-1,j-1]) / (4 h^2) - py wx - px wy.
+        # Every neighbour is a wrapped slice of w itself (``_wrapped``), and
+        # each product of first derivatives is made once, the last two in
+        # the memory of w's derivatives.
+        h2 = self.h * self.h
+        px, py = (self._derivative(self.phi, axis) for axis in (0, 1))
+        wx, wy = (self._derivative(w, axis) for axis in (0, 1))
+        pywx, pxwy = py * wx, px * wy
+        pxwx, pywy = np.multiply(wx, px, out=wx), np.multiply(wy, py, out=wy)
+        del px, py, wx, wy
+
+        def second(axis):
+            t = np.multiply(w, 2.0)
+            _wrapped(np.subtract, w, _shift(axis, 1), t, (0, 0), t)
+            _wrapped(np.add, t, (0, 0), w, _shift(axis, -1), t)
+            t /= h2
+            return t
+
+        t = _wrapped(np.subtract, w, (1, 1), w, (1, -1), np.empty(w.shape))
+        _wrapped(np.subtract, t, (0, 0), w, (-1, 1), t)
+        _wrapped(np.add, t, (0, 0), w, (-1, -1), t)
+        t /= 4.0 * h2
+        t -= pywx
+        yield np.subtract(t, pxwy, out=t)
+        del t, pywx, pxwy  # the caller owns t now
+        t = second(0)
+        t -= pxwx
+        yield np.add(t, pywy, out=t)
+        del t  # the caller owns it now
+        t = second(1)
+        t -= pywy
+        t += pxwx
+        del pxwx, pywy
+        yield t
 
 
-def _wrap_pad(w):
-    """An (n + 2, n + 2) copy of each periodic (n, n) field of w with one wrapped node on every side."""
-    p = np.empty(w.shape[:-2] + (w.shape[-2] + 2, w.shape[-1] + 2))
-    p[..., 1:-1, 1:-1] = w
-    p[..., 0, 1:-1], p[..., -1, 1:-1] = w[..., -1, :], w[..., 0, :]
-    p[..., :, 0], p[..., :, -1] = p[..., :, -2], p[..., :, 1]
-    return p
+def _shift(axis, step):
+    """The (rows, columns) shift of ``step`` nodes along ``axis`` 0 or 1."""
+    return (step, 0) if axis == 0 else (0, step)
 
 
-def _centered(p, two_h):
-    """Centered first differences (d/dx, d/dy) of the fields wrap-padded into p, over 2h.
+def _wrapped(op, a, shift_a, b, shift_b, out):
+    """``op(a, b, out=out)`` over the two trailing periodic axes, with a and b shifted.
 
-    Each is ``(w[i+1] - w[i-1]) / (2h)``, divided in place: at n = 128 a
-    field is 128 KiB, and every temporary of that size is a fresh mapping.
+    A shift (di, dj) reads a[..., i + di, j + dj], indices taken mod n.
+    Each axis is cut where a shifted index wraps, and op runs once per
+    block on slices, so no padded copy is made and no two nodes that the
+    stencil does not pair are ever combined: an inf meets only its stencil
+    neighbours.  ``out`` may be a or b when that one is unshifted.
     """
-    dx, dy = np.subtract(p[..., 2:, 1:-1], p[..., :-2, 1:-1]), np.subtract(p[..., 1:-1, 2:], p[..., 1:-1, :-2])
-    dx /= two_h
-    dy /= two_h
-    return dx, dy
+    blocks = [_wrap_blocks(out.shape[axis], shift_a[k], shift_b[k]) for k, axis in enumerate((-2, -1))]
+    for rows, rows_a, rows_b in blocks[0]:
+        for cols, cols_a, cols_b in blocks[1]:
+            op(a[..., rows_a, cols_a], b[..., rows_b, cols_b], out=out[..., rows, cols])
+    return out
+
+
+def _wrap_blocks(n, s, r):
+    """(target, source shifted by s, source shifted by r) slices covering one periodic axis of n nodes."""
+    cuts = sorted({0, n, -s % n, -r % n})
+    return [
+        (slice(lo, hi), slice((lo + s) % n, (lo + s) % n + hi - lo), slice((lo + r) % n, (lo + r) % n + hi - lo))
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
 
 
 def _sphere_background(n):
@@ -451,24 +532,37 @@ def sphere_flux_plans(rows, *pairs):
     exactly the Laplacian of its own sphere.  The plans share their flux
     buffer, junction mask and coefficients, so they must run one at a time.
     """
+    if len(set(rows)) == 1:
+        return _flux_plans(_uniform_rows(rows[0], len(rows)), pairs)
+    inside = np.ones(sum(rows) - 1, dtype=bool)
+    inside[np.cumsum(rows)[:-1] - 1] = False
+    backgrounds = [_sphere_background(n) for n in rows]
+    sin_plus = np.concatenate([bg["sin_plus"] for bg in backgrounds])[:-1]
+    inv_sin_dt2 = np.concatenate([bg["inv_sin_dt2"] for bg in backgrounds])
+    return _flux_plans((inside, sin_plus, inv_sin_dt2), pairs)
+
+
+def _uniform_rows(n, count):
+    """The flux plans' (junction mask, sin_plus, inv_sin_dt2) for ``count`` rows of n nodes, built without a per-row list."""
+    bg = _sphere_background(n)
+    if count == 1:
+        return True, bg["sin_plus"][:-1], bg["inv_sin_dt2"]
+    inside = np.ones(n * count - 1, dtype=bool)
+    inside[n - 1 :: n] = False
+    return inside, np.tile(bg["sin_plus"], count)[:-1], np.tile(bg["inv_sin_dt2"], count)
+
+
+def _flux_plans(coefficients, pairs):
     # Flux form over the flat stack: flux[o + j] is the flux into node j of
     # the row at offset o from node j - 1, so one exact-zero pole flux sits
     # between consecutive rows and at both ends.  The difference pass skips
-    # those row junctions, which are never written and stay +0, so no
-    # difference across two rows can overflow or warn; each row's sin_plus
-    # ends in the exact zero there.
-    size = sum(rows)
+    # those row junctions (``inside`` is False there), which are never
+    # written and stay +0, so no difference across two rows can overflow or
+    # warn; each row's sin_plus ends in the exact zero there.
+    inside, sin_plus, inv_sin_dt2 = coefficients
+    size = inv_sin_dt2.size
     flux = np.zeros(size + 1)
     inner, upper, lower = flux[1:-1], flux[1:], flux[:-1]
-    if len(rows) == 1:
-        bg = _sphere_background(rows[0])
-        inside, sin_plus, inv_sin_dt2 = True, bg["sin_plus"][:-1], bg["inv_sin_dt2"]
-    else:
-        inside = np.ones(size - 1, dtype=bool)
-        inside[np.cumsum(rows)[:-1] - 1] = False
-        backgrounds = [_sphere_background(n) for n in rows]
-        sin_plus = np.concatenate([bg["sin_plus"] for bg in backgrounds])[:-1]
-        inv_sin_dt2 = np.concatenate([bg["inv_sin_dt2"] for bg in backgrounds])
 
     def plan(w, out):
         _require_c_contiguous(w, out)
@@ -553,7 +647,7 @@ class SphereGeometry(SurfaceGeometry):
 
     def laplacian_plan(self, w, out, scratch=None):
         # the uniform case of the flux plan: every row has this sphere's n
-        return sphere_flux_plans([self.n] * (w.size // self.n), (w, out))[0]
+        return _flux_plans(_uniform_rows(self.n, w.size // self.n), [(w, out)])[0]
 
     def background_area_weights(self):
         # Band area 2*pi*(cos(theta-) - cos(theta+)) written as an exact
@@ -574,11 +668,8 @@ class SphereGeometry(SurfaceGeometry):
         dw = self._dtheta_centered(self.check_fields(w))
         return (dw * dw) * np.exp(-2.0 * self.phi)
 
-    def covariant_hessian(self, w):
-        w = self.check_fields(w)
-        dphi = self._dtheta_centered(self.phi)
-        dw = self._dtheta_centered(w)
-        t = np.zeros(w.shape + (2, 2))
-        t[..., 0, 0] = self._d2theta(w) - dphi * dw
-        t[..., 1, 1] = (self.sin_theta * self.cos_theta + self.sin_theta**2 * dphi) * dw
-        return t
+    def _hessian_components(self, w):
+        dphi, dw = self._dtheta_centered(self.phi), self._dtheta_centered(w)
+        yield np.zeros(w.shape)
+        yield self._d2theta(w) - dphi * dw
+        yield (self.sin_theta * self.cos_theta + self.sin_theta**2 * dphi) * dw

@@ -155,21 +155,20 @@ def harnack_field(state, w, p):
     flip only the sign of an exactly-zero entry.
     """
     geom, t = state.geom, state.t
-    terms = []
-    if _nonzero(p.alpha):
-        terms.append(p.alpha * geom.laplace_beltrami(w))
-    if _nonzero(p.beta):
-        terms.append(-p.beta * geom.grad_norm_sq(w))
-    if _nonzero(p.a):
-        terms.append(p.a * state.R)
-    if _nonzero(p.b):
-        terms.append(-p.b * w / t)
-    constant = not terms
-    if _nonzero(p.d):
-        terms.append(-p.d * DIMENSION / t)
-    if constant:
-        return np.full(np.broadcast_shapes(np.shape(w), np.shape(p.d)), sum(terms, 0.0))
-    return sum(terms[1:], terms[0])
+    terms = (
+        (p.alpha, lambda: p.alpha * geom.laplace_beltrami(w)),
+        (p.beta, lambda: -p.beta * geom.grad_norm_sq(w)),
+        (p.a, lambda: p.a * state.R),
+        (p.b, lambda: -p.b * w / t),
+    )
+    h = None  # the running sum: each term is built when it is added and dropped after
+    for coef, term in terms:
+        if _nonzero(coef):
+            h = term() if h is None else h + term()
+    d_term = -p.d * DIMENSION / t
+    if h is None:
+        return np.full(np.broadcast_shapes(np.shape(w), np.shape(p.d)), 0.0 + d_term if _nonzero(p.d) else 0.0)
+    return h + d_term if _nonzero(p.d) else h
 
 
 def _nonzero(coef):
@@ -191,6 +190,7 @@ def quantity_H(state):
 
 
 def quantity_P(state, d=1.0):
+    require_real(d, "d", finite=True)
     return harnack_field(state, v_field(state), replace(COR_P_PRESET, d=d))
 
 
@@ -329,6 +329,7 @@ class MonitorRows:
 
     def __init__(self, d=1.0, t0=0.0, enable=None):
         require_real(d, "d", finite=True)
+        require_real(t0, "t0")
         self.wants = set(MONITOR_COLUMNS if enable is None else enable)
         unknown = self.wants - set(MONITOR_COLUMNS)
         if unknown:
@@ -362,12 +363,14 @@ class MonitorRows:
                 row["sup_H"] = float(np.max(h))
             if "F" in wants:
                 row["F"] = state.t**2 * _f_integral(state, h)
+            del h
         if wants & {"sup_tP", "W"}:
             tp = state.t * harnack_field(state, _v_of(state, u), self.p_preset)
             if "sup_tP" in wants:
                 row["sup_tP"] = float(np.max(tp))
             if "W" in wants:
                 row["W"] = _f_integral(state, tp)
+            del tp
         if "mass" in wants:
             row["mass"] = mass(state)
         if gradient:
@@ -378,6 +381,7 @@ class MonitorRows:
                 row["min_traceH_V0"] = float(np.min(_trace_of(state, drdt)))
             if "min_traceH_Vu" in wants:
                 row["min_traceH_Vu"] = float(np.min(_trace_of(state, drdt, u)))
+            del drdt
         if "min_LYH_curv" in wants and float(np.min(state.R)) > 0.0:
             row["min_LYH_curv"] = float(np.min(surface_lyh(state, "curvature")))
         if "min_LYH_heat" in wants:

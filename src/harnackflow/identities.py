@@ -55,6 +55,13 @@ count.
 On surfaces every tensor term is scalar: Rc = (R/2) g, |Rc|^2 = R^2/2,
 Rc(V,V) = (R/2)|V|^2, and the Hessian-square terms are pure-trace
 deviations |hess - sigma g|^2.
+
+Every right side computes its Hessian-square term first: its
+temporaries are the largest of an assembly, and few other fields are
+alive then.  The terms are still summed in the order written, and each
+field is dropped once it is summed, so the bits are those of the
+written expression and the residual stage, run's memory peak, holds as
+few fields at once as it can.
 """
 
 from __future__ import annotations
@@ -182,15 +189,14 @@ def _general_rhs(state, w, p):
     geom, t = state.geom, state.t
     n = DIMENSION
     curv = state.R
-    h = harnack_field(state, w, p)
     q = 2.0 * p.alpha - 2.0 * p.beta
     with np.errstate(divide="ignore", invalid="ignore"):  # alpha may be 0 where lambda is
         loa = np.where(p.lam != 0.0, np.divide(q, p.alpha) * p.lam, 0.0)
-    sigma = (p.alpha / q) * (curv / 2.0) + p.lam / (2.0 * t)
+    hess = q * geom.hessian_deviation_sq(w, (p.alpha / q) * (curv / 2.0) + p.lam / (2.0 * t))
+    h = harnack_field(state, w, p)
+    rhs = geom.laplace_beltrami(h) - 2.0 * geom.grad_inner(h, w) - hess - loa / t * h
+    del hess, h
     grad_wsq = geom.grad_norm_sq(w)
-    rhs = geom.laplace_beltrami(h) - 2.0 * geom.grad_inner(h, w)
-    rhs = rhs - q * geom.hessian_deviation_sq(w, sigma)
-    rhs = rhs - loa / t * h
     rhs = rhs + q * (n * _squared(p.lam)) / (4.0 * t * t)
     rhs = rhs - (p.b + loa * p.beta) * grad_wsq / t
     rhs = rhs + (1.0 - loa) * p.b * w / (t * t)
@@ -199,8 +205,8 @@ def _general_rhs(state, w, p):
     rhs = rhs + (2.0 * p.a + _squared(p.alpha) / q) * (curv * curv / 2.0)
     rhs = rhs + (p.alpha * p.lam + p.a * loa - p.b * p.c) * curv / t
     rhs = rhs - p.alpha * curv * grad_wsq  # -2 alpha Rc(grad w, grad w)
-    rhs = rhs + 2.0 * (p.a - p.beta * p.c) * geom.grad_inner(curv, w)
-    return rhs
+    del grad_wsq
+    return rhs + 2.0 * (p.a - p.beta * p.c) * geom.grad_inner(curv, w)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +231,12 @@ def _cor_H_rhs(state, p):
     geom, t = state.geom, state.t
     u = u_field(state)
     curv = state.R
+    hess = 2.0 * geom.hessian_deviation_sq(u, curv / 2.0 + 1.0 / t)
     h = general_H_field(state, p)
-    sigma = curv / 2.0 + 1.0 / t
+    rhs = geom.laplace_beltrami(h) - 2.0 * geom.grad_inner(h, u) - hess - (2.0 / t) * h
+    del hess, h
     return (
-        geom.laplace_beltrami(h)
-        - 2.0 * geom.grad_inner(h, u)
-        - 2.0 * geom.hessian_deviation_sq(u, sigma)
-        - (2.0 / t) * h
+        rhs
         - (2.0 / t) * geom.grad_norm_sq(u)
         - 2.0 * geom.laplace_beltrami(curv)
         - 2.0 * curv * curv
@@ -283,15 +288,11 @@ def _cor_P_rhs(state, p):
     """Right side of the collapsed P identity at the preset ``p`` (before the t-weighting)."""
     geom, t = state.geom, state.t
     v = v_field(state)
+    hess = 2.0 * geom.hessian_deviation_sq(v, state.R / 2.0 + 1.0 / (2.0 * t))
     pf = general_P_field(state, p)
-    sigma = state.R / 2.0 + 1.0 / (2.0 * t)
-    return (
-        geom.laplace_beltrami(pf)
-        - 2.0 * geom.grad_inner(pf, v)
-        - 2.0 * geom.hessian_deviation_sq(v, sigma)
-        - pf / t
-        - 2.0 * _curvature_bracket(state, v)
-    )
+    rhs = geom.laplace_beltrami(pf) - 2.0 * geom.grad_inner(pf, v) - hess - pf / t
+    del hess, pf
+    return rhs - 2.0 * _curvature_bracket(state, v)
 
 
 def _tP_field(state, p):
@@ -301,14 +302,11 @@ def _tP_field(state, p):
 def _tP_rhs(state, p):
     geom, t = state.geom, state.t
     v = v_field(state)
+    hess = 2.0 * t * geom.hessian_deviation_sq(v, state.R / 2.0 + 1.0 / (2.0 * t))
     tp = _tP_field(state, p)
-    sigma = state.R / 2.0 + 1.0 / (2.0 * t)
-    return (
-        geom.laplace_beltrami(tp)
-        - 2.0 * geom.grad_inner(tp, v)
-        - 2.0 * t * geom.hessian_deviation_sq(v, sigma)
-        - 2.0 * t * _curvature_bracket(state, v)
-    )
+    rhs = geom.laplace_beltrami(tp) - 2.0 * geom.grad_inner(tp, v) - hess
+    del hess, tp
+    return rhs - 2.0 * t * _curvature_bracket(state, v)
 
 
 def residual_tP(traj, k, d=1.0):
@@ -348,10 +346,11 @@ def residual_surface(traj, k, fr_traj=None):
         dlnr_dt = time_derivative(traj, k, log_curvature)
         curv, ln_r = state.R, log_curvature(state)
         u = u_field(state)
+        hess = 2.0 * geom.hessian_deviation_sq(u, curv / 2.0)
         h = general_H_field(state, p)
         return (
             geom.laplace_beltrami(h)
-            - 2.0 * geom.hessian_deviation_sq(u, curv / 2.0)
+            - hess
             - 2.0 * geom.grad_inner(h, u)
             - curv * h
             - curv * geom.grad_norm_sq(u + ln_r)
@@ -361,10 +360,11 @@ def residual_surface(traj, k, fr_traj=None):
     def fr_rhs(state, p):
         geom = state.geom
         curv, ln_r = state.R, log_curvature(state)
+        hess = 2.0 * geom.hessian_deviation_sq(-ln_r, curv / 2.0)
         h = _surface_fR_field(state, p)
         return (
             geom.laplace_beltrami(h)
-            - 2.0 * geom.hessian_deviation_sq(-ln_r, curv / 2.0)
+            - hess
             + 2.0 * geom.grad_inner(h, ln_r)
         )
 
@@ -381,13 +381,9 @@ def residual_surface(traj, k, fr_traj=None):
 def _grad_rhs(state, p):
     geom, t = state.geom, state.t
     u = u_field(state)
+    hess = 2.0 * geom.hessian_deviation_sq(u, 0.0)
     h = general_H_field(state, p)
-    return (
-        geom.laplace_beltrami(h)
-        - 2.0 * geom.grad_inner(h, u)
-        - h / t
-        - 2.0 * geom.hessian_deviation_sq(u, 0.0)
-    )
+    return geom.laplace_beltrami(h) - 2.0 * geom.grad_inner(h, u) - h / t - hess
 
 
 def residual_grad(traj, k):

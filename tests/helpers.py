@@ -162,28 +162,41 @@ def reference_torus_laplacian(w, h):
 
 
 def reference_torus_gradient(geom, w):
-    """Centered (d/dx, d/dy) of a torus field from ``np.roll``: (w[i+1] - w[i-1]) / (2h)."""
+    """Centered (d/dx, d/dy) of torus fields from ``np.roll`` over the two trailing axes: (w[i+1] - w[i-1]) / (2h)."""
     two_h = 2.0 * geom.h
-    dx = (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0)) / two_h
-    dy = (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / two_h
+    dx = (np.roll(w, -1, axis=-2) - np.roll(w, 1, axis=-2)) / two_h
+    dy = (np.roll(w, -1, axis=-1) - np.roll(w, 1, axis=-1)) / two_h
     return dx, dy
 
 
 def reference_torus_hessian(geom, w):
-    """Covariant Hessian of a torus geometry from ``np.roll``, in the operand order of the geometry."""
+    """Covariant Hessian of torus fields from ``np.roll`` over the two trailing axes, in the operand order of the geometry."""
     h2 = geom.h * geom.h
     roll = lambda a, shift, axis: np.roll(a, shift, axis=axis)  # noqa: E731
-    wxx = (roll(w, -1, 0) - 2.0 * w + roll(w, 1, 0)) / h2
-    wyy = (roll(w, -1, 1) - 2.0 * w + roll(w, 1, 1)) / h2
-    wxy = (
-        roll(w, (-1, -1), (0, 1)) - roll(w, (-1, 1), (0, 1)) - roll(w, (1, -1), (0, 1)) + roll(w, (1, 1), (0, 1))
-    ) / (4.0 * h2)
+    wxx = (roll(w, -1, -2) - 2.0 * w + roll(w, 1, -2)) / h2
+    wyy = (roll(w, -1, -1) - 2.0 * w + roll(w, 1, -1)) / h2
+    both = (-2, -1)
+    wxy = (roll(w, (-1, -1), both) - roll(w, (-1, 1), both) - roll(w, (1, -1), both) + roll(w, (1, 1), both)) / (4.0 * h2)
     (px, py), (wx, wy) = reference_torus_gradient(geom, geom.phi), reference_torus_gradient(geom, w)
     t = np.empty(w.shape + (2, 2))
     t[..., 0, 0] = wxx - px * wx + py * wy
     t[..., 1, 1] = wyy - py * wy + px * wx
     t[..., 0, 1] = t[..., 1, 0] = wxy - py * wx - px * wy
     return t
+
+
+def reference_deviation_sq(geom, w, sigma, hessian=None):
+    """|hess w - sigma g|^2 composed from a whole Hessian tensor, by default ``reference_torus_hessian``.
+
+    The operand order is the geometry's:
+    ((t11 - sigma g11) / g11)^2 + 2 t12^2 / (g11 g22) + ((t22 - sigma g22) / g22)^2.
+    """
+    t = reference_torus_hessian(geom, w) if hessian is None else hessian
+    g1, g2 = geom._metric_diag()
+    d11 = t[..., 0, 0] - sigma * g1
+    d22 = t[..., 1, 1] - sigma * g2
+    d12 = t[..., 0, 1]
+    return (d11 / g1) ** 2 + 2.0 * d12**2 / (g1 * g2) + (d22 / g2) ** 2
 
 
 def reference_sphere_laplacian(w):

@@ -4,6 +4,7 @@ import pytest
 import harnackflow as hf
 from harnackflow.errors import GridMismatchError
 from helpers import (
+    reference_deviation_sq,
     reference_sphere_laplacian,
     reference_torus_gradient,
     reference_torus_hessian,
@@ -300,6 +301,68 @@ def test_torus_hessian_matches_roll_reference(n):
     geom = torus(n, 3.0, signed_stack(rng, (n, n)))
     w = signed_stack(rng, (n, n))
     assert np.array_equal(bits(geom.covariant_hessian(w)), bits(reference_torus_hessian(geom, w)))
+
+
+@pytest.mark.parametrize(
+    "w_shape, sigma_shape",
+    [((), None), ((), ()), ((3,), None), ((3,), (3,)), ((), (3,)), ((3,), ()), ((2, 1), (3,))],
+    ids=["field-scalar", "field-field", "stack-scalar", "stack-stack", "field-stack", "stack-field", "broadcast"],
+)
+@pytest.mark.parametrize("n", [4, 5, 17])
+def test_torus_hessian_deviation_is_the_reference_composition(n, w_shape, sigma_shape):
+    # built one component at a time, with no (..., 2, 2) tensor, and still
+    # the bits of the whole-tensor form; a field against a stack of sigma
+    # is how the batched fuzz calls it, and a stack of w against one sigma
+    # field the other way round
+    rng = np.random.default_rng(60 + n + len(w_shape))
+    geom = torus(n, 3.0, np.tanh(signed_stack(rng, (n, n))))  # e^(2 phi) stays finite
+    w = signed_stack(rng, w_shape + (n, n))
+    sigmas = [1.3, 0.0, -0.0] if sigma_shape is None else [signed_stack(rng, sigma_shape + (n, n))]
+    for sigma in sigmas:
+        expected = reference_deviation_sq(geom, w, sigma)
+        got = geom.hessian_deviation_sq(w, sigma)
+        assert got.shape == expected.shape
+        assert np.array_equal(bits(got), bits(expected))
+
+
+@pytest.mark.parametrize("sigma_shape", [None, (), (3,)], ids=["scalar", "field", "stack"])
+def test_sphere_hessian_deviation_is_the_composition_of_its_hessian(sigma_shape):
+    rng = np.random.default_rng(70)
+    geom = sphere(16, phi_amp=0.2)
+    w = signed_stack(rng, (2, 1, 16))
+    sigma = 0.7 if sigma_shape is None else signed_stack(rng, sigma_shape + (16,))
+    expected = reference_deviation_sq(geom, w, sigma, geom.covariant_hessian(w))
+    assert np.array_equal(bits(geom.hessian_deviation_sq(w, sigma)), bits(expected))
+
+
+@pytest.mark.parametrize("shape1, shape2", [((2, 3), (2, 3)), ((3,), ()), ((2, 1), (3,))], ids=str)
+def test_torus_gradients_of_stacks_match_roll_reference(shape1, shape2):
+    # the pad-free differences over any leading axes; the last pair
+    # broadcasts with neither stack holding the other, which used to raise
+    # a raw ValueError in grad_inner
+    n = 9
+    rng = np.random.default_rng(80 + len(shape1))
+    geom = torus(n, 3.0, np.tanh(signed_stack(rng, (n, n))))
+    w1, w2 = signed_stack(rng, shape1 + (n, n)), signed_stack(rng, shape2 + (n, n))
+    (x1, y1), (x2, y2) = reference_torus_gradient(geom, w1), reference_torus_gradient(geom, w2)
+    e2m = np.exp(-2.0 * geom.phi)
+    assert np.array_equal(bits(geom.grad_norm_sq(w1)), bits(e2m * (x1 * x1 + y1 * y1)))
+    assert np.array_equal(bits(geom.grad_inner(w1, w2)), bits(e2m * (x1 * x2 + y1 * y2)))
+    assert np.array_equal(bits(geom.grad_inner(w2, w1)), bits(e2m * (x2 * x1 + y2 * y1)))
+
+
+def test_torus_derivatives_warn_no_more_than_reference():
+    # Infinities placed so that no centered difference pairs two of them,
+    # but a flat pass would: across the two fields of the stack in d/dx,
+    # and across a row end in d/dy.  The reference raises no warning
+    # (RuntimeWarning is an error here), and neither may the slice passes.
+    geom = torus(8, 3.0)
+    w = signed_stack(np.random.default_rng(12), (1, 2, 8, 8))
+    w[0, 0, -1, 3], w[0, 1, 1, 3] = np.inf, np.inf
+    w[0, 0, 4, 0], w[0, 0, 3, -2] = np.inf, np.inf
+    expected = reference_torus_gradient(geom, w)
+    for axis in (0, 1):
+        assert np.array_equal(bits(geom._derivative(w, axis)), bits(expected[axis]))
 
 
 def test_torus_hessian_trace_matches_laplacian_exactly():

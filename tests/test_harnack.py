@@ -7,6 +7,7 @@ import harnackflow as hf
 from harnackflow.errors import (
     ConstraintViolationError,
     FOutOfRangeError,
+    GridMismatchError,
     IndexAtBoundaryError,
     NonPositiveCurvatureError,
     NonPositiveFError,
@@ -370,3 +371,39 @@ def _summed_terms(state, w, p):
     if p.d:
         terms.append(-p.d * 2 / t)
     return sum(terms[1:], terms[0])
+
+
+# -- typed refusals -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def ring16_run():
+    geom = hf.SphereGeometry(16)
+    state = hf.FlowState(0.0, geom.with_phi(0.1 * geom.cos_theta), 0.5 + 0.2 * geom.cos_theta)
+    return hf.run(state, 0.04, 1e-3, 0.01)
+
+
+@pytest.mark.parametrize(
+    "call, error, name",
+    [
+        (lambda traj: hf.TorusGeometry(8, "3"), ConstraintViolationError, "length = "),
+        (lambda traj: hf.TorusGeometry(8, None), ConstraintViolationError, "length = "),
+        (lambda traj: hf.TorusGeometry(8, True), ConstraintViolationError, "length = "),
+        (lambda traj: hf.SphereGeometry(16, phi="x"), GridMismatchError, "phi "),
+        (lambda traj: hf.monitor_series(traj, t0="x"), ConstraintViolationError, "t0 = "),
+        (lambda traj: hf.monitor_series(traj, t0=False), ConstraintViolationError, "t0 = "),
+        (lambda traj: hf.quantity_P(traj[2], d="x"), ConstraintViolationError, "d = "),
+        (lambda traj: hf.quantity_P(traj[2], d=True), ConstraintViolationError, "d = "),
+        (lambda traj: hf.entropy_W(traj[2], d=None), ConstraintViolationError, "d = "),
+        (lambda traj: hf.layer_distance_fn(traj, 1.5), ConstraintViolationError, "k = "),
+        (lambda traj: hf.layer_distance_fn(traj, True), ConstraintViolationError, "k = "),
+    ],
+    ids=["string-length", "none-length", "bool-length", "string-phi", "string-t0", "bool-t0", "string-d",
+         "bool-d", "none-d-entropy", "float-layer", "bool-layer"],
+)
+def test_geometry_monitor_and_layer_entry_points_refuse_bad_arguments(ring16_run, call, error, name):
+    # each used to raise a raw TypeError or ValueError, or to go on with the
+    # argument read as a number: a string or bool length as a side length, a
+    # bool d or layer as 0 or 1, a bool t0 as time 0
+    with pytest.raises(error, match=f"^{name}"):
+        call(ring16_run)

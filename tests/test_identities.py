@@ -505,6 +505,61 @@ def test_fuzz_memory_stays_flat_in_count():
     assert peak < 2**20
 
 
+_SINE_XY_IDENTITIES = """
+[geometry]
+kind = torus
+n = 32
+length = 6.283185307179586
+phi_mode = sine_xy
+phi_amp = 0.05
+
+[initial]
+id = sine_x
+f0 = 0.5
+amp = 0.25
+
+[flow]
+variant = with_potential
+t_end = 0.05
+dt = auto
+dt_out = 0.01
+
+[identities]
+enable = true
+"""
+
+
+def test_run_identity_stage_memory_stays_under_budget(tmp_path, monkeypatch):
+    # The identity stage of ``run`` is its memory peak.  Each assembly builds
+    # its Hessian term first, component by component and without padded
+    # copies, and drops each field once summed: at n = 32 the stage peaks
+    # ~11.6 fields above its live base (the four presets of a curvature
+    # that changes sign), where the whole-tensor form peaked at ~19.8.
+    from harnackflow import runner
+
+    cfg = hf.parse_config(_SINE_XY_IDENTITIES, "sine_xy_identities")
+    stage = {}
+
+    def traced(*args, **kwargs):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        reports = preset_reports(*args, **kwargs)
+        stage["names"] = [r.identity for r in reports]
+        stage["peak"] = tracemalloc.get_traced_memory()[1] - base
+        return reports
+
+    preset_reports = idn.preset_reports
+    monkeypatch.setattr(idn, "preset_reports", traced)
+    tracemalloc.start()
+    try:
+        report = runner.run_scenario(cfg, out_flag=str(tmp_path), seed=1)
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert stage["names"] == ["general_H", "cor_H", "general_P", "cor_tP"]
+    assert stage["peak"] < 14 * 8 * 32 * 32  # 14 fields of 32 x 32 floats
+
+
 @pytest.fixture(scope="module")
 def ring16_traj():
     geom = hf.SphereGeometry(16)
