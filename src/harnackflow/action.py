@@ -83,6 +83,10 @@ full-grid DP's).  The sweep grows on demand to the longest span asked
 and lives for one ``check_pairs`` call.  Every other pair runs its own
 forward loop over its reach boxes.
 
+A pair's times are located on the trajectory's ``OutputGrid``, which
+names the snapshot of a time within 1e-9 dt_out; ``random_pairs`` draws
+its snapshots from the same grid.
+
 ``PairChecks`` is ``check_pairs`` one snapshot at a time, so a flow can
 feed it as it makes the snapshots: the pairs are located, in list order,
 before any snapshot; a pair's own loop advances one layer per snapshot
@@ -111,8 +115,11 @@ from .errors import (
     NonPositiveTimeError,
     TimesNotStoredError,
     WindowTooNarrowError,
+    require_items,
+    require_kind,
+    require_rng,
 )
-from .flow import replay, require_count, require_real
+from .flow import Trajectory, replay, require_count, require_path, require_real
 
 DEFAULT_WINDOW = 5
 
@@ -124,18 +131,6 @@ class SpaceTimePath:
     snapshots: tuple  # snapshot indices k1..k2
     nodes: tuple  # flat node index per snapshot
     action: float
-
-
-def _same_time(stored, t):
-    """Whether a stored time names t: within 1e-9 relative, absolute below 1."""
-    return np.abs(stored - t) <= 1e-9 * max(1.0, abs(t))
-
-
-def _locate_time(traj, t):
-    hits = np.nonzero(_same_time(traj.times, t))[0]
-    if hits.size == 0:
-        raise TimesNotStoredError(f"t = {t!r} is not a stored snapshot time")
-    return int(hits[0])
 
 
 def _flat_node(geom, node):
@@ -524,6 +519,7 @@ def layer_distance_fn(traj, k, window=DEFAULT_WINDOW):
     layer k outside 0 .. len(traj) - 2 raises ``IndexAtBoundaryError``, and
     a k that is not an int, or is a bool, ``ConstraintViolationError``.
     """
+    require_kind(traj, Trajectory, "traj")
     if isinstance(k, numbers.Integral) and not 0 <= k < len(traj) - 1:
         raise IndexAtBoundaryError(f"layer {k} has no snapshot pair in a trajectory of length {len(traj)}")
     require_count(k, "k", "a layer index")
@@ -557,11 +553,11 @@ def _points(pair, name):
 
 
 def _pair_nodes(traj, point1, point2):
-    """(k1, k2, x1, x2): the snapshots of t1 < t2 and the flat indices of the two nodes."""
+    """(k1, k2, x1, x2): the snapshots of t1 < t2 on the trajectory's grid and the flat indices of the two nodes."""
     (x1, t1), (x2, t2) = point1, point2
-    k1, k2 = _locate_time(traj, t1), _locate_time(traj, t2)
-    if k1 >= k2:
-        raise TimesNotStoredError(f"need t1 < t2 at stored snapshots, got {t1!r} >= {t2!r}")
+    k1, k2 = (traj.grid.index(t) for t in (t1, t2))
+    if None in (k1, k2) or k1 >= k2:
+        raise TimesNotStoredError(f"need t1 < t2 at stored snapshot times, got t1 = {t1!r} and t2 = {t2!r}")
     geom = traj.geom
     return k1, k2, _flat_node(geom, x1), _flat_node(geom, x2)
 
@@ -575,6 +571,7 @@ def min_action(traj, point1, point2, window=DEFAULT_WINDOW):
     (gamma, SpaceTimePath).  The value is an upper bound of the continuum
     infimum, non-increasing in ``window``.
     """
+    require_kind(traj, Trajectory, "traj")
     k1, k2, x1, x2 = _pair_nodes(traj, *_points((point1, point2), "pair"))
     graph, window = _layer_graph(traj.geom, window)
     boxes, depart = _pair_start(traj, k1, k2, x1, x2, graph, window)
@@ -636,19 +633,19 @@ def check_pairs(traj, pairs, window=DEFAULT_WINDOW):
     that is not two (node, time) points with real times fails with
     ConstraintViolationError.
     """
+    require_kind(traj, Trajectory, "traj")
     return replay(PairChecks(traj, pairs, window), traj)
 
 
 class PlannedSnapshots(NamedTuple):
     """What pairs are drawn and located from before a flow makes its snapshots.
 
-    A Trajectory has the same fields: the snapshot times, the geometry of
-    the first snapshot (its grid) and the output spacing.
+    A Trajectory has the same fields: its ``OutputGrid`` and the geometry
+    of its first snapshot.
     """
 
-    times: np.ndarray
+    grid: object
     geom: object
-    dt_out: float
 
 
 @dataclass
@@ -691,7 +688,9 @@ class PairChecks:
     reads = 2
 
     def __init__(self, planned, pairs, window=DEFAULT_WINDOW, static=None):
-        self.dt = planned.dt_out
+        require_kind(planned, (Trajectory, PlannedSnapshots), "planned")
+        pairs = require_items(pairs, object, "pairs")
+        self.dt = planned.grid.dt_out
         self.static = static
         self.sweeps = {}  # id of geometry -> (geometry, its origin sweep or None)
         self.results = [None] * len(pairs)
@@ -778,7 +777,7 @@ def random_pairs(traj, count, rng, t_min=0.0, window=DEFAULT_WINDOW):
     """Sample reachable random space-time pairs from stored snapshots.
 
     ``traj`` is a Trajectory, or the ``PlannedSnapshots`` of one not made
-    yet: the draws read its times and grid alone.
+    yet: the draws read its output grid and geometry alone.
 
     ``rng`` is any object whose ``random()`` returns a float uniform in
     [0, 1), such as ``random.Random`` or a numpy ``Generator``, and every
@@ -788,9 +787,12 @@ def random_pairs(traj, count, rng, t_min=0.0, window=DEFAULT_WINDOW):
     axis the end node, within the reach of the clamped window.
     """
     require_count(count, "count")
-    times = traj.times
-    eligible = np.nonzero(times >= max(t_min, times[0]) - 1e-12)[0]
-    if eligible.size < 2:
+    require_kind(traj, (Trajectory, PlannedSnapshots), "traj")
+    require_rng(rng)
+    require_real(t_min, "t_min")
+    grid = traj.grid
+    eligible = range(grid.first_at(t_min), grid.count + 1)
+    if len(eligible) < 2:
         raise TimesNotStoredError("not enough stored snapshots above t_min")
     geom = traj.geom
     graph, window = _layer_graph(geom, window)
@@ -802,11 +804,11 @@ def random_pairs(traj, count, rng, t_min=0.0, window=DEFAULT_WINDOW):
 
     pairs = []
     for _ in range(count):
-        first = below(eligible.size)
-        second = below(eligible.size - 1)
+        first = below(len(eligible))
+        second = below(len(eligible) - 1)
         if second >= first:
             second += 1
-        k1, k2 = sorted((int(eligible[first]), int(eligible[second])))
+        k1, k2 = sorted((eligible[first], eligible[second]))
         x1 = below(geom.node_count)
         # keep the pair reachable inside the clamped window the DP uses, one
         # grid axis at a time
@@ -820,18 +822,22 @@ def random_pairs(traj, count, rng, t_min=0.0, window=DEFAULT_WINDOW):
                 lo, hi = max(0, i - reach), min(n - 1, i + reach)
                 end.append(lo + below(hi - lo + 1))
         x2 = int(np.ravel_multi_index(end, shape))
-        pairs.append(((x1, float(times[k1])), (x2, float(times[k2]))))
+        pairs.append(((x1, float(grid.time(k1))), (x2, float(grid.time(k2)))))
     return pairs
 
 
 def write_action_csv(rows, path):
-    """rows: iterables (x1, t1, x2, t2, gamma, margin)."""
+    """rows: iterables (x1, t1, x2, t2, gamma, margin); ``path`` a str or os.PathLike."""
+    require_path(path)
     lines = ["x1,t1,x2,t2,gamma,margin"]
-    for x1, t1, x2, t2, gamma, margin in rows:
-        lines.append(
-            ",".join(
-                [str(int(x1)), repr(float(t1)), str(int(x2)), repr(float(t2)), repr(float(gamma)), repr(float(margin))]
+    try:
+        for x1, t1, x2, t2, gamma, margin in rows:
+            lines.append(
+                ",".join(
+                    [str(int(x1)), repr(float(t1)), str(int(x2)), repr(float(t2)), repr(float(gamma)), repr(float(margin))]
+                )
             )
-        )
+    except (TypeError, ValueError, OverflowError):
+        raise ConstraintViolationError(f"rows = {rows!r:.80} must be rows of (x1, t1, x2, t2, gamma, margin)") from None
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

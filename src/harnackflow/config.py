@@ -65,13 +65,18 @@ interval's step by its CFL rule (``flow.CFL_SAFETY`` below the bound at the
 interval's start, shrunk by the area law on an evolving sphere).  An
 explicit dt, used in every interval, must meet the CFL bound of the initial
 state and is trimmed down so an integer number of steps lands exactly on
-each output.  An explicit ``t_check`` whose left neighbour is the snapshot
+each output.  Every time is read on the flow's output grid
+(``output_grid``, a ``flow.OutputGrid`` from t = 0): ``t0 = auto`` is
+the first output after 0.05 t_end that 0.05 t_end does not name,
+``t_check = auto`` the grid's check index nearest t_end / 2, and an
+explicit ``t_check`` or action-pair time must name an output, within
+1e-9 dt_out.  An explicit ``t_check`` whose left neighbour is the snapshot
 at t = 0 is rejected, since the residuals divide by t there.  A run
 writes every snapshot (phi and f, float64 at every node) to
 ``trajectory.bin``, though it keeps only a window of them in memory, and a
 ladder level plans its snapshots up to the one after its check time; a
-plan of more than ``MAX_SNAPSHOT_BYTES`` of them is rejected before any
-field is built.
+plan of more than ``MAX_SNAPSHOT_BYTES`` of them (defined in ``flow``)
+is rejected before any field is built.
 """
 
 from __future__ import annotations
@@ -80,13 +85,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import _same_time
 from .errors import (
     ConfigSyntaxError,
     ConstraintViolationError,
     UnknownKeyError,
+    require_kind,
 )
-from .flow import VARIANT_C, FlowState, output_count
+from .flow import MAX_SNAPSHOT_BYTES, VARIANT_C, FlowState, OutputGrid
 from .geometry import SphereGeometry, TorusGeometry
 from .harnack import MONITOR_GROUPS
 from .identities import PRESET_REGISTRY
@@ -94,10 +99,6 @@ from .identities import PRESET_REGISTRY
 MONITOR_NAMES = tuple(MONITOR_GROUPS)
 
 IDENTITY_PRESETS = tuple(PRESET_REGISTRY)
-
-# Largest set of snapshots a plan may make: 16 GiB, what a run writes to
-# trajectory.bin and what a ladder level plans up to its last snapshot.
-MAX_SNAPSHOT_BYTES = 2**34
 
 
 @dataclass
@@ -181,6 +182,7 @@ def _parse_pairs(raw, line):
 
 def parse_config(text, name="scenario"):
     """Parse and validate a scenario config; unknown keys are errors."""
+    require_kind(text, str, "text")
     cfg = ScenarioConfig(name=name)
     section = None
     setters = _setters()
@@ -354,12 +356,8 @@ def _validate(cfg):
         cfg.dt_out = cfg.t_end / 40.0
     if cfg.dt_out <= 0 or cfg.dt_out > cfg.t_end:
         raise ConstraintViolationError("flow.dt_out must lie in (0, t_end]")
-    if not cfg.t_end / cfg.dt_out < np.inf:
-        raise ConstraintViolationError(
-            f"flow.t_end / flow.dt_out = {cfg.t_end:.6g} / {cfg.dt_out:.6g} overflows a float"
-        )
-    n_out = output_count(cfg.t_end, cfg.dt_out)
-    check_snapshot_plan(cfg, n_out + 1)
+    grid = output_grid(cfg)
+    check_snapshot_plan(cfg, grid.count + 1)
 
     geom0 = build_geometry(cfg)
     bound0 = geom0.cfl_bound()
@@ -391,8 +389,9 @@ def _validate(cfg):
         cfg.dt = cfg.dt_out / steps
 
     if cfg.t0 is None:
-        k0 = int(np.floor(0.05 * cfg.t_end / cfg.dt_out + 1e-12)) + 1
-        cfg.t0 = k0 * cfg.dt_out
+        # the first output after 0.05 t_end, not one that 0.05 t_end names
+        k0 = grid.first_at(0.05 * cfg.t_end)
+        cfg.t0 = grid.time(k0 + 1 if grid.index(0.05 * cfg.t_end) == k0 else k0)
     if cfg.t0 <= 0 or cfg.t0 >= cfg.t_end:
         raise ConstraintViolationError("flow.t0 must lie in (0, t_end)")
 
@@ -400,22 +399,16 @@ def _validate(cfg):
     # = 1 (left neighbour at t = 0) is refused, or left to fail typed in the
     # identity stage when auto has no other interior snapshot
     if cfg.t_check is None:
-        k = max(1, int(round(0.5 * cfg.t_end / cfg.dt_out)))
-        if n_out >= 3:
-            k = max(k, 2)
-        cfg.t_check = k * cfg.dt_out
+        cfg.t_check = grid.time(grid.check_index(0.5 * cfg.t_end))
     else:
-        # an explicit check time must be a stored snapshot with a neighbour
-        # on each side, or each refinement level would land elsewhere
-        k = int(round(cfg.t_check / cfg.dt_out))
-        if abs(k * cfg.dt_out - cfg.t_check) > 1e-9 * cfg.dt_out:
+        # an explicit check time must name the snapshot the grid checks at
+        # it, one with a neighbour on each side and the left one at t > 0,
+        # or each refinement level would land elsewhere
+        if grid.count < 3 or grid.index(cfg.t_check) != grid.check_index(cfg.t_check):
             raise ConstraintViolationError(
-                f"identities.t_check = {cfg.t_check:.6g} is not a multiple of flow.dt_out = {cfg.dt_out:.6g}"
-            )
-        if not 2 <= k <= n_out - 1:
-            raise ConstraintViolationError(
-                f"identities.t_check = {cfg.t_check:.6g} needs a snapshot on each side, the left one "
-                f"at t > 0; it must lie in [{2 * cfg.dt_out:.6g}, {(n_out - 1) * cfg.dt_out:.6g}]"
+                f"identities.t_check = {cfg.t_check:.6g} must be a multiple of flow.dt_out = {cfg.dt_out:.6g} with a "
+                f"snapshot on each side, the left one at t > 0: in [{grid.time(2):.6g}, "
+                f"{grid.time(grid.count - 1):.6g}]"
             )
 
     # explicit action pairs, checked whether or not the action stage is on
@@ -430,11 +423,15 @@ def _validate(cfg):
         if not 0 < t1 < t2:
             raise ConstraintViolationError(f"{pair}: needs 0 < t1 < t2")
         for t in (t1, t2):
-            k = round(min(t / cfg.dt_out, n_out))  # the nearest output, or the last
-            if not _same_time(k * cfg.dt_out, t):
+            if grid.index(t) is None:
                 raise ConstraintViolationError(
-                    f"{pair}: t = {t!r} is not an output time k * {cfg.dt_out!r}, k = 0 .. {n_out}"
+                    f"{pair}: t = {t!r} is not an output time k * {cfg.dt_out!r}, k = 0 .. {grid.count}"
                 )
+
+
+def output_grid(cfg):
+    """The output grid of cfg's flow, which starts at t = 0 as ``build_initial_state``'s state does."""
+    return OutputGrid.spanning(0.0, cfg.t_end, cfg.dt_out)
 
 
 def _node_count(cfg):
@@ -457,6 +454,7 @@ def check_snapshot_plan(cfg, snapshots, members=1, what="the run"):
 
 
 def build_geometry(cfg):
+    require_kind(cfg, ScenarioConfig, "cfg")
     if cfg.kind == "rot_sphere":
         geom = SphereGeometry(cfg.n)
         phi = np.full(geom.field_shape, SphereGeometry.round_phi(cfg.radius))

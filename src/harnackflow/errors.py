@@ -3,12 +3,15 @@
 All package errors derive from :class:`HarnackFlowError` so callers can
 catch the whole family at an orchestration boundary.  Every error carries
 the failing time in ``.time``: set by errors raised during integration,
-None where no time applies.  ``require_real`` and ``require_count`` are
-the typed refusals of a bad argument, shared by every module.
+None where no time applies.  The ``require_*`` functions (a real number,
+a count, a path, an instance of a class, an iterable of them, a random
+generator) are the typed refusals of a bad argument, shared by every
+module.
 """
 
 import math
 import numbers
+import os
 
 
 class HarnackFlowError(Exception):
@@ -120,7 +123,46 @@ def require_real(value, name, finite=False):
         raise ConstraintViolationError(f"{name} = {value!r} must be finite")
 
 
+def require_path(value, name="path"):
+    """Refuse a ``value`` that is not a non-empty str or os.PathLike path, naming ``name``, before anything is opened.
+
+    ``open`` would take an int (a bool too) as a file descriptor to read,
+    write or close.
+    """
+    if not isinstance(value, (str, os.PathLike)) or not os.fspath(value):
+        raise ConstraintViolationError(f"{name} = {value!r} must be a non-empty str or os.PathLike path")
+
+
+def require_kind(value, kind, name):
+    """Refuse a ``value`` that is not an instance of the class ``kind`` (or of one in a tuple), naming ``name``."""
+    if not isinstance(value, kind):
+        kinds = " or ".join(k.__name__ for k in kind) if isinstance(kind, tuple) else kind.__name__
+        raise ConstraintViolationError(f"{name} = {value!r:.80} must be a {kinds}")
+
+
+def require_rng(rng, name="rng"):
+    """Refuse an ``rng`` without a ``random()`` method, naming ``name``."""
+    if not callable(getattr(rng, "random", None)):
+        raise ConstraintViolationError(f"{name} = {rng!r:.80} must have a random() method returning floats in [0, 1)")
+
+
+def require_items(values, kind, name):
+    """``values`` as a list, refusing a non-iterable and an item that is not a ``kind``, naming ``name``."""
+    try:
+        items = list(values)
+    except TypeError:
+        raise ConstraintViolationError(f"{name} = {values!r:.80} must be an iterable of {kind.__name__}") from None
+    for i, item in enumerate(items):
+        require_kind(item, kind, f"{name}[{i}]")
+    return items
+
+
 def require_count(value, name, what="a nonnegative integer"):
     """Refuse a ``value`` that is not a nonnegative integer, or is a bool, naming it as ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ConstraintViolationError(f"{name} = {value!r} must be {what}")
+
+
+# what ``harnackflow`` exports from here: the errors and the two checks of a number
+__all__ = [name for name, obj in dict(globals()).items() if isinstance(obj, type) and issubclass(obj, HarnackFlowError)]
+__all__ += ["require_real", "require_count"]

@@ -33,6 +33,17 @@ alone, by ``df/dt = e^(-2 phi) lap f - ((-2c) dphi/dt) f`` with the
 e^(-2 phi) and the reaction factor computed once, and their snapshots
 share the initial geometry.
 
+Every run and every trajectory has one output grid, an ``OutputGrid``
+(``FlowRun.grid``, ``Trajectory.grid``): snapshot k at
+t_k = t_start + k dt_out for k = 0 .. count.  It answers every question
+of which snapshot a time names, under one rule, |t - t_k| <= 1e-9 dt_out:
+the count of full intervals in a run, the snapshot a time names, the
+first one at or after a start time and the interior check index of the
+identity residuals.  The config's t0, t_check and action pairs, the
+action's pairs, the monitors' start and the times of a loaded trajectory
+are all read through it.  ``run_ensemble``, which keeps every snapshot,
+refuses a plan above ``MAX_SNAPSHOT_BYTES`` before any step.
+
 One kernel steps every flow.  ``snapshots`` integrates several runs in
 lockstep and hands each snapshot on as it is made; a run (``FlowRun``) is
 members on one grid, each with its own ``c`` and ``evolve_metric``, plus
@@ -116,6 +127,9 @@ from .errors import (
     StepTooLargeError,
     TrajectoryFormatError,
     require_count,
+    require_items,
+    require_kind,
+    require_path,
     require_real,
 )
 from .geometry import CFL_FACTOR, SphereGeometry, SurfaceGeometry, TorusGeometry, cfl_limit, sphere_flux_plans
@@ -124,6 +138,11 @@ OVERFLOW_GUARD = 1e12
 # Without an explicit dt, each interval's step stays this factor below its
 # estimate of the interval's smallest CFL bound.
 CFL_SAFETY = 1.25
+
+# Largest set of snapshots a plan may keep: 16 GiB of phi and f, float64 at
+# every node.  ``run_ensemble`` keeps every snapshot it plans; a scenario
+# writes every one to trajectory.bin, and a ladder level plans up to its last.
+MAX_SNAPSHOT_BYTES = 2**34
 
 # variant name -> reaction coefficient c in df/dt = lap f - c R f
 VARIANT_C = {"with_potential": -1.0, "plain_heat": 0.0}
@@ -153,6 +172,7 @@ class FlowState:
 
     def __post_init__(self):
         require_real(self.t, "time t")
+        require_kind(self.geom, SurfaceGeometry, "geom")
         f = self.geom.check_field(self.f, "f").copy()
         fmin = float(np.min(f))
         if fmin <= 0.0:
@@ -212,10 +232,69 @@ class FlowRun(NamedTuple):
     last: int | None = None
     first: int = 0
 
+    @property
+    def grid(self):
+        """Its output grid, up to the last snapshot it makes; checked as ``snapshots`` checks the run."""
+        return _Run(0, self).grid
 
-def output_count(span, dt_out):
-    """Full output intervals of ``dt_out`` in a time span, to float tolerance."""
-    return int(np.floor(span / dt_out + 1e-9))
+
+class OutputGrid(NamedTuple):
+    """The output times of a run or a trajectory: snapshot k at t_k = t_start + k dt_out, k = 0 .. count.
+
+    Every question of which snapshot a time names is answered here, under
+    one rule: t names snapshot k when |t - t_k| <= 1e-9 dt_out.
+    """
+
+    t_start: float
+    dt_out: float
+    count: int  # the index of the last snapshot
+
+    @classmethod
+    def spanning(cls, t_start, t_end, dt_out):
+        """The grid of the full output intervals from t_start to t_end; a t_end that names t_k ends it at k.
+
+        A ``dt_out`` that is not positive and finite, a t_end before t_0 that
+        names no snapshot, and an interval count that overflows a float
+        raise ConstraintViolationError.
+        """
+        if not 0 < dt_out < np.inf:  # NaN fails too
+            raise ConstraintViolationError(f"dt_out = {dt_out!r} must be positive and finite")
+        intervals = (t_end - t_start) / dt_out + 1e-9
+        if not intervals < np.inf:  # NaN fails too
+            raise ConstraintViolationError(f"({t_end!r} - {t_start!r}) / dt_out = {dt_out!r} overflows a float")
+        if intervals < 0:
+            raise ConstraintViolationError("t_end precedes the initial time")
+        return cls(t_start, dt_out, int(np.floor(intervals)))
+
+    def time(self, k):
+        """t_k."""
+        return self.t_start + k * self.dt_out
+
+    def first_at(self, t):
+        """The first snapshot at or after time t, one that t names included; count + 1 when there is none."""
+        x = (t - self.t_start) / self.dt_out - 1e-9
+        if not x <= self.count:  # NaN fails too
+            return self.count + 1
+        return int(np.ceil(x)) if x > 0 else 0
+
+    def index(self, t):
+        """The snapshot that time t names, or None when it names none of 0 .. count.
+
+        Only the first snapshot at or after t can be named by it.
+        """
+        k = self.first_at(t)
+        return k if k <= self.count and self.time(k) <= t + 1e-9 * self.dt_out else None
+
+    def check_index(self, t):
+        """The interior snapshot nearest time t, at which the identity residuals are checked.
+
+        The residuals at k divide by t_(k-1), so snapshot 1, whose left
+        neighbour is t_0, is taken only when no later one is interior.  With
+        no interior snapshot (count < 2) it is 0 or -1, which the residuals
+        refuse.
+        """
+        k = round(min(self.count, max(0, (t - self.t_start) / self.dt_out)))  # NaN takes 0
+        return min(max(k, 1 if self.count < 3 else 2), self.count - 1)
 
 
 def _member_error(err, member, count):
@@ -519,6 +598,11 @@ class Trajectory:
     def geom(self):
         return self.states[0].geom
 
+    @property
+    def grid(self):
+        """Its ``OutputGrid``: a live trajectory's window carries its run's; a stored one's spans its snapshots."""
+        return getattr(self.states, "grid", None) or OutputGrid(self[0].t, self.dt_out, len(self) - 1)
+
     def save(self, path):
         save_trajectory(self, path)
 
@@ -531,12 +615,13 @@ class SnapshotWindow:
     snapshot made, ``[k]`` (or ``[-1]``, the newest) reads a kept one, and
     asking for a dropped one raises LookupError, which iterating from the
     start does too.  So ``geom`` and ``times``, which read the first
-    snapshot or all of them, do not apply.
+    snapshot or all of them, do not apply; ``grid`` is its run's.
     """
 
-    def __init__(self, size):
+    def __init__(self, size, grid=None):
         self.kept = collections.deque(maxlen=size)
         self.count = 0
+        self.grid = grid
 
     def append(self, state):
         self.kept.append(state)
@@ -560,6 +645,7 @@ def replay(consumer, traj):
     ``finish(traj)`` after the last.  A flow's live trajectory feeds the
     same consumers snapshot by snapshot, so one code path serves both.
     """
+    require_kind(traj, Trajectory, "traj")
     for k in range(len(traj)):
         consumer.feed(traj, k)
     return consumer.finish(traj)
@@ -616,12 +702,20 @@ def run_ensemble(runs):
 
     ``snapshots`` with every snapshot kept.  Each returned trajectory is
     bit-identical to a ``run`` of that member alone at the same steps, and
-    its ``dt`` is the smallest step its run used.
+    its ``dt`` is the smallest step its run used.  Runs whose snapshots
+    0 .. last, phi and f of every member, exceed ``MAX_SNAPSHOT_BYTES``
+    raise ConstraintViolationError before any step.
     """
-    runs = list(runs)
+    runs = require_items(runs, FlowRun, "runs")
+    plans = [_Run(index, spec) for index, spec in enumerate(runs)]
+    planned = sum((plan.grid.count + 1) * len(plan.c) * 16 * plan.geoms[0].node_count for plan in plans)
+    if planned > MAX_SNAPSHOT_BYTES:
+        raise ConstraintViolationError(
+            f"the runs keep {planned:.4g} bytes of snapshots, above the limit of {MAX_SNAPSHOT_BYTES} bytes (2^34)"
+        )
     kept = [[] for _ in runs]
     dts = [None] * len(runs)
-    for snap in snapshots(runs):
+    for snap in _handed_on(plans):
         kept[snap.run].append(snap.states)
         dts[snap.run] = snap.dt
     return [
@@ -667,7 +761,7 @@ def snapshots(runs):
     of that run's lowest-index failing member in ``.member`` (and in the
     message when its run has more than one member).
     """
-    return _handed_on([_Run(index, spec) for index, spec in enumerate(runs)])
+    return _handed_on([_Run(index, spec) for index, spec in enumerate(require_items(runs, FlowRun, "runs"))])
 
 
 def _handed_on(plans):
@@ -676,20 +770,10 @@ def _handed_on(plans):
     for plan in plans:
         yield plan.made(plan.initial)
         plan.initial = None  # handed on: the run holds its members' (phi, f) alone until its stack starts
-        if plan.n_out:
+        if plan.grid.count:
             stacks.setdefault(plan.stack, []).append(plan)
     for live in stacks.values():
         yield from _step_stack(live)
-
-
-def snapshot_times(spec):
-    """The times of the snapshots a ``FlowRun`` records, t_start + k dt_out for k = 0 .. its last.
-
-    The run is checked as ``snapshots`` checks it, so a run it would refuse
-    raises the same error here, before any step.
-    """
-    plan = _Run(0, spec)
-    return [plan.t_start] + [plan.time(k) for k in range(1, plan.n_out + 1)]
 
 
 def _step_stack(live):
@@ -698,14 +782,16 @@ def _step_stack(live):
         kernel = _RK4Kernel(live)
         for run, fields in zip(live, kernel.members):
             run.fields = fields  # the stack holds them from now on
-        while all(run.k < run.n_out for run in live):
+        while all(run.k < run.grid.count for run in live):
             for pos, run in enumerate(live):
                 if not run.left:
                     run.begin_interval(kernel.members[pos])
             kernel.set_steps([run.step for run in live])
             count = min(run.left for run in live)
-            for _ in range(count):
-                kernel.step()
+            # an overflow or a NaN the step makes fails its checks, typed, without a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(count):
+                    kernel.step()
             for pos, run in enumerate(live):
                 run.left -= count
                 run.t = float(kernel.t[pos])
@@ -714,7 +800,7 @@ def _step_stack(live):
         # a finished run lets go of the stack; the others move, mid-interval,
         # to a stack without it
         for run in live:
-            if run.k == run.n_out:
+            if run.k == run.grid.count:
                 run.fields = None
         live = [run for run in live if run.fields is not None]
 
@@ -745,26 +831,25 @@ class _Run:
         self.h = g.background_spacing
         # the runs it may share a stack with have the same key: every sphere, a torus of its n and side length
         self.stack = (g.kind,) if isinstance(g, SphereGeometry) else (g.kind, g.field_shape, self.h)
-        self.t = self.t_start  # advanced step by step
+        self.t = self.grid.t_start  # advanced step by step
         self.k = 0  # output intervals done
         self.left = 0  # steps left in the current interval
         self.step, self.max_steps = self.dt, 1
 
     def _check(self, spec):
         """Check ``spec`` and plan its intervals; its members, in member order."""
-        members = list(spec.members)
+        members = require_items(spec.members, EnsembleMember, "members")
         if not members:
             raise ConstraintViolationError("a run needs at least one member")
         self.dt, self.dt_out = spec.dt, spec.dt_out
         require_real(self.dt_out, "dt_out")
-        if self.dt is None:
-            if not 0 < self.dt_out < np.inf:
-                raise ConstraintViolationError(f"dt_out = {self.dt_out!r} must be positive and finite")
-        else:
+        if self.dt is not None:
             require_real(self.dt, "dt")
             self.steps = _steps_per_output(self.dt, self.dt_out)
+        for i, mem in enumerate(members):
+            require_kind(mem.initial, FlowState, f"member {i}: initial")
         geom = members[0].initial.geom
-        t_start = self.t_start = members[0].initial.t
+        t_start = members[0].initial.t
         for i, mem in enumerate(members):
             g = mem.initial.geom
             if (g.kind, g.field_shape, g.background_spacing) != (geom.kind, geom.field_shape, geom.background_spacing):
@@ -780,8 +865,6 @@ class _Run:
             require_real(mem.c, f"member {i}: c", finite=True)
         t_end = spec.t_end
         require_real(t_end, "t_end", finite=True)
-        if t_end < t_start - 1e-12:
-            raise ConstraintViolationError("t_end precedes the initial time")
         # initial areas of the evolving spheres, which lose area at rate 8 pi
         self.areas = []
         for i, mem in enumerate(members):
@@ -793,11 +876,14 @@ class _Run:
                     raise ConstraintViolationError(
                         f"{where}t_end = {t_end:.6g} reaches the extinction time {t_start + extinction:.6g}"
                     )
-        self.n_out = output_count(t_end - t_start, self.dt_out)
+        self.grid = OutputGrid.spanning(t_start, t_end, self.dt_out)
         last = spec.last
         if last is not None:
             require_count(last, "last", "a nonnegative snapshot index")
-            self.n_out = min(self.n_out, int(last))
+            self.grid = self.grid._replace(count=min(self.grid.count, int(last)))
+        t_last = self.grid.time(self.grid.count)
+        if self.dt is not None and t_last + self.dt == t_last:
+            raise ConstraintViolationError(f"dt = {self.dt!r} does not advance the run's last time {t_last!r}")
         require_count(spec.first, "first", "a nonnegative snapshot index")
         self.first = spec.first
         return members
@@ -823,10 +909,6 @@ class _Run:
             self.step, self.max_steps = self.dt_out / self.steps, max(self.max_steps, self.steps)
         self.left = self.steps
 
-    def time(self, k):
-        """The time of snapshot k >= 1."""
-        return self.t_start + k * self.dt_out
-
     def snapshot(self, members):
         """The members' (phi, f), in member order, as the next snapshot, at the end of an interval.
 
@@ -836,7 +918,7 @@ class _Run:
         self.k += 1
         if self.k < self.first:
             return self.made([None] * len(members))
-        t_snap = self.time(self.k)
+        t_snap = self.grid.time(self.k)
         states = [
             FlowState(t_snap, geom if static else geom.with_phi(phi), f)
             for geom, static, (phi, f) in zip(self.geoms, self.static, members)
@@ -861,7 +943,10 @@ def time_derivative(traj, k, field):
     pointwise; accuracy is O(dt_out^2).  A ``k`` that is not a nonnegative
     int is refused.
     """
+    require_kind(traj, Trajectory, "traj")
     require_count(k, "k", "a nonnegative snapshot index")
+    if not callable(field):
+        raise ConstraintViolationError(f"field = {field!r} must map a FlowState to a field")
     if k <= 0 or k >= len(traj) - 1:
         raise IndexAtBoundaryError(
             f"snapshot {k} has no two neighbors in a trajectory of length {len(traj)}"
@@ -903,6 +988,7 @@ class TrajectoryWriter:
     reads = 1
 
     def __init__(self, path):
+        require_path(path)
         self.path = os.fspath(path)
         self.part = self.path + ".part"
         self.fh = open(self.part, "wb")
@@ -957,12 +1043,18 @@ def load_trajectory(path):
     lacks a field, a size other than the header implies) raises
     TrajectoryFormatError naming the path.  So does one that no run could
     have written: a ``dt`` or ``dt_out`` that is not positive and finite, or
-    a ``dt`` that does not divide ``dt_out``; a snapshot time t_k other than
-    t_0 + k dt_out (within 1e-9 dt_out); or a snapshot whose fields fail
-    ``FlowState``'s checks, which the error names by its index.
+    a ``dt`` that does not divide ``dt_out``; a snapshot time t_k that does
+    not name snapshot k of the grid t_0 + k dt_out; or a snapshot whose
+    fields fail ``FlowState``'s checks, which the error names by its index.
+    So does a file that cannot be read.  A ``path`` that is not a non-empty
+    str or os.PathLike raises ConstraintViolationError.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    require_path(path)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as err:
+        raise TrajectoryFormatError(f"{path}: cannot read: {err.strerror or err}") from err
     if data[:8] != _MAGIC:
         raise TrajectoryFormatError(f"{path}: not a harnackflow trajectory file")
     if len(data) < 12:
@@ -996,7 +1088,6 @@ def load_trajectory(path):
         _steps_per_output(params["dt"], params["dt_out"])
     except ConstraintViolationError as err:
         raise TrajectoryFormatError(f"{path}: bad header ({err})") from err
-    dt_out = params["dt_out"]
     # the size the header's integers imply, checked before any geometry is
     # built: a header that declares a huge grid must not allocate its fields
     expected = offset + snapshots * (8 + 16 * count)
@@ -1010,16 +1101,15 @@ def load_trajectory(path):
     except GridMismatchError as err:
         raise TrajectoryFormatError(f"{path}: bad header ({type(err).__name__}: {err})") from err
     states = []
-    (t0,) = struct.unpack_from("<d", data, offset)
+    grid = OutputGrid(struct.unpack_from("<d", data, offset)[0], params["dt_out"], snapshots - 1)
     for k in range(snapshots):
         (t,) = struct.unpack_from("<d", data, offset)
         fields = np.frombuffer(data, dtype="<f8", count=2 * count, offset=offset + 8)
         phi, f = fields.reshape((2, *base.field_shape))
         offset += 8 + 16 * count
-        # NaN fails the comparison, so a non-finite time is caught here too
-        if not abs(t - (t0 + k * dt_out)) <= 1e-9 * dt_out:
+        if grid.index(t) != k:
             raise TrajectoryFormatError(
-                f"{path}: snapshot {k} at t = {t!r}, expected t_0 + {k} * dt_out = {t0 + k * dt_out!r}"
+                f"{path}: snapshot {k} at t = {t!r}, expected t_0 + {k} * dt_out = {grid.time(k)!r}"
             )
         try:
             states.append(FlowState(t, base.with_phi(phi), f))

@@ -44,18 +44,24 @@ read-only copy of ``phi`` and never mutate it.
 
 from __future__ import annotations
 
+import itertools
+import math
 import numbers
 from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, require_real
+from .errors import ConstraintViolationError, GridMismatchError, require_real
 
 # Scalar curvature of the unit round sphere.
 SPHERE_BACKGROUND_CURVATURE = 2.0
 
 # Safety factor of the explicit-step CFL rule dt <= CFL_FACTOR * h^2 * min(e^(2 phi)).
 CFL_FACTOR = 0.2
+
+# Most nodes a grid may have: one snapshot of it, phi and f in float64,
+# then fills flow.MAX_SNAPSHOT_BYTES (2^34 bytes), the most any plan keeps.
+MAX_NODES = 2**30
 
 
 def cfl_limit(h, phi):
@@ -101,11 +107,16 @@ class SurfaceGeometry:
     kind = "abstract"
 
     def __init__(self, n, phi=None):
+        if type(self) is SurfaceGeometry:
+            raise ConstraintViolationError("SurfaceGeometry is abstract: build a TorusGeometry or a SphereGeometry")
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise GridMismatchError(f"resolution n = {n!r} must be an integer")
         self.n = int(n)
         if self.n < 4:
             raise GridMismatchError(f"resolution n = {n} is too coarse (need n >= 4)")
+        # refused by arithmetic, before any array of the grid is made
+        if math.prod(self.field_shape) > MAX_NODES:
+            raise GridMismatchError(f"resolution n = {n} gives more than {MAX_NODES} nodes (2^30)")
         if phi is None:
             phi = np.zeros(self.field_shape)
         phi = _as_field(phi, self.field_shape, "phi").copy()
@@ -262,7 +273,8 @@ class SurfaceGeometry:
         """|hessian(w) - sigma * g|^2 contracted with the live metric.
 
         ``sigma`` may be a scalar, a field or a stack of them, which
-        broadcasts against ``w``; the pure-trace subtraction is what every
+        broadcasts against ``w``, finite everywhere, or GridMismatchError
+        is raised; the pure-trace subtraction is what every
         identity's Hessian-square term reduces to on surfaces, where the
         Ricci tensor is (R/2) g.  The sum is
         ((t11 - sigma g11) / g11)^2 + 2 t12^2 / (g11 g22) + ((t22 - sigma g22) / g22)^2,
@@ -271,7 +283,17 @@ class SurfaceGeometry:
         tensor never exists; the mixed term is built first, while no sum
         is alive yet, and added second, as a sum of two commutes exactly.
         """
-        parts = self._hessian_components(self.check_fields(w))
+        w = self.check_fields(w)
+        given = sigma
+        try:
+            sigma = np.asarray(given, dtype=float)  # None reads as NaN
+            np.broadcast_shapes(sigma.shape, w.shape)
+            finite = bool(np.all(np.isfinite(sigma)))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise GridMismatchError(f"sigma = {given!r:.80} is not finite reals that broadcast against w, {w.shape}")
+        parts = self._hessian_components(w)
         mixed = next(parts)
         g1, g2 = self._metric_diag()
         mixed *= mixed
@@ -531,25 +553,20 @@ def sphere_flux_plans(rows, *pairs):
     pair, as ``SurfaceGeometry.laplacian_plan`` does, and each row gets
     exactly the Laplacian of its own sphere.  The plans share their flux
     buffer, junction mask and coefficients, so they must run one at a time.
+    The coefficients of each run of rows of one n are tiled from its
+    sphere's, so the Python work is per run, not per row.
     """
-    if len(set(rows)) == 1:
-        return _flux_plans(_uniform_rows(rows[0], len(rows)), pairs)
-    inside = np.ones(sum(rows) - 1, dtype=bool)
-    inside[np.cumsum(rows)[:-1] - 1] = False
-    backgrounds = [_sphere_background(n) for n in rows]
-    sin_plus = np.concatenate([bg["sin_plus"] for bg in backgrounds])[:-1]
-    inv_sin_dt2 = np.concatenate([bg["inv_sin_dt2"] for bg in backgrounds])
-    return _flux_plans((inside, sin_plus, inv_sin_dt2), pairs)
-
-
-def _uniform_rows(n, count):
-    """The flux plans' (junction mask, sin_plus, inv_sin_dt2) for ``count`` rows of n nodes, built without a per-row list."""
-    bg = _sphere_background(n)
-    if count == 1:
-        return True, bg["sin_plus"][:-1], bg["inv_sin_dt2"]
-    inside = np.ones(n * count - 1, dtype=bool)
-    inside[n - 1 :: n] = False
-    return inside, np.tile(bg["sin_plus"], count)[:-1], np.tile(bg["inv_sin_dt2"], count)
+    parts = []
+    for n, run in itertools.groupby(rows):
+        count = len(list(run))
+        bg = _sphere_background(n)
+        parts.append([bg[key] if count == 1 else np.tile(bg[key], count) for key in ("sin_plus", "inv_sin_dt2")])
+    sin_plus, inv_sin_dt2 = parts[0] if len(parts) == 1 else (np.concatenate(part) for part in zip(*parts))
+    # each row's sin_plus ends in the exact zero of its pole, at the junction
+    # with the next row, whose difference the flux pass skips; one row has
+    # no junction, and an unmasked pass is cheaper
+    inside = sin_plus[:-1] != 0.0 if len(rows) > 1 else True
+    return _flux_plans((inside, sin_plus[:-1], inv_sin_dt2), pairs)
 
 
 def _flux_plans(coefficients, pairs):
@@ -647,7 +664,7 @@ class SphereGeometry(SurfaceGeometry):
 
     def laplacian_plan(self, w, out, scratch=None):
         # the uniform case of the flux plan: every row has this sphere's n
-        return _flux_plans(_uniform_rows(self.n, w.size // self.n), [(w, out)])[0]
+        return sphere_flux_plans([self.n] * (w.size // self.n), (w, out))[0]
 
     def background_area_weights(self):
         # Band area 2*pi*(cos(theta-) - cos(theta+)) written as an exact

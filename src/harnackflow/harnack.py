@@ -44,8 +44,10 @@ from .errors import (
     NonPositiveFError,
     NonPositiveTimeError,
     TimesNotStoredError,
+    require_items,
+    require_kind,
 )
-from .flow import replay, require_real, time_derivative
+from .flow import FlowState, replay, require_path, require_real, time_derivative
 
 DIMENSION = 2
 
@@ -118,12 +120,14 @@ MONITOR_GROUPS = {
 
 
 def _require_positive_time(state):
+    require_kind(state, FlowState, "state")
     if state.t <= 0:
         raise NonPositiveTimeError(f"quantity with 1/t terms evaluated at t = {state.t}")
 
 
 def u_field(state):
     """u = -ln f; raises if f is not strictly positive."""
+    require_kind(state, FlowState, "state")
     fmin = float(np.min(state.f))
     if fmin <= 0.0:
         raise NonPositiveFError(f"min f = {fmin:.6g} <= 0")
@@ -195,7 +199,7 @@ def quantity_P(state, d=1.0):
 
 
 def quantity_tP(state, d=1.0):
-    return state.t * quantity_P(state, d)
+    return quantity_P(state, d) * state.t
 
 
 def trace_harnack(traj, k, vector="zero"):
@@ -243,7 +247,7 @@ def _lyh_of(state, w):
 
 def entropy_F(state):
     """F = integral of t^2 H e^(-u) dmu = t^2 * integral of H f dmu."""
-    return state.t**2 * _f_integral(state, quantity_H(state))
+    return _f_integral(state, quantity_H(state)) * state.t**2
 
 
 def entropy_W(state, d=1.0):
@@ -257,11 +261,13 @@ def _f_integral(state, field):
 
 def mass(state):
     """Total heat content, integral of f dmu."""
+    require_kind(state, FlowState, "state")
     return state.geom.integrate(state.f)
 
 
 def gradient_quantity(state):
     """|grad u|^2 - u/t; requires 0 < f < 1 so that u > 0."""
+    require_kind(state, FlowState, "state")
     fmax = float(np.max(state.f))
     fmin = float(np.min(state.f))
     if fmin <= 0.0 or fmax >= 1.0:
@@ -278,7 +284,7 @@ def gradient_quantity_f_form(state):
     rescaling keeps them equal to round-off (rediscretizing grad f
     independently would reintroduce an O(h^2) chain-rule mismatch).
     """
-    return state.f**2 * gradient_quantity(state)
+    return gradient_quantity(state) * state.f**2
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +326,8 @@ class MonitorRows:
     """``monitor_series`` one snapshot at a time, as a flow makes them.
 
     ``feed(traj, k)`` computes the row of snapshot k - 1 when it is
-    monitored: it reads snapshots k - 2 .. k, the three a live window
+    monitored, at or after t0 on the trajectory's ``OutputGrid`` and not
+    the first: it reads snapshots k - 2 .. k, the three a live window
     keeps.  Rows come in time order, so the first failing snapshot raises
     first.  ``finish(traj)`` returns the ``MonitorSeries``.
     """
@@ -330,7 +337,7 @@ class MonitorRows:
     def __init__(self, d=1.0, t0=0.0, enable=None):
         require_real(d, "d", finite=True)
         require_real(t0, "t0")
-        self.wants = set(MONITOR_COLUMNS if enable is None else enable)
+        self.wants = set(MONITOR_COLUMNS if enable is None else require_items(enable, str, "enable"))
         unknown = self.wants - set(MONITOR_COLUMNS)
         if unknown:
             raise ConstraintViolationError(f"unknown monitor columns: {sorted(unknown)}")
@@ -340,7 +347,7 @@ class MonitorRows:
         self.rows = []
 
     def feed(self, traj, k):
-        if k >= 2 and traj[k - 1].t >= self.t0 - 1e-12:
+        if k >= 2 and k - 1 >= traj.grid.first_at(self.t0):
             self.times.append(traj[k - 1].t)
             self.rows.append(self._row(traj, k - 1))
 
@@ -398,7 +405,9 @@ class MonitorRows:
 
 
 def write_monitor_csv(series, path):
-    """CSV with the fixed header; NaN entries become empty cells."""
+    """CSV with the fixed header; NaN entries become empty cells.  ``path`` is a str or os.PathLike."""
+    require_kind(series, MonitorSeries, "series")
+    require_path(path)
     lines = ["time," + ",".join(MONITOR_COLUMNS)]
     for row, t in enumerate(series.times):
         cells = [repr(float(t))]

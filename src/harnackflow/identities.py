@@ -75,8 +75,12 @@ from .errors import (
     IndexAtBoundaryError,
     NonPositiveTimeError,
     VariantMismatchError,
+    require_items,
+    require_kind,
+    require_real,
+    require_rng,
 )
-from .flow import require_count, time_derivative
+from .flow import Trajectory, require_count, require_path, time_derivative
 from .harnack import (
     COR_H_PRESET,
     COR_P_PRESET,
@@ -112,6 +116,7 @@ FUZZ_BATCH_NODES = 4096
 def _interior(traj, k):
     """Snapshot k, which needs a neighbour on each side, the left one at t > 0:
     the centered time difference evaluates 1/t terms there."""
+    require_kind(traj, Trajectory, "traj")
     require_count(k, "k", "a nonnegative snapshot index")
     if k <= 0 or k >= len(traj) - 1:
         raise IndexAtBoundaryError(f"snapshot {k} is not interior (length {len(traj)})")
@@ -123,6 +128,7 @@ def _interior(traj, k):
 
 
 def _check_variant(traj, c):
+    require_kind(traj, Trajectory, "traj")
     if traj.c != c:
         raise VariantMismatchError(
             f"trajectory evolved with c = {traj.c}, identity requires c = {c}"
@@ -222,6 +228,7 @@ def _general_H_rhs(state, p):
 
 
 def residual_general_H(traj, k, params):
+    require_kind(params, HarnackParams, "params")
     params.validate_h()
     return _residual("general_H", traj, k, params, general_H_field, _general_H_rhs)
 
@@ -267,6 +274,7 @@ def _general_P_rhs(state, p):
 
 
 def residual_general_P(traj, k, params):
+    require_kind(params, HarnackParams, "params")
     params.validate_p()
     return _residual("general_P", traj, k, params, general_P_field, _general_P_rhs)
 
@@ -311,6 +319,7 @@ def _tP_rhs(state, p):
 
 def residual_tP(traj, k, d=1.0):
     """Residual of the t-weighted identity at the preset (free d)."""
+    require_real(d, "d", finite=True)
     return _residual("cor_tP", traj, k, replace(COR_P_PRESET, d=d), _tP_field, _tP_rhs)
 
 
@@ -340,6 +349,7 @@ def residual_surface(traj, k, fr_traj=None):
     Each form needs R > 0 at the three snapshots it reads.
     """
     fr_traj = traj if fr_traj is None else fr_traj
+    require_kind(fr_traj, Trajectory, "fr_traj")
 
     def general_rhs(state, p):
         geom = state.geom
@@ -409,6 +419,7 @@ def preset_agreement_H(traj, k):
 
 
 def preset_agreement_P(traj, k, d=1.0):
+    require_real(d, "d", finite=True)
     return _agreement(traj, k, replace(COR_P_PRESET, d=d), _general_P_rhs, _cor_P_rhs)
 
 
@@ -475,6 +486,7 @@ def random_params(rng, family, c):
     """
     if family not in ("H", "P"):
         raise ConstraintViolationError(f"unknown family {family!r}")
+    require_rng(rng)
     draw = rng.random
     while True:
         alpha, beta, a, b, d, lam = [-2.0 + 4.0 * draw() for _ in range(6)]
@@ -509,6 +521,9 @@ def fuzz_residuals(traj, k, count, rng, family="H"):
 
 
 def write_identity_csv(reports, path):
+    """One row per report; ``path`` is a str or os.PathLike."""
+    reports = require_items(reports, ResidualReport, "reports")
+    require_path(path)
     header = "identity_id,alpha,beta,a,b,c,d,lambda,t,N,max_residual,l2_residual"
     lines = [header]
     for r in reports:

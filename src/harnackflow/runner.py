@@ -39,8 +39,8 @@ import numpy as np
 
 from . import action as action_mod
 from . import harnack, identities
-from .config import build_initial_state, check_snapshot_plan
-from .errors import ConfigError, ConstraintViolationError, HarnackFlowError
+from .config import ScenarioConfig, build_initial_state, check_snapshot_plan, output_grid
+from .errors import ConfigError, ConstraintViolationError, HarnackFlowError, require_count, require_kind, require_path
 from .flow import (
     EnsembleMember,
     FlowRun,
@@ -48,10 +48,8 @@ from .flow import (
     SnapshotWindow,
     Trajectory,
     TrajectoryWriter,
-    output_count,
     replay,
     run_ensemble,
-    snapshot_times,
     snapshots,
 )
 from .geometry import SphereGeometry
@@ -101,6 +99,10 @@ class ScenarioReport:
 
 
 def resolve_out_dir(cfg, out_flag=None):
+    """``out_flag``, unless it is empty, else the config's directory, else ``out/<name>``."""
+    require_kind(cfg, ScenarioConfig, "cfg")
+    if out_flag:
+        require_path(out_flag, "out_flag")
     return out_flag or cfg.directory or os.path.join("out", cfg.name)
 
 
@@ -121,7 +123,7 @@ def _seeded_rng(cfg, seed):
     and before any flow runs.
     """
     seed = cfg.seed if seed is None else seed
-    if seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConstraintViolationError(f"the seed must be a non-negative integer, got {seed}")
     return random.Random(seed)
 
@@ -183,8 +185,15 @@ class _RunFacts:
 def evaluate_assertions(cfg, traj, series, margins=None):
     """Assertion list for a finished run; eligibility follows the scenario.
 
-    ``traj`` is the stored trajectory, summarized by ``_RunFacts``.
+    ``traj`` is the stored trajectory, summarized by ``_RunFacts``, and
+    ``margins``, when given, real numbers.
     """
+    require_kind(series, harnack.MonitorSeries, "series")
+    if margins is not None:
+        try:
+            margins = np.asarray(margins, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise ConstraintViolationError(f"margins = {margins!r:.80} must be real numbers") from None
     return _assertions(replay(_RunFacts(), traj), series, margins)
 
 
@@ -371,8 +380,8 @@ class _Kept:
         return self.result if self.at_once else self.evaluate(self.trajs, self.check)
 
 
-def _identity_stage(cfg, last):
-    """The identity stage of ``run``: the presets at the check index k, evaluated when snapshot k + 1 arrives."""
+def _identity_stage(cfg, grid):
+    """The identity stage of ``run``: the presets at ``grid``'s check index k, evaluated when snapshot k + 1 arrives."""
     want = set(cfg.identity_presets)
 
     def evaluate(trajs, check):
@@ -381,7 +390,7 @@ def _identity_stage(cfg, last):
             want.discard("surface")  # it needs R > 0 at the checked snapshot
         return identities.preset_reports({traj.c: traj}, check, want, cfg.d)
 
-    return _Kept(_check_index(cfg.t_check, cfg.dt_out, last), evaluate, at_once=True)
+    return _Kept(grid.check_index(cfg.t_check), evaluate, at_once=True)
 
 
 class _Stage(NamedTuple):
@@ -442,7 +451,8 @@ def _drive(runs, flow_names, stages):
             fed.append(consumer)
         reads = [max([c.reads for s, c in zip(stages, fed) if s.run == i], default=1) for i in range(len(runs))]
         lives = [
-            [Trajectory(SnapshotWindow(size), run.dt, run.dt_out, mem.c, mem.evolve_metric, initial_id=mem.initial_id)
+            [Trajectory(SnapshotWindow(size, run.grid), run.dt, run.dt_out, mem.c, mem.evolve_metric,
+                        initial_id=mem.initial_id)
              for mem in run.members]
             for run, size in zip(runs, reads)
         ]
@@ -517,7 +527,7 @@ def run_scenario(cfg, out_flag=None, seed=None):
         _Stage("monitors", 0, lambda run: harnack.MonitorRows(cfg.d, cfg.t0, _monitor_enable(cfg))),
     ]
     if cfg.identities_enable:
-        stages.append(_Stage("identities", 0, lambda run: _identity_stage(cfg, len(snapshot_times(run)) - 1), None))
+        stages.append(_Stage("identities", 0, lambda run: _identity_stage(cfg, run.grid), None))
     if cfg.action_enable:
         stages.append(_Stage("action", 0, lambda run: _ActionStage(cfg, _planned(run), rng, run.members[0].static)))
     with TrajectoryWriter(os.path.join(out_dir, "trajectory.bin")) as writer:
@@ -547,8 +557,8 @@ def run_scenario(cfg, out_flag=None, seed=None):
 
 
 def _planned(run):
-    """What a FlowRun's stages know of its snapshots before any step: their times, its grid and ``dt_out``."""
-    return action_mod.PlannedSnapshots(np.array(snapshot_times(run)), run.members[0].initial.geom, run.dt_out)
+    """What a FlowRun's stages know of its snapshots before any step: its output grid and its geometry."""
+    return action_mod.PlannedSnapshots(run.grid, run.members[0].initial.geom)
 
 
 def _failed(cfg, out_dir, failure):
@@ -556,11 +566,6 @@ def _failed(cfg, out_dir, failure):
     with open(os.path.join(out_dir, "summary.txt"), "w", newline="\n") as fh:
         fh.write(failure + "\n")
     return ScenarioReport(cfg.name, [], out_dir, failure=failure)
-
-
-def _check_index(t_check, dt_out, last):
-    """Index of the snapshot nearest ``t_check``, clamped to the interior of snapshots 0 .. ``last``."""
-    return min(max(int(round(t_check / dt_out)), 1), last - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +711,7 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     out_dir = resolve_out_dir(cfg, out_flag)
     os.makedirs(out_dir, exist_ok=True)
     _remove_stale_reports(out_dir, "identity_summary.txt", "identities.csv")
+    require_count(levels, "levels")
     if levels < 2:
         raise ConstraintViolationError(
             f"the identity ladder needs at least 2 levels to check convergence, got {levels}"
@@ -731,7 +737,7 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
         # k + 1, and the plan of its snapshots 0 .. k + 1, of which they keep
         # three, must fit before any state is built, or any further level
         # made: each level multiplies n
-        k = _check_index(cfg.t_check, lcfg.dt_out, output_count(lcfg.t_end, lcfg.dt_out))
+        k = output_grid(lcfg).check_index(cfg.t_check)
         check_snapshot_plan(lcfg, k + 2, len(coeffs) + ("surface" in want), f"ladder level {lvl} (N = {lcfg.n})")
         level_cfgs.append(lcfg)
         checks.append(k)

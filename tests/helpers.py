@@ -1,6 +1,8 @@
 """Shared test oracles."""
 
+import contextlib
 import itertools
+import os
 
 import numpy as np
 
@@ -282,3 +284,23 @@ def record_kernel_steps(monkeypatch):
 
     monkeypatch.setattr(hf.flow._RK4Kernel, "step", recording_step)
     return steps
+
+
+@contextlib.contextmanager
+def std_streams_guarded():
+    """Point fds 0, 1 and 2 at /dev/null for the block, then restore them.
+
+    A call that takes an int path as a file descriptor can then neither
+    read the test's stdin, write into its stdout, nor close any of them.
+    """
+    saved = [os.dup(fd) for fd in (0, 1, 2)]
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in (0, 1, 2):
+            os.dup2(null, fd)
+        yield
+    finally:
+        for fd, copy in zip((0, 1, 2), saved):
+            os.dup2(copy, fd)
+            os.close(copy)
+        os.close(null)

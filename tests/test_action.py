@@ -212,7 +212,7 @@ def test_check_pairs_sweep_matches_min_action(monkeypatch, request, name, window
 
     monkeypatch.setattr(action, "_departures", counted)
     results = hf.check_pairs(traj, pairs, window)
-    longest = max(action._locate_time(traj, t2) - action._locate_time(traj, t1) for (_, t1), (_, t2) in pairs)
+    longest = max(traj.grid.index(t2) - traj.grid.index(t1) for (_, t1), (_, t2) in pairs)
     assert len(layers) == longest
     n, clamped = traj.geom.n, min(window, (traj.geom.n - 1) // 2)
     assert [len(r) for r in layers[0]] == [min(2 * clamped + 1, n)] * 2  # the arc reached from node 0

@@ -286,3 +286,10 @@ def test_snapshot_plan_limit(monkeypatch, kind, n, outputs, accepted):
     monkeypatch.setattr(config, "build_geometry", no_field)
     with pytest.raises(ConstraintViolationError, match="above the limit of 17179869184 bytes"):
         hf.parse_config(text)
+
+
+@pytest.mark.parametrize("text", [1.0, None, b"[geometry]\nkind = torus\n"])
+def test_config_text_that_is_not_a_str_is_refused(text):
+    # parse_config(1.0) used to raise a raw AttributeError ('float' object has no attribute 'splitlines')
+    with pytest.raises(ConstraintViolationError, match="text = "):
+        hf.parse_config(text)

@@ -1002,7 +1002,8 @@ def test_snapshots_hand_on_each_run_as_it_is_made():
     assert made[:2] == [(0, 0, 1), (1, 0, 2)]
     assert sorted(made) == [(0, k, 1) for k in range(4)] + [(1, k, 2) for k in range(3)]
     assert [k for run, k, _ in made if run == 0] == [0, 1, 2, 3]
-    assert hf.flow.snapshot_times(runs[0]) == [0.0, 0.01, 0.02, 0.03]
+    grid = runs[0].grid
+    assert [grid.time(k) for k in range(grid.count + 1)] == [0.0, 0.01, 0.02, 0.03]
     together = hf.run_ensemble(runs)
     for snap in hf.flow.snapshots(runs):
         for state, traj in zip(snap.states, together[snap.run]):
@@ -1020,3 +1021,44 @@ def test_snapshot_window_reads_kept_snapshots_by_their_index():
             window[k]
     with pytest.raises(LookupError):
         list(window)
+
+
+def _flat_torus8():
+    geom = hf.TorusGeometry(8, 2 * np.pi)
+    x, _ = geom.coords()
+    return hf.FlowState(0.0, geom, 0.5 + 0.2 * np.sin(x) * np.ones((1, 8)))
+
+
+@pytest.mark.parametrize("dt", [None, 1e-3])
+def test_run_whose_output_count_overflows_is_refused(dt):
+    # int(floor(1e310)) used to escape as a raw OverflowError
+    with pytest.raises(ConstraintViolationError, match="overflows a float"):
+        hf.run(_flat_torus8(), 1e308, dt, 0.01)
+
+
+def test_run_ensemble_refuses_a_plan_above_the_snapshot_limit_before_any_step(monkeypatch):
+    # dt_out = 1e-300 used to plan 5e298 snapshots and run until killed
+    def no_kernel(*args):
+        raise AssertionError("a flow was stepped")
+
+    monkeypatch.setattr(hf.flow, "_RK4Kernel", no_kernel)
+    with pytest.raises(ConstraintViolationError, match="above the limit of 17179869184 bytes"):
+        hf.run(_flat_torus8(), 0.05, None, 1e-300)
+    # 2^24 snapshots of 2 fields of 64 nodes: 2^34 bytes, the limit itself
+    member = hf.EnsembleMember(_flat_torus8())
+    with pytest.raises(ConstraintViolationError, match="above the limit"):
+        hf.run_ensemble([hf.FlowRun([member], 2**24 * 0.01, None, 0.01)])
+
+
+def test_snapshot_limit_lives_in_flow():
+    from harnackflow import config, geometry
+
+    assert config.MAX_SNAPSHOT_BYTES is hf.flow.MAX_SNAPSHOT_BYTES == 2**34
+    assert 16 * geometry.MAX_NODES == hf.flow.MAX_SNAPSHOT_BYTES  # one snapshot of the largest grid
+
+
+def test_step_that_does_not_advance_the_time_is_refused(monkeypatch):
+    # dt = 1e-300 divides dt_out into 1e298 steps, and 0.02 + 1e-300 is 0.02
+    monkeypatch.setattr(hf.flow, "_RK4Kernel", None)
+    with pytest.raises(ConstraintViolationError, match="does not advance"):
+        hf.run(_flat_torus8(), 0.02, 1e-300, 0.01)

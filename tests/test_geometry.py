@@ -460,3 +460,34 @@ def test_non_finite_field_rejected():
         geom.laplace_beltrami(bad)
     with pytest.raises(GridMismatchError):
         hf.SphereGeometry(32, bad)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: hf.SphereGeometry(10**12), lambda: hf.TorusGeometry(10**12, 1.0), lambda: hf.TorusGeometry(2**15 + 1, 1.0)],
+    ids=["sphere-1e12", "torus-1e12", "torus-over-2^30-nodes"],
+)
+def test_grid_too_large_is_refused_before_any_array(make, monkeypatch):
+    # these used to raise a raw MemoryError and ValueError ("array is too big")
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was made")
+
+    for name in ("zeros", "empty", "arange", "sin", "full"):
+        monkeypatch.setattr(np, name, no_array)
+    with pytest.raises(GridMismatchError, match="nodes"):
+        make()
+
+
+@pytest.mark.parametrize("sigma", [None, "x", np.ones(3), np.ones((2, 7))])
+def test_hessian_deviation_sigma_that_is_not_a_real_broadcast_is_refused(sigma):
+    geom = hf.TorusGeometry(8, 1.0)
+    w = np.ones((4, 8, 8))
+    with pytest.raises(GridMismatchError, match="sigma"):
+        geom.hessian_deviation_sq(w, sigma)
+
+
+def test_abstract_geometry_is_refused():
+    from harnackflow.errors import ConstraintViolationError
+
+    with pytest.raises(ConstraintViolationError, match="abstract"):
+        hf.SurfaceGeometry(8)
