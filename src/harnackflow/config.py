@@ -390,8 +390,7 @@ def _validate(cfg):
 
     if cfg.t0 is None:
         # the first output after 0.05 t_end, not one that 0.05 t_end names
-        k0 = grid.first_at(0.05 * cfg.t_end)
-        cfg.t0 = grid.time(k0 + 1 if grid.index(0.05 * cfg.t_end) == k0 else k0)
+        cfg.t0 = grid.time(grid.first_at(0.05 * cfg.t_end) + (grid.index(0.05 * cfg.t_end) is not None))
     if cfg.t0 <= 0 or cfg.t0 >= cfg.t_end:
         raise ConstraintViolationError("flow.t0 must lie in (0, t_end)")
 

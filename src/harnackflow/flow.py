@@ -36,8 +36,9 @@ share the initial geometry.
 Every run and every trajectory has one output grid, an ``OutputGrid``
 (``FlowRun.grid``, ``Trajectory.grid``): snapshot k at
 t_k = t_start + k dt_out for k = 0 .. count.  It answers every question
-of which snapshot a time names, under one rule, |t - t_k| <= 1e-9 dt_out:
-the count of full intervals in a run, the snapshot a time names, the
+of which snapshot a time names, under one rule, |t - t_k| <= 1e-9 dt_out
+with t_k as stored, so the rule holds however far the grid lies from
+t = 0: the count of full intervals in a run, the snapshot a time names, the
 first one at or after a start time and the interior check index of the
 identity residuals.  The config's t0, t_check and action pairs, the
 action's pairs, the monitors' start and the times of a loaded trajectory
@@ -234,8 +235,12 @@ class FlowRun(NamedTuple):
 
     @property
     def grid(self):
-        """Its output grid, up to the last snapshot it makes; checked as ``snapshots`` checks the run."""
-        return _Run(0, self).grid
+        """Its output grid, up to the last snapshot it makes; of its fields it checks only the times'.
+
+        ``snapshots`` checks the whole run, and takes its grid from here.
+        """
+        grid = OutputGrid.spanning(self.members[0].initial.t, self.t_end, self.dt_out)
+        return grid if self.last is None else grid._replace(count=min(grid.count, int(self.last)))
 
 
 class OutputGrid(NamedTuple):
@@ -259,31 +264,35 @@ class OutputGrid(NamedTuple):
         """
         if not 0 < dt_out < np.inf:  # NaN fails too
             raise ConstraintViolationError(f"dt_out = {dt_out!r} must be positive and finite")
-        intervals = (t_end - t_start) / dt_out + 1e-9
-        if not intervals < np.inf:  # NaN fails too
+        intervals = (t_end - t_start) / dt_out
+        if not abs(intervals) < np.inf:  # NaN fails too
             raise ConstraintViolationError(f"({t_end!r} - {t_start!r}) / dt_out = {dt_out!r} overflows a float")
-        if intervals < 0:
+        count = int(np.floor(intervals))
+        count += cls(t_start, dt_out, count + 1).index(t_end) == count + 1
+        if count < 0:
             raise ConstraintViolationError("t_end precedes the initial time")
-        return cls(t_start, dt_out, int(np.floor(intervals)))
+        return cls(t_start, dt_out, count)
 
     def time(self, k):
         """t_k."""
         return self.t_start + k * self.dt_out
 
-    def first_at(self, t):
-        """The first snapshot at or after time t, one that t names included; count + 1 when there is none."""
-        x = (t - self.t_start) / self.dt_out - 1e-9
-        if not x <= self.count:  # NaN fails too
-            return self.count + 1
-        return int(np.ceil(x)) if x > 0 else 0
-
     def index(self, t):
         """The snapshot that time t names, or None when it names none of 0 .. count.
 
-        Only the first snapshot at or after t can be named by it.
+        Only the nearest snapshot can be named by t, and the rule compares t
+        with its stored time t_k, so t_k names k however far the grid lies
+        from t = 0.
         """
-        k = self.first_at(t)
-        return k if k <= self.count and self.time(k) <= t + 1e-9 * self.dt_out else None
+        x = (t - self.t_start) / self.dt_out
+        k = round(x) if abs(x) < np.inf else -1  # NaN takes -1
+        return k if 0 <= k <= self.count and abs(t - self.time(k)) <= 1e-9 * self.dt_out else None
+
+    def first_at(self, t):
+        """The first snapshot at or after time t, one that t names included; count + 1 when there is none."""
+        k, x = self.index(t), (t - self.t_start) / self.dt_out
+        # a t that names no snapshot takes the next one; a NaN t takes count + 1
+        return k if k is not None else int(max(np.ceil(x), 0)) if x <= self.count else self.count + 1
 
     def check_index(self, t):
         """The interior snapshot nearest time t, at which the identity residuals are checked.
@@ -618,7 +627,7 @@ class SnapshotWindow:
     snapshot or all of them, do not apply; ``grid`` is its run's.
     """
 
-    def __init__(self, size, grid=None):
+    def __init__(self, size, grid):
         self.kept = collections.deque(maxlen=size)
         self.count = 0
         self.grid = grid
@@ -876,11 +885,9 @@ class _Run:
                     raise ConstraintViolationError(
                         f"{where}t_end = {t_end:.6g} reaches the extinction time {t_start + extinction:.6g}"
                     )
-        self.grid = OutputGrid.spanning(t_start, t_end, self.dt_out)
-        last = spec.last
-        if last is not None:
-            require_count(last, "last", "a nonnegative snapshot index")
-            self.grid = self.grid._replace(count=min(self.grid.count, int(last)))
+        if spec.last is not None:
+            require_count(spec.last, "last", "a nonnegative snapshot index")
+        self.grid = spec._replace(members=members).grid
         t_last = self.grid.time(self.grid.count)
         if self.dt is not None and t_last + self.dt == t_last:
             raise ConstraintViolationError(f"dt = {self.dt!r} does not advance the run's last time {t_last!r}")

@@ -1012,7 +1012,7 @@ def test_snapshots_hand_on_each_run_as_it_is_made():
 
 
 def test_snapshot_window_reads_kept_snapshots_by_their_index():
-    window = hf.flow.SnapshotWindow(3)
+    window = hf.flow.SnapshotWindow(3, hf.flow.OutputGrid(0.0, 0.01, 4))
     for k in range(5):
         window.append(k)
     assert len(window) == 5 and [window[k] for k in (2, 3, 4, -1, -3)] == [2, 3, 4, 4, 2]

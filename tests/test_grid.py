@@ -150,3 +150,20 @@ def test_runs_and_trajectories_expose_their_grid(sphere_traj):
     live = hf.Trajectory(window, sphere_traj.dt, DT_OUT, sphere_traj.c)
     assert live.grid == sphere_traj.grid
     assert np.array_equal(sphere_traj.times, [sphere_traj.grid.time(k) for k in range(11)])
+
+
+def test_stored_times_name_their_snapshots_far_from_zero(tmp_path):
+    # t_k = 1e4 + k 1e-4 is rounded to half an ulp of 1e4, which divided by
+    # dt_out is above 1e-9: the rule must compare t with t_k itself
+    state = hf.build_initial_state(hf.parse_config(SPHERE))
+    grid = OutputGrid(1e4, 1e-4, 5)
+    traj = hf.run(hf.FlowState(1e4, state.geom, state.f), grid.time(5), None, 1e-4)
+    assert traj.grid == grid and [traj[k].t for k in range(6)] == [grid.time(k) for k in range(6)]
+    assert [grid.first_at(grid.time(k)) for k in range(6)] == list(range(6))
+    path = tmp_path / "traj.bin"
+    traj.save(path)
+    assert [s.t for s in hf.load_trajectory(path)] == [s.t for s in traj]
+    pair = ((3, traj[1].t), (5, traj[4].t))
+    assert hf.check_pairs(traj, [pair])[0][1] == hf.min_action(traj, *pair)[0]
+    rows = hf.flow.replay(hf.harnack.MonitorRows(t0=traj[1].t), traj)
+    assert rows.times[0] == traj[1].t
