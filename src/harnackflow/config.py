@@ -60,9 +60,11 @@ Sections and keys (defaults in parentheses):
       directory   output directory                  (out/<scenario name>)
       seed        RNG seed                          (0)
 
-``dt = auto`` leaves ``dt`` as None: the flow then picks each output
-interval's step by its CFL rule (``flow.CFL_SAFETY`` below the bound at the
-interval's start, shrunk by the area law on an evolving sphere).  An
+``dt = auto`` leaves ``dt`` as None: the flow then gives each output
+interval the fewest equal steps that pass its CFL rule (first estimated
+from the bound at the interval's start, shrunk by the area law on an
+evolving sphere, then verified before every step, and the interval taken
+again with more steps when one breaks the rule).  An
 explicit dt, used in every interval, must meet the CFL bound of the initial
 state and is trimmed down so an integer number of steps lands exactly on
 each output.  Every time is read on the flow's output grid

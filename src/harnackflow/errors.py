@@ -89,6 +89,10 @@ class TrajectoryFormatError(HarnackFlowError):
     """A trajectory file is truncated, has trailing bytes or a malformed header."""
 
 
+class OutputDirError(HarnackFlowError):
+    """An output directory, or a report in it, cannot be made or written."""
+
+
 class ConfigError(HarnackFlowError):
     """Base class for scenario-configuration errors."""
 

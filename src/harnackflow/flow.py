@@ -18,12 +18,20 @@ uniform output spacing, so every interval ends on its snapshot time; only
 the RK4 step inside an interval may differ from one interval to the next.
 Every step must satisfy the explicit CFL rule
 ``dt <= 0.2 * h^2 * min(e^(2 phi))``, re-checked against the current state
-before every step.  An explicit ``dt`` is used in every interval.  Without
-one (``dt=None``) each interval takes the fewest equal steps that keep
-``CFL_SAFETY`` below the bound at the interval's start, shrunk by the area
-law across it: an evolving sphere loses area at rate 8 pi, and
-``min(e^(2 phi))``, hence the bound, falls about in proportion.  The
-choice is a pure function of the state, so runs stay bit-identical.
+before every step.  An explicit ``dt`` is used in every interval, and a
+step that breaks the rule raises StepTooLargeError.  Without one
+(``dt=None``) each interval first takes the fewest equal steps under its
+estimated smallest bound: the bound at the interval's start, shrunk by the
+area law across it (an evolving sphere loses area at rate 8 pi, and
+``min(e^(2 phi))``, hence the bound, falls about in proportion).  The
+estimate has no margin, so it is verified: a step that breaks the exact
+rule is not taken, and the run goes back to the interval's start and takes
+it again with more equal steps, the fewest under the smallest bound the
+failed try met and at least one more, until every step passes; a retake
+whose step no longer advances the interval's end time raises
+StepTooLargeError.  On the torus the flow does not lower min phi, so there
+the first estimate holds.  The choice is a pure function of the state, so
+runs stay bit-identical.
 
 ``evolve_metric=False`` freezes ``phi`` (heat flow on a static metric);
 the gradient-estimate scenarios use it to probe curved static backgrounds.
@@ -70,7 +78,7 @@ members in another order: everywhere else, outputs and errors included,
 a run's members are in member-index order.
 
 Each rate evaluation writes its Laplacians straight into its rate buffer,
-in the unit of the Laplacian plans (``SurfaceGeometry.plan_unit``: h^2 on
+in the unit of the Laplacian plans (``SurfaceGeometry._plan_unit``: h^2 on
 the torus, 1 on the sphere), so the kernel carries every rate in that
 unit and folds 1/unit into the step operands it multiplies by anyway: no
 stage divides.  The CFL check reads each run's real step.  A rate
@@ -89,9 +97,11 @@ step.  One segmented reduction over the stack, each member's min phi
 after an update, serves both the guard and the next step's CFL check,
 which compares it with a floor set per member with the step,
 1/2 ln(dt / (0.2 h^2)): a hair conservative, so that only the exact rule
-of ``cfl_limit``, applied to the member alone, raises.  A failure raises its
-typed error with the failing time, the first failing run in stack order
-and that run's lowest-index failing member.
+of ``cfl_limit``, applied to the member alone, fails a step.  A CFL-rule
+run that fails it retakes its interval, reading only its own members,
+while the other runs keep stepping.  Any other failure raises its typed
+error with the failing time, the first failing run in stack order and that
+run's lowest-index failing member.
 
 Each geometry computes its scalar curvature once, on first use of
 ``SurfaceGeometry.R``, and ``FlowState.R`` reads it there; so do the
@@ -136,9 +146,6 @@ from .errors import (
 from .geometry import CFL_FACTOR, SphereGeometry, SurfaceGeometry, TorusGeometry, cfl_limit, sphere_flux_plans
 
 OVERFLOW_GUARD = 1e12
-# Without an explicit dt, each interval's step stays this factor below its
-# estimate of the interval's smallest CFL bound.
-CFL_SAFETY = 1.25
 
 # Largest set of snapshots a plan may keep: 16 GiB of phi and f, float64 at
 # every node.  ``run_ensemble`` keeps every snapshot it plans; a scenario
@@ -338,7 +345,7 @@ class _RK4Kernel:
     one step is a prebuilt list of (callable, operands) with positional
     outputs.  The reaction operand -2c is per node on the sphere and per
     member on the torus.  Every rate is carried in the plans' unit u
-    (``plan_unit``, one per stack: h^2 on the torus, 1 on the sphere), so
+    (``_plan_unit``, one per stack: h^2 on the torus, 1 on the sphere), so
     the step operands are (dt/u)/2, dt/u and (dt/u)/6: no stage divides by
     h^2, and on the sphere dt/1 is dt bit for bit.  Set by ``set_steps``,
     they are stack-shaped, so one multiply scales the whole tail, but 0-d
@@ -404,7 +411,7 @@ class _RK4Kernel:
         self.half, self.full, self.sixth = (np.empty(shape) for _ in range(3))
         # the rates are carried in the plans' unit, one for the stack: a
         # torus stack has one h, and every sphere's unit is 1
-        self.unit = geom.plan_unit
+        self.unit = geom._plan_unit
         # the checks: one segmented minimum of phi per member, taken after
         # each update, serves the overflow guard and the next step's CFL check
         self.phi_flat = x[0].reshape(-1)
@@ -440,7 +447,7 @@ class _RK4Kernel:
         if sphere:
             lap_k1, lap_acc, lap_k = sphere_flux_plans(sizes[n_static:] + sizes, *pairs)
         else:
-            lap_k1, lap_acc, lap_k = (geom.laplacian_plan(w, out, tail(scratch)) for w, out in pairs)
+            lap_k1, lap_acc, lap_k = (geom._laplacian_plan(w, out, tail(scratch)) for w, out in pairs)
         # R = -2 rate_phi, so the reaction term -c R f is ((-2c) rate_phi) f
         minus_two_c = np.multiply(c, _MINUS_TWO)
         half_r_bg = np.array(0.5 * geom.background_curvature * self.unit)
@@ -453,7 +460,7 @@ class _RK4Kernel:
             if sphere:
                 sphere_flux_plans(sizes[:n_static], (phi_s, factor))[0]()
             else:
-                geom.laplacian_plan(phi_s, factor)()
+                geom._laplacian_plan(phi_s, factor)()
             with np.errstate(over="ignore", invalid="ignore"):
                 np.exp(np.multiply(phi_s, _MINUS_TWO, e2m[S]), e2m[S])
                 if sphere:
@@ -532,9 +539,14 @@ class _RK4Kernel:
         its CFL floor before the step; after it, the overflow guard and
         the positivity of f are checked on every member, and the segmented
         minimum is taken again for both the guard and the next step.
+        Returns None once every run has stepped.  When the step of a
+        CFL-rule run breaks the exact rule no run steps, and it returns
+        ``_broken_cfl``'s runs to retake.
         """
         if np.less(self.phi_min, self.floor, self.bad).any():
-            self._raise_cfl()
+            broken = self._broken_cfl()
+            if broken:
+                return broken
         for fn, args in self.ops:
             fn(*args)
         np.minimum.reduceat(self.phi_flat, self.cfl_starts, out=self.phi_min)
@@ -547,15 +559,34 @@ class _RK4Kernel:
             self._raise_state()
         np.add(self.t, self.dts, self.t)
 
-    def _raise_cfl(self):
-        # each member's own bound, by the exact rule, decides; the stack's check only says where to look
-        for pos in np.unique(self.slot_runs[self.bad]):
+    def _broken_cfl(self):
+        """The CFL-rule runs whose step breaks the exact rule: stack position -> (error, smallest bound).
+
+        Each member's own bound, by the exact rule, decides; the stack's
+        check only says where to look.  The error names the run's
+        lowest-index failing member, and the bound is the smallest among
+        its members.  A run with an explicit ``dt`` raises its error.
+        """
+        broken = {}
+        for pos in np.unique(self.slot_runs[self.bad]).tolist():
             run, dt = self.runs[pos], float(self.dts[pos])
-            for i, (phi, _) in enumerate(self.members[pos]):
-                bound = cfl_limit(run.h, phi)
-                if dt > bound * (1.0 + 1e-12):
-                    err = _member_error(StepTooLargeError(dt, bound), i, len(run.c))
-                    raise run.tag(err, float(self.t[pos]))
+            bounds = [cfl_limit(run.h, phi) for phi, _ in self.members[pos]]
+            failing = [i for i, bound in enumerate(bounds) if dt > bound * (1.0 + 1e-12)]
+            if failing:
+                err = _member_error(StepTooLargeError(dt, bounds[failing[0]]), failing[0], len(run.c))
+                err = run.tag(err, float(self.t[pos]))
+                if run.dt is not None:
+                    raise err
+                broken[pos] = (err, min(bounds))
+        return broken
+
+    def restore(self, pos, fields, t):
+        """Put run ``pos`` back at time t, its members' (phi, f) copied from ``fields``, in member order."""
+        for (phi, f), (phi0, f0) in zip(self.members[pos], fields):
+            phi[...] = phi0
+            f[...] = f0
+        self.t[pos] = t
+        np.minimum.reduceat(self.phi_flat, self.cfl_starts, out=self.phi_min)
 
     def _raise_state(self):
         for pos, run in enumerate(self.runs):
@@ -579,7 +610,12 @@ def _check_state_arrays(phi, f, t):
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots at exactly uniform output spacing dt_out."""
+    """Time-ordered snapshots at exactly uniform output spacing dt_out.
+
+    A list of ``states`` must hold at least one snapshot, or
+    ConstraintViolationError is raised; a ``SnapshotWindow``, which starts
+    empty, carries its run's grid.
+    """
 
     states: list
     dt: float
@@ -590,6 +626,8 @@ class Trajectory:
     initial_id: str = ""
 
     def __post_init__(self):
+        if isinstance(self.states, list) and not self.states:
+            raise ConstraintViolationError(f"states = {self.states!r} must hold at least one snapshot")
         if not self.variant:
             self.variant = variant_name(self.c)
 
@@ -672,12 +710,12 @@ def _steps_per_output(dt, dt_out):
     return steps
 
 
-def _interval_steps(bound, shrink, dt_out):
-    """Steps of one output interval under the CFL rule: the fewest that keep
-    ``CFL_SAFETY`` below ``bound * shrink``, the interval's estimated smallest bound."""
-    if not bound > 0.0:  # NaN fails too
+def _interval_steps(bound, dt_out):
+    """The fewest equal steps of one output interval ``dt_out`` that pass the CFL ``bound``."""
+    steps = np.ceil(dt_out / bound - 1e-12) if bound > 0.0 else np.inf  # NaN takes inf
+    if not steps < np.inf:
         raise StepTooLargeError(dt_out, bound)
-    return max(1, int(np.ceil(dt_out * CFL_SAFETY / (bound * shrink) - 1e-12)))
+    return max(1, int(steps))
 
 
 def run(initial, t_end, dt, dt_out, c=-1.0, evolve_metric=True, initial_id=""):
@@ -747,7 +785,8 @@ def snapshots(runs):
     shape, spacing and start time; each member has its own finite ``c``,
     ``evolve_metric`` and ``initial_id``.  With ``dt=None`` a run's members
     take the same steps, set by the smallest CFL bound among them and the
-    fastest-shrinking evolving sphere.  Every run is checked when
+    fastest-shrinking evolving sphere, and take an interval again, alone,
+    when one of its steps breaks the rule.  Every run is checked when
     ``snapshots`` is called, before any snapshot is handed on, and none is
     held here beyond what the next snapshot needs: a run holds its initial
     states until it hands them on, their (phi, f) until its stack starts,
@@ -797,15 +836,20 @@ def _step_stack(live):
                     run.begin_interval(kernel.members[pos])
             kernel.set_steps([run.step for run in live])
             count = min(run.left for run in live)
+            taken, broken = 0, None
             # an overflow or a NaN the step makes fails its checks, typed, without a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(count):
-                    kernel.step()
+                while taken < count and not (broken := kernel.step()):
+                    taken += 1
             for pos, run in enumerate(live):
-                run.left -= count
+                run.left -= taken
                 run.t = float(kernel.t[pos])
                 if not run.left:
                     yield run.snapshot(kernel.members[pos])
+            # a CFL-rule run whose step broke the rule takes its interval again
+            for pos, (err, bound) in (broken or {}).items():
+                live[pos].retake(err, bound)
+                kernel.restore(pos, live[pos].start, live[pos].t)
         # a finished run lets go of the stack; the others move, mid-interval,
         # to a stack without it
         for run in live:
@@ -822,7 +866,10 @@ class _Run:
     ``fields`` (the initial ones until its stack starts, then the stack's
     views until it ends) and in ``geoms`` each one's newest geometry, from
     which the next snapshot's is made: a static member's is its initial
-    one throughout.
+    one throughout.  A CFL-rule run also keeps in ``start`` the (phi, f)
+    its current interval starts from, for a retake: the initial fields,
+    then its newest snapshot's, or a copy of its rows when that snapshot
+    was not built.
     """
 
     def __init__(self, index, spec):
@@ -844,6 +891,7 @@ class _Run:
         self.k = 0  # output intervals done
         self.left = 0  # steps left in the current interval
         self.step, self.max_steps = self.dt, 1
+        self.start = self.fields if self.dt is None else None
 
     def _check(self, spec):
         """Check ``spec`` and plan its intervals; its members, in member order."""
@@ -904,17 +952,36 @@ class _Run:
 
     def begin_interval(self, members):
         """Plan the next output interval's steps from the members' (phi, f), now."""
+        self.t_begin = self.t  # where a retake starts again
         if self.dt is None:
             # area fraction an evolving sphere keeps across this interval
             lost = 8.0 * np.pi * self.k * self.dt_out
             shrink = min(((a - lost - 8.0 * np.pi * self.dt_out) / (a - lost) for a in self.areas), default=1.0)
-            try:
-                bound = min(cfl_limit(self.h, phi) for phi, _ in members)
-                self.steps = _interval_steps(bound, shrink, self.dt_out)
-            except HarnackFlowError as err:
-                raise self.tag(err, self.t)
-            self.step, self.max_steps = self.dt_out / self.steps, max(self.max_steps, self.steps)
+            self._plan(min(cfl_limit(self.h, phi) for phi, _ in members) * shrink)
         self.left = self.steps
+
+    def retake(self, err, bound):
+        """Plan the current interval again, from its start, after a try whose step broke the CFL rule.
+
+        ``err`` is that try's StepTooLargeError and ``bound`` the smallest
+        exact bound among the members where it failed.  The interval takes
+        the fewest equal steps under ``bound``, and at least one more than
+        the try; a step that no longer advances the interval's end time
+        raises ``err``.
+        """
+        self._plan(bound, self.steps + 1)
+        end = self.grid.time(self.k + 1)
+        if end + self.step == end:
+            raise err
+        self.t, self.left = self.t_begin, self.steps
+
+    def _plan(self, bound, at_least=1):
+        """Step the current interval by its fewest equal steps under ``bound``, and at least ``at_least``."""
+        try:
+            self.steps = max(at_least, _interval_steps(bound, self.dt_out))
+        except HarnackFlowError as err:
+            raise self.tag(err, self.t)
+        self.step, self.max_steps = self.dt_out / self.steps, max(self.max_steps, self.steps)
 
     def snapshot(self, members):
         """The members' (phi, f), in member order, as the next snapshot, at the end of an interval.
@@ -924,6 +991,8 @@ class _Run:
         """
         self.k += 1
         if self.k < self.first:
+            if self.dt is None:
+                self.start = [(phi.copy(), f.copy()) for phi, f in members]
             return self.made([None] * len(members))
         t_snap = self.grid.time(self.k)
         states = [
@@ -931,6 +1000,8 @@ class _Run:
             for geom, static, (phi, f) in zip(self.geoms, self.static, members)
         ]
         self.geoms = [state.geom for state in states]
+        if self.dt is None:
+            self.start = [(state.geom.phi, state.f) for state in states]
         return self.made(states)
 
     def made(self, states):

@@ -74,7 +74,7 @@ def _require_c_contiguous(w, out):
     # would silently turn into copies
     for name, a in (("w", w), ("out", out)):
         if not a.flags.c_contiguous:
-            raise GridMismatchError(f"laplacian_plan needs a C-contiguous {name}, not strides {a.strides}")
+            raise GridMismatchError(f"_laplacian_plan needs a C-contiguous {name}, not strides {a.strides}")
 
 
 def _deviation_sq(t, sigma, g):
@@ -139,14 +139,14 @@ class SurfaceGeometry:
         raise NotImplementedError
 
     @property
-    def plan_unit(self):
-        """Unit of a ``laplacian_plan``'s output: h^2 on the torus, 1 on the sphere."""
+    def _plan_unit(self):
+        """Unit of a ``_laplacian_plan``'s output: h^2 on the torus, 1 on the sphere."""
         raise NotImplementedError
 
-    def laplacian_plan(self, w, out, scratch=None):
-        """Background Laplacian, in units of ``plan_unit``, bound to the arrays ``w`` and ``out``.
+    def _laplacian_plan(self, w, out, scratch=None):
+        """Background Laplacian, in units of ``_plan_unit``, bound to the arrays ``w`` and ``out``.
 
-        Returns ``lap()``, which writes ``plan_unit`` times the Laplacian of
+        Returns ``lap()``, which writes ``_plan_unit`` times the Laplacian of
         the current contents of ``w`` over its trailing field axes into
         ``out`` and returns it: the torus plan writes the bare five-point
         sum, and leaves the division by h^2 to its reader, which can fold
@@ -166,10 +166,10 @@ class SurfaceGeometry:
         raise NotImplementedError
 
     def _bg_lap_raw(self, w):
-        """Background Laplacian without shape validation: the plan's output over ``plan_unit``."""
+        """Background Laplacian without shape validation: the plan's output over ``_plan_unit``."""
         w = np.ascontiguousarray(w)
-        out = self.laplacian_plan(w, np.empty(w.shape))()
-        return np.divide(out, self.plan_unit, out=out)
+        out = self._laplacian_plan(w, np.empty(w.shape))()
+        return np.divide(out, self._plan_unit, out=out)
 
     def background_laplacian(self, w):
         return self._bg_lap_raw(self.check_fields(w))
@@ -348,7 +348,7 @@ class TorusGeometry(SurfaceGeometry):
         return 0.0
 
     @property
-    def plan_unit(self):
+    def _plan_unit(self):
         return self.h * self.h
 
     def with_phi(self, phi):
@@ -369,7 +369,7 @@ class TorusGeometry(SurfaceGeometry):
         d /= 2.0 * self.h
         return d
 
-    def laplacian_plan(self, w, out, scratch=None):
+    def _laplacian_plan(self, w, out, scratch=None):
         # Five-point stencil summed in the order
         # (w[i+1,j] + w[i-1,j]) + w[i,j+1] + w[i,j-1] - 4 w, not divided by
         # h^2, the plan's unit: a reader folds 1/h^2 into an operand it
@@ -384,7 +384,7 @@ class TorusGeometry(SurfaceGeometry):
         if scratch is None:
             scratch = np.empty(w.shape)
         elif scratch.shape != w.shape:
-            raise GridMismatchError(f"laplacian_plan needs a scratch of shape {w.shape}, not {scratch.shape}")
+            raise GridMismatchError(f"_laplacian_plan needs a scratch of shape {w.shape}, not {scratch.shape}")
         four_w = scratch
         saved = np.empty(w.shape[:-1])
         # (flat target, flat neighbour, wrap column, its wrap neighbour): the
@@ -550,7 +550,7 @@ def sphere_flux_plans(rows, *pairs):
     ``rows`` lists the node count n of each row in flat order; together
     they cover each ``w``, which may be any C-contiguous array (the flow's
     field-major stack is phi's rows, then f's).  Returns one ``lap()`` per
-    pair, as ``SurfaceGeometry.laplacian_plan`` does, and each row gets
+    pair, as ``SurfaceGeometry._laplacian_plan`` does, and each row gets
     exactly the Laplacian of its own sphere.  The plans share their flux
     buffer, junction mask and coefficients, so they must run one at a time.
     The coefficients of each run of rows of one n are tiled from its
@@ -627,7 +627,7 @@ class SphereGeometry(SurfaceGeometry):
         return SPHERE_BACKGROUND_CURVATURE
 
     @property
-    def plan_unit(self):
+    def _plan_unit(self):
         return 1.0
 
     def with_phi(self, phi):
@@ -662,7 +662,7 @@ class SphereGeometry(SurfaceGeometry):
         g = self._ghost(w)
         return (g[..., 2:] - 2.0 * g[..., 1:-1] + g[..., :-2]) / (self.dtheta * self.dtheta)
 
-    def laplacian_plan(self, w, out, scratch=None):
+    def _laplacian_plan(self, w, out, scratch=None):
         # the uniform case of the flux plan: every row has this sphere's n
         return sphere_flux_plans([self.n] * (w.size // self.n), (w, out))[0]
 

@@ -30,6 +30,7 @@ index k, which ``_Kept`` keeps as they arrive.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 from dataclasses import dataclass, replace
@@ -40,7 +41,15 @@ import numpy as np
 from . import action as action_mod
 from . import harnack, identities
 from .config import ScenarioConfig, build_initial_state, check_snapshot_plan, output_grid
-from .errors import ConfigError, ConstraintViolationError, HarnackFlowError, require_count, require_kind, require_path
+from .errors import (
+    ConfigError,
+    ConstraintViolationError,
+    HarnackFlowError,
+    OutputDirError,
+    require_count,
+    require_kind,
+    require_path,
+)
 from .flow import (
     EnsembleMember,
     FlowRun,
@@ -104,6 +113,16 @@ def resolve_out_dir(cfg, out_flag=None):
     if out_flag:
         require_path(out_flag, "out_flag")
     return out_flag or cfg.directory or os.path.join("out", cfg.name)
+
+
+@contextlib.contextmanager
+def _writing_to(out_dir):
+    """Make ``out_dir``; an OSError from making it or from the block raises OutputDirError naming the path."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        yield
+    except OSError as err:
+        raise OutputDirError(f"{err.filename or out_dir}: cannot write: {err.strerror or err}") from err
 
 
 def _remove_stale_reports(out_dir, *names):
@@ -513,9 +532,16 @@ def run_scenario(cfg, out_flag=None, seed=None):
     disables or never reaches leaves no report behind; a negative seed then
     raises ConstraintViolationError before the flow runs.  A run that stops
     early leaves no partial ``trajectory.bin`` and no ``trajectory.bin.part``.
+    An output directory that cannot be made or written raises
+    OutputDirError, naming the path.
     """
     out_dir = resolve_out_dir(cfg, out_flag)
-    os.makedirs(out_dir, exist_ok=True)
+    with _writing_to(out_dir):
+        return _scenario(cfg, out_dir, seed)
+
+
+def _scenario(cfg, out_dir, seed):
+    """``run_scenario`` in its output directory ``out_dir``, made."""
     _remove_stale_reports(
         out_dir, "trajectory.bin", "trajectory.bin.part", "monitors.csv", "plots.gp", "identities.csv",
         "action.csv", "summary.txt",
@@ -706,10 +732,16 @@ def verify_identities(cfg, levels=3, out_flag=None, seed=None):
     flow has finished; it is reported for the first run to fail in step
     order: ``flow`` for a level's run, ``fuzz`` for the calibration.
     Otherwise the first failing stage in the order level 0, fuzz, level 1,
-    ... is reported, and no later one is evaluated.
+    ... is reported, and no later one is evaluated.  An output directory
+    that cannot be made or written raises OutputDirError, naming the path.
     """
     out_dir = resolve_out_dir(cfg, out_flag)
-    os.makedirs(out_dir, exist_ok=True)
+    with _writing_to(out_dir):
+        return _ladder(cfg, levels, out_dir, seed)
+
+
+def _ladder(cfg, levels, out_dir, seed):
+    """``verify_identities`` in its output directory ``out_dir``, made."""
     _remove_stale_reports(out_dir, "identity_summary.txt", "identities.csv")
     require_count(levels, "levels")
     if levels < 2:

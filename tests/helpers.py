@@ -148,7 +148,7 @@ def reference_torus_stencil(w):
 
     Sums in the order ((w[i+1,j] + w[i-1,j]) + w[i,j+1]) + w[i,j-1], then
     subtracts 4 w, and does not divide by h^2: this is h^2 times the
-    Laplacian, in the unit of ``TorusGeometry.laplacian_plan``, which must
+    Laplacian, in the unit of ``TorusGeometry._laplacian_plan``, which must
     match it bit for bit.
     """
     w = np.asarray(w, dtype=float)
@@ -207,7 +207,7 @@ def reference_sphere_laplacian(w):
     Each row gets its own flux array with exact-zero pole fluxes at both
     ends; the flux into node j is sin(j*dtheta) * (w[j] - w[j-1]), and the
     Laplacian is the flux difference times 1 / (sin(theta_j) * dtheta^2),
-    so ``SphereGeometry.laplacian_plan`` must match it bit for bit.
+    so ``SphereGeometry._laplacian_plan`` must match it bit for bit.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[-1]
@@ -273,7 +273,10 @@ def record_kernel_steps(monkeypatch):
     """Patch the flow kernel so that every RK4 step appends its runs' (t, dt) to the returned list.
 
     One kernel step advances every run of its stack, so each entry is a
-    tuple with one (t, dt) per run, in the stack's order.
+    tuple with one (t, dt) per run, in the stack's order.  A call whose
+    check sends a CFL-rule run back to retake its interval advances no
+    run, and is recorded too: the discarded try's entries are followed by
+    one at the interval's start time.
     """
     steps = []
     kernel_step = hf.flow._RK4Kernel.step

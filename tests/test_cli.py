@@ -640,6 +640,24 @@ def test_negative_seed_exits_before_any_flow(cfg_file, tmp_path, capsys, monkeyp
     assert not (out / stale).exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["run"], ["action"], ["verify-identities", "--levels", "2"], ["sweep"]],
+    ids=["run", "action", "verify-identities", "sweep"],
+)
+def test_output_directory_that_cannot_be_made_exits_2(cfg_file, tmp_path, capsys, command):
+    # os.makedirs under a regular file used to let a raw NotADirectoryError
+    # out of the command, which then exited 1 with a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    cfg = cfg_file(SMALL_TORUS, "blocked.cfg")
+    name, *flags = command
+    where = [cfg] if name == "sweep" else ["--config", cfg]
+    assert main([name, *where, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "OutputDirError" in err and str(blocker) in err
+
+
 # an n = 16 sphere ladder whose fuzz draws parameter tuples
 FUZZ_LADDER = SMALL_SPHERE.replace("n = 48", "n = 16").replace(
     "[action]\nenable = true\npair_count = 5\nwindow = 5\n", "[identities]\nfuzz_count = 4\n"

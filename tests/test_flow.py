@@ -669,6 +669,66 @@ def test_step_rule_runs_round_sphere_to_nine_tenths_of_extinction(monkeypatch):
     assert worst_r <= 1e-3 and worst_f <= 1e-3
 
 
+def test_step_rule_retakes_an_interval_whose_step_breaks_the_exact_rule(monkeypatch):
+    # without a margin the area law can underestimate how fast the bound of
+    # a non-round sphere falls near extinction; a step that breaks the exact
+    # rule is not taken, and its interval is taken again with more steps
+    record = record_kernel_steps(monkeypatch)
+    geom = hf.SphereGeometry(16)
+    state = hf.FlowState(0.0, geom.with_phi(hf.SphereGeometry.round_phi(1.0) + 0.5 * geom.cos_theta), np.ones(16))
+    t_end = 0.98 * state.geom.extinction_time()
+    traj = hf.run(state, t_end, None, t_end / 20)
+    steps = _interval_steps(record, traj.dt_out)
+    assert len(traj) == 21 and traj.dt == min(steps)
+    want = reference_rk4_run(state, t_end, steps, traj.dt_out)
+    for s, (phi, f) in zip(traj.states, want, strict=True):
+        assert s.geom.phi.tobytes() == phi.tobytes() and s.f.tobytes() == f.tobytes()
+    # the kernel steps each interval made, the steps of a discarded try included
+    tries = [sum(a.t - 1e-12 <= t < b.t - 1e-12 for ((t, _),) in record) for a, b in zip(traj.states, traj.states[1:])]
+    assert sum(tries) == len(record) > sum(round(traj.dt_out / dt) for dt in steps)
+    retaken = 0
+    for k, (dt, made) in enumerate(zip(steps, tries), 1):
+        count = round(traj.dt_out / dt)
+        # each of its steps passes the exact rule: the interval alone, at its
+        # step as an explicit dt, raises no StepTooLargeError
+        alone = hf.run(traj[k - 1], traj[k].t, dt, traj.dt_out)[1]
+        assert alone.geom.phi.tobytes() == traj[k].geom.phi.tobytes() and alone.f.tobytes() == traj[k].f.tobytes()
+        if made > count:
+            # a retaken interval takes the fewest steps that pass
+            retaken += 1
+            with pytest.raises(StepTooLargeError):
+                hf.run(traj[k - 1], traj[k].t, traj.dt_out / (count - 1), traj.dt_out)
+    assert retaken
+    # in one stack with another run, which keeps stepping through the
+    # retakes, and with a second member, each run is the one stepped alone
+    big = hf.SphereGeometry(32).with_phi(np.full(32, hf.SphereGeometry.round_phi(2.0)))
+    other = hf.FlowRun([hf.EnsembleMember(hf.FlowState(0.0, big, np.full(32, F0)))], 0.6, 1e-3, 0.01)
+    pair = hf.FlowRun([hf.EnsembleMember(state), hf.EnsembleMember(state, c=0.0)], t_end, None, traj.dt_out)
+    (other_alone,), pair_alone = hf.run_ensemble([other])[0], hf.run_ensemble([pair])[0]
+    (other_together,), pair_together = hf.run_ensemble([other, pair])
+    _same_trajectory(pair_alone[0], traj)
+    for a, b in zip([other_alone, *pair_alone], [other_together, *pair_together], strict=True):
+        _same_trajectory(a, b)
+    # a run that builds no state before its last snapshot retakes from a copy of its rows
+    ((late,),) = hf.run_ensemble([hf.FlowRun([hf.EnsembleMember(state)], t_end, None, traj.dt_out, first=20)])
+    assert late.states[1:20] == [None] * 19 and late.dt == traj.dt
+    assert late[20].geom.phi.tobytes() == traj[20].geom.phi.tobytes() and late[20].f.tobytes() == traj[20].f.tobytes()
+
+
+def test_a_retake_whose_step_no_longer_advances_raises():
+    # the try's error when the fewest steps under the bound no longer
+    # advance the interval's end time, a typed error when no step passes
+    run = hf.flow._Run(0, hf.FlowRun([hf.EnsembleMember(_sphere_cos(16))], 0.02, None, 0.01))
+    run.begin_interval(run.fields)
+    tried = StepTooLargeError(run.step, 1e-300)
+    with pytest.raises(StepTooLargeError) as err:
+        run.retake(tried, 1e-300)
+    assert err.value is tried
+    with pytest.raises(StepTooLargeError) as err:
+        run.retake(tried, 0.0)
+    assert (err.value.run, err.value.bound) == (0, 0.0)
+
+
 def test_step_rule_is_deterministic_and_divides_dt_out():
     state = _sphere_cos(24)
     a = hf.run(state, 0.1, None, 0.01, c=-1.0)
@@ -697,12 +757,17 @@ def test_step_rule_refuses_a_metric_without_a_positive_bound():
 
 
 def _interval_steps(record, dt_out):
-    """Each output interval's step, from the kernel steps of a run stepped alone."""
-    dts = [dt for ((_, dt),) in record]
+    """Each output interval's step, from the kernel steps of a run stepped alone, a retake's discarded try left out."""
+    kept = []
+    for ((t, dt),) in record:
+        # a retake starts its interval again, no later than any step of the try it discards
+        while kept and kept[-1][0] >= t:
+            kept.pop()
+        kept.append((t, dt))
     out, i = [], 0
-    while i < len(dts):
-        out.append(dts[i])
-        i += round(dt_out / dts[i])
+    while i < len(kept):
+        out.append(kept[i][1])
+        i += round(dt_out / out[-1])
     return out
 
 
@@ -1021,6 +1086,15 @@ def test_snapshot_window_reads_kept_snapshots_by_their_index():
             window[k]
     with pytest.raises(LookupError):
         list(window)
+
+
+def test_trajectory_refuses_an_empty_list_of_states():
+    # its grid and geom used to raise a raw IndexError; a window, which
+    # starts empty, carries its run's grid and stays accepted
+    with pytest.raises(ConstraintViolationError, match="at least one snapshot"):
+        hf.Trajectory([], 1e-3, 1e-2, -1.0)
+    grid = hf.flow.OutputGrid(0.0, 0.01, 4)
+    assert hf.Trajectory(hf.flow.SnapshotWindow(3, grid), 1e-3, 1e-2, -1.0).grid == grid
 
 
 def _flat_torus8():

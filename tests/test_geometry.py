@@ -92,7 +92,7 @@ def test_torus_laplacian_plan_matches_roll_reference(n, members):
     geom = torus(n, 3.0)
     w = signed_stack(np.random.default_rng(100 * n + members), (members, 2, n, n))
     out = np.empty_like(w)
-    assert geom.laplacian_plan(w, out)() is out
+    assert geom._laplacian_plan(w, out)() is out
     assert np.array_equal(bits(out), bits(reference_torus_stencil(w)))
 
 
@@ -101,7 +101,7 @@ def test_torus_laplacian_plan_reads_live_data():
     rng = np.random.default_rng(7)
     w = signed_stack(rng, (2, 2, 8, 8))
     out = np.empty_like(w)
-    lap = geom.laplacian_plan(w, out)
+    lap = geom._laplacian_plan(w, out)
     lap()
     w[...] = signed_stack(rng, w.shape)  # rewrite the bound buffer in place
     lap()
@@ -112,9 +112,9 @@ def test_torus_laplacian_plan_rejects_strided_arrays():
     geom = torus(8)
     w = np.zeros((2, 8, 8))
     with pytest.raises(GridMismatchError):
-        geom.laplacian_plan(w.transpose(0, 2, 1), np.empty_like(w))
+        geom._laplacian_plan(w.transpose(0, 2, 1), np.empty_like(w))
     with pytest.raises(GridMismatchError):
-        geom.laplacian_plan(w, np.empty((2, 8, 16))[..., ::2])
+        geom._laplacian_plan(w, np.empty((2, 8, 16))[..., ::2])
 
 
 def test_background_laplacian_of_non_contiguous_field():
@@ -151,7 +151,7 @@ def test_torus_laplacian_plan_warns_no_more_than_reference():
     w[0, 0, 4, -1], w[0, 0, 4, 0] = np.inf, -np.inf
     expected = reference_torus_stencil(w)
     out = np.empty_like(w)
-    geom.laplacian_plan(w, out)()
+    geom._laplacian_plan(w, out)()
     assert np.array_equal(bits(out), bits(expected))
 
 
@@ -162,7 +162,7 @@ def test_sphere_laplacian_plan_matches_flux_reference(n, shape):
     w = signed_stack(np.random.default_rng(10 * n + len(shape)), shape + (n,))
     w[..., 0], w[..., -1] = -0.0, 0.0  # signed zeros on both sides of every row junction
     out = np.empty_like(w)
-    assert geom.laplacian_plan(w, out)() is out
+    assert geom._laplacian_plan(w, out)() is out
     assert np.array_equal(bits(out), bits(reference_sphere_laplacian(w)))
 
 
@@ -171,7 +171,7 @@ def test_sphere_laplacian_plan_reads_live_data():
     rng = np.random.default_rng(8)
     w = signed_stack(rng, (2, 3, 16))
     out = np.empty_like(w)
-    lap = geom.laplacian_plan(w, out)
+    lap = geom._laplacian_plan(w, out)
     lap()
     w[...] = signed_stack(rng, w.shape)  # rewrite the bound buffer in place
     lap()
@@ -182,9 +182,9 @@ def test_sphere_laplacian_plan_rejects_strided_arrays():
     geom = sphere(8)
     w = np.zeros((3, 8))
     with pytest.raises(GridMismatchError):
-        geom.laplacian_plan(np.zeros((8, 3)).T, np.empty_like(w))
+        geom._laplacian_plan(np.zeros((8, 3)).T, np.empty_like(w))
     with pytest.raises(GridMismatchError):
-        geom.laplacian_plan(w, np.empty((3, 16))[:, ::2])
+        geom._laplacian_plan(w, np.empty((3, 16))[:, ::2])
 
 
 def test_sphere_laplacian_plan_warns_no_more_than_reference():
@@ -196,7 +196,7 @@ def test_sphere_laplacian_plan_warns_no_more_than_reference():
     w[1], w[2] = 1e308, -1e308
     expected = reference_sphere_laplacian(w)
     out = np.empty_like(w)
-    geom.laplacian_plan(w, out)()
+    geom._laplacian_plan(w, out)()
     assert np.array_equal(bits(out), bits(expected))
 
 

@@ -604,8 +604,9 @@ def test_fuzz_calibration_step_keeps_cfl_headroom(n, monkeypatch):
         interval = {dt for t, dt in steps if times[k - 1] - 1e-12 <= t < times[k] - 1e-12}
         assert len(interval) == 1
         (dt,) = interval
-        # the step stays CFL_SAFETY below the bound at both ends of its interval
-        assert dt * flow.CFL_SAFETY <= min(bounds[k - 1], bounds[k])
+        # the step passes the exact rule at both ends of its interval, and one fewer step would not
+        bound, count = min(bounds[k - 1], bounds[k]) * (1.0 + 1e-12), round(traj.dt_out / dt)
+        assert dt <= bound and (count == 1 or traj.dt_out / (count - 1) > bound)
         used.append(dt)
     assert sum(round(traj.dt_out / dt) for dt in used) == len(steps)
     # the sphere shrinks, and so does the step: it never grows
