@@ -120,9 +120,13 @@ class ConstraintViolationError(ConfigError):
 
 
 def require_real(value, name, finite=False):
-    """Refuse a ``value`` that is not a real number, or is a bool, or if ``finite`` is not finite, naming ``name``."""
+    """Refuse a ``value`` that is not a real number a float can hold, or is a bool, or if ``finite`` is not finite, naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConstraintViolationError(f"{name} = {value!r} must be a real number")
+    try:
+        float(value)
+    except OverflowError:  # an int or a fraction beyond the float range
+        raise ConstraintViolationError(f"{name} = {value!r:.80} overflows a float") from None
     if finite and not abs(value) < math.inf:  # NaN fails too
         raise ConstraintViolationError(f"{name} = {value!r} must be finite")
 

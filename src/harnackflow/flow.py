@@ -26,9 +26,10 @@ area law across it (an evolving sphere loses area at rate 8 pi, and
 ``min(e^(2 phi))``, hence the bound, falls about in proportion).  The
 estimate has no margin, so it is verified: a step that breaks the exact
 rule is not taken, and the run goes back to the interval's start and takes
-it again with more equal steps, the fewest under the smallest bound the
-failed try met and at least one more, until every step passes; a retake
-whose step no longer advances the interval's end time raises
+it again with more equal steps, until every step passes: the fewest under
+the bound extrapolated to the interval's end along its fall from the
+interval's start to the failed check, and at least one more than the try.
+A retake whose step no longer advances the interval's end time raises
 StepTooLargeError.  On the torus the flow does not lower min phi, so there
 the first estimate holds.  The choice is a pure function of the state, so
 runs stay bit-identical.
@@ -77,6 +78,17 @@ member is bit-identical to a run of it alone.  Only the stack puts the
 members in another order: everywhere else, outputs and errors included,
 a run's members are in member-index order.
 
+A stack's six buffers (the state, the stage state, three rate buffers and
+one scratch block, each of the stack's shape) are consecutive views of one
+block.  When they span at least 1 MiB (a torus member at n = 128 takes
+1.5 MiB), the block is a private anonymous mapping advised MADV_HUGEPAGE,
+the first buffer on a 2-MiB boundary: with transparent huge pages in
+``always`` or ``madvise`` mode the step's address translation then runs on
+2-MiB pages, not on 4-KiB ones.  The cost is at most the unused tail of
+one huge page per stack.  Smaller stacks (every sphere stack, a torus
+member at n = 64) and platforms without MADV_HUGEPAGE take one
+``np.empty`` per buffer.  No arithmetic depends on where the buffers lie.
+
 Each rate evaluation writes its Laplacians straight into its rate buffer,
 in the unit of the Laplacian plans (``SurfaceGeometry._plan_unit``: h^2 on
 the torus, 1 on the sphere), so the kernel carries every rate in that
@@ -120,6 +132,7 @@ from __future__ import annotations
 
 import collections
 import json
+import mmap
 import os
 import shutil
 import struct
@@ -242,12 +255,28 @@ class FlowRun(NamedTuple):
 
     @property
     def grid(self):
-        """Its output grid, up to the last snapshot it makes; of its fields it checks only the times'.
+        """Its output grid, up to the last snapshot it makes; of its fields it checks the members, the times and ``last``.
 
         ``snapshots`` checks the whole run, and takes its grid from here.
+        Members that are not a non-empty iterable of EnsembleMember, a first
+        member without a FlowState, a ``last`` that is not a nonnegative int
+        and the refusals of ``OutputGrid.spanning`` raise
+        ConstraintViolationError.
         """
-        grid = OutputGrid.spanning(self.members[0].initial.t, self.t_end, self.dt_out)
+        members = _run_members(self.members)
+        require_kind(members[0].initial, FlowState, "member 0: initial")
+        if self.last is not None:
+            require_count(self.last, "last", "a nonnegative snapshot index")
+        grid = OutputGrid.spanning(members[0].initial.t, self.t_end, self.dt_out)
         return grid if self.last is None else grid._replace(count=min(grid.count, int(self.last)))
+
+
+def _run_members(members):
+    """A run's ``members`` as a list, refusing an empty one and an item that is not an EnsembleMember."""
+    members = require_items(members, EnsembleMember, "members")
+    if not members:
+        raise ConstraintViolationError("a run needs at least one member")
+    return members
 
 
 class OutputGrid(NamedTuple):
@@ -265,10 +294,12 @@ class OutputGrid(NamedTuple):
     def spanning(cls, t_start, t_end, dt_out):
         """The grid of the full output intervals from t_start to t_end; a t_end that names t_k ends it at k.
 
-        A ``dt_out`` that is not positive and finite, a t_end before t_0 that
-        names no snapshot, and an interval count that overflows a float
-        raise ConstraintViolationError.
+        A time that is not a real number, a ``dt_out`` that is not positive
+        and finite, a t_end before t_0 that names no snapshot, and an
+        interval count that overflows a float raise ConstraintViolationError.
         """
+        for value, name in ((t_start, "t_start"), (t_end, "t_end"), (dt_out, "dt_out")):
+            require_real(value, name)
         if not 0 < dt_out < np.inf:  # NaN fails too
             raise ConstraintViolationError(f"dt_out = {dt_out!r} must be positive and finite")
         intervals = (t_end - t_start) / dt_out
@@ -281,7 +312,9 @@ class OutputGrid(NamedTuple):
         return cls(t_start, dt_out, count)
 
     def time(self, k):
-        """t_k."""
+        """t_k; a ``k`` that is not a nonnegative int a float can hold is refused."""
+        require_count(k, "k", "a nonnegative snapshot index")
+        require_real(k, "k")
         return self.t_start + k * self.dt_out
 
     def index(self, t):
@@ -289,8 +322,10 @@ class OutputGrid(NamedTuple):
 
         Only the nearest snapshot can be named by t, and the rule compares t
         with its stored time t_k, so t_k names k however far the grid lies
-        from t = 0.
+        from t = 0.  Here and in ``first_at`` and ``check_index`` a t that is
+        not a real number is refused.
         """
+        require_real(t, "t")
         x = (t - self.t_start) / self.dt_out
         k = round(x) if abs(x) < np.inf else -1  # NaN takes -1
         return k if 0 <= k <= self.count and abs(t - self.time(k)) <= 1e-9 * self.dt_out else None
@@ -309,6 +344,7 @@ class OutputGrid(NamedTuple):
         no interior snapshot (count < 2) it is 0 or -1, which the residuals
         refuse.
         """
+        require_real(t, "t")
         k = round(min(self.count, max(0, (t - self.t_start) / self.dt_out)))  # NaN takes 0
         return min(max(k, 1 if self.count < 3 else 2), self.count - 1)
 
@@ -323,6 +359,37 @@ def _member_error(err, member, count):
 
 # 0-d operands: numpy takes them faster than Python floats
 _TWO, _MINUS_TWO = np.array(2.0), np.array(-2.0)
+
+# a kernel's six stack buffers take huge pages from this many bytes in all on
+_ARENA_MIN = 2**20
+_HUGE_PAGE = 2**21
+
+
+def _stack_buffers(shape, count):
+    """``count`` C-contiguous float64 arrays of ``shape``, consecutive views of one block.
+
+    When they span at least 1 MiB, the block is a private anonymous mapping
+    advised MADV_HUGEPAGE, and the first array starts on a 2-MiB boundary in
+    it, so THP in ``always`` or ``madvise`` mode can back the arrays with
+    whole huge pages: at n = 128 one page, not 384 of 4 KiB.  It is private
+    because a shared mapping follows THP's ``shmem_enabled`` setting, not
+    its ``enabled`` one.  Smaller blocks, and platforms without
+    MADV_HUGEPAGE, are one ``np.empty`` per array.  The mapping is released
+    with the last view of it.
+    """
+    nbytes = count * int(np.prod(shape)) * 8  # float64
+    if nbytes < _ARENA_MIN or not hasattr(mmap, "MADV_HUGEPAGE"):
+        return [np.empty(shape) for _ in range(count)]
+    # whole huge pages from the aligned start, and one more to align it in;
+    # only the pages touched take memory
+    pages = -(-nbytes // _HUGE_PAGE) + 1
+    block = mmap.mmap(-1, pages * _HUGE_PAGE, flags=mmap.MAP_PRIVATE)
+    try:
+        block.madvise(mmap.MADV_HUGEPAGE)
+    except OSError:  # a kernel without THP: the arrays stay on small pages
+        pass
+    start = -np.frombuffer(block, np.uint8, 1).ctypes.data % _HUGE_PAGE
+    return list(np.frombuffer(block, count=nbytes // 8, offset=start).reshape((count,) + shape))
 
 
 class _RK4Kernel:
@@ -357,7 +424,10 @@ class _RK4Kernel:
 
     A step works on six arrays of the stack's shape: ``x``, the stage
     state ``y``, the rate buffers ``k1``, ``acc`` (k2, then the weighted
-    sum) and ``k`` (k3, then k4), and one scratch block.  One Laplacian
+    sum) and ``k`` (k3, then k4), and one scratch block.  They are
+    consecutive views of one block from ``_stack_buffers``: from 1 MiB in
+    all on, a mapping advised MADV_HUGEPAGE with ``x`` on a 2-MiB
+    boundary, below it one ``np.empty`` each.  One Laplacian
     plan per (state, rate) pair writes the Laplacians of the tail, times
     u, into its rate buffer; an evolving member's phi rate is then u times
     ``(lap phi - R_bg/2) e^(-2 phi)``, with no subtraction on the torus,
@@ -394,7 +464,7 @@ class _RK4Kernel:
         ends = np.cumsum(sizes).tolist()
         starts = [end - size for end, size in zip(ends, sizes)]
         body = (ends[-1],) if sphere else (len(slots),) + geom.field_shape
-        x = np.empty((2,) + body)
+        x, y, k1, acc, k, scratch = _stack_buffers((2,) + body, 6)
         # per run: its members' (phi, f) views, in member order
         self.members = [[None] * len(run.c) for run in runs]
         for (pos, i), a, b in zip(slots, starts, ends):
@@ -429,10 +499,8 @@ class _RK4Kernel:
         self.x = x
         self.phi, self.f = x
         np.minimum.reduceat(self.phi_flat, self.cfl_starts, out=self.phi_min)
-        y, k1, acc, k = (np.empty(x.shape) for _ in range(4))
-        # one scratch block: e^(-2 phi) and the reaction term after each
+        # the scratch block: e^(-2 phi) and the reaction term after each
         # Laplacian, and the torus plans' 4w during it
-        scratch = np.empty(x.shape)
         e2m, react = scratch
         # the first evolving unit of the body: S holds the static members, E the evolving ones
         e0 = starts[n_static] if n_static < len(slots) else body[0]
@@ -895,9 +963,7 @@ class _Run:
 
     def _check(self, spec):
         """Check ``spec`` and plan its intervals; its members, in member order."""
-        members = require_items(spec.members, EnsembleMember, "members")
-        if not members:
-            raise ConstraintViolationError("a run needs at least one member")
+        members = _run_members(spec.members)
         self.dt, self.dt_out = spec.dt, spec.dt_out
         require_real(self.dt_out, "dt_out")
         if self.dt is not None:
@@ -933,8 +999,6 @@ class _Run:
                     raise ConstraintViolationError(
                         f"{where}t_end = {t_end:.6g} reaches the extinction time {t_start + extinction:.6g}"
                     )
-        if spec.last is not None:
-            require_count(spec.last, "last", "a nonnegative snapshot index")
         self.grid = spec._replace(members=members).grid
         t_last = self.grid.time(self.grid.count)
         if self.dt is not None and t_last + self.dt == t_last:
@@ -957,20 +1021,30 @@ class _Run:
             # area fraction an evolving sphere keeps across this interval
             lost = 8.0 * np.pi * self.k * self.dt_out
             shrink = min(((a - lost - 8.0 * np.pi * self.dt_out) / (a - lost) for a in self.areas), default=1.0)
-            self._plan(min(cfl_limit(self.h, phi) for phi, _ in members) * shrink)
+            self.bound_begin = min(cfl_limit(self.h, phi) for phi, _ in members)
+            self._plan(self.bound_begin * shrink)
         self.left = self.steps
 
     def retake(self, err, bound):
         """Plan the current interval again, from its start, after a try whose step broke the CFL rule.
 
         ``err`` is that try's StepTooLargeError and ``bound`` the smallest
-        exact bound among the members where it failed.  The interval takes
-        the fewest equal steps under ``bound``, and at least one more than
-        the try; a step that no longer advances the interval's end time
-        raises ``err``.
+        exact bound among the members where it failed, at time ``self.t``.
+        The bound is extrapolated to the interval's end along a straight
+        line through its value at the interval's start and at the failed
+        check, and the interval takes the fewest equal steps under the lower
+        of the two, and at least one more than the try: a bound that keeps
+        falling after the check would otherwise fail each retake a few steps
+        later.  A line that reaches 0 before the interval's end leaves
+        ``bound`` as it is.  A step that no longer advances the interval's
+        end time raises ``err``.
         """
+        end, done = self.grid.time(self.k + 1), self.t - self.t_begin
+        if done > 0.0:
+            ahead = bound - (self.bound_begin - bound) * ((end - self.t) / done)
+            if 0.0 < ahead < bound:  # a fall that reaches 0 first is not extrapolated
+                bound = ahead
         self._plan(bound, self.steps + 1)
-        end = self.grid.time(self.k + 1)
         if end + self.step == end:
             raise err
         self.t, self.left = self.t_begin, self.steps

@@ -643,7 +643,10 @@ class SphereGeometry(SurfaceGeometry):
 
     @staticmethod
     def round_phi(radius):
-        """Conformal exponent of the round sphere of the given radius."""
+        """Conformal exponent of the round sphere of the given radius; a radius that is not positive and finite is refused."""
+        require_real(radius, "radius", finite=True)
+        if not radius > 0:
+            raise ConstraintViolationError(f"radius = {radius!r} must be positive")
         return float(np.log(radius))
 
     def _ghost(self, w):

@@ -21,6 +21,7 @@ import dataclasses
 import inspect
 import random
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -216,6 +217,53 @@ def test_exported_callable_refuses_bad_arguments_typed(name, bases, tmp_path, mo
                 escape = _call(fn, (*args[:pos], value, *args[pos + 1 :]))
                 if escape:
                     escapes.append(f"{name} argument {pos} = {value!r}: {escape}")
+    finally:
+        tracemalloc.stop()
+    assert not escapes, "\n".join(escapes)
+
+
+def _methods(traj):
+    """Per method or property of a class the exports hand out, a callable and small valid arguments.
+
+    The output grid is reached through ``Trajectory.grid`` and
+    ``FlowRun.grid``; ``FlowRun.grid`` is called on a run built from its
+    arguments.
+    """
+    run = hf.FlowRun([hf.EnsembleMember(traj[0])], 0.04, None, 0.01)
+    methods = {
+        "FlowRun.grid": (lambda *fields: hf.FlowRun(*fields).grid, tuple(run)),
+        "OutputGrid.spanning": (flow.OutputGrid.spanning, (0.0, 0.04, 0.01)),
+        "SphereGeometry.round_phi": (hf.SphereGeometry.round_phi, (1.0,)),
+    }
+    for owner, grid in (("Trajectory.grid", traj.grid), ("FlowRun.grid", run.grid)):
+        for method, arg in GRID_METHODS.items():
+            methods[f"{owner}.{method}"] = (getattr(grid, method), (arg,))
+    return methods
+
+
+GRID_METHODS = {"time": 1, "index": 0.01, "first_at": 0.01, "check_index": 0.02}  # each with a valid argument
+METHODS = ["FlowRun.grid", "OutputGrid.spanning", "SphereGeometry.round_phi",
+           *(f"{owner}.{method}" for owner in ("Trajectory.grid", "FlowRun.grid") for method in GRID_METHODS)]
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_method_refuses_bad_arguments_typed(name, small_traj):
+    # the replacement values and an int beyond the float range, with numpy's
+    # RuntimeWarnings (the log of a radius <= 0) raised as errors
+    methods = _methods(small_traj)
+    assert sorted(methods) == sorted(METHODS)
+    fn, args = methods[name]
+    fn(*args)
+    escapes = []
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for pos in range(len(args)):
+                for value in [*VALUES, 10**400]:
+                    escape = _call(fn, (*args[:pos], value, *args[pos + 1 :]))
+                    if escape:
+                        escapes.append(f"{name} argument {pos} = {value!r:.40}: {escape}")
     finally:
         tracemalloc.stop()
     assert not escapes, "\n".join(escapes)
